@@ -1,7 +1,7 @@
 # Repo-wide checks. `make check` is the CI gate: vet + formatting + tests.
 GO ?= go
 
-.PHONY: check build vet fmt test test-short race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-json bench-batch bench-batch-smoke bench-pr7 bench-pr7-smoke bench-pr9 bench-pr10 bench-pr10-smoke
+.PHONY: check build vet fmt test test-short race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-core bench-json bench-batch bench-batch-smoke bench-pr7 bench-pr7-smoke bench-pr9 bench-pr10 bench-pr10-smoke
 
 check: vet fmt test
 
@@ -78,6 +78,12 @@ feedback-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# Scorer micro-benchmarks (internal/core/bench_test.go): the tape-free
+# inference forward cold, warm, batched and the preference pass alone, beside
+# Logits on a tape as the yardstick. TaobaoLike geometry, 20-item lists.
+bench-core:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/core
 
 # Machine-readable perf snapshot: runs the shared benchmark suite
 # (internal/benchsuite) and writes current numbers next to the committed

@@ -26,8 +26,8 @@ func truncated(inst *rerank.Instance, l int) *rerank.Instance {
 }
 
 // batchFixture builds a batch with mixed list lengths (8, 5, 3, 8, 1) and
-// at least one empty per-topic behavior sequence, so grouping, packing and
-// the zero-state paths are all exercised.
+// at least one empty per-topic behavior sequence, so mixed lengths in one
+// batch and the zero-state path are both exercised.
 func batchFixture(t *testing.T) ([]*rerank.Instance, *dataset.Dataset) {
 	t.Helper()
 	insts, d := fixture(t, 6, 91)
@@ -121,7 +121,7 @@ func TestScoreBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestScoreBatchConcurrent hammers the pooled-tape path from many
+// TestScoreBatchConcurrent hammers the pooled-arena path from many
 // goroutines (run with -race): results must stay bitwise identical.
 func TestScoreBatchConcurrent(t *testing.T) {
 	insts, d := batchFixture(t)

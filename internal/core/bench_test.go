@@ -1,0 +1,105 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/nn"
+	"repro/internal/rerank"
+)
+
+// benchFixture is the geometry the serving benchmark issues: the TaobaoLike
+// dimensions (q_u 13, q_v 8, m 5), 64 distinct instances of 20 items, the
+// default RAPID-pro model at hidden 16.
+func benchFixture(b *testing.B) (*Model, []*rerank.Instance) {
+	b.Helper()
+	cfg := dataset.TaobaoLike(1).Scaled(0.1)
+	d := dataset.MustGenerate(cfg)
+	rng := rand.New(rand.NewSource(4))
+	insts := make([]*rerank.Instance, 64)
+	for i := range insts {
+		pool := d.RerankPools[i%len(d.RerankPools)]
+		items := pool.Candidates[:cfg.ListLen]
+		scores := make([]float64, len(items))
+		for k := range scores {
+			scores[k] = rng.Float64()
+		}
+		insts[i] = rerank.NewInstance(d, dataset.Request{User: pool.User, Items: items, InitScores: scores}, rng)
+	}
+	return New(DefaultConfig(cfg.UserDim, cfg.ItemDim, d.M(), 1)), insts
+}
+
+var benchSink [][]float64
+
+// BenchmarkScoreBatch1 is the cold single-list call: preference pass,
+// listwise pass and head.
+func BenchmarkScoreBatch1(b *testing.B) {
+	m, insts := benchFixture(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(insts)
+		benchSink, _ = m.ScoreBatch(ctx, insts[k:k+1])
+	}
+}
+
+// BenchmarkScoreWarm1 is the repeat-user call: the encoded state supplied,
+// so the preference pass is skipped.
+func BenchmarkScoreWarm1(b *testing.B) {
+	m, insts := benchFixture(b)
+	ctx := context.Background()
+	_, states, err := m.ScoreBatchStates(ctx, insts, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(insts)
+		benchSink, _, _ = m.ScoreBatchStates(ctx, insts[k:k+1], states[k:k+1])
+	}
+}
+
+// BenchmarkScoreBatch16 scores 16 lists per call; ns/op divided by 16 is the
+// per-list cost to hold against BenchmarkScoreBatch1.
+func BenchmarkScoreBatch16(b *testing.B) {
+	m, insts := benchFixture(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := (i * 16) % len(insts)
+		benchSink, _ = m.ScoreBatch(ctx, insts[k:k+16])
+	}
+}
+
+// BenchmarkEncodeUserState is the preference pass alone.
+func BenchmarkEncodeUserState(b *testing.B) {
+	m, insts := benchFixture(b)
+	ctx := context.Background()
+	var st *UserState
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, _ = m.EncodeUserState(ctx, insts[i%len(insts)])
+	}
+	_ = st
+}
+
+// BenchmarkLegacyLogits is the training-side forward, Logits(train=false) on
+// a reused tape: the path inference left, kept as the yardstick.
+func BenchmarkLegacyLogits(b *testing.B) {
+	m, insts := benchFixture(b)
+	t := nn.NewTapeCap(m.TapeCapHint())
+	var logits *nn.Node
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Reset()
+		logits = m.Logits(t, insts[i%len(insts)], false)
+	}
+	_ = logits
+}

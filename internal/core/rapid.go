@@ -19,6 +19,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -129,9 +130,9 @@ type Model struct {
 
 	divFn topics.DiversityFunction
 	noise *rand.Rand
-	// tapes recycles inference tapes across Score/ScoreBatch calls; each
-	// call borrows one for the duration of its forward pass.
-	tapes sync.Pool
+	// arenas recycles inference scratch across calls; each Score/ScoreBatch/
+	// EncodeUserState call borrows one *arena for its duration (forward.go).
+	arenas sync.Pool
 	// preNoise holds the ξ vectors pre-drawn by PrepareInstance for the
 	// parallel trainer. It is written only between batches (on the trainer
 	// goroutine) and read by Logits inside the batch, so no lock is needed.
@@ -180,10 +181,7 @@ func New(cfg Config) *Model {
 		m.prefMLP = nn.NewMLP(m.ps, "rapid.div.pref",
 			[]int{cfg.Hidden, cfg.Hidden, 1}, nn.ReLU, nn.SigmoidAct, rng)
 	}
-	headIn := relDim
-	if cfg.UseDiversity {
-		headIn += cfg.Topics
-	}
+	headIn := m.headIn()
 	switch cfg.Output {
 	case Deterministic:
 		m.headDet = nn.NewMLP(m.ps, "rapid.head", []int{headIn, cfg.Hidden, 1}, nn.ReLU, nn.Linear, rng)
@@ -353,9 +351,10 @@ func (m *Model) Fit(train []*rerank.Instance) error {
 
 // Scores implements rerank.Reranker: the estimated utility φ_R (probability
 // scale; for RAPID-pro this is the sigmoid of the UCB, which preserves the
-// UCB ordering).
+// UCB ordering). It is Score without a context.
 func (m *Model) Scores(inst *rerank.Instance) []float64 {
-	return rerank.ScoreWithSigmoid(m, inst)
+	scores, _ := m.Score(context.Background(), inst) // a background context never errs
+	return scores
 }
 
 // Preference exposes the learned θ̂ for an instance — used by the case
@@ -364,9 +363,8 @@ func (m *Model) Preference(inst *rerank.Instance) []float64 {
 	if !m.Cfg.UseDiversity {
 		return make([]float64, m.Cfg.Topics)
 	}
-	t := nn.NewTape()
-	theta := m.preference(t, inst)
-	return append([]float64(nil), theta.Value.Data...)
+	st, _ := m.EncodeUserState(context.Background(), inst)
+	return st.theta
 }
 
 // ParamSet exposes the parameters for serialization.

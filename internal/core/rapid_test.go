@@ -13,14 +13,20 @@ import (
 
 func fixture(t *testing.T, n int, seed int64) ([]*rerank.Instance, *dataset.Dataset) {
 	t.Helper()
+	return fixtureLen(t, n, seed, 8)
+}
+
+// fixtureLen is fixture with lists of listLen items.
+func fixtureLen(t *testing.T, n int, seed int64, listLen int) ([]*rerank.Instance, *dataset.Dataset) {
+	t.Helper()
 	cfg := dataset.TaobaoLike(seed)
 	cfg.NumUsers = 25
 	cfg.NumItems = 70
 	cfg.Categories = 15
 	cfg.RerankRequests = n
 	cfg.TestRequests = 1
-	cfg.ListLen = 8
-	cfg.PoolSize = 12
+	cfg.ListLen = listLen
+	cfg.PoolSize = listLen + 4
 	d := dataset.MustGenerate(cfg)
 	rng := rand.New(rand.NewSource(seed + 1))
 	var out []*rerank.Instance

@@ -42,10 +42,18 @@ func (s *UserState) Theta() []float64 { return s.theta }
 // model's empty state).
 func (s *UserState) Topics() int { return len(s.theta) }
 
-// SizeBytes estimates the state's resident size for cache budget accounting:
-// the float64 payload plus the struct, slice header and cache bookkeeping
-// overhead of one entry.
-func (s *UserState) SizeBytes() int { return 8*len(s.theta) + 96 }
+// SizeBytes is what one resident state-cache entry costs in live heap, for
+// cache budget accounting: the float64 payload plus entryOverhead.
+func (s *UserState) SizeBytes() int { return 8*len(s.theta) + entryOverhead }
+
+// entryOverhead is everything an engine state-cache entry holds besides the
+// θ̂ floats: this struct (24 B), the cache's entry record — two-string key,
+// charge, list links (80 B) — its index slot at the map's load factor
+// (≈ 25–40 B) and the allocator's rounding of θ̂ to a size class. It is
+// measured, not derived: engine.TestStateCacheChargeMatchesHeap fills a cache
+// and holds the charge to within 25 % of the heap growth per entry
+// (174–190 B at m = 5, depending on how full the map's tables are).
+const entryOverhead = 140
 
 // validFor reports whether the state can stand in for m's preference pass.
 func (s *UserState) validFor(m *Model) bool {
@@ -58,10 +66,9 @@ func (s *UserState) validFor(m *Model) bool {
 // to cache, and ScoreBatchStates ignores the states it is given.
 //
 // The returned state is bitwise identical to the θ̂ an uncached
-// Score/ScoreBatch call would compute internally: every arithmetic step of
-// the preference pass is row-private per instance, so encoding alone, in a
-// batch, or inline during scoring yields the same floats (pinned by
-// TestUserStateCachedScoresBitwise).
+// Score/ScoreBatch call computes internally: both run encodeTheta on this
+// instance alone (pinned by TestUserStateCachedScoresBitwise). Its θ̂ is a
+// fresh slice, never a view of the call's arena — a cache may keep it.
 func (m *Model) EncodeUserState(ctx context.Context, inst *rerank.Instance) (*UserState, error) {
 	if !m.Cfg.UseDiversity {
 		return &UserState{}, nil
@@ -69,11 +76,13 @@ func (m *Model) EncodeUserState(ctx context.Context, inst *rerank.Instance) (*Us
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t := m.tape()
-	defer m.releaseTape(t)
-	theta, err := m.batchPreference(ctx, t, []*rerank.Instance{inst})
+	m.checkGeometry(inst)
+	a := m.borrow()
+	defer m.arenas.Put(a)
+	a.reset(m.preferenceScratch())
+	theta, err := m.encodeTheta(ctx, a, inst)
 	if err != nil {
 		return nil, err
 	}
-	return &UserState{theta: theta[0]}, nil
+	return &UserState{theta: theta}, nil
 }

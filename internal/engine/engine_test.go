@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -293,9 +295,63 @@ func TestRetryAfterDerivedFromPressure(t *testing.T) {
 	}
 }
 
-// stateOfSize builds a UserState whose SizeBytes is exactly 96 + 8*topics.
+// stateOfSize builds a UserState over the given number of topics; its
+// SizeBytes is 8·topics plus core's fixed per-entry overhead.
 func stateOfSize(topics int) *core.UserState {
 	return core.NewUserState(make([]float64, topics))
+}
+
+// TestStateCacheChargeMatchesHeap holds the budget to what it buys: the
+// bytes a resident entry is charged (UserState.SizeBytes) must be within
+// 25 % of the live heap the entry actually costs — state, θ̂, entry record,
+// list element and map slot — so -state-cache-mb admits about that much
+// memory and not a multiple of it.
+func TestStateCacheChargeMatchesHeap(t *testing.T) {
+	const n, topics = 20000, 5
+	c := newStateCache(1<<40, NewMetrics(obs.NewRegistry()))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		key := StateKey{Tenant: "default", Route: uint64(i) * 2654435761, History: uint64(i) * 40503, Version: "v1"}
+		c.Put(key, stateOfSize(topics))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	entries, charged := c.Stats()
+	if entries != n {
+		t.Fatalf("%d entries resident, want %d", entries, n)
+	}
+	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / n
+	charge := float64(charged) / n
+	t.Logf("an entry costs %.0f B of live heap and is charged %.0f B", perEntry, charge)
+	if d := math.Abs(perEntry-charge) / charge; d > 0.25 {
+		t.Fatalf("an entry costs %.0f B of live heap but is charged %.0f B (off by %.0f%%, want ≤ 25%%)", perEntry, charge, 100*d)
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestStateCacheFoldCollision: the index is keyed by a 64-bit fold of the
+// key, so a slot can hold another key's entry. That must read as a miss,
+// never as the other key's state, and a Put must displace the squatter
+// without leaking its charge.
+func TestStateCacheFoldCollision(t *testing.T) {
+	c := newStateCache(1<<20, NewMetrics(obs.NewRegistry()))
+	a := StateKey{Tenant: "t", Route: 1, History: 2, Version: "v1"}
+	c.Put(a, stateOfSize(4))
+	// Make the resident entry some other key that folded to a's slot.
+	c.by[a.hash()].key = StateKey{Tenant: "t", Route: 7, History: 9, Version: "v1"}
+	if _, ok := c.Get(a); ok {
+		t.Fatal("a slot holding another key's entry read as a hit")
+	}
+	mine := stateOfSize(4)
+	c.Put(a, mine)
+	if got, ok := c.Get(a); !ok || got != mine {
+		t.Fatal("Put did not displace the entry squatting on its slot")
+	}
+	if n, b := c.Stats(); n != 1 || b != int64(mine.SizeBytes()) {
+		t.Fatalf("after displacement: %d entries / %d bytes, want 1 / %d", n, b, mine.SizeBytes())
+	}
 }
 
 // TestStateCacheLRU pins the cache's budget accounting: inserts beyond the

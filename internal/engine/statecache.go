@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"hash/fnv"
@@ -65,44 +64,98 @@ func HistoryKey(req *Request) uint64 {
 	return h.Sum64()
 }
 
-// cacheEntry is one resident state with its budget charge.
+// hash folds the key into the 64 bits the cache's index is keyed by: FNV-1a
+// over the two labels (0xff, which no UTF-8 label contains, closes each),
+// then the two request hashes.
+func (k StateKey) hash() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, s := range [2]string{k.Tenant, k.Version} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime
+		}
+		h = (h ^ 0xff) * prime
+	}
+	h = (h ^ k.Route) * prime
+	h = (h ^ k.History) * prime
+	return h ^ h>>32
+}
+
+// cacheEntry is one resident state with its budget charge, linked into the
+// cache's recency ring.
 type cacheEntry struct {
-	key  StateKey
-	st   *core.UserState
-	size int64
+	key        StateKey
+	st         *core.UserState
+	size       int64
+	prev, next *cacheEntry
 }
 
 // StateCache is a memory-budgeted LRU of encoded user states shared by all
 // scoring workers. All operations take one short mutex hold; the cached
 // *core.UserState values are immutable, so readers share them without
 // copying. Eviction is strict LRU by total SizeBytes against the budget.
+//
+// A cache that fills at serving rate is mostly bookkeeping (θ̂ is 40 bytes
+// at m = 5), so the bookkeeping is kept small: the index maps StateKey.hash
+// to the entry — a 16-byte slot instead of the 56 bytes a StateKey-keyed one
+// takes — and the entries are their own list nodes. An entry is a hit only
+// when its full key matches; two keys that share a hash displace each other,
+// which costs a miss and can never serve one key's state for another.
 type StateCache struct {
 	mu     sync.Mutex
 	budget int64
 	bytes  int64
-	ll     *list.List // front = most recently used; values are *cacheEntry
-	by     map[StateKey]*list.Element
+	by     map[uint64]*cacheEntry
+	ring   cacheEntry // sentinel: ring.next is the most recently used entry, ring.prev the least
 
 	met *Metrics // hit/miss/eviction/invalidation counters, size gauges
 }
 
 // newStateCache builds a cache bounded to budget bytes of encoded states.
 func newStateCache(budget int64, met *Metrics) *StateCache {
-	return &StateCache{budget: budget, ll: list.New(), by: map[StateKey]*list.Element{}, met: met}
+	c := &StateCache{budget: budget, met: met}
+	c.reset()
+	return c
+}
+
+// reset empties the index and the ring.
+func (c *StateCache) reset() {
+	c.by = map[uint64]*cacheEntry{}
+	c.ring.prev, c.ring.next = &c.ring, &c.ring
+	c.bytes = 0
+}
+
+func (e *cacheEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// touch makes e the most recently used entry.
+func (c *StateCache) touch(e *cacheEntry) {
+	e.prev, e.next = &c.ring, c.ring.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// drop removes a resident entry from the ring, the index and the charge.
+func (c *StateCache) drop(h uint64, e *cacheEntry) {
+	e.unlink()
+	delete(c.by, h)
+	c.bytes -= e.size
+	c.met.CacheEvictions.Inc()
 }
 
 // Get returns the cached state for key, marking it most recently used.
 func (c *StateCache) Get(key StateKey) (*core.UserState, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.by[key]
-	if !ok {
+	e := c.by[key.hash()]
+	if e == nil || e.key != key {
 		c.met.CacheMisses.Inc()
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
+	e.unlink()
+	c.touch(e)
 	c.met.CacheHits.Inc()
-	return el.Value.(*cacheEntry).st, true
+	return e.st, true
 }
 
 // Put installs (or refreshes) key's state and evicts least-recently-used
@@ -116,29 +169,29 @@ func (c *StateCache) Put(key StateKey, st *core.UserState) {
 	if size > c.budget {
 		return
 	}
+	h := key.hash()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.by[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		c.bytes += size - ent.size
-		ent.st, ent.size = st, size
-		c.ll.MoveToFront(el)
+	e := c.by[h]
+	if e != nil && e.key != key {
+		c.drop(h, e) // another key with this hash: it gives way
+		e = nil
+	}
+	if e != nil {
+		c.bytes += size - e.size
+		e.st, e.size = st, size
+		e.unlink()
 	} else {
-		c.by[key] = c.ll.PushFront(&cacheEntry{key: key, st: st, size: size})
+		e = &cacheEntry{key: key, st: st, size: size}
+		c.by[h] = e
 		c.bytes += size
 	}
-	for c.bytes > c.budget {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.by, ent.key)
-		c.bytes -= ent.size
-		c.met.CacheEvictions.Inc()
+	c.touch(e)
+	for c.bytes > c.budget && c.ring.prev != &c.ring {
+		lru := c.ring.prev
+		c.drop(lru.key.hash(), lru)
 	}
-	c.met.CacheEntries.Set(float64(c.ll.Len()))
+	c.met.CacheEntries.Set(float64(len(c.by)))
 	c.met.CacheBytes.Set(float64(c.bytes))
 }
 
@@ -149,10 +202,8 @@ func (c *StateCache) Put(key StateKey, st *core.UserState) {
 func (c *StateCache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.ll.Len()
-	c.ll.Init()
-	c.by = map[StateKey]*list.Element{}
-	c.bytes = 0
+	n := len(c.by)
+	c.reset()
 	if n > 0 {
 		c.met.CacheInvalidations.Inc()
 	}
@@ -164,7 +215,7 @@ func (c *StateCache) Flush() {
 func (c *StateCache) Stats() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len(), c.bytes
+	return len(c.by), c.bytes
 }
 
 // stateKeyFor derives a request's state-cache key: set only when the cache

@@ -229,28 +229,43 @@ func MatMulInto(out, a, b *Matrix) {
 func matMulPanel(out, a, b *Matrix, i0, i1, j0, j1 int) {
 	ac, bc := a.Cols, b.Cols
 	for i := i0; i < i1; i++ {
-		arow := a.Data[i*ac : (i+1)*ac]
 		orow := out.Data[i*bc+j0 : i*bc+j1]
 		for j := range orow {
 			orow[j] = 0
 		}
-		k := 0
-		for ; k+4 <= ac; k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			b0 := b.Data[k*bc+j0 : k*bc+j1]
-			b1 := b.Data[(k+1)*bc+j0 : (k+1)*bc+j1]
-			b2 := b.Data[(k+2)*bc+j0 : (k+2)*bc+j1]
-			b3 := b.Data[(k+3)*bc+j0 : (k+3)*bc+j1]
-			for j, o := range orow {
-				orow[j] = o + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+		addVecMat(orow, a.Data[i*ac:(i+1)*ac], b.Data[j0:], bc)
+	}
+}
+
+// AddVecMat accumulates the vector–matrix product x·B into dst, where b
+// holds B's len(x) rows of len(dst) floats back to back — typically a row
+// range of a weight matrix read in place, W.Data[r0*W.Cols:]. Each dst[j]
+// takes its terms in ascending k, so splitting a product into consecutive
+// row blocks accumulated by successive calls leaves every bit unchanged.
+// This is the kernel of the tape-free inference forward.
+func AddVecMat(dst, x, b []float64) { addVecMat(dst, x, b, len(dst)) }
+
+// addVecMat is AddVecMat over rows stride floats apart: row k of B is
+// b[k*stride:][:len(dst)]. Four rows are folded per pass over dst, so each
+// dst element is loaded and stored once per four multiply-adds while every
+// operand streams through contiguous memory.
+func addVecMat(dst, x, b []float64, stride int) {
+	n := len(dst)
+	k := 0
+	for ; k+4 <= len(x); k += 4 {
+		x0, x1, x2, x3 := x[k], x[k+1], x[k+2], x[k+3]
+		b0 := b[k*stride:][:n]
+		b1 := b[(k+1)*stride:][:n]
+		b2 := b[(k+2)*stride:][:n]
+		b3 := b[(k+3)*stride:][:n]
+		for j, o := range dst {
+			dst[j] = o + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
 		}
-		for ; k < ac; k++ {
-			av := arow[k]
-			brow := b.Data[k*bc+j0 : k*bc+j1]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+	}
+	for ; k < len(x); k++ {
+		xv := x[k]
+		for j, bv := range b[k*stride:][:n] {
+			dst[j] += xv * bv
 		}
 	}
 }
@@ -463,23 +478,7 @@ func (m *Matrix) SliceCols(from, to int) *Matrix {
 func (m *Matrix) SoftmaxRows() *Matrix {
 	out := New(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		orow := out.Row(i)
-		mx := math.Inf(-1)
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - mx)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
+		SoftmaxInto(out.Row(i), m.Row(i))
 	}
 	return out
 }

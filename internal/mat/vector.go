@@ -59,25 +59,28 @@ func SumVec(a []float64) float64 {
 // Softmax returns the softmax of a, computed stably.
 func Softmax(a []float64) []float64 {
 	out := make([]float64, len(a))
-	if len(a) == 0 {
-		return out
-	}
-	mx := a[0]
-	for _, v := range a[1:] {
+	SoftmaxInto(out, a)
+	return out
+}
+
+// SoftmaxInto writes the softmax of src into dst (same length; dst may be
+// src), subtracting the maximum first for numerical stability.
+func SoftmaxInto(dst, src []float64) {
+	mx := math.Inf(-1)
+	for _, v := range src {
 		if v > mx {
 			mx = v
 		}
 	}
 	var sum float64
-	for i, v := range a {
+	for i, v := range src {
 		e := math.Exp(v - mx)
-		out[i] = e
+		dst[i] = e
 		sum += e
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range dst {
+		dst[i] /= sum
 	}
-	return out
 }
 
 // Normalize returns a scaled so its entries sum to 1. If the sum is zero it
@@ -141,6 +144,54 @@ func Sigmoid(x float64) float64 {
 	}
 	z := math.Exp(x)
 	return z / (1 + z)
+}
+
+// Softplus returns log(1+e^x) computed stably; its derivative is Sigmoid.
+func Softplus(x float64) float64 {
+	if x > 30 {
+		return x
+	}
+	if x < -30 {
+		return math.Exp(x)
+	}
+	return math.Log1p(math.Exp(x))
+}
+
+// The *Into functions below apply one activation element-wise, writing
+// f(src[i]) to dst[i]; dst may be src. They are the single copy of each
+// loop: the autodiff tape's forward ops and the tape-free inference forward
+// both call them.
+
+// SigmoidInto applies Sigmoid element-wise.
+func SigmoidInto(dst, src []float64) {
+	for i, x := range src {
+		dst[i] = Sigmoid(x)
+	}
+}
+
+// TanhInto applies tanh element-wise.
+func TanhInto(dst, src []float64) {
+	for i, x := range src {
+		dst[i] = math.Tanh(x)
+	}
+}
+
+// ReLUInto applies max(0, x) element-wise.
+func ReLUInto(dst, src []float64) {
+	for i, x := range src {
+		if x > 0 {
+			dst[i] = x
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// SoftplusInto applies Softplus element-wise.
+func SoftplusInto(dst, src []float64) {
+	for i, x := range src {
+		dst[i] = Softplus(x)
+	}
 }
 
 // Clamp restricts x to [lo, hi].

@@ -633,9 +633,7 @@ func (t *Tape) SliceRows(a *Node, from, to int) *Node {
 // Sigmoid applies the logistic function element-wise.
 func (t *Tape) Sigmoid(a *Node) *Node {
 	v := t.pool.Get(a.Value.Rows, a.Value.Cols)
-	for i, x := range a.Value.Data {
-		v.Data[i] = mat.Sigmoid(x)
-	}
+	mat.SigmoidInto(v.Data, a.Value.Data)
 	out := t.alloc(v, opSigmoid, a.needsGrad)
 	out.a = a
 	return out
@@ -644,9 +642,7 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 // Tanh applies tanh element-wise.
 func (t *Tape) Tanh(a *Node) *Node {
 	v := t.pool.Get(a.Value.Rows, a.Value.Cols)
-	for i, x := range a.Value.Data {
-		v.Data[i] = math.Tanh(x)
-	}
+	mat.TanhInto(v.Data, a.Value.Data)
 	out := t.alloc(v, opTanh, a.needsGrad)
 	out.a = a
 	return out
@@ -655,13 +651,7 @@ func (t *Tape) Tanh(a *Node) *Node {
 // ReLU applies max(0, x) element-wise.
 func (t *Tape) ReLU(a *Node) *Node {
 	v := t.pool.Get(a.Value.Rows, a.Value.Cols)
-	for i, x := range a.Value.Data {
-		if x > 0 {
-			v.Data[i] = x
-		} else {
-			v.Data[i] = 0
-		}
-	}
+	mat.ReLUInto(v.Data, a.Value.Data)
 	out := t.alloc(v, opReLU, a.needsGrad)
 	out.a = a
 	return out
@@ -672,22 +662,10 @@ func (t *Tape) ReLU(a *Node) *Node {
 // probabilistic re-ranking head.
 func (t *Tape) Softplus(a *Node) *Node {
 	v := t.pool.Get(a.Value.Rows, a.Value.Cols)
-	for i, x := range a.Value.Data {
-		v.Data[i] = softplus(x)
-	}
+	mat.SoftplusInto(v.Data, a.Value.Data)
 	out := t.alloc(v, opSoftplus, a.needsGrad)
 	out.a = a
 	return out
-}
-
-func softplus(x float64) float64 {
-	if x > 30 {
-		return x
-	}
-	if x < -30 {
-		return math.Exp(x)
-	}
-	return math.Log1p(math.Exp(x))
 }
 
 // SoftmaxRows applies a stable softmax to each row of a.
@@ -695,23 +673,7 @@ func (t *Tape) SoftmaxRows(a *Node) *Node {
 	av := a.Value
 	v := t.pool.Get(av.Rows, av.Cols)
 	for i := 0; i < av.Rows; i++ {
-		row := av.Row(i)
-		orow := v.Row(i)
-		mx := math.Inf(-1)
-		for _, x := range row {
-			if x > mx {
-				mx = x
-			}
-		}
-		var sum float64
-		for j, x := range row {
-			e := math.Exp(x - mx)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
+		mat.SoftmaxInto(v.Row(i), av.Row(i))
 	}
 	out := t.alloc(v, opSoftmaxRows, a.needsGrad)
 	out.a = a
@@ -770,7 +732,7 @@ func (t *Tape) SigmoidBCE(logits *Node, targets []float64) *Node {
 	var loss float64
 	for i, y := range targets {
 		z := l.Data[i]
-		loss += softplus(z) - y*z
+		loss += mat.Softplus(z) - y*z
 	}
 	n := float64(len(targets))
 	if n == 0 {
@@ -812,39 +774,45 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Node, target int) *Node {
 // LayerNormRows normalizes each row of a to zero mean / unit variance and
 // applies a learned per-column gain g and bias b (both 1×C nodes).
 func (t *Tape) LayerNormRows(a, gain, bias *Node) *Node {
-	const eps = 1e-5
 	rows, cols := a.Value.Rows, a.Value.Cols
 	v := t.pool.Get(rows, cols)
 	norm := t.pool.Get(rows, cols)  // x̂ before gain/bias, kept for backward
 	invstd := t.pool.Get(1, rows+1) // row inverse std-devs, kept for backward
-	gd, bd := gain.Value.Data, bias.Value.Data
 	for i := 0; i < rows; i++ {
-		row := a.Value.Row(i)
-		var mu float64
-		for _, x := range row {
-			mu += x
-		}
-		mu /= float64(cols)
-		var va float64
-		for _, x := range row {
-			d := x - mu
-			va += d * d
-		}
-		va /= float64(cols)
-		is := 1 / math.Sqrt(va+eps)
-		invstd.Data[i] = is
-		nrow := norm.Row(i)
-		vrow := v.Row(i)
-		for j, x := range row {
-			nh := (x - mu) * is
-			nrow[j] = nh
-			vrow[j] = nh*gd[j] + bd[j]
-		}
+		invstd.Data[i] = LayerNormRow(v.Row(i), norm.Row(i), a.Value.Row(i), gain.Value.Data, bias.Value.Data)
 	}
 	out := t.alloc(v, opLayerNorm, a.needsGrad || gain.needsGrad || bias.needsGrad)
 	out.a, out.b, out.c = a, gain, bias
 	out.aux, out.aux2 = norm, invstd
 	return out
+}
+
+// LayerNormRow normalizes one row x to zero mean / unit variance into xhat,
+// writes xhat·gain + bias into dst and returns the row's inverse standard
+// deviation. Tape.LayerNormRows keeps xhat and the return value for its
+// backward step; the tape-free inference forward needs neither and passes
+// dst for xhat (dst and xhat may also alias x: each element is read before
+// it is written).
+func LayerNormRow(dst, xhat, x, gain, bias []float64) float64 {
+	const eps = 1e-5
+	var mu float64
+	for _, v := range x {
+		mu += v
+	}
+	mu /= float64(len(x))
+	var va float64
+	for _, v := range x {
+		d := v - mu
+		va += d * d
+	}
+	va /= float64(len(x))
+	is := 1 / math.Sqrt(va+eps)
+	for j, v := range x {
+		nh := (v - mu) * is
+		xhat[j] = nh
+		dst[j] = nh*gain[j] + bias[j]
+	}
+	return is
 }
 
 // backLayerNorm is the LayerNormRows backward step, split out of the main

@@ -33,6 +33,40 @@ func (a Activation) apply(t *Tape, x *Node) *Node {
 	}
 }
 
+// InPlace applies the activation to every element of v, tape-free.
+func (a Activation) InPlace(v []float64) {
+	switch a {
+	case Linear:
+	case ReLU:
+		mat.ReLUInto(v, v)
+	case Tanh:
+		mat.TanhInto(v, v)
+	case SigmoidAct:
+		mat.SigmoidInto(v, v)
+	default:
+		panic(fmt.Sprintf("nn: unknown activation %d", a))
+	}
+}
+
+// DenseInto is the tape-free dense layer: for each of the rows inputs in x
+// (row-major, w.Rows wide) it writes act(b + x_r·W) into dst (row-major,
+// w.Cols wide), reading w and b in place. b may be nil for a bias-free
+// projection. The sum starts from the bias and takes k ascending;
+// Dense.Forward adds the bias last, so the two agree to rounding only.
+func DenseInto(dst, x []float64, rows int, w, b *mat.Matrix, act Activation) {
+	in, out := w.Rows, w.Cols
+	for r := 0; r < rows; r++ {
+		o := dst[r*out : (r+1)*out]
+		if b != nil {
+			copy(o, b.Data)
+		} else {
+			clear(o)
+		}
+		mat.AddVecMat(o, x[r*in:(r+1)*in], w.Data)
+	}
+	act.InPlace(dst[:rows*out])
+}
+
 // Dense is a fully connected layer y = act(x·W + b) applied row-wise, so a
 // batch of L inputs is an L×in matrix producing L×out.
 type Dense struct {
@@ -60,6 +94,11 @@ func NewDense(ps *ParamSet, prefix string, in, out int, act Activation, rng *ran
 func (d *Dense) Forward(t *Tape, x *Node) *Node {
 	y := t.AddRowBroadcast(t.MatMul(x, t.Use(d.W)), t.Use(d.B))
 	return d.Act.apply(t, y)
+}
+
+// Infer applies the layer to rows inputs without a tape; see DenseInto.
+func (d *Dense) Infer(dst, x []float64, rows int) {
+	DenseInto(dst, x, rows, d.W.Value, d.B.Value, d.Act)
 }
 
 // MLP is a stack of Dense layers. Hidden layers use the configured hidden

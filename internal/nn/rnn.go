@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/mat"
@@ -47,14 +48,49 @@ func (l *LSTMCell) Step(t *Tape, x, h, c *Node) (hNew, cNew *Node) {
 
 // InitState returns zeroed hidden and cell state nodes.
 func (l *LSTMCell) InitState(t *Tape) (h, c *Node) {
-	return l.InitStateRows(t, 1)
+	return t.Constant(mat.New(1, l.Hidden)), t.Constant(mat.New(1, l.Hidden))
 }
 
-// InitStateRows returns zeroed hidden and cell states for g sequences
-// advanced in lockstep (g×hidden each). Step is shape-agnostic in the row
-// dimension, so a g-row state batches g independent recurrences.
-func (l *LSTMCell) InitStateRows(t *Tape, g int) (h, c *Node) {
-	return t.Constant(mat.New(g, l.Hidden)), t.Constant(mat.New(g, l.Hidden))
+// InferBase and InferStep are the cell's tape-free inference form. They read
+// W and B in place from the Param values on every call (nothing is cached,
+// split or transposed, so further training, a reload or a hot swap needs no
+// invalidation) and fix the summation order of the gate pre-activations:
+//
+//	gates = (b + p·W[0:len(p)]) + xh·W[len(p):]      k ascending throughout
+//
+// where the input row is [p | x] with a prefix p shared by every step of a
+// request (the user features), and xh = [x | h] is the rest of the row
+// followed by the previous hidden state — contiguous because W's rows are
+// ordered [input | hidden]. Step sums [x, h]·W from zero and adds b last, so
+// the two agree to rounding (≤ 1e-12 on RAPID's logits, pinned by
+// core.TestForwardMatchesLogits), not bitwise.
+
+// InferBase writes b + p·W[0:len(p)] into base (4·Hidden floats): the part
+// of every step's gate pre-activation that the shared input prefix p
+// contributes, computed once per sequence instead of once per step.
+func (l *LSTMCell) InferBase(base, p []float64) {
+	copy(base, l.B.Value.Data)
+	mat.AddVecMat(base, p, l.W.Value.Data)
+}
+
+// InferStep advances the recurrence one timestep in place. xh holds the
+// step's remaining input followed by the hidden state, [x | h]; c is the
+// cell state; gates is 4·Hidden floats of scratch. On return the tail of xh
+// holds the new hidden state and c the new cell state.
+func (l *LSTMCell) InferStep(gates, base, xh, c []float64) {
+	hd := l.Hidden
+	w := l.W.Value
+	copy(gates, base)
+	mat.AddVecMat(gates, xh, w.Data[(w.Rows-len(xh))*w.Cols:])
+	mat.SigmoidInto(gates[:2*hd], gates[:2*hd]) // input and forget gates
+	mat.TanhInto(gates[2*hd:3*hd], gates[2*hd:3*hd])
+	mat.SigmoidInto(gates[3*hd:], gates[3*hd:])
+	i, f, g, o := gates[:hd], gates[hd:2*hd], gates[2*hd:3*hd], gates[3*hd:4*hd]
+	h := xh[len(xh)-hd:]
+	for j := range h {
+		c[j] = f[j]*c[j] + i[j]*g[j]
+		h[j] = o[j] * math.Tanh(c[j])
+	}
 }
 
 // LSTM runs an LSTMCell over a sequence given as an L×in node (one row per

@@ -106,14 +106,21 @@ func (in *Instance) ListFeatures() *mat.Matrix {
 	return out
 }
 
-// TopicSeqFeatures builds the per-topic behavior sequence input for topic j
-// truncated to the last d entries: row t is [x_u, x_{T_j(t)}] as in Section
-// III-C. It returns a 0-row matrix for an empty sequence.
-func (in *Instance) TopicSeqFeatures(j, d int) *mat.Matrix {
+// RecentTopicSeq is the most recent d item IDs of topic j's behavior
+// sequence — the part of the history the model reads.
+func (in *Instance) RecentTopicSeq(j, d int) []int {
 	seq := in.TopicSeqs[j]
 	if len(seq) > d {
 		seq = seq[len(seq)-d:]
 	}
+	return seq
+}
+
+// TopicSeqFeatures builds the per-topic behavior sequence input for topic j
+// truncated to the last d entries: row t is [x_u, x_{T_j(t)}] as in Section
+// III-C. It returns a 0-row matrix for an empty sequence.
+func (in *Instance) TopicSeqFeatures(j, d int) *mat.Matrix {
+	seq := in.RecentTopicSeq(j, d)
 	qu := len(in.UserFeat)
 	var qv int
 	if len(in.Items) > 0 {

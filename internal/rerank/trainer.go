@@ -146,12 +146,13 @@ func DefaultTrainConfig(seed int64) TrainConfig {
 	return TrainConfig{Epochs: 8, LR: 0.005, BatchSize: 8, ClipNorm: 5, Seed: seed}
 }
 
-// slotState is the per-batch-slot worker state: a reusable tape whose
-// parameter gradients are redirected into a private shadow. Slot i always
-// processes the i-th instance of a batch, regardless of which worker
-// goroutine picks the job up, so the reduction over slots is stable.
+// slotState is the per-batch-slot accumulation state: a private gradient
+// shadow and the slot's loss. Slot i always processes the i-th instance of a
+// batch, regardless of which worker goroutine picks the job up, so the
+// reduction over slots is stable. Tapes belong to the workers, not the
+// slots: at most Workers passes run at once, and a tape (node arena plus
+// buffer free-list) is by far the larger of the two.
 type slotState struct {
-	tape   *nn.Tape
 	shadow *nn.GradShadow
 	loss   float64
 	ok     bool
@@ -207,9 +208,7 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 
 	slots := make([]*slotState, cfg.BatchSize)
 	for i := range slots {
-		s := &slotState{tape: newModelTape(m), shadow: nn.NewGradShadow(ps)}
-		s.tape.WithGrads(s.shadow)
-		slots[i] = s
+		slots[i] = &slotState{shadow: nn.NewGradShadow(ps)}
 	}
 
 	// A persistent worker pool for the whole run: jobs carry a slot index,
@@ -222,8 +221,9 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 	defer close(jobs)
 	for w := 0; w < workers; w++ {
 		go func() {
+			tape := newModelTape(m)
 			for j := range jobs {
-				runSlot(m, slots[j.slot], j.inst)
+				runSlot(m, tape, slots[j.slot], j.inst)
 				wg.Done()
 			}
 		}()
@@ -321,19 +321,21 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 	return lastLoss, nil
 }
 
-// runSlot executes one instance's forward/backward on the slot's private
-// tape and shadow. A NaN/Inf forward loss skips backward entirely so the
-// garbage never reaches the gradient shadows.
-func runSlot(m ListwiseModel, s *slotState, inst *Instance) {
-	s.tape.Reset()
-	logits := m.Logits(s.tape, inst, true)
-	loss := s.tape.SigmoidBCE(logits, inst.Labels)
+// runSlot executes one instance's forward/backward on the worker's tape,
+// with parameter gradients redirected into the slot's private shadow. A
+// NaN/Inf forward loss skips backward entirely so the garbage never reaches
+// the gradient shadows.
+func runSlot(m ListwiseModel, tape *nn.Tape, s *slotState, inst *Instance) {
+	tape.Reset()
+	tape.WithGrads(s.shadow)
+	logits := m.Logits(tape, inst, true)
+	loss := tape.SigmoidBCE(logits, inst.Labels)
 	lv := loss.Value.Data[0]
 	if math.IsNaN(lv) || math.IsInf(lv, 0) {
 		s.loss, s.ok = 0, false
 		return
 	}
-	s.tape.Backward(loss)
+	tape.Backward(loss)
 	s.loss, s.ok = lv, true
 }
 

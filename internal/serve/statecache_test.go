@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
 )
 
 // TestHistoryKeyDiscriminates: the history hash must change whenever any

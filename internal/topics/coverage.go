@@ -53,43 +53,51 @@ func CoverageTotal(cover [][]float64, m int) float64 {
 //
 // Rather than recomputing the product for every leave-one-out subset (an
 // O(L²m) loop), it uses prefix/suffix products of (1−τ) per topic, which is
-// O(Lm) and numerically identical.
+// O(Lm) and numerically identical. It runs on every scoring call and every
+// training step, so the whole table is two allocations (see newTable): the
+// suffix products are built in the result rows themselves and the prefix is
+// one running row.
 func MarginalDiversity(cover [][]float64, m int) [][]float64 {
 	l := len(cover)
-	out := make([][]float64, l)
+	out, prefix := newTable(l, m, m)
 	if l == 0 {
 		return out
 	}
-	// prefix[i][j] = Π_{v<i} (1−τ_v^j); suffix[i][j] = Π_{v>i} (1−τ_v^j).
-	prefix := make([][]float64, l+1)
-	suffix := make([][]float64, l+1)
-	prefix[0] = ones(m)
-	for i := 0; i < l; i++ {
-		p := make([]float64, m)
-		for j := 0; j < m; j++ {
-			p[j] = prefix[i][j] * (1 - cover[i][j])
-		}
-		prefix[i+1] = p
+	// Backward: out[i][j] = Π_{v>i} (1−τ_v^j).
+	for j := range out[l-1] {
+		out[l-1][j] = 1
 	}
-	suffix[l] = ones(m)
-	for i := l - 1; i >= 0; i-- {
-		s := make([]float64, m)
-		for j := 0; j < m; j++ {
-			s[j] = suffix[i+1][j] * (1 - cover[i][j])
+	for i := l - 2; i >= 0; i-- {
+		for j := range out[i] {
+			out[i][j] = out[i+1][j] * (1 - cover[i+1][j])
 		}
-		suffix[i] = s
+	}
+	// Forward: prefix[j] = Π_{v<i} (1−τ_v^j).
+	for j := range prefix {
+		prefix[j] = 1
 	}
 	for i := 0; i < l; i++ {
-		d := make([]float64, m)
-		for j := 0; j < m; j++ {
+		for j := range out[i] {
 			// c_j(R) − c_j(R∖i) = Π_{v≠i}(1−τ) − Π_v(1−τ)
-			without := prefix[i][j] * suffix[i+1][j]
+			without := prefix[j] * out[i][j]
 			with := without * (1 - cover[i][j])
-			d[j] = without - with // = τ_i^j · Π_{v≠i}(1−τ_v^j)
+			out[i][j] = without - with // = τ_i^j · Π_{v≠i}(1−τ_v^j)
+			prefix[j] *= 1 - cover[i][j]
 		}
-		out[i] = d
 	}
 	return out
+}
+
+// newTable returns a zeroed l×m table whose rows share one backing slice,
+// plus extra zeroed floats of scratch cut from the same allocation: two
+// allocations in all, however long the list.
+func newTable(l, m, extra int) (rows [][]float64, scratch []float64) {
+	flat := make([]float64, l*m+extra)
+	rows = make([][]float64, l)
+	for i := range rows {
+		rows[i] = flat[i*m : (i+1)*m : (i+1)*m]
+	}
+	return rows, flat[l*m:]
 }
 
 // IncrementalCoverage tracks the coverage of a growing list so greedy

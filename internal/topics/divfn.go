@@ -74,21 +74,18 @@ func (s SaturatedCoverage) Total(cover [][]float64, m int) float64 {
 func (s SaturatedCoverage) Marginal(cover [][]float64, m int) [][]float64 {
 	b := s.beta()
 	norm := math.Log1p(b)
-	sums := make([]float64, m)
+	out, sums := newTable(len(cover), m, m)
 	for _, tau := range cover {
 		for j, t := range tau {
 			sums[j] += t
 		}
 	}
-	out := make([][]float64, len(cover))
 	for i, tau := range cover {
-		d := make([]float64, m)
 		for j, t := range tau {
 			with := math.Log1p(b*sums[j]) / norm
 			without := math.Log1p(b*(sums[j]-t)) / norm
-			d[j] = with - without
+			out[i][j] = with - without
 		}
-		out[i] = d
 	}
 	return out
 }
@@ -119,19 +116,15 @@ func (FacilityLocation) Total(cover [][]float64, m int) float64 {
 
 // Marginal implements DiversityFunction.
 func (FacilityLocation) Marginal(cover [][]float64, m int) [][]float64 {
-	l := len(cover)
-	out := make([][]float64, l)
-	if l == 0 {
+	out, scratch := newTable(len(cover), m, 2*m)
+	if len(cover) == 0 {
 		return out
 	}
 	// Track the largest and second-largest value per topic so each
-	// leave-one-out maximum is O(1).
-	best := make([]float64, m)
-	second := make([]float64, m)
+	// leave-one-out maximum is O(1): only the item holding a topic's maximum
+	// raises it, by the gap to the runner-up.
+	best, second := scratch[:m], scratch[m:]
 	argbest := make([]int, m)
-	for j := 0; j < m; j++ {
-		argbest[j] = -1
-	}
 	for i, tau := range cover {
 		for j, t := range tau {
 			if t > best[j] {
@@ -143,14 +136,10 @@ func (FacilityLocation) Marginal(cover [][]float64, m int) [][]float64 {
 			}
 		}
 	}
-	for i := range cover {
-		d := make([]float64, m)
-		for j := 0; j < m; j++ {
-			if argbest[j] == i {
-				d[j] = best[j] - second[j]
-			}
+	for j, i := range argbest {
+		if best[j] > 0 {
+			out[i][j] = best[j] - second[j]
 		}
-		out[i] = d
 	}
 	return out
 }

@@ -134,3 +134,22 @@ func TestSaturatedCoverageBetaDefault(t *testing.T) {
 		t.Fatalf("no saturation: first %v second %v", one, two-one)
 	}
 }
+
+// TestMarginalAllocs: Marginal runs on every scoring call and every training
+// step, so its table is one flat slice under the row headers — at most three
+// allocations however long the list — and rows must not be able to grow into
+// each other.
+func TestMarginalAllocs(t *testing.T) {
+	cover := randCover(rand.New(rand.NewSource(5)), 20, 5)
+	for _, fn := range allDivFns() {
+		var out [][]float64
+		if n := testing.AllocsPerRun(50, func() { out = fn.Marginal(cover, 5) }); n > 3 {
+			t.Errorf("%s: Marginal of a 20-item list makes %v allocations, want ≤ 3", fn.Name(), n)
+		}
+		for i, row := range out {
+			if len(row) != 5 || cap(row) != 5 {
+				t.Fatalf("%s: row %d has len %d cap %d, want 5 and 5", fn.Name(), i, len(row), cap(row))
+			}
+		}
+	}
+}
