@@ -39,6 +39,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDiversifierAdapter -fuzztime=$(FUZZTIME) ./internal/diversify
 	$(GO) test -run=^$$ -fuzz=FuzzFeedbackEvent -fuzztime=$(FUZZTIME) ./internal/feedback
 	$(GO) test -run=^$$ -fuzz=FuzzBinaryFrame -fuzztime=$(FUZZTIME) ./internal/serve/binproto
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequestJSON -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -run=^$$ -fuzz=FuzzRouteKeyJSON -fuzztime=$(FUZZTIME) ./internal/engine
 
 # Model-lifecycle smoke: trains two tiny models, publishes them into a
 # versioned store, serves it with rapidserve -model-root and drives a
@@ -81,9 +83,11 @@ bench:
 
 # Scorer micro-benchmarks (internal/core/bench_test.go): the tape-free
 # inference forward cold, warm, batched and the preference pass alone, beside
-# Logits on a tape as the yardstick. TaobaoLike geometry, 20-item lists.
+# Logits on a tape as the yardstick. TaobaoLike geometry, 20-item lists. And
+# the request codec's (internal/engine/wirejson_test.go): the schema decoder
+# and the router's skim beside encoding/json on a pool-shaped request.
 bench-core:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/engine
 
 # Machine-readable perf snapshot: runs the shared benchmark suite
 # (internal/benchsuite) and writes current numbers next to the committed

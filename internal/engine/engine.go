@@ -309,6 +309,32 @@ func (e *Engine) shed(reason, tenant string) *ShedError {
 	}
 }
 
+// acquireSlot takes one scoring slot, waiting at most QueueWait for it; on
+// failure the request is already accounted (shed or canceled) and the error
+// is the one to return. A free slot is taken without arming the timer, so an
+// idle engine admits however short QueueWait is — with the timer armed
+// first, a QueueWait of nanoseconds could expire before the select and shed
+// a request nothing stood in the way of.
+func (e *Engine) acquireSlot(ctx context.Context) error {
+	qstart := time.Now()
+	select {
+	case e.sem <- struct{}{}:
+	default:
+		admit := time.NewTimer(e.cfg.QueueWait)
+		defer admit.Stop()
+		select {
+		case e.sem <- struct{}{}:
+		case <-admit.C:
+			return e.shed(e.shedReason(), "")
+		case <-ctx.Done():
+			e.met.Responses.With("canceled").Inc()
+			return ErrCanceled
+		}
+	}
+	e.met.QueueWait.ObserveDuration(time.Since(qstart))
+	return nil
+}
+
 // shedReason classifies a queue-wait shed: a drain that began while the
 // request waited for a slot is a draining shed (the slot will never free for
 // new work), anything else is ordinary backpressure.
@@ -416,17 +442,8 @@ func (e *Engine) Rerank(ctx context.Context, req *Request) (Response, error) {
 	// when Rerank returns — an abandoned (deadline-overrun) scorer still
 	// occupies CPU, and only this accounting keeps the concurrency bound
 	// honest.
-	admit := time.NewTimer(e.cfg.QueueWait)
-	defer admit.Stop()
-	qstart := time.Now()
-	select {
-	case e.sem <- struct{}{}:
-		e.met.QueueWait.ObserveDuration(time.Since(qstart))
-	case <-admit.C:
-		return Response{}, e.shed(e.shedReason(), tenant)
-	case <-ctx.Done():
-		e.met.Responses.With("canceled").Inc()
-		return Response{}, ErrCanceled
+	if err := e.acquireSlot(ctx); err != nil {
+		return Response{}, err
 	}
 
 	// Scoring is delegated to the micro-batching coalescer: the request's
@@ -542,17 +559,8 @@ func (e *Engine) RerankBatch(ctx context.Context, reqs []Request) ([]Response, e
 
 	if valid > 0 {
 		// Admission: the whole envelope takes one scoring slot.
-		admit := time.NewTimer(e.cfg.QueueWait)
-		defer admit.Stop()
-		qstart := time.Now()
-		select {
-		case e.sem <- struct{}{}:
-			e.met.QueueWait.ObserveDuration(time.Since(qstart))
-		case <-admit.C:
-			return nil, e.shed(e.shedReason(), "")
-		case <-ctx.Done():
-			e.met.Responses.With("canceled").Inc()
-			return nil, ErrCanceled
+		if err := e.acquireSlot(ctx); err != nil {
+			return nil, err
 		}
 		// Release the envelope's slot on every exit — including a panic
 		// recovered by a frontend's wrapper — or one MaxInFlight slot would

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"time"
 
@@ -76,15 +74,12 @@ func (p staticProvider) Pick(uint64) Pinned { return p.pin }
 // reproducible from its request alone — the properties coin-flip routing
 // gives up.
 func RouteKey(req *Request) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := fnvOffset64
 	for _, f := range req.UserFeatures {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-		h.Write(buf[:])
+		h = h.word(math.Float64bits(f))
 	}
-	for _, it := range req.Items {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(it.ID)))
-		h.Write(buf[:])
+	for i := range req.Items {
+		h = h.word(uint64(int64(req.Items[i].ID)))
 	}
-	return h.Sum64()
+	return uint64(h)
 }

@@ -209,6 +209,8 @@ func (r *Router) probe(rs *replicaState) (serve.ReadyStatus, error) {
 // advertised by healthy replicas — expected transiently during a rollout,
 // an alert if it persists).
 func (r *Router) refreshFleetGauges() {
+	r.gaugeMu.Lock()
+	defer r.gaugeMu.Unlock()
 	versions := map[string]bool{}
 	for _, rs := range r.replicas {
 		healthy, _, version, _, _ := rs.snapshot()

@@ -3,11 +3,9 @@ package router
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
@@ -17,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -112,6 +111,11 @@ type Router struct {
 	budget      *retryBudget
 	now         func() time.Time
 	jitter      func() float64 // uniform [0,1) for backoff spread
+
+	// gaugeMu serializes refreshFleetGauges: probers and the forward path
+	// call it concurrently, and a snapshot taken before another caller's
+	// update must not be the one written last.
+	gaugeMu sync.Mutex
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -261,7 +265,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, batch boo
 	start := r.now()
 	defer func() { r.met.latency.ObserveDuration(r.now().Sub(start)) }()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+	body, err := serve.ReadBody(http.MaxBytesReader(w, req.Body, maxBodyBytes), req.ContentLength, nil)
 	if err != nil {
 		r.met.responses.With("bad_input").Inc()
 		http.Error(w, "body too large or unreadable", http.StatusBadRequest)
@@ -319,29 +323,29 @@ func responseClass(status int) string {
 	}
 }
 
-// routeKeyFor derives the consistent-hash key from the request body using
-// the same serve.RouteKey the serving layer uses for canary splits: requests
+// routeKeyFor derives the consistent-hash key from the request body: the
+// same engine.RouteKey the serving layer uses for canary splits, so requests
 // for the same user land on the same replica across retries and restarts. A
 // batch hashes its members' keys together, so a stable batch is also stable.
+// The engine's skim reads the key off the bytes without building the request;
+// whatever it declines is decoded with encoding/json as before, so the bodies
+// rejected here — and the messages — are encoding/json's.
 func routeKeyFor(body []byte, batch bool) (uint64, error) {
+	if key, ok := engine.RouteKeyJSON(body, batch); ok {
+		return key, nil
+	}
 	if batch {
 		var breq serve.RerankBatchRequest
 		if err := json.Unmarshal(body, &breq); err != nil {
 			return 0, fmt.Errorf("malformed batch request: %v", err)
 		}
-		h := fnv.New64a()
-		var buf [8]byte
-		for i := range breq.Requests {
-			binary.LittleEndian.PutUint64(buf[:], serve.RouteKey(&breq.Requests[i]))
-			h.Write(buf[:])
-		}
-		return h.Sum64(), nil
+		return engine.BatchRouteKey(breq.Requests), nil
 	}
-	var rreq serve.RerankRequest
+	var rreq engine.Request
 	if err := json.Unmarshal(body, &rreq); err != nil {
 		return 0, fmt.Errorf("malformed request: %v", err)
 	}
-	return serve.RouteKey(&rreq), nil
+	return engine.RouteKey(&rreq), nil
 }
 
 // Attempt classifications, used both as metric label values and as the
@@ -570,7 +574,7 @@ func (r *Router) attempt(ctx context.Context, rs *replicaState, path string, bod
 		} else {
 			res.status = resp.StatusCode
 			res.header = resp.Header
-			res.body, err = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+			res.body, err = serve.ReadBody(io.LimitReader(resp.Body, maxBodyBytes), resp.ContentLength, nil)
 			resp.Body.Close()
 			switch {
 			case err != nil && ctx.Err() != nil:

@@ -6,10 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/serve"
 )
 
@@ -292,6 +294,59 @@ func TestRouterBadInput(t *testing.T) {
 	if w := post(r.Handler(), "/v1/rerank:batch", []byte(`{"requests":[{}]}`)); w.Code != http.StatusOK {
 		t.Fatalf("batch status %d, want 200", w.Code)
 	}
+	// Bodies the skim declines take the encoding/json path, where the rule
+	// is the same: undecodable never reaches a replica, decodable does.
+	hits := reps[0].hits.Load()
+	if w := post(r.Handler(), "/rerank", []byte(`{"user_features":"nope"}`)); w.Code != http.StatusBadRequest {
+		t.Fatalf("wrong-typed field: status %d, want 400", w.Code)
+	}
+	if w := post(r.Handler(), "/v1/rerank:batch", []byte(`{"requests":[{"items":7}]}`)); w.Code != http.StatusBadRequest {
+		t.Fatalf("wrong-typed batch field: status %d, want 400", w.Code)
+	}
+	if reps[0].hits.Load() != hits {
+		t.Fatal("wrong-typed request reached a replica")
+	}
+	if w := post(r.Handler(), "/rerank", []byte(`{"User_Features":[1],"items":[{"ID":1}]}`)); w.Code != http.StatusOK {
+		t.Fatalf("case-variant keys: status %d, want 200", w.Code)
+	}
+	if reps[0].hits.Load() != hits+1 {
+		t.Fatal("case-variant request did not reach the replica")
+	}
+}
+
+// TestRouterDeclinedBodiesMatchEncodingJSON feeds one body per reason the
+// skim declines through the router: status and error text must be what
+// encoding/json alone decides, as they were before the skim existed, and the
+// key of an accepted body must be the key of what encoding/json decodes.
+func TestRouterDeclinedBodiesMatchEncodingJSON(t *testing.T) {
+	r, reps := testRouter(t, Config{}, okJSON)
+	deep := `{"x":` + strings.Repeat("[", 100) + strings.Repeat("]", 100) + `}`
+	for _, body := range []string{
+		`{"items":[{"ID":1}]}`, `{"items":[{"id":1,"id":2}]}`, `{"items":[{"features":null}]}`,
+		`{"id"`, `{"user_features":[01]}`, `{"user_features":[-]}`, `{"user_features":[1e999]}`,
+		`{"items":[{"init_score":1e999}]}`, `{"items":[{"id":1.0}]}`, `{} x`, deep,
+		" {\"user_features\" : [ -0 , 1e-7 ] }\n", `{"items":[{"id":2}],"user_features":[3]}`,
+		`{"items":[{"\u0069d":1}]}`, `{"tenant":"caf\u00e9"}`, `null`, ``,
+	} {
+		hits := reps[0].hits.Load()
+		w := post(r.Handler(), "/v1/rerank", []byte(body))
+		var ref engine.Request
+		if err := json.Unmarshal([]byte(body), &ref); err != nil {
+			if want := "malformed request: " + err.Error() + "\n"; w.Code != http.StatusBadRequest || w.Body.String() != want {
+				t.Errorf("%q: status %d body %q, want 400 %q", body, w.Code, w.Body.String(), want)
+			}
+			if reps[0].hits.Load() != hits {
+				t.Errorf("%q reached a replica", body)
+			}
+			continue
+		}
+		if w.Code != http.StatusOK || reps[0].hits.Load() != hits+1 {
+			t.Errorf("%q: status %d, want 200 from the replica", body, w.Code)
+		}
+		if key, err := routeKeyFor([]byte(body), false); err != nil || key != engine.RouteKey(&ref) {
+			t.Errorf("%q: key %#x err %v, want %#x", body, key, err, engine.RouteKey(&ref))
+		}
+	}
 }
 
 // TestRouterNoHealthyReplica: with every replica's breaker forced open the
@@ -421,5 +476,41 @@ func TestFleetStatusAndSkew(t *testing.T) {
 	}
 	if len(decoded.Replicas) != 2 || !decoded.VersionSkew {
 		t.Fatalf("fleet document %+v", decoded)
+	}
+}
+
+// TestFleetGaugesConcurrentFirstProbes: the first probes of two replicas on
+// different versions run concurrently, as Start launches them. Each refresh
+// computes the fleet gauges from a snapshot; unserialized, the probe that
+// snapshotted first could write last and leave versions at 1 with two
+// versions live. Run with -race -count=10.
+func TestFleetGaugesConcurrentFirstProbes(t *testing.T) {
+	versioned := func(v string) http.HandlerFunc {
+		return func(w http.ResponseWriter, _ *http.Request) {
+			json.NewEncoder(w).Encode(serve.ReadyStatus{Ready: true, ModelVersion: v})
+		}
+	}
+	fa := httptest.NewServer(versioned("v1"))
+	fb := httptest.NewServer(versioned("v2"))
+	t.Cleanup(fa.Close)
+	t.Cleanup(fb.Close)
+	for round := 0; round < 20; round++ {
+		r, err := New(Config{Replicas: []Replica{{ID: "a", URL: fa.URL}, {ID: "b", URL: fb.URL}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for _, rs := range r.replicas {
+			wg.Add(1)
+			go func(rs *replicaState) {
+				defer wg.Done()
+				r.probeOnce(rs)
+			}(rs)
+		}
+		wg.Wait()
+		if v, skew := r.met.versions.Value(), r.met.skew.Value(); v != 2 || skew != 1 {
+			t.Fatalf("round %d: versions gauge %v skew %v, want 2 and 1", round, v, skew)
+		}
+		r.Close()
 	}
 }

@@ -285,6 +285,12 @@ func TestServerUnknownTenant(t *testing.T) {
 // Retry-After.
 func TestServerDraining(t *testing.T) {
 	s, c := startServer(t, engine.Config{Budget: time.Second})
+	// Dial returns once the kernel has queued the connection; an answered
+	// request proves Serve has accepted and registered it. Flipping closed
+	// any earlier lets Serve close the socket instead of answering draining.
+	if _, err := c.Rerank(context.Background(), validRequest()); err != nil {
+		t.Fatal(err)
+	}
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()

@@ -173,6 +173,10 @@ type reader struct {
 	b   []byte
 	off int
 	err error
+	// slab is where floats lands its results: DecodeRequest sizes it once
+	// for every float the payload can hold, so a request's vectors share one
+	// allocation — the storage shape the JSON decoder hands the engine.
+	slab []float64
 }
 
 func (r *reader) fail(what string) {
@@ -256,17 +260,23 @@ func (r *reader) floats(what string) []float64 {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	fs := make([]float64, n)
-	for i := range fs {
-		fs[i] = r.f64(what)
+	if cap(r.slab)-len(r.slab) < n {
+		r.slab = make([]float64, 0, n)
 	}
-	return fs
+	start := len(r.slab)
+	for i := 0; i < n; i++ {
+		r.slab = append(r.slab, r.f64(what))
+	}
+	// Capacity-clamped: appending to one vector cannot reach the next.
+	return r.slab[start:len(r.slab):len(r.slab)]
 }
 
 // DecodeRequest decodes a rerank-request payload. Trailing bytes after a
 // complete request are a protocol error — they mean framing desync.
 func DecodeRequest(payload []byte) (*engine.Request, error) {
-	r := &reader{b: payload}
+	// A float is eight payload bytes, so the payload's own length bounds the
+	// slab: a hostile frame buys no more than it paid for.
+	r := &reader{b: payload, slab: make([]float64, 0, len(payload)/8)}
 	req := &engine.Request{}
 	req.Tenant = r.str("tenant")
 	req.UserFeatures = r.floats("user_features")

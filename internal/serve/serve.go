@@ -2,11 +2,12 @@
 // (internal/engine). The engine owns the scoring data plane — deadlines,
 // graceful degradation, bounded concurrency, micro-batching, provider
 // pinning, the encoded-state cache and multi-tenancy; this package owns only
-// what is HTTP: routing, JSON decode/encode, request-size caps, the mapping
-// from the engine's typed errors onto status codes and the unified error
-// envelope, panic recovery in the handler chain, probes, the /metrics
-// exposition, the admin control-plane routes and the http.Server lifecycle
-// (timeouts, graceful drain).
+// what is HTTP: routing, reading request bodies (pooled, size-capped) for the
+// engine's schema decoder — encoding/json for whatever that declines — JSON
+// encode, the mapping from the engine's typed errors onto status codes and
+// the unified error envelope, panic recovery in the handler chain, probes,
+// the /metrics exposition, the admin control-plane routes and the
+// http.Server lifecycle (timeouts, graceful drain).
 //
 // Surfaces:
 //
@@ -234,9 +235,9 @@ func (s *Server) handleV1Rerank(w http.ResponseWriter, r *http.Request) {
 // degradation, metrics — is the engine's.
 func (s *Server) serveRerank(w http.ResponseWriter, r *http.Request, legacy bool) {
 	start := time.Now()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req RerankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	err := s.decodeBody(w, r, &req, func(body []byte) bool { return engine.DecodeRequestJSON(body, &req) })
+	if err != nil {
 		s.decodeFailed(w, start, err, legacy, false)
 		return
 	}
@@ -256,9 +257,12 @@ func (s *Server) serveRerank(w http.ResponseWriter, r *http.Request, legacy bool
 // degraded flags and error strings); see engine.RerankBatch.
 func (s *Server) handleRerankBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var breq RerankBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&breq); err != nil {
+	err := s.decodeBody(w, r, &breq, func(body []byte) (ok bool) {
+		breq.Requests, ok = engine.DecodeBatchJSON(body)
+		return ok
+	})
+	if err != nil {
 		s.decodeFailed(w, start, err, false, true)
 		return
 	}

@@ -46,6 +46,10 @@ go build -o "$WORK/rapidload" ./cmd/rapidload
 
 echo "== train and publish two versions into two stores"
 "$WORK/rapidtrain" -dataset taobao -scale 0.02 -seed 1 -out "$WORK/m1.gob" -publish "$STORE_A" 2>&1 | tail -1
+# Version labels are UTC timestamps to the second, and a store only sees its
+# own: two publishes inside one second would give both stores the same label
+# and the fleet one version where the skew check below needs two.
+sleep 1
 "$WORK/rapidtrain" -dataset taobao -scale 0.02 -seed 2 -out "$WORK/m2.gob" -publish "$STORE_B" 2>&1 | tail -1
 
 # start_replica ADDR STORE [extra flags...]
@@ -68,6 +72,9 @@ wait_ready() { # wait_ready ADDR WHAT
 echo "== start fleet: r0, r1 (10x slow) on store A; r2 on store B"
 R0_PID="$(start_replica "$R0" "$STORE_A")"
 R1_PID="$(start_replica "$R1" "$STORE_A" -chaos-latency 60ms)"
+# $(…) ran start_replica in a subshell, where its PIDS+= is lost; without this
+# cleanup never sees r0 and r1 and both outlive the script.
+PIDS+=("$R0_PID" "$R1_PID")
 start_replica "$R2" "$STORE_B" >/dev/null
 wait_ready "$R0" "replica r0"
 wait_ready "$R1" "replica r1"
@@ -88,10 +95,11 @@ wait_ready "$ROUTER_PLAIN" "plain router"
 wait_ready "$ROUTER_HEDGED" "hedged router"
 
 echo "== version skew across stores is flagged"
+# Anchored: the skew gauge's HELP line itself contains "version_skew 1".
 METRICS="$(curl -fs "http://$ROUTER_PLAIN/metrics")"
-grep -q "rapid_router_version_skew 1" <<<"$METRICS" \
+grep -q "^rapid_router_version_skew 1" <<<"$METRICS" \
     || { echo "FAIL: distinct store versions not flagged as skew"; exit 1; }
-grep -q "rapid_router_model_versions 2" <<<"$METRICS" \
+grep -q "^rapid_router_model_versions 2" <<<"$METRICS" \
     || { echo "FAIL: expected 2 distinct model versions"; exit 1; }
 
 LOAD_FLAGS=(-manifest "$WORK/m1.json" -list-len 16 -users 400 -zipf-s 1.2
