@@ -1,9 +1,12 @@
-# Repo-wide checks. `make check` is the CI gate: vet + formatting + tests.
+# Repo-wide checks. `make check` is the CI gate: vet + formatting + tests,
+# here and in the benchmark's own module. No target rewrites a tracked file:
+# after any of them `git status --short` is empty (goldens change only under
+# an explicit `go test -update`).
 GO ?= go
 
-.PHONY: check build vet fmt test test-short race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-core bench-json bench-batch bench-batch-smoke bench-pr7 bench-pr7-smoke bench-pr9 bench-pr10 bench-pr10-smoke
+.PHONY: check build vet fmt test test-short race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-core bench-test
 
-check: vet fmt test
+check: vet fmt test bench-test
 
 build:
 	$(GO) build ./...
@@ -52,10 +55,9 @@ smoke:
 
 # Fleet chaos smoke: three registry-mode replicas (one 10x slow, distinct
 # model versions across stores) behind rapidrouter, with a kill -9 + restart
-# mid-load. Asserts zero dropped requests, version-skew detection, retry and
-# hedge accounting, and writes hedged/unhedged latency percentiles to
-# BENCH_PR6.json. The end-to-end check of internal/router through the real
-# binaries.
+# mid-load. Asserts zero dropped requests, version-skew detection and retry
+# and hedge accounting. The end-to-end check of internal/router through the
+# real binaries.
 chaos-smoke:
 	./scripts/router_chaos_smoke.sh
 
@@ -78,6 +80,8 @@ diversify-smoke:
 feedback-smoke:
 	./scripts/feedback_smoke.sh
 
+# The paper's tables and figures at reduced scale, one experiment per
+# benchmark iteration (bench_test.go). Minutes.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
@@ -89,51 +93,10 @@ bench:
 bench-core:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/engine
 
-# Machine-readable perf snapshot: runs the shared benchmark suite
-# (internal/benchsuite) and writes current numbers next to the committed
-# pre-change baseline. Slow — includes a full Table II(a) experiment.
-bench-json:
-	$(GO) run ./cmd/rapidbench -benchjson BENCH_PR2.json
-
-# Batched-inference perf snapshot: single-request vs ScoreBatch at batch
-# sizes 1/4/16, written next to the committed pre-change baseline.
-bench-batch:
-	$(GO) run ./cmd/rapidbench -batchjson BENCH_PR5.json
-
-# CI gate: runs only the single-request and batch-16 benchmarks and fails
-# on a >10% single-request latency regression or <2x batch-16 throughput
-# against the committed baseline.
-bench-batch-smoke:
-	$(GO) run ./cmd/rapidbench -batchjson BENCH_PR5.json -smoke -check
-
-# Parallel-GEMM and user-state-cache perf snapshot: serial vs parallel
-# MatMulInto at 32/128/256/384 plus cold vs warm batch-16 state scoring,
-# written next to the committed pre-change baseline. The speedup gates are
-# machine-aware: parallel wins are only required when GOMAXPROCS > 1.
-bench-pr7:
-	$(GO) run ./cmd/rapidbench -pr7json BENCH_PR7.json
-
-# CI gate: the GEMM32/GEMM256 and cold/warm entries only, failing on a
-# below-cutoff dispatch tax, serial-kernel drift, a missing parallel win on
-# multi-core machines, or a warm path that does not beat cold.
-bench-pr7-smoke:
-	$(GO) run ./cmd/rapidbench -pr7json BENCH_PR7.json -smoke -check
-
-# Bandit regret study: simulates the serving-path λ policy against every
-# fixed-λ ablation over a segment-heterogeneous reward environment and
-# writes the committed report. Fails if the policy's fitted regret exponent
-# is not sublinear.
-bench-pr9:
-	$(GO) run ./cmd/rapidfeed -regretjson BENCH_PR9.json
-
-# Frontend comparison snapshot: the JSON and binary codecs plus full
-# round trips through both frontends against one shared engine, with
-# bitwise score parity asserted before timing starts.
-bench-pr10:
-	$(GO) run ./cmd/rapidbench -pr10json BENCH_PR10.json
-
-# CI gate: same run at one repetition, failing unless the binary path
-# allocates strictly less per request than JSON (codec and round trip) and
-# score parity holds.
-bench-pr10-smoke:
-	$(GO) run ./cmd/rapidbench -pr10json BENCH_PR10.json -smoke -check
+# The repository benchmark (bench/, BENCHMARK.json) is its own module, so
+# `go vet ./...` and `go test ./...` above never compile it. Its smoke test
+# builds every workload and runs the bitwise set-up parity, which is what
+# catches a product change that breaks the benchmark. To run the benchmark
+# itself: `bash bench/run.sh` (bench/README.md).
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -5,15 +5,14 @@
 // training, evaluation — so b.N is typically 1; the reported time is the
 // end-to-end cost of the experiment.
 //
-// Micro-benchmarks for the hot paths (matrix multiply, LSTM step, DPP
-// greedy MAP, coverage) live at the bottom.
+// Hot-path micro-benchmarks live beside their code (`make bench-core`) and
+// as per-layer probes of the repository benchmark (bench/README.md).
 package rapid
 
 import (
 	"testing"
 
 	"repro/internal/bandit"
-	"repro/internal/benchsuite"
 	"repro/internal/experiments"
 )
 
@@ -141,34 +140,3 @@ func BenchmarkRegret(b *testing.B) {
 		bandit.SimulateRegret(env, bandit.UCB, 800, 100, 0.1)
 	}
 }
-
-// ---- Micro-benchmarks for hot paths ----
-//
-// The bodies live in internal/benchsuite so `rapidbench -benchjson` (which
-// writes BENCH_PR2.json) runs exactly the same code.
-
-func BenchmarkMatMul32(b *testing.B) { benchsuite.MatMul32(b) }
-
-func BenchmarkLSTMStep(b *testing.B) { benchsuite.LSTMStep(b) }
-
-func BenchmarkBiLSTMList20(b *testing.B) { benchsuite.BiLSTMList20(b) }
-
-func BenchmarkRAPIDInference(b *testing.B) { benchsuite.RAPIDInference(b) }
-
-// Batched inference: the same 20-item geometry scored through ScoreBatch at
-// batch sizes 1, 4 and 16. Compare by the reported instances/s; rapidbench
-// -batchjson writes the same numbers to BENCH_PR5.json.
-func BenchmarkRAPIDInferenceBatch1(b *testing.B) { benchsuite.RAPIDInferenceBatch1(b) }
-
-func BenchmarkRAPIDInferenceBatch4(b *testing.B) { benchsuite.RAPIDInferenceBatch4(b) }
-
-func BenchmarkRAPIDInferenceBatch16(b *testing.B) { benchsuite.RAPIDInferenceBatch16(b) }
-
-func BenchmarkDPPGreedyMAP(b *testing.B) { benchsuite.DPPGreedyMAP(b) }
-
-func BenchmarkMarginalDiversity(b *testing.B) { benchsuite.MarginalDiversity(b) }
-
-// BenchmarkTrainListwise — end-to-end RAPID-pro training over a fixed
-// synthetic set, the target of the data-parallel trainer refactor. Reports
-// train-instances/sec alongside ns/op.
-func BenchmarkTrainListwise(b *testing.B) { benchsuite.TrainListwise(b) }

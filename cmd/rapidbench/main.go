@@ -25,43 +25,8 @@ func main() {
 		quiet  = flag.Bool("quiet", false, "suppress progress logging")
 		asJSON = flag.Bool("json", false, "emit tables as JSON instead of aligned text")
 		svg    = flag.String("svg", "", "write the regret figure to this SVG path (regret experiment only)")
-		benchJ = flag.String("benchjson", "", "run the shared benchmark suite and write machine-readable results (BENCH_PR2.json) to this path, then exit")
-		batchJ = flag.String("batchjson", "", "run the batched-inference comparison and write machine-readable results (BENCH_PR5.json) to this path, then exit")
-		pr7J   = flag.String("pr7json", "", "run the parallel-GEMM sweep and cold/warm state-cache comparison and write machine-readable results (BENCH_PR7.json) to this path, then exit")
-		pr10J  = flag.String("pr10json", "", "run the JSON-vs-binary frontend comparison and write machine-readable results (BENCH_PR10.json) to this path, then exit")
-		smoke  = flag.Bool("smoke", false, "with -batchjson/-pr7json/-pr10json: run only the benchmarks the CI gates read")
-		check  = flag.Bool("check", false, "with -batchjson/-pr7json/-pr10json: exit non-zero when a perf gate fails")
 	)
 	flag.Parse()
-
-	if *benchJ != "" {
-		if err := runBenchJSON(*benchJ); err != nil {
-			fmt.Fprintf(os.Stderr, "rapidbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *batchJ != "" {
-		if err := runBatchJSON(*batchJ, *smoke, *check); err != nil {
-			fmt.Fprintf(os.Stderr, "rapidbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pr7J != "" {
-		if err := runPR7JSON(*pr7J, *smoke, *check); err != nil {
-			fmt.Fprintf(os.Stderr, "rapidbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pr10J != "" {
-		if err := runPR10JSON(*pr10J, *smoke, *check); err != nil {
-			fmt.Fprintf(os.Stderr, "rapidbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	opt := experiments.DefaultOptions()
 	opt.Scale = *scale

@@ -20,8 +20,6 @@
 //	    replay, fit the incremental DCM and print the parameters;
 //	    -check-batch re-fits with the batch MLE over the same sessions and
 //	    exits non-zero if the two disagree beyond FP summation noise.
-//	rapidfeed -regretjson BENCH_PR9.json
-//	    run the bandit-vs-fixed-λ regret study and write the report.
 package main
 
 import (
@@ -36,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bandit"
 	"repro/internal/clickmodel"
 	"repro/internal/feedback"
 )
@@ -59,18 +56,10 @@ func main() {
 		estimate   = flag.Bool("estimate", false, "replay the log, fit the incremental DCM and print parameters")
 		checkBatch = flag.Bool("check-batch", false, "with -estimate: verify the incremental fit against the batch MLE")
 		tolerance  = flag.Float64("tolerance", 1e-9, "max |incremental − batch| parameter difference for -check-batch")
-
-		regretJSON = flag.String("regretjson", "", "write the bandit-vs-fixed-λ regret study to this JSON file and exit")
-		rounds     = flag.Int("rounds", 30000, "simulated rounds for -regretjson")
-		segments   = flag.Int("segments", 4, "user segments for -regretjson")
-		arms       = flag.String("arms", "mmr@0.2,mmr@0.4,mmr@0.6,mmr@0.8", "λ grid for -regretjson")
-		seed       = flag.Int64("seed", 3, "environment/reward seed for -regretjson")
 	)
 	flag.Parse()
 	var err error
 	switch {
-	case *regretJSON != "":
-		err = runRegretStudy(*regretJSON, *arms, *rounds, *segments, *seed)
 	case *dump:
 		err = runDump(*logDir)
 	case *estimate:
@@ -204,82 +193,4 @@ func printEstimate(est *clickmodel.Estimated) {
 		}
 		fmt.Printf("eps[%d] = %.6f\n", k, e)
 	}
-}
-
-// regretReport is the committed BENCH_PR9.json shape: the learned policy's
-// regret curve against every fixed-λ baseline over the same environment.
-type regretReport struct {
-	Study    string                          `json:"study"`
-	Rounds   int                             `json:"rounds"`
-	Segments int                             `json:"segments"`
-	Arms     []string                        `json:"arms"`
-	Policy   regretCurveJSON                 `json:"policy"`
-	Fixed    map[string]regretCurveJSON      `json:"fixed_lambda"`
-	Notes    string                          `json:"notes"`
-	Sub      bool                            `json:"policy_sublinear"`
-	Curves   map[string][]bandit.RegretPoint `json:"-"`
-}
-
-type regretCurveJSON struct {
-	FinalRegret float64              `json:"final_regret"`
-	Alpha       float64              `json:"fitted_exponent"`
-	Points      []bandit.RegretPoint `json:"points,omitempty"`
-}
-
-// runRegretStudy simulates the serving-path policy against a
-// segment-heterogeneous reward environment and every fixed-λ ablation, then
-// writes the committed study: sublinear policy regret (fitted exponent ≪ 1)
-// versus linear fixed-λ regret.
-func runRegretStudy(path, armSpec string, rounds, segments int, seed int64) error {
-	arms, err := bandit.ParseArms(armSpec)
-	if err != nil {
-		return err
-	}
-	env := bandit.DefaultPolicyEnv(segments, len(arms), seed)
-	pol, err := bandit.NewPolicy(bandit.PolicyConfig{Arms: arms, Segments: segments, Seed: uint64(seed)})
-	if err != nil {
-		return err
-	}
-	every := rounds / 30
-	if every < 1 {
-		every = 1
-	}
-	policyCurve := bandit.SimulatePolicy(pol, env, rounds, every, seed+1)
-	rep := regretReport{
-		Study:    "bandit-tuned lambda vs fixed lambda (true cumulative regret)",
-		Rounds:   rounds,
-		Segments: segments,
-		Policy: regretCurveJSON{
-			FinalRegret: policyCurve.Final,
-			Alpha:       policyCurve.Alpha,
-			Points:      policyCurve.Points,
-		},
-		Fixed: map[string]regretCurveJSON{},
-		Sub:   policyCurve.Alpha < 0.9,
-		Notes: "Environment: per-segment Bernoulli rewards with segment-dependent best arm " +
-			"(DefaultPolicyEnv). The policy sees sampled rewards only, as in live serving; " +
-			"regret is measured against the per-segment oracle mean. Fixed-λ baselines " +
-			"grow linearly (exponent ≈ 1); the LinUCB policy's fitted exponent shows " +
-			"sublinear growth.",
-	}
-	for i, a := range arms {
-		rep.Arms = append(rep.Arms, a.Label())
-		c := bandit.SimulateFixedArm(i, env, rounds, every, seed+1)
-		rep.Fixed[a.Label()] = regretCurveJSON{FinalRegret: c.Final, Alpha: c.Alpha}
-		fmt.Fprintf(os.Stderr, "rapidfeed: fixed %-16s regret %8.1f (exponent %.3f)\n", a.Label(), c.Final, c.Alpha)
-	}
-	fmt.Fprintf(os.Stderr, "rapidfeed: policy            regret %8.1f (exponent %.3f, sublinear %v)\n",
-		policyCurve.Final, policyCurve.Alpha, rep.Sub)
-	if !rep.Sub {
-		return fmt.Errorf("policy regret exponent %.3f is not sublinear", policyCurve.Alpha)
-	}
-	b, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "rapidfeed: wrote %s\n", path)
-	return nil
 }

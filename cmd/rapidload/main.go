@@ -5,14 +5,12 @@
 // counts and latency percentiles.
 //
 //	rapidload -target http://127.0.0.1:8090 -manifest model.json \
-//	  -rps 200 -duration 30s -benchjson BENCH_PR6.json -scenario hedged
+//	  -rps 200 -duration 30s -max-error-rate 0
 //
 // Each synthetic user has a deterministic feature vector, so the same user
 // always produces the same route key and lands on the same replica: the
 // Zipf skew therefore exercises the router's consistent-hash load shape,
-// not just its aggregate throughput. With -benchjson the run is merged into
-// a scenario map by name, so consecutive runs (e.g. hedged vs unhedged)
-// accumulate into one report.
+// not just its aggregate throughput.
 //
 // With -feedback-pct the generator also plays the user: a ground-truth DCM
 // simulates clicks over each served ranking and POSTs the click/skip vector
@@ -30,10 +28,10 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/benchsuite"
 	"repro/internal/clickmodel"
 	"repro/internal/serve"
 	"repro/internal/serve/binproto"
@@ -56,20 +54,17 @@ func main() {
 		seed     = flag.Int64("seed", 1, "user-population and arrival seed")
 		repeat   = flag.Float64("repeat-user-pct", 0, "percent of requests that re-issue a previously seen user's exact body (exercises the server's user-state cache)")
 
-		benchJSON = flag.String("benchjson", "", "merge results into this load report (e.g. BENCH_PR6.json)")
-		scenario  = flag.String("scenario", "default", "scenario name for -benchjson")
 		maxErrRat = flag.Float64("max-error-rate", 1, "exit non-zero if errors/requests exceeds this fraction")
 		feedback  = flag.Float64("feedback-pct", 0, "percent of OK responses followed by a DCM-simulated click event POSTed to /v1/feedback")
 		binary    = flag.String("binary", "", "fire the fleet-internal binary protocol at this TCP address instead of HTTP POST /v1/rerank (scores are bitwise-identical)")
 	)
 	flag.Parse()
-	if err := run(loadConfig{
+	if _, err := run(loadConfig{
 		target: *target, manifest: *manifest,
 		userDim: *userDim, itemDim: *itemDim, topics: *topics, listLen: *listLen,
 		rps: *rps, duration: *duration, users: *users, zipfS: *zipfS,
 		timeout: *timeout, seed: *seed, repeatUserPct: *repeat,
-		benchJSON: *benchJSON, scenario: *scenario, maxErrRate: *maxErrRat,
-		feedbackPct: *feedback, binaryAddr: *binary,
+		maxErrRate: *maxErrRat, feedbackPct: *feedback, binaryAddr: *binary,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "rapidload: %v\n", err)
 		os.Exit(1)
@@ -86,7 +81,6 @@ type loadConfig struct {
 	timeout                           time.Duration
 	seed                              int64
 	repeatUserPct                     float64
-	benchJSON, scenario               string
 	maxErrRate                        float64
 	feedbackPct                       float64
 	binaryAddr                        string
@@ -105,34 +99,36 @@ type outcome struct {
 	latencyMS []float64
 }
 
-func run(cfg loadConfig) error {
+// run validates cfg, drives the load and prints the summary. The tallies come
+// back beside the error so a failed -max-error-rate run still reports them.
+func run(cfg loadConfig) (*outcome, error) {
 	if cfg.manifest != "" {
 		raw, err := os.ReadFile(cfg.manifest)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var man serve.Manifest
 		if err := json.Unmarshal(raw, &man); err != nil {
-			return fmt.Errorf("manifest %s: %v", cfg.manifest, err)
+			return nil, fmt.Errorf("manifest %s: %v", cfg.manifest, err)
 		}
 		cfg.userDim = man.Config.UserDim
 		cfg.itemDim = man.Config.ItemDim
 		cfg.topics = man.Config.Topics
 	}
 	if cfg.rps <= 0 || cfg.users <= 0 || cfg.listLen <= 0 {
-		return fmt.Errorf("rps, users and list-len must be positive")
+		return nil, fmt.Errorf("rps, users and list-len must be positive")
 	}
 	if cfg.zipfS <= 1 {
-		return fmt.Errorf("zipf-s must be > 1")
+		return nil, fmt.Errorf("zipf-s must be > 1")
 	}
 	if cfg.repeatUserPct < 0 || cfg.repeatUserPct > 100 {
-		return fmt.Errorf("repeat-user-pct must be in [0,100]")
+		return nil, fmt.Errorf("repeat-user-pct must be in [0,100]")
 	}
 	if cfg.feedbackPct < 0 || cfg.feedbackPct > 100 {
-		return fmt.Errorf("feedback-pct must be in [0,100]")
+		return nil, fmt.Errorf("feedback-pct must be in [0,100]")
 	}
 	if cfg.binaryAddr != "" && cfg.feedbackPct > 0 {
-		return fmt.Errorf("-feedback-pct requires the HTTP surface; drop it or drop -binary")
+		return nil, fmt.Errorf("-feedback-pct requires the HTTP surface; drop it or drop -binary")
 	}
 
 	bodies := newBodyCache(cfg)
@@ -145,7 +141,7 @@ func run(cfg loadConfig) error {
 	rng := rand.New(rand.NewSource(cfg.seed))
 	zipf := rand.NewZipf(rng, cfg.zipfS, 1, uint64(cfg.users-1))
 	client := &http.Client{Timeout: cfg.timeout}
-	var res outcome
+	res := &outcome{}
 	var wg sync.WaitGroup
 
 	interval := time.Duration(float64(time.Second) / cfg.rps)
@@ -184,10 +180,10 @@ loop:
 			go func() {
 				defer wg.Done()
 				if pool != nil {
-					fireBinary(pool, bodies.request(user), cfg.timeout, &res)
+					fireBinary(pool, bodies.request(user), cfg.timeout, res)
 					return
 				}
-				fire(client, cfg.target, user, bodies.get(user), &res, sim)
+				fire(client, cfg.target, user, bodies.get(user), res, sim)
 			}()
 		}
 	}
@@ -196,7 +192,7 @@ loop:
 
 	res.mu.Lock()
 	defer res.mu.Unlock()
-	p50, p90, p99, max := benchsuite.Percentiles(res.latencyMS)
+	p50, p90, p99, max := percentiles(res.latencyMS)
 	total := res.ok + res.degraded + res.shed + res.errors
 	fmt.Fprintf(os.Stderr,
 		"rapidload: %d requests in %v — ok %d, degraded %d, shed %d, errors %d\n"+
@@ -207,33 +203,22 @@ loop:
 		fmt.Fprintf(os.Stderr, "rapidload: feedback events — accepted %d, failed %d\n", res.fbOK, res.fbErr)
 	}
 
-	if cfg.benchJSON != "" {
-		sc := benchsuite.LoadScenario{
-			Name:      cfg.scenario,
-			Generated: time.Now().UTC().Format(time.RFC3339),
-			Target:    cfg.target,
-			TargetRPS: cfg.rps,
-			DurationS: elapsed.Seconds(),
-			Requests:  total,
-			OK:        res.ok,
-			Degraded:  res.degraded,
-			Shed:      res.shed,
-			Errors:    res.errors,
-			P50MS:     p50,
-			P90MS:     p90,
-			P99MS:     p99,
-			MaxMS:     max,
-		}
-		if err := benchsuite.MergeLoadScenario(cfg.benchJSON, sc); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "rapidload: merged scenario %q into %s\n", cfg.scenario, cfg.benchJSON)
-	}
 	if total > 0 && float64(res.errors)/float64(total) > cfg.maxErrRate {
-		return fmt.Errorf("error rate %.3f exceeds -max-error-rate %.3f",
+		return res, fmt.Errorf("error rate %.3f exceeds -max-error-rate %.3f",
 			float64(res.errors)/float64(total), cfg.maxErrRate)
 	}
-	return nil
+	return res, nil
+}
+
+// percentiles summarizes a latency sample in milliseconds. The slice is
+// sorted in place.
+func percentiles(ms []float64) (p50, p90, p99, max float64) {
+	if len(ms) == 0 {
+		return 0, 0, 0, 0
+	}
+	sort.Float64s(ms)
+	at := func(q float64) float64 { return ms[int(q*float64(len(ms)-1))] }
+	return at(0.50), at(0.90), at(0.99), ms[len(ms)-1]
 }
 
 // fire sends one request, classifies the result, and — when click

@@ -78,7 +78,6 @@ import (
 	"repro/internal/bandit"
 	"repro/internal/diversify"
 	"repro/internal/feedback"
-	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/rerank"
@@ -102,7 +101,6 @@ func main() {
 		maxBatch     = flag.Int("max-batch", 0, "max instances per coalesced scoring batch (0 = default 16; 1 disables batching)")
 		batchWait    = flag.Duration("batch-wait", 0, "how long a request gathers batch-mates before scoring (0 = default 2ms)")
 		batchWorkers = flag.Int("batch-workers", 0, "scoring worker goroutines draining batches (0 = max(2, GOMAXPROCS))")
-		matWorkers   = flag.Int("mat-workers", 1, "goroutines per large GEMM in the matrix kernels (1 = serial; 0 = GOMAXPROCS)")
 		stateCacheMB = flag.Int64("state-cache-mb", 64, "memory budget in MiB for the encoded user-state cache (repeat-user fast path; 0 disables)")
 		binaryAddr   = flag.String("binary-addr", "", "additionally serve the fleet-internal binary protocol on this TCP address (same engine and models as HTTP)")
 
@@ -134,7 +132,6 @@ func main() {
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	mat.SetWorkers(*matWorkers)
 	cfg := serve.Config{
 		StateCacheBytes: *stateCacheMB << 20,
 		Budget:          *budget,

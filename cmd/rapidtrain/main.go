@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
-	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/rerank"
@@ -33,17 +32,16 @@ import (
 )
 
 type options struct {
-	dataset    string
-	scale      float64
-	seed       int64
-	lambda     float64
-	out        string
-	det        bool
-	resume     string // checkpoint to warm-start from; "" trains from scratch
-	ckptEvery  int    // write a checkpoint every N epochs; 0 disables
-	debugAddr  string // serve /metrics and pprof here during training; "" disables
-	publish    string // registry root to publish into as a new version; "" disables
-	matWorkers int    // GEMM parallelism knob; 1 = serial, 0 = GOMAXPROCS
+	dataset   string
+	scale     float64
+	seed      int64
+	lambda    float64
+	out       string
+	det       bool
+	resume    string // checkpoint to warm-start from; "" trains from scratch
+	ckptEvery int    // write a checkpoint every N epochs; 0 disables
+	debugAddr string // serve /metrics and pprof here during training; "" disables
+	publish   string // registry root to publish into as a new version; "" disables
 }
 
 func main() {
@@ -58,9 +56,7 @@ func main() {
 	flag.IntVar(&o.ckptEvery, "checkpoint-every", 1, "write an atomic checkpoint to -out every N epochs (0 disables)")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics and /debug/pprof/ on this address while training (e.g. localhost:6060); empty disables")
 	flag.StringVar(&o.publish, "publish", "", "model registry root: additionally publish the trained model into a fresh version directory (atomic; servable by rapidserve -model-root)")
-	flag.IntVar(&o.matWorkers, "mat-workers", 1, "goroutines per large GEMM in the matrix kernels (1 = serial; 0 = GOMAXPROCS)")
 	flag.Parse()
-	mat.SetWorkers(o.matWorkers)
 	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "rapidtrain: %v\n", err)
 		os.Exit(1)

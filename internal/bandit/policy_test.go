@@ -1,9 +1,16 @@
 package bandit
 
 import (
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files with the current output")
 
 func gridPolicy(t *testing.T, algo string, segments int) *Policy {
 	t.Helper()
@@ -155,35 +162,71 @@ func TestPolicyBestRequiresEvidence(t *testing.T) {
 	}
 }
 
-// TestPolicyRegretSublinear is the headline property the BENCH_PR9 study
-// commits: against a segment-heterogeneous environment, the learned policy's
-// true cumulative regret grows sublinearly (fitted exponent well below 1)
-// while every fixed-λ baseline grows linearly and ends far above it.
+// TestPolicyRegretSublinear is the bandit-vs-fixed-λ regret study: against a
+// segment-heterogeneous environment, the learned policy's true cumulative
+// regret grows sublinearly (fitted exponent well below 1) while every
+// fixed-λ baseline grows linearly and ends far above it. The simulation is
+// seeded end to end, so beyond that shape the study's numbers — final regret
+// and fitted exponent of the policy and of each fixed arm, and the policy's
+// curve — are pinned to a committed golden at four decimals. Refresh with:
+//
+//	go test ./internal/bandit -run TestPolicyRegretSublinear -update
 func TestPolicyRegretSublinear(t *testing.T) {
 	const (
 		segments = 4
 		rounds   = 30_000
 		every    = 1000
+		seed     = 3
 	)
-	env := DefaultPolicyEnv(segments, 3, 3)
-	p := gridPolicy(t, "linucb", segments)
-	curve := SimulatePolicy(p, env, rounds, every, 11)
+	arms, err := ParseArms("mmr@0.2,mmr@0.4,mmr@0.6,mmr@0.8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := DefaultPolicyEnv(segments, len(arms), seed)
+	p, err := NewPolicy(PolicyConfig{Arms: arms, Segments: segments, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve := SimulatePolicy(p, env, rounds, every, seed+1)
 	if curve.Alpha >= 0.9 {
 		t.Fatalf("policy regret exponent %.3f, want sublinear (< 0.9)", curve.Alpha)
 	}
-	for arm := 0; arm < 3; arm++ {
-		fixed := SimulateFixedArm(arm, env, rounds, every, 11)
+	var got strings.Builder
+	fmt.Fprintf(&got, "policy final %.4f exponent %.4f\n", curve.Final, curve.Alpha)
+	for i, a := range arms {
+		fixed := SimulateFixedArm(i, env, rounds, every, seed+1)
 		if fixed.Final <= curve.Final {
-			t.Fatalf("fixed arm %d regret %.1f did not exceed policy regret %.1f", arm, fixed.Final, curve.Final)
+			t.Fatalf("fixed arm %d regret %.1f did not exceed policy regret %.1f", i, fixed.Final, curve.Final)
 		}
 		if fixed.Alpha < 0.95 {
-			t.Fatalf("fixed arm %d regret exponent %.3f, expected ≈1 (linear)", arm, fixed.Alpha)
+			t.Fatalf("fixed arm %d regret exponent %.3f, expected ≈1 (linear)", i, fixed.Alpha)
 		}
+		fmt.Fprintf(&got, "fixed %s final %.4f exponent %.4f\n", a.Label(), fixed.Final, fixed.Alpha)
 	}
 	// The policy's own estimated regret (what the metrics export) must also
 	// be finite and growing slower than the round count.
 	if snap := p.Snapshot(); snap.CumRegret <= 0 || snap.CumRegret >= rounds {
 		t.Fatalf("estimated regret %.1f out of range", snap.CumRegret)
+	}
+	for _, pt := range curve.Points {
+		fmt.Fprintf(&got, "policy round %d regret %.4f\n", pt.Round, pt.CumRegret)
+	}
+
+	golden := filepath.Join("testdata", "regret_study.golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create it): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("regret study drifted from golden (refresh with -update if intended)\n--- got ---\n%s--- want ---\n%s", got.String(), want)
 	}
 }
 

@@ -274,8 +274,9 @@ func TestDecodeRequestJSONAgainstStd(t *testing.T) {
 }
 
 // TestDecodeRequestJSONPoolShaped: marshalled requests of the benchmark's
-// shape — what production clients send — always take the fast path, and the
-// skim's key is RouteKey's.
+// shape — what production clients send — always take the fast path, the
+// skim's key is RouteKey's, and decoding one stays within its allocation
+// ceiling.
 func TestDecodeRequestJSONPoolShaped(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var envelope batchEnvelope
@@ -299,6 +300,19 @@ func TestDecodeRequestJSONPoolShaped(t *testing.T) {
 	}
 	if _, ok := checkSkim(t, body); !ok {
 		t.Fatal("batch skim declined a marshalled envelope")
+	}
+
+	// Four allocations today — one slab each for floats, items, the sequence
+	// table and sequence items — of the ≈74 per list the benchmark bounds to
+	// 6 % on bin_c1_unique; the ceiling leaves room for one more.
+	one := mustJSON(t, poolShapedRequest(rng))
+	if n := testing.AllocsPerRun(100, func() {
+		var req Request
+		if !DecodeRequestJSON(one, &req) {
+			t.Fatal("declined")
+		}
+	}); n > 5 {
+		t.Errorf("DecodeRequestJSON: %v allocations per pool-shaped request, ceiling 5", n)
 	}
 }
 

@@ -326,3 +326,60 @@ func TestServerGarbageFrameCloses(t *testing.T) {
 		t.Fatal("connection still open after desync")
 	}
 }
+
+// poolShapedRequest is a request with the benchmark pool's geometry: 13 user
+// dims, 20 items × (8 features + 5 cover), 5 topics × 1–5 × 8 features. The
+// wire form is eight bytes a float whatever its value, so zeros do.
+func poolShapedRequest() *engine.Request {
+	req := &engine.Request{UserFeatures: make([]float64, 13)}
+	for i := 0; i < 20; i++ {
+		req.Items = append(req.Items, engine.Item{ID: 640 + i, Features: make([]float64, 8), Cover: make([]float64, 5)})
+	}
+	for j := 0; j < 5; j++ {
+		seq := make([]engine.SeqItem, 1+j)
+		for k := range seq {
+			seq[k].Features = make([]float64, 8)
+		}
+		req.TopicSequences = append(req.TopicSequences, seq)
+	}
+	return req
+}
+
+// TestCodecAllocCeilings pins what the codec allocates per pool-shaped list:
+// the decoders within one allocation of today's counts (request 9: request,
+// float slab, items, sequence table and five sequences; response 4: ranked,
+// scores and two strings), the encoders nothing once their buffer has grown.
+// These counts are part of the ≈74 allocations per list the benchmark bounds
+// to 6 % on bin_c1_unique; a codec change that adds two shows up here first.
+func TestCodecAllocCeilings(t *testing.T) {
+	req := poolShapedRequest()
+	resp := &engine.Response{
+		Ranked: make([]int, len(req.Items)), Scores: make([]float64, len(req.Items)),
+		ModelVersion: "20260101T000000Z", LatencyMS: 0.25, RequestID: "r-0123456789abcdef",
+	}
+	reqWire := AppendRequest(nil, req)
+	respWire := AppendResponse(nil, resp)
+	buf := make([]byte, 0, len(reqWire)+len(respWire))
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		f       func()
+	}{
+		{"DecodeRequest", 10, func() {
+			if _, err := DecodeRequest(reqWire); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"DecodeResponse", 5, func() {
+			if _, err := DecodeResponse(respWire); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"AppendRequest", 0, func() { buf = AppendRequest(buf[:0], req) }},
+		{"AppendResponse", 0, func() { buf = AppendResponse(buf[:0], resp) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.f); n > tc.ceiling {
+			t.Errorf("%s: %v allocations per pool-shaped list, ceiling %v", tc.name, n, tc.ceiling)
+		}
+	}
+}

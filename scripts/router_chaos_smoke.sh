@@ -7,8 +7,7 @@
 #      r2 on store B (distinct model version → the router must flag skew);
 #      r1 is a 10x-slow node via -chaos-latency,
 #   3. front the fleet with two rapidrouters — hedging off and hedging on —
-#      and drive open-loop rapidload runs against both, recording latency
-#      percentiles for each into BENCH_PR6.json,
+#      and drive open-loop rapidload runs against both,
 #   4. during the unhedged run, kill -9 replica r0 mid-load and restart it:
 #      every request must still be answered by a healthy replica (zero
 #      errors, zero router-synthesized 503s),
@@ -36,7 +35,6 @@ R1=127.0.0.1:18182
 R2=127.0.0.1:18183
 ROUTER_PLAIN=127.0.0.1:18190
 ROUTER_HEDGED=127.0.0.1:18191
-BENCH="${BENCH_JSON:-BENCH_PR6.json}"
 
 echo "== build"
 go build -o "$WORK/rapidtrain" ./cmd/rapidtrain
@@ -103,7 +101,7 @@ grep -q "^rapid_router_model_versions 2" <<<"$METRICS" \
     || { echo "FAIL: expected 2 distinct model versions"; exit 1; }
 
 LOAD_FLAGS=(-manifest "$WORK/m1.json" -list-len 16 -users 400 -zipf-s 1.2
-    -rps 120 -duration 6s -timeout 2s -benchjson "$BENCH" -max-error-rate 0)
+    -rps 120 -duration 6s -timeout 2s -max-error-rate 0)
 
 echo "== unhedged load with a mid-run kill -9 + restart of r0"
 (
@@ -115,7 +113,7 @@ echo "== unhedged load with a mid-run kill -9 + restart of r0"
     echo $! >"$WORK/r0-restart.pid"
 ) &
 CHAOS_PID=$!
-"$WORK/rapidload" -target "http://$ROUTER_PLAIN" -scenario unhedged "${LOAD_FLAGS[@]}"
+"$WORK/rapidload" -target "http://$ROUTER_PLAIN" "${LOAD_FLAGS[@]}"
 wait "$CHAOS_PID"
 PIDS+=("$(cat "$WORK/r0-restart.pid")")
 wait_ready "$R0" "restarted replica r0"
@@ -128,7 +126,7 @@ RETRIES="$(grep -o 'rapid_router_retries_total [0-9]*' <<<"$METRICS" | awk '{pri
     || { echo "FAIL: killing a replica mid-load spent no retries"; exit 1; }
 
 echo "== hedged load against the slow node"
-"$WORK/rapidload" -target "http://$ROUTER_HEDGED" -scenario hedged "${LOAD_FLAGS[@]}"
+"$WORK/rapidload" -target "http://$ROUTER_HEDGED" "${LOAD_FLAGS[@]}"
 
 METRICS="$(curl -fs "http://$ROUTER_HEDGED/metrics")"
 HEDGES="$(grep -o 'rapid_router_hedges_total [0-9]*' <<<"$METRICS" | awk '{print $2}')"
@@ -137,9 +135,5 @@ WINS="$(grep -o 'rapid_router_hedge_wins_total [0-9]*' <<<"$METRICS" | awk '{pri
 [ "${WINS:-0}" -gt 0 ] || { echo "FAIL: no hedge ever beat the slow owner"; exit 1; }
 grep -Eq 'rapid_router_responses_total\{status="unavailable"\} 0' <<<"$METRICS" \
     || { echo "FAIL: hedged router synthesized 503s"; exit 1; }
-
-echo "== both scenarios recorded in $BENCH"
-grep -q '"unhedged"' "$BENCH" || { echo "FAIL: $BENCH missing unhedged scenario"; exit 1; }
-grep -q '"hedged"' "$BENCH" || { echo "FAIL: $BENCH missing hedged scenario"; exit 1; }
 
 echo "PASS: router chaos smoke"
