@@ -1,12 +1,12 @@
-# Repo-wide checks. `make check` is the CI gate: vet + formatting + tests,
-# here and in the benchmark's own module. No target rewrites a tracked file:
-# after any of them `git status --short` is empty (goldens change only under
-# an explicit `go test -update`).
+# Repo-wide checks. `make check` is the CI gate: vet + formatting + layering +
+# tests, here and in the benchmark's own module. No target rewrites a tracked
+# file: after any of them `git status --short` is empty (goldens change only
+# under an explicit `go test -update`).
 GO ?= go
 
-.PHONY: check build vet fmt test test-short race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-core bench-test
+.PHONY: check build vet fmt layers test test-short race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-core bench-test
 
-check: vet fmt test bench-test
+check: vet fmt layers test bench-test
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,17 @@ fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
+
+# The layering DESIGN.md states, as a check: the engine is transport-neutral
+# (imports neither net/http nor the HTTP frontend), and a binary that only
+# speaks the wire format (rapidload) does not link the HTTP frontend.
+layers:
+	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/engine | grep -qxE 'net/http|repro/internal/serve'; then \
+		echo "layers: internal/engine imports net/http or internal/serve"; exit 1; \
+	fi
+	@if $(GO) list -deps ./cmd/rapidload | grep -qx 'repro/internal/serve'; then \
+		echo "layers: cmd/rapidload links internal/serve"; exit 1; \
 	fi
 
 test:

@@ -33,7 +33,7 @@ import (
 	"time"
 
 	"repro/internal/clickmodel"
-	"repro/internal/serve"
+	"repro/internal/engine"
 	"repro/internal/serve/binproto"
 )
 
@@ -107,7 +107,7 @@ func run(cfg loadConfig) (*outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		var man serve.Manifest
+		var man engine.Manifest
 		if err := json.Unmarshal(raw, &man); err != nil {
 			return nil, fmt.Errorf("manifest %s: %v", cfg.manifest, err)
 		}
@@ -238,7 +238,7 @@ func fire(client *http.Client, target string, user int, body []byte, res *outcom
 		return
 	}
 	defer resp.Body.Close()
-	var rr serve.RerankResponse
+	var rr engine.Response
 	dec := json.NewDecoder(resp.Body)
 	lat := time.Since(start)
 	switch {
@@ -299,7 +299,7 @@ func (p *binPool) closeAll() {
 // fireBinary sends one request over the binary protocol and classifies the
 // outcome exactly like the HTTP path: engine error frames map shed codes to
 // "shed", transport failures retire the connection.
-func fireBinary(pool *binPool, req *serve.RerankRequest, timeout time.Duration, res *outcome) {
+func fireBinary(pool *binPool, req *engine.Request, timeout time.Duration, res *outcome) {
 	start := time.Now()
 	c, err := pool.get()
 	if err != nil {
@@ -366,7 +366,7 @@ func newClickSim(cfg loadConfig, bodies *bodyCache) *clickSim {
 	}
 }
 
-func (s *clickSim) maybeSend(client *http.Client, user int, rr *serve.RerankResponse, res *outcome) {
+func (s *clickSim) maybeSend(client *http.Client, user int, rr *engine.Response, res *outcome) {
 	if rr.RequestID == "" || len(rr.Ranked) == 0 {
 		return
 	}
@@ -380,7 +380,7 @@ func (s *clickSim) maybeSend(client *http.Client, user int, rr *serve.RerankResp
 	if !send {
 		return
 	}
-	ev := serve.FeedbackEvent{
+	ev := engine.FeedbackEvent{
 		RequestID:    rr.RequestID,
 		Items:        rr.Ranked,
 		Clicks:       clicks,
@@ -433,13 +433,13 @@ type bodyCache struct {
 	cfg    loadConfig
 	mu     sync.Mutex
 	by     map[int][]byte
-	reqs   map[int]*serve.RerankRequest // decoded form, for the binary path
-	scores map[int]float64              // item id → init_score, for the click simulator
+	reqs   map[int]*engine.Request // decoded form, for the binary path
+	scores map[int]float64         // item id → init_score, for the click simulator
 }
 
 func newBodyCache(cfg loadConfig) *bodyCache {
 	return &bodyCache{cfg: cfg, by: make(map[int][]byte),
-		reqs: make(map[int]*serve.RerankRequest), scores: make(map[int]float64)}
+		reqs: make(map[int]*engine.Request), scores: make(map[int]float64)}
 }
 
 // initScore recalls the init_score a generated item was sent with; the click
@@ -467,7 +467,7 @@ func (c *bodyCache) get(user int) []byte {
 
 // request returns user's deterministic request in decoded form — the same
 // bytes get(user) serializes, for the binary protocol path.
-func (c *bodyCache) request(user int) *serve.RerankRequest {
+func (c *bodyCache) request(user int) *engine.Request {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if r, ok := c.reqs[user]; ok {
@@ -486,14 +486,14 @@ func (c *bodyCache) build(user int) []byte {
 		}
 		return v
 	}
-	req := serve.RerankRequest{
+	req := engine.Request{
 		UserFeatures:   vec(c.cfg.userDim),
-		TopicSequences: make([][]serve.SeqItemWire, c.cfg.topics),
+		TopicSequences: make([][]engine.SeqItem, c.cfg.topics),
 	}
 	for j := range req.TopicSequences {
-		seq := make([]serve.SeqItemWire, 2)
+		seq := make([]engine.SeqItem, 2)
 		for k := range seq {
-			seq[k] = serve.SeqItemWire{Features: vec(c.cfg.itemDim)}
+			seq[k] = engine.SeqItem{Features: vec(c.cfg.itemDim)}
 		}
 		req.TopicSequences[j] = seq
 	}
@@ -502,7 +502,7 @@ func (c *bodyCache) build(user int) []byte {
 		for j := range cover {
 			cover[j] = rng.Float64() * 0.5
 		}
-		it := serve.RerankItem{
+		it := engine.Item{
 			ID:        user*1000 + i,
 			Features:  vec(c.cfg.itemDim),
 			Cover:     cover,

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/serve"
+	"repro/internal/engine"
 )
 
 func TestPercentiles(t *testing.T) {
@@ -83,9 +83,9 @@ func TestRunClassifiesOutcomes(t *testing.T) {
 		}
 		switch (served.Add(1) - 1) % 4 {
 		case 0:
-			json.NewEncoder(w).Encode(&serve.RerankResponse{Ranked: []int{1}})
+			json.NewEncoder(w).Encode(&engine.Response{Ranked: []int{1}})
 		case 1:
-			json.NewEncoder(w).Encode(&serve.RerankResponse{Ranked: []int{1}, Degraded: true})
+			json.NewEncoder(w).Encode(&engine.Response{Ranked: []int{1}, Degraded: true})
 		case 2:
 			w.WriteHeader(http.StatusTooManyRequests)
 		default:

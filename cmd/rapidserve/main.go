@@ -28,8 +28,7 @@
 // Endpoints:
 //
 //	POST /v1/rerank       — JSON request → re-ranked item IDs and scores
-//	POST /v1/rerank:batch — multi-request envelope, scored as one batch
-//	POST /rerank          — alias for /v1/rerank (pre-v1 clients)
+//	POST /v1/rerank:batch — multi-request envelope, one slot and one deadline
 //	POST /v1/feedback     — click/skip events joined back to served responses (-feedback-log)
 //	GET  /healthz  — liveness, model metadata and operational counters
 //	GET  /readyz   — readiness; 503 while draining
@@ -46,10 +45,10 @@
 // Robustness envelope (see internal/serve): per-request scoring deadline
 // with graceful degradation to the initial-ranker order, bounded
 // concurrency with 429 load shedding, panic recovery, request-size caps,
-// and SIGINT/SIGTERM graceful drain. Concurrent requests pinned to the same
-// model version coalesce into batched forward passes (-max-batch instances,
-// -batch-wait gathering window); the batch split always follows the
-// registry pin, so a canary never shares a batch with the active version.
+// and SIGINT/SIGTERM graceful drain. Every request goes straight to one of
+// -batch-workers scoring workers; an envelope scores in runs that always
+// follow the registry pin, so a canary never shares a ScoreBatch call with
+// the active version.
 //
 // The request must carry everything the model consumes (features, topic
 // coverage, per-topic behavior sequences), mirroring rerank.Instance:
@@ -77,6 +76,7 @@ import (
 
 	"repro/internal/bandit"
 	"repro/internal/diversify"
+	"repro/internal/engine"
 	"repro/internal/feedback"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -98,9 +98,7 @@ func main() {
 		maxBody      = flag.Int64("max-body", 8<<20, "request body cap in bytes")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default: profiling endpoints are a DoS surface)")
-		maxBatch     = flag.Int("max-batch", 0, "max instances per coalesced scoring batch (0 = default 16; 1 disables batching)")
-		batchWait    = flag.Duration("batch-wait", 0, "how long a request gathers batch-mates before scoring (0 = default 2ms)")
-		batchWorkers = flag.Int("batch-workers", 0, "scoring worker goroutines draining batches (0 = max(2, GOMAXPROCS))")
+		batchWorkers = flag.Int("batch-workers", 0, "scoring worker goroutines (0 = max(2, GOMAXPROCS))")
 		stateCacheMB = flag.Int64("state-cache-mb", 64, "memory budget in MiB for the encoded user-state cache (repeat-user fast path; 0 disables)")
 		binaryAddr   = flag.String("binary-addr", "", "additionally serve the fleet-internal binary protocol on this TCP address (same engine and models as HTTP)")
 
@@ -141,11 +139,7 @@ func main() {
 		DrainTimeout:    *drain,
 		Pprof:           *pprofOn,
 		AdminToken:      *adminToken,
-		Batch: serve.BatchConfig{
-			MaxBatch: *maxBatch,
-			MaxWait:  *batchWait,
-			Workers:  *batchWorkers,
-		},
+		Batch:           engine.BatchConfig{Workers: *batchWorkers},
 	}
 	if *binaryAddr != "" {
 		ln, err := net.Listen("tcp", *binaryAddr)
@@ -214,7 +208,7 @@ func main() {
 // sick node for fleet testing: injected latency (a slow node, as long as the
 // budget allows; degraded responses past it) and injected scoring errors
 // (degraded responses, never 5xx — the serving layer's contract).
-func chaosHooks(latency time.Duration, latencyRate, errRate float64, seed int64) serve.FaultInjector {
+func chaosHooks(latency time.Duration, latencyRate, errRate float64, seed int64) engine.FaultInjector {
 	if latency <= 0 && errRate <= 0 {
 		return nil
 	}
@@ -231,7 +225,7 @@ func chaosHooks(latency time.Duration, latencyRate, errRate float64, seed int64)
 		defer mu.Unlock()
 		return rng.Float64() < rate
 	}
-	return serve.FaultHooks{
+	return engine.FaultHooks{
 		Before: func(context.Context, *rerank.Instance) error {
 			if roll(errRate) {
 				return errors.New("chaos: injected scoring error")
@@ -255,8 +249,8 @@ func chaosHooks(latency time.Duration, latencyRate, errRate float64, seed int64)
 }
 
 // run is the single-model deployment shape: one fixed model, no lifecycle.
-func run(ctx context.Context, modelPath, addr string, cfg serve.Config, faults serve.FaultInjector) error {
-	model, man, err := serve.LoadModel(modelPath)
+func run(ctx context.Context, modelPath, addr string, cfg serve.Config, faults engine.FaultInjector) error {
+	model, man, err := engine.LoadModel(modelPath)
 	if err != nil {
 		return err
 	}
@@ -271,8 +265,8 @@ func run(ctx context.Context, modelPath, addr string, cfg serve.Config, faults s
 // scoring seat: the manifest next to -model supplies the surface geometry
 // (request validation), but scoring goes through the weightless
 // internal/diversify adapter at the requested λ.
-func runDiversifier(ctx context.Context, modelPath, name string, lambda float64, addr string, cfg serve.Config, faults serve.FaultInjector) error {
-	man, err := serve.ReadManifest(modelPath)
+func runDiversifier(ctx context.Context, modelPath, name string, lambda float64, addr string, cfg serve.Config, faults engine.FaultInjector) error {
+	man, err := engine.ReadManifest(modelPath)
 	if err != nil {
 		return err
 	}
@@ -306,7 +300,7 @@ func publishDiversifier(root, name, label string, lambda float64) error {
 		return fmt.Errorf("no published versions in %s to copy geometry from", root)
 	}
 	latest := versions[len(versions)-1]
-	man, err := serve.ReadManifest(registry.ModelPath(root, latest))
+	man, err := engine.ReadManifest(registry.ModelPath(root, latest))
 	if err != nil {
 		return err
 	}
@@ -345,7 +339,7 @@ type feedbackOpts struct {
 // -feedback-log it closes the loop: /v1/feedback events land in a crash-safe
 // append-only log, and with -bandit-pct a slice of traffic is served by
 // bandit-tuned diversifier arms whose values learn from that feedback.
-func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canaryPct float64, shadow bool, faults serve.FaultInjector, fb feedbackOpts) error {
+func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canaryPct float64, shadow bool, faults engine.FaultInjector, fb feedbackOpts) error {
 	reg, err := registry.New(registry.Config{
 		Root:          root,
 		CanaryPercent: canaryPct,
@@ -363,7 +357,7 @@ func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canar
 	cfg.Registry = reg.ObsRegistry()
 	cfg.Admin = reg
 
-	var provider serve.Provider = reg
+	var provider engine.Provider = reg
 	if fb.banditPct > 0 && fb.dir == "" {
 		return errors.New("-bandit-pct requires -feedback-log (arms learn from ingested feedback)")
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/registry"
 	"repro/internal/serve"
 )
@@ -37,7 +38,7 @@ func TestRunRegistryStartsAndDrains(t *testing.T) {
 		UseDiversity: true, Heads: 2, Seed: 1,
 	}
 	m := core.New(cfg)
-	if _, err := registry.Publish(root, "v1", m.ParamSet(), serve.Manifest{Dataset: "test", Config: cfg}); err != nil {
+	if _, err := registry.Publish(root, "v1", m.ParamSet(), engine.Manifest{Dataset: "test", Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -80,11 +81,11 @@ func TestRunStartsAndDrains(t *testing.T) {
 	if err := m.ParamSet().SaveFileAtomic(modelPath); err != nil {
 		t.Fatal(err)
 	}
-	man, err := json.Marshal(serve.Manifest{Dataset: "test", Config: cfg})
+	man, err := json.Marshal(engine.Manifest{Dataset: "test", Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(serve.ManifestPath(modelPath), man, 0o644); err != nil {
+	if err := os.WriteFile(engine.ManifestPath(modelPath), man, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -24,11 +24,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/rerank"
-	"repro/internal/serve"
 )
 
 type options struct {
@@ -154,8 +154,8 @@ func run(o options) error {
 	if err := m.ParamSet().SaveFileAtomic(o.out); err != nil {
 		return err
 	}
-	manifest := serve.Manifest{Dataset: o.dataset, Lambda: o.lambda, Config: m.Cfg, Metrics: metrics}
-	if err := serve.WriteManifestFileAtomic(serve.ManifestPath(o.out), manifest); err != nil {
+	manifest := engine.Manifest{Dataset: o.dataset, Lambda: o.lambda, Config: m.Cfg, Metrics: metrics}
+	if err := engine.WriteManifestFileAtomic(engine.ManifestPath(o.out), manifest); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "saved %s (+ manifest); test metrics: %v\n", o.out, metrics)

@@ -6,15 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/registry"
-	"repro/internal/serve"
 )
 
 func TestManifestPathSuffix(t *testing.T) {
-	if got := serve.ManifestPath("m.gob"); got != "m.json" {
+	if got := engine.ManifestPath("m.gob"); got != "m.json" {
 		t.Fatalf("ManifestPath = %s", got)
 	}
-	if got := serve.ManifestPath("dir/model.gob"); got != "dir/model.json" {
+	if got := engine.ManifestPath("dir/model.gob"); got != "dir/model.json" {
 		t.Fatalf("ManifestPath = %s", got)
 	}
 }
@@ -37,7 +37,7 @@ func TestTrainAndSaveRoundTrip(t *testing.T) {
 	}
 	// The weights file and manifest must exist and load back strictly
 	// through the serving loader.
-	m, man, err := serve.LoadModel(out)
+	m, man, err := engine.LoadModel(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestTrainAndSaveRoundTrip(t *testing.T) {
 	if len(versions) != 1 {
 		t.Fatalf("published versions %v, want exactly one", versions)
 	}
-	if _, pubMan, err := serve.LoadModel(registry.ModelPath(store, versions[0])); err != nil {
+	if _, pubMan, err := engine.LoadModel(registry.ModelPath(store, versions[0])); err != nil {
 		t.Fatalf("published version does not load: %v", err)
 	} else if pubMan.Dataset != "taobao" {
 		t.Fatalf("published manifest %+v", pubMan)
@@ -73,7 +73,7 @@ func TestTrainAndSaveRoundTrip(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := serve.LoadModel(o.out); err != nil {
+	if _, _, err := engine.LoadModel(o.out); err != nil {
 		t.Fatal(err)
 	}
 	// No temp files may be left behind by the atomic writes.

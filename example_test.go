@@ -62,14 +62,10 @@ func ExampleNewDPP() {
 }
 
 // ExampleNewServer serves an untrained model over the v1 HTTP API. The
-// functional options set the scoring deadline and the micro-batching
-// window; concurrent requests would coalesce into one batched forward
-// pass, while this lone request rides the idle fast path.
+// functional option sets the scoring deadline.
 func ExampleNewServer() {
 	model := rapid.NewModel(rapid.DefaultModelConfig(2, 2, 3, 7))
-	srv := rapid.NewServer(model,
-		rapid.WithDeadline(50*time.Millisecond),
-		rapid.WithBatching(16, 2*time.Millisecond))
+	srv := rapid.NewServer(model, rapid.WithDeadline(50*time.Millisecond))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

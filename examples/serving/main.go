@@ -1,8 +1,7 @@
 // Serving: wrap an untrained RAPID model in the hardened HTTP server and
 // exercise the v1 scoring API — one single request through POST /v1/rerank
-// and a two-request envelope through POST /v1/rerank:batch. Concurrent
-// traffic coalesces into batched forward passes; here the point is the wire
-// contract, so the demo stays single-threaded and deterministic.
+// and a two-request envelope through POST /v1/rerank:batch. The point is the
+// wire contract, so the demo stays single-threaded and deterministic.
 package main
 
 import (
@@ -21,7 +20,6 @@ func main() {
 	model := rapid.NewModel(rapid.DefaultModelConfig(2, 2, 3, 7))
 	srv := rapid.NewServer(model,
 		rapid.WithDeadline(50*time.Millisecond),
-		rapid.WithBatching(16, 2*time.Millisecond),
 		rapid.WithDataset("handmade"))
 
 	// An in-process listener keeps the demo self-contained; srv.Handler()

@@ -123,7 +123,7 @@ func TestScript(t *testing.T) {
 		t.Fatalf("probe consumed a script entry: %+v", f)
 	}
 	score := func() *http.Request {
-		return httptest.NewRequest(http.MethodPost, "/rerank", strings.NewReader("{}"))
+		return httptest.NewRequest(http.MethodPost, "/v1/rerank", strings.NewReader("{}"))
 	}
 	if f := s.Fault(score()); f.Status != 500 {
 		t.Fatalf("first scripted fault %+v", f)

@@ -15,8 +15,8 @@ import (
 // the serving layer's descending-score ordering turns back into the
 // diversified ranking.
 //
-// Scorer is a pointer type on purpose: the micro-batching coalescer groups
-// in-flight jobs by scorer identity, which requires comparability.
+// Scorer is a pointer type on purpose: the engine groups an envelope's items
+// by scorer identity, which requires comparability.
 type Scorer struct {
 	Diversifier Diversifier
 	// Lambda is the relevance/diversity trade-off this serving instance

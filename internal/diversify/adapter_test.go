@@ -9,14 +9,14 @@ import (
 	"testing"
 
 	"repro/internal/diversify"
+	"repro/internal/engine"
 	"repro/internal/rerank"
-	"repro/internal/serve"
 )
 
 // The adapter must satisfy the serving layer's contracts structurally.
 var (
-	_ serve.Scorer      = (*diversify.Scorer)(nil)
-	_ serve.BatchScorer = (*diversify.Scorer)(nil)
+	_ engine.Scorer      = (*diversify.Scorer)(nil)
+	_ engine.BatchScorer = (*diversify.Scorer)(nil)
 )
 
 // TestNewScorerRegistry: every registered name builds a serving adapter with
@@ -70,7 +70,7 @@ func TestScorerRankScores(t *testing.T) {
 }
 
 // TestScorerContextCanceled: a canceled context fails fast on both the
-// single and the batch path — the coalescer relies on it.
+// single and the batch path — the engine's scoring workers rely on it.
 func TestScorerContextCanceled(t *testing.T) {
 	sc, err := diversify.NewScorer("mmr", 0.5)
 	if err != nil {

@@ -11,33 +11,35 @@ import (
 	"repro/internal/rerank"
 )
 
-// BatchConfig bounds the micro-batching coalescer that sits between the
-// request frontends and the scorers. Concurrent in-flight requests pinned to
-// the same (scorer, version) are gathered into one ScoreBatch call, which
-// amortizes the recurrence GEMMs that dominate inference cost.
+// BatchConfig bounds the scoring pool that sits between the request
+// frontends and the scorers. Every job reaches a worker the moment it is
+// dispatched: a single request as a run of one, a RerankBatch envelope as its
+// contiguous same-pin runs. Nothing waits for batch-mates — a batch is a loop
+// over instances on one arena, so a shared pass scores no list faster.
 type BatchConfig struct {
-	// MaxBatch is the most instances one dispatched batch may carry
-	// (default 16). 1 disables coalescing: every request scores alone.
+	// MaxBatch is the most instances of one envelope a single ScoreBatch call
+	// may carry (default 16); longer same-pin runs are split.
 	MaxBatch int
-	// MaxWait is the longest a request waits for batch-mates before its
-	// partial batch dispatches anyway (default 2ms). A request therefore
-	// never sits in the coalescer past MaxWait — its worst case is
-	// MaxWait + its own scoring time, still bounded by the Budget deadline.
+	// MaxWait is read by nothing: only the frozen bench/serving.go still sets it.
 	MaxWait time.Duration
 	// Workers is the number of scoring worker goroutines draining dispatched
-	// batches (default max(2, GOMAXPROCS)).
+	// runs (default max(2, GOMAXPROCS)).
 	Workers int
 }
 
-// scoreJob is one instance waiting to be scored. done is buffered so the
-// worker's delivery never blocks on a departed waiter; ownsSlot marks jobs
-// whose MaxInFlight slot must be released when scoring truly ends (single
-// requests own one slot each; batch-envelope items share the envelope's
-// slot, which the envelope path releases itself).
+// scoreJob is one resolved request on its way to a scorer: the tenant and
+// route key it resolved under, the pin that serves it and the instance the
+// pin's geometry validated. ctx is its scoring context, set once admitted.
+// done is buffered so the worker's delivery never blocks on a departed
+// waiter; ownsSlot marks jobs whose MaxInFlight slot must be released when
+// scoring truly ends (single requests own one slot each; batch-envelope
+// items share the envelope's slot, which the envelope path releases itself).
 type scoreJob struct {
-	ctx      context.Context
-	inst     *rerank.Instance
+	tenant   string
+	route    uint64
 	pin      Pinned
+	inst     *rerank.Instance
+	ctx      context.Context
 	done     chan scoreOutcome
 	ownsSlot bool
 	// key identifies this request's encoded user state in the engine's state
@@ -52,164 +54,71 @@ type scoreJob struct {
 // ("mmr", "window", …) that labels its rapid_diversifier_* series.
 type diversifierNamer interface{ DiversifierName() string }
 
-// batchKey groups coalesced jobs: only requests pinned to the same scorer
-// instance and version label may share a batch, so a canary/candidate split
-// or a mid-flight promote can never mix models inside one ScoreBatch call.
-type batchKey struct {
-	scorer  Scorer
-	version string
+// samePin reports whether two envelope items may share one ScoreBatch call:
+// only the same scorer instance under the same version label, so a
+// canary/candidate split or a mid-flight promote can never mix models inside
+// one call. A user-supplied scorer whose dynamic type does not support ==
+// (slice, map or func fields) shares with nobody rather than panicking in
+// the comparison.
+func samePin(a, b Pinned) bool {
+	t := reflect.TypeOf(a.Scorer)
+	return t != nil && t.Comparable() && a.Scorer == b.Scorer && a.Version == b.Version
 }
 
-// comparableScorer reports whether s's dynamic type supports ==, the
-// precondition for using it in a batchKey (map key / group comparison). A
-// user-supplied scorer with slice, map or func fields fails this; such
-// scorers score unbatched instead of panicking in the coalescer.
-func comparableScorer(s Scorer) bool {
-	t := reflect.TypeOf(s)
-	return t != nil && t.Comparable()
+// scorePool is the engine's bounded set of scoring workers behind one queue
+// of dispatched runs. The Engine owns exactly one pool for its whole life;
+// workers start lazily on first dispatch and stop when Close is called. An
+// engine used without Close (short-lived tests) leaves the bounded worker
+// pool parked, which is harmless.
+type scorePool struct {
+	e     *Engine
+	queue chan []*scoreJob
+
+	started, stopped sync.Once
+	wg               sync.WaitGroup
 }
 
-type pendingBatch struct {
-	jobs  []*scoreJob
-	timer *time.Timer
+// newScorePool sizes the queue so that a single request's dispatch never
+// blocks: singles hold one MaxInFlight slot each, so at most MaxInFlight of
+// them are queued or scoring. The rest is headroom for envelopes, which hold
+// one slot but dispatch up to MaxBatchRequests runs.
+func newScorePool(e *Engine) *scorePool {
+	return &scorePool{e: e, queue: make(chan []*scoreJob, e.cfg.MaxInFlight+4*e.cfg.Batch.Workers+16)}
 }
 
-// coalescer gathers in-flight scoring jobs into batches and hands them to a
-// worker pool. The Engine owns exactly one coalescer for its whole life;
-// workers start lazily on first submission and stop when Close is called.
-// An engine used without Close (short-lived tests) leaves the bounded
-// worker pool parked, which is harmless.
-type coalescer struct {
-	e        *Engine
-	dispatch chan []*scoreJob // nil element = worker stop sentinel
-
-	mu      sync.Mutex
-	pending map[batchKey]*pendingBatch
-	closed  bool
-
-	started sync.Once
-	wg      sync.WaitGroup
-}
-
-func newCoalescer(e *Engine) *coalescer {
-	buf := e.cfg.MaxInFlight + 4*e.cfg.Batch.Workers + 16
-	return &coalescer{
-		e:        e,
-		pending:  make(map[batchKey]*pendingBatch),
-		dispatch: make(chan []*scoreJob, buf),
-	}
-}
-
-func (c *coalescer) start() {
-	c.started.Do(func() {
-		for i := 0; i < c.e.cfg.Batch.Workers; i++ {
-			c.wg.Add(1)
+// dispatch hands one run — jobs on one pin, sharing one scoring context — to
+// the workers. It is the only sender on the queue. An envelope of many runs
+// can fill the queue behind a stuck scorer; the send therefore gives up when
+// the run's context ends and finishes the undelivered jobs with the
+// context's error, so each still gets exactly one outcome and an owned slot
+// is released.
+func (p *scorePool) dispatch(jobs []*scoreJob) {
+	p.started.Do(func() {
+		for i := 0; i < p.e.cfg.Batch.Workers; i++ {
+			p.wg.Add(1)
 			go func() {
-				defer c.wg.Done()
-				for jobs := range c.dispatch {
-					if jobs == nil {
-						return
-					}
-					c.e.runBatch(jobs)
+				defer p.wg.Done()
+				for jobs := range p.queue {
+					p.e.runBatch(jobs)
 				}
 			}()
 		}
 	})
+	ctx := jobs[0].ctx
+	select {
+	case p.queue <- jobs:
+	case <-ctx.Done():
+		for _, j := range jobs {
+			p.e.finish(j, scoreOutcome{err: ctx.Err()})
+		}
+	}
 }
 
-// submit enqueues one single-request job (which owns its MaxInFlight slot)
-// and returns its result channel. When the engine is effectively idle — at
-// most this request holds a scoring slot — there are no batch-mates worth
-// waiting for, so the job dispatches immediately; the idle fast path keeps
-// single-request latency at the pre-batching baseline.
-func (c *coalescer) submit(ctx context.Context, pin Pinned, inst *rerank.Instance) <-chan scoreOutcome {
-	return c.submitJob(&scoreJob{ctx: ctx, inst: inst, pin: pin, done: make(chan scoreOutcome, 1), ownsSlot: true})
-}
-
-// submitJob is submit for a caller-built job (the rerank path attaches a
-// state-cache key before submitting).
-func (c *coalescer) submitJob(j *scoreJob) <-chan scoreOutcome {
-	c.start()
-	pin := j.pin
-	if c.e.cfg.Batch.MaxBatch <= 1 || len(c.e.sem) <= 1 || !comparableScorer(pin.Scorer) {
-		c.dispatch <- []*scoreJob{j}
-		return j.done
-	}
-	key := batchKey{scorer: pin.Scorer, version: pin.Version}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.dispatch <- []*scoreJob{j}
-		return j.done
-	}
-	pb := c.pending[key]
-	if pb == nil {
-		pb = &pendingBatch{}
-		c.pending[key] = pb
-		pb.timer = time.AfterFunc(c.e.cfg.Batch.MaxWait, func() { c.flush(key, pb) })
-	}
-	pb.jobs = append(pb.jobs, j)
-	var ready []*scoreJob
-	if len(pb.jobs) >= c.e.cfg.Batch.MaxBatch {
-		delete(c.pending, key)
-		pb.timer.Stop()
-		ready = pb.jobs
-	}
-	c.mu.Unlock()
-	if ready != nil {
-		c.dispatch <- ready
-	}
-	return j.done
-}
-
-// flush dispatches a partial batch when its MaxWait timer fires. The
-// pointer-identity check drops stale timers whose batch already dispatched
-// full (a new pending batch may live under the same key by then).
-func (c *coalescer) flush(key batchKey, pb *pendingBatch) {
-	c.mu.Lock()
-	if c.pending[key] != pb {
-		c.mu.Unlock()
-		return
-	}
-	delete(c.pending, key)
-	jobs := pb.jobs
-	c.mu.Unlock()
-	c.dispatch <- jobs
-}
-
-// enqueue hands a pre-grouped batch straight to the worker pool — the
-// batch path already holds a whole envelope, so coalescing would only add
-// wait.
-func (c *coalescer) enqueue(jobs []*scoreJob) {
-	c.start()
-	c.dispatch <- jobs
-}
-
-// close flushes every pending batch and stops the workers after the queue
-// drains. Called by Engine.Close once the frontends have stopped
-// submitting.
-func (c *coalescer) close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	var stale [][]*scoreJob
-	for key, pb := range c.pending {
-		pb.timer.Stop()
-		stale = append(stale, pb.jobs)
-		delete(c.pending, key)
-	}
-	c.mu.Unlock()
-	for _, jobs := range stale {
-		c.dispatch <- jobs
-	}
-	c.started.Do(func() {}) // a never-started pool has nothing to stop
-	for i := 0; i < c.e.cfg.Batch.Workers; i++ {
-		c.dispatch <- nil
-	}
-	c.wg.Wait()
+// close stops the workers once the queue drains. Called by Engine.Close
+// after the frontends have stopped submitting.
+func (p *scorePool) close() {
+	p.stopped.Do(func() { close(p.queue) })
+	p.wg.Wait()
 }
 
 // runBatch scores one dispatched batch on a worker goroutine: jobs whose

@@ -11,8 +11,9 @@
 //     of erroring;
 //   - bounded concurrency: a semaphore with a bounded queue wait sheds
 //     excess load (*ShedError) rather than queueing unboundedly;
-//   - micro-batching: concurrent in-flight requests pinned to the same
-//     (scorer, version) coalesce into one ScoreBatch call;
+//   - one scoring pool: a request's job goes straight to a worker and never
+//     waits for batch-mates; a RerankBatch envelope scores each of its
+//     same-pin runs in one ScoreBatch call;
 //   - an optional encoded user-state cache (the repeat-user fast path);
 //   - multi-tenancy: a request may name a resident tenant scorer
 //     (Config.Tenants), with per-tenant quotas and metrics.
@@ -45,7 +46,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/rerank"
 )
@@ -71,9 +71,8 @@ type Config struct {
 	// (read it back with Engine.Registry). Passing one lets a process share
 	// a single /metrics namespace across subsystems.
 	Registry *obs.Registry
-	// Batch bounds the micro-batching coalescer; see BatchConfig. The zero
-	// value enables batching with the defaults (16 / 2ms); set MaxBatch to 1
-	// to score strictly per request.
+	// Batch bounds the scoring pool; see BatchConfig. The zero value takes the
+	// defaults (envelope runs of at most 16, max(2, GOMAXPROCS) workers).
 	Batch BatchConfig
 	// StateCacheBytes is the memory budget for the encoded user-state cache
 	// (the repeat-user fast path). 0, the default, disables the cache. The
@@ -113,9 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Batch.MaxBatch <= 0 {
 		c.Batch.MaxBatch = 16
-	}
-	if c.Batch.MaxWait <= 0 {
-		c.Batch.MaxWait = 2 * time.Millisecond
 	}
 	if c.Batch.Workers <= 0 {
 		c.Batch.Workers = max(2, runtime.GOMAXPROCS(0))
@@ -159,7 +155,7 @@ type Engine struct {
 	draining   atomic.Bool
 	reg        *obs.Registry
 	met        *Metrics
-	batch      *coalescer
+	pool       *scorePool
 	stateCache *StateCache // nil when Config.StateCacheBytes == 0
 	idPrefix   string      // per-process request-id prefix
 	reqSeq     atomic.Uint64
@@ -199,11 +195,10 @@ func New(p Provider, cfg Config) *Engine {
 		tenantSems: make(map[string]chan struct{}),
 		Log:        log.Printf,
 	}
-	e.batch = newCoalescer(e)
+	e.pool = newScorePool(e)
 	if cfg.StateCacheBytes > 0 {
 		e.stateCache = newStateCache(cfg.StateCacheBytes, e.met)
 	}
-	e.met.MatWorkers.Set(float64(mat.Workers()))
 	return e
 }
 
@@ -238,10 +233,10 @@ func (e *Engine) SetDraining(v bool) { e.draining.Store(v) }
 // Draining reports whether the engine is refusing new work.
 func (e *Engine) Draining() bool { return e.draining.Load() }
 
-// Close flushes the coalescer's pending batches and stops the scoring
-// workers. Call it after every frontend has stopped submitting (an HTTP
-// frontend calls it once Shutdown returns). Idempotent.
-func (e *Engine) Close() { e.batch.close() }
+// Close stops the scoring workers once everything dispatched has scored.
+// Call it after every frontend has stopped submitting (an HTTP frontend calls
+// it once Shutdown returns). Idempotent.
+func (e *Engine) Close() { e.pool.close() }
 
 // newIDPrefix draws the per-process request-id prefix. Randomness makes ids
 // unique across replicas and restarts without coordination; crypto/rand
@@ -394,10 +389,79 @@ type scoreOutcome struct {
 	panicked bool
 }
 
-// Rerank scores one request end to end: tenant resolution, provider
-// pinning, geometry validation, admission, coalesced scoring, graceful
-// degradation and response labeling. It returns a typed error —
-// *BadInputError, *ShedError, *UnknownTenantError or ErrCanceled — when no
+// resolve pins and validates one request and returns the job it becomes:
+// tenant → provider → route key → pin → instance. The pin comes before the
+// validation because the pinned version's geometry is the contract the
+// request must meet, and the same pin then serves scoring and response
+// labeling, so a version swap mid-request can never mix models. A failure is
+// an *UnknownTenantError or a *BadInputError, already counted as bad input.
+func (e *Engine) resolve(req *Request) (*scoreJob, error) {
+	tenant, prov, err := e.providerFor(req.Tenant)
+	if err != nil {
+		e.met.BadInput.Inc()
+		return nil, err
+	}
+	e.met.TenantRequests.With(tenant).Inc()
+	route := RouteKey(req)
+	pin := prov.Pick(route)
+	inst, err := ToInstance(pin.Manifest.Config, req)
+	if err != nil {
+		e.met.BadInput.Inc()
+		return nil, badInput(err)
+	}
+	j := &scoreJob{inst: inst, pin: pin, tenant: tenant, route: route, done: make(chan scoreOutcome, 1)}
+	j.key, j.hasKey = e.stateKeyFor(req, tenant, route, pin)
+	return j, nil
+}
+
+// await waits for a dispatched job's outcome or for the end of its scoring
+// context — the caller's context bounded by Budget — and builds the answer:
+// the model's ordering, or the graceful-degradation fallback with its reason
+// counted. One rule tells a departed caller from an overrun on both entry
+// points: only a cancel of the caller's context means nobody is left to read
+// (ErrCanceled, no response); a deadline, whether the engine's Budget or a
+// tighter one the caller brought, is an overrun and degrades. The worker may
+// still be scoring when await returns; the buffered done channel takes its
+// late outcome.
+func (e *Engine) await(ctx context.Context, j *scoreJob) (resp Response, outcome string, err error) {
+	var out scoreOutcome
+	select {
+	case out = <-j.done:
+	case <-j.ctx.Done():
+		out.err = j.ctx.Err()
+	}
+	switch {
+	case out.err == nil:
+		return okResponse(j.inst, out.scores), "ok", nil
+	case errors.Is(out.err, context.Canceled) && ctx.Err() != nil:
+		return Response{}, "", ErrCanceled
+	}
+	outcome = degradeReason(out)
+	e.met.Degraded.With(outcome).Inc()
+	return degradedResponse(j.inst, outcome), outcome, nil
+}
+
+// label stamps a response that will reach its caller with the pin that
+// served it, its latency and a fresh request id — tracked before the
+// response is handed back, so a feedback event can never race ahead of its
+// correlation entry — and reports the outcome ("ok" or the degrade reason)
+// to the pin's lifecycle hook.
+func (e *Engine) label(resp *Response, j *scoreJob, outcome string, elapsed time.Duration) {
+	resp.ModelVersion = j.pin.Version
+	resp.Canary = j.pin.Canary
+	resp.LatencyMS = float64(elapsed.Microseconds()) / 1000
+	resp.RequestID = e.newRequestID()
+	if e.cfg.Feedback != nil {
+		e.cfg.Feedback.Track(resp.RequestID, j.route, j.pin.Version)
+	}
+	if j.pin.Observe != nil {
+		j.pin.Observe(outcome, elapsed)
+	}
+}
+
+// Rerank scores one request end to end: resolve, admission, scoring on the
+// pool, graceful degradation and response labeling. It returns a typed error
+// — *BadInputError, *ShedError, *UnknownTenantError or ErrCanceled — when no
 // response was produced; degradation is not an error (the Response carries
 // Degraded/DegradedReason instead).
 func (e *Engine) Rerank(ctx context.Context, req *Request) (Response, error) {
@@ -409,107 +473,52 @@ func (e *Engine) Rerank(ctx context.Context, req *Request) (Response, error) {
 	if e.draining.Load() {
 		return Response{}, e.shed(ShedDraining, "")
 	}
-
-	tenant, prov, terr := e.providerFor(req.Tenant)
-	if terr != nil {
-		e.met.BadInput.Inc()
-		e.met.Responses.With("bad_input").Inc()
-		return Response{}, terr
-	}
-	e.met.TenantRequests.With(tenant).Inc()
-
-	// Pin one coherent (model, manifest, version) triple before validating:
-	// the pinned version's geometry is the contract the request must meet,
-	// and the same pin serves scoring and response labeling, so a version
-	// swap mid-request can never mix models.
-	route := RouteKey(req)
-	pin := prov.Pick(route)
-	inst, err := ToInstance(pin.Manifest.Config, req)
+	j, err := e.resolve(req)
 	if err != nil {
-		e.met.BadInput.Inc()
 		e.met.Responses.With("bad_input").Inc()
-		return Response{}, badInput(err)
+		return Response{}, err
 	}
-
-	tenantRelease, admitted := e.tenantAcquire(tenant)
+	tenantRelease, admitted := e.tenantAcquire(j.tenant)
 	if !admitted {
-		return Response{}, e.shed(ShedTenantQuota, tenant)
+		return Response{}, e.shed(ShedTenantQuota, j.tenant)
 	}
 	defer tenantRelease()
 
 	// Admission: wait at most QueueWait for a scoring slot, then shed. The
-	// slot is released by the scoring goroutine when scoring truly ends, not
-	// when Rerank returns — an abandoned (deadline-overrun) scorer still
+	// job owns the slot and the worker releases it when scoring truly ends,
+	// not when Rerank returns — an abandoned (deadline-overrun) scorer still
 	// occupies CPU, and only this accounting keeps the concurrency bound
 	// honest.
 	if err := e.acquireSlot(ctx); err != nil {
 		return Response{}, err
 	}
-
-	// Scoring is delegated to the micro-batching coalescer: the request's
-	// job either rides a coalesced batch with other in-flight requests of
-	// the same (scorer, version) pin or dispatches alone when the engine is
-	// idle.
-	sctx, cancel := context.WithTimeout(ctx, e.cfg.Budget)
+	j.ownsSlot = true
+	var cancel context.CancelFunc
+	j.ctx, cancel = context.WithTimeout(ctx, e.cfg.Budget)
 	defer cancel()
-	key, hasKey := e.stateKeyFor(req, tenant, route, pin)
-	done := e.batch.submitJob(&scoreJob{
-		ctx: sctx, inst: inst, pin: pin,
-		done: make(chan scoreOutcome, 1), ownsSlot: true,
-		key: key, hasKey: hasKey,
-	})
+	e.pool.dispatch([]*scoreJob{j})
 
-	var resp Response
-	outcome := "ok"
-	select {
-	case out := <-done:
-		if out.err != nil {
-			// A caller disconnect surfaces as context.Canceled with the
-			// caller context done; count it as canceled (matching the
-			// admission path) and skip building a response nobody reads —
-			// it is not a budget overrun.
-			if errors.Is(out.err, context.Canceled) && ctx.Err() != nil {
-				e.met.Responses.With("canceled").Inc()
-				return Response{}, ErrCanceled
-			}
-			outcome = degradeReason(out)
-			resp = e.degrade(inst, outcome)
-		} else {
-			resp = okResponse(inst, out.scores)
-			e.met.ResponsesOK.Inc()
-		}
-	case <-sctx.Done():
-		if ctx.Err() != nil {
-			e.met.Responses.With("canceled").Inc()
-			return Response{}, ErrCanceled
-		}
-		resp = e.degrade(inst, "deadline")
-		outcome = "deadline"
+	resp, outcome, err := e.await(ctx, j)
+	if err != nil {
+		e.met.Responses.With("canceled").Inc()
+		return Response{}, err
 	}
-	resp.ModelVersion = pin.Version
-	resp.Canary = pin.Canary
-	resp.LatencyMS = float64(time.Since(start).Microseconds()) / 1000
-	// The request id is issued only for responses that actually reach the
-	// caller (canceled paths return above), and tracked before the response
-	// is handed back so a feedback event can never race ahead of its
-	// correlation entry.
-	resp.RequestID = e.newRequestID()
-	if e.cfg.Feedback != nil {
-		e.cfg.Feedback.Track(resp.RequestID, route, pin.Version)
+	if outcome == "ok" {
+		e.met.ResponsesOK.Inc()
+	} else {
+		e.met.Responses.With("degraded").Inc()
 	}
-	if pin.Observe != nil {
-		pin.Observe(outcome, time.Since(start))
-	}
+	e.label(&resp, j, outcome, time.Since(start))
 	return resp, nil
 }
 
 // RerankBatch scores up to MaxBatchRequests independent requests as one
-// envelope. Each item is pinned, validated and answered independently
-// (per-item degraded flags and error strings); the envelope occupies one
-// MaxInFlight slot and one Budget deadline as a whole. Envelope-level
-// counters observe the request once; per-item degradations still land in
-// the per-reason degraded counters. The returned slice is in request order;
-// a typed error means no responses were produced at all.
+// envelope. Each item is resolved and answered independently (per-item
+// degraded flags and error strings); the envelope occupies one MaxInFlight
+// slot and one Budget deadline as a whole. Envelope-level counters observe
+// the request once; per-item degradations still land in the per-reason
+// degraded counters. The returned slice is in request order; a typed error
+// means no responses were produced at all.
 func (e *Engine) RerankBatch(ctx context.Context, reqs []Request) ([]Response, error) {
 	start := time.Now()
 	e.met.Requests.Inc()
@@ -527,37 +536,27 @@ func (e *Engine) RerankBatch(ctx context.Context, reqs []Request) ([]Response, e
 	}
 	e.met.BatchItems.Add(int64(n))
 
-	// Pin and validate each item independently: one malformed item (or one
-	// unknown tenant) yields a per-item error, not a rejected envelope.
-	pins := make([]Pinned, n)
-	insts := make([]*rerank.Instance, n)
+	// One malformed item (or one unknown tenant) yields a per-item error, not
+	// a rejected envelope.
 	resps := make([]Response, n)
-	outcomes := make([]string, n)
-	valid := 0
-	routes := make([]uint64, n)
-	tenants := make([]string, n)
+	jobs := make([]*scoreJob, 0, n) // the valid items, in request order
+	idxs := make([]int, 0, n)       // jobs[k] answers reqs[idxs[k]]
 	for i := range reqs {
-		tenant, prov, terr := e.providerFor(reqs[i].Tenant)
-		tenants[i] = tenant
-		if terr != nil {
-			e.met.BadInput.Inc()
-			resps[i] = Response{Error: terr.Error()}
-			continue
-		}
-		e.met.TenantRequests.With(tenant).Inc()
-		routes[i] = RouteKey(&reqs[i])
-		pins[i] = prov.Pick(routes[i])
-		inst, err := ToInstance(pins[i].Manifest.Config, &reqs[i])
+		j, err := e.resolve(&reqs[i])
 		if err != nil {
-			e.met.BadInput.Inc()
 			resps[i] = Response{Error: err.Error()}
 			continue
 		}
-		insts[i] = inst
-		valid++
+		jobs, idxs = append(jobs, j), append(idxs, i)
 	}
 
-	if valid > 0 {
+	// The envelope's terminal status reflects its items: ok if any item
+	// scored, degraded if any item at least reached scoring, bad_input when
+	// every item failed validation. Counting every envelope as ok would hide
+	// batch-path failures from ok-rate dashboards.
+	status := "bad_input"
+	if len(jobs) > 0 {
+		status = "degraded"
 		// Admission: the whole envelope takes one scoring slot.
 		if err := e.acquireSlot(ctx); err != nil {
 			return nil, err
@@ -575,113 +574,51 @@ func (e *Engine) RerankBatch(ctx context.Context, reqs []Request) ([]Response, e
 		}()
 		sctx, cancel := context.WithTimeout(ctx, e.cfg.Budget)
 		defer cancel()
-		jobs := make([]*scoreJob, 0, valid)
-		idxs := make([]int, 0, valid)
-		for i := range reqs {
-			if insts[i] == nil {
-				continue
-			}
-			key, hasKey := e.stateKeyFor(&reqs[i], tenants[i], routes[i], pins[i])
-			jobs = append(jobs, &scoreJob{
-				ctx: sctx, inst: insts[i], pin: pins[i],
-				done: make(chan scoreOutcome, 1),
-				key:  key, hasKey: hasKey,
-			})
-			idxs = append(idxs, i)
+		for _, j := range jobs {
+			j.ctx = sctx
 		}
-		// The envelope is already a batch in hand: enqueue contiguous
-		// same-pin runs (split at MaxBatch) directly, skipping the MaxWait
-		// coalescing window. A non-comparable scorer cannot form a batchKey,
-		// so its jobs enqueue one by one.
+		// Contiguous same-pin runs, split at MaxBatch, go to the pool as they
+		// stand; a run never mixes pins.
 		for from := 0; from < len(jobs); {
 			to := from + 1
-			if comparableScorer(jobs[from].pin.Scorer) {
-				key := batchKey{jobs[from].pin.Scorer, jobs[from].pin.Version}
-				for to < len(jobs) && to-from < e.cfg.Batch.MaxBatch &&
-					comparableScorer(jobs[to].pin.Scorer) &&
-					(batchKey{jobs[to].pin.Scorer, jobs[to].pin.Version}) == key {
-					to++
-				}
+			for to < len(jobs) && to-from < e.cfg.Batch.MaxBatch && samePin(jobs[from].pin, jobs[to].pin) {
+				to++
 			}
-			e.batch.enqueue(jobs[from:to:to])
+			e.pool.dispatch(jobs[from:to:to])
 			from = to
 		}
+		outcomes := make([]string, len(jobs))
 		for k, j := range jobs {
-			i := idxs[k]
-			var out scoreOutcome
-			select {
-			case out = <-j.done:
-			case <-sctx.Done():
-				out = scoreOutcome{err: sctx.Err()}
+			var err error
+			// A caller disconnect cancels ctx for every remaining item; count
+			// the envelope once as canceled and produce nothing. The deferred
+			// release frees the slot; workers still drain the buffered done
+			// channels.
+			if resps[idxs[k]], outcomes[k], err = e.await(ctx, j); err != nil {
+				e.met.Responses.With("canceled").Inc()
+				return nil, err
 			}
-			if out.err != nil {
-				// A caller disconnect cancels ctx for every remaining item;
-				// count the envelope once as canceled and produce nothing.
-				// The deferred release frees the slot; workers still drain
-				// the buffered done channels.
-				if errors.Is(out.err, context.Canceled) && ctx.Err() != nil {
-					e.met.Responses.With("canceled").Inc()
-					return nil, ErrCanceled
-				}
-				outcomes[i] = degradeReason(out)
-				e.met.Degraded.With(outcomes[i]).Inc()
-				resps[i] = degradedResponse(insts[i], outcomes[i])
-			} else {
-				outcomes[i] = "ok"
-				resps[i] = okResponse(insts[i], out.scores)
+			if outcomes[k] == "ok" {
+				status = "ok"
 			}
 		}
 		held = false
 		<-e.sem // release the envelope's slot
-	}
-
-	elapsed := time.Since(start)
-	ms := float64(elapsed.Microseconds()) / 1000
-	for i := range resps {
-		if insts[i] == nil {
-			continue
-		}
-		resps[i].ModelVersion = pins[i].Version
-		resps[i].Canary = pins[i].Canary
-		resps[i].LatencyMS = ms
-		// Each batch item gets its own request id: feedback joins per
-		// impression, and an envelope is just transport.
-		resps[i].RequestID = e.newRequestID()
-		if e.cfg.Feedback != nil {
-			e.cfg.Feedback.Track(resps[i].RequestID, routes[i], pins[i].Version)
-		}
-		if pins[i].Observe != nil {
-			pins[i].Observe(outcomes[i], elapsed)
-		}
-	}
-	// The envelope's terminal status reflects its items: ok if any item
-	// scored, degraded if any item at least reached scoring, bad_input when
-	// every item failed validation. Counting every envelope as ok would hide
-	// batch-path failures from ok-rate dashboards.
-	status := "bad_input"
-	for i := range resps {
-		if outcomes[i] == "ok" {
-			status = "ok"
-			break
-		}
-		if insts[i] != nil {
-			status = "degraded"
+		// Each item gets its own request id: feedback joins per impression,
+		// and an envelope is just transport.
+		elapsed := time.Since(start)
+		for k, j := range jobs {
+			e.label(&resps[idxs[k]], j, outcomes[k], elapsed)
 		}
 	}
 	e.met.Responses.With(status).Inc()
 	return resps, nil
 }
 
-// degrade builds the graceful-degradation response: the initial ranker's
-// ordering, marked degraded. A re-ranking stage that cannot answer in budget
-// must hand back the list it was given — the upstream ranking is always a
-// valid (if less diverse) answer, while an error would cost the impression.
-func (e *Engine) degrade(inst *rerank.Instance, reason string) Response {
-	e.met.Degraded.With(reason).Inc()
-	e.met.Responses.With("degraded").Inc()
-	return degradedResponse(inst, reason)
-}
-
+// degradedResponse builds the graceful-degradation response: the initial
+// ranker's ordering, marked degraded. A re-ranking stage that cannot answer in
+// budget must hand back the list it was given — the upstream ranking is always
+// a valid (if less diverse) answer, while an error would cost the impression.
 func degradedResponse(inst *rerank.Instance, reason string) Response {
 	order, scores := FallbackOrder(inst)
 	return Response{Ranked: order, Scores: scores, Degraded: true, DegradedReason: reason}

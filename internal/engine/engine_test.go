@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -80,8 +82,8 @@ func (o offsetStub) ScoreBatch(ctx context.Context, insts []*rerank.Instance) ([
 	return out, nil
 }
 
-// funcScorer's func field makes its dynamic type non-comparable: using it
-// in a batchKey (map key or ==) would panic at runtime.
+// funcScorer's func field makes its dynamic type non-comparable: comparing
+// two of them with == would panic at runtime.
 type funcScorer struct {
 	fn func(*rerank.Instance) []float64
 }
@@ -91,180 +93,327 @@ func (f funcScorer) Score(_ context.Context, inst *rerank.Instance) ([]float64, 
 	return f.fn(inst), nil
 }
 
-// TestCoalescerMaxWaitBound: with the engine busy (idle fast path
-// defeated), a lone request dispatches when its MaxWait window closes —
-// never sooner than the window, never later than window + slack.
-func TestCoalescerMaxWaitBound(t *testing.T) {
-	const maxWait = 20 * time.Millisecond
-	e := stubEngine(t, Config{
-		MaxInFlight: 16,
-		Batch:       BatchConfig{MaxBatch: 16, MaxWait: maxWait},
-	})
-	// Two occupied slots defeat the idle fast path (len(sem) > 1).
-	e.sem <- struct{}{}
-	e.sem <- struct{}{}
-	inst, err := ToInstance(testConfig(), validRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin := Pinned{Scorer: offsetStub{offset: 1}, Version: "v1"}
+// parityProvider serves even route keys from pins[0] and odd ones from
+// pins[1]: a 50 % canary whose side a test can choose per request.
+type parityProvider struct{ pins [2]Pinned }
 
-	e.sem <- struct{}{} // the job's own slot, released by the worker
-	start := time.Now()
-	done := e.batch.submit(context.Background(), pin, inst)
-	select {
-	case out := <-done:
-		elapsed := time.Since(start)
-		if out.err != nil {
-			t.Fatal(out.err)
+func (p parityProvider) Active() Pinned         { return p.pins[0] }
+func (p parityProvider) Pick(key uint64) Pinned { return p.pins[key%2] }
+
+// requestOnPin is validRequest with its first item id moved until the route
+// key lands on the given side of a parityProvider; distinct salts give
+// distinct requests.
+func requestOnPin(side uint64, salt int) *Request {
+	req := validRequest()
+	for id := 1000 * (salt + 1); ; id++ {
+		req.Items[0].ID = id
+		if RouteKey(req)%2 == side {
+			return req
 		}
-		if elapsed < maxWait/2 {
-			t.Fatalf("partial batch dispatched after %v, before the %v wait window", elapsed, maxWait)
-		}
-		if elapsed > maxWait+time.Second {
-			t.Fatalf("request waited %v, far past MaxWait %v", elapsed, maxWait)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("request never completed")
 	}
 }
 
-// TestCoalescerFullBatchDispatchesEarly: MaxBatch jobs in hand dispatch
-// immediately — nobody waits out a long MaxWait window once the batch is
-// full.
-func TestCoalescerFullBatchDispatchesEarly(t *testing.T) {
-	const batch = 4
-	e := stubEngine(t, Config{
-		MaxInFlight: 16,
-		Batch:       BatchConfig{MaxBatch: batch, MaxWait: 5 * time.Second},
-	})
-	e.sem <- struct{}{}
-	e.sem <- struct{}{}
-	inst, err := ToInstance(testConfig(), validRequest())
-	if err != nil {
-		t.Fatal(err)
+// alternatingEnvelope is n requests whose pins alternate item by item, so
+// every same-pin run is one item long.
+func alternatingEnvelope(n int) []Request {
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = *requestOnPin(uint64(i%2), i)
 	}
-	pin := Pinned{Scorer: offsetStub{offset: 1}, Version: "v1"}
-
-	start := time.Now()
-	dones := make([]<-chan scoreOutcome, batch)
-	for i := range dones {
-		e.sem <- struct{}{}
-		dones[i] = e.batch.submit(context.Background(), pin, inst)
-	}
-	for i, done := range dones {
-		select {
-		case out := <-done:
-			if out.err != nil {
-				t.Fatalf("job %d: %v", i, out.err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("job %d still waiting %v after the batch filled", i, time.Since(start))
-		}
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("full batch took %v; it must not wait out MaxWait", elapsed)
-	}
+	return reqs
 }
 
-// TestCoalescerChurnExactlyOneOutcome is the coalescer's property test; run
-// with -race. Many goroutines submit against two distinct (scorer, version)
-// pins at once. Every submission must receive exactly one outcome, and the
-// scores must carry its own pin's offset — a batch that mixed pins or a
-// dropped/duplicated delivery would fail here.
-func TestCoalescerChurnExactlyOneOutcome(t *testing.T) {
-	e := stubEngine(t, Config{
-		MaxInFlight: 64,
-		Batch:       BatchConfig{MaxBatch: 4, MaxWait: time.Millisecond},
-	})
-	// Keep the engine permanently "busy" so submissions coalesce.
-	e.sem <- struct{}{}
-	e.sem <- struct{}{}
-	inst, err := ToInstance(testConfig(), validRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pins := []Pinned{
-		{Scorer: offsetStub{offset: 100}, Version: "v1"},
-		{Scorer: offsetStub{offset: 200}, Version: "v2"},
-	}
+// twoPinEngine serves a and b from the two sides of a parityProvider under
+// the version labels v0 and v1.
+func twoPinEngine(t *testing.T, a, b Scorer, cfg Config) *Engine {
+	t.Helper()
+	man := Manifest{Dataset: "test", Config: testConfig()}
+	e := New(parityProvider{pins: [2]Pinned{
+		{Scorer: a, Manifest: man, Version: "v0"},
+		{Scorer: b, Manifest: man, Version: "v1"},
+	}}, cfg)
+	e.Log = t.Logf
+	return e
+}
 
-	const (
-		workers = 8
-		perW    = 50
-	)
-	var delivered atomic.Int64
+// churn drives singles and alternating-pin envelopes from 8 goroutines at
+// once (run with -race) against scorers that add 100 on side 0 and 200 on
+// side 1. Every request must get exactly one answer, labelled with its own
+// pin's version and carrying its own pin's offset — a run that mixed pins or
+// a dropped delivery would fail here — and once the pool has drained no
+// scoring slot may be left held or have been released twice.
+func churn(t *testing.T, e *Engine) {
+	t.Helper()
+	top := validRequest().Items[0].InitScore
+	check := func(resp Response, side int) {
+		if resp.Error != "" || resp.Degraded {
+			t.Errorf("side %d: %+v", side, resp)
+			return
+		}
+		if want := fmt.Sprintf("v%d", side); resp.ModelVersion != want {
+			t.Errorf("side %d answered by %q", side, resp.ModelVersion)
+		}
+		if want := 100*float64(1+side) + top; resp.Scores[0] != want {
+			t.Errorf("side %d: top score %v, want %v: a foreign pin scored it", side, resp.Scores[0], want)
+		}
+	}
+	const goroutines, rounds, envelope = 8, 40, 6
+	var answered atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				pin := pins[(g+i)%len(pins)]
-				e.sem <- struct{}{}
-				done := e.batch.submit(context.Background(), pin, inst)
-				select {
-				case out := <-done:
-					if out.err != nil {
-						t.Errorf("worker %d job %d: %v", g, i, out.err)
+			for i := 0; i < rounds; i++ {
+				if (g+i)%2 == 0 {
+					side := (g + i/2) % 2
+					resp, err := e.Rerank(context.Background(), requestOnPin(uint64(side), g*rounds+i))
+					if err != nil {
+						t.Errorf("goroutine %d single %d: %v", g, i, err)
 						return
 					}
-					wantOffset := 100.0 * float64(1+(g+i)%len(pins))
-					if out.scores[0] != wantOffset+inst.InitScores[0] {
-						t.Errorf("pin mixed into foreign batch: got %v, want offset %v",
-							out.scores[0], wantOffset)
-						return
-					}
-					delivered.Add(1)
-				case <-time.After(5 * time.Second):
-					t.Errorf("worker %d job %d: outcome never delivered", g, i)
+					check(resp, side)
+					answered.Add(1)
+					continue
+				}
+				resps, err := e.RerankBatch(context.Background(), alternatingEnvelope(envelope))
+				if err != nil || len(resps) != envelope {
+					t.Errorf("goroutine %d envelope %d: %d responses, %v", g, i, len(resps), err)
 					return
 				}
-				// done is buffered with capacity 1; a duplicate delivery
-				// would be waiting here.
-				select {
-				case out := <-done:
-					t.Errorf("worker %d job %d: duplicate outcome %+v", g, i, out)
-					return
-				default:
+				for k, resp := range resps {
+					check(resp, k%2)
 				}
+				answered.Add(envelope)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := delivered.Load(); got != workers*perW {
-		t.Fatalf("%d of %d submissions answered", got, workers*perW)
+	if want := int64(goroutines * rounds / 2 * (1 + envelope)); answered.Load() != want {
+		t.Fatalf("%d of %d requests answered", answered.Load(), want)
 	}
-	// The two sentinel tokens are all that remain once every job released
-	// its slot: no slot was leaked or double-released.
-	if got := len(e.sem); got != 2 {
-		t.Fatalf("%d slots still held after drain, want the 2 sentinels", got)
+	e.Close() // returns only when no worker is stuck on a slot that was never held
+	if got := len(e.sem); got != 0 {
+		t.Fatalf("%d slots still held after the pool drained", got)
 	}
 }
 
-// TestNonComparableScorerCoalescePath: a scorer whose dynamic type does not
-// support == must dispatch solo on the coalescing path (map keyed by
-// scorer) instead of panicking. The frontend-visible fallback lives in
-// internal/serve's tests; this pins the submit path proper.
+// TestCoalescerChurnExactlyOneOutcome is the scoring pool's property test:
+// see churn.
+func TestCoalescerChurnExactlyOneOutcome(t *testing.T) {
+	churn(t, twoPinEngine(t, offsetStub{offset: 100}, offsetStub{offset: 200},
+		Config{MaxInFlight: 64, QueueWait: 5 * time.Second}))
+}
+
+// TestNonComparableScorerCoalescePath: two pins whose scorers share a dynamic
+// type that does not support == must be told apart without comparing them —
+// a panic in the run split would take the envelope down. The frontend-visible
+// fallback lives in internal/serve's tests.
 func TestNonComparableScorerCoalescePath(t *testing.T) {
-	fs := funcScorer{fn: func(inst *rerank.Instance) []float64 { return inst.InitScores }}
-	e := NewStatic(fs, Manifest{Dataset: "test", Config: testConfig()}, Config{MaxInFlight: 16})
-	e.Log = t.Logf
-	e.sem <- struct{}{}
-	e.sem <- struct{}{}
-	inst, err := ToInstance(testConfig(), validRequest())
-	if err != nil {
-		t.Fatal(err)
+	adding := func(offset float64) funcScorer {
+		return funcScorer{fn: func(inst *rerank.Instance) []float64 {
+			s, _ := offsetStub{offset: offset}.Score(context.Background(), inst)
+			return s
+		}}
 	}
+	churn(t, twoPinEngine(t, adding(100), adding(200),
+		Config{MaxInFlight: 64, QueueWait: 5 * time.Second}))
+}
+
+// TestRerankNeverWaitsForBatchMates: with other requests in flight (two
+// slots held), a lone request still goes straight to a worker. Scoring a
+// three-item list takes microseconds, so the fastest of a handful of
+// requests is far below any gathering window: the 2 ms one this engine used
+// to have put every one of them above it.
+func TestRerankNeverWaitsForBatchMates(t *testing.T) {
+	e := stubEngine(t, Config{MaxInFlight: 16})
+	defer e.Close()
 	e.sem <- struct{}{}
-	done := e.batch.submit(context.Background(), Pinned{Scorer: fs, Version: "v1"}, inst)
-	select {
-	case out := <-done:
-		if out.err != nil {
-			t.Fatalf("coalesced submit with non-comparable scorer: %v", out.err)
+	e.sem <- struct{}{}
+	fastest := time.Hour
+	for i := 0; i < 20; i++ {
+		start := time.Now()
+		if _, err := e.Rerank(context.Background(), validRequest()); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("non-comparable scorer job never completed")
+		fastest = min(fastest, time.Since(start))
+	}
+	if fastest > time.Millisecond {
+		t.Fatalf("the fastest of 20 lone requests took %v: something made it wait", fastest)
+	}
+}
+
+// TestRerankAllocCeiling bounds what one request costs on the single path
+// end to end — resolve, admission, dispatch, a warm scoring pass, response —
+// on a request of the benchmark pool's shape against the real model with the
+// state cache on. 60 allocations today; the benchmark bounds allocs_per_list
+// to 6 %, and the stages Rerank shares with RerankBatch must not be paid for
+// here.
+func TestRerankAllocCeiling(t *testing.T) {
+	cfg := core.DefaultConfig(13, 8, 5, 1)
+	e := NewStatic(core.New(cfg), Manifest{Dataset: "test", Config: cfg}, Config{StateCacheBytes: 1 << 20})
+	defer e.Close()
+	req := poolShapedRequest(rand.New(rand.NewSource(1)))
+	n := testing.AllocsPerRun(200, func() {
+		if resp, err := e.Rerank(context.Background(), req); err != nil || resp.Degraded {
+			t.Fatalf("%+v, %v", resp, err)
+		}
+	})
+	t.Logf("%v allocations", n)
+	if n > 61 {
+		t.Errorf("Rerank: %v allocations per pool-shaped request, ceiling 61", n)
+	}
+}
+
+// scriptedScorer runs whatever the test scripted as the scoring pass.
+type scriptedScorer struct {
+	score func(ctx context.Context, inst *rerank.Instance) ([]float64, error)
+}
+
+func (s *scriptedScorer) Name() string { return "scripted" }
+func (s *scriptedScorer) Score(ctx context.Context, inst *rerank.Instance) ([]float64, error) {
+	return s.score(ctx, inst)
+}
+
+// TestEnvelopeDispatchHonoursBudget: an envelope whose items alternate
+// between two pins is 64 runs of one, far more than two stuck workers and
+// the pool's queue (1 + 4·2 + 16) can take. Handing the runs over must give
+// up with the budget like every other wait on the request path: the envelope
+// answers in time, every item degraded, and holds no slot afterwards.
+func TestEnvelopeDispatchHonoursBudget(t *testing.T) {
+	const budget = 50 * time.Millisecond
+	release := make(chan struct{})
+	stuck := &scriptedScorer{score: func(_ context.Context, inst *rerank.Instance) ([]float64, error) {
+		<-release // ignores its context: returns only once released
+		return inst.InitScores, nil
+	}}
+	e := twoPinEngine(t, stuck, stuck, Config{
+		MaxInFlight: 1, Budget: budget, Batch: BatchConfig{Workers: 2},
+	})
+	type answer struct {
+		resps []Response
+		err   error
+		took  time.Duration
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		start := time.Now()
+		resps, err := e.RerankBatch(context.Background(), alternatingEnvelope(MaxBatchRequests))
+		answered <- answer{resps, err, time.Since(start)}
+	}()
+	select {
+	case a := <-answered:
+		if a.err != nil || len(a.resps) != MaxBatchRequests {
+			t.Fatalf("%d responses, %v", len(a.resps), a.err)
+		}
+		for i, resp := range a.resps {
+			if !resp.Degraded || resp.DegradedReason != "deadline" {
+				t.Fatalf("item %d: %+v, want degraded on deadline", i, resp)
+			}
+		}
+		t.Logf("answered in %v on a %v budget", a.took, budget)
+	case <-time.After(budget + 2*time.Second):
+		t.Error("RerankBatch still blocked 2 s past its budget")
+	}
+	close(release)
+	e.Close()
+	if got := len(e.sem); got != 0 {
+		t.Fatalf("%d slots held after the scorer was released", got)
+	}
+}
+
+// TestAwaitRule holds Rerank and RerankBatch to one reading of how a request
+// ends. Only a cancel of the caller's context is a departed caller
+// (ErrCanceled, nothing built); a deadline — the engine's budget or the
+// caller's own, seen first by the scorer or first by the engine — degrades
+// with reason "deadline", as a scoring error and a scoring panic degrade
+// with theirs.
+func TestAwaitRule(t *testing.T) {
+	type scoreFunc = func(context.Context, *rerank.Instance) ([]float64, error)
+	var release chan struct{} // closed as each subtest ends
+	untilDone := func(ctx context.Context, _ *rerank.Instance) ([]float64, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	untilReleased := func(_ context.Context, inst *rerank.Instance) ([]float64, error) {
+		<-release
+		return inst.InitScores, nil
+	}
+	ownDeadline := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), 20*time.Millisecond)
+	}
+	cases := []struct {
+		name     string
+		budget   time.Duration
+		caller   func() (context.Context, context.CancelFunc) // nil: context.Background
+		score    scoreFunc
+		canceled bool
+		reason   string
+	}{
+		{name: "caller cancel", budget: time.Minute, score: untilDone, canceled: true,
+			caller: func() (context.Context, context.CancelFunc) {
+				ctx, cancel := context.WithCancel(context.Background())
+				time.AfterFunc(20*time.Millisecond, cancel)
+				return ctx, cancel
+			}},
+		{name: "caller deadline, scorer honours it", budget: time.Minute, caller: ownDeadline,
+			score: untilDone, reason: "deadline"},
+		{name: "caller deadline, scorer ignores it", budget: time.Minute, caller: ownDeadline,
+			score: untilReleased, reason: "deadline"},
+		{name: "budget overrun", budget: 20 * time.Millisecond, score: untilDone, reason: "deadline"},
+		{name: "scorer error", budget: time.Minute, reason: "error",
+			score: func(context.Context, *rerank.Instance) ([]float64, error) {
+				return nil, errors.New("feature store down")
+			}},
+		{name: "scorer panic", budget: time.Minute, reason: "panic",
+			score: func(context.Context, *rerank.Instance) ([]float64, error) { panic("index out of range") }},
+	}
+	entries := map[string]func(*Engine, context.Context) ([]Response, error){
+		"Rerank": func(e *Engine, ctx context.Context) ([]Response, error) {
+			resp, err := e.Rerank(ctx, validRequest())
+			return []Response{resp}, err
+		},
+		"RerankBatch": func(e *Engine, ctx context.Context) ([]Response, error) {
+			return e.RerankBatch(ctx, []Request{*validRequest(), *validRequest()})
+		},
+	}
+	for _, tc := range cases {
+		for entry, call := range entries {
+			t.Run(tc.name+"/"+entry, func(t *testing.T) {
+				release = make(chan struct{})
+				e := NewStatic(&scriptedScorer{score: tc.score},
+					Manifest{Dataset: "test", Config: testConfig()}, Config{Budget: tc.budget})
+				e.Log = t.Logf
+				defer e.Close() // after the release below: waits for the worker
+				defer close(release)
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				if tc.caller != nil {
+					ctx, cancel = tc.caller()
+				}
+				defer cancel()
+				resps, err := call(e, ctx)
+				if tc.canceled {
+					if !errors.Is(err, ErrCanceled) {
+						t.Fatalf("got %+v, %v; want ErrCanceled", resps, err)
+					}
+					if got := e.met.Responses.With("canceled").Value(); got != 1 {
+						t.Fatalf("canceled counted %d times, want once", got)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("%v; want a response degraded on %s", err, tc.reason)
+				}
+				for i, resp := range resps {
+					if !resp.Degraded || resp.DegradedReason != tc.reason || resp.RequestID == "" {
+						t.Fatalf("item %d: %+v, want degraded on %s", i, resp, tc.reason)
+					}
+				}
+				if got := e.met.Degraded.With(tc.reason).Value(); got != int64(len(resps)) {
+					t.Fatalf("degraded{%s} = %d, want %d", tc.reason, got, len(resps))
+				}
+			})
+		}
 	}
 }
 

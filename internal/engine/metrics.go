@@ -39,7 +39,6 @@ type Metrics struct {
 	CacheInvalidations *obs.Counter
 	CacheEntries       *obs.Gauge
 	CacheBytes         *obs.Gauge
-	MatWorkers         *obs.Gauge // GEMM worker knob, for perf forensics
 
 	TenantRequests *obs.CounterVec // requests by resolved tenant
 	TenantShed     *obs.CounterVec // tenant-quota sheds by tenant
@@ -69,7 +68,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Scoring: r.Histogram("rapid_scoring_latency_seconds",
 			"Model scoring wall-clock time, measured to completion even past the budget.", nil),
 		Request: r.Histogram("rapid_request_latency_seconds",
-			"End-to-end /rerank handler latency.", nil),
+			"End-to-end re-rank request latency.", nil),
 		BatchRequests: r.Counter("rapid_batch_requests_total",
 			"Multi-instance /v1/rerank:batch envelopes received."),
 		BatchItems: r.Counter("rapid_batch_items_total",
@@ -107,8 +106,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Encoded user states currently resident in the cache."),
 		CacheBytes: r.Gauge("rapid_state_cache_bytes",
 			"Estimated bytes of encoded user states resident in the cache."),
-		MatWorkers: r.Gauge("rapid_mat_workers",
-			"GEMM worker goroutines the matrix kernels may use (1 = serial)."),
 		// Tenant families are eagerly registered with the default label so a
 		// single-tenant deployment still exposes the series at zero.
 		TenantRequests: r.CounterVec("rapid_tenant_requests_total",

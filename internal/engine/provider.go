@@ -34,8 +34,8 @@ type Pinned struct {
 	// re-splitting per item. Implementations must not block: shadow work is
 	// scored asynchronously off the request path and shed under pressure.
 	ShadowBatch func(insts []*rerank.Instance, scores [][]float64)
-	// ShadowVersion labels the candidate ShadowBatch feeds; the coalescer
-	// only merges jobs whose pins shadow the same candidate.
+	// ShadowVersion labels the candidate ShadowBatch feeds; one ShadowBatch
+	// call only carries jobs whose pins shadow the same candidate.
 	ShadowVersion string
 }
 

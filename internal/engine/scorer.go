@@ -13,9 +13,9 @@ import (
 // it; tests substitute stubs; Adapt wraps legacy context-free rerankers.
 //
 // Scorer implementations should be comparable (pointer receivers or small
-// value types): the micro-batching coalescer groups in-flight requests by
-// (scorer, version) identity. A scorer whose dynamic type does not support
-// == is detected at submission and scored unbatched instead.
+// value types): an envelope's items share a ScoreBatch call only when their
+// (scorer, version) pins are identical. A scorer whose dynamic type does not
+// support == shares with nobody, so its items score one call each.
 type Scorer interface {
 	Score(ctx context.Context, inst *rerank.Instance) ([]float64, error)
 	Name() string
@@ -23,8 +23,8 @@ type Scorer interface {
 
 // BatchScorer is the optional batched contract: score B instances in one
 // pass, returning one score slice per instance in input order. The engine
-// batches through this interface when a coalesced batch holds more than one
-// request; scorers without it are scored per instance.
+// scores an envelope's same-pin run of more than one instance through this
+// interface; scorers without it are scored per instance.
 type BatchScorer interface {
 	Scorer
 	ScoreBatch(ctx context.Context, insts []*rerank.Instance) ([][]float64, error)

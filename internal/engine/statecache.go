@@ -14,7 +14,7 @@ import (
 // StateScorer is the optional encoded-user-state contract: score a batch
 // where states[i], when non-nil, replaces instance i's user-preference
 // encoding, and return the states actually used so the caller can cache the
-// fresh ones. *core.Model implements it; the coalescer routes through it
+// fresh ones. *core.Model implements it; the scoring workers route through it
 // whenever the engine's state cache is enabled and the pinned scorer
 // supports it.
 type StateScorer interface {

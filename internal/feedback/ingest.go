@@ -4,15 +4,15 @@ import (
 	"sync"
 
 	"repro/internal/bandit"
+	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 // IngestConfig bounds an Ingestor. The zero value of every field falls back
 // to the listed default.
 type IngestConfig struct {
 	// QueueSize bounds the ingest queue (default 1024). A full queue makes
-	// Submit return serve.ErrFeedbackBusy, which the handler maps to 429 —
+	// Submit return engine.ErrFeedbackBusy, which the handler maps to 429 —
 	// feedback is shed under pressure, never allowed to block serving.
 	QueueSize int
 	// TrackCap bounds the request-id correlation table (default 65536
@@ -42,7 +42,7 @@ type tracked struct {
 	version string
 }
 
-// Ingestor implements serve.FeedbackSink: it joins POST /v1/feedback events
+// Ingestor implements engine.FeedbackSink: it joins POST /v1/feedback events
 // to their served responses, appends the joined record to the durable Log,
 // and credits the bandit policy. The hot-path methods (Track, Submit) do a
 // short mutex section and a non-blocking channel send respectively; all disk
@@ -59,7 +59,7 @@ type Ingestor struct {
 	order []string // FIFO eviction ring over track keys
 	head  int
 
-	ch   chan serve.FeedbackEvent
+	ch   chan engine.FeedbackEvent
 	done chan struct{}
 }
 
@@ -75,7 +75,7 @@ func NewIngestor(l *Log, policy *bandit.Policy, cfg IngestConfig) *Ingestor {
 		met:    newMetrics(cfg.Registry),
 		track:  make(map[string]tracked, cfg.TrackCap),
 		order:  make([]string, 0, cfg.TrackCap),
-		ch:     make(chan serve.FeedbackEvent, cfg.QueueSize),
+		ch:     make(chan engine.FeedbackEvent, cfg.QueueSize),
 		done:   make(chan struct{}),
 	}
 	if policy != nil {
@@ -90,7 +90,7 @@ func NewIngestor(l *Log, policy *bandit.Policy, cfg IngestConfig) *Ingestor {
 	return in
 }
 
-// Track implements serve.FeedbackSink: called by the request handler just
+// Track implements engine.FeedbackSink: called by the request handler just
 // before the response encodes, it records the served (route, version) under
 // the issued request id. Bounded: beyond TrackCap the oldest entry is
 // evicted (its late feedback then ingests uncorrelated).
@@ -115,15 +115,15 @@ func (in *Ingestor) Track(requestID string, route uint64, version string) {
 	}
 }
 
-// Submit implements serve.FeedbackSink: a non-blocking enqueue that reports
-// serve.ErrFeedbackBusy when the bounded queue is full.
-func (in *Ingestor) Submit(ev serve.FeedbackEvent) error {
+// Submit implements engine.FeedbackSink: a non-blocking enqueue that reports
+// engine.ErrFeedbackBusy when the bounded queue is full.
+func (in *Ingestor) Submit(ev engine.FeedbackEvent) error {
 	select {
 	case in.ch <- ev:
 		in.met.queue.Set(float64(len(in.ch)))
 		return nil
 	default:
-		return serve.ErrFeedbackBusy
+		return engine.ErrFeedbackBusy
 	}
 }
 
@@ -136,7 +136,7 @@ func (in *Ingestor) run() {
 	}
 }
 
-func (in *Ingestor) ingest(wire serve.FeedbackEvent) {
+func (in *Ingestor) ingest(wire engine.FeedbackEvent) {
 	ev := Event{
 		RequestID: wire.RequestID,
 		Arm:       -1,

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/bandit"
-	"repro/internal/serve"
+	"repro/internal/engine"
 )
 
 func testPolicy(t *testing.T) *bandit.Policy {
@@ -49,13 +49,13 @@ func TestIngestorCorrelatesAndLogs(t *testing.T) {
 	in.Track("rid-1", 42, armLabel)
 	in.Track("rid-2", 43, "v7") // non-arm version: logged, not credited
 
-	if err := in.Submit(serve.FeedbackEvent{RequestID: "rid-1", Items: []int{1, 2, 3}, Clicks: []bool{true}}); err != nil {
+	if err := in.Submit(engine.FeedbackEvent{RequestID: "rid-1", Items: []int{1, 2, 3}, Clicks: []bool{true}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Submit(serve.FeedbackEvent{RequestID: "rid-2", Items: []int{4, 5}}); err != nil {
+	if err := in.Submit(engine.FeedbackEvent{RequestID: "rid-2", Items: []int{4, 5}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Submit(serve.FeedbackEvent{RequestID: "rid-unknown", Items: []int{9}}); err != nil {
+	if err := in.Submit(engine.FeedbackEvent{RequestID: "rid-unknown", Items: []int{9}}); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, in)
@@ -106,8 +106,8 @@ func TestIngestorBackpressure(t *testing.T) {
 	// error value — never blocking — is the contract under test).
 	shed := false
 	for i := 0; i < 10_000 && !shed; i++ {
-		if err := in.Submit(serve.FeedbackEvent{RequestID: "r", Items: []int{1}}); err != nil {
-			if err != serve.ErrFeedbackBusy {
+		if err := in.Submit(engine.FeedbackEvent{RequestID: "r", Items: []int{1}}); err != nil {
+			if err != engine.ErrFeedbackBusy {
 				t.Fatalf("unexpected submit error: %v", err)
 			}
 			shed = true
@@ -132,10 +132,10 @@ func TestTrackEviction(t *testing.T) {
 	in.Track("a", 1, "v1")
 	in.Track("b", 2, "v1")
 	in.Track("c", 3, "v1") // evicts a
-	if err := in.Submit(serve.FeedbackEvent{RequestID: "a", Items: []int{1}}); err != nil {
+	if err := in.Submit(engine.FeedbackEvent{RequestID: "a", Items: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Submit(serve.FeedbackEvent{RequestID: "c", Items: []int{1}}); err != nil {
+	if err := in.Submit(engine.FeedbackEvent{RequestID: "c", Items: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, in)

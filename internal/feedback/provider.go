@@ -5,32 +5,32 @@ import (
 
 	"repro/internal/bandit"
 	"repro/internal/diversify"
-	"repro/internal/serve"
+	"repro/internal/engine"
 )
 
 // BanditProvider puts the λ bandit on the request path: it wraps the
 // registry provider and serves a configured share of traffic through the
 // policy's chosen diversifier arm instead of the active model version. Arm
 // scorers are built once at construction — one comparable *diversify.Scorer
-// per arm — so the serving coalescer batches bandit traffic per arm exactly
-// like any other version.
+// per arm — so an envelope's bandit items share a ScoreBatch call per arm
+// exactly like any other version's.
 //
 // The bandit split hashes the route key (splitmix64) before the percent
 // comparison, so it is statistically independent of the registry's canary
 // split (raw key % 10000): carving out bandit traffic dilutes canary volume
 // proportionally but never biases which requests the canary sees.
 type BanditProvider struct {
-	base    serve.Provider
+	base    engine.Provider
 	policy  *bandit.Policy
 	percent float64
-	scorers []serve.Scorer // one per arm, index-aligned with policy.Arms()
+	scorers []engine.Scorer // one per arm, index-aligned with policy.Arms()
 	labels  []string
 }
 
 // NewBanditProvider validates every arm against the diversifier registry and
 // builds the wrapper. percent is the share of traffic (0–100) the bandit
 // serves; 0 returns a provider that always passes through.
-func NewBanditProvider(base serve.Provider, policy *bandit.Policy, percent float64) (*BanditProvider, error) {
+func NewBanditProvider(base engine.Provider, policy *bandit.Policy, percent float64) (*BanditProvider, error) {
 	if percent < 0 || percent > 100 {
 		return nil, fmt.Errorf("feedback: bandit percent %.2f outside [0,100]", percent)
 	}
@@ -39,7 +39,7 @@ func NewBanditProvider(base serve.Provider, policy *bandit.Policy, percent float
 		base:    base,
 		policy:  policy,
 		percent: percent,
-		scorers: make([]serve.Scorer, len(arms)),
+		scorers: make([]engine.Scorer, len(arms)),
 		labels:  make([]string, len(arms)),
 	}
 	for i, a := range arms {
@@ -53,15 +53,15 @@ func NewBanditProvider(base serve.Provider, policy *bandit.Policy, percent float
 	return p, nil
 }
 
-// Active implements serve.Provider: the active model is always the base's —
+// Active implements engine.Provider: the active model is always the base's —
 // the bandit never owns /healthz or warm paths.
-func (p *BanditProvider) Active() serve.Pinned { return p.base.Active() }
+func (p *BanditProvider) Active() engine.Pinned { return p.base.Active() }
 
-// Pick implements serve.Provider. A request in the bandit slice is served by
+// Pick implements engine.Provider. A request in the bandit slice is served by
 // the policy-selected arm over the active version's manifest geometry (the
 // arm is weightless — it re-ranks whatever surface the active model defines);
 // everything else passes through to the base provider, canary split included.
-func (p *BanditProvider) Pick(key uint64) serve.Pinned {
+func (p *BanditProvider) Pick(key uint64) engine.Pinned {
 	if p.percent > 0 && float64(splitmix64(key)%10_000) < p.percent*100 {
 		arm := p.policy.Select(key)
 		pin := p.base.Active()

@@ -6,20 +6,20 @@ import (
 	"time"
 
 	"repro/internal/bandit"
-	"repro/internal/serve"
+	"repro/internal/engine"
 )
 
 // fakeBase is a minimal base provider with distinguishable pins.
-type fakeBase struct{ active, picked serve.Pinned }
+type fakeBase struct{ active, picked engine.Pinned }
 
-func (f *fakeBase) Active() serve.Pinned     { return f.active }
-func (f *fakeBase) Pick(uint64) serve.Pinned { return f.picked }
+func (f *fakeBase) Active() engine.Pinned     { return f.active }
+func (f *fakeBase) Pick(uint64) engine.Pinned { return f.picked }
 
 func newFakeBase() *fakeBase {
 	obs := func(string, time.Duration) {}
 	return &fakeBase{
-		active: serve.Pinned{Version: "v-active", Observe: obs},
-		picked: serve.Pinned{Version: "v-picked", Observe: obs},
+		active: engine.Pinned{Version: "v-active", Observe: obs},
+		picked: engine.Pinned{Version: "v-picked", Observe: obs},
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bandit"
 	"repro/internal/clickmodel"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/serve"
@@ -71,7 +72,7 @@ type TrainerConfig struct {
 	// neural retrain would plug in: the log stores item ids and clicks, not
 	// feature payloads, so weight retraining stays an offline job (see
 	// DESIGN.md) and the online loop republishes λ choices.
-	Publish func(label string, man serve.Manifest) (string, error)
+	Publish func(label string, man engine.Manifest) (string, error)
 	// Registry receives the trainer metrics; nil means a private one.
 	Registry *obs.Registry
 	// Log receives operational messages; nil uses log.Printf.
@@ -264,11 +265,11 @@ func (t *Trainer) publish(arm bandit.Arm, est *clickmodel.Estimated) (string, er
 	if len(versions) == 0 {
 		return "", fmt.Errorf("feedback: no versions in %s to copy surface geometry from", t.cfg.ModelRoot)
 	}
-	base, err := serve.ReadManifest(registry.ModelPath(t.cfg.ModelRoot, versions[len(versions)-1]))
+	base, err := engine.ReadManifest(registry.ModelPath(t.cfg.ModelRoot, versions[len(versions)-1]))
 	if err != nil {
 		return "", err
 	}
-	man := serve.Manifest{
+	man := engine.Manifest{
 		Dataset:           base.Dataset,
 		Lambda:            base.Lambda,
 		Config:            base.Config,
@@ -283,7 +284,7 @@ func (t *Trainer) publish(arm bandit.Arm, est *clickmodel.Estimated) (string, er
 	}
 	publish := t.cfg.Publish
 	if publish == nil {
-		publish = func(label string, man serve.Manifest) (string, error) {
+		publish = func(label string, man engine.Manifest) (string, error) {
 			return registry.PublishDiversifier(t.cfg.ModelRoot, label, man)
 		}
 	}

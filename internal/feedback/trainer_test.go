@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/registry"
 	"repro/internal/serve"
 )
@@ -26,7 +27,7 @@ func testSurface() core.Config {
 func seedModelRoot(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
-	man := serve.Manifest{
+	man := engine.Manifest{
 		Dataset: "test", Lambda: 0.9, Config: testSurface(),
 		Diversifier: "mmr", DiversifierLambda: 0.5,
 	}
@@ -131,7 +132,7 @@ func TestTrainerPublishesBestArmAndPromotes(t *testing.T) {
 	if len(lc.promotes) != 1 || lc.promotes[0] != "div-fb-1" {
 		t.Fatalf("promotes = %v, want [div-fb-1]", lc.promotes)
 	}
-	man, err := serve.ReadManifest(registry.ModelPath(root, "div-fb-1"))
+	man, err := engine.ReadManifest(registry.ModelPath(root, "div-fb-1"))
 	if err != nil {
 		t.Fatal(err)
 	}

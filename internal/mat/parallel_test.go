@@ -129,8 +129,8 @@ func TestParallelCutoffBrackets(t *testing.T) {
 	}
 }
 
-// TestParallelConcurrentCallers: concurrent MatMulInto calls (the shape the
-// batch coalescer workers produce) must stay correct while sharing the panel
+// TestParallelConcurrentCallers: concurrent MatMulInto calls (the shape
+// concurrent scoring workers produce) must stay correct while sharing the panel
 // pool. Run under -race in CI.
 func TestParallelConcurrentCallers(t *testing.T) {
 	forceParallel(t, 4)

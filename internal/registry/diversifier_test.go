@@ -6,12 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/serve"
+	"repro/internal/engine"
 )
 
 // TestPublishDiversifierLifecycle drives a weightless diversifier version
 // through the real production path: PublishDiversifier commits it beside a
-// trained model version, serve.LoadScorer (the default Loader) builds the
+// trained model version, engine.LoadScorer (the default Loader) builds the
 // diversify adapter from the manifest, warm-up validates it against the
 // synthesized golden set, and the registry stages it as a canary candidate
 // next to the active neural model.
@@ -21,10 +21,10 @@ func TestPublishDiversifierLifecycle(t *testing.T) {
 	m := core.New(cfg)
 
 	if _, err := Publish(root, "v20250101T000000", m.ParamSet(),
-		serve.Manifest{Dataset: "test", Lambda: 0.9, Config: cfg}); err != nil {
+		engine.Manifest{Dataset: "test", Lambda: 0.9, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
-	divMan := serve.Manifest{Dataset: "test", Config: cfg,
+	divMan := engine.Manifest{Dataset: "test", Config: cfg,
 		Diversifier: "window", DiversifierLambda: 0.5}
 	label, err := PublishDiversifier(root, "div-window", divMan)
 	if err != nil {
@@ -34,7 +34,7 @@ func TestPublishDiversifierLifecycle(t *testing.T) {
 		t.Fatalf("label %q", label)
 	}
 	// A manifest naming no diversifier must be rejected outright.
-	if _, err := PublishDiversifier(root, "div-bad", serve.Manifest{Config: cfg}); err == nil {
+	if _, err := PublishDiversifier(root, "div-bad", engine.Manifest{Config: cfg}); err == nil {
 		t.Fatal("PublishDiversifier accepted a manifest with no diversifier")
 	}
 
@@ -73,8 +73,8 @@ func TestPublishDiversifierLifecycle(t *testing.T) {
 	}
 
 	// The staged candidate must actually be the diversify adapter, scoring
-	// rank permutations through the serve.Scorer seam.
-	var pinned serve.Pinned
+	// rank permutations through the engine.Scorer seam.
+	var pinned engine.Pinned
 	for key := uint64(0); key < 64; key++ {
 		if p := r.Pick(key); p.Version == "div-window" {
 			pinned = p
@@ -88,7 +88,7 @@ func TestPublishDiversifierLifecycle(t *testing.T) {
 		t.Fatalf("candidate scorer %q is not a diversifier adapter", pinned.Scorer.Name())
 	}
 	req := SyntheticGolden(cfg, 1, 8)[0]
-	inst, err := serve.ToInstance(cfg, &req)
+	inst, err := engine.ToInstance(cfg, &req)
 	if err != nil {
 		t.Fatal(err)
 	}

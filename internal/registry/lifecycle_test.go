@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/rerank"
 	"repro/internal/serve"
 )
@@ -32,8 +33,8 @@ func (s offsetScorer) Score(_ context.Context, inst *rerank.Instance) ([]float64
 	return s.scores(inst), nil
 }
 
-// ScoreBatch makes offsetScorer a serve.BatchScorer, so the live-traffic
-// churn test exercises the coalesced multi-request scoring path too.
+// ScoreBatch makes offsetScorer an engine.BatchScorer, so the live-traffic
+// churn test's envelopes exercise the multi-instance scoring path too.
 func (s offsetScorer) ScoreBatch(_ context.Context, insts []*rerank.Instance) ([][]float64, error) {
 	out := make([][]float64, len(insts))
 	for i, inst := range insts {
@@ -52,10 +53,10 @@ func (s offsetScorer) scores(inst *rerank.Instance) []float64 {
 
 var versionOffsets = map[string]float64{"v1": 1000, "v2": 2000, "v3": 3000, "v4": 4000}
 
-func offsetLoader(modelPath string) (serve.Scorer, serve.Manifest, error) {
+func offsetLoader(modelPath string) (engine.Scorer, engine.Manifest, error) {
 	label := labelFromModelPath(modelPath)
 	return offsetScorer{name: label, offset: versionOffsets[label]},
-		serve.Manifest{Dataset: label, Config: testGeometry()}, nil
+		engine.Manifest{Dataset: label, Config: testGeometry()}, nil
 }
 
 // TestConcurrentSwapCoherence hammers Pick from many goroutines while a
@@ -144,11 +145,13 @@ func TestConcurrentSwapCoherence(t *testing.T) {
 }
 
 // TestLifecycleUnderLiveHTTPTraffic is the end-to-end acceptance check: a
-// provider server takes continuous /rerank traffic while the admin API loads,
-// promotes and rolls back versions. Not a single request may be dropped or
-// fail, every response must carry a version label whose score offset matches
-// (no torn swaps observable from outside), and /metrics must expose the
-// per-version series for both versions afterwards. Run with -race.
+// provider server takes continuous /v1/rerank and /v1/rerank:batch traffic
+// while the admin API loads, promotes and rolls back versions. Not a single
+// request may be dropped or fail, every response — each item of an envelope,
+// which a canary splits into per-version runs — must carry a version label
+// whose score offset matches (no torn swaps observable from outside), and
+// /metrics must expose the per-version series for both versions afterwards.
+// Run with -race.
 func TestLifecycleUnderLiveHTTPTraffic(t *testing.T) {
 	r := newTestRegistry(t, []string{"v1", "v2"}, func(c *Config) {
 		c.Loader = offsetLoader
@@ -165,21 +168,23 @@ func TestLifecycleUnderLiveHTTPTraffic(t *testing.T) {
 		Budget:      2 * time.Second, // stub scoring is instant; no degrades
 		MaxInFlight: 64,
 		QueueWait:   2 * time.Second, // nothing may shed in this test
-		// Explicit coalescing: concurrent clients must batch (and split per
-		// pinned version) without dropping or tearing a single request.
-		Batch: serve.BatchConfig{MaxBatch: 8, MaxWait: time.Millisecond},
 	})
 	srv.Log = t.Logf
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	bodies := make([][]byte, 8)
-	for i, req := range SyntheticGolden(testGeometry(), 8, 5) {
+	golden := SyntheticGolden(testGeometry(), 8, 5)
+	bodies := make([][]byte, len(golden))
+	for i, req := range golden {
 		b, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bodies[i] = b
+	}
+	envelope, err := json.Marshal(serve.RerankBatchRequest{Requests: golden})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	admin := func(path, version string) int {
@@ -202,6 +207,49 @@ func TestLifecycleUnderLiveHTTPTraffic(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var served, failed atomic.Int64
+	// post sends one request and decodes its 200 answer; anything else is a
+	// dropped request.
+	post := func(path string, body []byte, into any) bool {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			failed.Add(1)
+			t.Errorf("request error: %v", err)
+			return false
+		}
+		decErr := json.NewDecoder(resp.Body).Decode(into)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			failed.Add(1)
+			t.Errorf("dropped request: status %d", resp.StatusCode)
+			return false
+		}
+		if decErr != nil {
+			failed.Add(1)
+			t.Errorf("decode: %v", decErr)
+			return false
+		}
+		return true
+	}
+	// coherent holds one answer to its own label: scored by the version it
+	// names.
+	coherent := func(rr engine.Response) bool {
+		wantOffset, known := versionOffsets[rr.ModelVersion]
+		if !known {
+			failed.Add(1)
+			t.Errorf("response labeled with unknown version %q: %+v", rr.ModelVersion, rr)
+			return false
+		}
+		if !rr.Degraded && len(rr.Scores) > 0 &&
+			(rr.Scores[0] < wantOffset || rr.Scores[0] >= wantOffset+1000) {
+			failed.Add(1)
+			t.Errorf("torn response: version %q but top score %v", rr.ModelVersion, rr.Scores[0])
+			return false
+		}
+		served.Add(1)
+		return true
+	}
+	// Half the clients send single requests, half send the eight as one
+	// envelope.
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -212,39 +260,27 @@ func TestLifecycleUnderLiveHTTPTraffic(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Post(ts.URL+"/rerank", "application/json",
-					bytes.NewReader(bodies[(g+i)%len(bodies)]))
-				if err != nil {
-					failed.Add(1)
-					t.Errorf("request error: %v", err)
+				if g%2 == 0 {
+					var rr engine.Response
+					if !post("/v1/rerank", bodies[(g+i)%len(bodies)], &rr) || !coherent(rr) {
+						return
+					}
+					continue
+				}
+				var br serve.RerankBatchResponse
+				if !post("/v1/rerank:batch", envelope, &br) {
 					return
 				}
-				var rr serve.RerankResponse
-				decErr := json.NewDecoder(resp.Body).Decode(&rr)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
+				if len(br.Responses) != len(golden) {
 					failed.Add(1)
-					t.Errorf("dropped request: status %d", resp.StatusCode)
+					t.Errorf("envelope of %d answered with %d responses", len(golden), len(br.Responses))
 					return
 				}
-				if decErr != nil {
-					failed.Add(1)
-					t.Errorf("decode: %v", decErr)
-					return
+				for _, rr := range br.Responses {
+					if !coherent(rr) {
+						return
+					}
 				}
-				wantOffset, known := versionOffsets[rr.ModelVersion]
-				if !known {
-					failed.Add(1)
-					t.Errorf("response labeled with unknown version %q", rr.ModelVersion)
-					return
-				}
-				if !rr.Degraded && len(rr.Scores) > 0 &&
-					(rr.Scores[0] < wantOffset || rr.Scores[0] >= wantOffset+1000) {
-					failed.Add(1)
-					t.Errorf("torn response: version %q but top score %v", rr.ModelVersion, rr.Scores[0])
-					return
-				}
-				served.Add(1)
 			}
 		}(g)
 	}

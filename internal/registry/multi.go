@@ -8,9 +8,9 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 // MultiConfig parameterizes a multi-tenant model store. Root is required;
@@ -40,7 +40,7 @@ type MultiConfig struct {
 	// Sizer estimates a loaded scorer's resident bytes for the LRU budget.
 	// nil charges 8 bytes per model parameter (and a small constant for
 	// weightless diversifier versions).
-	Sizer func(serve.Scorer) int64
+	Sizer func(engine.Scorer) int64
 	// Log receives operational messages; nil uses the Base config's logger
 	// defaulting.
 	Log func(format string, args ...any)
@@ -123,7 +123,7 @@ func NewMulti(cfg MultiConfig) (*Multi, error) {
 
 // scorerBytes is the default residency estimator: 8 bytes per parameter for
 // neural models, a nominal constant for weightless diversifier adapters.
-func scorerBytes(sc serve.Scorer) int64 {
+func scorerBytes(sc engine.Scorer) int64 {
 	if m, ok := sc.(interface{ ParamSet() *nn.ParamSet }); ok {
 		return int64(m.ParamSet().NumParams()) * 8
 	}
@@ -133,7 +133,7 @@ func scorerBytes(sc serve.Scorer) int64 {
 // Tenant implements the engine's TenantSource: it resolves name to that
 // tenant's registry, loading it on first use. Unknown or invalid names
 // error; the engine converts any failure into its unknown-tenant shape.
-func (m *Multi) Tenant(name string) (serve.Provider, error) {
+func (m *Multi) Tenant(name string) (engine.Provider, error) {
 	// Tenant names are path components chosen by request bodies — the same
 	// trust boundary as version labels, so the same validation.
 	if err := ValidLabel(name); err != nil {

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 // newTestMulti builds a Multi over a temp root with the stub loader: each
@@ -24,13 +24,13 @@ func newTestMulti(t *testing.T, tenants []string, mutate func(*MultiConfig)) (*M
 		Root:     root,
 		Registry: reg,
 		Base: Config{
-			Loader: func(modelPath string) (serve.Scorer, serve.Manifest, error) {
+			Loader: func(modelPath string) (engine.Scorer, engine.Manifest, error) {
 				label := labelFromModelPath(modelPath)
 				return stubScorer{name: label},
-					serve.Manifest{Dataset: label, Config: testGeometry()}, nil
+					engine.Manifest{Dataset: label, Config: testGeometry()}, nil
 			},
 		},
-		Sizer: func(serve.Scorer) int64 { return 100 },
+		Sizer: func(engine.Scorer) int64 { return 100 },
 		Log:   t.Logf,
 	}
 	if mutate != nil {
@@ -183,7 +183,7 @@ func TestMultiOversizedTenantStaysServable(t *testing.T) {
 		cfg.MaxResidentBytes = 150
 		// The stub scorer's name is its version label; the huge tenant's
 		// store publishes "vbig" so the sizer can tell them apart.
-		cfg.Sizer = func(sc serve.Scorer) int64 {
+		cfg.Sizer = func(sc engine.Scorer) int64 {
 			if sc.Name() == "vbig" {
 				return 1000
 			}

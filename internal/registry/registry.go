@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rerank"
 	"repro/internal/serve"
@@ -40,7 +41,7 @@ type Config struct {
 	// Golden is the warm-up request set replayed against every loaded
 	// version before it may serve traffic. nil synthesizes WarmupRequests
 	// deterministic requests from the version's own manifest geometry.
-	Golden []serve.RerankRequest
+	Golden []engine.Request
 	// WarmupRequests is the synthesized golden-set size (default 16).
 	WarmupRequests int
 	// WarmupBudget is the per-request latency budget during warm-up
@@ -59,11 +60,11 @@ type Config struct {
 	// Registry receives the lifecycle metrics; nil means a private one.
 	// Pass the serving registry so /metrics carries both namespaces.
 	Registry *obs.Registry
-	// Loader loads one version's artifacts; nil uses serve.LoadScorer, which
+	// Loader loads one version's artifacts; nil uses engine.LoadScorer, which
 	// returns the neural model or — for manifests naming a diversifier — the
 	// weightless classic-diversifier adapter. The seam exists for tests and
 	// fault injection.
-	Loader func(modelPath string) (serve.Scorer, serve.Manifest, error)
+	Loader func(modelPath string) (engine.Scorer, engine.Manifest, error)
 	// Log receives operational messages; nil uses log.Printf.
 	Log func(format string, args ...any)
 }
@@ -94,7 +95,7 @@ func (c Config) withDefaults() Config {
 		c.Registry = obs.NewRegistry()
 	}
 	if c.Loader == nil {
-		c.Loader = serve.LoadScorer
+		c.Loader = engine.LoadScorer
 	}
 	if c.Log == nil {
 		c.Log = log.Printf
@@ -107,8 +108,8 @@ func (c Config) withDefaults() Config {
 // across state swaps for as long as the version stays loaded.
 type version struct {
 	label  string
-	scorer serve.Scorer
-	man    serve.Manifest
+	scorer engine.Scorer
+	man    engine.Manifest
 
 	requests atomic.Int64
 	degraded atomic.Int64
@@ -134,7 +135,7 @@ type state struct {
 	previous  *version // rollback target after a promotion
 }
 
-// Registry owns the loaded model versions and implements serve.Provider.
+// Registry owns the loaded model versions and implements engine.Provider.
 // Scoring (Active/Pick/Observe) is lock-free; lifecycle operations (Load,
 // Promote, Rollback) serialize on mu and publish fresh state atomically.
 type Registry struct {
@@ -202,16 +203,16 @@ func (r *Registry) Close() {
 // private default) so a process can serve one /metrics namespace.
 func (r *Registry) ObsRegistry() *obs.Registry { return r.cfg.Registry }
 
-// Active implements serve.Provider.
-func (r *Registry) Active() serve.Pinned {
+// Active implements engine.Provider.
+func (r *Registry) Active() engine.Pinned {
 	return r.pinOf(r.state.Load().active, false)
 }
 
-// Pick implements serve.Provider: the active model, or — while a candidate
+// Pick implements engine.Provider: the active model, or — while a candidate
 // is staged — the candidate for the configured fraction of the routing key
 // space. The split is deterministic in the key, so a given request always
 // lands on the same side while the state holds.
-func (r *Registry) Pick(key uint64) serve.Pinned {
+func (r *Registry) Pick(key uint64) engine.Pinned {
 	st := r.state.Load()
 	v, canary := st.active, false
 	if st.candidate != nil && r.cfg.CanaryPercent > 0 &&
@@ -229,14 +230,14 @@ func (r *Registry) Pick(key uint64) serve.Pinned {
 	return pin
 }
 
-func (r *Registry) pinOf(v *version, canary bool) serve.Pinned {
+func (r *Registry) pinOf(v *version, canary bool) engine.Pinned {
 	if v == nil {
 		// Defensive: serving before the first Load. The pin carries a zero
 		// geometry, so every request fails validation with a 4xx instead of
 		// panicking the scoring path.
-		return serve.Pinned{Scorer: noModel{}, Version: "none"}
+		return engine.Pinned{Scorer: noModel{}, Version: "none"}
 	}
-	return serve.Pinned{
+	return engine.Pinned{
 		Scorer:   v.scorer,
 		Manifest: v.man,
 		Version:  v.label,

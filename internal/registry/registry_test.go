@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/rerank"
 	"repro/internal/serve"
 )
@@ -86,10 +87,10 @@ func newTestRegistry(t *testing.T, labels []string, mutate func(*Config)) *Regis
 	}
 	cfg := Config{
 		Root: root,
-		Loader: func(modelPath string) (serve.Scorer, serve.Manifest, error) {
+		Loader: func(modelPath string) (engine.Scorer, engine.Manifest, error) {
 			label := labelFromModelPath(modelPath)
 			return stubScorer{name: label},
-				serve.Manifest{Dataset: label, Config: testGeometry()}, nil
+				engine.Manifest{Dataset: label, Config: testGeometry()}, nil
 		},
 		Log: t.Logf,
 	}
@@ -263,10 +264,10 @@ func TestWarmupRejections(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newTestRegistry(t, []string{"v1"}, func(c *Config) {
-				c.Loader = func(modelPath string) (serve.Scorer, serve.Manifest, error) {
+				c.Loader = func(modelPath string) (engine.Scorer, engine.Manifest, error) {
 					s := tc.scorer
 					s.name = labelFromModelPath(modelPath)
-					return s, serve.Manifest{Dataset: s.name, Config: testGeometry()}, nil
+					return s, engine.Manifest{Dataset: s.name, Config: testGeometry()}, nil
 				}
 				if tc.mutate != nil {
 					tc.mutate(c)
@@ -299,8 +300,8 @@ func TestWarmupGeometryMismatchWithGolden(t *testing.T) {
 	golden := SyntheticGolden(testGeometry(), 2, 4)
 	r := newTestRegistry(t, []string{"v1"}, func(c *Config) {
 		c.Golden = golden
-		c.Loader = func(modelPath string) (serve.Scorer, serve.Manifest, error) {
-			return stubScorer{name: "v1"}, serve.Manifest{Dataset: "v1", Config: other}, nil
+		c.Loader = func(modelPath string) (engine.Scorer, engine.Manifest, error) {
+			return stubScorer{name: "v1"}, engine.Manifest{Dataset: "v1", Config: other}, nil
 		}
 	})
 	if err := r.Load("v1"); err == nil || !strings.Contains(err.Error(), "geometry") {

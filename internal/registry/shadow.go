@@ -5,9 +5,9 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/rerank"
-	"repro/internal/serve"
 )
 
 // shadowJob is one batch of requests to score against the candidate off the
@@ -98,7 +98,7 @@ func (p *shadowPool) score(job shadowJob) {
 		return
 	}
 	var scores [][]float64
-	if bs, ok := job.cand.scorer.(serve.BatchScorer); ok && len(insts) > 1 {
+	if bs, ok := job.cand.scorer.(engine.BatchScorer); ok && len(insts) > 1 {
 		res, err := bs.ScoreBatch(context.Background(), insts)
 		if err != nil || len(res) != len(insts) {
 			p.met.shadowErrors.Inc()

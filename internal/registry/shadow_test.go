@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/rerank"
-	"repro/internal/serve"
 )
 
 // shadowInstance builds an instance from the synthetic golden generator so
@@ -15,14 +15,14 @@ import (
 func shadowInstance(t *testing.T) *rerank.Instance {
 	t.Helper()
 	req := SyntheticGolden(testGeometry(), 1, 6)[0]
-	inst, err := serve.ToInstance(testGeometry(), &req)
+	inst, err := engine.ToInstance(testGeometry(), &req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return inst
 }
 
-func newShadowRegistry(t *testing.T, loader func(string) (serve.Scorer, serve.Manifest, error), mutate func(*Config)) *Registry {
+func newShadowRegistry(t *testing.T, loader func(string) (engine.Scorer, engine.Manifest, error), mutate func(*Config)) *Registry {
 	t.Helper()
 	return newTestRegistry(t, []string{"v1", "v2"}, func(c *Config) {
 		c.Shadow = true
@@ -94,16 +94,16 @@ func TestShadowScoresCandidateOffPath(t *testing.T) {
 
 func TestShadowShedsWhenSaturated(t *testing.T) {
 	block := make(chan struct{})
-	r := newShadowRegistry(t, func(modelPath string) (serve.Scorer, serve.Manifest, error) {
+	r := newShadowRegistry(t, func(modelPath string) (engine.Scorer, engine.Manifest, error) {
 		label := labelFromModelPath(modelPath)
 		s := stubScorer{name: label}
 		if label == "v2" {
 			// The candidate's scorer passes warm-up (one free call) and then
 			// parks the single worker until released.
 			return &blockingScorer{stubScorer: s, gate: block, free: 1},
-				serve.Manifest{Dataset: label, Config: testGeometry()}, nil
+				engine.Manifest{Dataset: label, Config: testGeometry()}, nil
 		}
-		return s, serve.Manifest{Dataset: label, Config: testGeometry()}, nil
+		return s, engine.Manifest{Dataset: label, Config: testGeometry()}, nil
 	}, func(c *Config) {
 		c.WarmupRequests = 1
 	})
@@ -165,9 +165,9 @@ func (b *blockingScorer) Score(_ context.Context, inst *rerank.Instance) ([]floa
 func TestShadowSkipsIncompatibleGeometry(t *testing.T) {
 	other := testGeometry()
 	other.UserDim = 9
-	r := newShadowRegistry(t, func(modelPath string) (serve.Scorer, serve.Manifest, error) {
+	r := newShadowRegistry(t, func(modelPath string) (engine.Scorer, engine.Manifest, error) {
 		label := labelFromModelPath(modelPath)
-		man := serve.Manifest{Dataset: label, Config: testGeometry()}
+		man := engine.Manifest{Dataset: label, Config: testGeometry()}
 		if label == "v2" {
 			man.Config = other // candidate cannot score the active's instances
 		}
@@ -195,12 +195,12 @@ func TestShadowSkipsIncompatibleGeometry(t *testing.T) {
 }
 
 func TestShadowRecoversPanickingCandidate(t *testing.T) {
-	r := newShadowRegistry(t, func(modelPath string) (serve.Scorer, serve.Manifest, error) {
+	r := newShadowRegistry(t, func(modelPath string) (engine.Scorer, engine.Manifest, error) {
 		label := labelFromModelPath(modelPath)
 		if label == "v2" {
-			return &panicScorer{free: 1}, serve.Manifest{Dataset: label, Config: testGeometry()}, nil
+			return &panicScorer{free: 1}, engine.Manifest{Dataset: label, Config: testGeometry()}, nil
 		}
-		return stubScorer{name: label}, serve.Manifest{Dataset: label, Config: testGeometry()}, nil
+		return stubScorer{name: label}, engine.Manifest{Dataset: label, Config: testGeometry()}, nil
 	}, func(c *Config) {
 		c.WarmupRequests = 1
 	})

@@ -7,7 +7,7 @@
 // mode scores the candidate asynchronously off the request path and records
 // its divergence from the active model without affecting responses.
 //
-// The registry implements serve.Provider, so the serving layer stays a pure
+// The registry implements engine.Provider, so the serving layer stays a pure
 // data plane: it pins one coherent (model, manifest, version) triple per
 // request from a single atomic snapshot and never blocks on lifecycle
 // operations. Lifecycle mutations (load, promote, rollback) serialize on a
@@ -23,8 +23,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/nn"
-	"repro/internal/serve"
 )
 
 // File names inside one version directory. A version is committed iff both
@@ -62,20 +62,20 @@ func ValidLabel(label string) error {
 // the rename itself survives a crash. A concurrently scanning or loading
 // server either sees the complete version or nothing. An empty label
 // generates a UTC-timestamped one (v20060102T150405, suffixed on collision).
-func Publish(root, label string, ps *nn.ParamSet, man serve.Manifest) (string, error) {
+func Publish(root, label string, ps *nn.ParamSet, man engine.Manifest) (string, error) {
 	return publishStaged(root, label, man, func(staging string) error {
 		return ps.SaveFileAtomic(filepath.Join(staging, ModelFile))
 	})
 }
 
 // PublishDiversifier commits a weightless classic-diversifier version: the
-// manifest must name a registered diversifier (serve.LoadScorer then builds
+// manifest must name a registered diversifier (engine.LoadScorer then builds
 // the diversify adapter instead of reading weights), and ModelFile is written
 // as a placeholder so the commit protocol — and every scanner that treats
 // "both files exist" as the commit marker — stays identical to a neural
 // version. The manifest's Config still describes the surface geometry so
 // warm-up validation and request shaping work unchanged.
-func PublishDiversifier(root, label string, man serve.Manifest) (string, error) {
+func PublishDiversifier(root, label string, man engine.Manifest) (string, error) {
 	if man.Diversifier == "" {
 		return "", fmt.Errorf("registry: manifest names no diversifier")
 	}
@@ -88,7 +88,7 @@ func PublishDiversifier(root, label string, man serve.Manifest) (string, error) 
 // publishStaged is the shared atomic commit discipline: write the version's
 // artifacts inside a hidden staging directory, fsync it, rename it to the
 // final label, fsync the root so the rename survives a crash.
-func publishStaged(root, label string, man serve.Manifest, writeModel func(staging string) error) (string, error) {
+func publishStaged(root, label string, man engine.Manifest, writeModel func(staging string) error) (string, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return "", fmt.Errorf("registry: create root: %w", err)
 	}
@@ -111,7 +111,7 @@ func publishStaged(root, label string, man serve.Manifest, writeModel func(stagi
 	if err := writeModel(staging); err != nil {
 		return "", err
 	}
-	if err := serve.WriteManifestFileAtomic(filepath.Join(staging, ManifestFile), man); err != nil {
+	if err := engine.WriteManifestFileAtomic(filepath.Join(staging, ManifestFile), man); err != nil {
 		return "", err
 	}
 	if err := syncDir(staging); err != nil {

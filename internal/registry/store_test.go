@@ -7,14 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/serve"
+	"repro/internal/engine"
 )
 
 func TestPublishScanLoadRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	cfg := testGeometry()
 	m := core.New(cfg)
-	man := serve.Manifest{Dataset: "test", Lambda: 0.9, Config: cfg}
+	man := engine.Manifest{Dataset: "test", Lambda: 0.9, Config: cfg}
 
 	label, err := Publish(root, "v1", m.ParamSet(), man)
 	if err != nil {
@@ -32,7 +32,7 @@ func TestPublishScanLoadRoundTrip(t *testing.T) {
 	}
 	// The published version must be loadable by the real production loader,
 	// not just present on disk.
-	loaded, gotMan, err := serve.LoadModel(ModelPath(root, "v1"))
+	loaded, gotMan, err := engine.LoadModel(ModelPath(root, "v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPublishScanLoadRoundTrip(t *testing.T) {
 func TestPublishRejectsBadLabels(t *testing.T) {
 	root := t.TempDir()
 	m := core.New(testGeometry())
-	man := serve.Manifest{Config: testGeometry()}
+	man := engine.Manifest{Config: testGeometry()}
 	for _, label := range []string{".hidden", "a/b", `a\b`, "../escape"} {
 		if _, err := Publish(root, label, m.ParamSet(), man); err == nil {
 			t.Fatalf("label %q accepted", label)

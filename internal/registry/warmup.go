@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/serve"
+	"repro/internal/engine"
 )
 
 // warmup replays the golden request set against a freshly loaded version
@@ -19,7 +19,7 @@ import (
 // orders of magnitude too slow for the serving budget). Warm-up also doubles
 // as cache/allocator warm-up, so the first live request does not pay
 // first-touch costs.
-func (r *Registry) warmup(label string, scorer serve.Scorer, man serve.Manifest) error {
+func (r *Registry) warmup(label string, scorer engine.Scorer, man engine.Manifest) error {
 	golden := r.cfg.Golden
 	if golden == nil {
 		golden = SyntheticGolden(man.Config, r.cfg.WarmupRequests, 8)
@@ -28,7 +28,7 @@ func (r *Registry) warmup(label string, scorer serve.Scorer, man serve.Manifest)
 		return fmt.Errorf("empty golden request set")
 	}
 	for i := range golden {
-		inst, err := serve.ToInstance(man.Config, &golden[i])
+		inst, err := engine.ToInstance(man.Config, &golden[i])
 		if err != nil {
 			return fmt.Errorf("golden request %d does not fit %s's geometry: %w", i, label, err)
 		}
@@ -60,7 +60,7 @@ func (r *Registry) warmup(label string, scorer serve.Scorer, man serve.Manifest)
 // the same set, so warm-up results are reproducible across restarts. Use a
 // committed production sample (Config.Golden) when one exists — synthetic
 // inputs exercise the numerics and the latency, not the data distribution.
-func SyntheticGolden(cfg core.Config, n, listLen int) []serve.RerankRequest {
+func SyntheticGolden(cfg core.Config, n, listLen int) []engine.Request {
 	rng := rand.New(rand.NewSource(1))
 	vec := func(dim int) []float64 {
 		v := make([]float64, dim)
@@ -69,23 +69,23 @@ func SyntheticGolden(cfg core.Config, n, listLen int) []serve.RerankRequest {
 		}
 		return v
 	}
-	reqs := make([]serve.RerankRequest, n)
+	reqs := make([]engine.Request, n)
 	for i := range reqs {
-		req := serve.RerankRequest{UserFeatures: vec(cfg.UserDim)}
+		req := engine.Request{UserFeatures: vec(cfg.UserDim)}
 		for j := 0; j < listLen; j++ {
 			cover := make([]float64, cfg.Topics)
 			cover[rng.Intn(cfg.Topics)] = 1
-			req.Items = append(req.Items, serve.RerankItem{
+			req.Items = append(req.Items, engine.Item{
 				ID:        j + 1,
 				Features:  vec(cfg.ItemDim),
 				Cover:     cover,
 				InitScore: rng.Float64(),
 			})
 		}
-		req.TopicSequences = make([][]serve.SeqItemWire, cfg.Topics)
+		req.TopicSequences = make([][]engine.SeqItem, cfg.Topics)
 		for t := range req.TopicSequences {
 			for s := rng.Intn(3); s > 0; s-- {
-				req.TopicSequences[t] = append(req.TopicSequences[t], serve.SeqItemWire{Features: vec(cfg.ItemDim)})
+				req.TopicSequences[t] = append(req.TopicSequences[t], engine.SeqItem{Features: vec(cfg.ItemDim)})
 			}
 		}
 		reqs[i] = req

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/rerank"
 	"repro/internal/serve"
 )
@@ -54,7 +55,7 @@ func newFleet(t *testing.T, cfg Config) *fleet {
 	f := &fleet{}
 	for i := 0; i < 3; i++ {
 		srv := serve.NewServer(echoScorer{},
-			serve.Manifest{Dataset: "fleet-test", Config: fleetGeometry},
+			engine.Manifest{Dataset: "fleet-test", Config: fleetGeometry},
 			serve.Config{Budget: time.Second, QueueWait: 200 * time.Millisecond})
 		srv.Log = func(string, ...any) {}
 		backend := httptest.NewServer(srv.Handler())
@@ -344,7 +345,7 @@ func TestChaosDrainingReplica(t *testing.T) {
 		if r.Method != http.MethodPost {
 			return chaos.Fault{}
 		}
-		return chaos.Fault{Status: 503, RetryAfter: 5, ShedReason: serve.ShedDraining}
+		return chaos.Fault{Status: 503, RetryAfter: 5, ShedReason: engine.ShedDraining}
 	}))
 	w := f.send(body)
 	if w.Code != http.StatusOK {

@@ -98,8 +98,9 @@ type Config struct {
 	Log func(format string, args ...any)
 }
 
-// Router shards /rerank traffic across replicas by consistent hash and keeps
-// serving through replica failures. See the package comment for the design.
+// Router shards /v1/rerank traffic across replicas by consistent hash and
+// keeps serving through replica failures. See the package comment for the
+// design.
 type Router struct {
 	cfg         Config
 	ring        *ring
@@ -230,7 +231,6 @@ func (r *Router) logf(format string, args ...any) {
 // endpoints.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /rerank", func(w http.ResponseWriter, req *http.Request) { r.handleProxy(w, req, false) })
 	mux.HandleFunc("POST /v1/rerank", func(w http.ResponseWriter, req *http.Request) { r.handleProxy(w, req, false) })
 	mux.HandleFunc("POST /v1/rerank:batch", func(w http.ResponseWriter, req *http.Request) { r.handleProxy(w, req, true) })
 	mux.Handle("GET /metrics", r.reg.Handler())
@@ -608,7 +608,7 @@ func classifyStatus(status int, shedReason string) string {
 	switch {
 	case status == http.StatusTooManyRequests:
 		return attemptShedBack
-	case status == http.StatusServiceUnavailable && shedReason == serve.ShedDraining:
+	case status == http.StatusServiceUnavailable && shedReason == engine.ShedDraining:
 		return attemptShedDraining
 	case status >= 500:
 		return attempt5xx

@@ -104,7 +104,7 @@ func TestRouterStickyRouting(t *testing.T) {
 	body := reqBody(7)
 	var firstReplica string
 	for i := 0; i < 5; i++ {
-		w := post(h, "/rerank", body)
+		w := post(h, "/v1/rerank", body)
 		if w.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", w.Code, w.Body.String())
 		}
@@ -141,7 +141,7 @@ func TestRouterRetriesFailedOwner(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	})
 
-	w := post(r.Handler(), "/rerank", body)
+	w := post(r.Handler(), "/v1/rerank", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200 after failover: %s", w.Code, w.Body.String())
 	}
@@ -165,11 +165,11 @@ func TestRouterBackpressureRetry(t *testing.T) {
 	body := bodyOwnedBy(t, r, 0)
 	reps[0].set(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Retry-After", "1") // capped to MaxBackoff by the router
-		w.Header().Set(serve.ShedReasonHeader, serve.ShedBackpressure)
+		w.Header().Set(serve.ShedReasonHeader, engine.ShedBackpressure)
 		http.Error(w, "shed", http.StatusTooManyRequests)
 	})
 
-	w := post(r.Handler(), "/rerank", body)
+	w := post(r.Handler(), "/v1/rerank", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200: %s", w.Code, w.Body.String())
 	}
@@ -184,13 +184,13 @@ func TestRouterDrainingFailover(t *testing.T) {
 	r, reps := testRouter(t, Config{}, okJSON, okJSON)
 	body := bodyOwnedBy(t, r, 0)
 	reps[0].set(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set(serve.ShedReasonHeader, serve.ShedDraining)
+		w.Header().Set(serve.ShedReasonHeader, engine.ShedDraining)
 		w.Header().Set("Retry-After", "5")
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 	})
 
 	h := r.Handler()
-	w := post(h, "/rerank", body)
+	w := post(h, "/v1/rerank", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200: %s", w.Code, w.Body.String())
 	}
@@ -202,7 +202,7 @@ func TestRouterDrainingFailover(t *testing.T) {
 	}
 	// The drained replica is now skipped without being asked.
 	before := reps[0].hits.Load()
-	if w := post(h, "/rerank", body); w.Code != http.StatusOK {
+	if w := post(h, "/v1/rerank", body); w.Code != http.StatusOK {
 		t.Fatalf("second request status %d", w.Code)
 	}
 	if reps[0].hits.Load() != before {
@@ -229,7 +229,7 @@ func TestRouterRetryBudgetExhaustion(t *testing.T) {
 	h := r.Handler()
 	// First request: primary fails, one budgeted retry fails, then the
 	// bucket (cap 1) is empty.
-	if w := post(h, "/rerank", reqBody(1)); w.Code != http.StatusInternalServerError {
+	if w := post(h, "/v1/rerank", reqBody(1)); w.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want relayed 500", w.Code)
 	}
 	if n := r.met.retries.Value(); n != 1 {
@@ -239,7 +239,7 @@ func TestRouterRetryBudgetExhaustion(t *testing.T) {
 		t.Fatalf("budget exhausted = %d, want 1", n)
 	}
 	// Second request: no tokens left at all — zero retries.
-	post(h, "/rerank", reqBody(2))
+	post(h, "/v1/rerank", reqBody(2))
 	if n := r.met.retries.Value(); n != 1 {
 		t.Fatalf("retries after empty budget = %d, want still 1", n)
 	}
@@ -262,7 +262,7 @@ func TestRouterHedging(t *testing.T) {
 	defer close(release)
 
 	start := time.Now()
-	w := post(r.Handler(), "/rerank", body)
+	w := post(r.Handler(), "/v1/rerank", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
@@ -284,7 +284,7 @@ func TestRouterHedging(t *testing.T) {
 // burning replica work or retry budget.
 func TestRouterBadInput(t *testing.T) {
 	r, reps := testRouter(t, Config{}, okJSON)
-	w := post(r.Handler(), "/rerank", []byte("{not json"))
+	w := post(r.Handler(), "/v1/rerank", []byte("{not json"))
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", w.Code)
 	}
@@ -297,7 +297,7 @@ func TestRouterBadInput(t *testing.T) {
 	// Bodies the skim declines take the encoding/json path, where the rule
 	// is the same: undecodable never reaches a replica, decodable does.
 	hits := reps[0].hits.Load()
-	if w := post(r.Handler(), "/rerank", []byte(`{"user_features":"nope"}`)); w.Code != http.StatusBadRequest {
+	if w := post(r.Handler(), "/v1/rerank", []byte(`{"user_features":"nope"}`)); w.Code != http.StatusBadRequest {
 		t.Fatalf("wrong-typed field: status %d, want 400", w.Code)
 	}
 	if w := post(r.Handler(), "/v1/rerank:batch", []byte(`{"requests":[{"items":7}]}`)); w.Code != http.StatusBadRequest {
@@ -306,11 +306,18 @@ func TestRouterBadInput(t *testing.T) {
 	if reps[0].hits.Load() != hits {
 		t.Fatal("wrong-typed request reached a replica")
 	}
-	if w := post(r.Handler(), "/rerank", []byte(`{"User_Features":[1],"items":[{"ID":1}]}`)); w.Code != http.StatusOK {
+	if w := post(r.Handler(), "/v1/rerank", []byte(`{"User_Features":[1],"items":[{"ID":1}]}`)); w.Code != http.StatusOK {
 		t.Fatalf("case-variant keys: status %d, want 200", w.Code)
 	}
 	if reps[0].hits.Load() != hits+1 {
 		t.Fatal("case-variant request did not reach the replica")
+	}
+	// The unversioned route is gone from the router as it is from serve.
+	if w := post(r.Handler(), "/rerank", reqBody(1)); w.Code != http.StatusNotFound {
+		t.Fatalf("POST /rerank: status %d, want 404", w.Code)
+	}
+	if reps[0].hits.Load() != hits+1 {
+		t.Fatal("a request on the unversioned route reached a replica")
 	}
 }
 
@@ -356,7 +363,7 @@ func TestRouterNoHealthyReplica(t *testing.T) {
 	for _, rs := range r.replicas {
 		rs.br.forceOpen()
 	}
-	w := post(r.Handler(), "/rerank", reqBody(1))
+	w := post(r.Handler(), "/v1/rerank", reqBody(1))
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", w.Code)
 	}

@@ -72,7 +72,7 @@ func (s *Server) adminAllowed(r *http.Request) bool {
 func (s *Server) adminGuard(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.adminAllowed(r) {
-			s.writeError(w, false, http.StatusForbidden, ErrCodeForbidden,
+			s.writeError(w, http.StatusForbidden, ErrCodeForbidden,
 				"admin endpoints require the admin token or a loopback peer", 0)
 			return
 		}
@@ -92,7 +92,7 @@ func (s *Server) adminError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrLifecycleConflict):
 		status, code = http.StatusConflict, ErrCodeConflict
 	}
-	s.writeError(w, false, status, code, err.Error(), 0)
+	s.writeError(w, status, code, err.Error(), 0)
 }
 
 type adminVersionRequest struct {
@@ -103,11 +103,11 @@ func (s *Server) decodeAdminVersion(w http.ResponseWriter, r *http.Request) (str
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
 	var req adminVersionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, false, http.StatusBadRequest, ErrCodeBadInput, "bad request: "+err.Error(), 0)
+		s.writeError(w, http.StatusBadRequest, ErrCodeBadInput, "bad request: "+err.Error(), 0)
 		return "", false
 	}
 	if req.Version == "" {
-		s.writeError(w, false, http.StatusBadRequest, ErrCodeBadInput, `bad request: missing "version"`, 0)
+		s.writeError(w, http.StatusBadRequest, ErrCodeBadInput, `bad request: missing "version"`, 0)
 		return "", false
 	}
 	return req.Version, true

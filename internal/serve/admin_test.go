@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // stubAdmin scripts the lifecycle control plane so the handler tests cover
@@ -35,7 +37,7 @@ func (a *stubAdmin) Rollback() (string, error) {
 
 func adminServer(t *testing.T, admin Admin, token string) http.Handler {
 	t.Helper()
-	s := NewServer(stubScorer{}, Manifest{Dataset: "test", Config: testConfig()},
+	s := NewServer(stubScorer{}, engine.Manifest{Dataset: "test", Config: testConfig()},
 		Config{Admin: admin, AdminToken: token})
 	s.Log = t.Logf
 	return s.Handler()
@@ -169,16 +171,16 @@ func TestAdminAbsentWithoutConfig(t *testing.T) {
 func TestRouteKeyDeterministicAndSensitive(t *testing.T) {
 	a := validRequest()
 	b := validRequest()
-	if RouteKey(a) != RouteKey(b) {
+	if engine.RouteKey(a) != engine.RouteKey(b) {
 		t.Fatal("identical requests produced different routing keys")
 	}
 	b.UserFeatures[0] += 0.5
-	if RouteKey(a) == RouteKey(b) {
+	if engine.RouteKey(a) == engine.RouteKey(b) {
 		t.Fatal("routing key ignores user features")
 	}
 	c := validRequest()
 	c.Items[0].ID = 99
-	if RouteKey(a) == RouteKey(c) {
+	if engine.RouteKey(a) == engine.RouteKey(c) {
 		t.Fatal("routing key ignores item ids")
 	}
 }
@@ -187,9 +189,9 @@ func TestProviderPinFlowsToResponse(t *testing.T) {
 	// A provider-labeled pin must surface in the response wire format and
 	// reach the Observe hook with the terminal outcome.
 	var observed []string
-	p := StaticProvider(Pinned{
+	p := engine.StaticProvider(engine.Pinned{
 		Scorer:   stubScorer{},
-		Manifest: Manifest{Dataset: "test", Config: testConfig()},
+		Manifest: engine.Manifest{Dataset: "test", Config: testConfig()},
 		Version:  "v7",
 		Canary:   true,
 		Observe: func(outcome string, d time.Duration) {
@@ -203,7 +205,7 @@ func TestProviderPinFlowsToResponse(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
-	var resp RerankResponse
+	var resp engine.Response
 	if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}

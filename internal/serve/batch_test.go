@@ -12,41 +12,18 @@ import (
 	"time"
 
 	"repro/internal/baselines"
+	"repro/internal/engine"
 	"repro/internal/rerank"
 )
 
-// TestV1RerankAliasIdenticalBodies: POST /rerank and POST /v1/rerank are the
-// same endpoint — identical request, identical response body (modulo the
-// measured latency_ms field).
-func TestV1RerankAliasIdenticalBodies(t *testing.T) {
-	s := stubServer(t, Config{})
-	h := s.Handler()
-	body, _ := json.Marshal(validRequest())
-
-	decode := func(path string) map[string]any {
-		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			t.Fatalf("%s status %d: %s", path, w.Code, w.Body.String())
-		}
-		var m map[string]any
-		if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		delete(m, "latency_ms")
-		// request_id is unique per served response by contract; the alias
-		// guarantee covers everything else about the body.
-		if id, ok := m["request_id"].(string); !ok || id == "" {
-			t.Fatalf("%s: missing request_id", path)
-		}
-		delete(m, "request_id")
-		return m
-	}
-	legacy := decode("/rerank")
-	v1 := decode("/v1/rerank")
-	if !reflect.DeepEqual(legacy, v1) {
-		t.Fatalf("alias bodies diverge:\n/rerank:    %v\n/v1/rerank: %v", legacy, v1)
+// TestUnversionedRerankRouteGone: POST /rerank, for a year the deprecated
+// alias of /v1/rerank, is no route at all.
+func TestUnversionedRerankRouteGone(t *testing.T) {
+	req := httptest.NewRequest(http.MethodPost, "/rerank", bytes.NewReader(mustJSON(t, validRequest())))
+	w := httptest.NewRecorder()
+	stubServer(t, Config{}).Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusNotFound {
+		t.Fatalf("POST /rerank: status %d, want 404", w.Code)
 	}
 }
 
@@ -58,14 +35,14 @@ func TestHandleRerankBatchEnvelope(t *testing.T) {
 	h := s.Handler()
 
 	single := postRerank(t, h, mustJSON(t, validRequest()))
-	var want RerankResponse
+	var want engine.Response
 	if err := json.Unmarshal(single.Body.Bytes(), &want); err != nil {
 		t.Fatal(err)
 	}
 
 	bad := validRequest()
 	bad.UserFeatures = []float64{0.1} // wrong geometry
-	env := RerankBatchRequest{Requests: []RerankRequest{*validRequest(), *bad, *validRequest()}}
+	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *bad, *validRequest()}}
 
 	w := postBatch(t, h, mustJSON(t, env))
 	if w.Code != http.StatusOK {
@@ -108,7 +85,7 @@ func TestHandleRerankBatchLimits(t *testing.T) {
 	if w := postBatch(t, h, []byte(`{"requests":[]}`)); w.Code != http.StatusBadRequest {
 		t.Fatalf("empty envelope status %d", w.Code)
 	}
-	big := RerankBatchRequest{Requests: make([]RerankRequest, MaxBatchRequests+1)}
+	big := RerankBatchRequest{Requests: make([]engine.Request, engine.MaxBatchRequests+1)}
 	for i := range big.Requests {
 		big.Requests[i] = *validRequest()
 	}
@@ -121,7 +98,7 @@ func TestHandleRerankBatchLimits(t *testing.T) {
 // only that item — its batch-mates still get real scores.
 func TestHandleRerankBatchPerItemDegraded(t *testing.T) {
 	s := stubServer(t, Config{})
-	s.Faults = FaultFunc(func(_ context.Context, inst *rerank.Instance) error {
+	s.Faults = engine.FaultFunc(func(_ context.Context, inst *rerank.Instance) error {
 		if inst.Items[0] == 17 {
 			return fmt.Errorf("injected: item 17 feature store down")
 		}
@@ -131,7 +108,7 @@ func TestHandleRerankBatchPerItemDegraded(t *testing.T) {
 
 	marked := validRequest()
 	marked.Items[0].ID = 17
-	env := RerankBatchRequest{Requests: []RerankRequest{*validRequest(), *marked}}
+	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *marked}}
 
 	w := postBatch(t, h, mustJSON(t, env))
 	if w.Code != http.StatusOK {
@@ -174,8 +151,8 @@ func TestAdaptBaselinesBatchBitwise(t *testing.T) {
 	short := validRequest()
 	short.Items = short.Items[:2]
 	var insts []*rerank.Instance
-	for _, req := range []*RerankRequest{validRequest(), short, validRequest()} {
-		inst, err := ToInstance(testConfig(), req)
+	for _, req := range []*engine.Request{validRequest(), short, validRequest()} {
+		inst, err := engine.ToInstance(testConfig(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +165,7 @@ func TestAdaptBaselinesBatchBitwise(t *testing.T) {
 			for i, inst := range insts {
 				want[i] = r.Scores(inst)
 			}
-			sc := Adapt(r)
+			sc := engine.Adapt(r)
 			for i, inst := range insts {
 				got, err := sc.Score(context.Background(), inst)
 				if err != nil {
@@ -196,7 +173,7 @@ func TestAdaptBaselinesBatchBitwise(t *testing.T) {
 				}
 				assertBitwiseEq(t, fmt.Sprintf("Score(inst %d)", i), got, want[i])
 			}
-			batch, err := sc.(BatchScorer).ScoreBatch(context.Background(), insts)
+			batch, err := sc.(engine.BatchScorer).ScoreBatch(context.Background(), insts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +183,7 @@ func TestAdaptBaselinesBatchBitwise(t *testing.T) {
 			for i := range insts {
 				assertBitwiseEq(t, fmt.Sprintf("ScoreBatch[%d]", i), batch[i], want[i])
 			}
-			one, err := sc.(BatchScorer).ScoreBatch(context.Background(), insts[:1])
+			one, err := sc.(engine.BatchScorer).ScoreBatch(context.Background(), insts[:1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,17 +195,17 @@ func TestAdaptBaselinesBatchBitwise(t *testing.T) {
 // TestAdaptCancellation: a canceled context stops adapted scoring before any
 // work happens.
 func TestAdaptCancellation(t *testing.T) {
-	inst, err := ToInstance(testConfig(), validRequest())
+	inst, err := engine.ToInstance(testConfig(), validRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sc := Adapt(baselines.NewMMR())
+	sc := engine.Adapt(baselines.NewMMR())
 	if _, err := sc.Score(ctx, inst); err != context.Canceled {
 		t.Fatalf("Score under canceled ctx: %v", err)
 	}
-	if _, err := sc.(BatchScorer).ScoreBatch(ctx, []*rerank.Instance{inst}); err != context.Canceled {
+	if _, err := sc.(engine.BatchScorer).ScoreBatch(ctx, []*rerank.Instance{inst}); err != context.Canceled {
 		t.Fatalf("ScoreBatch under canceled ctx: %v", err)
 	}
 }
@@ -241,7 +218,7 @@ func TestAdaptCancellation(t *testing.T) {
 // one item's scores to another.
 func TestBatchEnvelopeFaultAttribution(t *testing.T) {
 	s := stubServer(t, Config{})
-	s.Faults = FaultFunc(func(_ context.Context, inst *rerank.Instance) error {
+	s.Faults = engine.FaultFunc(func(_ context.Context, inst *rerank.Instance) error {
 		if inst.Items[0] == 17 {
 			return fmt.Errorf("injected: item 17 feature store down")
 		}
@@ -253,7 +230,7 @@ func TestBatchEnvelopeFaultAttribution(t *testing.T) {
 	// echoes init scores, so each response's top score names its request.
 	marked := validRequest()
 	marked.Items[0].ID = 17
-	env := RerankBatchRequest{Requests: []RerankRequest{*marked}}
+	env := RerankBatchRequest{Requests: []engine.Request{*marked}}
 	for k := 1; k < 4; k++ {
 		req := validRequest()
 		req.Items[0].InitScore = 0.9 + float64(k)
@@ -294,18 +271,18 @@ func (f funcScorer) Score(_ context.Context, inst *rerank.Instance) ([]float64, 
 }
 
 // TestNonComparableScorerFallsBack: a scorer whose dynamic type does not
-// support == must score unbatched instead of panicking in the coalescer —
-// on the submit path (map key) and on the envelope grouping path (==).
+// support == must score one call per item instead of panicking where an
+// envelope's items are grouped into same-pin runs (==).
 func TestNonComparableScorerFallsBack(t *testing.T) {
 	fs := funcScorer{fn: func(inst *rerank.Instance) []float64 { return inst.InitScores }}
-	s := NewServer(fs, Manifest{Dataset: "test", Config: testConfig()}, Config{MaxInFlight: 16})
+	s := NewServer(fs, engine.Manifest{Dataset: "test", Config: testConfig()}, Config{MaxInFlight: 16})
 	s.Log = t.Logf
 	h := s.Handler()
 
 	if w := postRerank(t, h, mustJSON(t, validRequest())); w.Code != http.StatusOK {
 		t.Fatalf("single request with non-comparable scorer: status %d: %s", w.Code, w.Body.String())
 	}
-	env := RerankBatchRequest{Requests: []RerankRequest{*validRequest(), *validRequest()}}
+	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *validRequest()}}
 	w := postBatch(t, h, mustJSON(t, env))
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch envelope with non-comparable scorer: status %d: %s", w.Code, w.Body.String())
@@ -333,17 +310,17 @@ func TestBatchEnvelopeTerminalStatus(t *testing.T) {
 
 	bad := validRequest()
 	bad.UserFeatures = []float64{0.1} // wrong geometry
-	if w := postBatch(t, h, mustJSON(t, RerankBatchRequest{Requests: []RerankRequest{*bad, *bad}})); w.Code != http.StatusOK {
+	if w := postBatch(t, h, mustJSON(t, RerankBatchRequest{Requests: []engine.Request{*bad, *bad}})); w.Code != http.StatusOK {
 		t.Fatalf("all-invalid envelope status %d", w.Code)
 	}
 	if ok.Value() != 0 || badInput.Value() != 1 {
 		t.Fatalf("all-invalid envelope counted ok=%d bad_input=%d, want 0/1", ok.Value(), badInput.Value())
 	}
 
-	s.Faults = FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
 		return fmt.Errorf("injected: everything is down")
 	})
-	if w := postBatch(t, h, mustJSON(t, RerankBatchRequest{Requests: []RerankRequest{*validRequest()}})); w.Code != http.StatusOK {
+	if w := postBatch(t, h, mustJSON(t, RerankBatchRequest{Requests: []engine.Request{*validRequest()}})); w.Code != http.StatusOK {
 		t.Fatalf("all-degraded envelope status %d", w.Code)
 	}
 	if ok.Value() != 0 || degraded.Value() != 1 {
@@ -351,7 +328,7 @@ func TestBatchEnvelopeTerminalStatus(t *testing.T) {
 	}
 
 	s.Faults = nil
-	if w := postBatch(t, h, mustJSON(t, RerankBatchRequest{Requests: []RerankRequest{*validRequest(), *bad}})); w.Code != http.StatusOK {
+	if w := postBatch(t, h, mustJSON(t, RerankBatchRequest{Requests: []engine.Request{*validRequest(), *bad}})); w.Code != http.StatusOK {
 		t.Fatalf("mixed envelope status %d", w.Code)
 	}
 	if ok.Value() != 1 {
@@ -375,7 +352,7 @@ func (b blockScorer) Score(ctx context.Context, _ *rerank.Instance) ([]float64, 
 // degradation, and no response body is serialized for it.
 func TestClientCancelCountsCanceled(t *testing.T) {
 	bs := blockScorer{started: make(chan struct{}, 1)}
-	s := NewServer(bs, Manifest{Dataset: "test", Config: testConfig()}, Config{Budget: 5 * time.Second})
+	s := NewServer(bs, engine.Manifest{Dataset: "test", Config: testConfig()}, Config{Budget: 5 * time.Second})
 	s.Log = t.Logf
 	h := s.Handler()
 

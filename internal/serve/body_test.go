@@ -68,8 +68,8 @@ func TestDeclinedBodiesMatchEncodingJSON(t *testing.T) {
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/rerank", strings.NewReader(body)))
 
 		wantStatus, wantMsg := http.StatusOK, ""
-		var req RerankRequest
-		var want RerankResponse
+		var req engine.Request
+		var want engine.Response
 		if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); err != nil {
 			wantStatus, wantMsg = http.StatusBadRequest, "bad request: "+err.Error()
 		} else if want, err = ref.Engine.Rerank(context.Background(), &req); err != nil {
@@ -95,7 +95,7 @@ func TestDeclinedBodiesMatchEncodingJSON(t *testing.T) {
 			}
 			continue
 		}
-		var got RerankResponse
+		var got engine.Response
 		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
 			t.Fatalf("%q: %v", body, err)
 		}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/rerank"
 )
 
@@ -35,7 +36,7 @@ func TestChaos(t *testing.T) {
 	})
 	s.Log = func(string, ...any) {} // recovered-panic logs would swamp the output
 	var calls atomic.Int64
-	s.Faults = FaultFunc(func(ctx context.Context, _ *rerank.Instance) error {
+	s.Faults = engine.FaultFunc(func(ctx context.Context, _ *rerank.Instance) error {
 		switch calls.Add(1) % 10 {
 		case 0:
 			panic("injected model bug")
@@ -80,7 +81,7 @@ func TestChaos(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				resp, err := http.Post(ts.URL+"/rerank", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/rerank", "application/json", bytes.NewReader(body))
 				if err != nil {
 					record("transport error: %v", err)
 					continue
@@ -96,7 +97,7 @@ func TestChaos(t *testing.T) {
 				mu.Unlock()
 				switch resp.StatusCode {
 				case http.StatusOK:
-					var rr RerankResponse
+					var rr engine.Response
 					if err := json.Unmarshal(raw, &rr); err != nil {
 						record("bad 200 body: %v", err)
 						continue
@@ -154,7 +155,7 @@ func TestServeDrainsInFlight(t *testing.T) {
 	s := testServer(t, Config{Budget: 2 * time.Second, DrainTimeout: 5 * time.Second})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.Faults = FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
 		close(entered)
 		<-release
 		return nil
@@ -176,7 +177,7 @@ func TestServeDrainsInFlight(t *testing.T) {
 	}
 	inflight := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(url+"/rerank", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(url+"/v1/rerank", "application/json", bytes.NewReader(body))
 		inflight <- result{resp, err}
 	}()
 	<-entered // the request is mid-scoring
@@ -197,7 +198,7 @@ func TestServeDrainsInFlight(t *testing.T) {
 	if r.resp.StatusCode != http.StatusOK {
 		t.Fatalf("in-flight request status %d during drain", r.resp.StatusCode)
 	}
-	var rr RerankResponse
+	var rr engine.Response
 	if err := json.NewDecoder(r.resp.Body).Decode(&rr); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 // machine-readable label (see the ErrCode* constants); Message is for
 // humans and may change; RetryAfterS mirrors the Retry-After header on
 // retryable (shed) errors so programmatic clients need not parse headers.
-// The deprecated /rerank alias keeps its original plain-text bodies.
 type ErrorBody struct {
 	Error ErrorDetail `json:"error"`
 }
@@ -41,14 +40,8 @@ const (
 	ErrCodeInternal       = "internal"        // recovered handler bug (500)
 )
 
-// writeError answers with the v1 envelope, or — on the deprecated /rerank
-// alias — the pre-envelope plain-text body, byte-identical to what the
-// alias has always returned.
-func (s *Server) writeError(w http.ResponseWriter, legacy bool, status int, code, msg string, retryAfterS int) {
-	if legacy {
-		http.Error(w, msg, status)
-		return
-	}
+// writeError answers with the v1 envelope.
+func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string, retryAfterS int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(ErrorBody{Error: ErrorDetail{Code: code, Message: msg, RetryAfterS: retryAfterS}})
@@ -59,7 +52,7 @@ func (s *Server) writeError(w http.ResponseWriter, legacy bool, status int, code
 // with Retry-After and X-Shed-Reason, ErrCanceled → nothing (the client is
 // gone), anything else → 500. The engine has already accounted the request;
 // this only shapes the answer.
-func (s *Server) writeEngineError(w http.ResponseWriter, legacy bool, err error) {
+func (s *Server) writeEngineError(w http.ResponseWriter, err error) {
 	var bad *engine.BadInputError
 	var shed *engine.ShedError
 	var tenant *engine.UnknownTenantError
@@ -67,21 +60,21 @@ func (s *Server) writeEngineError(w http.ResponseWriter, legacy bool, err error)
 	case errors.Is(err, engine.ErrCanceled):
 		// Client disconnected mid-request; nothing to answer.
 	case errors.As(err, &bad):
-		s.writeError(w, legacy, http.StatusBadRequest, ErrCodeBadInput, bad.Msg, 0)
+		s.writeError(w, http.StatusBadRequest, ErrCodeBadInput, bad.Msg, 0)
 	case errors.As(err, &tenant):
-		s.writeError(w, legacy, http.StatusNotFound, ErrCodeUnknownTenant, err.Error(), 0)
+		s.writeError(w, http.StatusNotFound, ErrCodeUnknownTenant, err.Error(), 0)
 	case errors.As(err, &shed):
 		w.Header().Set(ShedReasonHeader, shed.Reason)
 		w.Header().Set("Retry-After", strconv.Itoa(shed.RetryAfterS))
-		if shed.Reason == ShedDraining {
-			s.writeError(w, legacy, http.StatusServiceUnavailable, ErrCodeDraining,
+		if shed.Reason == engine.ShedDraining {
+			s.writeError(w, http.StatusServiceUnavailable, ErrCodeDraining,
 				"draining, replica going away", shed.RetryAfterS)
 			return
 		}
-		s.writeError(w, legacy, http.StatusTooManyRequests, ErrCodeOverloaded,
+		s.writeError(w, http.StatusTooManyRequests, ErrCodeOverloaded,
 			"overloaded, retry later", shed.RetryAfterS)
 	default:
 		s.Log("serve: unexpected engine error: %v", err)
-		s.writeError(w, legacy, http.StatusInternalServerError, ErrCodeInternal, "internal error", 0)
+		s.writeError(w, http.StatusInternalServerError, ErrCodeInternal, "internal error", 0)
 	}
 }

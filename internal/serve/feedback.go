@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // handleFeedback serves POST /v1/feedback. Mounted only when Config.Feedback
@@ -16,36 +18,36 @@ import (
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.met.Feedback.With("shed").Inc()
-		w.Header().Set(ShedReasonHeader, ShedDraining)
+		w.Header().Set(ShedReasonHeader, engine.ShedDraining)
 		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(s.DrainWindow()/time.Second))))
-		s.writeError(w, false, http.StatusServiceUnavailable, ErrCodeDraining,
+		s.writeError(w, http.StatusServiceUnavailable, ErrCodeDraining,
 			"draining, replica going away", max(1, int(s.DrainWindow()/time.Second)))
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var ev FeedbackEvent
+	var ev engine.FeedbackEvent
 	if err := json.NewDecoder(r.Body).Decode(&ev); err != nil {
 		s.met.Feedback.With("bad_input").Inc()
-		s.writeError(w, false, http.StatusBadRequest, ErrCodeBadInput, "bad request: "+err.Error(), 0)
+		s.writeError(w, http.StatusBadRequest, ErrCodeBadInput, "bad request: "+err.Error(), 0)
 		return
 	}
 	if err := ev.Validate(); err != nil {
 		s.met.Feedback.With("bad_input").Inc()
-		s.writeError(w, false, http.StatusBadRequest, ErrCodeBadInput, err.Error(), 0)
+		s.writeError(w, http.StatusBadRequest, ErrCodeBadInput, err.Error(), 0)
 		return
 	}
 	if err := s.cfg.Feedback.Submit(ev); err != nil {
-		if errors.Is(err, ErrFeedbackBusy) {
+		if errors.Is(err, engine.ErrFeedbackBusy) {
 			s.met.Feedback.With("shed").Inc()
 			retry := s.RetryAfterS()
-			w.Header().Set(ShedReasonHeader, ShedBackpressure)
+			w.Header().Set(ShedReasonHeader, engine.ShedBackpressure)
 			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			s.writeError(w, false, http.StatusTooManyRequests, ErrCodeOverloaded,
+			s.writeError(w, http.StatusTooManyRequests, ErrCodeOverloaded,
 				"feedback ingestion overloaded, retry later", retry)
 			return
 		}
 		s.met.Feedback.With("error").Inc()
-		s.writeError(w, false, http.StatusInternalServerError, ErrCodeInternal, "feedback ingestion failed", 0)
+		s.writeError(w, http.StatusInternalServerError, ErrCodeInternal, "feedback ingestion failed", 0)
 		return
 	}
 	s.met.FeedbackOK.Inc()

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // recordingSink captures Track/Submit calls and lets tests force Submit
@@ -18,7 +20,7 @@ type recordingSink struct {
 		route   uint64
 		version string
 	}
-	submitted []FeedbackEvent
+	submitted []engine.FeedbackEvent
 	submitErr error
 }
 
@@ -30,7 +32,7 @@ func (r *recordingSink) Track(id string, route uint64, version string) {
 	}{id, route, version})
 }
 
-func (r *recordingSink) Submit(ev FeedbackEvent) error {
+func (r *recordingSink) Submit(ev engine.FeedbackEvent) error {
 	if r.submitErr != nil {
 		return r.submitErr
 	}
@@ -49,7 +51,7 @@ func postFeedback(t *testing.T, h http.Handler, body []byte) *httptest.ResponseR
 func TestFeedbackHandlerAccepts(t *testing.T) {
 	sink := &recordingSink{}
 	s := testServer(t, Config{Feedback: sink})
-	ev := FeedbackEvent{RequestID: "abc-1", Items: []int{7, 8, 9}, Clicks: []bool{true, false}}
+	ev := engine.FeedbackEvent{RequestID: "abc-1", Items: []int{7, 8, 9}, Clicks: []bool{true, false}}
 	w := postFeedback(t, s.Handler(), mustJSON(t, ev))
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("status %d body %s", w.Code, w.Body.String())
@@ -72,7 +74,7 @@ func TestFeedbackHandlerValidation(t *testing.T) {
 		{"no request id", `{"items":[1]}`},
 		{"no items", `{"request_id":"x"}`},
 		{"clicks longer than items", `{"request_id":"x","items":[1],"clicks":[true,false]}`},
-		{"oversized request id", `{"request_id":"` + strings.Repeat("a", MaxRequestIDLen+1) + `","items":[1]}`},
+		{"oversized request id", `{"request_id":"` + strings.Repeat("a", engine.MaxRequestIDLen+1) + `","items":[1]}`},
 	}
 	sink := &recordingSink{}
 	s := testServer(t, Config{Feedback: sink})
@@ -88,24 +90,24 @@ func TestFeedbackHandlerValidation(t *testing.T) {
 }
 
 func TestFeedbackHandlerBackpressure(t *testing.T) {
-	sink := &recordingSink{submitErr: ErrFeedbackBusy}
+	sink := &recordingSink{submitErr: engine.ErrFeedbackBusy}
 	s := testServer(t, Config{Feedback: sink})
-	w := postFeedback(t, s.Handler(), mustJSON(t, FeedbackEvent{RequestID: "x", Items: []int{1}}))
+	w := postFeedback(t, s.Handler(), mustJSON(t, engine.FeedbackEvent{RequestID: "x", Items: []int{1}}))
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", w.Code)
 	}
 	if w.Header().Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if got := w.Header().Get(ShedReasonHeader); got != ShedBackpressure {
-		t.Fatalf("%s = %q, want %q", ShedReasonHeader, got, ShedBackpressure)
+	if got := w.Header().Get(ShedReasonHeader); got != engine.ShedBackpressure {
+		t.Fatalf("%s = %q, want %q", ShedReasonHeader, got, engine.ShedBackpressure)
 	}
 }
 
 func TestFeedbackHandlerSinkError(t *testing.T) {
 	sink := &recordingSink{submitErr: errors.New("disk on fire")}
 	s := testServer(t, Config{Feedback: sink})
-	w := postFeedback(t, s.Handler(), mustJSON(t, FeedbackEvent{RequestID: "x", Items: []int{1}}))
+	w := postFeedback(t, s.Handler(), mustJSON(t, engine.FeedbackEvent{RequestID: "x", Items: []int{1}}))
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", w.Code)
 	}
@@ -114,18 +116,18 @@ func TestFeedbackHandlerSinkError(t *testing.T) {
 func TestFeedbackHandlerDraining(t *testing.T) {
 	s := testServer(t, Config{Feedback: &recordingSink{}})
 	s.SetDraining(true)
-	w := postFeedback(t, s.Handler(), mustJSON(t, FeedbackEvent{RequestID: "x", Items: []int{1}}))
+	w := postFeedback(t, s.Handler(), mustJSON(t, engine.FeedbackEvent{RequestID: "x", Items: []int{1}}))
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", w.Code)
 	}
-	if got := w.Header().Get(ShedReasonHeader); got != ShedDraining {
-		t.Fatalf("%s = %q, want %q", ShedReasonHeader, got, ShedDraining)
+	if got := w.Header().Get(ShedReasonHeader); got != engine.ShedDraining {
+		t.Fatalf("%s = %q, want %q", ShedReasonHeader, got, engine.ShedDraining)
 	}
 }
 
 func TestFeedbackNotMountedWithoutSink(t *testing.T) {
 	s := testServer(t, Config{})
-	w := postFeedback(t, s.Handler(), mustJSON(t, FeedbackEvent{RequestID: "x", Items: []int{1}}))
+	w := postFeedback(t, s.Handler(), mustJSON(t, engine.FeedbackEvent{RequestID: "x", Items: []int{1}}))
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("feedback route answered %d without a sink", w.Code)
 	}
@@ -179,7 +181,7 @@ func TestRerankBatchRequestIDs(t *testing.T) {
 	s := testServer(t, Config{Feedback: sink})
 	bad := validRequest()
 	bad.UserFeatures = []float64{1} // wrong dims: per-item validation error
-	env := RerankBatchRequest{Requests: []RerankRequest{*validRequest(), *bad, *validRequest()}}
+	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *bad, *validRequest()}}
 	w := postBatch(t, s.Handler(), mustJSON(t, env))
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch status %d body %s", w.Code, w.Body.String())
@@ -213,7 +215,7 @@ func TestRerankWithoutSinkStillIssuesIDs(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("rerank status %d", w.Code)
 	}
-	var resp RerankResponse
+	var resp engine.Response
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // FuzzRerankRequest drives arbitrary bytes through the full /rerank wire
@@ -29,7 +31,7 @@ func FuzzRerankRequest(f *testing.F) {
 	f.Add([]byte(`{"user_features":[1e308,-1e308,0],"items":[{"id":-1,"features":[null,2],"cover":[1,0]}],"topic_sequences":[[],[]]}`))
 	f.Add([]byte(`{"topic_sequences":[[{"features":[]}]]}`))
 
-	s := NewServer(stubScorer{}, Manifest{Dataset: "fuzz", Config: testConfig()}, Config{
+	s := NewServer(stubScorer{}, engine.Manifest{Dataset: "fuzz", Config: testConfig()}, Config{
 		Budget:    time.Second,
 		QueueWait: time.Second,
 	})
@@ -37,13 +39,13 @@ func FuzzRerankRequest(f *testing.F) {
 	h := s.Handler()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/rerank", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v1/rerank", bytes.NewReader(body))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		switch w.Code {
 		case http.StatusOK:
 			// An accepted request must round-trip to a complete response.
-			var resp RerankResponse
+			var resp engine.Response
 			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 				t.Fatalf("200 with undecodable body %q: %v", w.Body.String(), err)
 			}
@@ -51,7 +53,11 @@ func FuzzRerankRequest(f *testing.F) {
 				t.Fatalf("200 with malformed ranking: %+v", resp)
 			}
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
-			// Rejected cleanly.
+			// Rejected cleanly, in the error envelope.
+			var eb ErrorBody
+			if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || eb.Error.Code == "" || eb.Error.Message == "" {
+				t.Fatalf("status %d outside the error envelope: %q (%v)", w.Code, w.Body.String(), err)
+			}
 		default:
 			t.Fatalf("status %d on input %q: %s", w.Code, body, w.Body.String())
 		}
@@ -65,7 +71,7 @@ func FuzzRerankRequest(f *testing.F) {
 // dimensions, known enum values — because LoadModel constructs the model
 // from it unconditionally.
 func FuzzManifest(f *testing.F) {
-	valid, err := json.Marshal(Manifest{Dataset: "taobao", Lambda: 0.9, Config: testConfig()})
+	valid, err := json.Marshal(engine.Manifest{Dataset: "taobao", Lambda: 0.9, Config: testConfig()})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -77,18 +83,18 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`null`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		man, err := decodeManifest(bytes.NewReader(data))
+		man, err := engine.DecodeManifest(bytes.NewReader(data))
 		if err != nil {
 			return // rejected is fine; panicking or accepting garbage is not
 		}
 		cfg := man.Config
 		for _, d := range []int{cfg.UserDim, cfg.ItemDim, cfg.Topics, cfg.Hidden, cfg.D} {
-			if d <= 0 || d > MaxDim {
+			if d <= 0 || d > engine.MaxDim {
 				t.Fatalf("accepted manifest with out-of-range dimension %d: %+v", d, cfg)
 			}
 		}
-		if err := ValidateConfig(cfg); err != nil {
-			t.Fatalf("decodeManifest accepted a config ValidateConfig rejects: %v", err)
+		if err := engine.ValidateConfig(cfg); err != nil {
+			t.Fatalf("decodeManifest accepted a config engine.ValidateConfig rejects: %v", err)
 		}
 	})
 }

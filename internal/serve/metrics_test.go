@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/rerank"
 )
 
@@ -30,7 +31,7 @@ func (stubScorer) Name() string { return "stub" }
 
 func stubServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	s := NewServer(stubScorer{}, Manifest{Dataset: "test", Config: testConfig()}, cfg)
+	s := NewServer(stubScorer{}, engine.Manifest{Dataset: "test", Config: testConfig()}, cfg)
 	s.Log = t.Logf
 	return s
 }
@@ -64,7 +65,7 @@ func TestMetricsExposition(t *testing.T) {
 	if w := postRerank(t, h, []byte("{")); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad request status %d", w.Code)
 	}
-	s.Faults = FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
 		return errors.New("feature store down")
 	})
 	wantDegraded(t, postRerank(t, h, body), "error")
@@ -145,7 +146,7 @@ func TestMetricsSharedRegistry(t *testing.T) {
 		t.Fatal("default registry missing")
 	}
 	shared := s.Registry()
-	s2 := NewServer(stubScorer{}, Manifest{Dataset: "test", Config: testConfig()}, Config{Registry: shared})
+	s2 := NewServer(stubScorer{}, engine.Manifest{Dataset: "test", Config: testConfig()}, Config{Registry: shared})
 	if s2.Registry() != shared {
 		t.Fatal("Config.Registry not adopted")
 	}
@@ -191,7 +192,7 @@ func TestStatsSnapshotConcurrent(t *testing.T) {
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
-		var last Stats
+		var last engine.Stats
 		for {
 			select {
 			case <-stop:

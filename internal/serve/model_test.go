@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func writeArtifacts(t *testing.T, modelCfg core.Config, manCfg core.Config) string {
@@ -19,11 +20,11 @@ func writeArtifacts(t *testing.T, modelCfg core.Config, manCfg core.Config) stri
 	if err := m.ParamSet().SaveFileAtomic(modelPath); err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(Manifest{Dataset: "test", Config: manCfg})
+	b, err := json.Marshal(engine.Manifest{Dataset: "test", Config: manCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(ManifestPath(modelPath), b, 0o644); err != nil {
+	if err := os.WriteFile(engine.ManifestPath(modelPath), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return modelPath
@@ -32,14 +33,14 @@ func writeArtifacts(t *testing.T, modelCfg core.Config, manCfg core.Config) stri
 func TestLoadModelRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	path := writeArtifacts(t, cfg, cfg)
-	m, man, err := LoadModel(path)
+	m, man, err := engine.LoadModel(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if man.Dataset != "test" || m.Cfg.Topics != cfg.Topics {
 		t.Fatalf("loaded %+v", man)
 	}
-	inst, err := ToInstance(cfg, validRequest())
+	inst, err := engine.ToInstance(cfg, validRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestLoadModelGeometryMismatch(t *testing.T) {
 	big := small
 	big.Hidden = 8 // shapes disagree with the saved weights
 	path := writeArtifacts(t, small, big)
-	if _, _, err := LoadModel(path); err == nil {
+	if _, _, err := engine.LoadModel(path); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 
@@ -66,7 +67,7 @@ func TestLoadModelGeometryMismatch(t *testing.T) {
 	noDiv.UseDiversity = false
 	full := testConfig()
 	path = writeArtifacts(t, noDiv, full)
-	if _, _, err := LoadModel(path); err == nil {
+	if _, _, err := engine.LoadModel(path); err == nil {
 		t.Fatal("partial weights accepted")
 	}
 }
@@ -87,11 +88,11 @@ func TestLoadModelInvalidManifest(t *testing.T) {
 	} {
 		bad := cfg
 		mutate(&bad)
-		if err := ValidateConfig(bad); err == nil {
+		if err := engine.ValidateConfig(bad); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
 		}
 	}
-	if err := ValidateConfig(cfg); err != nil {
+	if err := engine.ValidateConfig(cfg); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 
@@ -100,31 +101,31 @@ func TestLoadModelInvalidManifest(t *testing.T) {
 	bad := cfg
 	bad.Hidden = 0
 	path := writeArtifacts(t, cfg, bad)
-	if _, _, err := LoadModel(path); err == nil {
+	if _, _, err := engine.LoadModel(path); err == nil {
 		t.Fatal("unbuildable manifest accepted")
 	}
 }
 
 func TestLoadModelMissingFiles(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, err := LoadModel(filepath.Join(dir, "none.gob")); err == nil {
+	if _, _, err := engine.LoadModel(filepath.Join(dir, "none.gob")); err == nil {
 		t.Fatal("missing manifest accepted")
 	}
 	// Manifest present, weights missing.
 	cfg := testConfig()
 	modelPath := filepath.Join(dir, "model.gob")
-	b, _ := json.Marshal(Manifest{Config: cfg})
-	if err := os.WriteFile(ManifestPath(modelPath), b, 0o644); err != nil {
+	b, _ := json.Marshal(engine.Manifest{Config: cfg})
+	if err := os.WriteFile(engine.ManifestPath(modelPath), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadModel(modelPath); err == nil {
+	if _, _, err := engine.LoadModel(modelPath); err == nil {
 		t.Fatal("missing weights accepted")
 	}
 	// Corrupt weights.
 	if err := os.WriteFile(modelPath, []byte("not a gob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadModel(modelPath); err == nil {
+	if _, _, err := engine.LoadModel(modelPath); err == nil {
 		t.Fatal("corrupt weights accepted")
 	}
 }
@@ -145,7 +146,7 @@ func TestLoadModelCorruptArtifacts(t *testing.T) {
 		if err := os.WriteFile(path, nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := LoadModel(path); err == nil {
+		if _, _, err := engine.LoadModel(path); err == nil {
 			t.Fatal("zero-byte weights accepted")
 		}
 	})
@@ -157,7 +158,7 @@ func TestLoadModelCorruptArtifacts(t *testing.T) {
 			if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := LoadModel(path); err == nil {
+			if _, _, err := engine.LoadModel(path); err == nil {
 				t.Fatal("truncated weights accepted")
 			}
 		})
@@ -166,7 +167,7 @@ func TestLoadModelCorruptArtifacts(t *testing.T) {
 		if err := os.WriteFile(path, whole[:len(whole)-1], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := LoadModel(path); err == nil {
+		if _, _, err := engine.LoadModel(path); err == nil {
 			t.Fatal("almost-complete weights accepted")
 		}
 	})
@@ -174,10 +175,10 @@ func TestLoadModelCorruptArtifacts(t *testing.T) {
 		if err := os.WriteFile(path, whole, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(ManifestPath(path), nil, 0o644); err != nil {
+		if err := os.WriteFile(engine.ManifestPath(path), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := LoadModel(path); err == nil {
+		if _, _, err := engine.LoadModel(path); err == nil {
 			t.Fatal("zero-byte manifest accepted")
 		}
 	})
@@ -191,7 +192,7 @@ func TestLoadModelErrorsAreDescriptive(t *testing.T) {
 	big := small
 	big.Hidden = 8
 	path := writeArtifacts(t, small, big)
-	_, _, err := LoadModel(path)
+	_, _, err := engine.LoadModel(path)
 	if err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
@@ -207,7 +208,7 @@ func TestLoadModelErrorsAreDescriptive(t *testing.T) {
 	if err := os.Truncate(path, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = LoadModel(path)
+	_, _, err = engine.LoadModel(path)
 	if err == nil {
 		t.Fatal("empty weights accepted")
 	}
@@ -218,7 +219,7 @@ func TestLoadModelErrorsAreDescriptive(t *testing.T) {
 	bad := cfg
 	bad.Topics = -3
 	path = writeArtifacts(t, cfg, bad)
-	_, _, err = LoadModel(path)
+	_, _, err = engine.LoadModel(path)
 	if err == nil {
 		t.Fatal("invalid geometry accepted")
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/rerank"
 	"repro/internal/serve/binproto"
 )
@@ -50,12 +51,12 @@ func newParityHarness(t *testing.T, cfg Config) *parityHarness {
 	return &parityHarness{s: s, h: s.Handler(), bin: c}
 }
 
-func (p *parityHarness) overHTTP(t *testing.T, req *RerankRequest) (RerankResponse, int) {
+func (p *parityHarness) overHTTP(t *testing.T, req *engine.Request) (engine.Response, int) {
 	t.Helper()
 	w := httptest.NewRecorder()
 	hr := httptest.NewRequest(http.MethodPost, "/v1/rerank", bytes.NewReader(mustJSON(t, req)))
 	p.h.ServeHTTP(w, hr)
-	var resp RerankResponse
+	var resp engine.Response
 	if w.Code == http.StatusOK {
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("decode http response: %v (body %s)", err, w.Body.String())
@@ -68,7 +69,7 @@ func (p *parityHarness) overHTTP(t *testing.T, req *RerankRequest) (RerankRespon
 // irrational-ish feature values — scores whose decimal text would lose bits
 // under a sloppy JSON round trip, which is exactly what the bitwise
 // comparison must rule out.
-func parityRequest(seed int64) *RerankRequest {
+func parityRequest(seed int64) *engine.Request {
 	rng := rand.New(rand.NewSource(seed))
 	vec := func(n int) []float64 {
 		v := make([]float64, n)
@@ -77,12 +78,12 @@ func parityRequest(seed int64) *RerankRequest {
 		}
 		return v
 	}
-	req := &RerankRequest{
+	req := &engine.Request{
 		UserFeatures:   vec(3),
-		TopicSequences: [][]SeqItemWire{{{Features: vec(2)}, {Features: vec(2)}}, {{Features: vec(2)}}},
+		TopicSequences: [][]engine.SeqItem{{{Features: vec(2)}, {Features: vec(2)}}, {{Features: vec(2)}}},
 	}
 	for i := 0; i < 6; i++ {
-		req.Items = append(req.Items, RerankItem{
+		req.Items = append(req.Items, engine.Item{
 			ID:        100*int(seed) + i,
 			Features:  vec(2),
 			Cover:     []float64{rng.Float64(), rng.Float64()},
@@ -92,7 +93,7 @@ func parityRequest(seed int64) *RerankRequest {
 	return req
 }
 
-func assertParity(t *testing.T, label string, j, b RerankResponse) {
+func assertParity(t *testing.T, label string, j, b engine.Response) {
 	t.Helper()
 	if j.Degraded != b.Degraded || j.DegradedReason != b.DegradedReason {
 		t.Fatalf("%s: degradation differs: http %v/%q binary %v/%q",
@@ -152,7 +153,7 @@ func TestBinaryRequestIDsJoinFeedback(t *testing.T) {
 	if resp.RequestID == "" {
 		t.Fatal("binary response carries no request id")
 	}
-	ev := FeedbackEvent{RequestID: resp.RequestID, Items: resp.Ranked[:2], Clicks: []bool{true, false}}
+	ev := engine.FeedbackEvent{RequestID: resp.RequestID, Items: resp.Ranked[:2], Clicks: []bool{true, false}}
 	w := postFeedback(t, p.h, mustJSON(t, ev))
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("feedback for binary request id: status %d body %s", w.Code, w.Body.String())
@@ -167,7 +168,7 @@ func TestBinaryRequestIDsJoinFeedback(t *testing.T) {
 // ordering — because degradation lives in the engine, not the transport.
 func TestCrossFrontendDegradationParity(t *testing.T) {
 	p := newParityHarness(t, Config{Budget: 2 * time.Second})
-	p.s.Faults = FaultFunc(func(context.Context, *rerank.Instance) error {
+	p.s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
 		return errors.New("injected scoring error")
 	})
 	req := parityRequest(5)
@@ -185,11 +186,11 @@ func TestCrossFrontendDegradationParity(t *testing.T) {
 	assertParity(t, "degraded", jresp, bresp)
 
 	// The fallback must be the exact initial-ranker ordering on both.
-	inst, err := ToInstance(testConfig(), req)
+	inst, err := engine.ToInstance(testConfig(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRank, wantScores := FallbackOrder(inst)
+	wantRank, wantScores := engine.FallbackOrder(inst)
 	for i := range wantRank {
 		if jresp.Ranked[i] != wantRank[i] {
 			t.Fatalf("fallback rank[%d] = %d, want item %d", i, jresp.Ranked[i], wantRank[i])
@@ -208,7 +209,7 @@ func TestCrossFrontendShedParity(t *testing.T) {
 	// Occupy the only scoring slot so both frontends must shed.
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	p.s.Faults = FaultFunc(func(ctx context.Context, _ *rerank.Instance) error {
+	p.s.Faults = engine.FaultFunc(func(ctx context.Context, _ *rerank.Instance) error {
 		close(blocked)
 		select {
 		case <-release:

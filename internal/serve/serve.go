@@ -1,6 +1,6 @@
 // Package serve is the hardened HTTP frontend for the RAPID scoring engine
 // (internal/engine). The engine owns the scoring data plane — deadlines,
-// graceful degradation, bounded concurrency, micro-batching, provider
+// graceful degradation, bounded concurrency, the scoring pool, provider
 // pinning, the encoded-state cache and multi-tenancy; this package owns only
 // what is HTTP: routing, reading request bodies (pooled, size-capped) for the
 // engine's schema decoder — encoding/json for whatever that declines — JSON
@@ -11,18 +11,14 @@
 //
 // Surfaces:
 //
-//   - POST /v1/rerank (and its deprecated byte-compatible alias POST
-//     /rerank), POST /v1/rerank:batch — the scoring endpoints;
+//   - POST /v1/rerank, POST /v1/rerank:batch — the scoring endpoints;
 //   - POST /v1/feedback — outcome ingestion, mounted when Config.Feedback
 //     is set;
 //   - GET /healthz, /readyz, /metrics, optional /debug/pprof/ and
 //     /admin/models lifecycle routes.
 //
-// Errors on the v1 surface share one JSON envelope, {"error": {"code",
-// "message", "retry_after_s"}}; the legacy /rerank alias keeps its original
-// plain-text error bodies so pre-v1 clients never see a format change, and
-// answers with a Deprecation header plus a rapid_http_legacy_requests_total
-// counter so its remaining callers can be found and migrated.
+// Every error shares one JSON envelope, {"error": {"code", "message",
+// "retry_after_s"}}.
 //
 // A second, non-HTTP frontend for fleet-internal callers lives in
 // internal/serve/binproto: the same engine behind a length-prefixed binary
@@ -84,18 +80,18 @@ type Config struct {
 	// loopback peers instead — model swapping is never unauthenticated on a
 	// non-local listener.
 	AdminToken string
-	// Batch bounds the micro-batching coalescer; see BatchConfig.
-	Batch BatchConfig
+	// Batch bounds the scoring pool; see engine.BatchConfig.
+	Batch engine.BatchConfig
 	// StateCacheBytes is the memory budget for the encoded user-state cache;
 	// 0 disables it. See engine.Config.StateCacheBytes.
 	StateCacheBytes int64
 	// Feedback, when set, mounts POST /v1/feedback backed by this sink and
 	// correlates every rerank response's request_id to its served (route,
 	// version) pair. nil exposes no feedback surface.
-	Feedback FeedbackSink
+	Feedback engine.FeedbackSink
 	// Tenants resolves the request "tenant" field to additional resident
 	// scorers; see engine.Config.Tenants. nil rejects every named tenant.
-	Tenants TenantSource
+	Tenants engine.TenantSource
 	// TenantMaxInFlight bounds concurrently admitted single-rerank requests
 	// per tenant; see engine.Config.TenantMaxInFlight. 0 disables quotas.
 	TenantMaxInFlight int
@@ -136,22 +132,19 @@ type Server struct {
 	*engine.Engine
 	cfg Config
 	met *engine.Metrics
-	// legacyRequests counts POST /rerank (deprecated alias) hits so the
-	// remaining pre-v1 callers can be found before the alias is removed.
-	legacyRequests *obs.Counter
 }
 
 // NewServer wraps a single fixed scorer with the hardened handler chain.
 // man.Config must describe the scorer's instance geometry (it validates
 // incoming requests). For hot-swappable versions use NewProviderServer.
-func NewServer(model Scorer, man Manifest, cfg Config) *Server {
-	return NewProviderServer(StaticProvider(Pinned{Scorer: model, Manifest: man}), cfg)
+func NewServer(model engine.Scorer, man engine.Manifest, cfg Config) *Server {
+	return NewProviderServer(engine.StaticProvider(engine.Pinned{Scorer: model, Manifest: man}), cfg)
 }
 
 // NewProviderServer builds a server that asks p for the (model, manifest,
 // version) triple of every request — the deployment shape where a registry
 // swaps, canaries and shadows model versions underneath live traffic.
-func NewProviderServer(p Provider, cfg Config) *Server {
+func NewProviderServer(p engine.Provider, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	eng := engine.New(p, engine.Config{
 		Budget:            cfg.Budget,
@@ -165,13 +158,7 @@ func NewProviderServer(p Provider, cfg Config) *Server {
 		Tenants:           cfg.Tenants,
 		TenantMaxInFlight: cfg.TenantMaxInFlight,
 	})
-	return &Server{
-		Engine: eng,
-		cfg:    cfg,
-		met:    eng.Metrics(),
-		legacyRequests: eng.Registry().Counter("rapid_http_legacy_requests_total",
-			"Requests to the deprecated POST /rerank alias (migrate callers to POST /v1/rerank)."),
-	}
+	return &Server{Engine: eng, cfg: cfg, met: eng.Metrics()}
 }
 
 // Handler returns the full handler chain: routing wrapped in panic
@@ -179,11 +166,7 @@ func NewProviderServer(p Provider, cfg Config) *Server {
 // serving endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// /rerank is the deprecated byte-compatible alias of the v1 single-item
-	// route: same handler, same success bodies, but plain-text errors (the
-	// pre-envelope format), a Deprecation header and its own hit counter.
-	mux.HandleFunc("POST /rerank", s.handleLegacyRerank)
-	mux.HandleFunc("POST /v1/rerank", s.handleV1Rerank)
+	mux.HandleFunc("POST /v1/rerank", s.handleRerank)
 	mux.HandleFunc("POST /v1/rerank:batch", s.handleRerankBatch)
 	if s.cfg.Feedback != nil {
 		mux.HandleFunc("POST /v1/feedback", s.handleFeedback)
@@ -217,33 +200,20 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 	})
 }
 
-func (s *Server) handleLegacyRerank(w http.ResponseWriter, r *http.Request) {
-	// RFC 9745 deprecation signal on every alias response; the migration
-	// path is documented in the README. Success bodies stay byte-identical
-	// to /v1/rerank, so flipping the path is the whole client change.
-	w.Header().Set("Deprecation", "@1767225600") // 2026-01-01T00:00:00Z
-	s.legacyRequests.Inc()
-	s.serveRerank(w, r, true)
-}
-
-func (s *Server) handleV1Rerank(w http.ResponseWriter, r *http.Request) {
-	s.serveRerank(w, r, false)
-}
-
-// serveRerank is the single-item scoring route: decode, hand to the engine,
-// encode. Everything between — admission, tenancy, pinning, deadline,
-// degradation, metrics — is the engine's.
-func (s *Server) serveRerank(w http.ResponseWriter, r *http.Request, legacy bool) {
+// handleRerank serves POST /v1/rerank, the single-item scoring route: decode,
+// hand to the engine, encode. Everything between — admission, tenancy,
+// pinning, deadline, degradation, metrics — is the engine's.
+func (s *Server) handleRerank(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req RerankRequest
+	var req engine.Request
 	err := s.decodeBody(w, r, &req, func(body []byte) bool { return engine.DecodeRequestJSON(body, &req) })
 	if err != nil {
-		s.decodeFailed(w, start, err, legacy, false)
+		s.decodeFailed(w, start, err, false)
 		return
 	}
 	resp, err := s.Engine.Rerank(r.Context(), &req)
 	if err != nil {
-		s.writeEngineError(w, legacy, err)
+		s.writeEngineError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -253,7 +223,7 @@ func (s *Server) serveRerank(w http.ResponseWriter, r *http.Request, legacy bool
 }
 
 // handleRerankBatch serves POST /v1/rerank:batch: a multi-instance envelope
-// scored as pre-grouped batches. Items are answered independently (per-item
+// scored as its same-pin runs. Items are answered independently (per-item
 // degraded flags and error strings); see engine.RerankBatch.
 func (s *Server) handleRerankBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -263,12 +233,12 @@ func (s *Server) handleRerankBatch(w http.ResponseWriter, r *http.Request) {
 		return ok
 	})
 	if err != nil {
-		s.decodeFailed(w, start, err, false, true)
+		s.decodeFailed(w, start, err, true)
 		return
 	}
 	resps, err := s.Engine.RerankBatch(r.Context(), breq.Requests)
 	if err != nil {
-		s.writeEngineError(w, false, err)
+		s.writeEngineError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -282,7 +252,7 @@ func (s *Server) handleRerankBatch(w http.ResponseWriter, r *http.Request) {
 // entry accounting — received counter, end-to-end latency, terminal status —
 // so the request totals on /metrics cover decode failures too, exactly as
 // they did when decoding lived inside the scoring handler.
-func (s *Server) decodeFailed(w http.ResponseWriter, start time.Time, err error, legacy, batch bool) {
+func (s *Server) decodeFailed(w http.ResponseWriter, start time.Time, err error, batch bool) {
 	s.met.Requests.Inc()
 	if batch {
 		s.met.BatchRequests.Inc()
@@ -292,12 +262,12 @@ func (s *Server) decodeFailed(w http.ResponseWriter, start time.Time, err error,
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		s.met.Responses.With("too_large").Inc()
-		s.writeError(w, legacy, http.StatusRequestEntityTooLarge, "too_large",
+		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
 			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), 0)
 		return
 	}
 	s.met.Responses.With("bad_input").Inc()
-	s.writeError(w, legacy, http.StatusBadRequest, "bad_input", "bad request: "+err.Error(), 0)
+	s.writeError(w, http.StatusBadRequest, "bad_input", "bad request: "+err.Error(), 0)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/rerank"
 )
 
@@ -27,20 +28,20 @@ func testConfig() core.Config {
 func testServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	mc := testConfig()
-	s := NewServer(core.New(mc), Manifest{Dataset: "test", Config: mc}, cfg)
+	s := NewServer(core.New(mc), engine.Manifest{Dataset: "test", Config: mc}, cfg)
 	s.Log = t.Logf
 	return s
 }
 
-func validRequest() *RerankRequest {
-	return &RerankRequest{
+func validRequest() *engine.Request {
+	return &engine.Request{
 		UserFeatures: []float64{0.1, 0.2, 0.3},
-		Items: []RerankItem{
+		Items: []engine.Item{
 			{ID: 7, Features: []float64{0.5, 0.1}, Cover: []float64{1, 0}, InitScore: 0.9},
 			{ID: 8, Features: []float64{0.2, 0.7}, Cover: []float64{0, 1}, InitScore: 0.4},
 			{ID: 9, Features: []float64{0.3, 0.3}, Cover: []float64{1, 0}, InitScore: 0.2},
 		},
-		TopicSequences: [][]SeqItemWire{
+		TopicSequences: [][]engine.SeqItem{
 			{{Features: []float64{0.5, 0.2}}},
 			{},
 		},
@@ -49,14 +50,14 @@ func validRequest() *RerankRequest {
 
 func postRerank(t *testing.T, h http.Handler, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/rerank", bytes.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/rerank", bytes.NewReader(body))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	return w
 }
 
 func TestToInstanceValid(t *testing.T) {
-	inst, err := ToInstance(testConfig(), validRequest())
+	inst, err := engine.ToInstance(testConfig(), validRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,19 +87,19 @@ func TestToInstanceValid(t *testing.T) {
 func TestToInstanceValidation(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*RerankRequest)
+		mutate func(*engine.Request)
 	}{
-		{"wrong user dims", func(r *RerankRequest) { r.UserFeatures = []float64{1} }},
-		{"no items", func(r *RerankRequest) { r.Items = nil }},
-		{"wrong item dims", func(r *RerankRequest) { r.Items[0].Features = []float64{1, 2, 3} }},
-		{"wrong cover dims", func(r *RerankRequest) { r.Items[1].Cover = []float64{1} }},
-		{"wrong topic count", func(r *RerankRequest) { r.TopicSequences = r.TopicSequences[:1] }},
-		{"wrong seq dims", func(r *RerankRequest) {
-			r.TopicSequences[0] = []SeqItemWire{{Features: []float64{1}}}
+		{"wrong user dims", func(r *engine.Request) { r.UserFeatures = []float64{1} }},
+		{"no items", func(r *engine.Request) { r.Items = nil }},
+		{"wrong item dims", func(r *engine.Request) { r.Items[0].Features = []float64{1, 2, 3} }},
+		{"wrong cover dims", func(r *engine.Request) { r.Items[1].Cover = []float64{1} }},
+		{"wrong topic count", func(r *engine.Request) { r.TopicSequences = r.TopicSequences[:1] }},
+		{"wrong seq dims", func(r *engine.Request) {
+			r.TopicSequences[0] = []engine.SeqItem{{Features: []float64{1}}}
 		}},
-		{"oversized list", func(r *RerankRequest) {
+		{"oversized list", func(r *engine.Request) {
 			it := r.Items[0]
-			r.Items = make([]RerankItem, MaxListLength+1)
+			r.Items = make([]engine.Item, engine.MaxListLength+1)
 			for i := range r.Items {
 				it.ID = i
 				r.Items[i] = it
@@ -108,7 +109,7 @@ func TestToInstanceValidation(t *testing.T) {
 	for _, tc := range cases {
 		req := validRequest()
 		tc.mutate(req)
-		if _, err := ToInstance(testConfig(), req); err == nil {
+		if _, err := engine.ToInstance(testConfig(), req); err == nil {
 			t.Fatalf("%s: expected validation error", tc.name)
 		}
 	}
@@ -121,7 +122,7 @@ func TestHandleRerank(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
-	var resp RerankResponse
+	var resp engine.Response
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +190,12 @@ func TestHandleRerankBadInput(t *testing.T) {
 	}
 }
 
-func wantDegraded(t *testing.T, w *httptest.ResponseRecorder, reason string) RerankResponse {
+func wantDegraded(t *testing.T, w *httptest.ResponseRecorder, reason string) engine.Response {
 	t.Helper()
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
-	var resp RerankResponse
+	var resp engine.Response
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func wantDegraded(t *testing.T, w *httptest.ResponseRecorder, reason string) Rer
 
 func TestDegradedOnScoringError(t *testing.T) {
 	s := testServer(t, Config{})
-	s.Faults = FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
 		return errors.New("feature store down")
 	})
 	body, _ := json.Marshal(validRequest())
@@ -225,7 +226,7 @@ func TestDegradedOnScoringError(t *testing.T) {
 
 func TestDegradedOnScoringPanic(t *testing.T) {
 	s := testServer(t, Config{})
-	s.Faults = FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
 		panic("index out of range in model")
 	})
 	body, _ := json.Marshal(validRequest())
@@ -237,7 +238,7 @@ func TestDegradedOnScoringPanic(t *testing.T) {
 
 func TestDegradedOnDeadline(t *testing.T) {
 	s := testServer(t, Config{Budget: 10 * time.Millisecond})
-	s.Faults = FaultFunc(func(ctx context.Context, _ *rerank.Instance) error {
+	s.Faults = engine.FaultFunc(func(ctx context.Context, _ *rerank.Instance) error {
 		<-ctx.Done() // latency spike that outlives the budget
 		return ctx.Err()
 	})
@@ -256,7 +257,7 @@ func TestSheddingUnderLoad(t *testing.T) {
 	})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.Faults = FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
 		close(entered)
 		<-release
 		return nil
@@ -337,8 +338,8 @@ func TestHealthAndReady(t *testing.T) {
 // pinned model version and the draining flag ride the existing endpoint, and
 // the bare 200/503 status-code contract is unchanged.
 func TestReadyzBody(t *testing.T) {
-	pin := Pinned{Scorer: stubScorer{}, Manifest: Manifest{Dataset: "test", Config: testConfig()}, Version: "v42"}
-	s := NewProviderServer(StaticProvider(pin), Config{})
+	pin := engine.Pinned{Scorer: stubScorer{}, Manifest: engine.Manifest{Dataset: "test", Config: testConfig()}, Version: "v42"}
+	s := NewProviderServer(engine.StaticProvider(pin), Config{})
 	s.Log = t.Logf
 	h := s.Handler()
 
@@ -384,18 +385,18 @@ func TestDrainingShedDistinguishable(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining rerank status %d, want 503 (%s)", w.Code, w.Body.String())
 	}
-	if got := w.Header().Get(ShedReasonHeader); got != ShedDraining {
-		t.Fatalf("%s = %q, want %q", ShedReasonHeader, got, ShedDraining)
+	if got := w.Header().Get(ShedReasonHeader); got != engine.ShedDraining {
+		t.Fatalf("%s = %q, want %q", ShedReasonHeader, got, engine.ShedDraining)
 	}
 	if w.Header().Get("Retry-After") == "" {
 		t.Fatal("draining shed without Retry-After")
 	}
 	// The batch envelope route sheds identically.
-	bb, _ := json.Marshal(RerankBatchRequest{Requests: []RerankRequest{*validRequest()}})
+	bb, _ := json.Marshal(RerankBatchRequest{Requests: []engine.Request{*validRequest()}})
 	req := httptest.NewRequest(http.MethodPost, "/v1/rerank:batch", bytes.NewReader(bb))
 	w = httptest.NewRecorder()
 	h.ServeHTTP(w, req)
-	if w.Code != http.StatusServiceUnavailable || w.Header().Get(ShedReasonHeader) != ShedDraining {
+	if w.Code != http.StatusServiceUnavailable || w.Header().Get(ShedReasonHeader) != engine.ShedDraining {
 		t.Fatalf("draining batch status %d reason %q", w.Code, w.Header().Get(ShedReasonHeader))
 	}
 	if got := s.met.ShedDrain.Value(); got != 2 {
@@ -418,14 +419,14 @@ func TestAfterScoreHook(t *testing.T) {
 
 	t.Run("error degrades", func(t *testing.T) {
 		s := stubServer(t, Config{})
-		s.Faults = FaultHooks{After: func(context.Context, *rerank.Instance, []float64) error {
+		s.Faults = engine.FaultHooks{After: func(context.Context, *rerank.Instance, []float64) error {
 			return errors.New("response path wedged")
 		}}
 		wantDegraded(t, postRerank(t, s.Handler(), body), "error")
 	})
 	t.Run("latency degrades on deadline", func(t *testing.T) {
 		s := stubServer(t, Config{Budget: 10 * time.Millisecond})
-		s.Faults = FaultHooks{After: func(ctx context.Context, _ *rerank.Instance, _ []float64) error {
+		s.Faults = engine.FaultHooks{After: func(ctx context.Context, _ *rerank.Instance, _ []float64) error {
 			<-ctx.Done() // slow response that outlives the budget
 			return ctx.Err()
 		}}
@@ -434,7 +435,7 @@ func TestAfterScoreHook(t *testing.T) {
 	t.Run("panic degrades", func(t *testing.T) {
 		s := stubServer(t, Config{})
 		s.Log = func(string, ...any) {}
-		s.Faults = FaultHooks{After: func(context.Context, *rerank.Instance, []float64) error {
+		s.Faults = engine.FaultHooks{After: func(context.Context, *rerank.Instance, []float64) error {
 			panic("post-scoring bug")
 		}}
 		wantDegraded(t, postRerank(t, s.Handler(), body), "panic")
@@ -444,19 +445,19 @@ func TestAfterScoreHook(t *testing.T) {
 	})
 	t.Run("before-only hooks stay compatible", func(t *testing.T) {
 		s := stubServer(t, Config{})
-		s.Faults = FaultHooks{Before: func(context.Context, *rerank.Instance) error {
+		s.Faults = engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
 			return errors.New("feature store down")
 		}}
 		wantDegraded(t, postRerank(t, s.Handler(), body), "error")
 	})
 	t.Run("nil hooks pass through", func(t *testing.T) {
 		s := stubServer(t, Config{})
-		s.Faults = FaultHooks{}
+		s.Faults = engine.FaultHooks{}
 		w := postRerank(t, s.Handler(), body)
 		if w.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", w.Code, w.Body.String())
 		}
-		var resp RerankResponse
+		var resp engine.Response
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -467,10 +468,10 @@ func TestAfterScoreHook(t *testing.T) {
 }
 
 func TestManifestPath(t *testing.T) {
-	if got := ManifestPath("model.gob"); got != "model.json" {
+	if got := engine.ManifestPath("model.gob"); got != "model.json" {
 		t.Fatalf("ManifestPath = %s", got)
 	}
-	if got := ManifestPath("weird"); got != "weird.json" {
+	if got := engine.ManifestPath("weird"); got != "weird.json" {
 		t.Fatalf("ManifestPath = %s", got)
 	}
 }

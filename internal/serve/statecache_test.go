@@ -7,36 +7,38 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // TestHistoryKeyDiscriminates: the history hash must change whenever any
 // encoder input changes — user features, sequence features, or which topic a
 // behavior belongs to — and must be stable for identical requests.
 func TestHistoryKeyDiscriminates(t *testing.T) {
-	base := HistoryKey(validRequest())
-	if base != HistoryKey(validRequest()) {
+	base := engine.HistoryKey(validRequest())
+	if base != engine.HistoryKey(validRequest()) {
 		t.Fatal("HistoryKey not deterministic")
 	}
 	user := validRequest()
 	user.UserFeatures[0] += 0.5
-	if HistoryKey(user) == base {
+	if engine.HistoryKey(user) == base {
 		t.Fatal("user-feature change did not change the key")
 	}
 	seq := validRequest()
 	seq.TopicSequences[0][0].Features[1] += 0.5
-	if HistoryKey(seq) == base {
+	if engine.HistoryKey(seq) == base {
 		t.Fatal("sequence-feature change did not change the key")
 	}
 	moved := validRequest()
 	moved.TopicSequences[0], moved.TopicSequences[1] = moved.TopicSequences[1], moved.TopicSequences[0]
-	if HistoryKey(moved) == base {
+	if engine.HistoryKey(moved) == base {
 		t.Fatal("moving a behavior to another topic did not change the key")
 	}
 	// Items are deliberately NOT part of the history hash: the candidate list
 	// does not feed the user-preference encoder.
 	items := validRequest()
 	items.Items[0].Features[0] += 0.5
-	if HistoryKey(items) != base {
+	if engine.HistoryKey(items) != base {
 		t.Fatal("candidate-item change leaked into the history key")
 	}
 }
@@ -52,7 +54,7 @@ func TestStateCacheServesRepeatUser(t *testing.T) {
 
 	scoresOf := func(raw []byte) []float64 {
 		t.Helper()
-		var resp RerankResponse
+		var resp engine.Response
 		if err := json.Unmarshal(raw, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +116,7 @@ func TestStateCacheServesRepeatUser(t *testing.T) {
 func TestStateCacheBatchEnvelope(t *testing.T) {
 	s := testServer(t, Config{StateCacheBytes: 1 << 20})
 	h := s.Handler()
-	env := RerankBatchRequest{Requests: []RerankRequest{*validRequest(), *validRequest()}}
+	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *validRequest()}}
 	body := mustJSON(t, env)
 
 	first := postBatch(t, h, body)
@@ -169,7 +171,7 @@ func TestStateCacheConcurrentStress(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("seed request for user %d: status %d", u, w.Code)
 		}
-		var resp RerankResponse
+		var resp engine.Response
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +207,7 @@ func TestStateCacheConcurrentStress(t *testing.T) {
 					errc <- fmt.Errorf("user %d: status %d", u, w.Code)
 					return
 				}
-				var resp RerankResponse
+				var resp engine.Response
 				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 					errc <- err
 					return

@@ -1,8 +1,10 @@
 package serve
 
+import "repro/internal/engine"
+
 // HTTP-only wire types. The request/response bodies themselves are the
-// engine's transport-neutral types (see aliases.go); what remains here is
-// the envelope shapes that exist only on the HTTP surface.
+// engine's transport-neutral types (engine.Request, engine.Response); what
+// remains here is the envelope shapes that exist only on the HTTP surface.
 
 // ReadyStatus is the JSON body of GET /readyz. The bare status-code
 // contract is unchanged — 200 while accepting traffic, 503 once drain has
@@ -19,14 +21,14 @@ type ReadyStatus struct {
 }
 
 // RerankBatchRequest is the wire format of POST /v1/rerank:batch: up to
-// MaxBatchRequests independent re-rank requests scored as one envelope.
+// engine.MaxBatchRequests independent re-rank requests scored as one envelope.
 type RerankBatchRequest struct {
-	Requests []RerankRequest `json:"requests"`
+	Requests []engine.Request `json:"requests"`
 }
 
 // RerankBatchResponse carries one response per request, in request order.
 // Items degrade independently: inspect each response's Degraded/Error
 // rather than an envelope-level status.
 type RerankBatchResponse struct {
-	Responses []RerankResponse `json:"responses"`
+	Responses []engine.Response `json:"responses"`
 }

@@ -4,28 +4,29 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/serve"
 )
 
-// Serving (internal/serve). NewServer wraps a trained model in the hardened
-// HTTP serving layer — deadline/degradation envelope, micro-batched scoring
-// and the versioned v1 endpoints (POST /v1/rerank, POST /v1/rerank:batch,
-// with POST /rerank kept as an alias).
+// Serving (internal/serve over internal/engine). NewServer wraps a trained
+// model in the hardened HTTP serving layer — deadline/degradation envelope,
+// bounded scoring pool and the versioned v1 endpoints (POST /v1/rerank, POST
+// /v1/rerank:batch).
 type (
 	// Server is the hardened re-ranking HTTP server.
 	Server = serve.Server
 	// Scorer is the context-aware scoring interface the server accepts.
-	Scorer = serve.Scorer
+	Scorer = engine.Scorer
 	// BatchScorer is the optional batched extension of Scorer.
-	BatchScorer = serve.BatchScorer
+	BatchScorer = engine.BatchScorer
 	// RerankRequest is the wire form of one re-ranking request.
-	RerankRequest = serve.RerankRequest
+	RerankRequest = engine.Request
 	// RerankItem is one candidate item on the wire.
-	RerankItem = serve.RerankItem
+	RerankItem = engine.Item
 	// SeqItemWire is one behavior-sequence item on the wire.
-	SeqItemWire = serve.SeqItemWire
+	SeqItemWire = engine.SeqItem
 	// RerankResponse is the wire form of one re-ranking response.
-	RerankResponse = serve.RerankResponse
+	RerankResponse = engine.Response
 	// RerankBatchRequest is the /v1/rerank:batch envelope.
 	RerankBatchRequest = serve.RerankBatchRequest
 	// RerankBatchResponse answers a batch envelope item by item.
@@ -35,7 +36,7 @@ type (
 // AdaptReranker lifts a legacy Reranker (its Scores method has no context)
 // into the context-aware Scorer interface, including a sequential
 // ScoreBatch. RAPID models implement Scorer natively and do not need it.
-func AdaptReranker(r Reranker) Scorer { return serve.Adapt(r) }
+func AdaptReranker(r Reranker) Scorer { return engine.Adapt(r) }
 
 // serverOptions collects what the functional options below configure.
 type serverOptions struct {
@@ -53,19 +54,8 @@ func WithDeadline(d time.Duration) ServerOption {
 	return func(o *serverOptions) { o.cfg.Budget = d }
 }
 
-// WithBatching bounds the micro-batching coalescer: at most maxBatch
-// concurrent requests are scored in one batched forward pass, and no
-// request waits more than maxWait for batch-mates (defaults 16, 2ms).
-// maxBatch 1 disables coalescing.
-func WithBatching(maxBatch int, maxWait time.Duration) ServerOption {
-	return func(o *serverOptions) {
-		o.cfg.Batch.MaxBatch = maxBatch
-		o.cfg.Batch.MaxWait = maxWait
-	}
-}
-
-// WithBatchWorkers sets the number of scoring workers draining batches
-// (default max(2, GOMAXPROCS)).
+// WithBatchWorkers sets the number of scoring workers (default max(2,
+// GOMAXPROCS)).
 func WithBatchWorkers(n int) ServerOption {
 	return func(o *serverOptions) { o.cfg.Batch.Workers = n }
 }
@@ -126,26 +116,24 @@ func WithBinaryListener(ln net.Listener) ServerOption {
 	return func(o *serverOptions) { o.cfg.BinaryListener = ln }
 }
 
-// NewServer wraps a RAPID model in the serving layer. The model scores
-// through the batched inference engine: concurrent requests coalesce into
-// one forward pass whose per-step GEMMs carry all batch members at once.
+// NewServer wraps a RAPID model in the serving layer. Every request goes
+// straight to a scoring worker and is answered inside the deadline, by the
+// model or — on overrun — by the initial order.
 //
-//	srv := rapid.NewServer(model,
-//	    rapid.WithDeadline(50*time.Millisecond),
-//	    rapid.WithBatching(16, 2*time.Millisecond))
+//	srv := rapid.NewServer(model, rapid.WithDeadline(50*time.Millisecond))
 //	http.ListenAndServe(":8080", srv.Handler())
 func NewServer(model *Model, opts ...ServerOption) *Server {
 	o := serverOptions{dataset: "custom"}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	man := serve.Manifest{Dataset: o.dataset, Config: model.Cfg}
+	man := engine.Manifest{Dataset: o.dataset, Config: model.Cfg}
 	if len(o.tenants) > 0 {
-		tenants := make(serve.StaticTenants, len(o.tenants))
+		tenants := make(engine.StaticTenants, len(o.tenants))
 		for name, m := range o.tenants {
-			tenants[name] = serve.StaticProvider(serve.Pinned{
+			tenants[name] = engine.StaticProvider(engine.Pinned{
 				Scorer:   m,
-				Manifest: serve.Manifest{Dataset: o.dataset + "/" + name, Config: m.Cfg},
+				Manifest: engine.Manifest{Dataset: o.dataset + "/" + name, Config: m.Cfg},
 			})
 		}
 		o.cfg.Tenants = tenants
