@@ -100,7 +100,9 @@ bench:
 # inference forward cold, warm, batched and the preference pass alone, beside
 # Logits on a tape as the yardstick. TaobaoLike geometry, 20-item lists. And
 # the request codec's (internal/engine/wirejson_test.go): the schema decoder
-# and the router's skim beside encoding/json on a pool-shaped request.
+# and the router's skim beside encoding/json on a pool-shaped request. And the
+# engine end to end (internal/engine/engine_test.go): one request, and one
+# envelope of 16 — the only committed reading of the envelope path.
 bench-core:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/engine
 

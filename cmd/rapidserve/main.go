@@ -46,9 +46,9 @@
 // with graceful degradation to the initial-ranker order, bounded
 // concurrency with 429 load shedding, panic recovery, request-size caps,
 // and SIGINT/SIGTERM graceful drain. Every request goes straight to one of
-// -batch-workers scoring workers; an envelope scores in runs that always
-// follow the registry pin, so a canary never shares a ScoreBatch call with
-// the active version.
+// -batch-workers scoring workers; every item of an envelope is its own job
+// on its own registry pin, so a canary item is never scored by the active
+// version.
 //
 // The request must carry everything the model consumes (features, topic
 // coverage, per-topic behavior sequences), mirroring rerank.Instance:

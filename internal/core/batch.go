@@ -26,9 +26,10 @@ func (m *Model) Score(ctx context.Context, inst *rerank.Instance) ([]float64, er
 	return out[0], nil
 }
 
-// ScoreBatch implements serve.BatchScorer: it scores B instances, which may
-// differ in list length and behavior-sequence lengths. The context is
-// checked between recurrence steps, so cancellation actually stops the work.
+// ScoreBatch scores B instances, which may differ in list length and
+// behavior-sequence lengths. The context is checked between recurrence
+// steps, so cancellation actually stops the work. The engine scores one
+// instance a call; the benchmark's probes still call this directly.
 func (m *Model) ScoreBatch(ctx context.Context, insts []*rerank.Instance) ([][]float64, error) {
 	out, _, err := m.ScoreBatchStates(ctx, insts, nil)
 	return out, err

@@ -7,16 +7,12 @@ import (
 	"repro/internal/rerank"
 )
 
-// Scorer adapts a Diversifier to the serving layer's context-aware
-// Scorer/BatchScorer contract (structurally — this package does not import
-// serve), so a diversifier version can be loaded, warm-up validated,
-// canaried, shadow-compared and batched exactly like a RAPID model. The
-// scores it returns are rank scores (n..1 over the diversified order), which
-// the serving layer's descending-score ordering turns back into the
-// diversified ranking.
-//
-// Scorer is a pointer type on purpose: the engine groups an envelope's items
-// by scorer identity, which requires comparability.
+// Scorer adapts a Diversifier to the serving layer's context-aware Scorer
+// contract (structurally — this package does not import serve), so a
+// diversifier version can be loaded, warm-up validated, canaried and
+// shadow-compared exactly like a RAPID model. The scores it returns are rank
+// scores (n..1 over the diversified order), which the serving layer's
+// descending-score ordering turns back into the diversified ranking.
 type Scorer struct {
 	Diversifier Diversifier
 	// Lambda is the relevance/diversity trade-off this serving instance
@@ -55,22 +51,6 @@ func (s *Scorer) Score(ctx context.Context, inst *rerank.Instance) ([]float64, e
 		return nil, fmt.Errorf("diversifier %s: %w", s.Diversifier.Name(), err)
 	}
 	return GreedyScores(order, n), nil
-}
-
-// ScoreBatch implements serve.BatchScorer: a per-instance loop (greedy
-// re-ranking has no cross-instance batching win) that checks the context
-// between instances, so batch scoring still observes cancellation at
-// instance granularity.
-func (s *Scorer) ScoreBatch(ctx context.Context, insts []*rerank.Instance) ([][]float64, error) {
-	out := make([][]float64, len(insts))
-	for i, inst := range insts {
-		scores, err := s.Score(ctx, inst)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = scores
-	}
-	return out, nil
 }
 
 // validOrder checks that order is a permutation of [0, n).

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -13,11 +12,8 @@ import (
 	"repro/internal/rerank"
 )
 
-// The adapter must satisfy the serving layer's contracts structurally.
-var (
-	_ engine.Scorer      = (*diversify.Scorer)(nil)
-	_ engine.BatchScorer = (*diversify.Scorer)(nil)
-)
+// The adapter must satisfy the serving layer's contract structurally.
+var _ engine.Scorer = (*diversify.Scorer)(nil)
 
 // TestNewScorerRegistry: every registered name builds a serving adapter with
 // the registry-label naming convention; unknown names are rejected.
@@ -69,8 +65,8 @@ func TestScorerRankScores(t *testing.T) {
 	}
 }
 
-// TestScorerContextCanceled: a canceled context fails fast on both the
-// single and the batch path — the engine's scoring workers rely on it.
+// TestScorerContextCanceled: a canceled context fails fast — the engine's
+// scoring workers rely on it.
 func TestScorerContextCanceled(t *testing.T) {
 	sc, err := diversify.NewScorer("mmr", 0.5)
 	if err != nil {
@@ -81,38 +77,6 @@ func TestScorerContextCanceled(t *testing.T) {
 	inst := randomInstance(rand.New(rand.NewSource(1)), 5, 3, 3)
 	if _, err := sc.Score(ctx, inst); err != context.Canceled {
 		t.Fatalf("Score on canceled ctx: err = %v, want context.Canceled", err)
-	}
-	if _, err := sc.ScoreBatch(ctx, []*rerank.Instance{inst}); err != context.Canceled {
-		t.Fatalf("ScoreBatch on canceled ctx: err = %v, want context.Canceled", err)
-	}
-}
-
-// TestScoreBatchMatchesScore: the batch path is exactly the per-instance
-// path — no cross-instance state leaks through the shared diversifier.
-func TestScoreBatchMatchesScore(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for _, name := range diversify.Names() {
-		sc, err := diversify.NewScorer(name, 0.7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		insts := make([]*rerank.Instance, 8)
-		for i := range insts {
-			insts[i] = randomInstance(rng, 2+rng.Intn(12), 1+rng.Intn(4), 3)
-		}
-		batch, err := sc.ScoreBatch(context.Background(), insts)
-		if err != nil {
-			t.Fatalf("%s: ScoreBatch: %v", name, err)
-		}
-		for i, inst := range insts {
-			single, err := sc.Score(context.Background(), inst)
-			if err != nil {
-				t.Fatalf("%s: Score: %v", name, err)
-			}
-			if !reflect.DeepEqual(batch[i], single) {
-				t.Fatalf("%s inst %d: batch %v != single %v", name, i, batch[i], single)
-			}
-		}
 	}
 }
 

@@ -11,9 +11,9 @@
 //     of erroring;
 //   - bounded concurrency: a semaphore with a bounded queue wait sheds
 //     excess load (*ShedError) rather than queueing unboundedly;
-//   - one scoring pool: a request's job goes straight to a worker and never
-//     waits for batch-mates; a RerankBatch envelope scores each of its
-//     same-pin runs in one ScoreBatch call;
+//   - one scoring pool whose unit of work is one scored list: a request's
+//     job goes straight to a worker and never waits for batch-mates, and a
+//     RerankBatch envelope is one such job per item;
 //   - an optional encoded user-state cache (the repeat-user fast path);
 //   - multi-tenancy: a request may name a resident tenant scorer
 //     (Config.Tenants), with per-tenant quotas and metrics.
@@ -72,7 +72,7 @@ type Config struct {
 	// a single /metrics namespace across subsystems.
 	Registry *obs.Registry
 	// Batch bounds the scoring pool; see BatchConfig. The zero value takes the
-	// defaults (envelope runs of at most 16, max(2, GOMAXPROCS) workers).
+	// default (max(2, GOMAXPROCS) workers).
 	Batch BatchConfig
 	// StateCacheBytes is the memory budget for the encoded user-state cache
 	// (the repeat-user fast path). 0, the default, disables the cache. The
@@ -109,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.Batch.MaxBatch <= 0 {
-		c.Batch.MaxBatch = 16
 	}
 	if c.Batch.Workers <= 0 {
 		c.Batch.Workers = max(2, runtime.GOMAXPROCS(0))
@@ -496,7 +493,7 @@ func (e *Engine) Rerank(ctx context.Context, req *Request) (Response, error) {
 	var cancel context.CancelFunc
 	j.ctx, cancel = context.WithTimeout(ctx, e.cfg.Budget)
 	defer cancel()
-	e.pool.dispatch([]*scoreJob{j})
+	e.pool.dispatch(j)
 
 	resp, outcome, err := e.await(ctx, j)
 	if err != nil {
@@ -572,20 +569,13 @@ func (e *Engine) RerankBatch(ctx context.Context, reqs []Request) ([]Response, e
 				<-e.sem
 			}
 		}()
+		// Every item is its own job on its own pin, all under the envelope's
+		// one scoring context.
 		sctx, cancel := context.WithTimeout(ctx, e.cfg.Budget)
 		defer cancel()
 		for _, j := range jobs {
 			j.ctx = sctx
-		}
-		// Contiguous same-pin runs, split at MaxBatch, go to the pool as they
-		// stand; a run never mixes pins.
-		for from := 0; from < len(jobs); {
-			to := from + 1
-			for to < len(jobs) && to-from < e.cfg.Batch.MaxBatch && samePin(jobs[from].pin, jobs[to].pin) {
-				to++
-			}
-			e.pool.dispatch(jobs[from:to:to])
-			from = to
+			e.pool.dispatch(j)
 		}
 		outcomes := make([]string, len(jobs))
 		for k, j := range jobs {

@@ -22,13 +22,12 @@ type Metrics struct {
 	Scoring     *obs.Histogram
 	Request     *obs.Histogram
 
-	BatchRequests *obs.Counter   // rerank-batch envelopes
-	BatchItems    *obs.Counter   // instances carried by those envelopes
-	BatchSize     *obs.Histogram // instances per dispatched scoring batch
+	BatchRequests *obs.Counter // rerank-batch envelopes
+	BatchItems    *obs.Counter // instances carried by those envelopes
 
 	DivRequests *obs.CounterVec   // scored jobs per diversifier
 	DivItems    *obs.CounterVec   // candidates re-ranked per diversifier
-	DivLatency  *obs.HistogramVec // batch wall-clock per diversifier
+	DivLatency  *obs.HistogramVec // scoring wall-clock per diversifier
 
 	Feedback   *obs.CounterVec // feedback events by terminal status
 	FeedbackOK *obs.Counter    // cached Feedback.With("accepted")
@@ -73,9 +72,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Multi-instance /v1/rerank:batch envelopes received."),
 		BatchItems: r.Counter("rapid_batch_items_total",
 			"Instances carried by /v1/rerank:batch envelopes."),
-		BatchSize: r.Histogram("rapid_batch_size",
-			"Instances per dispatched scoring batch (single requests count as 1).",
-			[]float64{1, 2, 4, 8, 16, 32, 64}),
 		// The diversifier family is registered even when only neural versions
 		// are resident, so a canary dashboard can tell "no diversifier traffic"
 		// (series at zero) from "metrics missing" — same eager-visibility rule

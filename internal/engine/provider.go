@@ -27,16 +27,11 @@ type Pinned struct {
 	// with the end-to-end latency. The model lifecycle layer feeds its
 	// per-version metrics and canary auto-rollback decision from here.
 	Observe func(outcome string, latency time.Duration)
-	// ShadowBatch, if non-nil, is invoked after a successful scoring pass
-	// with the request instances and the primary model's scores (each
-	// aligned with its instance's Items). The engine forwards whole scored
-	// batches, so shadow scoring reuses the batch shape instead of
-	// re-splitting per item. Implementations must not block: shadow work is
+	// Shadow, if non-nil, is invoked after each successful scoring pass with
+	// the request's instance and the primary model's scores (aligned with
+	// the instance's Items). Implementations must not block: shadow work is
 	// scored asynchronously off the request path and shed under pressure.
-	ShadowBatch func(insts []*rerank.Instance, scores [][]float64)
-	// ShadowVersion labels the candidate ShadowBatch feeds; one ShadowBatch
-	// call only carries jobs whose pins shadow the same candidate.
-	ShadowVersion string
+	Shadow func(inst *rerank.Instance, scores []float64)
 }
 
 // Provider hands the engine a model per request. It is the seam between the

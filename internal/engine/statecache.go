@@ -11,14 +11,14 @@ import (
 	"repro/internal/rerank"
 )
 
-// StateScorer is the optional encoded-user-state contract: score a batch
+// StateScorer is the optional encoded-user-state contract: score instances
 // where states[i], when non-nil, replaces instance i's user-preference
 // encoding, and return the states actually used so the caller can cache the
 // fresh ones. *core.Model implements it; the scoring workers route through it
-// whenever the engine's state cache is enabled and the pinned scorer
-// supports it.
+// — one instance a call — whenever the engine's state cache is enabled and
+// the pinned scorer supports it.
 type StateScorer interface {
-	BatchScorer
+	Scorer
 	ScoreBatchStates(ctx context.Context, insts []*rerank.Instance, states []*core.UserState) ([][]float64, []*core.UserState, error)
 }
 

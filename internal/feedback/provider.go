@@ -11,9 +11,7 @@ import (
 // BanditProvider puts the λ bandit on the request path: it wraps the
 // registry provider and serves a configured share of traffic through the
 // policy's chosen diversifier arm instead of the active model version. Arm
-// scorers are built once at construction — one comparable *diversify.Scorer
-// per arm — so an envelope's bandit items share a ScoreBatch call per arm
-// exactly like any other version's.
+// scorers are built once at construction, one *diversify.Scorer per arm.
 //
 // The bandit split hashes the route key (splitmix64) before the percent
 // comparison, so it is statistically independent of the registry's canary
@@ -72,8 +70,7 @@ func (p *BanditProvider) Pick(key uint64) engine.Pinned {
 		// counters (it would dilute the auto-rollback comparison) and never
 		// shadow-scores: the bandit's own feedback loop is its evaluation.
 		pin.Observe = nil
-		pin.ShadowBatch = nil
-		pin.ShadowVersion = ""
+		pin.Shadow = nil
 		return pin
 	}
 	return p.base.Pick(key)

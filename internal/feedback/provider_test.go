@@ -49,7 +49,7 @@ func TestBanditProviderSplit(t *testing.T) {
 		if _, ok := pol.ArmIndex(pin.Version); !ok {
 			t.Fatalf("arm label %q does not resolve", pin.Version)
 		}
-		if pin.Canary || pin.Observe != nil || pin.ShadowBatch != nil {
+		if pin.Canary || pin.Observe != nil || pin.Shadow != nil {
 			t.Fatalf("arm pin must not carry canary/lifecycle hooks: %+v", pin)
 		}
 		if pin.Scorer == nil {

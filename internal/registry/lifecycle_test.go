@@ -33,16 +33,6 @@ func (s offsetScorer) Score(_ context.Context, inst *rerank.Instance) ([]float64
 	return s.scores(inst), nil
 }
 
-// ScoreBatch makes offsetScorer an engine.BatchScorer, so the live-traffic
-// churn test's envelopes exercise the multi-instance scoring path too.
-func (s offsetScorer) ScoreBatch(_ context.Context, insts []*rerank.Instance) ([][]float64, error) {
-	out := make([][]float64, len(insts))
-	for i, inst := range insts {
-		out[i] = s.scores(inst)
-	}
-	return out, nil
-}
-
 func (s offsetScorer) scores(inst *rerank.Instance) []float64 {
 	out := make([]float64, len(inst.Items))
 	for i := range out {

@@ -30,9 +30,10 @@ type Config struct {
 	// Shadow enables asynchronous shadow scoring of the candidate on a
 	// bounded worker pool (default off).
 	Shadow bool
-	// ShadowWorkers and ShadowQueue bound the shadow pool (defaults 2 and
-	// 64). When the queue is full, shadow work is shed and counted — never
-	// queued unboundedly and never allowed to delay responses.
+	// ShadowWorkers and ShadowQueue bound the shadow pool (defaults 2
+	// workers and a queue of 64 instances). When the queue is full, shadow
+	// work is shed and counted — never queued unboundedly and never allowed
+	// to delay responses.
 	ShadowWorkers int
 	ShadowQueue   int
 	// ShadowK is the ranking depth for the shadow divergence metrics
@@ -222,9 +223,8 @@ func (r *Registry) Pick(key uint64) engine.Pinned {
 	pin := r.pinOf(v, canary)
 	if !canary && st.candidate != nil && r.shadow != nil {
 		cand := st.candidate
-		pin.ShadowVersion = cand.label
-		pin.ShadowBatch = func(insts []*rerank.Instance, scores [][]float64) {
-			r.shadow.submitBatch(cand, insts, scores)
+		pin.Shadow = func(inst *rerank.Instance, scores []float64) {
+			r.shadow.submit(cand, inst, scores)
 		}
 	}
 	return pin

@@ -5,29 +5,25 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/rerank"
 )
 
-// shadowJob is one batch of requests to score against the candidate off the
-// request path: the instances the active model just served and the primary
-// scores (each aligned with its instance's Items). The serving layer
-// forwards whole scored batches, so shadow scoring reuses the batch shape —
-// one queue slot and, when the candidate batches, one ScoreBatch call.
+// shadowJob is one request to score against the candidate off the request
+// path: the instance the active model just served and the primary scores
+// (aligned with the instance's Items).
 type shadowJob struct {
 	cand    *version
-	insts   []*rerank.Instance
-	primary [][]float64
+	inst    *rerank.Instance
+	primary []float64
 }
 
 // shadowPool scores shadow jobs on a fixed set of workers behind a bounded
-// queue. Submission never blocks: when the queue is full the batch is shed
-// and every instance it carried is counted. The choice to shed rather than
-// queue is deliberate — shadow scoring is an observability signal, and an
-// unbounded queue would convert a slow candidate into unbounded memory
-// growth and stale divergence numbers. A shed sample only widens the
-// confidence interval.
+// queue. Submission never blocks: when the queue is full the instance is shed
+// and counted. The choice to shed rather than queue is deliberate — shadow
+// scoring is an observability signal, and an unbounded queue would convert a
+// slow candidate into unbounded memory growth and stale divergence numbers.
+// A shed sample only widens the confidence interval.
 type shadowPool struct {
 	jobs chan shadowJob
 	wg   sync.WaitGroup
@@ -50,13 +46,13 @@ func newShadowPool(workers, queue, k int, met *lifecycleMetrics, log func(string
 	return p
 }
 
-// submitBatch enqueues one shadow batch or sheds it; it never blocks the
+// submit enqueues one shadow instance or sheds it; it never blocks the
 // caller (a serving-layer scoring worker).
-func (p *shadowPool) submitBatch(cand *version, insts []*rerank.Instance, primary [][]float64) {
+func (p *shadowPool) submit(cand *version, inst *rerank.Instance, primary []float64) {
 	select {
-	case p.jobs <- shadowJob{cand: cand, insts: insts, primary: primary}:
+	case p.jobs <- shadowJob{cand: cand, inst: inst, primary: primary}:
 	default:
-		p.met.shadowShed.Add(int64(len(insts)))
+		p.met.shadowShed.Inc()
 	}
 }
 
@@ -66,11 +62,10 @@ func (p *shadowPool) close() {
 	p.wg.Wait()
 }
 
-// score runs one shadow batch: incompatible instances are filtered, the
-// rest score through the candidate (batched when it supports ScoreBatch),
-// and each instance's divergence metrics land individually. A panicking
-// candidate is counted, never propagated — shadow mode must be unable to
-// hurt the serving process.
+// score runs one shadow job: an instance the candidate's geometry cannot
+// take is counted and dropped, otherwise it scores through the candidate and
+// its divergence metrics land. A panicking candidate is counted, never
+// propagated — shadow mode must be unable to hurt the serving process.
 func (p *shadowPool) score(job shadowJob) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -78,50 +73,22 @@ func (p *shadowPool) score(job shadowJob) {
 			p.log("registry: recovered shadow scoring panic on %s: %v", job.cand.label, r)
 		}
 	}()
-	cfg := job.cand.man.Config
-	insts := make([]*rerank.Instance, 0, len(job.insts))
-	primary := make([][]float64, 0, len(job.insts))
-	for i, inst := range job.insts {
-		if cfg.UserDim != len(inst.UserFeat) || cfg.Topics != inst.M ||
-			(len(inst.Items) > 0 && cfg.ItemDim != len(inst.ItemFeat(inst.Items[0]))) {
-			// The instance was validated against the active model's geometry;
-			// a candidate with a different one cannot score it. Canary traffic
-			// still evaluates such a candidate (its requests validate against
-			// its own manifest).
-			p.met.shadowIncompatible.Inc()
-			continue
-		}
-		insts = append(insts, inst)
-		primary = append(primary, job.primary[i])
-	}
-	if len(insts) == 0 {
+	cfg, inst := job.cand.man.Config, job.inst
+	if cfg.UserDim != len(inst.UserFeat) || cfg.Topics != inst.M ||
+		(len(inst.Items) > 0 && cfg.ItemDim != len(inst.ItemFeat(inst.Items[0]))) {
+		// The instance was validated against the active model's geometry; a
+		// candidate with a different one cannot score it. Canary traffic still
+		// evaluates such a candidate (its requests validate against its own
+		// manifest).
+		p.met.shadowIncompatible.Inc()
 		return
 	}
-	var scores [][]float64
-	if bs, ok := job.cand.scorer.(engine.BatchScorer); ok && len(insts) > 1 {
-		res, err := bs.ScoreBatch(context.Background(), insts)
-		if err != nil || len(res) != len(insts) {
-			p.met.shadowErrors.Inc()
-			return
-		}
-		scores = res
-	} else {
-		scores = make([][]float64, len(insts))
-		for i, inst := range insts {
-			s, err := job.cand.scorer.Score(context.Background(), inst)
-			if err != nil {
-				p.met.shadowErrors.Inc()
-				continue // s stays nil; compare skips it
-			}
-			scores[i] = s
-		}
+	scores, err := job.cand.scorer.Score(context.Background(), inst)
+	if err != nil {
+		p.met.shadowErrors.Inc()
+		return
 	}
-	for i, inst := range insts {
-		if scores[i] == nil {
-			continue
-		}
-		p.compare(inst, primary[i], scores[i])
-	}
+	p.compare(inst, job.primary, scores)
 }
 
 // compare lands one instance's shadow comparison: candidate-vs-primary score

@@ -51,17 +51,14 @@ func TestShadowScoresCandidateOffPath(t *testing.T) {
 	if pin.Canary {
 		t.Fatal("unexpected canary pick")
 	}
-	if pin.ShadowBatch == nil {
+	if pin.Shadow == nil {
 		t.Fatal("non-canary pick has no shadow hook while a candidate is staged")
-	}
-	if pin.ShadowVersion != "v2" {
-		t.Fatalf("shadow version %q, want v2", pin.ShadowVersion)
 	}
 
 	inst := shadowInstance(t)
 	primary := stubScorer{name: "v1"}.Scores(inst)
 	for i := 0; i < 8; i++ {
-		pin.ShadowBatch([]*rerank.Instance{inst}, [][]float64{primary})
+		pin.Shadow(inst, primary)
 	}
 	r.Close() // drains the pool
 	scored := r.met.shadowScored.Value()
@@ -121,7 +118,7 @@ func TestShadowShedsWhenSaturated(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 50; i++ {
-			pin.ShadowBatch([]*rerank.Instance{inst}, [][]float64{primary})
+			pin.Shadow(inst, primary)
 		}
 		close(done)
 	}()
@@ -184,7 +181,7 @@ func TestShadowSkipsIncompatibleGeometry(t *testing.T) {
 	}
 	pin := r.Pick(0)
 	inst := shadowInstance(t)
-	pin.ShadowBatch([]*rerank.Instance{inst}, [][]float64{stubScorer{name: "v1"}.Scores(inst)})
+	pin.Shadow(inst, stubScorer{name: "v1"}.Scores(inst))
 	r.Close()
 	if got := r.met.shadowIncompatible.Value(); got != 1 {
 		t.Fatalf("incompatible counter %d, want 1", got)
@@ -212,7 +209,7 @@ func TestShadowRecoversPanickingCandidate(t *testing.T) {
 	pin := r.Pick(0)
 	inst := shadowInstance(t)
 	primary := stubScorer{name: "v1"}.Scores(inst)
-	pin.ShadowBatch([]*rerank.Instance{inst}, [][]float64{primary})
+	pin.Shadow(inst, primary)
 	r.Close()
 	if got := r.met.shadowErrors.Value(); got != 1 {
 		t.Fatalf("shadow errors %d, want 1 (recovered panic)", got)

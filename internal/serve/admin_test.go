@@ -168,22 +168,6 @@ func TestAdminAbsentWithoutConfig(t *testing.T) {
 		t.Fatalf("admin surface present without Config.Admin: status %d", w.Code)
 	}
 }
-func TestRouteKeyDeterministicAndSensitive(t *testing.T) {
-	a := validRequest()
-	b := validRequest()
-	if engine.RouteKey(a) != engine.RouteKey(b) {
-		t.Fatal("identical requests produced different routing keys")
-	}
-	b.UserFeatures[0] += 0.5
-	if engine.RouteKey(a) == engine.RouteKey(b) {
-		t.Fatal("routing key ignores user features")
-	}
-	c := validRequest()
-	c.Items[0].ID = 99
-	if engine.RouteKey(a) == engine.RouteKey(c) {
-		t.Fatal("routing key ignores item ids")
-	}
-}
 
 func TestProviderPinFlowsToResponse(t *testing.T) {
 	// A provider-labeled pin must surface in the response wire format and

@@ -132,8 +132,7 @@ func TestHandleRerankBatchPerItemDegraded(t *testing.T) {
 }
 
 // TestAdaptBaselinesBatchBitwise: for every baseline reranker, the
-// context-aware adapter's Score and ScoreBatch reproduce the legacy Scores
-// path bitwise — batch-of-1 and a mixed batch alike.
+// context-aware adapter's Score reproduces the legacy Scores path bitwise.
 func TestAdaptBaselinesBatchBitwise(t *testing.T) {
 	rerankers := []rerank.Reranker{
 		baselines.NewMMR(),
@@ -173,21 +172,6 @@ func TestAdaptBaselinesBatchBitwise(t *testing.T) {
 				}
 				assertBitwiseEq(t, fmt.Sprintf("Score(inst %d)", i), got, want[i])
 			}
-			batch, err := sc.(engine.BatchScorer).ScoreBatch(context.Background(), insts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(batch) != len(insts) {
-				t.Fatalf("ScoreBatch returned %d score sets for %d instances", len(batch), len(insts))
-			}
-			for i := range insts {
-				assertBitwiseEq(t, fmt.Sprintf("ScoreBatch[%d]", i), batch[i], want[i])
-			}
-			one, err := sc.(engine.BatchScorer).ScoreBatch(context.Background(), insts[:1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitwiseEq(t, "batch-of-1", one[0], want[0])
 		})
 	}
 }
@@ -204,9 +188,6 @@ func TestAdaptCancellation(t *testing.T) {
 	sc := engine.Adapt(baselines.NewMMR())
 	if _, err := sc.Score(ctx, inst); err != context.Canceled {
 		t.Fatalf("Score under canceled ctx: %v", err)
-	}
-	if _, err := sc.(engine.BatchScorer).ScoreBatch(ctx, []*rerank.Instance{inst}); err != context.Canceled {
-		t.Fatalf("ScoreBatch under canceled ctx: %v", err)
 	}
 }
 

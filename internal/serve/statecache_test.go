@@ -11,38 +11,6 @@ import (
 	"repro/internal/engine"
 )
 
-// TestHistoryKeyDiscriminates: the history hash must change whenever any
-// encoder input changes — user features, sequence features, or which topic a
-// behavior belongs to — and must be stable for identical requests.
-func TestHistoryKeyDiscriminates(t *testing.T) {
-	base := engine.HistoryKey(validRequest())
-	if base != engine.HistoryKey(validRequest()) {
-		t.Fatal("HistoryKey not deterministic")
-	}
-	user := validRequest()
-	user.UserFeatures[0] += 0.5
-	if engine.HistoryKey(user) == base {
-		t.Fatal("user-feature change did not change the key")
-	}
-	seq := validRequest()
-	seq.TopicSequences[0][0].Features[1] += 0.5
-	if engine.HistoryKey(seq) == base {
-		t.Fatal("sequence-feature change did not change the key")
-	}
-	moved := validRequest()
-	moved.TopicSequences[0], moved.TopicSequences[1] = moved.TopicSequences[1], moved.TopicSequences[0]
-	if engine.HistoryKey(moved) == base {
-		t.Fatal("moving a behavior to another topic did not change the key")
-	}
-	// Items are deliberately NOT part of the history hash: the candidate list
-	// does not feed the user-preference encoder.
-	items := validRequest()
-	items.Items[0].Features[0] += 0.5
-	if engine.HistoryKey(items) != base {
-		t.Fatal("candidate-item change leaked into the history key")
-	}
-}
-
 // TestStateCacheServesRepeatUser is the end-to-end warm path: the second
 // identical request must hit the cache and return byte-identical scores, and
 // a lifecycle flush must both count an invalidation and leave scores exactly

@@ -17,8 +17,6 @@ type (
 	Server = serve.Server
 	// Scorer is the context-aware scoring interface the server accepts.
 	Scorer = engine.Scorer
-	// BatchScorer is the optional batched extension of Scorer.
-	BatchScorer = engine.BatchScorer
 	// RerankRequest is the wire form of one re-ranking request.
 	RerankRequest = engine.Request
 	// RerankItem is one candidate item on the wire.
@@ -34,8 +32,8 @@ type (
 )
 
 // AdaptReranker lifts a legacy Reranker (its Scores method has no context)
-// into the context-aware Scorer interface, including a sequential
-// ScoreBatch. RAPID models implement Scorer natively and do not need it.
+// into the context-aware Scorer interface. RAPID models implement Scorer
+// natively and do not need it.
 func AdaptReranker(r Reranker) Scorer { return engine.Adapt(r) }
 
 // serverOptions collects what the functional options below configure.
