@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	rapidbench -exp table2a [-scale 0.2] [-seed 42] [-quiet]
+//	rapidbench -exp table2a [-scale 0.2] [-seed 42]
 //
 // Experiments: table2a table2b table2c table3 table4 table5 table6
 // fig3 fig4 fig5 regret divfn robust extended personal all
@@ -22,7 +22,6 @@ func main() {
 		exp    = flag.String("exp", "all", "experiment id (table2a..c, table3..6, fig3..5, regret, divfn, robust, extended, personal, all)")
 		scale  = flag.Float64("scale", 0.25, "dataset scale factor (1.0 = full harness size)")
 		seed   = flag.Int64("seed", 42, "random seed")
-		quiet  = flag.Bool("quiet", false, "suppress progress logging")
 		asJSON = flag.Bool("json", false, "emit tables as JSON instead of aligned text")
 		svg    = flag.String("svg", "", "write the regret figure to this SVG path (regret experiment only)")
 	)
@@ -31,9 +30,7 @@ func main() {
 	opt := experiments.DefaultOptions()
 	opt.Scale = *scale
 	opt.Seed = *seed
-	if !*quiet {
-		opt.Log = os.Stderr
-	}
+	opt.Log = os.Stderr
 	emitJSON = *asJSON
 	svgPath = *svg
 	if err := run(*exp, opt, os.Stdout); err != nil {

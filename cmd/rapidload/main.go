@@ -7,6 +7,9 @@
 //	rapidload -target http://127.0.0.1:8090 -manifest model.json \
 //	  -rps 200 -duration 30s -max-error-rate 0
 //
+// -manifest is required: the manifest rapidtrain wrote beside the model is the
+// only source of the request geometry (feature dims, topic count).
+//
 // Each synthetic user has a deterministic feature vector, so the same user
 // always produces the same route key and lands on the same replica: the
 // Zipf skew therefore exercises the router's consistent-hash load shape,
@@ -40,10 +43,7 @@ import (
 func main() {
 	var (
 		target   = flag.String("target", "http://127.0.0.1:8090", "base URL of the router or replica under load")
-		manifest = flag.String("manifest", "", "model manifest JSON (from rapidtrain) supplying the request geometry")
-		userDim  = flag.Int("user-dim", 8, "user feature dims when no -manifest is given")
-		itemDim  = flag.Int("item-dim", 8, "item feature dims when no -manifest is given")
-		topics   = flag.Int("topics", 5, "topic count when no -manifest is given")
+		manifest = flag.String("manifest", "", "model manifest JSON (from rapidtrain) supplying the request geometry (required)")
 		listLen  = flag.Int("list-len", 10, "candidate list length per request")
 
 		rps      = flag.Float64("rps", 100, "open-loop arrival rate, requests per second")
@@ -59,21 +59,25 @@ func main() {
 		binary    = flag.String("binary", "", "fire the fleet-internal binary protocol at this TCP address instead of HTTP POST /v1/rerank (scores are bitwise-identical)")
 	)
 	flag.Parse()
-	if _, err := run(loadConfig{
-		target: *target, manifest: *manifest,
-		userDim: *userDim, itemDim: *itemDim, topics: *topics, listLen: *listLen,
+	cfg := loadConfig{
+		target: *target, listLen: *listLen,
 		rps: *rps, duration: *duration, users: *users, zipfS: *zipfS,
 		timeout: *timeout, seed: *seed, repeatUserPct: *repeat,
 		maxErrRate: *maxErrRat, feedbackPct: *feedback, binaryAddr: *binary,
-	}); err != nil {
+	}
+	err := cfg.readGeometry(*manifest)
+	if err == nil {
+		_, err = run(cfg)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "rapidload: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 type loadConfig struct {
-	target, manifest                  string
-	userDim, itemDim, topics, listLen int
+	target                            string
+	userDim, itemDim, topics, listLen int // the first three from the manifest
 	rps                               float64
 	duration                          time.Duration
 	users                             int
@@ -84,6 +88,24 @@ type loadConfig struct {
 	maxErrRate                        float64
 	feedbackPct                       float64
 	binaryAddr                        string
+}
+
+// readGeometry takes the request geometry from the manifest rapidtrain wrote
+// next to the model under load: requests of any other shape are 400s.
+func (c *loadConfig) readGeometry(manifest string) error {
+	if manifest == "" {
+		return errors.New("-manifest is required: it supplies the request geometry")
+	}
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		return err
+	}
+	var man engine.Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		return fmt.Errorf("manifest %s: %v", manifest, err)
+	}
+	c.userDim, c.itemDim, c.topics = man.Config.UserDim, man.Config.ItemDim, man.Config.Topics
+	return nil
 }
 
 // outcome tallies terminal request results under one mutex with the latency
@@ -102,19 +124,6 @@ type outcome struct {
 // run validates cfg, drives the load and prints the summary. The tallies come
 // back beside the error so a failed -max-error-rate run still reports them.
 func run(cfg loadConfig) (*outcome, error) {
-	if cfg.manifest != "" {
-		raw, err := os.ReadFile(cfg.manifest)
-		if err != nil {
-			return nil, err
-		}
-		var man engine.Manifest
-		if err := json.Unmarshal(raw, &man); err != nil {
-			return nil, fmt.Errorf("manifest %s: %v", cfg.manifest, err)
-		}
-		cfg.userDim = man.Config.UserDim
-		cfg.itemDim = man.Config.ItemDim
-		cfg.topics = man.Config.Topics
-	}
 	if cfg.rps <= 0 || cfg.users <= 0 || cfg.listLen <= 0 {
 		return nil, fmt.Errorf("rps, users and list-len must be positive")
 	}

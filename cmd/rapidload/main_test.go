@@ -5,10 +5,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -43,6 +46,28 @@ func validConfig() loadConfig {
 		userDim: 4, itemDim: 4, topics: 2, listLen: 3,
 		rps: 200, duration: 300 * time.Millisecond, users: 50, zipfS: 1.2,
 		timeout: time.Second, seed: 1, maxErrRate: 1,
+	}
+}
+
+// TestReadGeometry: the manifest is the only source of the request shape, so
+// a run without one is refused instead of firing requests the model rejects.
+func TestReadGeometry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.json")
+	raw, err := json.Marshal(engine.Manifest{Config: core.Config{UserDim: 13, ItemDim: 8, Topics: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var cfg loadConfig
+	if err := cfg.readGeometry(path); err != nil || cfg.userDim != 13 || cfg.itemDim != 8 || cfg.topics != 5 {
+		t.Fatalf("readGeometry = %v, geometry %d/%d/%d, want 13/8/5", err, cfg.userDim, cfg.itemDim, cfg.topics)
+	}
+	for _, bad := range []string{"", filepath.Join(t.TempDir(), "missing.json")} {
+		if err := cfg.readGeometry(bad); err == nil {
+			t.Errorf("readGeometry(%q) accepted", bad)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@
 //
 // Endpoints:
 //
-//	POST /rerank, /v1/rerank, /v1/rerank:batch — proxied to the fleet
+//	POST /v1/rerank, /v1/rerank:batch — proxied to the fleet
 //	GET  /healthz     — router liveness
 //	GET  /readyz      — 200 while at least one replica is admitted
 //	GET  /metrics     — rapid_router_* Prometheus text exposition
@@ -39,27 +39,23 @@ import (
 	"repro/internal/router"
 )
 
+// retryBackoffCap bounds the sleep between two attempts at one request. It is
+// handed to the router and sizes the edge's WriteTimeout, so the two agree.
+const retryBackoffCap = time.Second
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8090", "listen address")
 		replicas = flag.String("replicas", "", "comma-separated fleet: id=url pairs (or bare urls, given positional ids)")
-		vnodes   = flag.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
 		hedge    = flag.Duration("hedge", 0, "hedge delay: start a second attempt on the next replica if the owner has not answered (0 disables)")
 		attempt  = flag.Duration("attempt-timeout", 5*time.Second, "per-attempt timeout against one replica")
 
-		probeEvery   = flag.Duration("probe-interval", time.Second, "readiness probe period per replica")
-		probeTimeout = flag.Duration("probe-timeout", 500*time.Millisecond, "readiness probe timeout")
-		ejections    = flag.Int("probe-ejections", 2, "consecutive probe failures before a replica is ejected")
+		probeEvery = flag.Duration("probe-interval", time.Second, "readiness probe period per replica")
+		ejections  = flag.Int("probe-ejections", 2, "consecutive probe failures before a replica is ejected")
 
 		retries     = flag.Int("retries", 3, "max attempts per request including the primary")
 		retryBase   = flag.Duration("retry-base", 25*time.Millisecond, "base retry backoff (jittered, doubling)")
-		retryMax    = flag.Duration("retry-max", time.Second, "retry backoff cap; upstream Retry-After is honored up to this")
 		budgetRatio = flag.Float64("retry-budget", 0.1, "retry-budget earn rate: tokens deposited per primary request; each retry or hedge spends one")
-
-		brWindow  = flag.Duration("breaker-window", 10*time.Second, "sliding error-rate window per replica breaker")
-		brRate    = flag.Float64("breaker-rate", 0.5, "windowed failure fraction that opens a breaker")
-		brMin     = flag.Int("breaker-min-samples", 8, "fewest windowed samples before the error rate is trusted")
-		brOpenFor = flag.Duration("breaker-open-for", 2*time.Second, "how long an open breaker rejects before half-open probing")
 	)
 	flag.Parse()
 
@@ -68,26 +64,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rapidrouter: %v\n", err)
 		os.Exit(2)
 	}
+	if *retries <= 0 || *attempt <= 0 {
+		fmt.Fprintln(os.Stderr, "rapidrouter: -retries and -attempt-timeout must be positive")
+		os.Exit(2)
+	}
 	r, err := router.New(router.Config{
 		Replicas:       fleet,
-		VNodes:         *vnodes,
 		HedgeDelay:     *hedge,
 		AttemptTimeout: *attempt,
 		Health: router.HealthConfig{
 			Interval:  *probeEvery,
-			Timeout:   *probeTimeout,
 			Ejections: *ejections,
-		},
-		Breaker: router.BreakerConfig{
-			Window:      *brWindow,
-			FailureRate: *brRate,
-			MinSamples:  *brMin,
-			OpenFor:     *brOpenFor,
 		},
 		Retry: router.RetryConfig{
 			MaxAttempts: *retries,
 			BaseBackoff: *retryBase,
-			MaxBackoff:  *retryMax,
+			MaxBackoff:  retryBackoffCap,
 			BudgetRatio: *budgetRatio,
 		},
 		Log: log.Printf,
@@ -96,25 +88,43 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rapidrouter: %v\n", err)
 		os.Exit(2)
 	}
-	if err := serveRouter(r, *addr, fleet, *hedge); err != nil {
+	srv := newHTTPServer(*addr, r.Handler(), *retries, *attempt)
+	if err := serveRouter(r, srv, len(fleet), *hedge); err != nil {
 		fmt.Fprintf(os.Stderr, "rapidrouter: %v\n", err)
 		os.Exit(1)
 	}
 }
 
+// newHTTPServer builds the fleet's client-facing server with the read-side
+// timeouts internal/serve gives a replica — without them one slow-loris
+// client wedges the edge — and a WriteTimeout sized to the slowest answer the
+// router can still produce: every attempt running to its timeout with a full
+// backoff between them, plus a margin for reading the body (ReadTimeout) and
+// relaying the response.
+func newHTTPServer(addr string, h http.Handler, retries int, attemptTimeout time.Duration) *http.Server {
+	const margin = 10 * time.Second
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 2 * time.Second,
+		ReadTimeout:       5 * time.Second,
+		WriteTimeout:      time.Duration(retries)*(attemptTimeout+retryBackoffCap) + margin,
+		IdleTimeout:       60 * time.Second,
+	}
+}
+
 // serveRouter runs the router's HTTP server until SIGINT/SIGTERM, then shuts
 // down gracefully.
-func serveRouter(r *router.Router, addr string, fleet []router.Replica, hedge time.Duration) error {
+func serveRouter(r *router.Router, srv *http.Server, replicas int, hedge time.Duration) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	r.Start()
 	defer r.Close()
 
-	srv := &http.Server{Addr: addr, Handler: r.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("rapidrouter: listening on %s (%d replicas, hedge %v, metrics at /metrics, fleet at /admin/fleet)",
-		addr, len(fleet), hedge)
+		srv.Addr, replicas, hedge)
 	select {
 	case err := <-errc:
 		return err

@@ -14,9 +14,9 @@
 // With -diversifier the scoring seat holds a weightless classic diversifier
 // (internal/diversify: mmr, dpp, bswap or window) at -diversifier-lambda; the
 // manifest next to -model still supplies the surface geometry. With
-// -publish-diversifier a diversifier version is committed into -model-root
-// (geometry copied from the newest version) so the admin API can load,
-// canary, shadow-compare, promote and roll it back exactly like a model.
+// -publish-diversifier a diversifier version is committed into -model-root as
+// div-<name> (geometry copied from the newest version) so the admin API can
+// load, canary, shadow-compare, promote and roll it back exactly like a model.
 //
 // With -model-root the server opens a model registry (internal/registry)
 // over a directory of versions published by rapidtrain -publish, activates
@@ -48,7 +48,8 @@
 // and SIGINT/SIGTERM graceful drain. Every request goes straight to one of
 // -batch-workers scoring workers; every item of an envelope is its own job
 // on its own registry pin, so a canary item is never scored by the active
-// version.
+// version. -chaos-latency is the one fault a replica can be told to inject:
+// a fixed delay on every scoring pass.
 //
 // The request must carry everything the model consumes (features, topic
 // coverage, per-topic behavior sequences), mirroring rerank.Instance:
@@ -66,11 +67,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -108,24 +107,17 @@ func main() {
 		tenantMaxInflight = flag.Int("tenant-max-inflight", 0, "per-tenant concurrent rerank admission quota; saturation sheds with reason tenant_quota (0 = no quota)")
 
 		feedbackLog     = flag.String("feedback-log", "", "directory for the append-only feedback event log; mounts POST /v1/feedback (registry mode)")
-		feedbackQueue   = flag.Int("feedback-queue", 1024, "bounded feedback ingest queue; a full queue sheds events with 429")
 		feedbackSegMB   = flag.Int64("feedback-segment-mb", 4, "feedback log segment rotation threshold in MiB")
 		feedbackMaxSegs = flag.Int("feedback-max-segments", 64, "committed feedback log segments retained before the oldest are deleted")
 		banditPct       = flag.Float64("bandit-pct", 0, "percent of traffic served by bandit-tuned diversifier arms (requires -feedback-log)")
 		banditArms      = flag.String("bandit-arms", "mmr@0.2,mmr@0.4,mmr@0.6,mmr@0.8", "comma-separated λ grid of diversifier arms, e.g. mmr@0.2,window@0.8")
 		banditSegments  = flag.Int("bandit-segments", 8, "user segments (route key % segments) learning independent arm values")
-		banditAlgo      = flag.String("bandit-algo", "linucb", "bandit learner: linucb or eps")
-		banditEps       = flag.Float64("bandit-epsilon", 0.05, "forced-exploration rate on top of the learner")
 
-		diversifier  = flag.String("diversifier", "", "serve a classic diversifier (mmr|dpp|bswap|window) instead of model weights; -model still supplies the manifest geometry (single-model mode)")
-		divLambda    = flag.Float64("diversifier-lambda", 0.5, "relevance/diversity trade-off λ for -diversifier and -publish-diversifier")
-		publishDiv   = flag.String("publish-diversifier", "", "publish a weightless diversifier version (mmr|dpp|bswap|window) into -model-root, copying the newest version's geometry, then exit")
-		publishLabel = flag.String("publish-label", "", "version label for -publish-diversifier (default div-<name>)")
+		diversifier = flag.String("diversifier", "", "serve a classic diversifier (mmr|dpp|bswap|window) instead of model weights; -model still supplies the manifest geometry (single-model mode)")
+		divLambda   = flag.Float64("diversifier-lambda", 0.5, "relevance/diversity trade-off λ for -diversifier and -publish-diversifier")
+		publishDiv  = flag.String("publish-diversifier", "", "publish a weightless diversifier version (mmr|dpp|bswap|window) into -model-root, copying the newest version's geometry, then exit")
 
 		chaosLatency = flag.Duration("chaos-latency", 0, "CHAOS TESTING: extra latency injected into the scoring path (0 = off); slows responses while -budget allows, degrades them past it")
-		chaosLatRate = flag.Float64("chaos-latency-rate", 1, "CHAOS TESTING: fraction of requests receiving -chaos-latency")
-		chaosErrRate = flag.Float64("chaos-error-rate", 0, "CHAOS TESTING: fraction of requests failing with an injected scoring error (degraded responses)")
-		chaosSeed    = flag.Int64("chaos-seed", 1, "CHAOS TESTING: RNG seed for the -chaos-* sampling")
 	)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -172,22 +164,19 @@ func main() {
 		log.Printf("rapidserve: multi-tenant store at %s (budget %d MiB, max resident %d, per-tenant inflight %d)",
 			*tenantRoot, *tenantBudgetMB, *tenantMaxResident, *tenantMaxInflight)
 	}
-	faults := chaosHooks(*chaosLatency, *chaosLatRate, *chaosErrRate, *chaosSeed)
+	faults := chaosHooks(*chaosLatency)
 	fb := feedbackOpts{
 		dir:         *feedbackLog,
-		queue:       *feedbackQueue,
 		segmentMB:   *feedbackSegMB,
 		maxSegments: *feedbackMaxSegs,
 		banditPct:   *banditPct,
 		arms:        *banditArms,
 		segments:    *banditSegments,
-		algo:        *banditAlgo,
-		epsilon:     *banditEps,
 	}
 	var err error
 	switch {
 	case *publishDiv != "":
-		err = publishDiversifier(*modelRoot, *publishDiv, *publishLabel, *divLambda)
+		err = publishDiversifier(*modelRoot, *publishDiv, *divLambda)
 	case *modelRoot != "":
 		err = runRegistry(ctx, *modelRoot, *addr, cfg, *canaryPct, *shadowOn, faults, fb)
 	case *feedbackLog != "" || *banditPct > 0:
@@ -203,39 +192,17 @@ func main() {
 	}
 }
 
-// chaosHooks builds the scoring-path fault injector from the -chaos-* flags,
-// or nil when chaos is off. The flags turn any replica into a controllable
-// sick node for fleet testing: injected latency (a slow node, as long as the
-// budget allows; degraded responses past it) and injected scoring errors
-// (degraded responses, never 5xx — the serving layer's contract).
-func chaosHooks(latency time.Duration, latencyRate, errRate float64, seed int64) engine.FaultInjector {
-	if latency <= 0 && errRate <= 0 {
+// chaosHooks builds the scoring-path fault injector from -chaos-latency, or
+// nil when it is off. The flag turns any replica into a controllable slow
+// node for fleet testing: every scoring pass takes that much longer while the
+// budget allows, and degrades past it (never a 5xx — the serving layer's
+// contract).
+func chaosHooks(latency time.Duration) engine.FaultInjector {
+	if latency <= 0 {
 		return nil
 	}
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(seed))
-	roll := func(rate float64) bool {
-		if rate <= 0 {
-			return false
-		}
-		if rate >= 1 {
-			return true
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return rng.Float64() < rate
-	}
 	return engine.FaultHooks{
-		Before: func(context.Context, *rerank.Instance) error {
-			if roll(errRate) {
-				return errors.New("chaos: injected scoring error")
-			}
-			return nil
-		},
 		After: func(ctx context.Context, _ *rerank.Instance, _ []float64) error {
-			if latency <= 0 || !roll(latencyRate) {
-				return nil
-			}
 			t := time.NewTimer(latency)
 			defer t.Stop()
 			select {
@@ -285,7 +252,7 @@ func runDiversifier(ctx context.Context, modelPath, name string, lambda float64,
 // registry root: the newest published version supplies the surface geometry,
 // the manifest gains the diversifier name and λ, and the usual atomic commit
 // makes it loadable/canariable/promotable like any model version.
-func publishDiversifier(root, name, label string, lambda float64) error {
+func publishDiversifier(root, name string, lambda float64) error {
 	if root == "" {
 		return errors.New("-publish-diversifier requires -model-root")
 	}
@@ -307,10 +274,7 @@ func publishDiversifier(root, name, label string, lambda float64) error {
 	man.Diversifier = name
 	man.DiversifierLambda = lambda
 	man.Metrics = nil // training metrics belong to the donor version
-	if label == "" {
-		label = "div-" + name
-	}
-	committed, err := registry.PublishDiversifier(root, label, man)
+	committed, err := registry.PublishDiversifier(root, "div-"+name, man)
 	if err != nil {
 		return err
 	}
@@ -323,14 +287,11 @@ func publishDiversifier(root, name, label string, lambda float64) error {
 // feedbackOpts carries the -feedback-* / -bandit-* flags into registry mode.
 type feedbackOpts struct {
 	dir         string
-	queue       int
 	segmentMB   int64
 	maxSegments int
 	banditPct   float64
 	arms        string
 	segments    int
-	algo        string
-	epsilon     float64
 }
 
 // runRegistry is the versioned deployment shape: activate the newest
@@ -378,8 +339,6 @@ func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canar
 			pol, err = bandit.NewPolicy(bandit.PolicyConfig{
 				Arms:     arms,
 				Segments: fb.segments,
-				Algo:     fb.algo,
-				Epsilon:  fb.epsilon,
 			})
 			if err != nil {
 				return err
@@ -389,18 +348,15 @@ func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canar
 				return err
 			}
 		}
-		ing := feedback.NewIngestor(l, pol, feedback.IngestConfig{
-			QueueSize: fb.queue,
-			Registry:  reg.ObsRegistry(),
-		})
+		ing := feedback.NewIngestor(l, pol, feedback.IngestConfig{Registry: reg.ObsRegistry()})
 		defer func() {
 			if err := ing.Close(); err != nil {
 				log.Printf("rapidserve: feedback log close: %v", err)
 			}
 		}()
 		cfg.Feedback = ing
-		log.Printf("rapidserve: feedback log at %s (queue %d, segment %d MiB, retain %d), bandit %.1f%% (%s over %q, %d segments)",
-			fb.dir, fb.queue, fb.segmentMB, fb.maxSegments, fb.banditPct, fb.algo, fb.arms, fb.segments)
+		log.Printf("rapidserve: feedback log at %s (segment %d MiB, retain %d), bandit %.1f%% (%q, %d segments)",
+			fb.dir, fb.segmentMB, fb.maxSegments, fb.banditPct, fb.arms, fb.segments)
 	}
 
 	srv := serve.NewProviderServer(provider, cfg)

@@ -46,8 +46,8 @@ func TestRunRegistryStartsAndDrains(t *testing.T) {
 	// Full feedback wiring: event log, ingest queue and a bandit slice all
 	// come up and drain with the server.
 	fb := feedbackOpts{
-		dir: filepath.Join(root, "feedback"), queue: 16, segmentMB: 1, maxSegments: 4,
-		banditPct: 10, arms: "mmr@0.2,mmr@0.8", segments: 2, algo: "linucb", epsilon: 0.05,
+		dir: filepath.Join(root, "feedback"), segmentMB: 1, maxSegments: 4,
+		banditPct: 10, arms: "mmr@0.2,mmr@0.8", segments: 2,
 	}
 	go func() {
 		errc <- runRegistry(ctx, root, "127.0.0.1:0", serve.Config{DrainTimeout: time.Second}, 5, true, nil, fb)

@@ -3,7 +3,6 @@ package bandit
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,9 +13,8 @@ import (
 // component: Policy is a per-user-segment bandit over the relevance/diversity
 // λ of the classic diversifiers (the PR 8 weightless versions), designed to
 // sit on the request hot path. Selection is a lock-free read of a precomputed
-// copy-on-write score table; all learning (LinUCB via Sherman–Morrison, or
-// ε-greedy means) happens in Update, which the feedback ingestor calls off
-// the scoring path.
+// copy-on-write score table; all learning (LinUCB via Sherman–Morrison)
+// happens in Update, which the feedback ingestor calls off the scoring path.
 
 // Arm is one λ choice the policy can pull: a named classic diversifier
 // (internal/diversify registry name) at a fixed relevance/diversity λ.
@@ -79,8 +77,7 @@ func ParseArms(s string) ([]Arm, error) {
 	return arms, nil
 }
 
-// PolicyConfig bounds a serving-path policy. The zero value of every field
-// falls back to the listed default.
+// PolicyConfig bounds a serving-path policy.
 type PolicyConfig struct {
 	// Arms is the λ grid (required, at least one arm).
 	Arms []Arm
@@ -88,34 +85,18 @@ type PolicyConfig struct {
 	// learns its own arm values so focused and diffuse audiences can settle
 	// on different λ. Default 8.
 	Segments int
-	// Algo selects the learner: "linucb" (default) maintains a disjoint
-	// ridge regression per arm over [bias, one-hot(segment)] contexts with a
-	// UCB bonus; "eps" keeps plain per-segment empirical means.
-	Algo string
-	// Epsilon is the forced-exploration rate applied on top of either
-	// learner so every arm keeps receiving traffic (default 0.05).
-	Epsilon float64
-	// UCBScale is the LinUCB confidence multiplier (default 0.5).
-	UCBScale float64
 	// Seed perturbs the deterministic exploration stream.
 	Seed uint64
 }
 
-func (c PolicyConfig) withDefaults() PolicyConfig {
-	if c.Segments <= 0 {
-		c.Segments = 8
-	}
-	if c.Algo == "" {
-		c.Algo = "linucb"
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.05
-	}
-	if c.UCBScale <= 0 {
-		c.UCBScale = 0.5
-	}
-	return c
-}
+// The learner is LinUCB: a disjoint ridge regression per arm over [bias,
+// one-hot(segment)] contexts with a UCB bonus of ucbScale confidence widths,
+// under a forced-exploration slice of exploreRate so every arm keeps
+// receiving traffic.
+const (
+	exploreRate = 0.05
+	ucbScale    = 0.5
+)
 
 // policyTable is the immutable hot-path view: selection scores per
 // (segment, arm), rebuilt by Update and swapped in atomically. Select never
@@ -153,12 +134,11 @@ type Policy struct {
 
 // NewPolicy validates the config and builds a policy with a uniform table.
 func NewPolicy(cfg PolicyConfig) (*Policy, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Segments <= 0 {
+		cfg.Segments = 8
+	}
 	if len(cfg.Arms) == 0 {
 		return nil, fmt.Errorf("bandit: policy needs at least one arm")
-	}
-	if cfg.Algo != "linucb" && cfg.Algo != "eps" {
-		return nil, fmt.Errorf("bandit: unknown policy algo %q (linucb|eps)", cfg.Algo)
 	}
 	p := &Policy{cfg: cfg, byLabel: make(map[string]int, len(cfg.Arms))}
 	for i, a := range cfg.Arms {
@@ -201,9 +181,9 @@ func (p *Policy) Segment(route uint64) int {
 }
 
 // Select picks the arm for a request: the precomputed argmax of its
-// segment's scores, with an ε-slice of traffic diverted to a deterministic
-// pseudo-random arm so every arm keeps accruing evidence. Lock-free and
-// allocation-free — this is the scoring hot path.
+// segment's scores, with an exploreRate slice of traffic diverted to a
+// deterministic pseudo-random arm so every arm keeps accruing evidence.
+// Lock-free and allocation-free — this is the scoring hot path.
 func (p *Policy) Select(route uint64) int {
 	t := p.table.Load()
 	seg := p.Segment(route)
@@ -212,7 +192,7 @@ func (p *Policy) Select(route uint64) int {
 	// reproducible from (route, sequence) — no locked RNG on the hot path.
 	h := mix64(route ^ (p.selSeq.Add(1) * 0x9e3779b97f4a7c15) ^ p.cfg.Seed)
 	nArms := uint64(len(p.cfg.Arms))
-	if float64(h>>11)/(1<<53) < p.cfg.Epsilon {
+	if float64(h>>11)/(1<<53) < exploreRate {
 		return int(mix64(h) % nArms)
 	}
 	best, bestScore := 0, math.Inf(-1)
@@ -227,8 +207,8 @@ func (p *Policy) Select(route uint64) int {
 // Update credits one observed reward (clicked-any ∈ {0,1}, but any bounded
 // value works) to an arm pulled for a route, relearns, and publishes a fresh
 // score table. Called from the feedback ingest goroutine only — never from
-// a request handler — so learning cost (O(arms·d²) for LinUCB) stays off
-// the scoring hot path by construction.
+// a request handler — so learning cost (O(arms·d²)) stays off the scoring
+// hot path by construction.
 func (p *Policy) Update(route uint64, arm int, reward float64) {
 	if arm < 0 || arm >= len(p.cfg.Arms) {
 		return
@@ -248,12 +228,10 @@ func (p *Policy) Update(route uint64, arm int, reward float64) {
 	c.pulls++
 	c.reward += reward
 	p.cumReward += reward
-	if p.cfg.Algo == "linucb" {
-		x := p.context(seg)
-		shermanMorrison(p.ainv[arm], x)
-		for i, xi := range x {
-			p.bvec[arm][i] += xi * reward
-		}
+	x := p.context(seg)
+	shermanMorrison(p.ainv[arm], x)
+	for i, xi := range x {
+		p.bvec[arm][i] += xi * reward
 	}
 	p.publishLocked()
 	p.updates.Add(1)
@@ -286,17 +264,9 @@ func (p *Policy) publishLocked() {
 	p.table.Store(&policyTable{scores: scores})
 }
 
-// scoreLocked is the selection score of one (segment, arm) cell: a UCB for
-// linucb, an optimistic empirical mean for eps (unpulled cells score +1 so
-// each arm is tried before exploitation narrows).
+// scoreLocked is the selection score of one (segment, arm) cell: its upper
+// confidence bound.
 func (p *Policy) scoreLocked(seg, arm int) float64 {
-	c := p.cells[seg][arm]
-	if p.cfg.Algo == "eps" {
-		if c.pulls == 0 {
-			return 1
-		}
-		return c.reward / float64(c.pulls)
-	}
 	x := p.context(seg)
 	d := len(x)
 	ainv := p.ainv[arm]
@@ -322,7 +292,7 @@ func (p *Policy) scoreLocked(seg, arm int) float64 {
 	if q < 0 {
 		q = 0
 	}
-	return mean + p.cfg.UCBScale*math.Sqrt(q)
+	return mean + ucbScale*math.Sqrt(q)
 }
 
 // context is the LinUCB feature of a segment: bias + one-hot(segment). The
@@ -341,7 +311,6 @@ type ArmSnapshot struct {
 	Label  string  `json:"label"`
 	Pulls  int64   `json:"pulls"`
 	Reward float64 `json:"reward"`
-	Mean   float64 `json:"mean"`
 }
 
 // PolicySnapshot is a consistent view of the policy's learning state.
@@ -371,32 +340,10 @@ func (p *Policy) Snapshot() PolicySnapshot {
 			as.Pulls += p.cells[seg][a].pulls
 			as.Reward += p.cells[seg][a].reward
 		}
-		if as.Pulls > 0 {
-			as.Mean = as.Reward / float64(as.Pulls)
-		}
 		out.Arms = append(out.Arms, as)
 	}
 	return out
 }
-
-// Best returns the globally best arm by mean reward among arms with at
-// least minPulls evidence, or false when nothing qualifies yet. The
-// feedback trainer republishes this λ as a canaried diversifier version.
-func (p *Policy) Best(minPulls int64) (Arm, bool) {
-	snap := p.Snapshot()
-	sort.SliceStable(snap.Arms, func(i, j int) bool { return snap.Arms[i].Mean > snap.Arms[j].Mean })
-	for _, as := range snap.Arms {
-		if as.Pulls >= minPulls {
-			return as.Arm, true
-		}
-	}
-	return Arm{}, false
-}
-
-// FitExponent exposes the regret-curve growth-exponent fit (log-log
-// regression over the second half) for callers outside the package: the
-// feedback bench uses it to assert sublinear policy regret.
-func FitExponent(points []RegretPoint) float64 { return fitExponent(points) }
 
 func identity(d int) []float64 {
 	m := make([]float64, d*d)

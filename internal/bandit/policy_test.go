@@ -12,13 +12,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files with the current output")
 
-func gridPolicy(t *testing.T, algo string, segments int) *Policy {
+func gridPolicy(t *testing.T, segments int) *Policy {
 	t.Helper()
 	arms, err := ParseArms("mmr@0.2,mmr@0.5,mmr@0.8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPolicy(PolicyConfig{Arms: arms, Segments: segments, Algo: algo, Seed: 7})
+	p, err := NewPolicy(PolicyConfig{Arms: arms, Segments: segments, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,44 +64,39 @@ func TestParseArms(t *testing.T) {
 }
 
 func TestPolicySelectUpdateConverges(t *testing.T) {
-	for _, algo := range []string{"linucb", "eps"} {
-		t.Run(algo, func(t *testing.T) {
-			p := gridPolicy(t, algo, 1)
-			// Deterministic rewards: arm 2 always pays, the rest never do.
-			for i := 0; i < 600; i++ {
-				arm := p.Select(uint64(i))
-				reward := 0.0
-				if arm == 2 {
-					reward = 1
-				}
-				p.Update(uint64(i), arm, reward)
+	t.Run("linucb", func(t *testing.T) {
+		p := gridPolicy(t, 1)
+		// Deterministic rewards: arm 2 always pays, the rest never do.
+		for i := 0; i < 600; i++ {
+			arm := p.Select(uint64(i))
+			reward := 0.0
+			if arm == 2 {
+				reward = 1
 			}
-			// Past the ε-exploration slice, selection must have locked on.
-			hits := 0
-			const probes = 1000
-			for i := 0; i < probes; i++ {
-				if p.Select(uint64(i)) == 2 {
-					hits++
-				}
+			p.Update(uint64(i), arm, reward)
+		}
+		// Past the forced-exploration slice, selection must have locked on.
+		hits := 0
+		const probes = 1000
+		for i := 0; i < probes; i++ {
+			if p.Select(uint64(i)) == 2 {
+				hits++
 			}
-			if frac := float64(hits) / probes; frac < 0.85 {
-				t.Fatalf("%s picked the paying arm %.2f of the time, want ≥ 0.85", algo, frac)
-			}
-			snap := p.Snapshot()
-			if snap.Updates != 600 {
-				t.Fatalf("updates = %d, want 600", snap.Updates)
-			}
-			if best, ok := p.Best(10); !ok || best.Lambda != 0.8 {
-				t.Fatalf("Best = %+v ok=%v, want mmr@0.8", best, ok)
-			}
-		})
-	}
+		}
+		if frac := float64(hits) / probes; frac < 0.85 {
+			t.Fatalf("picked the paying arm %.2f of the time, want ≥ 0.85", frac)
+		}
+		snap := p.Snapshot()
+		if snap.Updates != 600 {
+			t.Fatalf("updates = %d, want 600", snap.Updates)
+		}
+	})
 }
 
 func TestPolicyPerSegmentSpecialization(t *testing.T) {
 	// Two segments with opposite preferences: even routes pay arm 0, odd
 	// routes pay arm 2. A per-segment policy must learn both.
-	p := gridPolicy(t, "linucb", 2)
+	p := gridPolicy(t, 2)
 	for i := 0; i < 2000; i++ {
 		route := uint64(i)
 		arm := p.Select(route)
@@ -130,7 +125,7 @@ func TestPolicyPerSegmentSpecialization(t *testing.T) {
 }
 
 func TestPolicyUpdateIgnoresBadArm(t *testing.T) {
-	p := gridPolicy(t, "linucb", 2)
+	p := gridPolicy(t, 2)
 	p.Update(1, -1, 1)
 	p.Update(1, 99, 1)
 	if snap := p.Snapshot(); snap.Updates != 0 || snap.CumReward != 0 {
@@ -139,7 +134,7 @@ func TestPolicyUpdateIgnoresBadArm(t *testing.T) {
 }
 
 func TestPolicyArmIndex(t *testing.T) {
-	p := gridPolicy(t, "linucb", 2)
+	p := gridPolicy(t, 2)
 	for i, a := range p.Arms() {
 		got, ok := p.ArmIndex(a.Label())
 		if !ok || got != i {
@@ -148,17 +143,6 @@ func TestPolicyArmIndex(t *testing.T) {
 	}
 	if _, ok := p.ArmIndex("v3"); ok {
 		t.Fatal("model version resolved to an arm")
-	}
-}
-
-func TestPolicyBestRequiresEvidence(t *testing.T) {
-	p := gridPolicy(t, "eps", 1)
-	p.Update(0, 1, 1)
-	if _, ok := p.Best(10); ok {
-		t.Fatal("Best with 1 pull cleared a 10-pull floor")
-	}
-	if best, ok := p.Best(1); !ok || best.Lambda != 0.5 {
-		t.Fatalf("Best(1) = %+v ok=%v", best, ok)
 	}
 }
 
@@ -233,8 +217,8 @@ func TestPolicyRegretSublinear(t *testing.T) {
 func TestPolicySelectDeterministicStream(t *testing.T) {
 	// Two policies with the same seed must produce the same selection
 	// sequence — the exploration stream is a counter mix, not a shared RNG.
-	a := gridPolicy(t, "eps", 4)
-	b := gridPolicy(t, "eps", 4)
+	a := gridPolicy(t, 4)
+	b := gridPolicy(t, 4)
 	for i := 0; i < 500; i++ {
 		if a.Select(uint64(i)) != b.Select(uint64(i)) {
 			t.Fatalf("selection stream diverged at %d", i)

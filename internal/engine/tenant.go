@@ -6,10 +6,9 @@ const DefaultTenant = "default"
 
 // TenantSource resolves tenant names to providers. It is the multi-tenancy
 // seam: registry.Multi implements it with lazily opened per-tenant
-// sub-registries under an LRU memory budget; StaticTenants pins a fixed map
-// for embedded use. Implementations must be safe for concurrent use and
-// should return an error (wrapped or plain) for names they cannot serve —
-// the engine converts any failure into *UnknownTenantError.
+// sub-registries under an LRU memory budget. Implementations must be safe for
+// concurrent use and should return an error (wrapped or plain) for names they
+// cannot serve — the engine converts any failure into *UnknownTenantError.
 //
 // A returned Provider must stay usable for the duration of the request that
 // resolved it even if the source later evicts the tenant: providers hand out
@@ -17,17 +16,4 @@ const DefaultTenant = "default"
 // its pin while the tenant's registry is closed underneath.
 type TenantSource interface {
 	Tenant(name string) (Provider, error)
-}
-
-// StaticTenants is a fixed tenant table, the embedded-deployment shape
-// (rapid.WithTenant builds one). The zero value resolves nothing.
-type StaticTenants map[string]Provider
-
-// Tenant implements TenantSource.
-func (t StaticTenants) Tenant(name string) (Provider, error) {
-	p, ok := t[name]
-	if !ok {
-		return nil, &UnknownTenantError{Tenant: name}
-	}
-	return p, nil
 }

@@ -36,18 +36,11 @@ type TrainerConfig struct {
 	ModelRoot string
 	// Lifecycle stages and promotes what the trainer publishes.
 	Lifecycle Lifecycle
-	// Policy, when set, supplies arm statistics from the in-process bandit.
-	// nil (the cross-process rapidfeed shape) recovers arm statistics from
-	// the replayed log's Arm/Lambda fields instead — same numbers, read back
-	// from disk.
-	Policy *bandit.Policy
 	// Interval is the re-estimation cadence for Run (default 15s).
 	Interval time.Duration
 	// MinEvents is how many new events must accumulate before a re-estimate
 	// and republish happens (default 200).
 	MinEvents int
-	// MaxLen is the click-model position horizon (default 64).
-	MaxLen int
 	// MinArmPulls gates arm selection: an arm with less evidence cannot be
 	// published (default 50). With no qualifying arm the trainer publishes
 	// DefaultDiversifier@DefaultLambda.
@@ -67,12 +60,6 @@ type TrainerConfig struct {
 	// on the next cycle rather than forced.
 	PromotePoll    time.Duration
 	PromoteTimeout time.Duration
-	// Publish overrides how a manifest becomes an on-disk version; nil uses
-	// registry.PublishDiversifier into ModelRoot. The seam is where a full
-	// neural retrain would plug in: the log stores item ids and clicks, not
-	// feature payloads, so weight retraining stays an offline job (see
-	// DESIGN.md) and the online loop republishes λ choices.
-	Publish func(label string, man engine.Manifest) (string, error)
 	// Registry receives the trainer metrics; nil means a private one.
 	Registry *obs.Registry
 	// Log receives operational messages; nil uses log.Printf.
@@ -85,9 +72,6 @@ func (c TrainerConfig) withDefaults() TrainerConfig {
 	}
 	if c.MinEvents <= 0 {
 		c.MinEvents = 200
-	}
-	if c.MaxLen <= 0 {
-		c.MaxLen = 64
 	}
 	if c.MinArmPulls <= 0 {
 		c.MinArmPulls = 50
@@ -112,6 +96,17 @@ func (c TrainerConfig) withDefaults() TrainerConfig {
 	}
 	return c
 }
+
+const (
+	// PositionHorizon is the click-model position horizon — the length of the
+	// fitted ε̃ vector — for every estimator over the feedback log.
+	PositionHorizon = 64
+	// maxResiduals bounds the clicked sessions the trainer's estimator retains
+	// for exact EM refinement. Past it the oldest are folded at their converged
+	// posterior (clickmodel.Incremental.Compact), so a trainer that runs for
+	// months holds a few MB of residuals, not its whole history.
+	maxResiduals = 1 << 16
+)
 
 // armTally is per-arm evidence recovered from replayed log events.
 type armTally struct {
@@ -144,7 +139,7 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	}
 	return &Trainer{
 		cfg:     cfg,
-		inc:     clickmodel.NewIncremental(cfg.MaxLen),
+		inc:     clickmodel.NewIncremental(PositionHorizon),
 		met:     newMetrics(cfg.Registry),
 		cursor:  1,
 		armsSum: make(map[string]*armTally),
@@ -183,6 +178,7 @@ func (t *Trainer) Step(ctx context.Context) error {
 		return nil
 	}
 	est := t.inc.Estimate(1, nil)
+	t.inc.Compact(maxResiduals)
 	t.met.reestimates.Inc()
 	t.pending = 0
 	arm := t.bestArm()
@@ -227,27 +223,21 @@ func (t *Trainer) replayNew() (int, error) {
 	return n, nil
 }
 
-// bestArm picks the λ to publish: the in-process policy's best arm when one
-// is wired, else the best replayed tally, else the configured default.
+// bestArm picks the λ to publish: the arm with the best click-through among
+// the replayed tallies with enough evidence, else the configured default.
 func (t *Trainer) bestArm() bandit.Arm {
-	if t.cfg.Policy != nil {
-		if a, ok := t.cfg.Policy.Best(t.cfg.MinArmPulls); ok {
-			return a
+	var best *armTally
+	var bestMean float64
+	for _, tal := range t.armsSum {
+		if tal.pulls < t.cfg.MinArmPulls {
+			continue
 		}
-	} else {
-		var best *armTally
-		var bestMean float64
-		for _, tal := range t.armsSum {
-			if tal.pulls < t.cfg.MinArmPulls {
-				continue
-			}
-			if m := float64(tal.rewards) / float64(tal.pulls); best == nil || m > bestMean {
-				best, bestMean = tal, m
-			}
+		if m := float64(tal.rewards) / float64(tal.pulls); best == nil || m > bestMean {
+			best, bestMean = tal, m
 		}
-		if best != nil {
-			return best.arm
-		}
+	}
+	if best != nil {
+		return best.arm
 	}
 	return bandit.Arm{Name: t.cfg.DefaultDiversifier, Lambda: t.cfg.DefaultLambda}
 }
@@ -282,12 +272,6 @@ func (t *Trainer) publish(arm bandit.Arm, est *clickmodel.Estimated) (string, er
 			"feedback_lambda":   arm.Lambda,
 		},
 	}
-	publish := t.cfg.Publish
-	if publish == nil {
-		publish = func(label string, man engine.Manifest) (string, error) {
-			return registry.PublishDiversifier(t.cfg.ModelRoot, label, man)
-		}
-	}
 	exists := make(map[string]bool, len(versions))
 	for _, v := range versions {
 		exists[v] = true
@@ -298,7 +282,7 @@ func (t *Trainer) publish(arm bandit.Arm, est *clickmodel.Estimated) (string, er
 		if exists[label] {
 			continue // survive restarts: skip labels an earlier run committed
 		}
-		return publish(label, man)
+		return registry.PublishDiversifier(t.cfg.ModelRoot, label, man)
 	}
 }
 

@@ -231,3 +231,37 @@ func TestTrainerRespectsRollback(t *testing.T) {
 		t.Fatalf("trainer promoted over a rollback: %v", lc.promotes)
 	}
 }
+
+// TestTrainerBoundsResiduals: the trainer is the one process designed to run
+// forever, so the clicked sessions it retains for exact EM refinement are
+// capped — past maxResiduals the oldest are folded, not kept.
+func TestTrainerBoundsResiduals(t *testing.T) {
+	logDir := t.TempDir()
+	l, err := Open(logDir, Options{SyncEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 100
+	writeArmEvents(t, l, "bandit-mmr@0.80", 1, maxResiduals+extra, 1) // every session clicked
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTrainer(TrainerConfig{
+		LogDir: logDir, ModelRoot: seedModelRoot(t), Lifecycle: &fakeLifecycle{},
+		MinEvents: 1, PromoteAfter: 2, PromotePoll: 1, Log: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	inc := tr.Incremental()
+	if inc.Sessions() != maxResiduals+extra {
+		t.Fatalf("replayed %d sessions, want %d", inc.Sessions(), maxResiduals+extra)
+	}
+	if inc.Residuals() > maxResiduals || inc.Compacted() != extra {
+		t.Fatalf("after a step past the bound: %d residuals retained (bound %d), %d compacted (want %d)",
+			inc.Residuals(), maxResiduals, inc.Compacted(), extra)
+	}
+}

@@ -36,12 +36,3 @@ func RandNormal(rows, cols int, mean, std float64, rng *rand.Rand) *Matrix {
 	}
 	return m
 }
-
-// RandUniform returns a rows×cols matrix with entries uniform in [lo, hi).
-func RandUniform(rows, cols int, lo, hi float64, rng *rand.Rand) *Matrix {
-	m := New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return m
-}

@@ -18,7 +18,7 @@ import (
 type MultiConfig struct {
 	// Root is the tenant store directory: one subdirectory per tenant, each
 	// an ordinary single-tenant version store (the layout rapidtrain's
-	// -store flag publishes into, one level deeper).
+	// -publish flag publishes into, one level deeper).
 	Root string
 	// MaxResidentBytes bounds the estimated parameter bytes of resident
 	// tenants; resolving a tenant past the budget evicts least-recently-used
@@ -84,13 +84,21 @@ type resident struct {
 // version stores: Root/<tenant>/<version>/. Tenants load lazily on first
 // resolution (open the sub-registry, activate its newest version, warm it
 // up) and stay resident until the LRU budget pushes them out. Resolution of
-// a resident tenant is a map lookup under a mutex; only a cold tenant pays
-// the load, and cold loads serialize — one tenant warming up cannot race
-// another into a budget the eviction loop has not settled yet.
+// a resident tenant is a map lookup under a mutex that is never held across
+// a load — the engine resolves the tenant before the request's deadline
+// exists, so a stranger's cold load must not be able to stall it. Only a
+// cold tenant pays the load, and cold loads serialize — one tenant warming
+// up cannot race another into a budget the eviction loop has not settled
+// yet.
 type Multi struct {
 	cfg MultiConfig
 	met *tenantMetrics
 
+	// loadMu serializes cold loads (and Close) with each other. Lock order:
+	// loadMu, then mu.
+	loadMu sync.Mutex
+
+	// mu guards the residency accounting below, and nothing slower.
 	mu    sync.Mutex
 	res   map[string]*resident
 	lru   *list.List // front = least recently used
@@ -139,21 +147,40 @@ func (m *Multi) Tenant(name string) (engine.Provider, error) {
 	if err := ValidLabel(name); err != nil {
 		return nil, fmt.Errorf("unknown tenant %q: %w", name, err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if rt, ok := m.res[name]; ok {
-		m.lru.MoveToBack(rt.elem)
-		return rt.reg, nil
+	if reg := m.lookup(name); reg != nil {
+		return reg, nil
+	}
+	m.loadMu.Lock()
+	defer m.loadMu.Unlock()
+	// Of two first requests for one tenant, the second finds it resident here.
+	if reg := m.lookup(name); reg != nil {
+		return reg, nil
 	}
 	rt, err := m.load(name)
 	if err != nil {
 		return nil, err
 	}
-	m.evictOver(rt)
+	for _, victim := range m.admit(rt) {
+		victim.reg.Close()
+	}
 	return rt.reg, nil
 }
 
-// load opens and activates one tenant under m.mu.
+// lookup returns a resident tenant's registry and refreshes its recency, or
+// nil for a tenant that is not resident.
+func (m *Multi) lookup(name string) *Registry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rt, ok := m.res[name]
+	if !ok {
+		return nil
+	}
+	m.lru.MoveToBack(rt.elem)
+	return rt.reg
+}
+
+// load opens and activates one tenant under m.loadMu — open, read the
+// weights, warm up — without touching the residency accounting.
 func (m *Multi) load(name string) (*resident, error) {
 	dir := filepath.Join(m.cfg.Root, name)
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
@@ -182,47 +209,42 @@ func (m *Multi) load(name string) (*resident, error) {
 		return nil, fmt.Errorf("tenant %q: activate: %w", name, err)
 	}
 	rt := &resident{name: name, reg: reg, bytes: m.cfg.Sizer(reg.Active().Scorer)}
-	rt.elem = m.lru.PushBack(rt)
-	m.res[name] = rt
-	m.bytes += rt.bytes
-	m.met.loads.Inc()
-	m.publishGauges()
 	cfg.Log("resident (version %s, ~%d bytes)", label, rt.bytes)
 	return rt, nil
 }
 
-// evictOver closes least-recently-used tenants until the residency budget
-// holds again. keep — the tenant that just loaded — is never evicted even
-// if it alone exceeds the byte budget: a tenant too large to coexist with
-// others must still be servable on its own.
-func (m *Multi) evictOver(keep *resident) {
-	over := func() bool {
-		if m.cfg.MaxResident > 0 && len(m.res) > m.cfg.MaxResident {
-			return true
+// admit makes a loaded tenant resident, then unlinks least-recently-used
+// tenants until the residency budget holds again and returns them for the
+// caller to close once m.mu is released. rt — the tenant that just loaded —
+// is never a victim even if it alone exceeds the byte budget: a tenant too
+// large to coexist with others must still be servable on its own.
+func (m *Multi) admit(rt *resident) (victims []*resident) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rt.elem = m.lru.PushBack(rt)
+	m.res[rt.name] = rt
+	m.bytes += rt.bytes
+	m.met.loads.Inc()
+	for (m.cfg.MaxResident > 0 && len(m.res) > m.cfg.MaxResident) ||
+		(m.cfg.MaxResidentBytes > 0 && m.bytes > m.cfg.MaxResidentBytes) {
+		victim := m.lru.Front().Value.(*resident) // rt is in the list: never empty
+		if victim == rt {
+			break
 		}
-		return m.cfg.MaxResidentBytes > 0 && m.bytes > m.cfg.MaxResidentBytes
+		victims = append(victims, m.unlink(victim))
 	}
-	for over() {
-		front := m.lru.Front()
-		if front == nil {
-			return
-		}
-		victim := front.Value.(*resident)
-		if victim == keep {
-			return
-		}
-		m.evict(victim)
-	}
+	m.publishGauges()
+	return victims
 }
 
-// evict removes one resident tenant under m.mu.
-func (m *Multi) evict(rt *resident) {
+// unlink takes one resident tenant out of the accounting under m.mu. Its
+// registry is still open: the caller closes it.
+func (m *Multi) unlink(rt *resident) *resident {
 	m.lru.Remove(rt.elem)
 	delete(m.res, rt.name)
 	m.bytes -= rt.bytes
-	rt.reg.Close()
 	m.met.evictions.Inc()
-	m.publishGauges()
+	return rt
 }
 
 func (m *Multi) publishGauges() {
@@ -241,9 +263,16 @@ func (m *Multi) Resident() (tenants int, bytes int64) {
 // a Multi has no terminal state of its own; Close exists so a shutting-down
 // process can drain tenant shadow pools deterministically.
 func (m *Multi) Close() {
+	m.loadMu.Lock()
+	defer m.loadMu.Unlock()
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	var all []*resident
 	for m.lru.Front() != nil {
-		m.evict(m.lru.Front().Value.(*resident))
+		all = append(all, m.unlink(m.lru.Front().Value.(*resident)))
+	}
+	m.publishGauges()
+	m.mu.Unlock()
+	for _, rt := range all {
+		rt.reg.Close()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -199,5 +200,52 @@ func TestMultiOversizedTenantStaysServable(t *testing.T) {
 	}
 	if n, b := m.Resident(); n != 1 || b != 1000 {
 		t.Fatalf("resident %d / %d bytes, want the oversized tenant alone", n, b)
+	}
+}
+
+// TestMultiResidentTenantNotBlockedByColdLoad: the engine resolves a tenant
+// before the request's deadline exists, so a resident tenant must resolve
+// while a stranger's cold load — open, read, warm up — is still running; and
+// two first requests for one cold tenant load it once.
+func TestMultiResidentTenantNotBlockedByColdLoad(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	m, reg := newTestMulti(t, []string{"hot", "cold"}, func(cfg *MultiConfig) {
+		stub := cfg.Base.Loader
+		cfg.Base.Loader = func(modelPath string) (engine.Scorer, engine.Manifest, error) {
+			if strings.Contains(filepath.ToSlash(modelPath), "/cold/") {
+				close(entered) // a second load of cold would panic here
+				<-release
+			}
+			return stub(modelPath)
+		}
+	})
+	if _, err := m.Tenant("hot"); err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(name string, done chan<- error) {
+		_, err := m.Tenant(name)
+		done <- err
+	}
+	coldDone, hotDone := make(chan error, 2), make(chan error, 1)
+	go resolve("cold", coldDone)
+	<-entered
+	go resolve("cold", coldDone) // queues behind the load in progress
+	go resolve("hot", hotDone)
+	select {
+	case err := <-hotDone:
+		if err != nil {
+			t.Errorf("resident tenant: %v", err)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Error("resident tenant did not resolve within 100ms of a stranger's cold load starting")
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-coldDone; err != nil {
+			t.Errorf("cold tenant: %v", err)
+		}
+	}
+	if got := counterValue(t, reg, "rapid_tenant_loads_total"); got != 2 {
+		t.Errorf("loads_total = %v, want 2 (hot, and cold once)", got)
 	}
 }

@@ -14,7 +14,8 @@ import (
 // is set. Contract mirrors the v1 rerank surface: draining answers 503,
 // malformed input 400, a full ingest queue 429 + Retry-After — all in the
 // unified error envelope — and an accepted event 202. Acceptance means
-// durably queued for ingestion, not yet applied to the click model.
+// queued in memory for the log appender: not yet on disk, and not yet applied
+// to the click model.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.met.Feedback.With("shed").Inc()

@@ -223,7 +223,7 @@ func (s *Server) handleRerank(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRerankBatch serves POST /v1/rerank:batch: a multi-instance envelope
-// scored as its same-pin runs. Items are answered independently (per-item
+// scored one job per item. Items are answered independently (per-item
 // degraded flags and error strings); see engine.RerankBatch.
 func (s *Server) handleRerankBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
