@@ -12,21 +12,26 @@ import (
 
 // benchFixture is the geometry the serving benchmark issues: the TaobaoLike
 // dimensions (q_u 13, q_v 8, m 5), 64 distinct instances of 20 items, the
-// default RAPID-pro model at hidden 16.
+// default RAPID-pro model at hidden 16. The instances carry clicks, so
+// labels, for the training benchmark; clicks draw from an RNG of their own,
+// leaving the scoring inputs what they were without them.
 func benchFixture(b *testing.B) (*Model, []*rerank.Instance) {
 	b.Helper()
 	cfg := dataset.TaobaoLike(1).Scaled(0.1)
 	d := dataset.MustGenerate(cfg)
-	rng := rand.New(rand.NewSource(4))
+	rng, clickRNG := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(5))
 	insts := make([]*rerank.Instance, 64)
 	for i := range insts {
 		pool := d.RerankPools[i%len(d.RerankPools)]
 		items := pool.Candidates[:cfg.ListLen]
 		scores := make([]float64, len(items))
+		clicks := make([]bool, len(items))
 		for k := range scores {
 			scores[k] = rng.Float64()
+			clicks[k] = clickRNG.Float64() < 0.2
 		}
-		insts[i] = rerank.NewInstance(d, dataset.Request{User: pool.User, Items: items, InitScores: scores}, rng)
+		req := dataset.Request{User: pool.User, Items: items, InitScores: scores, Clicks: clicks}
+		insts[i] = rerank.NewInstance(d, req, rng)
 	}
 	return New(DefaultConfig(cfg.UserDim, cfg.ItemDim, d.M(), 1)), insts
 }
@@ -102,4 +107,23 @@ func BenchmarkLegacyLogits(b *testing.B) {
 		logits = m.Logits(t, insts[i%len(insts)], false)
 	}
 	_ = logits
+}
+
+// BenchmarkTrainStep is one training instance as a trainer worker runs it:
+// Logits(train=true) on pre-drawn noise, the BCE loss and Backward, on a
+// reused tape whose gradients land in a GradShadow.
+func BenchmarkTrainStep(b *testing.B) {
+	m, insts := benchFixture(b)
+	for _, inst := range insts {
+		m.PrepareInstance(inst)
+	}
+	t := nn.NewTapeCap(m.TapeCapHint())
+	t.WithGrads(nn.NewGradShadow(m.Params()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst := insts[i%len(insts)]
+		t.Reset()
+		t.Backward(t.SigmoidBCE(m.Logits(t, inst, true), inst.Labels))
+	}
 }

@@ -39,14 +39,7 @@ func forwardCases(t *testing.T) []*rerank.Instance {
 	noHistory.TopicSeqs = make([][]int, noHistory.M)
 	cases = append(cases, truncated(&noHistory, 20))
 
-	fullHistory := *long[1]
-	fullHistory.TopicSeqs = make([][]int, fullHistory.M)
-	for j := range fullHistory.TopicSeqs {
-		for k := 0; k < rerank.TopicSeqCap; k++ {
-			fullHistory.TopicSeqs[j] = append(fullHistory.TopicSeqs[j], long[1].Items[(3*j+k)%64])
-		}
-	}
-	return append(cases, truncated(&fullHistory, 20))
+	return append(cases, truncated(fullHistory(long[1]), 20))
 }
 
 // TestForwardMatchesLogits is the inference-vs-training half of the numerics

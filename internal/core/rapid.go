@@ -321,20 +321,20 @@ func (m *Model) PrepareInstance(inst *rerank.Instance) {
 	}
 }
 
-// TapeCapHint implements rerank.TapeSized: a generous estimate of the tape
-// nodes one Logits call records, so trainer tapes never grow mid-pass. The
-// dominant terms are the encoder recurrence over the list and the per-topic
-// behavior recurrences.
+// TapeCapHint implements rerank.TapeSized: an upper bound on the tape nodes
+// one training pass (Logits and its loss) records, so trainer tapes never
+// grow mid-pass. Each recurrence is one node whatever its length, so the
+// count does not depend on L; measured at full histories it is 31
+// (RAPID-RNN), 65 (RAPID-det), 78 (RAPID-pro), 88 (RAPID-mean) and 122
+// (RAPID-trans, 2 heads), and each term below rounds its part up
+// (TestTapeCapHintBoundsGraph).
 func (m *Model) TapeCapHint() int {
-	const maxList = 64 // harness lists are ≤ ~50 items
-	n := 128           // heads, fusion, loss
-	if m.Cfg.Encoder == BiLSTMEncoder {
-		n += 2 * maxList * 20
-	} else {
-		n += 40 * m.Cfg.Heads
+	n := 32 // list input, Bi-LSTM, heads, noise and loss
+	if m.Cfg.Encoder == TransformerEncoder {
+		n += 24 + 12*m.Cfg.Heads // 11 nodes a head, and the block around them
 	}
 	if m.Cfg.UseDiversity {
-		n += m.Cfg.Topics*(m.Cfg.D*20+8) + 64
+		n += 8*m.Cfg.Topics + 24 // ≤ 7 nodes a topic summary, attention, θ̂ MLP, gain
 	}
 	return n
 }

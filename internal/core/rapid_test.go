@@ -293,3 +293,41 @@ func TestUnknownDiversityFunctionPanics(t *testing.T) {
 	}()
 	New(cfg)
 }
+
+// fullHistory returns inst with every topic sequence filled past D, the
+// largest graph an instance can build.
+func fullHistory(inst *rerank.Instance) *rerank.Instance {
+	full := *inst
+	full.TopicSeqs = make([][]int, full.M)
+	for j := range full.TopicSeqs {
+		for k := 0; k < rerank.TopicSeqCap; k++ {
+			full.TopicSeqs[j] = append(full.TopicSeqs[j], inst.Items[(3*j+k)%len(inst.Items)])
+		}
+	}
+	return &full
+}
+
+// TestTapeCapHintBoundsGraph holds TapeCapHint to what a training pass
+// records: never fewer nodes than the graph at any list length, never more
+// than twice the graph of a 64-item list, for every variant. And a RAPID-pro
+// pass at L = 20 is at most 80 nodes: each recurrence is one node, where the
+// step graph recorded 19 per step (1 321 nodes on this list).
+func TestTapeCapHintBoundsGraph(t *testing.T) {
+	long, d := fixtureLen(t, 1, 91, 64)
+	full := fullHistory(long[0])
+	for _, m := range modelVariants(d) {
+		hint := m.TapeCapHint()
+		for _, l := range []int{1, 20, 64} {
+			inst := truncated(full, l)
+			tp := nn.NewTape()
+			tp.SigmoidBCE(m.Logits(tp, inst, true), inst.Labels)
+			n := tp.NumNodes()
+			if n > hint || (l == 64 && hint > 2*n) {
+				t.Errorf("%s L=%d: %d nodes against a hint of %d", m.Name(), l, n, hint)
+			}
+			if m.Name() == "RAPID-pro" && l == 20 && n > 80 {
+				t.Errorf("RAPID-pro L=20 records %d nodes, want ≤ 80", n)
+			}
+		}
+	}
+}

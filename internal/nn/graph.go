@@ -63,6 +63,7 @@ const (
 	opBCE
 	opSoftmaxCE
 	opLayerNorm
+	opLSTM
 )
 
 // Node is one value in the computation graph. Value is the forward result.
@@ -85,8 +86,10 @@ type Node struct {
 	ts        []float64 // BCE targets (caller-owned, read-only)
 }
 
-// tapeChunk is the node-arena chunk size. Chunks keep node pointers stable
-// while the tape grows (a flat slice would move nodes on append).
+// tapeChunk is the largest node-arena chunk. Chunks keep node pointers
+// stable while the tape grows (a flat slice would move nodes on append); a
+// tape sized below one chunk (NewTapeCap) uses chunks of its own size, so a
+// small graph does not zero a full one.
 const tapeChunk = 256
 
 // Tape records nodes in topological (creation) order so Backward can run a
@@ -97,6 +100,7 @@ const tapeChunk = 256
 type Tape struct {
 	nodes  []*Node
 	chunks [][]Node
+	chunk  int // nodes per arena chunk
 	used   int
 	refs   []*Node
 	pool   mat.Pool
@@ -117,9 +121,9 @@ func NewTapeCap(n int) *Tape {
 	if n > maxPrealloc {
 		n = maxPrealloc
 	}
-	t := &Tape{nodes: make([]*Node, 0, n)}
-	for c := 0; c < (n+tapeChunk-1)/tapeChunk; c++ {
-		t.chunks = append(t.chunks, make([]Node, tapeChunk))
+	t := &Tape{nodes: make([]*Node, 0, n), chunk: min(n, tapeChunk)}
+	for c := 0; c < (n+t.chunk-1)/t.chunk; c++ {
+		t.chunks = append(t.chunks, make([]Node, t.chunk))
 	}
 	return t
 }
@@ -159,9 +163,9 @@ func (t *Tape) Reset() {
 
 // alloc carves a node out of the arena and records it on the tape.
 func (t *Tape) alloc(v *mat.Matrix, op opKind, needs bool) *Node {
-	ci, off := t.used/tapeChunk, t.used%tapeChunk
+	ci, off := t.used/t.chunk, t.used%t.chunk
 	if ci == len(t.chunks) {
-		t.chunks = append(t.chunks, make([]Node, tapeChunk))
+		t.chunks = append(t.chunks, make([]Node, t.chunk))
 	}
 	n := &t.chunks[ci][off]
 	t.used++
@@ -454,6 +458,8 @@ func (t *Tape) backstep(n *Node) {
 		}
 	case opLayerNorm:
 		t.backLayerNorm(n)
+	case opLSTM:
+		t.backLSTM(n)
 	default:
 		panic(fmt.Sprintf("nn: backstep on unexpected op %d", n.op))
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -104,39 +105,183 @@ func NewLSTM(ps *ParamSet, prefix string, in, hidden int, rng *rand.Rand) *LSTM 
 	return &LSTM{Cell: NewLSTMCell(ps, prefix, in, hidden, rng)}
 }
 
-// Forward returns the stacked hidden states (L×hidden). For an empty
-// sequence it returns a 0×hidden node.
-func (l *LSTM) Forward(t *Tape, seq *Node) *Node {
-	states := l.ForwardAll(t, seq)
-	if len(states) == 0 {
-		return t.Constant(mat.New(0, l.Cell.Hidden))
-	}
-	return t.ConcatRows(states...)
-}
-
-// ForwardAll returns the hidden state node for each timestep.
-func (l *LSTM) ForwardAll(t *Tape, seq *Node) []*Node {
-	h, c := l.Cell.InitState(t)
-	steps := seq.Value.Rows
-	out := make([]*Node, 0, steps)
-	for i := 0; i < steps; i++ {
-		x := t.SliceRows(seq, i, i+1)
-		h, c = l.Cell.Step(t, x, h, c)
-		out = append(out, h)
-	}
-	return out
-}
+// Forward returns the stacked hidden states (L×hidden); for an empty
+// sequence, a 0×hidden node.
+func (l *LSTM) Forward(t *Tape, seq *Node) *Node { return t.LSTM(l.Cell, seq, false) }
 
 // Last returns the final hidden state (1×hidden) of the sequence, or a zero
 // state for an empty sequence. The paper uses this as the per-topic summary
 // vector t_j of a user's behavior sequence.
 func (l *LSTM) Last(t *Tape, seq *Node) *Node {
-	states := l.ForwardAll(t, seq)
-	if len(states) == 0 {
-		h, _ := l.Cell.InitState(t)
-		return h
+	steps := seq.Value.Rows
+	if steps == 0 {
+		return t.Constant(mat.New(1, l.Cell.Hidden))
 	}
-	return states[len(states)-1]
+	return t.SliceRows(t.LSTM(l.Cell, seq, false), steps-1, steps)
+}
+
+// LSTM records a whole pass of cell over seq — L×in, one row per timestep —
+// as one tape node and returns the L×Hidden hidden states: row r is the
+// state after the step that read seq row r. With reverse the steps read the
+// rows last to first. The initial state is zero.
+//
+// The node computes bit for bit what L chained cell.Step calls compute, in
+// both directions (TestFusedLSTMMatchesStepGraph). Forward, each step calls
+// the step graph's kernels in its order: [x | h]·W from zero, + b, the
+// activations, c = f·c + i·g, h = o·tanh c. Backward is one sweep from the
+// last step to the first that forms each step node's gradient with the
+// expression that node's backward uses, and ∂[x | h] with AddMatMulABT's
+// two-accumulator dot — its input half only when seq needs a gradient,
+// since nothing else reads it. ∂W and ∂b are added after the sweep in the
+// order the step graph's MatMul and bias nodes would add them, last step
+// first. Float addition is not associative, so that is the whole argument:
+// every gradient element takes the same terms in the same sequence.
+func (t *Tape) LSTM(cell *LSTMCell, seq *Node, reverse bool) *Node {
+	w, b := t.Use(cell.W), t.Use(cell.B)
+	steps, in, hd := seq.Value.Rows, seq.Value.Cols, cell.Hidden
+	if w.Value.Rows != in+hd {
+		panic(fmt.Sprintf("nn: LSTM over %d-wide rows, cell wants %d", in, w.Value.Rows-hd))
+	}
+	xh := t.pool.Get(steps, in+hd) // row s: step s's input [x | h_prev]
+	st := t.pool.Get(steps, 6*hd)  // row s: step s's [i f g o | c | tanh c]
+	out := t.pool.Get(steps, hd)
+	var hPrev, cPrev []float64
+	for s := 0; s < steps; s++ {
+		r := lstmRow(s, steps, reverse)
+		z, sr := xh.Row(s), st.Row(s)
+		copy(z, seq.Value.Row(r))
+		if s == 0 {
+			clear(z[in:])
+			cPrev = z[in:] // the zero initial h is also the zero initial c
+		} else {
+			copy(z[in:], hPrev)
+		}
+		gates := sr[:4*hd]
+		clear(gates)
+		mat.AddVecMat(gates, z, w.Value.Data)
+		for j, bv := range b.Value.Data {
+			gates[j] += bv
+		}
+		mat.SigmoidInto(gates[:2*hd], gates[:2*hd])
+		mat.TanhInto(gates[2*hd:3*hd], gates[2*hd:3*hd])
+		mat.SigmoidInto(gates[3*hd:], gates[3*hd:])
+		i, f, g, o := gates[:hd], gates[hd:2*hd], gates[2*hd:3*hd], gates[3*hd:]
+		c, tc, h := sr[4*hd:5*hd], sr[5*hd:], out.Row(r)
+		for j := range c {
+			// The conversions round each product before the sum, as the step
+			// graph's Mul nodes do; Go may otherwise fuse them into an FMA.
+			c[j] = float64(f[j]*cPrev[j]) + float64(i[j]*g[j])
+		}
+		mat.TanhInto(tc, c)
+		for j := range h {
+			h[j] = o[j] * tc[j]
+		}
+		hPrev, cPrev = h, c
+	}
+	n := t.alloc(out, opLSTM, true)
+	n.a, n.b, n.c = seq, w, b
+	n.aux, n.aux2 = xh, st
+	if reverse {
+		n.i0 = 1
+	}
+	return n
+}
+
+// lstmRow is the sequence row that step s of a steps-long pass reads and
+// writes.
+func lstmRow(s, steps int, reverse bool) int {
+	if reverse {
+		return steps - 1 - s
+	}
+	return s
+}
+
+// backLSTM is the opLSTM backward step: the BPTT sweep Tape.LSTM describes.
+// Comments name the step-graph node whose backward each line reproduces.
+func (t *Tape) backLSTM(n *Node) {
+	seq, xh, st, gout := n.a, n.aux, n.aux2, n.Grad
+	steps, hd := gout.Rows, gout.Cols
+	in, w, reverse := xh.Cols-hd, n.b.Value, n.i0 == 1
+	var gseq *mat.Matrix
+	if seq.needsGrad {
+		gseq = t.gradOf(seq)
+	}
+	// Row k of dg is ∂gates of the k-th step the sweep visits, s = steps-1-k.
+	dg := t.pool.Get(steps, 4*hd)
+	dh := t.pool.GetZeroed(1, hd) // ∂h_s's recurrent term, from step s+1
+	dc := t.pool.GetZeroed(1, hd) // ∂c_s's recurrent term, from step s+1
+	for k := 0; k < steps; k++ {
+		s := steps - 1 - k
+		r := lstmRow(s, steps, reverse)
+		sr, gr, dgr := st.Row(s), gout.Row(r), dg.Row(k)
+		i, f, g, o := sr[:hd], sr[hd:2*hd], sr[2*hd:3*hd], sr[3*hd:4*hd]
+		c, tc := sr[4*hd:5*hd], sr[5*hd:]
+		cPrev := xh.Row(0)[in:] // zero, as in the forward
+		if s > 0 {
+			cPrev = st.Row(s - 1)[4*hd : 5*hd]
+		}
+		di, df, dgg, do := dgr[:hd], dgr[hd:2*hd], dgr[2*hd:3*hd], dgr[3*hd:]
+		for j := range c {
+			dhj := gr[j] + dh.Data[j]      // the output row, then ConcatCols of step s+1
+			dtc := dhj * o[j]              // h = Mul(o, tanh c)
+			dcj := dc.Data[j]              // Mul(f, c) of step s+1
+			dcj += dtc * (1 - tc[j]*tc[j]) // Tanh(c)
+			dij, dgj := dcj*g[j], dcj*i[j] // c = Add(Mul(f, c_prev), Mul(i, g))
+			dfj := dcj * cPrev[j]
+			dc.Data[j] = dcj * f[j]
+			di[j] = dij * i[j] * (1 - i[j]) // Sigmoid
+			df[j] = dfj * f[j] * (1 - f[j])
+			dgg[j] = dgj * (1 - g[j]*g[j]) // Tanh
+			do[j] = dhj * tc[j] * o[j] * (1 - o[j])
+		}
+		// MatMul([x | h_prev], W): ∂h_prev, and ∂x when seq needs it.
+		if s > 0 {
+			for m := range dh.Data {
+				dh.Data[m] = dotABT(dgr, w.Row(in+m))
+			}
+		}
+		if gseq != nil {
+			gx := gseq.Row(r)
+			for m := range gx {
+				gx[m] += dotABT(dgr, w.Row(m))
+			}
+		}
+	}
+	// AddRowBroadcast(·, b) and MatMul(·, W), step by step in sweep order.
+	gb, gw := n.c.Grad, n.b.Grad
+	for k := 0; k < steps; k++ {
+		for j, v := range dg.Row(k) {
+			gb.Data[j] += v
+		}
+	}
+	// ∂W row m += Σ_k xh[s_k][m]·dg[k]: column m of [x | h] in sweep order
+	// against dg's rows, four steps folded per pass.
+	col := t.pool.Get(1, steps)
+	for m := 0; m < xh.Cols; m++ {
+		for k := range col.Data {
+			col.Data[k] = xh.Data[(steps-1-k)*xh.Cols+m]
+		}
+		mat.AddVecMat(gw.Row(m), col.Data, dg.Data)
+	}
+	t.pool.Put(col)
+	t.pool.Put(dc)
+	t.pool.Put(dh)
+	t.pool.Put(dg)
+}
+
+// dotABT is AddMatMulABT's dot product of two rows: two accumulators over
+// alternating terms, summed at the end.
+func dotABT(a, b []float64) float64 {
+	var s0, s1 float64
+	j := 0
+	for ; j+2 <= len(a); j += 2 {
+		s0 += a[j] * b[j]
+		s1 += a[j+1] * b[j+1]
+	}
+	if j < len(a) {
+		s0 += a[j] * b[j]
+	}
+	return s0 + s1
 }
 
 // BiLSTM runs one LSTM forward and one backward over a sequence and
@@ -156,29 +301,7 @@ func NewBiLSTM(ps *ParamSet, prefix string, in, hidden int, rng *rand.Rand) *BiL
 
 // Forward returns the concatenated forward/backward states, L×2·hidden.
 func (b *BiLSTM) Forward(t *Tape, seq *Node) *Node {
-	steps := seq.Value.Rows
-	if steps == 0 {
-		return t.Constant(mat.New(0, 2*b.Fwd.Hidden))
-	}
-	fh, fc := b.Fwd.InitState(t)
-	fwd := make([]*Node, steps)
-	for i := 0; i < steps; i++ {
-		x := t.SliceRows(seq, i, i+1)
-		fh, fc = b.Fwd.Step(t, x, fh, fc)
-		fwd[i] = fh
-	}
-	bh, bc := b.Bwd.InitState(t)
-	bwd := make([]*Node, steps)
-	for i := steps - 1; i >= 0; i-- {
-		x := t.SliceRows(seq, i, i+1)
-		bh, bc = b.Bwd.Step(t, x, bh, bc)
-		bwd[i] = bh
-	}
-	rows := make([]*Node, steps)
-	for i := 0; i < steps; i++ {
-		rows[i] = t.ConcatCols(fwd[i], bwd[i])
-	}
-	return t.ConcatRows(rows...)
+	return t.ConcatCols(t.LSTM(b.Fwd, seq, false), t.LSTM(b.Bwd, seq, true))
 }
 
 // GRUCell is a gated recurrent unit (used by the DLCM baseline). Gate order

@@ -60,12 +60,25 @@ func TestTapeReuseSteadyStateAllocs(t *testing.T) {
 	x := mat.RandNormal(3, 4, 0, 1, rng)
 	targets := []float64{1, 0, 1}
 
+	// The recurrences: a Bi-LSTM over a 5-step list and LSTM.Last over a
+	// 3-step sequence, the two forms RAPID trains.
+	bi := NewBiLSTM(ps, "bi", 4, 3, rng)
+	last := NewLSTM(ps, "last", 4, 3, rng)
+	list, hist := mat.RandNormal(5, 4, 0, 1, rng), mat.RandNormal(3, 4, 0, 1, rng)
+	recurrent := func(tape *Tape) {
+		loss := tape.Add(tape.Sum(bi.Forward(tape, tape.Constant(list))), tape.Sum(last.Last(tape, tape.Constant(hist))))
+		tape.Backward(loss)
+	}
+
 	tape := NewTape()
-	buildSmallNet(tape, w1, b1, w2, x, targets) // warm the pool
-	allocs := testing.AllocsPerRun(50, func() {
+	pass := func() {
 		tape.Reset()
 		buildSmallNet(tape, w1, b1, w2, x, targets)
-	})
+		tape.Reset()
+		recurrent(tape)
+	}
+	pass() // warm the pool
+	allocs := testing.AllocsPerRun(50, pass)
 	// Steady state should be near-zero; leave headroom for the runtime's
 	// occasional map/stack noise but fail loudly on per-op churn (~30 nodes).
 	if allocs > 4 {
@@ -111,6 +124,15 @@ func TestNewTapeCapAndNumNodes(t *testing.T) {
 	tape.Reset()
 	if got := tape.NumNodes(); got != 0 {
 		t.Fatalf("NumNodes after Reset = %d", got)
+	}
+
+	// A tape sized below one chunk grows in chunks of its own size.
+	small := NewTapeCap(3)
+	for i := 0; i < 10; i++ {
+		small.Constant(x)
+	}
+	if got := small.NumNodes(); got != 10 {
+		t.Fatalf("small tape NumNodes = %d, want 10", got)
 	}
 }
 

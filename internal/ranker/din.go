@@ -70,6 +70,10 @@ func (m *DIN) forward(t *nn.Tape, d *dataset.Dataset, user, item int) *nn.Node {
 	return m.head.Forward(t, t.ConcatCols(xu, xv, pooled))
 }
 
+// tapeNodes is the node count of one forward and its loss at a full
+// history: 34 + HistoryCap, 44 at the default cap.
+func (m *DIN) tapeNodes() int { return 34 + m.HistoryCap }
+
 func repeat(t *nn.Tape, row *nn.Node, n int) []*nn.Node {
 	out := make([]*nn.Node, n)
 	for i := range out {
@@ -84,10 +88,11 @@ func (m *DIN) Fit(d *dataset.Dataset) error {
 	opt := nn.NewAdam(m.LR)
 	rng := rand.New(rand.NewSource(m.Seed + 1))
 	inter := d.RankerTrain
+	t := nn.NewTapeCap(m.tapeNodes())
 	for e := 0; e < m.Epochs; e++ {
 		for _, i := range shuffled(len(inter), rng) {
 			ex := inter[i]
-			t := nn.NewTape()
+			t.Reset()
 			logit := m.forward(t, d, ex.User, ex.Item)
 			loss := t.SigmoidBCE(logit, []float64{ex.Label})
 			t.Backward(loss)
@@ -98,11 +103,12 @@ func (m *DIN) Fit(d *dataset.Dataset) error {
 	return nil
 }
 
-// Score implements Ranker.
+// Score implements Ranker. Each call builds its own small tape, so
+// concurrent callers share nothing.
 func (m *DIN) Score(d *dataset.Dataset, user, item int) float64 {
 	if !m.built {
 		panic("ranker: DIN.Score before Fit")
 	}
-	t := nn.NewTape()
+	t := nn.NewTapeCap(m.tapeNodes())
 	return mat.Sigmoid(m.forward(t, d, user, item).Value.Data[0])
 }

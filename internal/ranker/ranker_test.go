@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/nn"
 )
 
 func testData(t *testing.T, seed int64) *dataset.Dataset {
@@ -50,6 +51,30 @@ func TestDINLearnsRelevance(t *testing.T) {
 	}
 	if q := rankingQuality(d, din, 2); q < 0.62 {
 		t.Fatalf("DIN pairwise accuracy %v, want > 0.62", q)
+	}
+}
+
+// TestDINTapeNodesBoundsGraph holds DIN's tape size to its graph: a
+// training pass over a user with a full history records exactly
+// tapeNodes() nodes.
+func TestDINTapeNodesBoundsGraph(t *testing.T) {
+	d := testData(t, 3)
+	din := NewDIN(1)
+	din.build(d)
+	user := -1
+	for u := range d.Users {
+		if len(d.Users[u].History) >= din.HistoryCap {
+			user = u
+			break
+		}
+	}
+	if user < 0 {
+		t.Fatal("no user with a full history")
+	}
+	tp := nn.NewTape()
+	tp.SigmoidBCE(din.forward(tp, d, user, 0), []float64{1})
+	if got := tp.NumNodes(); got != din.tapeNodes() {
+		t.Fatalf("full-history pass records %d nodes, tapeNodes() = %d", got, din.tapeNodes())
 	}
 }
 
