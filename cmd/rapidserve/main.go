@@ -25,6 +25,14 @@
 // shadow-scored with -shadow), promote it, or roll back — all without
 // dropping a request. SIGHUP rescans the root for newly published versions.
 //
+// With -tenant-root a request may name a tenant. Each tenant is a directory
+// of versions; on the tenant's first request its newest version is loaded,
+// warmed up and pinned, and it stays resident until -tenant-budget-mb or
+// -tenant-max-resident evicts the least recently used tenant. A tenant has
+// no lifecycle of its own: a newly published version serves from its next
+// load. Every layer — engine, tenants, lifecycle, feedback — reports into
+// one metrics registry, so /metrics is one namespace.
+//
 // Endpoints:
 //
 //	POST /v1/rerank       — JSON request → re-ranked item IDs and scores
@@ -122,7 +130,10 @@ func main() {
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// One metrics namespace for the process: the engine, the tenant store,
+	// the lifecycle layer and the feedback loop all register here.
 	cfg := serve.Config{
+		Registry:        obs.NewRegistry(),
 		StateCacheBytes: *stateCacheMB << 20,
 		Budget:          *budget,
 		MaxInFlight:     *inflight,
@@ -143,11 +154,6 @@ func main() {
 		log.Printf("rapidserve: binary protocol on %s", ln.Addr())
 	}
 	if *tenantRoot != "" {
-		// Tenancy shares one metrics namespace across the engine, the tenant
-		// store and (in registry mode) the lifecycle layer.
-		if cfg.Registry == nil {
-			cfg.Registry = obs.NewRegistry()
-		}
 		multi, err := registry.NewMulti(registry.MultiConfig{
 			Root:             *tenantRoot,
 			MaxResidentBytes: *tenantBudgetMB << 20,
@@ -158,7 +164,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rapidserve: tenant store: %v\n", err)
 			os.Exit(1)
 		}
-		defer multi.Close()
 		cfg.Tenants = multi
 		cfg.TenantMaxInFlight = *tenantMaxInflight
 		log.Printf("rapidserve: multi-tenant store at %s (budget %d MiB, max resident %d, per-tenant inflight %d)",
@@ -315,7 +320,6 @@ func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canar
 	if err != nil {
 		return err
 	}
-	cfg.Registry = reg.ObsRegistry()
 	cfg.Admin = reg
 
 	var provider engine.Provider = reg
@@ -348,7 +352,7 @@ func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canar
 				return err
 			}
 		}
-		ing := feedback.NewIngestor(l, pol, feedback.IngestConfig{Registry: reg.ObsRegistry()})
+		ing := feedback.NewIngestor(l, pol, feedback.IngestConfig{Registry: cfg.Registry})
 		defer func() {
 			if err := ing.Close(); err != nil {
 				log.Printf("rapidserve: feedback log close: %v", err)

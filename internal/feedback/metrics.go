@@ -20,10 +20,6 @@ type metrics struct {
 	banditReward  *obs.Counter    // cumulative reward (clicked events credited)
 	banditUpdates *obs.Counter
 	banditRegret  *obs.Gauge // estimated cumulative regret
-
-	reestimates *obs.Counter
-	published   *obs.Counter
-	promotes    *obs.Counter
 }
 
 func newMetrics(r *obs.Registry) *metrics {
@@ -55,12 +51,6 @@ func newMetrics(r *obs.Registry) *metrics {
 			"Bandit policy updates applied from ingested feedback."),
 		banditRegret: r.Gauge("rapid_bandit_estimated_regret",
 			"Estimated cumulative bandit regret (sum of best-empirical-mean minus observed reward); sublinear growth means the policy is converging."),
-		reestimates: r.Counter("rapid_feedback_reestimates_total",
-			"Incremental click-model re-estimations completed by the trainer."),
-		published: r.Counter("rapid_feedback_published_total",
-			"Online-learned versions published to the registry by the trainer."),
-		promotes: r.Counter("rapid_feedback_promotes_total",
-			"Online-learned versions promoted to active after surviving canary."),
 	}
 	// Eager label creation so "no traffic" reads as zero, not as absence.
 	m.events.With("ok")

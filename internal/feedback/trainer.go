@@ -9,7 +9,6 @@ import (
 	"repro/internal/bandit"
 	"repro/internal/clickmodel"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/serve"
 )
@@ -43,12 +42,8 @@ type TrainerConfig struct {
 	MinEvents int
 	// MinArmPulls gates arm selection: an arm with less evidence cannot be
 	// published (default 50). With no qualifying arm the trainer publishes
-	// DefaultDiversifier@DefaultLambda.
+	// defaultDiversifier@defaultLambda.
 	MinArmPulls int64
-	// DefaultDiversifier/DefaultLambda are the fallback λ choice before the
-	// bandit has evidence (defaults "mmr" / 0.5).
-	DefaultDiversifier string
-	DefaultLambda      float64
 	// PromoteAfter is the canary traffic (requests served by the candidate)
 	// the trainer waits for before promoting (default 50). The wait is what
 	// arms auto-rollback: a candidate that degrades is demoted by the
@@ -60,8 +55,6 @@ type TrainerConfig struct {
 	// on the next cycle rather than forced.
 	PromotePoll    time.Duration
 	PromoteTimeout time.Duration
-	// Registry receives the trainer metrics; nil means a private one.
-	Registry *obs.Registry
 	// Log receives operational messages; nil uses log.Printf.
 	Log func(format string, args ...any)
 }
@@ -75,12 +68,6 @@ func (c TrainerConfig) withDefaults() TrainerConfig {
 	}
 	if c.MinArmPulls <= 0 {
 		c.MinArmPulls = 50
-	}
-	if c.DefaultDiversifier == "" {
-		c.DefaultDiversifier = "mmr"
-	}
-	if c.DefaultLambda <= 0 {
-		c.DefaultLambda = 0.5
 	}
 	if c.PromoteAfter <= 0 {
 		c.PromoteAfter = 50
@@ -98,6 +85,10 @@ func (c TrainerConfig) withDefaults() TrainerConfig {
 }
 
 const (
+	// defaultDiversifier and defaultLambda are the λ choice the trainer
+	// publishes before any bandit arm has MinArmPulls of evidence.
+	defaultDiversifier = "mmr"
+	defaultLambda      = 0.5
 	// PositionHorizon is the click-model position horizon — the length of the
 	// fitted ε̃ vector — for every estimator over the feedback log.
 	PositionHorizon = 64
@@ -124,7 +115,6 @@ type armTally struct {
 type Trainer struct {
 	cfg     TrainerConfig
 	inc     *clickmodel.Incremental
-	met     *metrics
 	cursor  uint64 // next log seq to replay
 	pending int    // events since the last re-estimate
 	armsSum map[string]*armTally
@@ -140,7 +130,6 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	return &Trainer{
 		cfg:     cfg,
 		inc:     clickmodel.NewIncremental(PositionHorizon),
-		met:     newMetrics(cfg.Registry),
 		cursor:  1,
 		armsSum: make(map[string]*armTally),
 	}, nil
@@ -179,14 +168,12 @@ func (t *Trainer) Step(ctx context.Context) error {
 	}
 	est := t.inc.Estimate(1, nil)
 	t.inc.Compact(maxResiduals)
-	t.met.reestimates.Inc()
 	t.pending = 0
 	arm := t.bestArm()
 	label, err := t.publish(arm, est)
 	if err != nil {
 		return err
 	}
-	t.met.published.Inc()
 	t.cfg.Log("feedback: published %s (arm %s, %d sessions, %d clicks)",
 		label, arm.Label(), t.inc.Sessions(), t.inc.Clicks())
 	return t.deploy(ctx, label)
@@ -239,7 +226,7 @@ func (t *Trainer) bestArm() bandit.Arm {
 	if best != nil {
 		return best.arm
 	}
-	return bandit.Arm{Name: t.cfg.DefaultDiversifier, Lambda: t.cfg.DefaultLambda}
+	return bandit.Arm{Name: defaultDiversifier, Lambda: defaultLambda}
 }
 
 // publish commits the online-learned version: the newest on-disk manifest
@@ -328,7 +315,6 @@ func (t *Trainer) deploy(ctx context.Context, label string) error {
 			if err := t.cfg.Lifecycle.Promote(label); err != nil {
 				return fmt.Errorf("feedback: promote %s: %w", label, err)
 			}
-			t.met.promotes.Inc()
 			t.cfg.Log("feedback: promoted %s after %d canary requests (%d degraded)",
 				label, cand.Requests, cand.Degraded)
 			return nil

@@ -40,7 +40,7 @@ func TestPublishDiversifierLifecycle(t *testing.T) {
 
 	// "div-*" sorts before "v*": startup auto-activation must still pick
 	// the trained model, not the heuristic.
-	r, err := New(Config{Root: root, Log: t.Logf, CanaryPercent: 50})
+	r, err := New(Config{Root: root, CanaryPercent: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPublishDiversifierLifecycle(t *testing.T) {
 	if !strings.HasPrefix(pinned.Scorer.Name(), "div-") {
 		t.Fatalf("candidate scorer %q is not a diversifier adapter", pinned.Scorer.Name())
 	}
-	req := SyntheticGolden(cfg, 1, 8)[0]
+	req := syntheticGolden(cfg, 1, 8)[0]
 	inst, err := engine.ToInstance(cfg, &req)
 	if err != nil {
 		t.Fatal(err)

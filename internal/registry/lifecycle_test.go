@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/rerank"
 	"repro/internal/serve"
 )
@@ -143,16 +144,18 @@ func TestConcurrentSwapCoherence(t *testing.T) {
 // /metrics must expose the per-version series for both versions afterwards.
 // Run with -race.
 func TestLifecycleUnderLiveHTTPTraffic(t *testing.T) {
+	reg := obs.NewRegistry()
 	r := newTestRegistry(t, []string{"v1", "v2"}, func(c *Config) {
 		c.Loader = offsetLoader
 		c.CanaryPercent = 30
+		c.Registry = reg
 	})
 	if err := r.Load("v1"); err != nil {
 		t.Fatal(err)
 	}
 	const token = "test-admin-token"
 	srv := serve.NewProviderServer(r, serve.Config{
-		Registry:    r.ObsRegistry(),
+		Registry:    reg,
 		Admin:       r,
 		AdminToken:  token,
 		Budget:      2 * time.Second, // stub scoring is instant; no degrades
@@ -163,7 +166,7 @@ func TestLifecycleUnderLiveHTTPTraffic(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	golden := SyntheticGolden(testGeometry(), 8, 5)
+	golden := syntheticGolden(testGeometry(), 8, 5)
 	bodies := make([][]byte, len(golden))
 	for i, req := range golden {
 		b, err := json.Marshal(req)

@@ -50,7 +50,7 @@ func newLifecycleMetrics(r *obs.Registry) *lifecycleMetrics {
 		rollbacks: r.CounterVec("rapid_model_rollbacks_total",
 			"Rollbacks by trigger: manual (admin API) or auto (canary degrade-rate excess).", "reason"),
 		warmupFailures: r.Counter("rapid_model_warmup_failures_total",
-			"Version loads rejected by warm-up validation (non-finite scores, geometry mismatch or latency budget)."),
+			"Version loads rejected by warm-up validation (non-finite or missing scores, or latency budget)."),
 		warmupLatency: r.Histogram("rapid_model_warmup_latency_seconds",
 			"Per-request scoring latency during warm-up golden replay.", nil),
 		shadowScored: r.Counter("rapid_shadow_scored_total",

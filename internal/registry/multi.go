@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/nn"
@@ -32,18 +33,9 @@ type MultiConfig struct {
 	// rapid_tenant_evictions_total). Pass the serving registry so /metrics
 	// carries them; nil means a private one.
 	Registry *obs.Registry
-	// Base is the template for each tenant's single-tenant registry. Root,
-	// Registry and Log are overridden per tenant: every tenant registry gets
-	// a private metrics registry so two tenants publishing the same version
-	// label cannot merge their per-version series.
-	Base Config
-	// Sizer estimates a loaded scorer's resident bytes for the LRU budget.
-	// nil charges 8 bytes per model parameter (and a small constant for
-	// weightless diversifier versions).
-	Sizer func(engine.Scorer) int64
-	// Log receives operational messages; nil uses the Base config's logger
-	// defaulting.
-	Log func(format string, args ...any)
+	// Loader loads one version's artifacts; nil uses engine.LoadScorer. It is
+	// Config.Loader's seam, for the same tests.
+	Loader func(modelPath string) (engine.Scorer, engine.Manifest, error)
 }
 
 // tenantMetrics is the residency metric set of a Multi. The engine's own
@@ -59,49 +51,49 @@ type tenantMetrics struct {
 func newTenantMetrics(r *obs.Registry) *tenantMetrics {
 	return &tenantMetrics{
 		resident: r.Gauge("rapid_tenant_resident",
-			"Tenant model registries currently resident in memory."),
+			"Tenant models currently resident in memory."),
 		residentBytes: r.Gauge("rapid_tenant_resident_bytes",
 			"Estimated parameter bytes of all resident tenant models."),
 		loads: r.Counter("rapid_tenant_loads_total",
-			"Tenant registries opened and activated (first request or reload after eviction)."),
+			"Tenant models loaded and warmed up (first request or reload after eviction)."),
 		evictions: r.Counter("rapid_tenant_evictions_total",
-			"Tenant registries evicted by the residency budget (LRU)."),
+			"Tenant models evicted by the residency budget (LRU)."),
 	}
 }
 
-// resident is one loaded tenant. Eviction closes the registry but cannot
-// invalidate requests already holding one of its pins: pins are immutable
-// snapshots, so an in-flight request keeps scoring against the model it
-// resolved even while the tenant is being closed underneath.
+// resident is one loaded tenant: its newest version, warmed up and pinned.
+// Eviction only drops the tenant from the accounting. A pin is an immutable
+// snapshot, so a request already holding one keeps scoring against the model
+// it resolved after its tenant is gone.
 type resident struct {
-	name  string
-	reg   *Registry
-	bytes int64
-	elem  *list.Element
+	name     string
+	provider engine.Provider
+	bytes    int64
+	elem     *list.Element
 }
 
 // Multi implements the engine's TenantSource over a directory of per-tenant
-// version stores: Root/<tenant>/<version>/. Tenants load lazily on first
-// resolution (open the sub-registry, activate its newest version, warm it
-// up) and stay resident until the LRU budget pushes them out. Resolution of
-// a resident tenant is a map lookup under a mutex that is never held across
-// a load — the engine resolves the tenant before the request's deadline
-// exists, so a stranger's cold load must not be able to stall it. Only a
-// cold tenant pays the load, and cold loads serialize — one tenant warming
-// up cannot race another into a budget the eviction loop has not settled
-// yet.
+// version stores: Root/<tenant>/<version>/. A tenant loads lazily on first
+// resolution — scan its store, load its newest version and warm it up, the
+// same load path as Registry.Load — and stays resident until the LRU budget
+// pushes it out. A tenant has no lifecycle of its own: it serves its newest
+// version as of its load. Resolution of a resident tenant is a map lookup
+// under a mutex that is never held across a load — the engine resolves the
+// tenant before the request's deadline exists, so a stranger's cold load must
+// not be able to stall it. Only a cold tenant pays the load, and cold loads
+// serialize — one tenant warming up cannot race another into a budget the
+// eviction loop has not settled yet.
 type Multi struct {
 	cfg MultiConfig
 	met *tenantMetrics
 
-	// loadMu serializes cold loads (and Close) with each other. Lock order:
-	// loadMu, then mu.
+	// loadMu serializes cold loads. Lock order: loadMu, then mu.
 	loadMu sync.Mutex
 
 	// mu guards the residency accounting below, and nothing slower.
 	mu    sync.Mutex
 	res   map[string]*resident
-	lru   *list.List // front = least recently used
+	lru   list.List // front = least recently used
 	bytes int64
 }
 
@@ -114,32 +106,30 @@ func NewMulti(cfg MultiConfig) (*Multi, error) {
 	if err := os.MkdirAll(cfg.Root, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: create tenant root: %w", err)
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
 	}
-	if cfg.Sizer == nil {
-		cfg.Sizer = scorerBytes
+	if cfg.Loader == nil {
+		cfg.Loader = engine.LoadScorer
 	}
-	return &Multi{
-		cfg: cfg,
-		met: newTenantMetrics(reg),
-		res: make(map[string]*resident),
-		lru: list.New(),
-	}, nil
+	return &Multi{cfg: cfg, met: newTenantMetrics(cfg.Registry), res: make(map[string]*resident)}, nil
 }
 
-// scorerBytes is the default residency estimator: 8 bytes per parameter for
-// neural models, a nominal constant for weightless diversifier adapters.
+// weightlessBytes is the residency charge of a version with no parameters
+// (a classic-diversifier adapter).
+const weightlessBytes = 4 << 10
+
+// scorerBytes is the residency estimate: 8 bytes per parameter for neural
+// models, weightlessBytes for weightless diversifier adapters.
 func scorerBytes(sc engine.Scorer) int64 {
 	if m, ok := sc.(interface{ ParamSet() *nn.ParamSet }); ok {
 		return int64(m.ParamSet().NumParams()) * 8
 	}
-	return 4 << 10
+	return weightlessBytes
 }
 
 // Tenant implements the engine's TenantSource: it resolves name to that
-// tenant's registry, loading it on first use. Unknown or invalid names
+// tenant's pinned model, loading it on first use. Unknown or invalid names
 // error; the engine converts any failure into its unknown-tenant shape.
 func (m *Multi) Tenant(name string) (engine.Provider, error) {
 	// Tenant names are path components chosen by request bodies — the same
@@ -147,28 +137,26 @@ func (m *Multi) Tenant(name string) (engine.Provider, error) {
 	if err := ValidLabel(name); err != nil {
 		return nil, fmt.Errorf("unknown tenant %q: %w", name, err)
 	}
-	if reg := m.lookup(name); reg != nil {
-		return reg, nil
+	if p := m.lookup(name); p != nil {
+		return p, nil
 	}
 	m.loadMu.Lock()
 	defer m.loadMu.Unlock()
 	// Of two first requests for one tenant, the second finds it resident here.
-	if reg := m.lookup(name); reg != nil {
-		return reg, nil
+	if p := m.lookup(name); p != nil {
+		return p, nil
 	}
 	rt, err := m.load(name)
 	if err != nil {
 		return nil, err
 	}
-	for _, victim := range m.admit(rt) {
-		victim.reg.Close()
-	}
-	return rt.reg, nil
+	m.admit(rt)
+	return rt.provider, nil
 }
 
-// lookup returns a resident tenant's registry and refreshes its recency, or
-// nil for a tenant that is not resident.
-func (m *Multi) lookup(name string) *Registry {
+// lookup returns a resident tenant's pin and refreshes its recency, or nil
+// for a tenant that is not resident.
+func (m *Multi) lookup(name string) engine.Provider {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rt, ok := m.res[name]
@@ -176,49 +164,38 @@ func (m *Multi) lookup(name string) *Registry {
 		return nil
 	}
 	m.lru.MoveToBack(rt.elem)
-	return rt.reg
+	return rt.provider
 }
 
-// load opens and activates one tenant under m.loadMu — open, read the
-// weights, warm up — without touching the residency accounting.
+// load reads and warms one tenant's newest version under m.loadMu, without
+// touching the residency accounting.
 func (m *Multi) load(name string) (*resident, error) {
 	dir := filepath.Join(m.cfg.Root, name)
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		return nil, fmt.Errorf("unknown tenant %q: no store at %s", name, dir)
 	}
-	cfg := m.cfg.Base
-	cfg.Root = dir
-	cfg.Registry = obs.NewRegistry() // private: see MultiConfig.Base
-	base := m.cfg.Log
-	if base == nil {
-		base = m.cfg.Base.Log
-	}
-	if base == nil {
-		base = log.Printf
-	}
-	cfg.Log = func(format string, args ...any) {
-		base("tenant %s: "+format, append([]any{name}, args...)...)
-	}
-	reg, err := New(cfg)
+	label, err := newest(dir)
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q: %w", name, err)
 	}
-	label, err := reg.ActivateLatest()
+	v, err := loadVersion(m.cfg.Loader, dir, label, func(time.Duration) {})
 	if err != nil {
-		reg.Close()
-		return nil, fmt.Errorf("tenant %q: activate: %w", name, err)
+		return nil, fmt.Errorf("tenant %q: %w", name, err)
 	}
-	rt := &resident{name: name, reg: reg, bytes: m.cfg.Sizer(reg.Active().Scorer)}
-	cfg.Log("resident (version %s, ~%d bytes)", label, rt.bytes)
+	rt := &resident{
+		name:     name,
+		provider: engine.StaticProvider(engine.Pinned{Scorer: v.scorer, Manifest: v.man, Version: label}),
+		bytes:    scorerBytes(v.scorer),
+	}
+	log.Printf("registry: tenant %s resident (version %s, ~%d bytes)", name, label, rt.bytes)
 	return rt, nil
 }
 
-// admit makes a loaded tenant resident, then unlinks least-recently-used
-// tenants until the residency budget holds again and returns them for the
-// caller to close once m.mu is released. rt — the tenant that just loaded —
-// is never a victim even if it alone exceeds the byte budget: a tenant too
-// large to coexist with others must still be servable on its own.
-func (m *Multi) admit(rt *resident) (victims []*resident) {
+// admit makes a loaded tenant resident, then evicts least-recently-used
+// tenants until the residency budget holds again. rt — the tenant that just
+// loaded — is never a victim even if it alone exceeds the byte budget: a
+// tenant too large to coexist with others must still be servable on its own.
+func (m *Multi) admit(rt *resident) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rt.elem = m.lru.PushBack(rt)
@@ -231,23 +208,11 @@ func (m *Multi) admit(rt *resident) (victims []*resident) {
 		if victim == rt {
 			break
 		}
-		victims = append(victims, m.unlink(victim))
+		m.lru.Remove(victim.elem)
+		delete(m.res, victim.name)
+		m.bytes -= victim.bytes
+		m.met.evictions.Inc()
 	}
-	m.publishGauges()
-	return victims
-}
-
-// unlink takes one resident tenant out of the accounting under m.mu. Its
-// registry is still open: the caller closes it.
-func (m *Multi) unlink(rt *resident) *resident {
-	m.lru.Remove(rt.elem)
-	delete(m.res, rt.name)
-	m.bytes -= rt.bytes
-	m.met.evictions.Inc()
-	return rt
-}
-
-func (m *Multi) publishGauges() {
 	m.met.resident.Set(float64(len(m.res)))
 	m.met.residentBytes.Set(float64(m.bytes))
 }
@@ -257,22 +222,4 @@ func (m *Multi) Resident() (tenants int, bytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.res), m.bytes
-}
-
-// Close evicts every resident tenant. Calling Tenant after Close reloads —
-// a Multi has no terminal state of its own; Close exists so a shutting-down
-// process can drain tenant shadow pools deterministically.
-func (m *Multi) Close() {
-	m.loadMu.Lock()
-	defer m.loadMu.Unlock()
-	m.mu.Lock()
-	var all []*resident
-	for m.lru.Front() != nil {
-		all = append(all, m.unlink(m.lru.Front().Value.(*resident)))
-	}
-	m.publishGauges()
-	m.mu.Unlock()
-	for _, rt := range all {
-		rt.reg.Close()
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,8 +16,7 @@ import (
 	"repro/internal/serve"
 )
 
-// Config parameterizes a Registry. The zero value of every field falls back
-// to the listed default; Root is required.
+// Config parameterizes a Registry; Root is required.
 type Config struct {
 	// Root is the versioned model store directory (one subdirectory per
 	// published version).
@@ -30,34 +28,6 @@ type Config struct {
 	// Shadow enables asynchronous shadow scoring of the candidate on a
 	// bounded worker pool (default off).
 	Shadow bool
-	// ShadowWorkers and ShadowQueue bound the shadow pool (defaults 2
-	// workers and a queue of 64 instances). When the queue is full, shadow
-	// work is shed and counted — never queued unboundedly and never allowed
-	// to delay responses.
-	ShadowWorkers int
-	ShadowQueue   int
-	// ShadowK is the ranking depth for the shadow divergence metrics
-	// (overlap@k, ILD@k; default 10).
-	ShadowK int
-	// Golden is the warm-up request set replayed against every loaded
-	// version before it may serve traffic. nil synthesizes WarmupRequests
-	// deterministic requests from the version's own manifest geometry.
-	Golden []engine.Request
-	// WarmupRequests is the synthesized golden-set size (default 16).
-	WarmupRequests int
-	// WarmupBudget is the per-request latency budget during warm-up
-	// (default 500ms — deliberately looser than the serving budget: warm-up
-	// pays first-touch allocation costs, and its job is catching models
-	// that are orders of magnitude off, not enforcing the p99).
-	WarmupBudget time.Duration
-	// RollbackExcess is the canary auto-rollback threshold: the candidate
-	// is demoted when its degrade rate exceeds the active model's by more
-	// than this fraction (default 0.10).
-	RollbackExcess float64
-	// MinCanarySamples is the minimum canary traffic before the
-	// auto-rollback comparison runs (default 50) — a single unlucky request
-	// must not kill a healthy candidate.
-	MinCanarySamples int64
 	// Registry receives the lifecycle metrics; nil means a private one.
 	// Pass the serving registry so /metrics carries both namespaces.
 	Registry *obs.Registry
@@ -66,43 +36,16 @@ type Config struct {
 	// weightless classic-diversifier adapter. The seam exists for tests and
 	// fault injection.
 	Loader func(modelPath string) (engine.Scorer, engine.Manifest, error)
-	// Log receives operational messages; nil uses log.Printf.
-	Log func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
-	if c.ShadowWorkers <= 0 {
-		c.ShadowWorkers = 2
-	}
-	if c.ShadowQueue <= 0 {
-		c.ShadowQueue = 64
-	}
-	if c.ShadowK <= 0 {
-		c.ShadowK = 10
-	}
-	if c.WarmupRequests <= 0 {
-		c.WarmupRequests = 16
-	}
-	if c.WarmupBudget <= 0 {
-		c.WarmupBudget = 500 * time.Millisecond
-	}
-	if c.RollbackExcess <= 0 {
-		c.RollbackExcess = 0.10
-	}
-	if c.MinCanarySamples <= 0 {
-		c.MinCanarySamples = 50
-	}
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
-	}
-	if c.Loader == nil {
-		c.Loader = engine.LoadScorer
-	}
-	if c.Log == nil {
-		c.Log = log.Printf
-	}
-	return c
-}
+// The canary auto-rollback rule: a candidate is demoted once it has served
+// minCanarySamples requests (so one unlucky request cannot kill a healthy
+// candidate) and its degrade rate exceeds the active model's by more than
+// rollbackExcess.
+const (
+	rollbackExcess   = 0.10
+	minCanarySamples = 50
+)
 
 // version is one loaded model version with its served-traffic counters. The
 // counters live on the version (not the state snapshot) so they accumulate
@@ -175,17 +118,22 @@ func (r *Registry) swap(st *state) {
 // New opens a registry over cfg.Root. No version is loaded yet: call Load
 // (directly or via ActivateLatest) before serving.
 func New(cfg Config) (*Registry, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Root == "" {
 		return nil, fmt.Errorf("registry: Config.Root is required")
 	}
 	if err := os.MkdirAll(cfg.Root, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: create root: %w", err)
 	}
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
+	}
+	if cfg.Loader == nil {
+		cfg.Loader = engine.LoadScorer
+	}
 	r := &Registry{cfg: cfg, met: newLifecycleMetrics(cfg.Registry)}
 	r.state.Store(&state{})
 	if cfg.Shadow {
-		r.shadow = newShadowPool(cfg.ShadowWorkers, cfg.ShadowQueue, cfg.ShadowK, r.met, cfg.Log)
+		r.shadow = newShadowPool(r.met)
 	}
 	return r, nil
 }
@@ -199,10 +147,6 @@ func (r *Registry) Close() {
 		}
 	})
 }
-
-// ObsRegistry exposes the metrics registry (the one from Config, or the
-// private default) so a process can serve one /metrics namespace.
-func (r *Registry) ObsRegistry() *obs.Registry { return r.cfg.Registry }
 
 // Active implements engine.Provider.
 func (r *Registry) Active() engine.Pinned {
@@ -283,12 +227,12 @@ func (r *Registry) maybeAutoRollback(cand *version) {
 		return
 	}
 	n := cand.requests.Load()
-	if n < r.cfg.MinCanarySamples {
+	if n < minCanarySamples {
 		return
 	}
 	candRate := cand.degradeRate()
 	actRate := st.active.degradeRate()
-	if candRate <= actRate+r.cfg.RollbackExcess {
+	if candRate <= actRate+rollbackExcess {
 		return
 	}
 	if !cand.demoted.CompareAndSwap(false, true) {
@@ -302,8 +246,8 @@ func (r *Registry) maybeAutoRollback(cand *version) {
 	}
 	r.swap(&state{active: st.active, previous: st.previous})
 	r.met.rollbacks.With("auto").Inc()
-	r.cfg.Log("registry: auto-rollback of canary %s: degrade rate %.4f exceeds active %s rate %.4f by more than %.2f (%d canary requests)",
-		cand.label, candRate, st.active.label, actRate, r.cfg.RollbackExcess, n)
+	log.Printf("registry: auto-rollback of canary %s: degrade rate %.4f exceeds active %s rate %.4f by more than %.2f (%d canary requests)",
+		cand.label, candRate, st.active.label, actRate, rollbackExcess, n)
 }
 
 // Load implements the first two stages of the promotion pipeline for one
@@ -323,7 +267,10 @@ func (r *Registry) Load(label string) error {
 	if st.candidate != nil && st.candidate.label == label {
 		return fmt.Errorf("%w: version %s is already the candidate", serve.ErrLifecycleConflict, label)
 	}
-	v, err := r.loadVersion(label)
+	v, err := loadVersion(r.cfg.Loader, r.cfg.Root, label, r.met.warmupLatency.ObserveDuration)
+	if errors.Is(err, errWarmup) {
+		r.met.warmupFailures.Inc()
+	}
 	if err != nil {
 		return err
 	}
@@ -335,43 +282,22 @@ func (r *Registry) Load(label string) error {
 	r.met.loads.Inc()
 	if st.active == nil {
 		r.swap(&state{active: v})
-		r.cfg.Log("registry: activated %s (no prior active version)", label)
+		log.Printf("registry: activated %s (no prior active version)", label)
 		return nil
 	}
 	r.swap(&state{active: st.active, candidate: v, previous: st.previous})
-	r.cfg.Log("registry: staged %s as canary candidate (%.1f%% of traffic, shadow %v)",
+	log.Printf("registry: staged %s as canary candidate (%.1f%% of traffic, shadow %v)",
 		label, r.cfg.CanaryPercent, r.shadow != nil)
 	return nil
-}
-
-// loadVersion reads one version from disk and warm-up validates it.
-func (r *Registry) loadVersion(label string) (*version, error) {
-	dir := filepath.Join(r.cfg.Root, label)
-	if _, err := os.Stat(dir); err != nil {
-		return nil, fmt.Errorf("%w: %s not found in %s", serve.ErrUnknownVersion, label, r.cfg.Root)
-	}
-	scorer, man, err := r.cfg.Loader(ModelPath(r.cfg.Root, label))
-	if err != nil {
-		return nil, fmt.Errorf("registry: load %s: %w", label, err)
-	}
-	if err := r.warmup(label, scorer, man); err != nil {
-		r.met.warmupFailures.Inc()
-		return nil, fmt.Errorf("registry: warm-up of %s failed: %w", label, err)
-	}
-	return &version{label: label, scorer: scorer, man: man}, nil
 }
 
 // ActivateLatest loads the newest on-disk version as the active model — the
 // process-startup path of rapidserve -model-root.
 func (r *Registry) ActivateLatest() (string, error) {
-	versions, err := Scan(r.cfg.Root)
+	latest, err := newest(r.cfg.Root)
 	if err != nil {
 		return "", err
 	}
-	if len(versions) == 0 {
-		return "", fmt.Errorf("registry: no versions in %s (publish one with rapidtrain -publish)", r.cfg.Root)
-	}
-	latest := versions[len(versions)-1]
 	return latest, r.Load(latest)
 }
 
@@ -389,7 +315,7 @@ func (r *Registry) Promote(label string) error {
 	}
 	r.swap(&state{active: st.candidate, previous: st.active})
 	r.met.promotions.Inc()
-	r.cfg.Log("registry: promoted %s to active (previous %s kept for rollback)", label, st.active.label)
+	log.Printf("registry: promoted %s to active (previous %s kept for rollback)", label, st.active.label)
 	return nil
 }
 
@@ -405,13 +331,13 @@ func (r *Registry) Rollback() (string, error) {
 		r.swap(&state{active: st.active, previous: st.previous})
 		r.met.rollbacks.With("manual").Inc()
 		desc := fmt.Sprintf("aborted candidate %s; active stays %s", st.candidate.label, st.active.label)
-		r.cfg.Log("registry: %s", desc)
+		log.Printf("registry: %s", desc)
 		return desc, nil
 	case st.previous != nil:
 		r.swap(&state{active: st.previous})
 		r.met.rollbacks.With("manual").Inc()
 		desc := fmt.Sprintf("reverted active %s to %s", st.active.label, st.previous.label)
-		r.cfg.Log("registry: %s", desc)
+		log.Printf("registry: %s", desc)
 		return desc, nil
 	default:
 		return "", fmt.Errorf("%w: nothing to roll back (no candidate, no previous version)", serve.ErrLifecycleConflict)
@@ -458,9 +384,12 @@ func (r *Registry) Versions() ([]serve.VersionStatus, error) {
 		add(label)
 	}
 	// Loaded versions whose directory vanished (operator cleanup) still
-	// serve; list them so the admin view matches reality.
-	for label := range stateOf {
-		add(label)
+	// serve; list them, in lifecycle order, so the admin view matches
+	// reality and reads the same on every call.
+	for _, v := range []*version{st.active, st.candidate, st.previous} {
+		if v != nil {
+			add(v.label)
+		}
 	}
 	return out, nil
 }
@@ -477,6 +406,6 @@ func (r *Registry) Rescan() ([]string, error) {
 	if st.active != nil {
 		active = st.active.label
 	}
-	r.cfg.Log("registry: rescan of %s found %d version(s) %v (active %s)", r.cfg.Root, len(versions), versions, active)
+	log.Printf("registry: rescan of %s found %d version(s) %v (active %s)", r.cfg.Root, len(versions), versions, active)
 	return versions, nil
 }

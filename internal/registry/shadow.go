@@ -2,6 +2,7 @@ package registry
 
 import (
 	"context"
+	"log"
 	"math"
 	"sync"
 
@@ -18,6 +19,15 @@ type shadowJob struct {
 	primary []float64
 }
 
+// The shadow pool's shape: shadowWorkers workers behind a queue of
+// shadowQueue instances, comparing rankings at depth shadowK (overlap@k,
+// ILD@k).
+const (
+	shadowWorkers = 2
+	shadowQueue   = 64
+	shadowK       = 10
+)
+
 // shadowPool scores shadow jobs on a fixed set of workers behind a bounded
 // queue. Submission never blocks: when the queue is full the instance is shed
 // and counted. The choice to shed rather than queue is deliberate — shadow
@@ -28,13 +38,11 @@ type shadowPool struct {
 	jobs chan shadowJob
 	wg   sync.WaitGroup
 	met  *lifecycleMetrics
-	k    int
-	log  func(format string, args ...any)
 }
 
-func newShadowPool(workers, queue, k int, met *lifecycleMetrics, log func(string, ...any)) *shadowPool {
-	p := &shadowPool{jobs: make(chan shadowJob, queue), met: met, k: k, log: log}
-	for i := 0; i < workers; i++ {
+func newShadowPool(met *lifecycleMetrics) *shadowPool {
+	p := &shadowPool{jobs: make(chan shadowJob, shadowQueue), met: met}
+	for i := 0; i < shadowWorkers; i++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -70,7 +78,7 @@ func (p *shadowPool) score(job shadowJob) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.met.shadowErrors.Inc()
-			p.log("registry: recovered shadow scoring panic on %s: %v", job.cand.label, r)
+			log.Printf("registry: recovered shadow scoring panic on %s: %v", job.cand.label, r)
 		}
 	}()
 	cfg, inst := job.cand.man.Config, job.inst
@@ -113,7 +121,7 @@ func (p *shadowPool) compare(inst *rerank.Instance, primary, scores []float64) {
 	}
 	p.met.shadowDivergence.Observe(div / float64(len(scores)))
 
-	k := p.k
+	k := shadowK
 	if k > len(inst.Items) {
 		k = len(inst.Items)
 	}

@@ -69,13 +69,13 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	return c
 }
 
+// ringVNodes is the virtual-node count per replica on the hash ring.
+const ringVNodes = 64
+
 // Config assembles a Router.
 type Config struct {
 	// Replicas is the fleet; at least one is required.
 	Replicas []Replica
-	// VNodes is the virtual-node count per replica on the hash ring
-	// (default 64).
-	VNodes int
 	// HedgeDelay, when positive, arms request hedging: if the owning replica
 	// has not answered within this delay, a second attempt starts on the
 	// next replica in the key's fallback sequence and the first response
@@ -130,9 +130,6 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("router: no replicas")
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
-	}
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = 5 * time.Second
 	}
@@ -148,7 +145,7 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: replica %q has invalid URL %q", rep.ID, rep.URL)
 		}
 	}
-	rg, err := newRing(ids, cfg.VNodes)
+	rg, err := newRing(ids, ringVNodes)
 	if err != nil {
 		return nil, err
 	}

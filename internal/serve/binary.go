@@ -15,7 +15,7 @@ import (
 // connections within ctx's deadline; fatal serve errors surface on errc so
 // Serve fails the same way it would for the HTTP listener.
 func (s *Server) serveBinary(ln net.Listener, errc chan<- error) func(context.Context) {
-	bs := &binproto.Server{Eng: s.Engine, Log: s.Log, IdleTimeout: s.cfg.IdleTimeout}
+	bs := &binproto.Server{Eng: s.Engine, Log: s.Log}
 	go func() {
 		if err := bs.Serve(ln); err != nil {
 			errc <- fmt.Errorf("serve: binary frontend: %w", err)

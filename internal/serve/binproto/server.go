@@ -23,15 +23,16 @@ type Server struct {
 	Eng *engine.Engine
 	// Log receives operational messages; defaults to log.Printf.
 	Log func(format string, args ...any)
-	// IdleTimeout bounds how long a connection may sit between requests
-	// (default 60s, matching the HTTP frontend's idle timeout).
-	IdleTimeout time.Duration
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
 }
+
+// idleTimeout bounds how long a connection may sit between requests,
+// matching the HTTP frontend's idle timeout.
+const idleTimeout = 60 * time.Second
 
 func (s *Server) logf(format string, args ...any) {
 	if s.Log != nil {
@@ -107,12 +108,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var rbuf, wbuf, payload []byte
 	met := s.Eng.Metrics()
-	idle := s.IdleTimeout
-	if idle <= 0 {
-		idle = 60 * time.Second
-	}
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(idle))
+		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		typ, body, err := readFrame(br, &rbuf)
 		if err != nil {
 			return // peer closed, timed out or sent an oversized frame
@@ -156,7 +153,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		payload = AppendResponse(payload[:0], &resp)
-		_ = conn.SetWriteDeadline(time.Now().Add(idle))
+		_ = conn.SetWriteDeadline(time.Now().Add(idleTimeout))
 		if err := writeFrame(conn, &wbuf, FrameRerankResponse, payload); err != nil {
 			s.logf("binproto: write response: %v", err)
 			return

@@ -58,11 +58,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// DrainTimeout bounds graceful shutdown (default 10s).
 	DrainTimeout time.Duration
-	// ReadTimeout/WriteTimeout/IdleTimeout configure the http.Server
-	// (defaults 5s/10s/60s).
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
 	// Registry receives the server's metrics; nil means a private registry
 	// (read it back with Server.Registry). Passing one lets a process share
 	// a single /metrics namespace across subsystems.
@@ -108,17 +103,17 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 60 * time.Second
-	}
 	return c
 }
+
+// The http.Server's timeouts. A server without read/write timeouts can be
+// wedged by a single slow-loris client.
+const (
+	readHeaderTimeout = 2 * time.Second
+	readTimeout       = 5 * time.Second
+	writeTimeout      = 10 * time.Second
+	idleTimeout       = 60 * time.Second
+)
 
 // ShedReasonHeader carries the shed reason on 429/503 shed responses so a
 // router can distinguish backpressure from drain without parsing the body.
@@ -307,16 +302,15 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(st)
 }
 
-// NewHTTPServer builds the http.Server with the hardened timeouts. A server
-// without read/write timeouts can be wedged by a single slow-loris client.
+// NewHTTPServer builds the http.Server with the hardened timeouts.
 func (s *Server) NewHTTPServer(addr string) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           s.Handler(),
-		ReadHeaderTimeout: 2 * time.Second,
-		ReadTimeout:       s.cfg.ReadTimeout,
-		WriteTimeout:      s.cfg.WriteTimeout,
-		IdleTimeout:       s.cfg.IdleTimeout,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
