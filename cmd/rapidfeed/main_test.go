@@ -22,7 +22,7 @@ func writeLog(t *testing.T) (string, []feedback.Event) {
 	var events []feedback.Event
 	for i := 0; i < 40; i++ {
 		ev := feedback.Event{
-			RequestID: fmt.Sprintf("r%d", i), Route: uint64(i + 1), Version: "v1", Arm: -1,
+			RequestID: fmt.Sprintf("r%d", i), User: uint64(i + 1), Version: "v1", Arm: -1,
 			UnixMS: int64(i), Items: []int{i % 7, 7 + i%5, 12 + i%3, 15},
 		}
 		if i%4 != 3 { // every fourth session has no click

@@ -11,9 +11,9 @@
 // only source of the request geometry (feature dims, topic count).
 //
 // Each synthetic user has a deterministic feature vector, so the same user
-// always produces the same route key and lands on the same replica: the
-// Zipf skew therefore exercises the router's consistent-hash load shape,
-// not just its aggregate throughput.
+// always produces the same user key (engine.UserKey) and lands on the same
+// replica: the Zipf skew therefore exercises the router's consistent-hash
+// load shape, not just its aggregate throughput.
 //
 // With -feedback-pct the generator also plays the user: a ground-truth DCM
 // simulates clicks over each served ranking and POSTs the click/skip vector
@@ -437,7 +437,7 @@ func (o *outcome) add(kind string, lat time.Duration) {
 
 // bodyCache lazily builds one deterministic request body per synthetic user:
 // features are seeded by the user id, so user u's body — and therefore its
-// route key and owning replica — is identical across runs and processes.
+// user key and owning replica — is identical across runs and processes.
 type bodyCache struct {
 	cfg    loadConfig
 	mu     sync.Mutex

@@ -1,6 +1,6 @@
 // Command rapidrouter fronts a fleet of rapidserve replicas with the
 // fault-tolerant consistent-hash router (internal/router): requests shard
-// across replicas by the deterministic user route key, unhealthy replicas
+// across replicas by the user key (engine.UserKey), unhealthy replicas
 // are ejected by /readyz probes and starved by per-replica circuit breakers,
 // sheds and failures are retried under a retry budget, and slow owners can
 // be hedged to the next replica in the key's fallback sequence.

@@ -119,7 +119,7 @@ func main() {
 		feedbackMaxSegs = flag.Int("feedback-max-segments", 64, "committed feedback log segments retained before the oldest are deleted")
 		banditPct       = flag.Float64("bandit-pct", 0, "percent of traffic served by bandit-tuned diversifier arms (requires -feedback-log)")
 		banditArms      = flag.String("bandit-arms", "mmr@0.2,mmr@0.4,mmr@0.6,mmr@0.8", "comma-separated λ grid of diversifier arms, e.g. mmr@0.2,window@0.8")
-		banditSegments  = flag.Int("bandit-segments", 8, "user segments (route key % segments) learning independent arm values")
+		banditSegments  = flag.Int("bandit-segments", 8, "user segments (user key % segments) learning independent arm values")
 
 		diversifier = flag.String("diversifier", "", "serve a classic diversifier (mmr|dpp|bswap|window) instead of model weights; -model still supplies the manifest geometry (single-model mode)")
 		divLambda   = flag.Float64("diversifier-lambda", 0.5, "relevance/diversity trade-off λ for -diversifier and -publish-diversifier")

@@ -81,7 +81,7 @@ func ParseArms(s string) ([]Arm, error) {
 type PolicyConfig struct {
 	// Arms is the λ grid (required, at least one arm).
 	Arms []Arm
-	// Segments partitions users by route key (key % Segments); each segment
+	// Segments partitions users by user key (key % Segments); each segment
 	// learns its own arm values so focused and diffuse audiences can settle
 	// on different λ. Default 8.
 	Segments int
@@ -175,22 +175,22 @@ func (p *Policy) ArmIndex(label string) (int, bool) {
 	return i, ok
 }
 
-// Segment maps a route key to its learning segment.
-func (p *Policy) Segment(route uint64) int {
-	return int(route % uint64(p.cfg.Segments))
+// Segment maps a user key to its learning segment.
+func (p *Policy) Segment(user uint64) int {
+	return int(user % uint64(p.cfg.Segments))
 }
 
 // Select picks the arm for a request: the precomputed argmax of its
 // segment's scores, with an exploreRate slice of traffic diverted to a
 // deterministic pseudo-random arm so every arm keeps accruing evidence.
 // Lock-free and allocation-free — this is the scoring hot path.
-func (p *Policy) Select(route uint64) int {
+func (p *Policy) Select(user uint64) int {
 	t := p.table.Load()
-	seg := p.Segment(route)
-	// The exploration stream mixes the route with a global sequence number:
+	seg := p.Segment(user)
+	// The exploration stream mixes the user with a global sequence number:
 	// the same user explores different arms over time, but the decision is
-	// reproducible from (route, sequence) — no locked RNG on the hot path.
-	h := mix64(route ^ (p.selSeq.Add(1) * 0x9e3779b97f4a7c15) ^ p.cfg.Seed)
+	// reproducible from (user, sequence) — no locked RNG on the hot path.
+	h := mix64(user ^ (p.selSeq.Add(1) * 0x9e3779b97f4a7c15) ^ p.cfg.Seed)
 	nArms := uint64(len(p.cfg.Arms))
 	if float64(h>>11)/(1<<53) < exploreRate {
 		return int(mix64(h) % nArms)
@@ -205,15 +205,15 @@ func (p *Policy) Select(route uint64) int {
 }
 
 // Update credits one observed reward (clicked-any ∈ {0,1}, but any bounded
-// value works) to an arm pulled for a route, relearns, and publishes a fresh
+// value works) to an arm pulled for a user, relearns, and publishes a fresh
 // score table. Called from the feedback ingest goroutine only — never from
 // a request handler — so learning cost (O(arms·d²)) stays off the scoring
 // hot path by construction.
-func (p *Policy) Update(route uint64, arm int, reward float64) {
+func (p *Policy) Update(user uint64, arm int, reward float64) {
 	if arm < 0 || arm >= len(p.cfg.Arms) {
 		return
 	}
-	seg := p.Segment(route)
+	seg := p.Segment(user)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// Estimated regret against the best empirical mean of the segment,

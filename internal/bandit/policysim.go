@@ -55,13 +55,13 @@ func (e *PolicyEnv) bestMean(seg int) float64 {
 // rewards, exactly as in live serving.
 func SimulatePolicy(p *Policy, e *PolicyEnv, n, every int, seed int64) RegretCurve {
 	rng := rand.New(rand.NewSource(seed))
-	return simulate(e, n, every, rng, func(route uint64, seg int) int {
-		arm := p.Select(route)
+	return simulate(e, n, every, rng, func(user uint64, seg int) int {
+		arm := p.Select(user)
 		reward := 0.0
 		if rng.Float64() < e.Means[seg][arm] {
 			reward = 1
 		}
-		p.Update(route, arm, reward)
+		p.Update(user, arm, reward)
 		return arm
 	})
 }
@@ -74,7 +74,7 @@ func SimulateFixedArm(arm int, e *PolicyEnv, n, every int, seed int64) RegretCur
 	return simulate(e, n, every, rng, func(uint64, int) int { return arm })
 }
 
-func simulate(e *PolicyEnv, n, every int, rng *rand.Rand, pull func(route uint64, seg int) int) RegretCurve {
+func simulate(e *PolicyEnv, n, every int, rng *rand.Rand, pull func(user uint64, seg int) int) RegretCurve {
 	segments := len(e.Means)
 	var curve RegretCurve
 	var cum float64
@@ -84,9 +84,9 @@ func simulate(e *PolicyEnv, n, every int, rng *rand.Rand, pull func(route uint64
 	}
 	var checkpoints []pt
 	for round := 1; round <= n; round++ {
-		route := rng.Uint64()
-		seg := int(route % uint64(segments))
-		arm := pull(route, seg)
+		user := rng.Uint64()
+		seg := int(user % uint64(segments))
+		arm := pull(user, seg)
 		cum += e.bestMean(seg) - e.Means[seg][arm]
 		if round%every == 0 || round == n {
 			checkpoints = append(checkpoints, pt{round, cum})

@@ -26,7 +26,7 @@ type BatchConfig struct {
 }
 
 // scoreJob is one resolved request on its way to a scorer: the tenant and
-// route key it resolved under, the pin that serves it and the instance the
+// user key it resolved under, the pin that serves it and the instance the
 // pin's geometry validated. ctx is its scoring context, set once admitted.
 // done is buffered so the worker's delivery never blocks on a departed
 // waiter; ownsSlot marks jobs whose MaxInFlight slot must be released when
@@ -34,7 +34,7 @@ type BatchConfig struct {
 // items share the envelope's slot, which the envelope path releases itself).
 type scoreJob struct {
 	tenant   string
-	route    uint64
+	user     uint64
 	pin      Pinned
 	inst     *rerank.Instance
 	ctx      context.Context

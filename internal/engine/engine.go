@@ -81,7 +81,7 @@ type Config struct {
 	// promote or rollback can never serve a stale state.
 	StateCacheBytes int64
 	// Feedback, when set, receives a Track call correlating every rerank
-	// response's request_id to its served (route, version) pair. Frontends
+	// response's request_id to its served (user, version) pair. Frontends
 	// additionally route submitted feedback events to the same sink. nil
 	// disables correlation; responses still carry request ids either way.
 	Feedback FeedbackSink
@@ -387,7 +387,7 @@ type scoreOutcome struct {
 }
 
 // resolve pins and validates one request and returns the job it becomes:
-// tenant → provider → route key → pin → instance. The pin comes before the
+// tenant → provider → user key → pin → instance. The pin comes before the
 // validation because the pinned version's geometry is the contract the
 // request must meet, and the same pin then serves scoring and response
 // labeling, so a version swap mid-request can never mix models. A failure is
@@ -399,15 +399,15 @@ func (e *Engine) resolve(req *Request) (*scoreJob, error) {
 		return nil, err
 	}
 	e.met.TenantRequests.With(tenant).Inc()
-	route := RouteKey(req)
-	pin := prov.Pick(route)
+	user := UserKey(req)
+	pin := prov.Pick(user)
 	inst, err := ToInstance(pin.Manifest.Config, req)
 	if err != nil {
 		e.met.BadInput.Inc()
 		return nil, badInput(err)
 	}
-	j := &scoreJob{inst: inst, pin: pin, tenant: tenant, route: route, done: make(chan scoreOutcome, 1)}
-	j.key, j.hasKey = e.stateKeyFor(req, tenant, route, pin)
+	j := &scoreJob{inst: inst, pin: pin, tenant: tenant, user: user, done: make(chan scoreOutcome, 1)}
+	j.key, j.hasKey = e.stateKeyFor(req, tenant, pin)
 	return j, nil
 }
 
@@ -449,7 +449,7 @@ func (e *Engine) label(resp *Response, j *scoreJob, outcome string, elapsed time
 	resp.LatencyMS = float64(elapsed.Microseconds()) / 1000
 	resp.RequestID = e.newRequestID()
 	if e.cfg.Feedback != nil {
-		e.cfg.Feedback.Track(resp.RequestID, j.route, j.pin.Version)
+		e.cfg.Feedback.Track(resp.RequestID, j.user, j.pin.Version)
 	}
 	if j.pin.Observe != nil {
 		j.pin.Observe(outcome, elapsed)

@@ -81,21 +81,21 @@ func (f funcScorer) Score(_ context.Context, inst *rerank.Instance) ([]float64, 
 	return f.fn(inst), nil
 }
 
-// parityProvider serves even route keys from pins[0] and odd ones from
+// parityProvider serves even user keys from pins[0] and odd ones from
 // pins[1]: a 50 % canary whose side a test can choose per request.
 type parityProvider struct{ pins [2]Pinned }
 
-func (p parityProvider) Active() Pinned         { return p.pins[0] }
-func (p parityProvider) Pick(key uint64) Pinned { return p.pins[key%2] }
+func (p parityProvider) Active() Pinned          { return p.pins[0] }
+func (p parityProvider) Pick(user uint64) Pinned { return p.pins[user%2] }
 
-// requestOnPin is validRequest with its first item id moved until the route
-// key lands on the given side of a parityProvider; distinct salts give
-// distinct requests.
+// requestOnPin is validRequest with its first user feature moved until the
+// user key lands on the given side of a parityProvider; distinct salts give
+// distinct users.
 func requestOnPin(side uint64, salt int) *Request {
 	req := validRequest()
-	for id := 1000 * (salt + 1); ; id++ {
-		req.Items[0].ID = id
-		if RouteKey(req)%2 == side {
+	for u := 1000 * (salt + 1); ; u++ {
+		req.UserFeatures[0] = float64(u)
+		if UserKey(req)%2 == side {
 			return req
 		}
 	}
@@ -535,7 +535,7 @@ func TestStateCacheChargeMatchesHeap(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		key := StateKey{Tenant: "default", Route: uint64(i) * 2654435761, History: uint64(i) * 40503, Version: "v1"}
+		key := StateKey{Tenant: "default", History: uint64(i) * 2654435761, Version: "v1"}
 		c.Put(key, stateOfSize(topics))
 	}
 	runtime.GC()
@@ -559,10 +559,10 @@ func TestStateCacheChargeMatchesHeap(t *testing.T) {
 // without leaking its charge.
 func TestStateCacheFoldCollision(t *testing.T) {
 	c := newStateCache(1<<20, NewMetrics(obs.NewRegistry()))
-	a := StateKey{Tenant: "t", Route: 1, History: 2, Version: "v1"}
+	a := StateKey{Tenant: "t", History: 2, Version: "v1"}
 	c.Put(a, stateOfSize(4))
 	// Make the resident entry some other key that folded to a's slot.
-	c.by[a.hash()].key = StateKey{Tenant: "t", Route: 7, History: 9, Version: "v1"}
+	c.by[a.hash()].key = StateKey{Tenant: "t", History: 9, Version: "v1"}
 	if _, ok := c.Get(a); ok {
 		t.Fatal("a slot holding another key's entry read as a hit")
 	}
@@ -582,7 +582,7 @@ func TestStateCacheFoldCollision(t *testing.T) {
 func TestStateCacheLRU(t *testing.T) {
 	one := int64(stateOfSize(4).SizeBytes())
 	c := newStateCache(3*one, NewMetrics(obs.NewRegistry())) // room for exactly three entries
-	key := func(i int) StateKey { return StateKey{Route: uint64(i), Version: "v1"} }
+	key := func(i int) StateKey { return StateKey{History: uint64(i), Version: "v1"} }
 	for i := 0; i < 3; i++ {
 		c.Put(key(i), stateOfSize(4))
 	}
@@ -608,8 +608,8 @@ func TestStateCacheLRU(t *testing.T) {
 		t.Fatalf("after replace: %d entries / %d bytes, want 3 / %d", n, b, 3*one)
 	}
 	// An entry larger than the whole budget is refused outright.
-	c.Put(StateKey{Route: 99}, stateOfSize(1024))
-	if _, ok := c.Get(StateKey{Route: 99}); ok {
+	c.Put(StateKey{History: 99}, stateOfSize(1024))
+	if _, ok := c.Get(StateKey{History: 99}); ok {
 		t.Fatal("over-budget state was admitted")
 	}
 	c.Flush()
@@ -618,20 +618,24 @@ func TestStateCacheLRU(t *testing.T) {
 	}
 }
 
+// TestRouteKeyDeterministicAndSensitive: the user key is who the user is —
+// it follows the user features and nothing the slate carries.
 func TestRouteKeyDeterministicAndSensitive(t *testing.T) {
 	a := validRequest()
 	b := validRequest()
-	if RouteKey(a) != RouteKey(b) {
-		t.Fatal("identical requests produced different routing keys")
+	if UserKey(a) != UserKey(b) {
+		t.Fatal("identical requests produced different user keys")
 	}
 	b.UserFeatures[0] += 0.5
-	if RouteKey(a) == RouteKey(b) {
-		t.Fatal("routing key ignores user features")
+	if UserKey(a) == UserKey(b) {
+		t.Fatal("user key ignores user features")
 	}
 	c := validRequest()
 	c.Items[0].ID = 99
-	if RouteKey(a) == RouteKey(c) {
-		t.Fatal("routing key ignores item ids")
+	c.Items[1].Features[0] += 0.5
+	c.Items = c.Items[:2]
+	if UserKey(a) != UserKey(c) {
+		t.Fatal("user key moved with the candidate slate")
 	}
 }
 
@@ -664,6 +668,75 @@ func TestHistoryKeyDiscriminates(t *testing.T) {
 	items.Items[0].Features[0] += 0.5
 	if HistoryKey(items) != base {
 		t.Fatal("candidate-item change leaked into the history key")
+	}
+}
+
+// slate is validRequest's user and history with the n-th fresh candidate
+// list: every item id, feature and initial score moves with n.
+func slate(n int) *Request {
+	req := validRequest()
+	for i := range req.Items {
+		it := &req.Items[i]
+		it.ID = 100*n + i
+		it.Features[0] += float64(n) / 8
+		it.InitScore += float64(n) / 100
+	}
+	return req
+}
+
+// TestStateCacheHitsAcrossSlates: θ̂ is a function of the user and their
+// history alone, so a returning user with a fresh slate hits the state cache
+// — and the hit scores exactly what an engine without a cache scores.
+func TestStateCacheHitsAcrossSlates(t *testing.T) {
+	cfg := testConfig()
+	m, man := core.New(cfg), Manifest{Dataset: "test", Config: cfg}
+	cached := NewStatic(m, man, Config{StateCacheBytes: 1 << 20})
+	defer cached.Close()
+	for n := 0; n < 5; n++ {
+		got, err := cached.Rerank(context.Background(), slate(n))
+		if err != nil || got.Degraded {
+			t.Fatalf("slate %d: %+v, %v", n, got, err)
+		}
+		if hits := cached.met.CacheHits.Value(); hits != int64(n) {
+			t.Fatalf("slate %d: %d state-cache hits, want %d", n, hits, n)
+		}
+		fresh := NewStatic(m, man, Config{})
+		want, err := fresh.Rerank(context.Background(), slate(n))
+		fresh.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameFloats(got.Scores, want.Scores) {
+			t.Fatalf("slate %d: cached scores %v, cache-less %v", n, got.Scores, want.Scores)
+		}
+	}
+}
+
+// TestCanarySidePerUser: the canary split is per user. Under a 50 % split,
+// every slate one user is shown is served by the same pin.
+func TestCanarySidePerUser(t *testing.T) {
+	e := twoPinEngine(t, offsetStub{offset: 100}, offsetStub{offset: 200}, Config{})
+	defer e.Close()
+	users := map[string]int{}
+	for u := 0; u < 200; u++ {
+		var side string
+		for n := 0; n < 5; n++ {
+			req := slate(n)
+			req.UserFeatures[0] = float64(u)
+			resp, err := e.Rerank(context.Background(), req)
+			if err != nil || resp.Degraded {
+				t.Fatalf("user %d slate %d: %+v, %v", u, n, resp, err)
+			}
+			if n == 0 {
+				side = resp.ModelVersion
+				users[side]++
+			} else if resp.ModelVersion != side {
+				t.Fatalf("user %d: slate %d served by %s, slate 0 by %s", u, n, resp.ModelVersion, side)
+			}
+		}
+	}
+	if users["v0"] == 0 || users["v1"] == 0 {
+		t.Fatalf("the split put every user on one side: %v", users)
 	}
 }
 

@@ -17,7 +17,7 @@ const MaxRequestIDLen = 128
 // skip/abandon signal matters to the click model too.
 type FeedbackEvent struct {
 	// RequestID echoes the request_id of the rerank response the event
-	// reports on; the ingestor joins it back to the served (route, version).
+	// reports on; the ingestor joins it back to the served (user, version).
 	RequestID string `json:"request_id"`
 	Items     []int  `json:"items"`
 	Clicks    []bool `json:"clicks,omitempty"`
@@ -29,12 +29,12 @@ type FeedbackEvent struct {
 
 // FeedbackSink is the seam between the scoring data plane and the feedback
 // subsystem (internal/feedback implements it). Both methods are called on
-// the request path and must not block: Track records which (route, version)
+// the request path and must not block: Track records which (user, version)
 // a response was served from, Submit enqueues an ingested event and reports
 // ErrFeedbackBusy when the bounded ingest queue is full — frontends shed the
 // event (HTTP 429), mirroring the rerank backpressure contract.
 type FeedbackSink interface {
-	Track(requestID string, route uint64, version string)
+	Track(requestID string, user uint64, version string)
 	Submit(ev FeedbackEvent) error
 }
 

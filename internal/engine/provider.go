@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/rerank"
@@ -46,10 +45,10 @@ type Provider interface {
 	// Active returns the current active model — the one health surfaces
 	// report and warm paths should assume.
 	Active() Pinned
-	// Pick returns the model that serves the request with the given routing
-	// key: the active model, or the canary candidate for the configured
-	// fraction of the key space.
-	Pick(key uint64) Pinned
+	// Pick returns the model that serves the user with the given UserKey:
+	// the active model, or the canary candidate for the configured fraction
+	// of users — every slate of one user on the same side.
+	Pick(user uint64) Pinned
 }
 
 // StaticProvider wraps one fixed pin as a Provider — the original
@@ -61,20 +60,3 @@ type staticProvider struct{ pin Pinned }
 
 func (p staticProvider) Active() Pinned     { return p.pin }
 func (p staticProvider) Pick(uint64) Pinned { return p.pin }
-
-// RouteKey derives the deterministic canary routing key for a request:
-// FNV-1a over the user feature vector and the candidate item ids. The same
-// logical request always lands on the same side of the canary split, so a
-// user's experience is stable across retries and a misbehaving canary is
-// reproducible from its request alone — the properties coin-flip routing
-// gives up.
-func RouteKey(req *Request) uint64 {
-	h := fnvOffset64
-	for _, f := range req.UserFeatures {
-		h = h.word(math.Float64bits(f))
-	}
-	for i := range req.Items {
-		h = h.word(uint64(int64(req.Items[i].ID)))
-	}
-	return uint64(h)
-}

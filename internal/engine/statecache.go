@@ -2,9 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"sync"
 
 	"repro/internal/core"
@@ -23,62 +20,29 @@ type StateScorer interface {
 }
 
 // StateKey identifies one cached user state: the tenant that served the
-// request, the request's deterministic route key, a hash of the user's
-// behavior history, and the model version that encoded the state. The
-// version component makes canary traffic and post-promote traffic miss
-// cleanly rather than read a state encoded by a different model; the history
-// hash makes any change in the user's features or behavior sequences a miss
-// (a stale state is never served); the tenant component keeps states of
-// distinct resident scorers apart even when their version labels collide.
+// request, its HistoryKey and the model version that encoded the state. θ̂ is
+// bitwise a function of what HistoryKey hashes, so one entry serves every
+// slate a user is shown, and any change in their features or behavior is a
+// miss. The version makes canary and post-promote traffic miss cleanly; the
+// tenant keeps distinct resident scorers apart when their labels collide.
 type StateKey struct {
 	Tenant  string
-	Route   uint64
 	History uint64
 	Version string
 }
 
-// HistoryKey hashes exactly the inputs the user-preference encoder consumes:
-// the user feature vector and every per-topic behavior-sequence feature
-// vector, with topic and length framing so permuted or split sequences
-// cannot collide. Two requests with equal HistoryKey (and equal model
-// version) are guaranteed the same encoded state.
-func HistoryKey(req *Request) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(f float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-		h.Write(buf[:])
-	}
-	for _, f := range req.UserFeatures {
-		w(f)
-	}
-	for j, seq := range req.TopicSequences {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(j))<<32|uint64(uint32(len(seq))))
-		h.Write(buf[:])
-		for _, it := range seq {
-			for _, f := range it.Features {
-				w(f)
-			}
-		}
-	}
-	return h.Sum64()
-}
-
 // hash folds the key into the 64 bits the cache's index is keyed by: FNV-1a
 // over the two labels (0xff, which no UTF-8 label contains, closes each),
-// then the two request hashes.
+// then the history hash.
 func (k StateKey) hash() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
+	h := fnvOffset64
 	for _, s := range [2]string{k.Tenant, k.Version} {
 		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime
+			h = h.octet(s[i])
 		}
-		h = (h ^ 0xff) * prime
+		h = h.octet(0xff)
 	}
-	h = (h ^ k.Route) * prime
-	h = (h ^ k.History) * prime
-	return h ^ h>>32
+	return uint64(h.word(k.History))
 }
 
 // cacheEntry is one resident state with its budget charge, linked into the
@@ -97,7 +61,7 @@ type cacheEntry struct {
 //
 // A cache that fills at serving rate is mostly bookkeeping (θ̂ is 40 bytes
 // at m = 5), so the bookkeeping is kept small: the index maps StateKey.hash
-// to the entry — a 16-byte slot instead of the 56 bytes a StateKey-keyed one
+// to the entry — a 16-byte slot instead of the 48 bytes a StateKey-keyed one
 // takes — and the entries are their own list nodes. An entry is a hit only
 // when its full key matches; two keys that share a hash displace each other,
 // which costs a miss and can never serve one key's state for another.
@@ -220,17 +184,16 @@ func (c *StateCache) Stats() (entries int, bytes int64) {
 
 // stateKeyFor derives a request's state-cache key: set only when the cache
 // is enabled and the pinned scorer can consume encoded states, so the
-// scoring workers never hash or probe the cache in vain. route is the
-// request's RouteKey, already computed for provider pinning; tenant is the
+// scoring workers never hash or probe the cache in vain. tenant is the
 // resolved tenant label.
-func (e *Engine) stateKeyFor(req *Request, tenant string, route uint64, pin Pinned) (StateKey, bool) {
+func (e *Engine) stateKeyFor(req *Request, tenant string, pin Pinned) (StateKey, bool) {
 	if e.stateCache == nil {
 		return StateKey{}, false
 	}
 	if _, ok := pin.Scorer.(StateScorer); !ok {
 		return StateKey{}, false
 	}
-	return StateKey{Tenant: tenant, Route: route, History: HistoryKey(req), Version: pin.Version}, true
+	return StateKey{Tenant: tenant, History: HistoryKey(req), Version: pin.Version}, true
 }
 
 // StateCache exposes the engine's state cache (nil when disabled) so a

@@ -9,7 +9,7 @@ import (
 // This file is the schema-specialised JSON reader for Request: one pass over
 // the body bytes, no reflection. It serves two callers. The HTTP frontend
 // decodes with it (DecodeRequestJSON, DecodeBatchJSON); the router skims with
-// it (RouteKeyJSON), converting only what the route key hashes.
+// it (UserKeyJSON), converting only what the user key hashes.
 //
 // The reader is total over JSON syntax and partial over semantics. It fully
 // validates every byte it walks — number grammar, string escapes in skipped
@@ -28,8 +28,7 @@ import (
 //   - an id that is not a plain integer literal in range, a float literal
 //     strconv.ParseFloat rejects (out of range);
 //   - a tenant that is escaped or not ASCII;
-//   - an unknown field nested deeper than maxSkipDepth;
-//   - in the skim, user_features after items (the key hashes them first).
+//   - an unknown field nested deeper than maxSkipDepth.
 //
 // On false the caller decodes the same bytes with encoding/json, which stays
 // the reference: accepted inputs, rejections and error text are its own, and
@@ -92,16 +91,16 @@ func DecodeBatchJSON(body []byte) ([]Request, bool) {
 	return reqs, true
 }
 
-// RouteKeyJSON skims a request body (or, with batch, an envelope) for its
-// route key without building the request: the same grammar walk, converting
-// only user_features and item ids and folding them into the key as it goes.
-// Every other known field is type-checked and its numbers grammar-checked —
-// converted only when they carry an exponent or run past maxPlainFloatLen,
-// the only literals that can be out of range — so a true answer means
-// encoding/json accepts the body and RouteKey (BatchRouteKey) of what it
-// decodes is the key returned, bit for bit. False means decode and hash the
-// slow way.
-func RouteKeyJSON(body []byte, batch bool) (uint64, bool) {
+// UserKeyJSON skims a request body (or, with batch, an envelope) for its
+// user key without building the request: the same grammar walk, converting
+// only user_features and folding them into the key as it goes. Every other
+// known field is type-checked and its numbers grammar-checked — ids parsed
+// as in-range integers, floats converted only when they carry an exponent or
+// run past maxPlainFloatLen, the only literals that can be out of range — so
+// a true answer means encoding/json accepts the body and UserKey
+// (BatchUserKey) of what it decodes is the key returned, bit for bit. False
+// means decode and hash the slow way.
+func UserKeyJSON(body []byte, batch bool) (uint64, bool) {
 	d := jsonWalk{b: body, keyOnly: true, key: fnvOffset64}
 	if batch {
 		_, key, ok := d.envelope()
@@ -114,36 +113,11 @@ func RouteKeyJSON(body []byte, batch bool) (uint64, bool) {
 	return uint64(d.key), true
 }
 
-// fnv64a is a running FNV-1a hash; RouteKey and the skim fold the same words
-// through it, which is what makes their keys equal.
-type fnv64a uint64
-
-const fnvOffset64 fnv64a = 14695981039346656037
-
-// word folds v's eight bytes, little-endian.
-func (h fnv64a) word(v uint64) fnv64a {
-	for i := 0; i < 8; i++ {
-		h = (h ^ fnv64a(byte(v))) * 1099511628211
-		v >>= 8
-	}
-	return h
-}
-
-// BatchRouteKey is the route key of a batch envelope: the FNV-1a fold of its
-// members' route keys, so a stable batch routes stably.
-func BatchRouteKey(reqs []Request) uint64 {
-	h := fnvOffset64
-	for i := range reqs {
-		h = h.word(RouteKey(&reqs[i]))
-	}
-	return uint64(h)
-}
-
 // jsonWalk is the cursor of one walk over a body.
 type jsonWalk struct {
 	b []byte
 	i int
-	// keyOnly selects the skim: nothing is stored, key accumulates the route
+	// keyOnly selects the skim: nothing is stored, key accumulates the user
 	// key of the request under the cursor.
 	keyOnly bool
 	key     fnv64a
@@ -532,11 +506,6 @@ func (d *jsonWalk) request(req *Request) bool {
 		case fieldEnd:
 			return true
 		case 0:
-			// The key hashes user_features before the item ids, so the skim
-			// cannot fold them once an id has gone in.
-			if d.keyOnly && seen&(1<<1) != 0 {
-				return false
-			}
 			req.UserFeatures, ok = d.floatList(true)
 		case 1:
 			req.Items, ok = list(d, &d.items, itemsPresize, d.item)
@@ -554,7 +523,7 @@ func (d *jsonWalk) request(req *Request) bool {
 	}
 }
 
-// item consumes one candidate object; the skim folds its id into the key.
+// item consumes one candidate object.
 func (d *jsonWalk) item() (it Item, ok bool) {
 	if !d.eat('{') {
 		return it, false
@@ -567,9 +536,6 @@ func (d *jsonWalk) item() (it Item, ok bool) {
 		}
 		switch f {
 		case fieldEnd:
-			if d.keyOnly {
-				d.key = d.key.word(uint64(int64(it.ID)))
-			}
 			return it, true
 		case 0:
 			it.ID, ok = d.integer()
@@ -611,7 +577,7 @@ func (d *jsonWalk) seqItem() (si SeqItem, ok bool) {
 }
 
 // envelope consumes a batch envelope: the requests when decoding, the fold of
-// their route keys when skimming.
+// their user keys when skimming.
 func (d *jsonWalk) envelope() (reqs []Request, key fnv64a, ok bool) {
 	if !d.eat('{') {
 		return nil, 0, false

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"encoding/json"
+	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -134,24 +135,24 @@ func checkDecode(t *testing.T, body []byte) (single, batch bool) {
 // what encoding/json decodes.
 func checkSkim(t *testing.T, body []byte) (single, batch bool) {
 	t.Helper()
-	key, single := RouteKeyJSON(body, false)
+	key, single := UserKeyJSON(body, false)
 	if single {
 		var want Request
 		if err := json.Unmarshal(body, &want); err != nil {
 			t.Fatalf("skim accepted %q, encoding/json says %v", body, err)
 		}
-		if ref := RouteKey(&want); key != ref {
-			t.Fatalf("skim key %#x of %q, RouteKey %#x", key, body, ref)
+		if ref := UserKey(&want); key != ref {
+			t.Fatalf("skim key %#x of %q, UserKey %#x", key, body, ref)
 		}
 	}
-	key, batch = RouteKeyJSON(body, true)
+	key, batch = UserKeyJSON(body, true)
 	if batch {
 		var env batchEnvelope
 		if err := json.Unmarshal(body, &env); err != nil {
 			t.Fatalf("batch skim accepted %q, encoding/json says %v", body, err)
 		}
-		if ref := BatchRouteKey(env.Requests); key != ref {
-			t.Fatalf("batch skim key %#x of %q, BatchRouteKey %#x", key, body, ref)
+		if ref := BatchUserKey(env.Requests); key != ref {
+			t.Fatalf("batch skim key %#x of %q, BatchUserKey %#x", key, body, ref)
 		}
 	}
 	return single, batch
@@ -174,7 +175,7 @@ var wireCases = []struct {
 	{"empty lists", `{"user_features":[],"items":[],"topic_sequences":[]}`, true},
 	{"empty inner lists", `{"items":[{"features":[],"cover":[]},{}],"topic_sequences":[[],[{}],[{"features":[]}]]}`, true},
 	{"tenant", `{"tenant":"shop-7","user_features":[1]}`, true},
-	{"items before user", `{"items":[{"id":1}],"user_features":[1]}`, true}, // the skim declines, the decoder need not
+	{"items before user", `{"items":[{"id":1}],"user_features":[1]}`, true},
 	{"negative zero", `{"user_features":[-0,-0.0,0]}`, true},
 	{"small exponent", `{"user_features":[1e-7,1E+2,2.5e-320,1e-999]}`, true},
 	{"extremes", `{"user_features":[1e308,-1e308,0],"items":[{"id":-9223372036854775808,"init_score":1.7976931348623157e308}]}`, true},
@@ -238,8 +239,8 @@ func TestDecodeRequestJSONAgainstStd(t *testing.T) {
 			t.Errorf("%s: decoder accepted = %v, want %v", tc.name, single, tc.fast)
 		}
 		skimmed, _ := checkSkim(t, []byte(tc.body))
-		if wantSkim := tc.fast && tc.name != "items before user"; skimmed != wantSkim {
-			t.Errorf("%s: skim accepted = %v, want %v", tc.name, skimmed, wantSkim)
+		if skimmed != tc.fast {
+			t.Errorf("%s: skim accepted = %v, want %v", tc.name, skimmed, tc.fast)
 		}
 		if tc.body == "" || strings.ContainsAny(tc.body[:1], "n[") {
 			continue // not an object: nothing to wrap
@@ -251,8 +252,8 @@ func TestDecodeRequestJSONAgainstStd(t *testing.T) {
 		if batch != tc.fast {
 			t.Errorf("%s: batch decoder accepted = %v, want %v", tc.name, batch, tc.fast)
 		}
-		if wantSkim := tc.fast && tc.name != "items before user"; batchSkimmed != wantSkim {
-			t.Errorf("%s: batch skim accepted = %v, want %v", tc.name, batchSkimmed, wantSkim)
+		if batchSkimmed != tc.fast {
+			t.Errorf("%s: batch skim accepted = %v, want %v", tc.name, batchSkimmed, tc.fast)
 		}
 	}
 	for _, env := range []string{`{}`, `{"requests":[]}`, `{"requests":[{}]}`, ` {"x":1,"requests":[{"items":[{"id":5}]}]} `} {
@@ -275,7 +276,7 @@ func TestDecodeRequestJSONAgainstStd(t *testing.T) {
 
 // TestDecodeRequestJSONPoolShaped: marshalled requests of the benchmark's
 // shape — what production clients send — always take the fast path, the
-// skim's key is RouteKey's, and decoding one stays within its allocation
+// skim's key is UserKey's, and decoding one stays within its allocation
 // ceiling.
 func TestDecodeRequestJSONPoolShaped(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -375,35 +376,46 @@ func TestDecodeRequestJSONStorage(t *testing.T) {
 }
 
 // TestRouteKeyIsFNV1a pins the engine's inlined hash to hash/fnv: a drift
-// would send every user to another replica and turn every cache cold.
+// in UserKey would send every user to another replica, and one in HistoryKey
+// would turn every cache cold. HistoryKey's reference is the hash/fnv code it
+// was written as, so its values stay what they always were.
 func TestRouteKeyIsFNV1a(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var reqs []Request
 	outer := fnv.New64a()
 	var buf [8]byte
+	put := func(h hash.Hash64, v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
 	for i := 0; i < 20; i++ {
 		req := poolShapedRequest(rng)
 		h := fnv.New64a()
 		for _, f := range req.UserFeatures {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			h.Write(buf[:])
+			put(h, math.Float64bits(f))
 		}
-		for _, it := range req.Items {
-			binary.LittleEndian.PutUint64(buf[:], uint64(int64(it.ID)))
-			h.Write(buf[:])
+		if got := UserKey(req); got != h.Sum64() {
+			t.Fatalf("UserKey %#x, hash/fnv %#x", got, h.Sum64())
 		}
-		if got := RouteKey(req); got != h.Sum64() {
-			t.Fatalf("RouteKey %#x, hash/fnv %#x", got, h.Sum64())
+		put(outer, h.Sum64())
+		for j, seq := range req.TopicSequences {
+			put(h, uint64(int64(j))<<32|uint64(uint32(len(seq))))
+			for _, it := range seq {
+				for _, f := range it.Features {
+					put(h, math.Float64bits(f))
+				}
+			}
 		}
-		binary.LittleEndian.PutUint64(buf[:], h.Sum64())
-		outer.Write(buf[:])
+		if got := HistoryKey(req); got != h.Sum64() {
+			t.Fatalf("HistoryKey %#x, hash/fnv %#x", got, h.Sum64())
+		}
 		reqs = append(reqs, *req)
 	}
-	if got := BatchRouteKey(reqs); got != outer.Sum64() {
-		t.Fatalf("BatchRouteKey %#x, hash/fnv %#x", got, outer.Sum64())
+	if got := BatchUserKey(reqs); got != outer.Sum64() {
+		t.Fatalf("BatchUserKey %#x, hash/fnv %#x", got, outer.Sum64())
 	}
-	if got := RouteKey(&Request{}); got != fnv.New64a().Sum64() {
-		t.Fatalf("empty RouteKey %#x", got)
+	if got := UserKey(&Request{}); got != fnv.New64a().Sum64() {
+		t.Fatalf("empty UserKey %#x", got)
 	}
 }
 
@@ -431,7 +443,7 @@ func FuzzDecodeRequestJSON(f *testing.F) {
 }
 
 // FuzzRouteKeyJSON is the same for the router's skim: an answered key must be
-// RouteKey (BatchRouteKey) of what encoding/json decodes.
+// UserKey (BatchUserKey) of what encoding/json decodes.
 func FuzzRouteKeyJSON(f *testing.F) {
 	addWireSeeds(f)
 	f.Fuzz(func(t *testing.T, body []byte) { checkSkim(t, body) })
@@ -469,7 +481,7 @@ func BenchmarkDecodeRequestStd(b *testing.B) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			b.Fatal(err)
 		}
-		benchSink += RouteKey(&req)
+		benchSink += UserKey(&req)
 	}
 }
 
@@ -479,7 +491,7 @@ func BenchmarkRouteKeySkim(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key, ok := RouteKeyJSON(body, false)
+		key, ok := UserKeyJSON(body, false)
 		if !ok {
 			b.Fatal("declined")
 		}

@@ -23,7 +23,7 @@ func logSessions(t *testing.T, l *Log, n int, seed int64) []clickmodel.Session {
 			clicks[k] = rng.Float64() < 0.3
 		}
 		ev := &Event{
-			RequestID: "r", Route: uint64(rng.Intn(1000)), Arm: -1,
+			RequestID: "r", User: uint64(rng.Intn(1000)), Arm: -1,
 			UnixMS: int64(i), Items: items, Clicks: clicks,
 		}
 		if _, err := l.Append(ev); err != nil {

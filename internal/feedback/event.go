@@ -27,15 +27,16 @@ import (
 
 // Event is one durable feedback record: the served impression (items in
 // displayed order), the observed clicks, and the serving correlation the
-// ingestor attached (route key, version label, bandit arm). The wire-level
+// ingestor attached (user key, version label, bandit arm). The wire-level
 // POST /v1/feedback event carries only {request_id, items, clicks}; the
-// rest is joined server-side so clients cannot forge routing or attribution.
+// rest is joined server-side so clients cannot forge identity or attribution.
 type Event struct {
 	RequestID string `json:"rid"`
-	// Route is the request's deterministic routing key (serve.RouteKey);
-	// zero when the event arrived uncorrelated (tracking entry evicted or
-	// unknown request id).
-	Route uint64 `json:"route,omitempty"`
+	// User is the served request's engine.UserKey; zero when the event
+	// arrived uncorrelated (tracking entry evicted or unknown request id).
+	// The tag is "route", the field's name when logs began, so every log
+	// replays unchanged.
+	User uint64 `json:"route,omitempty"`
 	// Version is the model version label that served the impression.
 	Version string `json:"ver,omitempty"`
 	// Arm is the bandit arm index that served the impression, -1 otherwise.
@@ -59,11 +60,11 @@ func (e *Event) Clicked() bool {
 }
 
 // Session converts the event into a click-model session. The user id is
-// derived from the route key: stable per logical user (rapidload bodies are
-// deterministic per user), which is all the λ=1 DCM fit needs.
+// folded from the user key, so every impression of one user is one user to
+// the λ=1 DCM fit, whatever slate it showed.
 func (e *Event) Session() clickmodel.Session {
 	return clickmodel.Session{
-		User:   int(e.Route % (1 << 31)),
+		User:   int(e.User % (1 << 31)),
 		List:   e.Items,
 		Clicks: e.Clicks,
 	}

@@ -17,7 +17,7 @@ import (
 // testdata/fuzz/FuzzFeedbackEvent; CI runs a -fuzztime smoke on top).
 func FuzzFeedbackEvent(f *testing.F) {
 	valid, err := EncodeRecord(1, &Event{
-		RequestID: "r-1", Route: 42, Version: "bandit-mmr@0.50", Arm: 0,
+		RequestID: "r-1", User: 42, Version: "bandit-mmr@0.50", Arm: 0,
 		Lambda: 0.5, UnixMS: 1700000000000, Items: []int{1, 2, 3}, Clicks: []bool{true},
 	})
 	if err != nil {

@@ -17,7 +17,7 @@ type IngestConfig struct {
 	QueueSize int
 	// TrackCap bounds the request-id correlation table (default 65536
 	// entries, FIFO eviction). An evicted or unknown id still ingests the
-	// event, just uncorrelated (no route, no arm credit).
+	// event, just uncorrelated (no user, no arm credit).
 	TrackCap int
 	// Registry receives the feedback metrics; nil means a private one. Pass
 	// the serving registry so /metrics carries every namespace.
@@ -34,11 +34,11 @@ func (c IngestConfig) withDefaults() IngestConfig {
 	return c
 }
 
-// tracked is one correlation entry: which (route, version) a request id was
+// tracked is one correlation entry: which (user, version) a request id was
 // served from. Written by the request handler at response time, consumed by
 // the ingest goroutine when the feedback event arrives.
 type tracked struct {
-	route   uint64
+	user    uint64
 	version string
 }
 
@@ -91,10 +91,10 @@ func NewIngestor(l *Log, policy *bandit.Policy, cfg IngestConfig) *Ingestor {
 }
 
 // Track implements engine.FeedbackSink: called by the request handler just
-// before the response encodes, it records the served (route, version) under
+// before the response encodes, it records the served (user, version) under
 // the issued request id. Bounded: beyond TrackCap the oldest entry is
 // evicted (its late feedback then ingests uncorrelated).
-func (in *Ingestor) Track(requestID string, route uint64, version string) {
+func (in *Ingestor) Track(requestID string, user uint64, version string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if _, exists := in.track[requestID]; !exists {
@@ -107,7 +107,7 @@ func (in *Ingestor) Track(requestID string, route uint64, version string) {
 			in.order = append(in.order, requestID)
 		}
 	}
-	in.track[requestID] = tracked{route: route, version: version}
+	in.track[requestID] = tracked{user: user, version: version}
 	if in.policy != nil {
 		if _, ok := in.policy.ArmIndex(version); ok {
 			in.met.banditServed.With(version).Inc()
@@ -148,11 +148,11 @@ func (in *Ingestor) ingest(wire engine.FeedbackEvent) {
 	t, correlated := in.track[wire.RequestID]
 	in.mu.Unlock()
 	if correlated {
-		ev.Route = t.route
+		ev.User = t.user
 		ev.Version = t.version
 	} else if wire.ModelVersion != "" {
 		// The client's advisory copy is better than nothing for an evicted
-		// entry, but carries no route — the event stays arm-uncredited.
+		// entry, but carries no user — the event stays arm-uncredited.
 		ev.Version = wire.ModelVersion
 	}
 	if in.policy != nil && correlated {
@@ -178,7 +178,7 @@ func (in *Ingestor) ingest(wire engine.FeedbackEvent) {
 		reward = 1
 	}
 	if ev.Arm >= 0 && in.policy != nil {
-		in.policy.Update(ev.Route, ev.Arm, reward)
+		in.policy.Update(ev.User, ev.Arm, reward)
 		in.met.banditPulls.With(in.policy.Arms()[ev.Arm].Label()).Inc()
 		if reward > 0 {
 			in.met.banditReward.Inc()

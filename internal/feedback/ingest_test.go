@@ -74,17 +74,17 @@ func TestIngestorCorrelatesAndLogs(t *testing.T) {
 		t.Fatalf("logged %d events, want 3", len(byID))
 	}
 	got := byID["rid-1"]
-	if got.Route != 42 || got.Version != armLabel || got.Arm != 1 || got.Lambda != 0.8 {
+	if got.User != 42 || got.Version != armLabel || got.Arm != 1 || got.Lambda != 0.8 {
 		t.Fatalf("arm event not joined: %+v", got)
 	}
 	if !got.Clicked() || got.UnixMS == 0 {
 		t.Fatalf("click/timestamp lost: %+v", got)
 	}
-	if ev := byID["rid-2"]; ev.Route != 43 || ev.Arm != -1 || ev.Version != "v7" {
+	if ev := byID["rid-2"]; ev.User != 43 || ev.Arm != -1 || ev.Version != "v7" {
 		t.Fatalf("non-arm event mis-joined: %+v", ev)
 	}
-	if ev := byID["rid-unknown"]; ev.Route != 0 || ev.Arm != -1 {
-		t.Fatalf("uncorrelated event must carry no route or arm: %+v", ev)
+	if ev := byID["rid-unknown"]; ev.User != 0 || ev.Arm != -1 {
+		t.Fatalf("uncorrelated event must carry no user or arm: %+v", ev)
 	}
 
 	// The clicked arm event must have reached the policy.
@@ -149,10 +149,10 @@ func TestTrackEviction(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if ev := byID["a"]; ev.Route != 0 {
+	if ev := byID["a"]; ev.User != 0 {
 		t.Fatalf("evicted id must ingest uncorrelated, got %+v", ev)
 	}
-	if ev := byID["c"]; ev.Route != 3 {
+	if ev := byID["c"]; ev.User != 3 {
 		t.Fatalf("live id lost its correlation: %+v", ev)
 	}
 }

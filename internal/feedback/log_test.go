@@ -1,6 +1,9 @@
 package feedback
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,7 +13,7 @@ import (
 func testEvent(i int) *Event {
 	return &Event{
 		RequestID: "req-" + string(rune('a'+i%26)),
-		Route:     uint64(i * 7919),
+		User:      uint64(i * 7919),
 		Version:   "v1",
 		Arm:       i % 3,
 		Lambda:    0.5,
@@ -316,5 +319,23 @@ func TestDecodeRecordErrors(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&ev, testEvent(1)) {
 		t.Fatalf("decode mismatch: %+v", ev)
+	}
+}
+
+// TestDecodeRecordRouteTag: Event.User is framed under the tag "route", the
+// field's name when logs began, so a record written then replays with the
+// same user and re-encodes to the same bytes.
+func TestDecodeRecordRouteTag(t *testing.T) {
+	payload := []byte(`{"rid":"r-1","route":42,"ver":"v1","arm":-1,"t":1,"items":[3,1,2]}`)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint64(frame, 9)
+	crc := crc32.Update(crc32.Update(0, crcTable, frame[4:12]), crcTable, payload)
+	frame = append(binary.LittleEndian.AppendUint32(frame, crc), payload...)
+	seq, ev, _, err := DecodeRecord(frame)
+	if err != nil || seq != 9 || ev.User != 42 {
+		t.Fatalf("seq %d user %d err %v, want 9 / 42", seq, ev.User, err)
+	}
+	if re, err := EncodeRecord(seq, &ev); err != nil || !bytes.Equal(re, frame) {
+		t.Fatalf("re-encoded as %q (%v), want the frame back", re, err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // policy's chosen diversifier arm instead of the active model version. Arm
 // scorers are built once at construction, one *diversify.Scorer per arm.
 //
-// The bandit split hashes the route key (splitmix64) before the percent
+// The bandit split hashes the user key (splitmix64) before the percent
 // comparison, so it is statistically independent of the registry's canary
 // split (raw key % 10000): carving out bandit traffic dilutes canary volume
 // proportionally but never biases which requests the canary sees.
@@ -59,9 +59,9 @@ func (p *BanditProvider) Active() engine.Pinned { return p.base.Active() }
 // the policy-selected arm over the active version's manifest geometry (the
 // arm is weightless — it re-ranks whatever surface the active model defines);
 // everything else passes through to the base provider, canary split included.
-func (p *BanditProvider) Pick(key uint64) engine.Pinned {
-	if p.percent > 0 && float64(splitmix64(key)%10_000) < p.percent*100 {
-		arm := p.policy.Select(key)
+func (p *BanditProvider) Pick(user uint64) engine.Pinned {
+	if p.percent > 0 && float64(splitmix64(user)%10_000) < p.percent*100 {
+		arm := p.policy.Select(user)
 		pin := p.base.Active()
 		pin.Scorer = p.scorers[arm]
 		pin.Version = p.labels[arm]
@@ -73,7 +73,7 @@ func (p *BanditProvider) Pick(key uint64) engine.Pinned {
 		pin.Shadow = nil
 		return pin
 	}
-	return p.base.Pick(key)
+	return p.base.Pick(user)
 }
 
 // splitmix64 is the splitmix64 finalizer, decorrelating the bandit split

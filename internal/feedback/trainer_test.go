@@ -87,7 +87,7 @@ func writeArmEvents(t *testing.T, l *Log, label string, arm, n int, clickEvery i
 	t.Helper()
 	for i := 0; i < n; i++ {
 		ev := &Event{
-			RequestID: "r", Route: uint64(i), Version: label, Arm: arm,
+			RequestID: "r", User: uint64(i), Version: label, Arm: arm,
 			UnixMS: int64(i), Items: []int{i, i + 1, i + 2},
 		}
 		if clickEvery > 0 && i%clickEvery == 0 {

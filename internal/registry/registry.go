@@ -154,14 +154,14 @@ func (r *Registry) Active() engine.Pinned {
 }
 
 // Pick implements engine.Provider: the active model, or — while a candidate
-// is staged — the candidate for the configured fraction of the routing key
-// space. The split is deterministic in the key, so a given request always
-// lands on the same side while the state holds.
-func (r *Registry) Pick(key uint64) engine.Pinned {
+// is staged — the candidate for the configured fraction of the user key
+// space. The split is deterministic in the key, so a given user always
+// lands on the same side while the state holds, whatever slate they send.
+func (r *Registry) Pick(user uint64) engine.Pinned {
 	st := r.state.Load()
 	v, canary := st.active, false
 	if st.candidate != nil && r.cfg.CanaryPercent > 0 &&
-		float64(key%10_000) < r.cfg.CanaryPercent*100 {
+		float64(user%10_000) < r.cfg.CanaryPercent*100 {
 		v, canary = st.candidate, true
 	}
 	pin := r.pinOf(v, canary)

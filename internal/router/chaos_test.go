@@ -30,7 +30,7 @@ func (echoScorer) Name() string { return "echo" }
 // fleetGeometry is the tiny model geometry every fleet-test request matches.
 var fleetGeometry = core.Config{UserDim: 3, ItemDim: 2, Topics: 2}
 
-// fleetBody builds a geometry-valid request whose route key varies with n.
+// fleetBody builds a geometry-valid request whose user key varies with n.
 func fleetBody(n int) []byte {
 	return []byte(fmt.Sprintf(`{
 		"user_features": [%d, 0.5, -0.25],
@@ -95,7 +95,7 @@ func (f *fleet) bodiesOwnedBy(t *testing.T, replica, count int) [][]byte {
 	var out [][]byte
 	for n := 0; len(out) < count && n < 100000; n++ {
 		body := fleetBody(n)
-		key, err := routeKeyFor(body, false)
+		key, err := userKeyFor(body, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,11 +3,12 @@
 // serving through the failures a real fleet sees — crashed replicas, slow
 // nodes, shed load and mixed-version rollout windows.
 //
-// Requests are routed by the same deterministic FNV key the serving layer
-// already uses for canary splits (serve.RouteKey), so a user's requests land
-// on the same replica across retries and rollouts — the property that makes
-// per-replica user-state caches and reproducible debugging possible. Around
-// that stable ownership the router layers the robustness machinery:
+// Requests are routed by the user key the serving layer also uses for canary
+// splits (engine.UserKey, over the user features only), so a user's requests
+// land on the same replica across retries, rollouts and fresh slates — the
+// property that makes per-replica user-state caches and reproducible
+// debugging possible. Around that stable ownership the router layers the
+// robustness machinery:
 //
 //   - health probing via GET /readyz: ejection on probe failure, re-probe
 //     with exponential backoff, re-admission through the circuit breaker's
@@ -112,9 +113,13 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// search finds the first ring point at or clockwise of key's hash.
+// search finds the first ring point at or clockwise of key's hash. The key
+// is FNV-1a over user features, whose last bytes barely reach its high bits
+// (users that differ in one small integer feature would share an arc), so it
+// goes through the same finalizer as the points.
 func (r *ring) search(key uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
+	h := mix64(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap: the smallest point owns the top of the hash space
 	}

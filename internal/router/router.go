@@ -255,7 +255,7 @@ func (r *Router) Handler() http.Handler {
 // maxBodyBytes mirrors the serving layer's request cap.
 const maxBodyBytes = 8 << 20
 
-// handleProxy is the data path: derive the routing key, run the forward
+// handleProxy is the data path: derive the user key, run the forward
 // loop, relay the winning response.
 func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, batch bool) {
 	r.met.requests.Inc()
@@ -268,7 +268,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, batch boo
 		http.Error(w, "body too large or unreadable", http.StatusBadRequest)
 		return
 	}
-	key, err := routeKeyFor(body, batch)
+	key, err := userKeyFor(body, batch)
 	if err != nil {
 		// Reject malformed JSON here: no replica could serve it, so spending
 		// retries on it would only burn budget.
@@ -320,15 +320,16 @@ func responseClass(status int) string {
 	}
 }
 
-// routeKeyFor derives the consistent-hash key from the request body: the
-// same engine.RouteKey the serving layer uses for canary splits, so requests
-// for the same user land on the same replica across retries and restarts. A
-// batch hashes its members' keys together, so a stable batch is also stable.
-// The engine's skim reads the key off the bytes without building the request;
-// whatever it declines is decoded with encoding/json as before, so the bodies
-// rejected here — and the messages — are encoding/json's.
-func routeKeyFor(body []byte, batch bool) (uint64, error) {
-	if key, ok := engine.RouteKeyJSON(body, batch); ok {
+// userKeyFor derives the consistent-hash key from the request body: the
+// same engine.UserKey the serving layer uses for canary splits, so every
+// request of one user — whatever slate it carries — lands on the same
+// replica across retries and restarts. A batch hashes its members' keys
+// together, so a stable batch is also stable. The engine's skim reads the key
+// off the bytes without building the request; whatever it declines is
+// decoded with encoding/json as before, so the bodies rejected here — and the
+// messages — are encoding/json's.
+func userKeyFor(body []byte, batch bool) (uint64, error) {
+	if key, ok := engine.UserKeyJSON(body, batch); ok {
 		return key, nil
 	}
 	if batch {
@@ -336,13 +337,13 @@ func routeKeyFor(body []byte, batch bool) (uint64, error) {
 		if err := json.Unmarshal(body, &breq); err != nil {
 			return 0, fmt.Errorf("malformed batch request: %v", err)
 		}
-		return engine.BatchRouteKey(breq.Requests), nil
+		return engine.BatchUserKey(breq.Requests), nil
 	}
 	var rreq engine.Request
 	if err := json.Unmarshal(body, &rreq); err != nil {
 		return 0, fmt.Errorf("malformed request: %v", err)
 	}
-	return engine.RouteKey(&rreq), nil
+	return engine.UserKey(&rreq), nil
 }
 
 // Attempt classifications, used both as metric label values and as the

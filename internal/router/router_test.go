@@ -63,7 +63,7 @@ func testRouter(t *testing.T, cfg Config, handlers ...http.HandlerFunc) (*Router
 	return r, reps
 }
 
-// reqBody builds a decodable rerank request whose route key varies with n.
+// reqBody builds a decodable rerank request whose user key varies with n.
 func reqBody(n int) []byte {
 	return []byte(fmt.Sprintf(
 		`{"user_features":[%d],"items":[{"id":1,"features":[],"cover":[],"init_score":1}],"topic_sequences":[]}`, n))
@@ -75,7 +75,7 @@ func bodyOwnedBy(t *testing.T, r *Router, want int) []byte {
 	t.Helper()
 	for n := 0; n < 10000; n++ {
 		body := reqBody(n)
-		key, err := routeKeyFor(body, false)
+		key, err := userKeyFor(body, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,6 +127,29 @@ func TestRouterStickyRouting(t *testing.T) {
 	}
 	if busy < 2 {
 		t.Fatalf("40 distinct keys reached only %d replicas", busy)
+	}
+}
+
+// TestRouterUserStickyAcrossSlates: the ring places users, not slates. One
+// user sent 20 fresh candidate lists through the three-replica fleet is
+// served by one replica throughout.
+func TestRouterUserStickyAcrossSlates(t *testing.T) {
+	f := newFleet(t, Config{})
+	var first string
+	for n := 0; n < 20; n++ {
+		w := f.send([]byte(fmt.Sprintf(`{"user_features":[7,0.5,-0.25],"items":[
+			{"id":%d,"features":[0.1,0.2],"cover":[0.3,0.1],"init_score":0.9},
+			{"id":%d,"features":[0.4,%d],"cover":[0.1,0.5],"init_score":0.7}],
+			"topic_sequences":[[],[]]}`, 2*n+1, 2*n+2, n)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("slate %d: status %d: %s", n, w.Code, w.Body.String())
+		}
+		rep := w.Header().Get("X-Router-Replica")
+		if n == 0 {
+			first = rep
+		} else if rep != first {
+			t.Fatalf("slate %d went to %s, slate 0 to %s", n, rep, first)
+		}
 	}
 }
 
@@ -350,8 +373,8 @@ func TestRouterDeclinedBodiesMatchEncodingJSON(t *testing.T) {
 		if w.Code != http.StatusOK || reps[0].hits.Load() != hits+1 {
 			t.Errorf("%q: status %d, want 200 from the replica", body, w.Code)
 		}
-		if key, err := routeKeyFor([]byte(body), false); err != nil || key != engine.RouteKey(&ref) {
-			t.Errorf("%q: key %#x err %v, want %#x", body, key, err, engine.RouteKey(&ref))
+		if key, err := userKeyFor([]byte(body), false); err != nil || key != engine.UserKey(&ref) {
+			t.Errorf("%q: key %#x err %v, want %#x", body, key, err, engine.UserKey(&ref))
 		}
 	}
 }

@@ -65,8 +65,8 @@ grep -qE '"version":"v[^"]*","state":"active"' <<<"$LIST" \
     || { echo "FAIL: RAPID version is not active at startup: $LIST"; exit 1; }
 
 # Build rerank bodies from the published manifest geometry. The first
-# user-feature entry varies per request so RouteKey — and with it the 50%
-# canary split — varies too.
+# user-feature entry varies per request so the user key (engine.UserKey) —
+# and with it the 50% canary split — varies too; the items never move it.
 MANIFEST_JSON="$(find "$STORE" -name '*.json' | sort | tail -1)"
 dim() { grep -o "\"$1\": *[0-9]*" "$MANIFEST_JSON" | head -1 | grep -o '[0-9]*$'; }
 UD="$(dim UserDim)"; ID_="$(dim ItemDim)"; TP="$(dim Topics)"
@@ -85,7 +85,7 @@ ITEMS=""
 for ((i = 0; i < 6; i++)); do
     ITEMS="${ITEMS}${ITEMS:+,}{\"id\":$i,\"features\":$IF,\"cover\":$CV,\"init_score\":0.$((i + 1))}"
 done
-rerank() { # rerank SALT -> response JSON; SALT varies the routing key
+rerank() { # rerank SALT -> response JSON; SALT varies the user key
     local salt="$1" i uf
     uf="[0.$salt"
     for ((i = 1; i < UD; i++)); do uf="$uf,0.$((i % 9 + 1))"; done
