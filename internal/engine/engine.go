@@ -634,14 +634,6 @@ func degradeReason(out scoreOutcome) string {
 // okResponse orders the list by the model's scores and aligns the score
 // slice with the returned ranking.
 func okResponse(inst *rerank.Instance, scores []float64) Response {
-	order := rerank.OrderByScores(inst.Items, scores)
-	pos := make(map[int]int, len(inst.Items))
-	for i, id := range inst.Items {
-		pos[id] = i
-	}
-	ordered := make([]float64, len(order))
-	for i, id := range order {
-		ordered[i] = scores[pos[id]]
-	}
-	return Response{Ranked: order, Scores: ordered}
+	ranked, aligned := rankBy(inst.Items, scores)
+	return Response{Ranked: ranked, Scores: aligned}
 }

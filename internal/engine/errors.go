@@ -12,8 +12,9 @@ import (
 var ErrCanceled = errors.New("request canceled by caller")
 
 // BadInputError reports a request the engine rejected before scoring:
-// geometry mismatches, empty lists, oversized batches. Frontends map it to
-// their protocol's client-error shape (HTTP 400, binary code bad_input).
+// geometry mismatches, empty lists, repeated item ids, oversized batches.
+// Frontends map it to their protocol's client-error shape (HTTP 400, binary
+// code bad_input).
 type BadInputError struct {
 	Msg string
 }

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/rerank"
@@ -70,6 +73,20 @@ type Response struct {
 
 // ToInstance validates the wire request against the model geometry and
 // assembles a rerank.Instance.
+//
+// Item ids must be distinct: the model reads an item's features by its id, so
+// two list entries under one id would be scored as one item. Behavior-sequence
+// items are addressed with synthetic ids that run down from just below the
+// smallest list id, never starting above -1, so a list of non-negative ids
+// numbers its sequence items -1, -2, … and no list id can stand for one.
+//
+// The instance is built from a fixed handful of allocations whatever the
+// request's size: one int slab holds the list ids, the list positions sorted
+// by id (ItemFeat and CoverOf binary-search them) and every synthetic id, and
+// the topic sequences are cut from it; one float slab holds the initial scores
+// and the zero cover unknown ids share; one row slab holds the list's cover,
+// its features by position and every sequence item's features. The instance
+// aliases the request's feature, cover and user vectors, nothing else.
 func ToInstance(cfg core.Config, req *Request) (*rerank.Instance, error) {
 	if len(req.UserFeatures) != cfg.UserDim {
 		return nil, fmt.Errorf("user_features has %d dims, model wants %d", len(req.UserFeatures), cfg.UserDim)
@@ -83,44 +100,59 @@ func ToInstance(cfg core.Config, req *Request) (*rerank.Instance, error) {
 	if len(req.TopicSequences) != cfg.Topics {
 		return nil, fmt.Errorf("topic_sequences has %d topics, model wants %d", len(req.TopicSequences), cfg.Topics)
 	}
-	items := make([]int, len(req.Items))
-	scores := make([]float64, len(req.Items))
-	cover := make([][]float64, len(req.Items))
-	feats := make(map[int][]float64, len(req.Items))
-	coverByID := make(map[int][]float64, len(req.Items))
-	for i, it := range req.Items {
+	for _, it := range req.Items {
 		if len(it.Features) != cfg.ItemDim {
 			return nil, fmt.Errorf("item %d has %d feature dims, model wants %d", it.ID, len(it.Features), cfg.ItemDim)
 		}
 		if len(it.Cover) != cfg.Topics {
 			return nil, fmt.Errorf("item %d has %d cover dims, model wants %d", it.ID, len(it.Cover), cfg.Topics)
 		}
-		items[i] = it.ID
-		scores[i] = it.InitScore
-		cover[i] = it.Cover
-		feats[it.ID] = it.Features
-		coverByID[it.ID] = it.Cover
 	}
-	// Behavior-sequence items are addressed with synthetic negative IDs so
-	// they cannot collide with list items.
-	seqs := make([][]int, cfg.Topics)
-	nextID := -1
+	h := 0 // sequence items, over every topic
 	for j, seq := range req.TopicSequences {
 		for _, si := range seq {
 			if len(si.Features) != cfg.ItemDim {
 				return nil, fmt.Errorf("topic %d sequence item has %d feature dims, model wants %d", j, len(si.Features), cfg.ItemDim)
 			}
-			feats[nextID] = si.Features
-			seqs[j] = append(seqs[j], nextID)
-			nextID--
 		}
-		if len(seqs[j]) > rerank.TopicSeqCap {
-			seqs[j] = seqs[j][len(seqs[j])-rerank.TopicSeqCap:]
+		h += len(seq)
+	}
+
+	l := len(req.Items)
+	ids := make([]int, 2*l+h)
+	items, byID, seqIDs := ids[:l:l], ids[l:2*l:2*l], ids[2*l:]
+	floats := make([]float64, l+cfg.Topics)
+	// Unknown-id coverage lookups (sequence items) share one zero vector;
+	// callers treat coverage as read-only.
+	scores, zeroCover := floats[:l:l], floats[l:]
+	rows := make([][]float64, 2*l+h)
+	cover, listFeats, seqFeats := rows[:l:l], rows[l:2*l:2*l], rows[2*l:]
+	for i := range req.Items {
+		it := &req.Items[i]
+		items[i], byID[i] = it.ID, i
+		scores[i] = it.InitScore
+		cover[i], listFeats[i] = it.Cover, it.Features
+	}
+	slices.SortFunc(byID, func(a, b int) int { return cmp.Compare(items[a], items[b]) })
+	for k := 1; k < l; k++ {
+		if id := items[byID[k]]; id == items[byID[k-1]] {
+			return nil, fmt.Errorf("item %d appears more than once", id)
 		}
 	}
-	// Unknown-id coverage lookups (historical items outside the list) share
-	// one zero vector; callers treat coverage as read-only.
-	zeroCover := make([]float64, cfg.Topics)
+
+	base := seqBase(items, byID, h)
+	seqs := make([][]int, cfg.Topics)
+	k := 0
+	for j, seq := range req.TopicSequences {
+		start := k
+		for _, si := range seq {
+			seqIDs[k], seqFeats[k] = base-k, si.Features
+			k++
+		}
+		if k > start {
+			seqs[j] = seqIDs[max(start, k-rerank.TopicSeqCap):k:k]
+		}
+	}
 	return &rerank.Instance{
 		UserFeat:   req.UserFeatures,
 		Items:      items,
@@ -128,28 +160,69 @@ func ToInstance(cfg core.Config, req *Request) (*rerank.Instance, error) {
 		Cover:      cover,
 		TopicSeqs:  seqs,
 		M:          cfg.Topics,
-		ItemFeat:   func(id int) []float64 { return feats[id] },
+		ItemFeat: func(id int) []float64 {
+			// Sequence ids are a run with no list id inside it.
+			if k := uint(base - id); k < uint(len(seqFeats)) {
+				return seqFeats[k]
+			}
+			if p := position(items, byID, id); p >= 0 {
+				return listFeats[p]
+			}
+			return nil
+		},
 		CoverOf: func(id int) []float64 {
-			if c, ok := coverByID[id]; ok {
-				return c
+			if p := position(items, byID, id); p >= 0 {
+				return cover[p]
 			}
 			return zeroCover
 		},
 	}, nil
 }
 
+// position finds a list id's position by binary search over byID, the list
+// positions sorted by id; -1 when id is not on the list.
+func position(items, byID []int, id int) int {
+	if i, ok := slices.BinarySearchFunc(byID, id, func(p, id int) int { return cmp.Compare(items[p], id) }); ok {
+		return byID[i]
+	}
+	return -1
+}
+
+// seqBase is the first of h synthetic sequence ids, which run down from it:
+// just below the smallest list id, and never above -1. A run that would pass
+// math.MinInt starts instead below the list id that ends the widest gap
+// between list ids, or at math.MaxInt when the room above the largest is
+// wider. The list is at most MaxListLength distinct ids, so that gap leaves
+// room for ~2^54 ids, far more than any request carries.
+func seqBase(items, byID []int, h int) int {
+	lo := min(items[byID[0]], 0)
+	if lo >= math.MinInt+h {
+		return lo - 1
+	}
+	base, room := math.MaxInt, uint(math.MaxInt)-uint(items[byID[len(byID)-1]])
+	for k := 1; k < len(byID); k++ {
+		hi := items[byID[k]]
+		if gap := uint(hi) - uint(items[byID[k-1]]) - 1; gap > room {
+			base, room = hi-1, gap
+		}
+	}
+	return base
+}
+
 // FallbackOrder is the graceful-degradation ranking: the initial ranker's
 // ordering by its own scores (stable on ties), exactly what the upstream
 // stage would have shown had the re-ranker not existed.
 func FallbackOrder(inst *rerank.Instance) ([]int, []float64) {
-	order := rerank.OrderByScores(inst.Items, inst.InitScores)
-	pos := make(map[int]int, len(inst.Items))
-	for i, id := range inst.Items {
-		pos[id] = i
+	return rankBy(inst.Items, inst.InitScores)
+}
+
+// rankBy orders items by descending score (stable on ties) and returns the
+// ranked ids with their scores aligned.
+func rankBy(items []int, scores []float64) ([]int, []float64) {
+	ranked := rerank.OrderIndex(scores[:len(items)])
+	aligned := make([]float64, len(ranked))
+	for i, p := range ranked {
+		ranked[i], aligned[i] = items[p], scores[p]
 	}
-	ordered := make([]float64, len(order))
-	for i, id := range order {
-		ordered[i] = inst.InitScores[pos[id]]
-	}
-	return order, ordered
+	return ranked, aligned
 }

@@ -5,7 +5,7 @@
 package rerank
 
 import (
-	"sort"
+	"slices"
 )
 
 // Reranker scores the items of an instance; the re-ranked list is the
@@ -31,16 +31,33 @@ func Apply(r Reranker, inst *Instance) []int {
 
 // OrderByScores sorts items by descending score with stable ties.
 func OrderByScores(items []int, scores []float64) []int {
-	idx := make([]int, len(items))
+	order := OrderIndex(scores[:len(items)])
+	for i, p := range order {
+		order[i] = items[p]
+	}
+	return order
+}
+
+// OrderIndex returns the positions of scores best first: descending score,
+// ties in position order. It is sort.SliceStable's algorithm under the same
+// "greater than" comparison, without the reflection, so every ordering —
+// NaN, which compares neither way, included — is the one sort.SliceStable
+// gives.
+func OrderIndex(scores []float64) []int {
+	idx := make([]int, len(scores))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	out := make([]int, len(items))
-	for i, j := range idx {
-		out[i] = items[j]
-	}
-	return out
+	slices.SortStableFunc(idx, func(a, b int) int {
+		switch {
+		case scores[a] > scores[b]:
+			return -1
+		case scores[a] < scores[b]:
+			return 1
+		}
+		return 0
+	})
+	return idx
 }
 
 // Identity is the no-op re-ranker that returns the initial scores — the

@@ -3,6 +3,8 @@ package rerank
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -61,6 +63,65 @@ func TestOrderByScores(t *testing.T) {
 		if tie[i] != v {
 			t.Fatal("tie order not stable")
 		}
+	}
+}
+
+// sliceStableOrder is OrderByScores as it was first written, on
+// sort.SliceStable: the reference the reflection-free ordering is held to.
+func sliceStableOrder(items []int, scores []float64) []int {
+	idx := make([]int, len(items))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
+	out := make([]int, len(items))
+	for i, j := range idx {
+		out[i] = items[j]
+	}
+	return out
+}
+
+// TestOrderByScoresMatchesSliceStable: on random score vectors thick with
+// ties, NaN, ±Inf and −0 — where a comparison that is not a strict weak order
+// makes the answer depend on the algorithm's every step — OrderByScores ranks
+// exactly as the sort.SliceStable reference does. Lengths cross the stable
+// sort's 20-element insertion blocks and several merge levels.
+func TestOrderByScoresMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 0.5, 1}
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(90)
+		items := make([]int, n)
+		scores := make([]float64, n)
+		for i := range scores {
+			items[i] = 1000 + i
+			switch rng.Intn(3) {
+			case 0:
+				scores[i] = specials[rng.Intn(len(specials))]
+			case 1:
+				scores[i] = float64(rng.Intn(4)) // ties
+			default:
+				scores[i] = rng.NormFloat64()
+			}
+		}
+		got, want := OrderByScores(items, scores), sliceStableOrder(items, scores)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d, scores %v:\n got %v\nwant %v", trial, scores, got, want)
+		}
+	}
+}
+
+// BenchmarkOrderByScores orders a 20-item list, the serving path's length.
+func BenchmarkOrderByScores(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	items, scores := make([]int, 20), make([]float64, 20)
+	for i := range items {
+		items[i], scores[i] = 640+i, rng.Float64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		OrderByScores(items, scores)
 	}
 }
 

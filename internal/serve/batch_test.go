@@ -76,6 +76,25 @@ func TestHandleRerankBatchEnvelope(t *testing.T) {
 	}
 }
 
+// TestBatchRepeatedItemIDPerItemError: an envelope item that names one id
+// twice carries its own bad-input error; its batch-mates still score.
+func TestBatchRepeatedItemIDPerItemError(t *testing.T) {
+	repeated := validRequest()
+	repeated.Items[0].ID = repeated.Items[2].ID
+	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *repeated}}
+	w := postBatch(t, stubServer(t, Config{}).Handler(), mustJSON(t, env))
+	var resp RerankBatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK || len(resp.Responses) != 2 {
+		t.Fatalf("batch status %d: %s", w.Code, w.Body.String())
+	}
+	if ok := resp.Responses[0]; ok.Error != "" || len(ok.Ranked) != 3 {
+		t.Fatalf("valid batch-mate: %+v", ok)
+	}
+	if got := resp.Responses[1]; got.Error != "item 9 appears more than once" || len(got.Ranked) != 0 {
+		t.Fatalf("repeated-id item: %+v, want the error naming item 9 and no ranking", got)
+	}
+}
+
 // TestHandleRerankBatchLimits: an empty envelope and one over
 // MaxBatchRequests are both rejected whole with 400.
 func TestHandleRerankBatchLimits(t *testing.T) {

@@ -267,6 +267,19 @@ func TestServerBadInputKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestServerRepeatedItemIDBadInput: a list naming one id twice answers a
+// bad_input error frame that says which id.
+func TestServerRepeatedItemIDBadInput(t *testing.T) {
+	_, c := startServer(t, engine.Config{Budget: time.Second})
+	req := validRequest()
+	req.Items[1].ID = req.Items[0].ID
+	resp, err := c.Rerank(context.Background(), req)
+	re, ok := err.(*RemoteError)
+	if !ok || re.Code != CodeBadInput || re.Message != "item 7 appears more than once" {
+		t.Fatalf("answered %+v (error %v), want bad_input naming item 7", resp, err)
+	}
+}
+
 // TestServerUnknownTenant: a tenant name with no TenantSource behind it maps
 // to the unknown_tenant code, mirroring the HTTP 404.
 func TestServerUnknownTenant(t *testing.T) {
@@ -330,13 +343,17 @@ func TestServerGarbageFrameCloses(t *testing.T) {
 // poolShapedRequest is a request with the benchmark pool's geometry: 13 user
 // dims, 20 items × (8 features + 5 cover), 5 topics × 1–5 × 8 features. The
 // wire form is eight bytes a float whatever its value, so zeros do.
-func poolShapedRequest() *engine.Request {
+func poolShapedRequest() *engine.Request { return topicsRequest(5) }
+
+// topicsRequest is poolShapedRequest over m topics, topic j carrying
+// 1 + j mod 5 sequence items.
+func topicsRequest(m int) *engine.Request {
 	req := &engine.Request{UserFeatures: make([]float64, 13)}
 	for i := 0; i < 20; i++ {
-		req.Items = append(req.Items, engine.Item{ID: 640 + i, Features: make([]float64, 8), Cover: make([]float64, 5)})
+		req.Items = append(req.Items, engine.Item{ID: 640 + i, Features: make([]float64, 8), Cover: make([]float64, m)})
 	}
-	for j := 0; j < 5; j++ {
-		seq := make([]engine.SeqItem, 1+j)
+	for j := 0; j < m; j++ {
+		seq := make([]engine.SeqItem, 1+j%5)
 		for k := range seq {
 			seq[k].Features = make([]float64, 8)
 		}
@@ -345,12 +362,45 @@ func poolShapedRequest() *engine.Request {
 	return req
 }
 
+// TestDecodeRequestAllocsFlatInTopics: every topic's sequence is cut from
+// one slab, so the request decoder allocates the same count at 1 topic as at
+// 23.
+func TestDecodeRequestAllocsFlatInTopics(t *testing.T) {
+	first := -1.0
+	for m := 1; m <= 23; m++ {
+		wire := AppendRequest(nil, topicsRequest(m))
+		n := testing.AllocsPerRun(50, func() {
+			if _, err := DecodeRequest(wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if first < 0 {
+			first = n
+		}
+		if n != first {
+			t.Errorf("%d topics: %v allocations, %v at 1 topic", m, n, first)
+		}
+	}
+}
+
+func BenchmarkDecodeRequest(b *testing.B) {
+	wire := AppendRequest(nil, poolShapedRequest())
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeRequest(wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestCodecAllocCeilings pins what the codec allocates per pool-shaped list:
-// the decoders within one allocation of today's counts (request 9: request,
-// float slab, items, sequence table and five sequences; response 4: ranked,
+// the decoders within one allocation of today's counts (request 5: request,
+// float slab, items, sequence table and sequence slab; response 4: ranked,
 // scores and two strings), the encoders nothing once their buffer has grown.
-// These counts are part of the ≈74 allocations per list the benchmark bounds
-// to 6 % on bin_c1_unique; a codec change that adds two shows up here first.
+// These counts are part of the allocations per list the benchmark bounds to
+// 6 % on bin_c1_unique; a codec change that adds two shows up here first.
 func TestCodecAllocCeilings(t *testing.T) {
 	req := poolShapedRequest()
 	resp := &engine.Response{
@@ -365,7 +415,7 @@ func TestCodecAllocCeilings(t *testing.T) {
 		ceiling float64
 		f       func()
 	}{
-		{"DecodeRequest", 10, func() {
+		{"DecodeRequest", 6, func() {
 			if _, err := DecodeRequest(reqWire); err != nil {
 				t.Fatal(err)
 			}

@@ -271,6 +271,23 @@ func (r *reader) floats(what string) []float64 {
 	return r.slab[start:len(r.slab):len(r.slab)]
 }
 
+// seqItems counts the items of the n topic sequences ahead of the cursor, on
+// a copy of the reader: the size of the slab DecodeRequest cuts them from. It
+// reads the length prefixes the decode will and skips the floats, so the
+// decode never cuts more than was counted; where the walk fails the decode
+// fails too, and reports it.
+func (r reader) seqItems(n int) int {
+	total := 0
+	for j := 0; j < n && r.err == nil; j++ {
+		nSeq := r.count("sequence", 4)
+		total += nSeq
+		for k := 0; k < nSeq && r.err == nil; k++ {
+			r.off += 8 * r.count("sequence features", 8)
+		}
+	}
+	return total
+}
+
 // DecodeRequest decodes a rerank-request payload. Trailing bytes after a
 // complete request are a protocol error — they mean framing desync.
 func DecodeRequest(payload []byte) (*engine.Request, error) {
@@ -294,16 +311,20 @@ func DecodeRequest(payload []byte) (*engine.Request, error) {
 	nTopics := r.count("topic_sequences", 4)
 	if r.err == nil && nTopics > 0 {
 		req.TopicSequences = make([][]engine.SeqItem, nTopics)
+		// Every topic's sequence is cut, capacity-clamped, from one slab.
+		seqs := make([]engine.SeqItem, r.seqItems(nTopics))
 		for j := range req.TopicSequences {
 			nSeq := r.count("sequence", 4)
 			if r.err != nil {
 				break
 			}
 			if nSeq > 0 {
-				req.TopicSequences[j] = make([]engine.SeqItem, nSeq)
-				for k := range req.TopicSequences[j] {
-					req.TopicSequences[j][k].Features = r.floats("sequence features")
+				seq := seqs[:nSeq:nSeq]
+				seqs = seqs[nSeq:]
+				for k := range seq {
+					seq[k].Features = r.floats("sequence features")
 				}
+				req.TopicSequences[j] = seq
 			}
 		}
 	}

@@ -131,6 +131,21 @@ func TestHandleRerankBadInput(t *testing.T) {
 	}
 }
 
+// TestRepeatedItemIDBadInput: item ids name items, so a list naming one
+// twice is a 400 bad_input that says which id — not an answer that scores
+// both copies as the last one.
+func TestRepeatedItemIDBadInput(t *testing.T) {
+	s := testServer(t, Config{})
+	req := validRequest()
+	req.Items[2].ID = req.Items[1].ID
+	w := postRerank(t, s.Handler(), mustJSON(t, req))
+	var eb ErrorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusBadRequest ||
+		eb.Error.Code != "bad_input" || eb.Error.Message != "item 8 appears more than once" {
+		t.Fatalf("status %d, body %s: want 400 bad_input naming item 8", w.Code, w.Body.String())
+	}
+}
+
 func wantDegraded(t *testing.T, w *httptest.ResponseRecorder, reason string) engine.Response {
 	t.Helper()
 	if w.Code != http.StatusOK {
