@@ -43,9 +43,10 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# Fuzz smoke: run each wire-level fuzz target for a short burst on top of
-# its committed seed corpus (testdata/fuzz). CI runs this; longer local
-# sessions just raise FUZZTIME.
+# Fuzz smoke: run each wire-level fuzz target, and the vector kernels
+# against their scalar twins, for a short burst on top of its committed seed
+# corpus (testdata/fuzz). CI runs this; longer local sessions just raise
+# FUZZTIME.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRerankRequest -fuzztime=$(FUZZTIME) ./internal/serve
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzBinaryFrame -fuzztime=$(FUZZTIME) ./internal/serve/binproto
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequestJSON -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=^$$ -fuzz=FuzzRouteKeyJSON -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -run=^$$ -fuzz=FuzzSIMDKernels -fuzztime=$(FUZZTIME) ./internal/mat
 
 # Model-lifecycle smoke: trains two tiny models, publishes them into a
 # versioned store, serves it with rapidserve -model-root and drives a
@@ -102,9 +104,10 @@ bench:
 # the request codec's (internal/engine/wirejson_test.go): the schema decoder
 # and the router's skim beside encoding/json on a pool-shaped request. And the
 # engine end to end (internal/engine/engine_test.go): one request, and one
-# envelope of 16 — the only committed reading of the envelope path.
+# envelope of 16 — the only committed reading of the envelope path. And the
+# three hot kernels (internal/mat/simd_test.go), scalar beside vector.
 bench-core:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/engine
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/engine ./internal/mat
 
 # The repository benchmark (bench/, BENCHMARK.json) is its own module, so
 # `go vet ./...` and `go test ./...` above never compile it. Its smoke test

@@ -34,6 +34,7 @@ type Metrics struct {
 
 	CacheHits          *obs.Counter // encoded user-state cache
 	CacheMisses        *obs.Counter
+	CacheDeferred      *obs.Counter
 	CacheEvictions     *obs.Counter
 	CacheInvalidations *obs.Counter
 	CacheEntries       *obs.Gauge
@@ -94,6 +95,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Scoring passes that reused a cached encoded user state."),
 		CacheMisses: r.Counter("rapid_state_cache_misses_total",
 			"State-cache lookups that found no usable entry."),
+		CacheDeferred: r.Counter("rapid_state_cache_deferred_total",
+			"Encoded user states left uncached on a user's first sighting; the doorkeeper admits the next one."),
 		CacheEvictions: r.Counter("rapid_state_cache_evictions_total",
 			"Encoded user states evicted by the cache's memory budget (LRU)."),
 		CacheInvalidations: r.Counter("rapid_state_cache_invalidations_total",

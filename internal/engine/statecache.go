@@ -65,6 +65,12 @@ type cacheEntry struct {
 // takes — and the entries are their own list nodes. An entry is a hit only
 // when its full key matches; two keys that share a hash displace each other,
 // which costs a miss and can never serve one key's state for another.
+//
+// A user seen once is not cached: a doorkeeper admits a key on its second
+// Put. Most users of an open population never return, and each entry they
+// left would hold memory until evicted, so resident memory tracked
+// throughput rather than the returning population. The cost is one extra
+// cold preference pass per returning user.
 type StateCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -72,21 +78,52 @@ type StateCache struct {
 	by     map[uint64]*cacheEntry
 	ring   cacheEntry // sentinel: ring.next is the most recently used entry, ring.prev the least
 
-	met *Metrics // hit/miss/eviction/invalidation counters, size gauges
+	door     []uint64 // doorkeeper: one bit per doorBits-bit prefix of StateKey.hash
+	doorSets int      // bits set since door was last cleared
+
+	met *Metrics // hit/miss/deferral/eviction/invalidation counters, size gauges
 }
+
+// The doorkeeper is a table of 2^doorBits bits indexed by the top doorBits
+// bits of StateKey.hash. It is cleared after doorResetAfter sets — at most
+// 1/8 full, which bounds the share of first sightings a shared bit admits —
+// and on Flush.
+const (
+	doorBits       = 20
+	doorResetAfter = 1 << 17
+)
 
 // newStateCache builds a cache bounded to budget bytes of encoded states.
 func newStateCache(budget int64, met *Metrics) *StateCache {
-	c := &StateCache{budget: budget, met: met}
+	c := &StateCache{budget: budget, met: met, door: make([]uint64, 1<<doorBits/64)}
 	c.reset()
 	return c
 }
 
-// reset empties the index and the ring.
+// reset empties the index, the ring and the doorkeeper.
 func (c *StateCache) reset() {
 	c.by = map[uint64]*cacheEntry{}
 	c.ring.prev, c.ring.next = &c.ring, &c.ring
 	c.bytes = 0
+	clear(c.door)
+	c.doorSets = 0
+}
+
+// admit is the doorkeeper's verdict on a non-resident key that hashes to h:
+// true if its bit is set (the key, or one sharing its prefix, was put
+// since the last clear); otherwise it sets the bit and returns false.
+func (c *StateCache) admit(h uint64) bool {
+	i := h >> (64 - doorBits)
+	w, bit := &c.door[i/64], uint64(1)<<(i%64)
+	if *w&bit != 0 {
+		return true
+	}
+	*w |= bit
+	if c.doorSets++; c.doorSets == doorResetAfter {
+		clear(c.door)
+		c.doorSets = 0
+	}
+	return false
 }
 
 func (e *cacheEntry) unlink() {
@@ -122,9 +159,10 @@ func (c *StateCache) Get(key StateKey) (*core.UserState, bool) {
 	return e.st, true
 }
 
-// Put installs (or refreshes) key's state and evicts least-recently-used
-// entries until the cache fits its budget. A state larger than the whole
-// budget is not admitted.
+// Put refreshes a resident key's state, or installs a key the doorkeeper has
+// seen before, and evicts least-recently-used entries until the cache fits
+// its budget. The first Put of a key only marks it seen. A state larger
+// than the whole budget is not admitted.
 func (c *StateCache) Put(key StateKey, st *core.UserState) {
 	if st == nil {
 		return
@@ -137,6 +175,10 @@ func (c *StateCache) Put(key StateKey, st *core.UserState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.by[h]
+	if (e == nil || e.key != key) && !c.admit(h) {
+		c.met.CacheDeferred.Inc()
+		return
+	}
 	if e != nil && e.key != key {
 		c.drop(h, e) // another key with this hash: it gives way
 		e = nil
@@ -159,7 +201,8 @@ func (c *StateCache) Put(key StateKey, st *core.UserState) {
 	c.met.CacheBytes.Set(float64(c.bytes))
 }
 
-// Flush drops every entry. It is the model-lifecycle invalidation hook:
+// Flush drops every entry and forgets every first sighting. It is the
+// model-lifecycle invalidation hook:
 // wired to the registry's state transitions (load/promote/rollback), so no
 // request can ever read a state across a model swap — even when a version
 // label is reused for different artifacts.

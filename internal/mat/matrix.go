@@ -242,14 +242,26 @@ func matMulPanel(out, a, b *Matrix, i0, i1, j0, j1 int) {
 // range of a weight matrix read in place, W.Data[r0*W.Cols:]. Each dst[j]
 // takes its terms in ascending k, so splitting a product into consecutive
 // row blocks accumulated by successive calls leaves every bit unchanged.
-// This is the kernel of the tape-free inference forward.
+// dst must not overlap x or b. This is the kernel of the tape-free
+// inference forward.
 func AddVecMat(dst, x, b []float64) { addVecMat(dst, x, b, len(dst)) }
 
 // addVecMat is AddVecMat over rows stride floats apart: row k of B is
-// b[k*stride:][:len(dst)]. Four rows are folded per pass over dst, so each
-// dst element is loaded and stored once per four multiply-adds while every
-// operand streams through contiguous memory.
+// b[k*stride:][:len(dst)]. It runs the vector kernel when it can
+// (simd.go) and addVecMatGo otherwise; the two agree bit for bit.
 func addVecMat(dst, x, b []float64, stride int) {
+	if useSIMD && vecMatInBounds(len(dst), len(x), len(b), stride) {
+		addVecMatAVX2(dst, x, b, stride)
+		return
+	}
+	addVecMatGo(dst, x, b, stride)
+}
+
+// addVecMatGo is the portable addVecMat and the vector kernel's oracle. Four
+// rows are folded per pass over dst, so each dst element is loaded and
+// stored once per four multiply-adds while every operand streams through
+// contiguous memory.
+func addVecMatGo(dst, x, b []float64, stride int) {
 	n := len(dst)
 	k := 0
 	for ; k+4 <= len(x); k += 4 {

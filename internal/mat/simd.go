@@ -1,0 +1,146 @@
+// The vector layer under the three hot loops: addVecMat (every GEMM and the
+// inference forward's vector–matrix products), SigmoidInto and TanhInto.
+//
+// The contract is bitwise: a vector kernel performs the scalar loop's
+// operations in the scalar loop's order, four lanes at a time, so no output
+// bit depends on which path ran. It holds because
+//   - the scalar multiply-adds are unfused (the Go compiler lowers only an
+//     explicit math.FMA to an FMA instruction on amd64), and the vector
+//     kernels issue a separate multiply then add;
+//   - math.Exp on amd64 takes an FMA path when the CPU has AVX and FMA, and
+//     the vector exp replicates that path instruction for instruction; the
+//     vector path requires the same CPU features, so the two always agree on
+//     which exp runs;
+//   - both paths round under the same MXCSR mode (round to nearest, which the
+//     Go runtime never changes).
+//
+// Inputs the replicas do not cover — a non-finite value, or |x| ≥ 708 where
+// exp leaves its normal range — send their block of four to the scalar
+// function. At package init every vector kernel is run against its scalar
+// twin on simdProbes; the vector path is enabled only if the CPU has the
+// features and every bit matches. There is no switch: a CPU without AVX2
+// and FMA, or a failed self-check, silently takes the scalar path.
+package mat
+
+import "math"
+
+// useSIMD selects the vector kernels. It is written once, by init.
+var useSIMD bool
+
+func init() {
+	useSIMD = simdSupported() && simdSelfCheck(addVecMatGo, sigmoidGo, tanhGo)
+}
+
+// simdExpMax bounds the inputs the vector activations take: for |x| below
+// it, every exp argument the replicas form stays in archExp's normal range.
+const simdExpMax = 708
+
+// vecMatInBounds reports whether every row addVecMat reads, b[k*stride:][:n]
+// for k < nx, lies inside a b of length nb: the condition under which the
+// scalar loop does not panic. The vector kernel runs only when it holds, so
+// it never reads past b and an out-of-range call panics where it always has.
+func vecMatInBounds(n, nx, nb, stride int) bool {
+	switch {
+	case nx == 0:
+		return true
+	case stride < 0 || n > nb:
+		return false
+	}
+	return stride == 0 || nx-1 <= (nb-n)/stride
+}
+
+// lanesInto applies f to src through kernel, which writes leading blocks of
+// four and returns how many elements it wrote: it stops before a block it
+// declines and before a tail of fewer than four, which f then computes.
+// dst is at least as long as src, and is src or does not overlap it.
+func lanesInto(dst, src []float64, kernel func(dst, src []float64) int, f func(float64) float64) {
+	for i := 0; i < len(src); {
+		i += kernel(dst[i:], src[i:])
+		for end := min(i+4, len(src)); i < end; i++ {
+			dst[i] = f(src[i])
+		}
+	}
+}
+
+func sigmoidSIMD(dst, src []float64) { lanesInto(dst, src, sigmoidAVX2, Sigmoid) }
+
+func tanhSIMD(dst, src []float64) { lanesInto(dst, src, tanhAVX2, math.Tanh) }
+
+// simdProbes is the self-check's input table: both sides of each branch
+// boundary the replicas blend (±0, tanh's 0.625 and 0.5·MAXLOG, the 708
+// hand-off), tiny and subnormal values, and a sweep across the whole range
+// laid out so blocks of four mix regions. The values the replicas hand to
+// the scalar functions fill the first three blocks, so they share no block
+// with the rest.
+func simdProbes() []float64 {
+	below := math.Nextafter(simdExpMax, 0)
+	p := []float64{
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64,
+		-math.MaxFloat64, 709.8, -709.8, 1000,
+		simdExpMax, -simdExpMax, math.Nextafter(simdExpMax, 1000), -1000,
+		0, math.Copysign(0, -1), 1e-9, -1e-9,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022,
+		1e-300, -1e-300, below, -below,
+	}
+	for _, edge := range []float64{0.625, 0.5 * 8.8029691931113054295988e+01, 1, 0.5} {
+		for _, x := range []float64{math.Nextafter(edge, 0), edge, math.Nextafter(edge, math.Inf(1))} {
+			p = append(p, x, -x)
+		}
+	}
+	for x := -707.0; x <= 707; x += 7.3 {
+		p = append(p, x, x/97, -x/61)
+	}
+	return p
+}
+
+// simdSelfCheck reports whether the vector kernels reproduce the given
+// scalar twins bit for bit on simdProbes, any NaN matching any NaN. init
+// passes the package's own scalar loops; a test passes a corrupted one.
+func simdSelfCheck(addVM func(dst, x, b []float64, stride int), sigmoid, tanh func(dst, src []float64)) bool {
+	probes := simdProbes()
+	for _, f := range []struct{ vec, ref func(dst, src []float64) }{{sigmoidSIMD, sigmoid}, {tanhSIMD, tanh}} {
+		got, want := make([]float64, len(probes)), make([]float64, len(probes))
+		f.vec(got, probes)
+		f.ref(want, probes)
+		if !sameBits(got, want) {
+			return false
+		}
+	}
+	// Every column tail (16-, 4- and 1-wide) and a row stride wider than dst.
+	var finite []float64
+	for _, v := range probes {
+		if math.Abs(v) < 1e3 {
+			finite = append(finite, v)
+		}
+	}
+	for _, s := range [][3]int{{23, 7, 29}, {64, 37, 64}, {3, 2, 3}} {
+		n, nx, stride := s[0], s[1], s[2]
+		b := make([]float64, (nx-1)*stride+n)
+		for i := range b {
+			b[i] = finite[(7*i)%len(finite)]
+		}
+		x := finite[len(finite)-nx:]
+		got, want := append([]float64(nil), finite[:n]...), append([]float64(nil), finite[:n]...)
+		addVecMatAVX2(got, x, b, stride)
+		addVM(want, x, b, stride)
+		if !sameBits(got, want) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns,
+// except that any NaN matches any NaN: x86 picks a NaN's payload by operand
+// order, and no result the repository pins is a NaN.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+			return false
+		}
+	}
+	return true
+}

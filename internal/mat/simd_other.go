@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package mat
+
+// The vector kernels exist only on amd64. Elsewhere simdSupported is false,
+// so useSIMD stays false and nothing calls these.
+
+func simdSupported() bool { return false }
+
+func addVecMatAVX2(dst, x, b []float64, stride int) { panic("mat: no vector kernels on this GOARCH") }
+
+func sigmoidAVX2(dst, src []float64) int { panic("mat: no vector kernels on this GOARCH") }
+
+func tanhAVX2(dst, src []float64) int { panic("mat: no vector kernels on this GOARCH") }

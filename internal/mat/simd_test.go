@@ -1,0 +1,361 @@
+package mat
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The vector kernels are held to their scalar twins with ==: both paths are
+// called directly, so the scalar loops stay tested on AVX2 hardware too.
+
+func needSIMD(t testing.TB) {
+	t.Helper()
+	if !simdSupported() {
+		t.Skip("no AVX2+FMA: only the scalar path exists here")
+	}
+}
+
+// TestSIMDEnabled: on a CPU with the features, the init self-check passed
+// and the dispatchers take the vector path.
+func TestSIMDEnabled(t *testing.T) {
+	t.Logf("AVX2+FMA %v, vector path on %v", simdSupported(), useSIMD)
+	if simdSupported() && !useSIMD {
+		t.Fatal("the CPU has AVX2 and FMA but the init self-check disabled the vector path")
+	}
+}
+
+// TestSIMDSelfCheckRejectsMismatch: a scalar twin that disagrees with its
+// vector kernel on one probe makes the self-check — and so init — turn the
+// vector path off.
+func TestSIMDSelfCheckRejectsMismatch(t *testing.T) {
+	needSIMD(t)
+	if !simdSelfCheck(addVecMatGo, sigmoidGo, tanhGo) {
+		t.Fatal("self-check rejects the package's own scalar loops")
+	}
+	flip := func(v float64) float64 { return math.Float64frombits(math.Float64bits(v) ^ 1) }
+	corrupt := func(f func(dst, src []float64)) func(dst, src []float64) {
+		return func(dst, src []float64) { f(dst, src); dst[len(dst)/2] = flip(dst[len(dst)/2]) }
+	}
+	badVecMat := func(dst, x, b []float64, stride int) { addVecMatGo(dst, x, b, stride); dst[0] = flip(dst[0]) }
+	for name, ok := range map[string]bool{
+		"sigmoid":   simdSelfCheck(addVecMatGo, corrupt(sigmoidGo), tanhGo),
+		"tanh":      simdSelfCheck(addVecMatGo, sigmoidGo, corrupt(tanhGo)),
+		"addVecMat": simdSelfCheck(badVecMat, sigmoidGo, tanhGo),
+	} {
+		if ok {
+			t.Errorf("self-check passed with a corrupted %s twin", name)
+		}
+	}
+}
+
+// specials are the inputs every activation parity check includes.
+var specials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022,
+	1e-300, -1e-300, math.MaxFloat64, -math.MaxFloat64,
+	708, -708, 0.625, -0.625, 44.0148, -44.0148, 0.5 * 8.8029691931113054295988e+01,
+}
+
+// activationInputs is a dense sweep of [-750, 750] (2^20 points), ±64 ulps
+// around every branch boundary, the specials, and random float bits.
+func activationInputs() []float64 {
+	const sweep = 1 << 20
+	in := make([]float64, 0, sweep+1<<14)
+	for i := 0; i < sweep; i++ {
+		in = append(in, -750+1500*float64(i)/(sweep-1))
+	}
+	for _, edge := range []float64{0, 0.625, 0.5 * 8.8029691931113054295988e+01, 708} {
+		for _, s := range []float64{1, -1} {
+			x := s * edge
+			for i := 0; i < 64; i++ {
+				x = math.Nextafter(x, math.Inf(-1))
+			}
+			for i := 0; i < 129; i++ {
+				in = append(in, x)
+				x = math.Nextafter(x, math.Inf(1))
+			}
+		}
+	}
+	in = append(in, specials...)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 1<<12; i++ {
+		in = append(in, math.Float64frombits(rng.Uint64()))
+	}
+	return in
+}
+
+var activations = []struct {
+	name      string
+	vec, ref  func(dst, src []float64)
+	dispatch  func(dst, src []float64)
+	reference func(float64) float64
+}{
+	{"sigmoid", sigmoidSIMD, sigmoidGo, SigmoidInto, Sigmoid},
+	{"tanh", tanhSIMD, tanhGo, TanhInto, math.Tanh},
+}
+
+func firstMismatch(got, want []float64) int {
+	for i := range want {
+		if !sameBits(got[i:i+1], want[i:i+1]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestActivationsSIMDParity(t *testing.T) {
+	needSIMD(t)
+	in := activationInputs()
+	for _, f := range activations {
+		got, want := make([]float64, len(in)), make([]float64, len(in))
+		f.vec(got, in)
+		f.ref(want, in)
+		if i := firstMismatch(got, want); i >= 0 {
+			t.Errorf("%s(%v [%#x]) = %v vector, %v scalar", f.name, in[i], math.Float64bits(in[i]), got[i], want[i])
+		}
+	}
+}
+
+// TestActivationsSIMDLengthsAndInPlace: every length 0–67 (each tail), at
+// every alignment of the specials within a block, out of place with a
+// longer dst whose tail must survive, and in place as InferStep calls it.
+func TestActivationsSIMDLengthsAndInPlace(t *testing.T) {
+	needSIMD(t)
+	rng := rand.New(rand.NewSource(3))
+	pool := make([]float64, 256)
+	for i := range pool {
+		pool[i] = 20 * rng.NormFloat64()
+	}
+	for i, v := range specials {
+		pool[7*i%len(pool)] = v
+	}
+	for _, f := range activations {
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 4; off++ {
+				src := pool[off*11:][:n]
+				got := make([]float64, n+3)
+				got[n], got[n+1], got[n+2] = 1, 2, 3
+				want := make([]float64, n)
+				f.vec(got, src)
+				f.ref(want, src)
+				if i := firstMismatch(got[:n], want); i >= 0 {
+					t.Fatalf("%s len %d off %d: [%d] = %v vector, %v scalar", f.name, n, off, i, got[i], want[i])
+				}
+				if got[n] != 1 || got[n+1] != 2 || got[n+2] != 3 {
+					t.Fatalf("%s len %d wrote past len(src)", f.name, n)
+				}
+				buf := append([]float64(nil), src...)
+				f.vec(buf, buf)
+				if i := firstMismatch(buf, want); i >= 0 {
+					t.Fatalf("%s in place len %d off %d: [%d] = %v, want %v", f.name, n, off, i, buf[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestActivationsShortDstPanics: a dst shorter than src panics after
+// writing what fits, on either path.
+func TestActivationsShortDstPanics(t *testing.T) {
+	src := []float64{1, 2, 3, 4, 5, 6}
+	for _, f := range activations {
+		dst := make([]float64, 5)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a short dst did not panic", f.name)
+				}
+			}()
+			f.dispatch(dst, src)
+		}()
+		for i, v := range dst {
+			if v != f.reference(src[i]) {
+				t.Errorf("%s short dst [%d] = %v, want %v", f.name, i, v, f.reference(src[i]))
+			}
+		}
+	}
+}
+
+func normals(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	p := make([]float64, n)
+	for i := range p {
+		p[i] = rng.NormFloat64()
+	}
+	return p
+}
+
+// randPool is a reusable buffer of normal floats sprinkled with specials.
+func randPool(n int, seed int64) []float64 {
+	p := normals(n, seed)
+	for i, v := range specials {
+		p[(1009*i+13)%n] = v
+	}
+	return p
+}
+
+// TestAddVecMatSIMDParity: every dst length 0–67 (each 16-, 4- and 1-wide
+// tail), every x length 0–40, strides equal to and wider than len(dst).
+func TestAddVecMatSIMDParity(t *testing.T) {
+	needSIMD(t)
+	pool := randPool(1<<13, 5)
+	for n := 0; n <= 67; n++ {
+		for nx := 0; nx <= 40; nx++ {
+			for _, stride := range []int{n, n + 5} {
+				off := (n*41 + nx) % 512
+				b := pool[off:][:max(nx-1, 0)*stride+n]
+				x := pool[(off+7*n)%1024:][:nx]
+				got := append([]float64(nil), pool[off+3:][:n]...)
+				want := append([]float64(nil), got...)
+				addVecMatAVX2(got, x, b, stride)
+				addVecMatGo(want, x, b, stride)
+				if i := firstMismatch(got, want); i >= 0 {
+					t.Fatalf("n %d nx %d stride %d: dst[%d] = %v vector, %v scalar", n, nx, stride, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestAddVecMatBounds: wherever addVecMatGo would read past b — or not —
+// addVecMat behaves the same: the same panic after the same partial
+// writes, or the same result.
+func TestAddVecMatBounds(t *testing.T) {
+	pool := randPool(64, 9)
+	run := func(f func(dst, x, b []float64, stride int), dst, x, b []float64, stride int) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		f(dst, x, b, stride)
+		return ""
+	}
+	panics := 0
+	for n := 0; n <= 6; n++ {
+		for nx := 0; nx <= 5; nx++ {
+			for stride := -1; stride <= 8; stride++ {
+				for nb := 0; nb <= 40; nb++ {
+					x, b := pool[:nx], pool[10:][:nb]
+					got := append([]float64(nil), pool[50:][:n]...)
+					want := append([]float64(nil), got...)
+					gotMsg := run(addVecMat, got, x, b, stride)
+					wantMsg := run(addVecMatGo, want, x, b, stride)
+					if gotMsg != wantMsg || firstMismatch(got, want) >= 0 {
+						t.Fatalf("n %d nx %d stride %d len(b) %d: %q %v, scalar %q %v", n, nx, stride, nb, gotMsg, got, wantMsg, want)
+					}
+					if wantMsg != "" {
+						panics++
+					}
+				}
+			}
+		}
+	}
+	if panics == 0 {
+		t.Fatal("no case read past b")
+	}
+}
+
+// FuzzSIMDKernels: arbitrary float bits, lengths and strides; each vector
+// kernel equals its scalar twin.
+func FuzzSIMDKernels(f *testing.F) {
+	seed := make([]byte, 0, 8*len(specials))
+	for _, v := range specials {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	f.Add(seed, uint8(5), uint8(3), uint8(2))
+	f.Add([]byte("0123456789abcdef0123456789abcdef"), uint8(40), uint8(67), uint8(9))
+	f.Fuzz(func(t *testing.T, data []byte, nx, n, pad uint8) {
+		needSIMD(t)
+		vals := make([]float64, len(data)/8)
+		folded := make([]float64, len(vals)) // most raw bits are huge: also fold them into the vector range
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			folded[i] = math.Mod(vals[i], 750)
+		}
+		for _, in := range [][]float64{vals, folded} {
+			for _, a := range activations {
+				got, want := make([]float64, len(in)), make([]float64, len(in))
+				a.vec(got, in)
+				a.ref(want, in)
+				if i := firstMismatch(got, want); i >= 0 {
+					t.Fatalf("%s(%#x) = %v vector, %v scalar", a.name, math.Float64bits(in[i]), got[i], want[i])
+				}
+			}
+		}
+		if len(vals) == 0 {
+			return
+		}
+		cycle := func(k int) []float64 {
+			s := make([]float64, k)
+			for i := range s {
+				s[i] = vals[(i*5+k)%len(vals)]
+			}
+			return s
+		}
+		cols, rows := int(n)%68, int(nx)%41
+		stride := cols + int(pad)%8
+		x, b := cycle(rows), cycle(max(rows-1, 0)*stride+cols)
+		got := cycle(cols)
+		want := append([]float64(nil), got...)
+		addVecMatAVX2(got, x, b, stride)
+		addVecMatGo(want, x, b, stride)
+		if i := firstMismatch(got, want); i >= 0 {
+			t.Fatalf("addVecMat n %d nx %d stride %d: dst[%d] = %v vector, %v scalar", cols, rows, stride, i, got[i], want[i])
+		}
+	})
+}
+
+var benchSink float64
+
+// BenchmarkAddVecMat is the LSTM step's shape: [x | h] of 24–37 floats
+// into the 4·16 gate pre-activations.
+func BenchmarkAddVecMat(b *testing.B) {
+	pool := normals(64*40+64, 1)
+	for _, nx := range []int{24, 37} {
+		x, w, dst := pool[:nx], pool[64:][:nx*64], make([]float64, 64)
+		for _, path := range []struct {
+			name string
+			f    func(dst, x, b []float64, stride int)
+		}{{"scalar", addVecMatGo}, {"simd", addVecMatAVX2}} {
+			b.Run(fmt.Sprintf("x=%d/%s", nx, path.name), func(b *testing.B) {
+				if path.name == "simd" && !useSIMD {
+					b.Skip("vector path off")
+				}
+				for i := 0; i < b.N; i++ {
+					clear(dst)
+					path.f(dst, x, w, 64)
+				}
+				benchSink = dst[0]
+			})
+		}
+	}
+}
+
+// benchActivation times one activation over 48 floats — an LSTM step's
+// sigmoid gates at hidden 24 — on each path.
+func benchActivation(b *testing.B, scalar, vec func(dst, src []float64)) {
+	src := normals(48, 2)
+	dst := make([]float64, len(src))
+	for _, path := range []struct {
+		name string
+		f    func(dst, src []float64)
+	}{{"scalar", scalar}, {"simd", vec}} {
+		b.Run(path.name, func(b *testing.B) {
+			if path.name == "simd" && !useSIMD {
+				b.Skip("vector path off")
+			}
+			for i := 0; i < b.N; i++ {
+				path.f(dst, src)
+			}
+			benchSink = dst[0]
+		})
+	}
+}
+
+func BenchmarkSigmoidInto(b *testing.B) { benchActivation(b, sigmoidGo, sigmoidSIMD) }
+
+func BenchmarkTanhInto(b *testing.B) { benchActivation(b, tanhGo, tanhSIMD) }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/mat"
@@ -87,10 +86,14 @@ func (l *LSTMCell) InferStep(gates, base, xh, c []float64) {
 	mat.TanhInto(gates[2*hd:3*hd], gates[2*hd:3*hd])
 	mat.SigmoidInto(gates[3*hd:], gates[3*hd:])
 	i, f, g, o := gates[:hd], gates[hd:2*hd], gates[2*hd:3*hd], gates[3*hd:4*hd]
+	for j := range c {
+		c[j] = f[j]*c[j] + i[j]*g[j]
+	}
+	tc := i // the input gate is spent: it takes tanh c
+	mat.TanhInto(tc, c)
 	h := xh[len(xh)-hd:]
 	for j := range h {
-		c[j] = f[j]*c[j] + i[j]*g[j]
-		h[j] = o[j] * math.Tanh(c[j])
+		h[j] = o[j] * tc[j]
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -11,8 +12,9 @@ import (
 	"repro/internal/engine"
 )
 
-// TestStateCacheServesRepeatUser is the end-to-end warm path: the second
-// identical request must hit the cache and return byte-identical scores, and
+// TestStateCacheServesRepeatUser is the end-to-end warm path: the first
+// request only shows the user to the doorkeeper, the second caches their
+// state, the third must hit the cache and return byte-identical scores, and
 // a lifecycle flush must both count an invalidation and leave scores exactly
 // reproducible (the re-encoded state matches the evicted one).
 func TestStateCacheServesRepeatUser(t *testing.T) {
@@ -20,10 +22,13 @@ func TestStateCacheServesRepeatUser(t *testing.T) {
 	h := s.Handler()
 	body := mustJSON(t, validRequest())
 
-	scoresOf := func(raw []byte) []float64 {
+	scoresOf := func(w *httptest.ResponseRecorder, which string) []float64 {
 		t.Helper()
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s request status %d", which, w.Code)
+		}
 		var resp engine.Response
-		if err := json.Unmarshal(raw, &resp); err != nil {
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp.Degraded {
@@ -31,33 +36,36 @@ func TestStateCacheServesRepeatUser(t *testing.T) {
 		}
 		return resp.Scores
 	}
-	w1 := postRerank(t, h, body)
-	if w1.Code != http.StatusOK {
-		t.Fatalf("cold request status %d", w1.Code)
+	same := func(got, want []float64, which string) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s score count changed: %d vs %d", which, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s score %d diverged: %v vs %v", which, i, got[i], want[i])
+			}
+		}
 	}
-	cold := scoresOf(w1.Body.Bytes())
+	cold := scoresOf(postRerank(t, h, body), "cold")
 	if hits, misses := s.met.CacheHits.Value(), s.met.CacheMisses.Value(); hits != 0 || misses != 1 {
 		t.Fatalf("after cold request: hits=%d misses=%d, want 0/1", hits, misses)
 	}
-	if n, _ := s.StateCache().Stats(); n != 1 {
-		t.Fatalf("cold request cached %d states, want 1", n)
+	if n, _ := s.StateCache().Stats(); n != 0 || s.met.CacheDeferred.Value() != 1 {
+		t.Fatalf("a first sighting cached %d states and deferred %d, want 0/1", n, s.met.CacheDeferred.Value())
 	}
 
-	w2 := postRerank(t, h, body)
-	if w2.Code != http.StatusOK {
-		t.Fatalf("warm request status %d", w2.Code)
+	same(scoresOf(postRerank(t, h, body), "second"), cold, "second")
+	if hits, misses := s.met.CacheHits.Value(), s.met.CacheMisses.Value(); hits != 0 || misses != 2 {
+		t.Fatalf("after second request: hits=%d misses=%d, want 0/2", hits, misses)
 	}
-	warm := scoresOf(w2.Body.Bytes())
+	if n, _ := s.StateCache().Stats(); n != 1 {
+		t.Fatalf("second sighting cached %d states, want 1", n)
+	}
+
+	same(scoresOf(postRerank(t, h, body), "warm"), cold, "warm")
 	if hits := s.met.CacheHits.Value(); hits != 1 {
 		t.Fatalf("warm request did not hit the cache (hits=%d)", hits)
-	}
-	if len(warm) != len(cold) {
-		t.Fatalf("score count changed: %d vs %d", len(warm), len(cold))
-	}
-	for i := range warm {
-		if warm[i] != cold[i] {
-			t.Fatalf("warm score %d diverged: %v vs %v", i, warm[i], cold[i])
-		}
 	}
 
 	// Lifecycle invalidation: flush, then the same request re-encodes (a new
@@ -66,15 +74,9 @@ func TestStateCacheServesRepeatUser(t *testing.T) {
 	if inv := s.met.CacheInvalidations.Value(); inv != 1 {
 		t.Fatalf("flush counted %d invalidations, want 1", inv)
 	}
-	w3 := postRerank(t, h, body)
-	reenc := scoresOf(w3.Body.Bytes())
-	if misses := s.met.CacheMisses.Value(); misses != 2 {
-		t.Fatalf("post-flush request should miss (misses=%d, want 2)", misses)
-	}
-	for i := range reenc {
-		if reenc[i] != cold[i] {
-			t.Fatalf("post-flush score %d diverged: %v vs %v", i, reenc[i], cold[i])
-		}
+	same(scoresOf(postRerank(t, h, body), "post-flush"), cold, "post-flush")
+	if misses := s.met.CacheMisses.Value(); misses != 3 {
+		t.Fatalf("post-flush request should miss (misses=%d, want 3)", misses)
 	}
 }
 
