@@ -21,16 +21,22 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# The layering DESIGN.md states, as a check: the engine is transport-neutral
-# (imports neither net/http nor the HTTP frontend), and a binary that only
-# speaks the wire format (rapidload) does not link the HTTP frontend.
+# The layering DESIGN.md states, as a check over all of internal/: the engine
+# is transport-neutral (imports neither net/http nor the HTTP frontend); a
+# binary that only speaks the wire format (rapidload) does not link the HTTP
+# frontend; and the HTTP frontend is a leaf — inside internal/ only the
+# router imports internal/serve, an exception ROADMAP item 2 removes (its
+# last uses are serve.ReadBody and serve.ShedReasonHeader). cmd/, tests, the
+# root facade and bench/ may import it. A failure prints each offending
+# "importer -> imported" edge; testdata/imports.golden lists them all.
+EDGES_INTO_SERVE = '{{range .Imports}}{{if and (eq . "repro/internal/serve") (ne $$.ImportPath "repro/internal/router")}}{{$$.ImportPath}} -> {{.}}{{"\n"}}{{end}}{{end}}'
 layers:
-	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/engine | grep -qxE 'net/http|repro/internal/serve'; then \
-		echo "layers: internal/engine imports net/http or internal/serve"; exit 1; \
-	fi
-	@if $(GO) list -deps ./cmd/rapidload | grep -qx 'repro/internal/serve'; then \
-		echo "layers: cmd/rapidload links internal/serve"; exit 1; \
-	fi
+	@out="$$($(GO) list -f '{{range .Imports}}{{if or (eq . "net/http") (eq . "repro/internal/serve")}}{{$$.ImportPath}} -> {{.}}{{"\n"}}{{end}}{{end}}' ./internal/engine)" || exit 1; \
+	if [ -n "$$out" ]; then echo "layers: internal/engine must import neither net/http nor internal/serve:"; echo "$$out" | grep .; exit 1; fi
+	@out="$$($(GO) list -deps -f '{{range .Imports}}{{if eq . "repro/internal/serve"}}{{$$.ImportPath}} -> {{.}}{{"\n"}}{{end}}{{end}}' ./cmd/rapidload)" || exit 1; \
+	if [ -n "$$out" ]; then echo "layers: cmd/rapidload must not link internal/serve:"; echo "$$out" | grep .; exit 1; fi
+	@out="$$($(GO) list -f $(EDGES_INTO_SERVE) ./internal/...)" || exit 1; \
+	if [ -n "$$out" ]; then echo "layers: inside internal/ only internal/router may import internal/serve:"; echo "$$out" | grep .; exit 1; fi
 
 test:
 	$(GO) test ./...

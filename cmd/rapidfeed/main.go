@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/clickmodel"
 	"repro/internal/feedback"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -99,7 +100,7 @@ func runTrainer(f trainerFlags) error {
 	tr, err := feedback.NewTrainer(feedback.TrainerConfig{
 		LogDir:    f.logDir,
 		ModelRoot: f.modelRoot,
-		Lifecycle: &feedback.AdminClient{BaseURL: f.adminURL, Token: f.adminToken},
+		Lifecycle: &serve.AdminClient{BaseURL: f.adminURL, Token: f.adminToken},
 		Interval:  f.interval, MinEvents: f.minEvents,
 		MinArmPulls: f.minPulls, PromoteAfter: f.promoteAfter, PromoteTimeout: f.promoteTimeout,
 	})

@@ -61,11 +61,12 @@ func ExampleNewDPP() {
 	// 2
 }
 
-// ExampleNewServer serves an untrained model over the v1 HTTP API. The
-// functional option sets the scoring deadline.
+// ExampleNewServer serves an untrained model over the v1 HTTP API: one
+// request on /v1/rerank, then two in one envelope on /v1/rerank:batch. The
+// functional options set the scoring deadline and the dataset label.
 func ExampleNewServer() {
 	model := rapid.NewModel(rapid.DefaultModelConfig(2, 2, 3, 7))
-	srv := rapid.NewServer(model, rapid.WithDeadline(50*time.Millisecond))
+	srv := rapid.NewServer(model, rapid.WithDeadline(50*time.Millisecond), rapid.WithDataset("handmade"))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -93,8 +94,28 @@ func ExampleNewServer() {
 	var out rapid.RerankResponse
 	_ = json.NewDecoder(resp.Body).Decode(&out)
 	fmt.Println("ranked:", out.Ranked)
+
+	// A second user sees the last three items; each envelope item is scored
+	// and answered on its own.
+	other := req
+	other.UserFeatures = []float64{0.9, 0.1}
+	other.Items = req.Items[1:]
+	body, _ = json.Marshal(rapid.RerankBatchRequest{Requests: []rapid.RerankRequest{req, other}})
+	resp, err = http.Post(ts.URL+"/v1/rerank:batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer resp.Body.Close()
+	var batch rapid.RerankBatchResponse
+	_ = json.NewDecoder(resp.Body).Decode(&batch)
+	for i, r := range batch.Responses {
+		fmt.Printf("batch %d: %v\n", i, r.Ranked)
+	}
 	// Output:
 	// ranked: [3 2 4 1]
+	// batch 0: [3 2 4 1]
+	// batch 1: [3 4 2]
 }
 
 // ExampleClickAtK computes the utility metric from expected clicks.

@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -10,18 +11,7 @@ import (
 	"repro/internal/clickmodel"
 	"repro/internal/engine"
 	"repro/internal/registry"
-	"repro/internal/serve"
 )
-
-// Lifecycle is the slice of the model lifecycle the trainer drives: list
-// versions, stage one as the canary candidate, promote it. registry.Registry
-// satisfies it in-process; AdminClient satisfies it over the admin HTTP API,
-// so cmd/rapidfeed can drive a running rapidserve from outside the process.
-type Lifecycle interface {
-	Versions() ([]serve.VersionStatus, error)
-	Load(version string) error
-	Promote(version string) error
-}
 
 // TrainerConfig bounds a Trainer. LogDir, ModelRoot and Lifecycle are
 // required; the zero value of every other field falls back to the listed
@@ -33,8 +23,10 @@ type TrainerConfig struct {
 	// committed version's manifest supplies the surface geometry for the
 	// published online-learned version.
 	ModelRoot string
-	// Lifecycle stages and promotes what the trainer publishes.
-	Lifecycle Lifecycle
+	// Lifecycle stages and promotes what the trainer publishes:
+	// registry.Registry in-process, serve.AdminClient against a running
+	// rapidserve.
+	Lifecycle engine.Lifecycle
 	// Interval is the re-estimation cadence for Run (default 15s).
 	Interval time.Duration
 	// MinEvents is how many new events must accumulate before a re-estimate
@@ -298,7 +290,7 @@ func (t *Trainer) deploy(ctx context.Context, label string) error {
 		if err != nil {
 			return err
 		}
-		var cand *serve.VersionStatus
+		var cand *engine.VersionStatus
 		for i := range vs {
 			if vs[i].Version == label {
 				cand = &vs[i]
@@ -312,7 +304,13 @@ func (t *Trainer) deploy(ctx context.Context, label string) error {
 		case cand.State == "active":
 			return nil // someone promoted it for us
 		case cand.Requests >= t.cfg.PromoteAfter:
-			if err := t.cfg.Lifecycle.Promote(label); err != nil {
+			err := t.cfg.Lifecycle.Promote(label)
+			if errors.Is(err, engine.ErrLifecycleConflict) {
+				// Rolled back between the poll and the promote.
+				t.cfg.Log("feedback: candidate %s is no longer staged; not promoting", label)
+				return nil
+			}
+			if err != nil {
 				return fmt.Errorf("feedback: promote %s: %w", label, err)
 			}
 			t.cfg.Log("feedback: promoted %s after %d canary requests (%d degraded)",
@@ -331,7 +329,7 @@ func (t *Trainer) deploy(ctx context.Context, label string) error {
 	}
 }
 
-func candRequests(vs []serve.VersionStatus, label string) int64 {
+func candRequests(vs []engine.VersionStatus, label string) int64 {
 	for _, v := range vs {
 		if v.Version == label {
 			return v.Requests

@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/registry"
-	"repro/internal/serve"
 )
 
 func testSurface() core.Config {
@@ -40,26 +40,29 @@ func seedModelRoot(t *testing.T) string {
 // fakeLifecycle simulates the registry control plane: Load stages a
 // candidate, every Versions poll credits it with canary traffic, Promote
 // activates it. With rollback set, the candidate vanishes after Load —
-// the auto-rollback shape the trainer must respect.
+// the auto-rollback shape the trainer must respect. With promoteErr set,
+// Promote refuses with it instead: a rollback that lands between the
+// trainer's last poll and its promote.
 type fakeLifecycle struct {
-	mu        sync.Mutex
-	loads     []string
-	promotes  []string
-	candidate string
-	requests  int64
-	rollback  bool
+	mu         sync.Mutex
+	loads      []string
+	promotes   []string
+	candidate  string
+	requests   int64
+	rollback   bool
+	promoteErr error
 }
 
-func (f *fakeLifecycle) Versions() ([]serve.VersionStatus, error) {
+func (f *fakeLifecycle) Versions() ([]engine.VersionStatus, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := []serve.VersionStatus{{Version: "div-seed", State: "active", Requests: 100}}
+	out := []engine.VersionStatus{{Version: "div-seed", State: "active", Requests: 100}}
 	if f.candidate != "" {
 		if f.rollback {
-			out = append(out, serve.VersionStatus{Version: f.candidate, State: "available"})
+			out = append(out, engine.VersionStatus{Version: f.candidate, State: "available"})
 		} else {
 			f.requests += 2 // canary traffic arrives while the trainer watches
-			out = append(out, serve.VersionStatus{Version: f.candidate, State: "candidate", Requests: f.requests})
+			out = append(out, engine.VersionStatus{Version: f.candidate, State: "candidate", Requests: f.requests})
 		}
 	}
 	return out, nil
@@ -76,9 +79,21 @@ func (f *fakeLifecycle) Load(v string) error {
 func (f *fakeLifecycle) Promote(v string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.promoteErr != nil {
+		f.candidate = ""
+		return f.promoteErr
+	}
 	f.promotes = append(f.promotes, v)
 	f.candidate = ""
 	return nil
+}
+
+func (f *fakeLifecycle) Rollback() (string, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	desc := "aborted candidate " + f.candidate
+	f.candidate = ""
+	return desc, nil
 }
 
 // writeArmEvents logs n events served by the given arm label, clicking a
@@ -202,33 +217,43 @@ func TestTrainerCursorAcrossSteps(t *testing.T) {
 	}
 }
 
+// TestTrainerRespectsRollback: a candidate rolled back during its canary is
+// never promoted, and the cycle does not fail over it — whether the trainer
+// sees the rollback in a Versions poll or only as Promote's conflict.
 func TestTrainerRespectsRollback(t *testing.T) {
-	logDir := t.TempDir()
-	l, err := Open(logDir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeArmEvents(t, l, "bandit-mmr@0.80", 1, 10, 1)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lc := &fakeLifecycle{rollback: true}
-	tr, err := NewTrainer(TrainerConfig{
-		LogDir: logDir, ModelRoot: seedModelRoot(t), Lifecycle: lc,
-		MinEvents: 5, MinArmPulls: 5, PromoteAfter: 2,
-		PromotePoll: 1, Log: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Step(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(lc.loads) != 1 {
-		t.Fatalf("loads = %v, want one staged candidate", lc.loads)
-	}
-	if len(lc.promotes) != 0 {
-		t.Fatalf("trainer promoted over a rollback: %v", lc.promotes)
+	for name, lc := range map[string]*fakeLifecycle{
+		"seen while watching": {rollback: true},
+		"between poll and promote": {promoteErr: fmt.Errorf("%w: no candidate staged (POST /admin/models/load first)",
+			engine.ErrLifecycleConflict)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			logDir := t.TempDir()
+			l, err := Open(logDir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeArmEvents(t, l, "bandit-mmr@0.80", 1, 10, 1)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tr, err := NewTrainer(TrainerConfig{
+				LogDir: logDir, ModelRoot: seedModelRoot(t), Lifecycle: lc,
+				MinEvents: 5, MinArmPulls: 5, PromoteAfter: 2,
+				PromotePoll: 1, Log: t.Logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Step(context.Background()); err != nil {
+				t.Fatalf("a rolled-back candidate failed the cycle: %v", err)
+			}
+			if len(lc.loads) != 1 {
+				t.Fatalf("loads = %v, want one staged candidate", lc.loads)
+			}
+			if len(lc.promotes) != 0 {
+				t.Fatalf("trainer promoted over a rollback: %v", lc.promotes)
+			}
+		})
 	}
 }
 

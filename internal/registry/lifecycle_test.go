@@ -79,17 +79,17 @@ func TestConcurrentSwapCoherence(t *testing.T) {
 			default:
 			}
 			label := labels[i%len(labels)]
-			if err := r.Load(label); err != nil && !errors.Is(err, serve.ErrLifecycleConflict) {
+			if err := r.Load(label); err != nil && !errors.Is(err, engine.ErrLifecycleConflict) {
 				t.Errorf("Load(%s): %v", label, err)
 				return
 			}
-			if err := r.Promote(label); err != nil && !errors.Is(err, serve.ErrLifecycleConflict) {
+			if err := r.Promote(label); err != nil && !errors.Is(err, engine.ErrLifecycleConflict) {
 				t.Errorf("Promote(%s): %v", label, err)
 				return
 			}
 			swaps.Add(1)
 			if i%7 == 0 {
-				if _, err := r.Rollback(); err != nil && !errors.Is(err, serve.ErrLifecycleConflict) {
+				if _, err := r.Rollback(); err != nil && !errors.Is(err, engine.ErrLifecycleConflict) {
 					t.Errorf("Rollback: %v", err)
 					return
 				}
@@ -175,7 +175,7 @@ func TestLifecycleUnderLiveHTTPTraffic(t *testing.T) {
 		}
 		bodies[i] = b
 	}
-	envelope, err := json.Marshal(serve.RerankBatchRequest{Requests: golden})
+	envelope, err := json.Marshal(engine.BatchRequest{Requests: golden})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestLifecycleUnderLiveHTTPTraffic(t *testing.T) {
 					}
 					continue
 				}
-				var br serve.RerankBatchResponse
+				var br engine.BatchResponse
 				if !post("/v1/rerank:batch", envelope, &br) {
 					return
 				}

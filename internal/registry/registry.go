@@ -13,7 +13,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rerank"
-	"repro/internal/serve"
 )
 
 // Config parameterizes a Registry; Root is required.
@@ -256,16 +255,16 @@ func (r *Registry) maybeAutoRollback(cand *version) {
 // activate it directly when nothing is active yet (process startup).
 func (r *Registry) Load(label string) error {
 	if err := ValidLabel(label); err != nil {
-		return fmt.Errorf("%w: %v", serve.ErrUnknownVersion, err)
+		return fmt.Errorf("%w: %v", engine.ErrUnknownVersion, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.state.Load()
 	if st.active != nil && st.active.label == label {
-		return fmt.Errorf("%w: version %s is already active", serve.ErrLifecycleConflict, label)
+		return fmt.Errorf("%w: version %s is already active", engine.ErrLifecycleConflict, label)
 	}
 	if st.candidate != nil && st.candidate.label == label {
-		return fmt.Errorf("%w: version %s is already the candidate", serve.ErrLifecycleConflict, label)
+		return fmt.Errorf("%w: version %s is already the candidate", engine.ErrLifecycleConflict, label)
 	}
 	v, err := loadVersion(r.cfg.Loader, r.cfg.Root, label, r.met.warmupLatency.ObserveDuration)
 	if errors.Is(err, errWarmup) {
@@ -308,10 +307,10 @@ func (r *Registry) Promote(label string) error {
 	defer r.mu.Unlock()
 	st := r.state.Load()
 	if st.candidate == nil {
-		return fmt.Errorf("%w: no candidate staged (POST /admin/models/load first)", serve.ErrLifecycleConflict)
+		return fmt.Errorf("%w: no candidate staged (POST /admin/models/load first)", engine.ErrLifecycleConflict)
 	}
 	if st.candidate.label != label {
-		return fmt.Errorf("%w: candidate is %s, not %s", serve.ErrLifecycleConflict, st.candidate.label, label)
+		return fmt.Errorf("%w: candidate is %s, not %s", engine.ErrLifecycleConflict, st.candidate.label, label)
 	}
 	r.swap(&state{active: st.candidate, previous: st.active})
 	r.met.promotions.Inc()
@@ -340,14 +339,14 @@ func (r *Registry) Rollback() (string, error) {
 		log.Printf("registry: %s", desc)
 		return desc, nil
 	default:
-		return "", fmt.Errorf("%w: nothing to roll back (no candidate, no previous version)", serve.ErrLifecycleConflict)
+		return "", fmt.Errorf("%w: nothing to roll back (no candidate, no previous version)", engine.ErrLifecycleConflict)
 	}
 }
 
 // Versions implements the admin listing: every committed on-disk version
 // plus any loaded version, each with its lifecycle state and served-traffic
 // counters.
-func (r *Registry) Versions() ([]serve.VersionStatus, error) {
+func (r *Registry) Versions() ([]engine.VersionStatus, error) {
 	onDisk, err := Scan(r.cfg.Root)
 	if err != nil {
 		return nil, err
@@ -365,13 +364,13 @@ func (r *Registry) Versions() ([]serve.VersionStatus, error) {
 		stateOf[st.previous.label], labelState[st.previous.label] = st.previous, "previous"
 	}
 	seen := map[string]bool{}
-	var out []serve.VersionStatus
+	var out []engine.VersionStatus
 	add := func(label string) {
 		if seen[label] {
 			return
 		}
 		seen[label] = true
-		vs := serve.VersionStatus{Version: label, State: "available"}
+		vs := engine.VersionStatus{Version: label, State: "available"}
 		if v := stateOf[label]; v != nil {
 			vs.State = labelState[label]
 			vs.Dataset = v.man.Dataset

@@ -15,7 +15,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rerank"
-	"repro/internal/serve"
 )
 
 func testGeometry() core.Config {
@@ -124,15 +123,15 @@ func TestLoadActivatesFirstThenStagesCandidate(t *testing.T) {
 
 	// Reloading an already-active or already-staged version is a conflict.
 	for _, label := range []string{"v1", "v2"} {
-		if err := r.Load(label); !errors.Is(err, serve.ErrLifecycleConflict) {
+		if err := r.Load(label); !errors.Is(err, engine.ErrLifecycleConflict) {
 			t.Fatalf("Load(%s) again: got %v, want ErrLifecycleConflict", label, err)
 		}
 	}
 	// A version that is not on disk is unknown, as is an invalid label.
-	if err := r.Load("v404"); !errors.Is(err, serve.ErrUnknownVersion) {
+	if err := r.Load("v404"); !errors.Is(err, engine.ErrUnknownVersion) {
 		t.Fatalf("Load(v404): got %v, want ErrUnknownVersion", err)
 	}
-	if err := r.Load("../evil"); !errors.Is(err, serve.ErrUnknownVersion) {
+	if err := r.Load("../evil"); !errors.Is(err, engine.ErrUnknownVersion) {
 		t.Fatalf("Load(../evil): got %v, want ErrUnknownVersion", err)
 	}
 	if got := r.met.loads.Value(); got != 2 {
@@ -142,10 +141,10 @@ func TestLoadActivatesFirstThenStagesCandidate(t *testing.T) {
 
 func TestPromoteAndRollback(t *testing.T) {
 	r := newTestRegistry(t, []string{"v1", "v2"}, nil)
-	if err := r.Promote("v1"); !errors.Is(err, serve.ErrLifecycleConflict) {
+	if err := r.Promote("v1"); !errors.Is(err, engine.ErrLifecycleConflict) {
 		t.Fatalf("promote with no candidate: %v", err)
 	}
-	if _, err := r.Rollback(); !errors.Is(err, serve.ErrLifecycleConflict) {
+	if _, err := r.Rollback(); !errors.Is(err, engine.ErrLifecycleConflict) {
 		t.Fatalf("rollback with no history: %v", err)
 	}
 	mustLoad := func(label string) {
@@ -157,7 +156,7 @@ func TestPromoteAndRollback(t *testing.T) {
 	mustLoad("v1")
 	mustLoad("v2")
 
-	if err := r.Promote("v1"); !errors.Is(err, serve.ErrLifecycleConflict) {
+	if err := r.Promote("v1"); !errors.Is(err, engine.ErrLifecycleConflict) {
 		t.Fatalf("promote of non-candidate label: %v", err)
 	}
 	if err := r.Promote("v2"); err != nil {
@@ -179,7 +178,7 @@ func TestPromoteAndRollback(t *testing.T) {
 		t.Fatalf("after rollback: active %q", pin.Version)
 	}
 	// History is consumed: a second rollback has nothing to revert to.
-	if _, err := r.Rollback(); !errors.Is(err, serve.ErrLifecycleConflict) {
+	if _, err := r.Rollback(); !errors.Is(err, engine.ErrLifecycleConflict) {
 		t.Fatalf("second rollback: %v", err)
 	}
 

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/serve"
 )
 
 // Warm-up replays warmupRequests synthetic requests against every loaded
@@ -45,7 +44,7 @@ func newest(root string) (string, error) {
 // serves it.
 func loadVersion(load func(string) (engine.Scorer, engine.Manifest, error), root, label string, observe func(time.Duration)) (*version, error) {
 	if _, err := os.Stat(filepath.Join(root, label)); err != nil {
-		return nil, fmt.Errorf("%w: %s not found in %s", serve.ErrUnknownVersion, label, root)
+		return nil, fmt.Errorf("%w: %s not found in %s", engine.ErrUnknownVersion, label, root)
 	}
 	scorer, man, err := load(ModelPath(root, label))
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/serve"
+	"repro/internal/engine"
 )
 
 // HealthConfig bounds the per-replica readiness prober. The zero value is
@@ -176,21 +176,21 @@ func (r *Router) probeFailed(rs *replicaState, reason string) time.Duration {
 // probe issues one GET /readyz and decodes the body. The status-code
 // contract (200 ready / 503 not) is authoritative; the JSON body refines it
 // with the draining flag and the pinned model version when present.
-func (r *Router) probe(rs *replicaState) (serve.ReadyStatus, error) {
+func (r *Router) probe(rs *replicaState) (engine.ReadyStatus, error) {
 	req, err := http.NewRequest(http.MethodGet, rs.base+"/readyz", nil)
 	if err != nil {
-		return serve.ReadyStatus{}, err
+		return engine.ReadyStatus{}, err
 	}
 	resp, err := r.probeClient.Do(req)
 	if err != nil {
-		return serve.ReadyStatus{}, err
+		return engine.ReadyStatus{}, err
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-	var st serve.ReadyStatus
+	var st engine.ReadyStatus
 	if json.Unmarshal(body, &st) != nil {
 		// Pre-body replicas answer plain text; fall back to the status code.
-		st = serve.ReadyStatus{}
+		st = engine.ReadyStatus{}
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -200,7 +200,7 @@ func (r *Router) probe(rs *replicaState) (serve.ReadyStatus, error) {
 		st.Ready = false
 		return st, nil
 	default:
-		return serve.ReadyStatus{}, fmt.Errorf("readyz status %d", resp.StatusCode)
+		return engine.ReadyStatus{}, fmt.Errorf("readyz status %d", resp.StatusCode)
 	}
 }
 

@@ -17,6 +17,9 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	// The one edge into the HTTP frontend inside internal/ that `make layers`
+	// allows, for serve.ReadBody and serve.ShedReasonHeader; ROADMAP item 2
+	// removes it.
 	"repro/internal/serve"
 )
 
@@ -92,8 +95,6 @@ type Config struct {
 	// Client issues proxied requests; nil means a default client. The probe
 	// path always uses its own short-timeout client.
 	Client *http.Client
-	// Registry receives the router metrics; nil means a private registry.
-	Registry *obs.Registry
 	// Log receives operational one-liners; nil means silent.
 	Log func(format string, args ...any)
 }
@@ -150,10 +151,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	r := &Router{
 		cfg:         cfg,
 		ring:        rg,
@@ -333,7 +331,7 @@ func userKeyFor(body []byte, batch bool) (uint64, error) {
 		return key, nil
 	}
 	if batch {
-		var breq serve.RerankBatchRequest
+		var breq engine.BatchRequest
 		if err := json.Unmarshal(body, &breq); err != nil {
 			return 0, fmt.Errorf("malformed batch request: %v", err)
 		}

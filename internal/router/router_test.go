@@ -34,7 +34,7 @@ func newFakeReplica(t *testing.T, h http.HandlerFunc) *fakeReplica {
 	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/readyz" {
 			w.WriteHeader(http.StatusOK)
-			json.NewEncoder(w).Encode(serve.ReadyStatus{Ready: true, ModelVersion: "v1"})
+			json.NewEncoder(w).Encode(engine.ReadyStatus{Ready: true, ModelVersion: "v1"})
 			return
 		}
 		f.hits.Add(1)
@@ -445,7 +445,7 @@ func TestProbeDraining(t *testing.T) {
 	f := &fakeReplica{}
 	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(serve.ReadyStatus{Ready: false, Draining: true, ModelVersion: "v1"})
+		json.NewEncoder(w).Encode(engine.ReadyStatus{Ready: false, Draining: true, ModelVersion: "v1"})
 	}))
 	t.Cleanup(f.srv.Close)
 	r, err := New(Config{Replicas: []Replica{{ID: "r0", URL: f.srv.URL}}})
@@ -469,7 +469,7 @@ func TestFleetStatusAndSkew(t *testing.T) {
 	versioned := func(v string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/readyz" {
-				json.NewEncoder(w).Encode(serve.ReadyStatus{Ready: true, ModelVersion: v})
+				json.NewEncoder(w).Encode(engine.ReadyStatus{Ready: true, ModelVersion: v})
 				return
 			}
 			okJSON(w, r)
@@ -517,7 +517,7 @@ func TestFleetStatusAndSkew(t *testing.T) {
 func TestFleetGaugesConcurrentFirstProbes(t *testing.T) {
 	versioned := func(v string) http.HandlerFunc {
 		return func(w http.ResponseWriter, _ *http.Request) {
-			json.NewEncoder(w).Encode(serve.ReadyStatus{Ready: true, ModelVersion: v})
+			json.NewEncoder(w).Encode(engine.ReadyStatus{Ready: true, ModelVersion: v})
 		}
 	}
 	fa := httptest.NewServer(versioned("v1"))

@@ -1,55 +1,43 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"strings"
+	"time"
+
+	"repro/internal/engine"
 )
 
-// ErrUnknownVersion marks a lifecycle operation naming a version the
-// registry cannot find (on disk or in memory). Admin handlers map it to 404;
-// lifecycle implementations wrap it so the distinction survives the
-// serve↔registry package boundary.
-var ErrUnknownVersion = errors.New("unknown model version")
+// The admin wire format: the model lifecycle (engine.Lifecycle) under
+// /admin/models. The server side mounts it over Config.Admin; AdminClient
+// speaks it from another process. Both use the paths and bodies below.
+const (
+	adminListPath     = "/admin/models"
+	adminLoadPath     = "/admin/models/load"
+	adminPromotePath  = "/admin/models/promote"
+	adminRollbackPath = "/admin/models/rollback"
+)
 
-// ErrLifecycleConflict marks a lifecycle operation that is invalid in the
-// current state (promoting when no candidate is staged, rolling back with no
-// history). Admin handlers map it to 409.
-var ErrLifecycleConflict = errors.New("lifecycle conflict")
-
-// VersionStatus is one row of GET /admin/models: a version on disk or in
-// memory and its place in the lifecycle.
-type VersionStatus struct {
+// adminVersionRequest is the body of POST load and promote.
+type adminVersionRequest struct {
 	Version string `json:"version"`
-	// State is "active", "candidate", "previous" (the rollback target) or
-	// "available" (on disk, not loaded).
-	State   string `json:"state"`
-	Dataset string `json:"dataset,omitempty"`
-	// Requests and Degraded are the version's served-traffic counters since
-	// it was loaded (zero for available versions).
-	Requests int64 `json:"requests"`
-	Degraded int64 `json:"degraded"`
 }
 
-// Admin is the model lifecycle control plane the server exposes under
-// /admin/models when Config.Admin is set. The registry implements it; the
-// server only routes, guards and serializes — policy lives behind the
-// interface.
-type Admin interface {
-	// Versions lists every version on disk and in memory with its state.
-	Versions() ([]VersionStatus, error)
-	// Load reads a version from disk, warm-up validates it and stages it as
-	// the canary candidate (or activates it when nothing is active yet).
-	Load(version string) error
-	// Promote makes the named candidate the active model.
-	Promote(version string) error
-	// Rollback aborts the candidate canary, or — with no candidate staged —
-	// reverts the active model to the previous one. It returns a
-	// human-readable description of what was rolled back.
-	Rollback() (string, error)
+// adminVersionsResponse is the body of GET /admin/models.
+type adminVersionsResponse struct {
+	Versions []engine.VersionStatus `json:"versions"`
+}
+
+// adminRollbackResponse is the body of POST /admin/models/rollback.
+type adminRollbackResponse struct {
+	RolledBack string `json:"rolled_back"`
 }
 
 // adminAllowed gates the lifecycle endpoints. With Config.AdminToken set the
@@ -87,16 +75,22 @@ func (s *Server) adminGuard(next http.HandlerFunc) http.HandlerFunc {
 func (s *Server) adminError(w http.ResponseWriter, err error) {
 	status, code := http.StatusUnprocessableEntity, ErrCodeUnprocessable
 	switch {
-	case errors.Is(err, ErrUnknownVersion):
+	case errors.Is(err, engine.ErrUnknownVersion):
 		status, code = http.StatusNotFound, ErrCodeUnknownVersion
-	case errors.Is(err, ErrLifecycleConflict):
+	case errors.Is(err, engine.ErrLifecycleConflict):
 		status, code = http.StatusConflict, ErrCodeConflict
 	}
 	s.writeError(w, status, code, err.Error(), 0)
 }
 
-type adminVersionRequest struct {
-	Version string `json:"version"`
+func (s *Server) handleAdminList(w http.ResponseWriter, _ *http.Request) {
+	vs, err := s.cfg.Admin.Versions()
+	if err != nil {
+		s.adminError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(adminVersionsResponse{Versions: vs})
 }
 
 func (s *Server) decodeAdminVersion(w http.ResponseWriter, r *http.Request) (string, bool) {
@@ -111,16 +105,6 @@ func (s *Server) decodeAdminVersion(w http.ResponseWriter, r *http.Request) (str
 		return "", false
 	}
 	return req.Version, true
-}
-
-func (s *Server) handleAdminList(w http.ResponseWriter, _ *http.Request) {
-	vs, err := s.cfg.Admin.Versions()
-	if err != nil {
-		s.adminError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"versions": vs})
 }
 
 func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
@@ -159,19 +143,113 @@ func (s *Server) handleAdminRollback(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.Log("serve: admin rollback: %s", desc)
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"rolled_back": desc})
+	_ = json.NewEncoder(w).Encode(adminRollbackResponse{RolledBack: desc})
 }
 
 // mountAdmin registers the lifecycle endpoints. Separated from Handler so
 // the route list reads as the control-plane surface in one place.
 func (s *Server) mountAdmin(mux *http.ServeMux) {
-	mux.HandleFunc("GET /admin/models", s.adminGuard(s.handleAdminList))
-	mux.HandleFunc("POST /admin/models/load", s.adminGuard(s.handleAdminLoad))
-	mux.HandleFunc("POST /admin/models/promote", s.adminGuard(s.handleAdminPromote))
-	mux.HandleFunc("POST /admin/models/rollback", s.adminGuard(s.handleAdminRollback))
+	mux.HandleFunc("GET "+adminListPath, s.adminGuard(s.handleAdminList))
+	mux.HandleFunc("POST "+adminLoadPath, s.adminGuard(s.handleAdminLoad))
+	mux.HandleFunc("POST "+adminPromotePath, s.adminGuard(s.handleAdminPromote))
+	mux.HandleFunc("POST "+adminRollbackPath, s.adminGuard(s.handleAdminRollback))
 }
 
-// String formats a status row for logs.
-func (v VersionStatus) String() string {
-	return fmt.Sprintf("%s(%s)", v.Version, v.State)
+// AdminClient implements engine.Lifecycle over the admin routes, so a
+// process that does not share memory with the server (cmd/rapidfeed) can
+// drive its model lifecycle. Token is the bearer admin token (empty works
+// only against a loopback listener, matching the server's guard). Errors
+// the server answered as unknown_version or conflict wrap
+// engine.ErrUnknownVersion or engine.ErrLifecycleConflict and carry the
+// server's message, so callers classify them exactly as in-process.
+type AdminClient struct {
+	BaseURL string
+	Token   string
+}
+
+// adminHTTP carries every AdminClient call; the timeout bounds a wedged server.
+var adminHTTP = &http.Client{Timeout: 10 * time.Second}
+
+func (c *AdminClient) do(method, path string, body, out any) error {
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		rd = bytes.NewReader(b)
+	}
+	req, err := http.NewRequest(method, c.BaseURL+path, rd)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if c.Token != "" {
+		req.Header.Set("Authorization", "Bearer "+c.Token)
+	}
+	resp, err := adminHTTP.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return remoteAdminError(method, path, resp)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// remoteAdminError turns a non-2xx admin answer back into a lifecycle
+// error: the envelope's unknown_version and conflict codes become the engine
+// sentinels (the server's message already begins with the sentinel's text,
+// which is not repeated), anything else names the route and status.
+func remoteAdminError(method, path string, resp *http.Response) error {
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	var env ErrorBody
+	msg := string(bytes.TrimSpace(raw))
+	if json.Unmarshal(raw, &env) == nil && env.Error.Message != "" {
+		msg = env.Error.Message
+	}
+	var kind error
+	switch env.Error.Code {
+	case ErrCodeUnknownVersion:
+		kind = engine.ErrUnknownVersion
+	case ErrCodeConflict:
+		kind = engine.ErrLifecycleConflict
+	default:
+		return fmt.Errorf("serve: admin %s %s: %s: %s", method, path, resp.Status, msg)
+	}
+	return fmt.Errorf("%w: %s", kind, strings.TrimPrefix(msg, kind.Error()+": "))
+}
+
+// Versions implements engine.Lifecycle via GET /admin/models.
+func (c *AdminClient) Versions() ([]engine.VersionStatus, error) {
+	var out adminVersionsResponse
+	if err := c.do(http.MethodGet, adminListPath, nil, &out); err != nil {
+		return nil, err
+	}
+	return out.Versions, nil
+}
+
+// Load implements engine.Lifecycle via POST /admin/models/load.
+func (c *AdminClient) Load(version string) error {
+	return c.do(http.MethodPost, adminLoadPath, adminVersionRequest{Version: version}, nil)
+}
+
+// Promote implements engine.Lifecycle via POST /admin/models/promote.
+func (c *AdminClient) Promote(version string) error {
+	return c.do(http.MethodPost, adminPromotePath, adminVersionRequest{Version: version}, nil)
+}
+
+// Rollback implements engine.Lifecycle via POST /admin/models/rollback.
+func (c *AdminClient) Rollback() (string, error) {
+	var out adminRollbackResponse
+	if err := c.do(http.MethodPost, adminRollbackPath, nil, &out); err != nil {
+		return "", err
+	}
+	return out.RolledBack, nil
 }

@@ -2,14 +2,17 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/registry"
 )
 
 // stubAdmin scripts the lifecycle control plane so the handler tests cover
@@ -20,8 +23,8 @@ type stubAdmin struct {
 	loaded     []string
 }
 
-func (a *stubAdmin) Versions() ([]VersionStatus, error) {
-	return []VersionStatus{{Version: "v1", State: "active", Requests: 7}}, nil
+func (a *stubAdmin) Versions() ([]engine.VersionStatus, error) {
+	return []engine.VersionStatus{{Version: "v1", State: "active", Requests: 7}}, nil
 }
 func (a *stubAdmin) Load(v string) error {
 	if a.loadErr != nil {
@@ -35,7 +38,7 @@ func (a *stubAdmin) Rollback() (string, error) {
 	return "aborted candidate v2; active stays v1", nil
 }
 
-func adminServer(t *testing.T, admin Admin, token string) http.Handler {
+func adminServer(t *testing.T, admin engine.Lifecycle, token string) http.Handler {
 	t.Helper()
 	s := NewServer(stubScorer{}, engine.Manifest{Dataset: "test", Config: testConfig()},
 		Config{Admin: admin, AdminToken: token})
@@ -105,7 +108,7 @@ func TestAdminListVersions(t *testing.T) {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
 	var resp struct {
-		Versions []VersionStatus `json:"versions"`
+		Versions []engine.VersionStatus `json:"versions"`
 	}
 	if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
@@ -121,8 +124,8 @@ func TestAdminErrorMapping(t *testing.T) {
 		err  error
 		want int
 	}{
-		{"unknown version", fmt.Errorf("wrap: %w", ErrUnknownVersion), http.StatusNotFound},
-		{"lifecycle conflict", fmt.Errorf("wrap: %w", ErrLifecycleConflict), http.StatusConflict},
+		{"unknown version", fmt.Errorf("wrap: %w", engine.ErrUnknownVersion), http.StatusNotFound},
+		{"lifecycle conflict", fmt.Errorf("wrap: %w", engine.ErrLifecycleConflict), http.StatusConflict},
 		{"warm-up failure", fmt.Errorf("warm-up of v2 failed: non-finite score"), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
@@ -166,6 +169,87 @@ func TestAdminAbsentWithoutConfig(t *testing.T) {
 	s.Handler().ServeHTTP(w, adminRequest(http.MethodGet, "/admin/models", "", "", "127.0.0.1:1"))
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("admin surface present without Config.Admin: status %d", w.Code)
+	}
+}
+
+// TestAdminClientMatchesRegistry holds the admin wire format to the lifecycle
+// contract: one script runs against a registry directly and against a twin
+// registry (same store) through AdminClient and the admin routes. Every step
+// must give the same rows, the same errors.Is class and the same message.
+func TestAdminClientMatchesRegistry(t *testing.T) {
+	root := t.TempDir()
+	for _, label := range []string{"div-a", "div-b"} {
+		man := engine.Manifest{Dataset: "test", Config: testConfig(), Diversifier: "mmr", DiversifierLambda: 0.5}
+		if _, err := registry.PublishDiversifier(root, label, man); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newRegistry := func() *registry.Registry {
+		r, err := registry.New(registry.Config{Root: root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		return r
+	}
+	direct, remote := newRegistry(), newRegistry()
+	ts := httptest.NewServer(adminServer(t, remote, ""))
+	defer ts.Close()
+	client := &AdminClient{BaseURL: ts.URL}
+
+	steps := []struct {
+		name, want string // want is the step's errors.Is class
+		do         func(engine.Lifecycle) (any, error)
+	}{
+		{"load unknown", "unknown version", func(l engine.Lifecycle) (any, error) { return nil, l.Load("div-zzz") }},
+		{"promote unstaged", "conflict", func(l engine.Lifecycle) (any, error) { return nil, l.Promote("div-a") }},
+		{"load first", "ok", func(l engine.Lifecycle) (any, error) { return nil, l.Load("div-a") }},
+		{"load candidate", "ok", func(l engine.Lifecycle) (any, error) { return nil, l.Load("div-b") }},
+		{"list staged", "ok", func(l engine.Lifecycle) (any, error) { return l.Versions() }},
+		{"promote", "ok", func(l engine.Lifecycle) (any, error) { return nil, l.Promote("div-b") }},
+		{"list promoted", "ok", func(l engine.Lifecycle) (any, error) { return l.Versions() }},
+		{"roll back", "ok", func(l engine.Lifecycle) (any, error) { return l.Rollback() }},
+		{"list rolled back", "ok", func(l engine.Lifecycle) (any, error) { return l.Versions() }},
+		{"roll back again", "conflict", func(l engine.Lifecycle) (any, error) { return l.Rollback() }},
+	}
+	class := func(err error) string {
+		switch {
+		case err == nil:
+			return "ok"
+		case errors.Is(err, engine.ErrUnknownVersion):
+			return "unknown version"
+		case errors.Is(err, engine.ErrLifecycleConflict):
+			return "conflict"
+		}
+		return "other"
+	}
+	for _, st := range steps {
+		want, wantErr := st.do(direct)
+		if class(wantErr) != st.want {
+			t.Fatalf("%s: in-process %s (%v), script expects %s", st.name, class(wantErr), wantErr, st.want)
+		}
+		got, gotErr := st.do(client)
+		if class(gotErr) != st.want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: over the wire %s (%v), in-process %s (%v)", st.name, class(gotErr), gotErr, class(wantErr), wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: over the wire %v, in-process %v", st.name, got, want)
+		}
+	}
+
+	// The guard still answers the client: a non-loopback peer without the
+	// bearer credential is refused, with it admitted.
+	h := adminServer(t, remote, "sekrit")
+	guarded := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.RemoteAddr = "203.0.113.9:4711"
+		h.ServeHTTP(w, r)
+	}))
+	defer guarded.Close()
+	if _, err := (&AdminClient{BaseURL: guarded.URL}).Versions(); class(err) != "other" || !strings.Contains(err.Error(), "403") {
+		t.Fatalf("client without the admin token: %v, want a 403", err)
+	}
+	if _, err := (&AdminClient{BaseURL: guarded.URL, Token: "sekrit"}).Versions(); err != nil {
+		t.Fatalf("client with the admin token: %v", err)
 	}
 }
 

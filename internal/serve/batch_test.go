@@ -42,13 +42,13 @@ func TestHandleRerankBatchEnvelope(t *testing.T) {
 
 	bad := validRequest()
 	bad.UserFeatures = []float64{0.1} // wrong geometry
-	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *bad, *validRequest()}}
+	env := engine.BatchRequest{Requests: []engine.Request{*validRequest(), *bad, *validRequest()}}
 
 	w := postBatch(t, h, mustJSON(t, env))
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", w.Code, w.Body.String())
 	}
-	var resp RerankBatchResponse
+	var resp engine.BatchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +81,9 @@ func TestHandleRerankBatchEnvelope(t *testing.T) {
 func TestBatchRepeatedItemIDPerItemError(t *testing.T) {
 	repeated := validRequest()
 	repeated.Items[0].ID = repeated.Items[2].ID
-	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *repeated}}
+	env := engine.BatchRequest{Requests: []engine.Request{*validRequest(), *repeated}}
 	w := postBatch(t, stubServer(t, Config{}).Handler(), mustJSON(t, env))
-	var resp RerankBatchResponse
+	var resp engine.BatchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK || len(resp.Responses) != 2 {
 		t.Fatalf("batch status %d: %s", w.Code, w.Body.String())
 	}
@@ -104,7 +104,7 @@ func TestHandleRerankBatchLimits(t *testing.T) {
 	if w := postBatch(t, h, []byte(`{"requests":[]}`)); w.Code != http.StatusBadRequest {
 		t.Fatalf("empty envelope status %d", w.Code)
 	}
-	big := RerankBatchRequest{Requests: make([]engine.Request, engine.MaxBatchRequests+1)}
+	big := engine.BatchRequest{Requests: make([]engine.Request, engine.MaxBatchRequests+1)}
 	for i := range big.Requests {
 		big.Requests[i] = *validRequest()
 	}
@@ -127,13 +127,13 @@ func TestHandleRerankBatchPerItemDegraded(t *testing.T) {
 
 	marked := validRequest()
 	marked.Items[0].ID = 17
-	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *marked}}
+	env := engine.BatchRequest{Requests: []engine.Request{*validRequest(), *marked}}
 
 	w := postBatch(t, h, mustJSON(t, env))
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", w.Code, w.Body.String())
 	}
-	var resp RerankBatchResponse
+	var resp engine.BatchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestBatchEnvelopeFaultAttribution(t *testing.T) {
 	// echoes init scores, so each response's top score names its request.
 	marked := validRequest()
 	marked.Items[0].ID = 17
-	env := RerankBatchRequest{Requests: []engine.Request{*marked}}
+	env := engine.BatchRequest{Requests: []engine.Request{*marked}}
 	for k := 1; k < 4; k++ {
 		req := validRequest()
 		req.Items[0].InitScore = 0.9 + float64(k)
@@ -241,7 +241,7 @@ func TestBatchEnvelopeFaultAttribution(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", w.Code, w.Body.String())
 	}
-	var resp RerankBatchResponse
+	var resp engine.BatchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -282,12 +282,12 @@ func TestNonComparableScorerFallsBack(t *testing.T) {
 	if w := postRerank(t, h, mustJSON(t, validRequest())); w.Code != http.StatusOK {
 		t.Fatalf("single request with non-comparable scorer: status %d: %s", w.Code, w.Body.String())
 	}
-	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *validRequest()}}
+	env := engine.BatchRequest{Requests: []engine.Request{*validRequest(), *validRequest()}}
 	w := postBatch(t, h, mustJSON(t, env))
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch envelope with non-comparable scorer: status %d: %s", w.Code, w.Body.String())
 	}
-	var resp RerankBatchResponse
+	var resp engine.BatchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestBatchEnvelopeTerminalStatus(t *testing.T) {
 
 	bad := validRequest()
 	bad.UserFeatures = []float64{0.1} // wrong geometry
-	if w := postBatch(t, h, mustJSON(t, RerankBatchRequest{Requests: []engine.Request{*bad, *bad}})); w.Code != http.StatusOK {
+	if w := postBatch(t, h, mustJSON(t, engine.BatchRequest{Requests: []engine.Request{*bad, *bad}})); w.Code != http.StatusOK {
 		t.Fatalf("all-invalid envelope status %d", w.Code)
 	}
 	if ok.Value() != 0 || badInput.Value() != 1 {
@@ -320,7 +320,7 @@ func TestBatchEnvelopeTerminalStatus(t *testing.T) {
 	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
 		return fmt.Errorf("injected: everything is down")
 	})
-	if w := postBatch(t, h, mustJSON(t, RerankBatchRequest{Requests: []engine.Request{*validRequest()}})); w.Code != http.StatusOK {
+	if w := postBatch(t, h, mustJSON(t, engine.BatchRequest{Requests: []engine.Request{*validRequest()}})); w.Code != http.StatusOK {
 		t.Fatalf("all-degraded envelope status %d", w.Code)
 	}
 	if ok.Value() != 0 || degraded.Value() != 1 {
@@ -328,7 +328,7 @@ func TestBatchEnvelopeTerminalStatus(t *testing.T) {
 	}
 
 	s.Faults = nil
-	if w := postBatch(t, h, mustJSON(t, RerankBatchRequest{Requests: []engine.Request{*validRequest(), *bad}})); w.Code != http.StatusOK {
+	if w := postBatch(t, h, mustJSON(t, engine.BatchRequest{Requests: []engine.Request{*validRequest(), *bad}})); w.Code != http.StatusOK {
 		t.Fatalf("mixed envelope status %d", w.Code)
 	}
 	if ok.Value() != 1 {

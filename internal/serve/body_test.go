@@ -116,7 +116,7 @@ func TestDeclinedBodiesMatchEncodingJSON(t *testing.T) {
 		`{"requests":[` + one + `,]}`,
 	} {
 		w := postBatch(t, h, []byte(body))
-		var breq RerankBatchRequest
+		var breq engine.BatchRequest
 		err := json.NewDecoder(strings.NewReader(body)).Decode(&breq)
 		switch {
 		case err != nil:
@@ -130,7 +130,7 @@ func TestDeclinedBodiesMatchEncodingJSON(t *testing.T) {
 				t.Errorf("batch %q: status %d, want 400 for an empty envelope", body, w.Code)
 			}
 		default:
-			var got RerankBatchResponse
+			var got engine.BatchResponse
 			if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &got) != nil || len(got.Responses) != len(breq.Requests) {
 				t.Errorf("batch %q: status %d body %s, want %d responses", body, w.Code, w.Body.String(), len(breq.Requests))
 			}

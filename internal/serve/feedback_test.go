@@ -181,12 +181,12 @@ func TestRerankBatchRequestIDs(t *testing.T) {
 	s := testServer(t, Config{Feedback: sink})
 	bad := validRequest()
 	bad.UserFeatures = []float64{1} // wrong dims: per-item validation error
-	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *bad, *validRequest()}}
+	env := engine.BatchRequest{Requests: []engine.Request{*validRequest(), *bad, *validRequest()}}
 	w := postBatch(t, s.Handler(), mustJSON(t, env))
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch status %d body %s", w.Code, w.Body.String())
 	}
-	var out RerankBatchResponse
+	var out engine.BatchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}

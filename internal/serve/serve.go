@@ -69,7 +69,7 @@ type Config struct {
 	// Admin, when set, mounts the model lifecycle endpoints (GET
 	// /admin/models, POST /admin/models/{load,promote,rollback}) backed by
 	// this control plane. nil (the default) exposes no admin surface.
-	Admin Admin
+	Admin engine.Lifecycle
 	// AdminToken guards the admin endpoints: callers must present it as
 	// "Authorization: Bearer <token>". Empty restricts admin access to
 	// loopback peers instead — model swapping is never unauthenticated on a
@@ -81,7 +81,7 @@ type Config struct {
 	// 0 disables it. See engine.Config.StateCacheBytes.
 	StateCacheBytes int64
 	// Feedback, when set, mounts POST /v1/feedback backed by this sink and
-	// correlates every rerank response's request_id to its served (route,
+	// correlates every rerank response's request_id to its served (user,
 	// version) pair. nil exposes no feedback surface.
 	Feedback engine.FeedbackSink
 	// Tenants resolves the request "tenant" field to additional resident
@@ -222,7 +222,7 @@ func (s *Server) handleRerank(w http.ResponseWriter, r *http.Request) {
 // degraded flags and error strings); see engine.RerankBatch.
 func (s *Server) handleRerankBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var breq RerankBatchRequest
+	var breq engine.BatchRequest
 	err := s.decodeBody(w, r, &breq, func(body []byte) (ok bool) {
 		breq.Requests, ok = engine.DecodeBatchJSON(body)
 		return ok
@@ -237,7 +237,7 @@ func (s *Server) handleRerankBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(RerankBatchResponse{Responses: resps}); err != nil {
+	if err := json.NewEncoder(w).Encode(engine.BatchResponse{Responses: resps}); err != nil {
 		s.Log("serve: encode batch response: %v", err)
 	}
 }
@@ -285,12 +285,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // handleReady is the readiness probe: 200 while the server accepts traffic,
 // 503 once drain has begun (so load balancers stop routing new requests) —
 // distinct from /healthz, which stays 200 for as long as the process lives.
-// Both answers carry a ReadyStatus body: the pinned model version feeds a
-// router's skew detector and the draining flag its health prober, without a
-// second endpoint or an extra probe.
+// Both answers carry an engine.ReadyStatus body: the pinned model version
+// feeds a router's skew detector and the draining flag its health prober,
+// without a second endpoint or an extra probe. Probes that only check the
+// status code keep working.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	draining := s.Draining()
-	st := ReadyStatus{
+	st := engine.ReadyStatus{
 		Ready:        !draining,
 		Draining:     draining,
 		ModelVersion: s.Provider().Active().Version,

@@ -304,7 +304,7 @@ func TestReadyzBody(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("readyz status %d", w.Code)
 	}
-	var st ReadyStatus
+	var st engine.ReadyStatus
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestDrainingShedDistinguishable(t *testing.T) {
 		t.Fatal("draining shed without Retry-After")
 	}
 	// The batch envelope route sheds identically.
-	bb, _ := json.Marshal(RerankBatchRequest{Requests: []engine.Request{*validRequest()}})
+	bb, _ := json.Marshal(engine.BatchRequest{Requests: []engine.Request{*validRequest()}})
 	req := httptest.NewRequest(http.MethodPost, "/v1/rerank:batch", bytes.NewReader(bb))
 	w = httptest.NewRecorder()
 	h.ServeHTTP(w, req)

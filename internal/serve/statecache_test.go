@@ -86,14 +86,14 @@ func TestStateCacheServesRepeatUser(t *testing.T) {
 func TestStateCacheBatchEnvelope(t *testing.T) {
 	s := testServer(t, Config{StateCacheBytes: 1 << 20})
 	h := s.Handler()
-	env := RerankBatchRequest{Requests: []engine.Request{*validRequest(), *validRequest()}}
+	env := engine.BatchRequest{Requests: []engine.Request{*validRequest(), *validRequest()}}
 	body := mustJSON(t, env)
 
 	first := postBatch(t, h, body)
 	if first.Code != http.StatusOK {
 		t.Fatalf("first envelope status %d", first.Code)
 	}
-	// Both items share one (route, history, version) key: the first miss
+	// Both items share one (user, history, version) key: the first miss
 	// encodes and installs, and within one batch the second identical item is
 	// a second miss (the lookup happens before scoring) — so the cache holds
 	// one entry either way.
@@ -104,7 +104,7 @@ func TestStateCacheBatchEnvelope(t *testing.T) {
 	if hits := s.met.CacheHits.Value(); hits < 2 {
 		t.Fatalf("second envelope produced %d hits, want >= 2", hits)
 	}
-	var r1, r2 RerankBatchResponse
+	var r1, r2 engine.BatchResponse
 	if err := json.Unmarshal(first.Body.Bytes(), &r1); err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,9 @@ type (
 	// RerankResponse is the wire form of one re-ranking response.
 	RerankResponse = engine.Response
 	// RerankBatchRequest is the /v1/rerank:batch envelope.
-	RerankBatchRequest = serve.RerankBatchRequest
+	RerankBatchRequest = engine.BatchRequest
 	// RerankBatchResponse answers a batch envelope item by item.
-	RerankBatchResponse = serve.RerankBatchResponse
+	RerankBatchResponse = engine.BatchResponse
 )
 
 // serverOptions collects what the functional options below configure.

@@ -17,12 +17,14 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden with the current surface")
 
-// The surface census: every command-line flag of every binary and every
-// exported name of the root facade, as goldens. An option is something the
-// tests, smokes and benchmark have to vouch for, so adding or removing one is
-// a diff a reviewer sees; refresh intentionally with
+// The surface census: every command-line flag of every binary, every
+// exported name of the root facade, every config field and every import
+// edge between the module's packages, as goldens. An option is something the
+// tests, smokes and benchmark have to vouch for, and an edge is a layering
+// decision, so adding or removing one is a diff a reviewer sees; refresh
+// intentionally with
 //
-//	go test . -run SurfaceGolden -update
+//	go test . -run Golden -update
 
 // TestFlagSurfaceGolden lists each flag.* definition in cmd/*/main.go as
 // "binary -name default" (the default as written in the source).
@@ -171,62 +173,46 @@ type fieldCensus struct {
 	writes  map[string][2]bool           // "dir.Type.Field" → written by {non-test, test} code
 }
 
+// TestImportGraphGolden lists every import edge between the module's
+// packages as "importer -> imported", from non-test files (bench/, its own
+// module, aside). Build constraints are ignored: an edge any platform's
+// build has is listed. `make layers` enforces the rules; this makes every
+// new edge, allowed or not, a line in a reviewed diff.
+func TestImportGraphGolden(t *testing.T) {
+	edges := map[string]bool{}
+	for _, cf := range parseModule(t) {
+		if cf.test || inBench(cf.dir) {
+			continue
+		}
+		from := "repro"
+		if cf.dir != "." {
+			from += "/" + cf.dir
+		}
+		for _, imp := range cf.f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "repro" || strings.HasPrefix(p, "repro/") {
+				edges[from+" -> "+p] = true
+			}
+		}
+	}
+	lines := make([]string, 0, len(edges))
+	for e := range edges {
+		lines = append(lines, e)
+	}
+	sort.Strings(lines)
+	checkGolden(t, "imports.golden", lines)
+}
+
+func inBench(dir string) bool { return dir == "bench" || strings.HasPrefix(dir, "bench/") }
+
 func loadFieldCensus(t *testing.T) *fieldCensus {
 	t.Helper()
 	c := &fieldCensus{
+		files:   parseModule(t),
 		fields:  map[string]map[string]string{},
 		embeds:  map[string][]string{},
 		results: map[string]string{},
 		aliases: map[string]string{},
 		writes:  map[string][2]bool{},
-	}
-	fset := token.NewFileSet()
-	pkgName := map[string]string{} // dir → package name, for default import names
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		cf := &censusFile{dir: filepath.ToSlash(filepath.Dir(path)), test: strings.HasSuffix(name, "_test.go"), f: f}
-		if !cf.test {
-			pkgName[cf.dir] = f.Name.Name
-		}
-		c.files = append(c.files, cf)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cf := range c.files {
-		cf.imports = map[string]string{}
-		for _, imp := range cf.f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			dir, ok := strings.CutPrefix(p, "repro/")
-			if p == "repro" {
-				dir, ok = ".", true
-			}
-			if !ok {
-				continue // outside the module: no census type lives there
-			}
-			local := pkgName[dir]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			cf.imports[local] = dir
-		}
 	}
 	// Aliases first, so every later type expression resolves through them.
 	for _, cf := range c.files {
@@ -245,7 +231,7 @@ func loadFieldCensus(t *testing.T) *fieldCensus {
 			}
 			key := cf.dir + "." + ts.Name.Name
 			c.fields[key] = map[string]string{}
-			inScope := !cf.test && cf.dir != "bench" && !strings.HasPrefix(cf.dir, "bench/") &&
+			inScope := !cf.test && !inBench(cf.dir) &&
 				ts.Name.IsExported() && (strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options"))
 			for _, fld := range st.Fields.List {
 				ft := c.typeKey(cf, fld.Type)
@@ -296,6 +282,62 @@ func loadFieldCensus(t *testing.T) *fieldCensus {
 		}
 	}
 	return c
+}
+
+// parseModule parses every .go file under the module root (dot-directories
+// and testdata aside) and resolves each file's module imports by local name.
+func parseModule(t *testing.T) []*censusFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*censusFile
+	pkgName := map[string]string{} // dir → package name, for default import names
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		cf := &censusFile{dir: filepath.ToSlash(filepath.Dir(path)), test: strings.HasSuffix(name, "_test.go"), f: f}
+		if !cf.test {
+			pkgName[cf.dir] = f.Name.Name
+		}
+		files = append(files, cf)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cf := range files {
+		cf.imports = map[string]string{}
+		for _, imp := range cf.f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			dir, ok := strings.CutPrefix(p, "repro/")
+			if p == "repro" {
+				dir, ok = ".", true
+			}
+			if !ok {
+				continue // outside the module: no census type lives there
+			}
+			local := pkgName[dir]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			cf.imports[local] = dir
+		}
+	}
+	return files
 }
 
 func typeSpecs(f *ast.File) []*ast.TypeSpec {
