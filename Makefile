@@ -111,7 +111,8 @@ bench:
 # and the router's skim beside encoding/json on a pool-shaped request. And the
 # engine end to end (internal/engine/engine_test.go): one request, and one
 # envelope of 16 — the only committed reading of the envelope path. And the
-# three hot kernels (internal/mat/simd_test.go), scalar beside vector.
+# hot kernels (internal/mat/simd_test.go), forward and backward, scalar beside
+# vector.
 bench-core:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/engine ./internal/mat
 

@@ -62,9 +62,7 @@ func (d *DCM) Attractions(user int, list []int) []float64 {
 	ic := topics.NewIncrementalCoverage(d.Topics)
 	for k, v := range list {
 		tau := d.Cover(v)
-		zeta := ic.Gain(tau)
-		div := mat.Dot(rho, zeta)
-		phi[k] = mat.Clamp(d.Lambda*d.Relevance(user, v)+(1-d.Lambda)*div, 0, 1)
+		phi[k] = mat.Clamp(d.Lambda*d.Relevance(user, v)+(1-d.Lambda)*ic.WeightedGain(rho, tau), 0, 1)
 		ic.Add(tau)
 	}
 	return phi
@@ -93,10 +91,16 @@ func (d *DCM) Simulate(user int, list []int, rng *rand.Rand) (clicks []bool, lef
 // Using the exact expectation instead of sampled clicks makes evaluation
 // deterministic — equivalent to averaging infinitely many simulations.
 func (d *DCM) ExpectedClicks(user int, list []int) []float64 {
-	phi := d.Attractions(user, list)
-	out := make([]float64, len(list))
+	return d.ExpectedClicksFrom(d.Attractions(user, list))
+}
+
+// ExpectedClicksFrom is ExpectedClicks over the list's attractions, as
+// Attractions returns them: a caller that also wants Satisfaction computes
+// them once.
+func (d *DCM) ExpectedClicksFrom(phi []float64) []float64 {
+	out := make([]float64, len(phi))
 	examine := 1.0
-	for k := range list {
+	for k := range phi {
 		out[k] = examine * phi[k]
 		examine *= 1 - phi[k]*d.Epsilon(k)
 	}
@@ -107,9 +111,14 @@ func (d *DCM) ExpectedClicks(user int, list []int) []float64 {
 // 1 − Π_{i≤k} (1 − ε̄(i)·φ̄(v_i)) — the probability that the user leaves
 // satisfied within the first k positions.
 func (d *DCM) Satisfaction(user int, list []int, k int) float64 {
-	phi := d.Attractions(user, list)
-	if k > len(list) {
-		k = len(list)
+	return d.SatisfactionFrom(d.Attractions(user, list), k)
+}
+
+// SatisfactionFrom is Satisfaction over the list's attractions, as
+// Attractions returns them.
+func (d *DCM) SatisfactionFrom(phi []float64, k int) float64 {
+	if k > len(phi) {
+		k = len(phi)
 	}
 	prod := 1.0
 	for i := 0; i < k; i++ {

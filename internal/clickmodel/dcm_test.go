@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mat"
+	"repro/internal/topics"
 )
 
 // testDCM builds a small deterministic DCM over 4 items and 2 topics.
@@ -235,5 +238,69 @@ func TestEstimatedSatisfactionBounds(t *testing.T) {
 		if s < 0 || s > 1 {
 			t.Fatalf("satis@%d = %v", k, s)
 		}
+	}
+}
+
+// fiveTopicDCM is a DCM at the offline round's geometry: 5 topics, 20-item
+// lists, items covering one or two topics each.
+func fiveTopicDCM() (*DCM, []int) {
+	const m, l = 5, 20
+	rng := rand.New(rand.NewSource(8))
+	cover := make([][]float64, l)
+	rel := make([]float64, l)
+	for v := range cover {
+		cover[v] = make([]float64, m)
+		cover[v][v%m] = 0.5 + rng.Float64()/2
+		cover[v][(v*3+1)%m] = rng.Float64() / 2
+		rel[v] = rng.Float64()
+	}
+	rho := []float64{0.3, 0.1, 0.25, 0.05, 0.2}
+	d := &DCM{
+		Lambda:      0.5,
+		Relevance:   func(_, v int) float64 { return rel[v] },
+		DivWeight:   func(int) []float64 { return rho },
+		Cover:       func(v int) []float64 { return cover[v] },
+		Termination: []float64{0.5, 0.4, 0.3, 0.2},
+		Topics:      m,
+	}
+	list := rng.Perm(l)
+	return d, list
+}
+
+// TestAttractionsMatchGainDot: the attractions take ρ̄ᵀζ exactly as
+// mat.Dot(ρ̄, Gain(τ)) does, bit for bit, and ExpectedClicks and
+// Satisfaction agree with their From forms over one Attractions call.
+func TestAttractionsMatchGainDot(t *testing.T) {
+	d, list := fiveTopicDCM()
+	ic := topics.NewIncrementalCoverage(d.Topics)
+	phi := d.Attractions(0, list)
+	for k, v := range list {
+		tau := d.Cover(v)
+		want := mat.Clamp(d.Lambda*d.Relevance(0, v)+(1-d.Lambda)*mat.Dot(d.DivWeight(0), ic.Gain(tau)), 0, 1)
+		if math.Float64bits(phi[k]) != math.Float64bits(want) {
+			t.Fatalf("position %d: φ %v, via Gain and Dot %v", k, phi[k], want)
+		}
+		ic.Add(tau)
+	}
+	exp, fromExp := d.ExpectedClicks(0, list), d.ExpectedClicksFrom(phi)
+	for k := range exp {
+		if math.Float64bits(exp[k]) != math.Float64bits(fromExp[k]) {
+			t.Fatalf("expected clicks differ at %d: %v vs %v", k, exp[k], fromExp[k])
+		}
+	}
+	for k := 0; k <= len(list)+1; k++ {
+		if a, b := d.Satisfaction(0, list, k), d.SatisfactionFrom(phi, k); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("satis@%d: %v vs %v", k, a, b)
+		}
+	}
+}
+
+// BenchmarkDCMAttractions is one evaluated list's click-model pass: the
+// attractions of a 20-item list over 5 topics.
+func BenchmarkDCMAttractions(b *testing.B) {
+	d, list := fiveTopicDCM()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.Attractions(0, list)
 	}
 }

@@ -142,6 +142,7 @@ func (e *Estimated) fitRho(logs []Session) {
 			rho[j] = 0.5 / float64(e.Topics)
 		}
 		const lr = 0.1
+		zeta := make([]float64, e.Topics)
 		for epoch := 0; epoch < 30; epoch++ {
 			grad := make([]float64, e.Topics)
 			for _, s := range sessions {
@@ -149,7 +150,7 @@ func (e *Estimated) fitRho(logs []Session) {
 				last := lastClick(s.Clicks)
 				for k, v := range s.List {
 					tau := e.Cover(v)
-					zeta := ic.Gain(tau)
+					ic.GainInto(zeta, tau)
 					ic.Add(tau)
 					if last >= 0 && k > last {
 						break
@@ -197,10 +198,9 @@ func (e *Estimated) Attractions(user int, list []int) []float64 {
 	ic := topics.NewIncrementalCoverage(e.Topics)
 	for k, v := range list {
 		tau := e.Cover(v)
-		zeta := ic.Gain(tau)
 		div := 0.0
 		if rho != nil {
-			div = mat.Dot(rho, zeta)
+			div = ic.WeightedGain(rho, tau)
 		}
 		phi[k] = mat.Clamp(e.Lambda*e.Alpha[v]+(1-e.Lambda)*div, 0, 1)
 		ic.Add(tau)

@@ -45,8 +45,7 @@ func (p *PBM) Attractions(user int, list []int) []float64 {
 	ic := topics.NewIncrementalCoverage(p.Topics)
 	for k, v := range list {
 		tau := p.Cover(v)
-		zeta := ic.Gain(tau)
-		phi[k] = mat.Clamp(p.Lambda*p.Relevance(user, v)+(1-p.Lambda)*mat.Dot(rho, zeta), 0, 1)
+		phi[k] = mat.Clamp(p.Lambda*p.Relevance(user, v)+(1-p.Lambda)*ic.WeightedGain(rho, tau), 0, 1)
 		ic.Add(tau)
 	}
 	return phi

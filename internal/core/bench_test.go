@@ -15,7 +15,7 @@ import (
 // default RAPID-pro model at hidden 16. The instances carry clicks, so
 // labels, for the training benchmark; clicks draw from an RNG of their own,
 // leaving the scoring inputs what they were without them.
-func benchFixture(b *testing.B) (*Model, []*rerank.Instance) {
+func benchFixture(b testing.TB) (*Model, []*rerank.Instance) {
 	b.Helper()
 	cfg := dataset.TaobaoLike(1).Scaled(0.1)
 	d := dataset.MustGenerate(cfg)
@@ -109,21 +109,48 @@ func BenchmarkLegacyLogits(b *testing.B) {
 	_ = logits
 }
 
-// BenchmarkTrainStep is one training instance as a trainer worker runs it:
+// trainStep is one training instance as a trainer worker runs it:
 // Logits(train=true) on pre-drawn noise, the BCE loss and Backward, on a
 // reused tape whose gradients land in a GradShadow.
-func BenchmarkTrainStep(b *testing.B) {
-	m, insts := benchFixture(b)
+func trainStep(tb testing.TB) func(i int) {
+	m, insts := benchFixture(tb)
 	for _, inst := range insts {
 		m.PrepareInstance(inst)
 	}
 	t := nn.NewTapeCap(m.TapeCapHint())
 	t.WithGrads(nn.NewGradShadow(m.Params()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		inst := insts[i%len(insts)]
 		t.Reset()
 		t.Backward(t.SigmoidBCE(m.Logits(t, inst, true), inst.Labels))
+	}
+}
+
+// TestTrainStepAllocCeiling bounds what one training instance costs a
+// worker: 19 allocations today, nearly all of them the input matrices the
+// forward copies out of the instance (the m topic sequences, the list
+// features, the marginal-diversity table). The ceiling only moves down.
+func TestTrainStepAllocCeiling(t *testing.T) {
+	step := trainStep(t)
+	for i := 0; i < 64; i++ { // every instance once: the tape reaches its size
+		step(i)
+	}
+	i := 0
+	n := testing.AllocsPerRun(64, func() { step(i); i++ })
+	t.Logf("%v allocations per training instance", n)
+	if n > 19 {
+		t.Errorf("train step: %v allocations per instance, ceiling 19", n)
+	}
+}
+
+// BenchmarkTrainStep is one training instance as a trainer worker runs it:
+// Logits(train=true) on pre-drawn noise, the BCE loss and Backward, on a
+// reused tape whose gradients land in a GradShadow.
+func BenchmarkTrainStep(b *testing.B) {
+	step := trainStep(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
 	}
 }

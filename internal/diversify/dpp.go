@@ -121,7 +121,13 @@ func GreedyMAP(kernel *mat.Matrix, k int) []int {
 	for i := 0; i < n; i++ {
 		d2[i] = kernel.At(i, i)
 	}
+	// Candidate i's Cholesky row gains one entry per selection, so k fit:
+	// the rows are cut from one n×k slab and append never reallocates.
+	slab := make([]float64, n*k)
 	cvecs := make([][]float64, n)
+	for i := range cvecs {
+		cvecs[i] = slab[i*k : i*k : (i+1)*k]
+	}
 	selected := make([]bool, n)
 	order := make([]int, 0, k)
 	for len(order) < k {

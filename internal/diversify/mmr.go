@@ -3,7 +3,6 @@ package diversify
 import (
 	"math"
 
-	"repro/internal/mat"
 	"repro/internal/topics"
 )
 
@@ -46,8 +45,7 @@ func MMRSelect(rel []float64, cover [][]float64, m int, theta float64, topicWeig
 			if topicWeights == nil {
 				gain = ic.GainTotal(cover[i])
 			} else {
-				g := ic.Gain(cover[i])
-				gain = mat.Dot(topicWeights, g) * float64(m)
+				gain = ic.WeightedGain(topicWeights, cover[i]) * float64(m)
 			}
 			s := theta*rel[i] + (1-theta)*gain
 			if best < 0 || s > bestScore {

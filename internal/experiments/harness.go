@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -175,12 +176,18 @@ func (r *EvalResult) Metrics() []string {
 // scored in parallel (inference is read-only on a fitted model); results
 // keep the test-set order so paired significance tests line up.
 func (e *Env) Evaluate(r rerank.Reranker, ks []int) *EvalResult {
-	res := &EvalResult{Name: r.Name(), PerRequest: make(map[string][]float64)}
-	type reqMetrics struct {
-		keys []string
-		vals []float64
+	// Every list reports the same metrics in the same order: the keys are
+	// built once, and list i's values fill row i of one table.
+	bids := e.Data.Cfg.WithBids
+	var keys []string
+	for _, k := range ks {
+		suffix := fmt.Sprintf("@%d", k)
+		keys = append(keys, "click"+suffix, "ndcg"+suffix, "div"+suffix, "satis"+suffix)
+		if bids {
+			keys = append(keys, "rev"+suffix)
+		}
 	}
-	perReq := make([]reqMetrics, len(e.Test))
+	vals := make([]float64, len(e.Test)*len(keys))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(e.Test) {
 		workers = len(e.Test)
@@ -194,6 +201,8 @@ func (e *Env) Evaluate(r rerank.Reranker, ks []int) *EvalResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var cover [][]float64 // per worker, reused across lists
+			var bid []float64
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(e.Test) {
@@ -201,38 +210,40 @@ func (e *Env) Evaluate(r rerank.Reranker, ks []int) *EvalResult {
 				}
 				inst := e.Test[i]
 				ranked := rerank.Apply(r, inst)
-				exp := e.DCM.ExpectedClicks(inst.User, ranked)
-				cover := make([][]float64, len(ranked))
-				for j, v := range ranked {
-					cover[j] = e.Data.Cover(v)
-				}
-				var rm reqMetrics
-				add := func(metric string, v float64) {
-					rm.keys = append(rm.keys, metric)
-					rm.vals = append(rm.vals, v)
-				}
-				for _, k := range ks {
-					suffix := fmt.Sprintf("@%d", k)
-					add("click"+suffix, metrics.ClickAtK(exp, k))
-					add("ndcg"+suffix, metrics.NDCGAtK(exp, k))
-					add("div"+suffix, metrics.DivAtK(cover, e.Data.M(), k))
-					add("satis"+suffix, e.DCM.Satisfaction(inst.User, ranked, k))
-					if e.Data.Cfg.WithBids {
-						bids := make([]float64, len(ranked))
-						for j, v := range ranked {
-							bids[j] = e.Data.Bid(v)
-						}
-						add("rev"+suffix, metrics.RevAtK(exp, bids, k))
+				phi := e.DCM.Attractions(inst.User, ranked)
+				exp := e.DCM.ExpectedClicksFrom(phi)
+				cover, bid = slices.Grow(cover[:0], len(ranked)), slices.Grow(bid[:0], len(ranked))
+				for _, v := range ranked {
+					cover = append(cover, e.Data.Cover(v))
+					if bids {
+						bid = append(bid, e.Data.Bid(v))
 					}
 				}
-				perReq[i] = rm
+				row := vals[i*len(keys) : (i+1)*len(keys)]
+				for _, k := range ks {
+					row[0] = metrics.ClickAtK(exp, k)
+					row[1] = metrics.NDCGAtK(exp, k)
+					row[2] = metrics.DivAtK(cover, e.Data.M(), k)
+					row[3] = e.DCM.SatisfactionFrom(phi, k)
+					row = row[4:]
+					if bids {
+						row[0] = metrics.RevAtK(exp, bid, k)
+						row = row[1:]
+					}
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	for _, rm := range perReq {
-		for j, key := range rm.keys {
-			res.PerRequest[key] = append(res.PerRequest[key], rm.vals[j])
+	res := &EvalResult{Name: r.Name(), PerRequest: make(map[string][]float64, len(keys))}
+	if len(e.Test) > 0 {
+		for _, key := range keys {
+			res.PerRequest[key] = slices.Grow(res.PerRequest[key], len(e.Test))
+		}
+	}
+	for i := range e.Test {
+		for c, key := range keys {
+			res.PerRequest[key] = append(res.PerRequest[key], vals[i*len(keys)+c])
 		}
 	}
 	return res

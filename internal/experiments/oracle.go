@@ -35,12 +35,7 @@ func (o Oracle) Scores(inst *rerank.Instance) []float64 {
 			if chosen[i] {
 				continue
 			}
-			gain := ic.Gain(inst.Cover[i])
-			var div float64
-			for j, g := range gain {
-				div += rho[j] * g
-			}
-			s := lambda*d.Relevance(inst.User, inst.Items[i]) + (1-lambda)*div
+			s := lambda*d.Relevance(inst.User, inst.Items[i]) + (1-lambda)*ic.WeightedGain(rho, inst.Cover[i])
 			if s > bestS {
 				best, bestS = i, s
 			}

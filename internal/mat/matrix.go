@@ -308,21 +308,41 @@ func AddMatMulABT(out, a, b *Matrix) {
 func addMatMulABTPanel(out, a, b *Matrix, i0, i1, k0, k1 int) {
 	c := a.Cols
 	for i := i0; i < i1; i++ {
-		arow := a.Data[i*c : (i+1)*c]
-		orow := out.Data[i*out.Cols+k0 : i*out.Cols+k1]
-		for kk := range orow {
-			brow := b.Data[(k0+kk)*c : (k0+kk)*c+c]
-			var s0, s1 float64
-			j := 0
-			for ; j+2 <= c; j += 2 {
-				s0 += arow[j] * brow[j]
-				s1 += arow[j+1] * brow[j+1]
-			}
-			if j < c {
-				s0 += arow[j] * brow[j]
-			}
-			orow[kk] += s0 + s1
+		AddMatVec(out.Data[i*out.Cols+k0:i*out.Cols+k1], b.Data[k0*c:k1*c], a.Data[i*c:(i+1)*c])
+	}
+}
+
+// AddMatVec accumulates the matrix–vector product B·x into dst, where b
+// holds B's len(dst) rows of len(x) floats back to back — typically a row
+// range of a weight matrix read in place. Each dst[k] takes the dot product
+// of x with row k as AddMatMulABT does: even and odd terms in two running
+// sums, the odd tail added to the even one, then dst[k] += even + odd. dst
+// must not overlap x or b. This is the backward pass's dh = W·∂gates. It
+// runs the vector kernel when every row it reads lies inside b (simd.go)
+// and addMatVecGo otherwise; the two agree bit for bit.
+func AddMatVec(dst, b, x []float64) {
+	if useSIMD && len(x) > 0 && len(dst) <= len(b)/len(x) {
+		addMatVecAVX2(dst, b, x)
+		return
+	}
+	addMatVecGo(dst, b, x)
+}
+
+// addMatVecGo is the portable AddMatVec and the vector kernel's oracle.
+func addMatVecGo(dst, b, x []float64) {
+	c := len(x)
+	for k := range dst {
+		brow := b[k*c : k*c+c]
+		var s0, s1 float64
+		j := 0
+		for ; j+2 <= c; j += 2 {
+			s0 += x[j] * brow[j]
+			s1 += x[j+1] * brow[j+1]
 		}
+		if j < c {
+			s0 += x[j] * brow[j]
+		}
+		dst[k] += s0 + s1
 	}
 }
 
@@ -345,13 +365,34 @@ func AddMatMulATB(out, a, b *Matrix) {
 // addMatMulATBPanel accumulates out rows [k0,k1) of out += aᵀ·b: each worker
 // scans every row i of a and b but touches only its own band of out, keeping
 // i ascending per element — the same accumulation order as the serial kernel.
+// The vector kernel takes the whole panel in one call.
 func addMatMulATBPanel(out, a, b *Matrix, k0, k1 int) {
 	bc := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols+k0 : i*a.Cols+k1]
-		brow := b.Data[i*bc : i*bc+bc]
-		for kk, av := range arow {
-			orow := out.Data[(k0+kk)*bc : (k0+kk)*bc+bc]
+	panel := out.Data[k0*bc : k1*bc]
+	if useSIMD && wellFormed(a) && wellFormed(b) {
+		addMatMulATBAVX2(panel, a.Data[k0:], b.Data, a.Rows, a.Cols, bc)
+		return
+	}
+	addMatMulATBGo(panel, a.Data[k0:], b.Data, a.Rows, a.Cols, bc)
+}
+
+// wellFormed reports whether m's shape is non-negative and its Data holds
+// every element the shape names: what the vector kernels need to stay
+// inside it.
+func wellFormed(m *Matrix) bool {
+	return m.Rows >= 0 && m.Cols >= 0 && len(m.Data) >= m.Rows*m.Cols
+}
+
+// addMatMulATBGo is the ATB panel's portable kernel and the vector kernel's
+// oracle: out holds len(out)/bc rows of bc floats, and row kk takes
+// a[i·ac+kk]·b[i·bc:][:bc] for i ascending, an axpy per term, multiply then
+// add.
+func addMatMulATBGo(out, a, b []float64, rows, ac, bc int) {
+	for i := 0; i < rows; i++ {
+		brow := b[i*bc : i*bc+bc]
+		for kk := 0; kk*bc < len(out); kk++ {
+			av := a[i*ac+kk]
+			orow := out[kk*bc : kk*bc+bc]
 			for j, bv := range brow {
 				orow[j] += av * bv
 			}

@@ -1,5 +1,8 @@
-// The vector layer under the three hot loops: addVecMat (every GEMM and the
-// inference forward's vector–matrix products), SigmoidInto and TanhInto.
+// The vector layer under the hot loops: addVecMat (every GEMM and the
+// inference forward's vector–matrix products), SigmoidInto and TanhInto, and
+// the training backward's two halves of a MatMul gradient, addMatVec (the
+// rows of AddMatMulABT, and backLSTM's ∂h and ∂x) and the AddMatMulATB
+// panel.
 //
 // The contract is bitwise: a vector kernel performs the scalar loop's
 // operations in the scalar loop's order, four lanes at a time, so no output
@@ -28,8 +31,20 @@ import "math"
 var useSIMD bool
 
 func init() {
-	useSIMD = simdSupported() && simdSelfCheck(addVecMatGo, sigmoidGo, tanhGo)
+	useSIMD = simdSupported() && simdSelfCheck(scalarTwins)
 }
+
+// scalarKernels names one scalar twin per vector kernel: the self-check's
+// oracles.
+type scalarKernels struct {
+	addVecMat     func(dst, x, b []float64, stride int)
+	addMatVec     func(dst, b, x []float64)
+	addMatMulATB  func(out, a, b []float64, rows, ac, bc int)
+	sigmoid, tanh func(dst, src []float64)
+}
+
+// scalarTwins are the package's own scalar loops.
+var scalarTwins = scalarKernels{addVecMatGo, addMatVecGo, addMatMulATBGo, sigmoidGo, tanhGo}
 
 // simdExpMax bounds the inputs the vector activations take: for |x| below
 // it, every exp argument the replicas form stays in archExp's normal range.
@@ -96,9 +111,9 @@ func simdProbes() []float64 {
 // simdSelfCheck reports whether the vector kernels reproduce the given
 // scalar twins bit for bit on simdProbes, any NaN matching any NaN. init
 // passes the package's own scalar loops; a test passes a corrupted one.
-func simdSelfCheck(addVM func(dst, x, b []float64, stride int), sigmoid, tanh func(dst, src []float64)) bool {
+func simdSelfCheck(twin scalarKernels) bool {
 	probes := simdProbes()
-	for _, f := range []struct{ vec, ref func(dst, src []float64) }{{sigmoidSIMD, sigmoid}, {tanhSIMD, tanh}} {
+	for _, f := range []struct{ vec, ref func(dst, src []float64) }{{sigmoidSIMD, twin.sigmoid}, {tanhSIMD, twin.tanh}} {
 		got, want := make([]float64, len(probes)), make([]float64, len(probes))
 		f.vec(got, probes)
 		f.ref(want, probes)
@@ -106,24 +121,46 @@ func simdSelfCheck(addVM func(dst, x, b []float64, stride int), sigmoid, tanh fu
 			return false
 		}
 	}
-	// Every column tail (16-, 4- and 1-wide) and a row stride wider than dst.
 	var finite []float64
 	for _, v := range probes {
 		if math.Abs(v) < 1e3 {
 			finite = append(finite, v)
 		}
 	}
+	fill := func(n, seed int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = finite[(7*i+seed)%len(finite)]
+		}
+		return s
+	}
+	same := func(vec, ref func(dst []float64), n int) bool {
+		got, want := fill(n, 3), fill(n, 3)
+		vec(got)
+		ref(want)
+		return sameBits(got, want)
+	}
+	// Every column tail (16-, 4- and 1-wide) and a row stride wider than dst.
 	for _, s := range [][3]int{{23, 7, 29}, {64, 37, 64}, {3, 2, 3}} {
 		n, nx, stride := s[0], s[1], s[2]
-		b := make([]float64, (nx-1)*stride+n)
-		for i := range b {
-			b[i] = finite[(7*i)%len(finite)]
+		b, x := fill((nx-1)*stride+n, 0), fill(nx, 1)
+		if !same(func(d []float64) { addVecMatAVX2(d, x, b, stride) }, func(d []float64) { twin.addVecMat(d, x, b, stride) }, n) {
+			return false
 		}
-		x := finite[len(finite)-nx:]
-		got, want := append([]float64(nil), finite[:n]...), append([]float64(nil), finite[:n]...)
-		addVecMatAVX2(got, x, b, stride)
-		addVM(want, x, b, stride)
-		if !sameBits(got, want) {
+	}
+	// Rows through every block (8, 4, 2, 1), odd and even row lengths.
+	for _, s := range [][2]int{{15, 7}, {8, 64}, {3, 1}, {6, 2}, {1, 5}} {
+		n, c := s[0], s[1]
+		b, x := fill(n*c, 0), fill(c, 1)
+		if !same(func(d []float64) { addMatVecAVX2(d, b, x) }, func(d []float64) { twin.addMatVec(d, b, x) }, n) {
+			return false
+		}
+	}
+	// Every column tail, a column range of a narrower than its rows, one row.
+	for _, s := range [][4]int{{7, 3, 5, 23}, {10, 2, 2, 16}, {1, 1, 1, 3}} {
+		rows, nk, ac, bc := s[0], s[1], s[2], s[3]
+		a, b := fill(rows*ac, 0), fill(rows*bc, 1)
+		if !same(func(d []float64) { addMatMulATBAVX2(d, a, b, rows, ac, bc) }, func(d []float64) { twin.addMatMulATB(d, a, b, rows, ac, bc) }, nk*bc) {
 			return false
 		}
 	}

@@ -39,6 +39,18 @@ func splat(v float64) [4]float64 { return [4]float64{v, v, v, v} }
 //go:noescape
 func addVecMatAVX2(dst, x, b []float64, stride int)
 
+// addMatVecAVX2 is addMatVecGo's vector twin. The caller has checked that
+// b holds len(dst) rows of len(x) > 0 floats.
+//
+//go:noescape
+func addMatVecAVX2(dst, b, x []float64)
+
+// addMatMulATBAVX2 is addMatMulATBGo's vector twin. The caller has checked
+// that a and b hold rows rows of ac and bc ≥ 0 floats.
+//
+//go:noescape
+func addMatMulATBAVX2(out, a, b []float64, rows, ac, bc int)
+
 // sigmoidAVX2 and tanhAVX2 write f(src[i]) to dst[i] four at a time and
 // return how many they wrote: they stop before a block holding a value the
 // replicas do not cover, and before a tail of fewer than four.

@@ -266,6 +266,317 @@ vmdone:
 	VZEROUPPER
 	RET
 
+// MVPAIR adds row pair (lo, hi)'s next two columns times x's into acc:
+// Y4 holds [x_j, x_j+1, x_j, x_j+1], and (lo, hi) becomes
+// [lo_j, lo_j+1, hi_j, hi_j+1] in tmp, so acc = [s0, s1] of row lo beside
+// [s0, s1] of row hi, each lane one of addMatVecGo's two running sums.
+#define MVPAIR(lo, hi, tmpx, tmpy, acc) \
+	VMOVUPD     lo, tmpx; \
+	VINSERTF128 $1, hi, tmpy, tmpy; \
+	VMULPD      Y4, tmpy, tmpy; \
+	VADDPD      tmpy, acc, acc
+
+// MVODD adds the odd tail column to the even sums of row pair (lo, hi):
+// Y4 holds [x_c-1, 0, x_c-1, 0] and tmp becomes [lo_c-1, 0, hi_c-1, 0], so
+// the odd sums take 0·0 = +0, which leaves them unchanged (no running sum
+// starts at or can reach -0).
+#define MVODD(lo, hi, tmpx, tmpy, acc) \
+	VMOVSD      lo, tmpx; \
+	VMOVSD      hi, X9; \
+	VINSERTF128 $1, X9, tmpy, tmpy; \
+	VMULPD      Y4, tmpy, tmpy; \
+	VADDPD      tmpy, acc, acc
+
+// func addMatVecAVX2(dst, b, x []float64)
+//
+// Each dst[k] owns one lane pair holding addMatVecGo's two sums (even and
+// odd terms), so a YMM register carries two rows; blocks of 8 rows run four
+// independent chains, then 4, 2 and 1 rows. Every lane takes its terms in
+// the scalar order, multiply then add. The pair sums are then added
+// (VHADDPD, s1 + s0, which is s0 + s1) and added to dst.
+// Registers: DI dst, CX rows left, R8 the block's first row, SI x, R9 the
+// row stride in bytes, R11 three strides, R13 column pairs, DX odd tail.
+TEXT ·addMatVecAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ b_base+24(FP), R8
+	MOVQ x_base+48(FP), SI
+	MOVQ x_len+56(FP), DX
+	LEAQ (DX*8), R9
+	LEAQ (R9)(R9*2), R11
+	MOVQ DX, R13
+	SHRQ $1, R13
+	ANDQ $1, DX
+
+mv8:
+	CMPQ   CX, $8
+	JLT    mv4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   R8, R10
+	LEAQ   (R8)(R9*4), R12
+	MOVQ   SI, AX
+	MOVQ   R13, BX
+	TESTQ  BX, BX
+	JZ     mv8odd
+
+mv8pairs:
+	VBROADCASTF128 (AX), Y4
+	MVPAIR((R10), (R10)(R9*1), X5, Y5, Y0)
+	MVPAIR((R10)(R9*2), (R10)(R11*1), X6, Y6, Y1)
+	MVPAIR((R12), (R12)(R9*1), X7, Y7, Y2)
+	MVPAIR((R12)(R9*2), (R12)(R11*1), X8, Y8, Y3)
+	ADDQ           $16, AX
+	ADDQ           $16, R10
+	ADDQ           $16, R12
+	DECQ           BX
+	JNZ            mv8pairs
+
+mv8odd:
+	TESTQ       DX, DX
+	JZ          mv8sum
+	VMOVSD      (AX), X4
+	VINSERTF128 $1, X4, Y4, Y4
+	MVODD((R10), (R10)(R9*1), X5, Y5, Y0)
+	MVODD((R10)(R9*2), (R10)(R11*1), X6, Y6, Y1)
+	MVODD((R12), (R12)(R9*1), X7, Y7, Y2)
+	MVODD((R12)(R9*2), (R12)(R11*1), X8, Y8, Y3)
+
+mv8sum:
+	VHADDPD Y1, Y0, Y0       // rows k, k+2, k+1, k+3
+	VPERMPD $0xD8, Y0, Y0    // rows k…k+3
+	VADDPD  (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	VHADDPD Y3, Y2, Y2
+	VPERMPD $0xD8, Y2, Y2
+	VADDPD  32(DI), Y2, Y2
+	VMOVUPD Y2, 32(DI)
+	ADDQ    $64, DI
+	LEAQ    (R8)(R9*8), R8
+	SUBQ    $8, CX
+	JMP     mv8
+
+mv4:
+	CMPQ   CX, $4
+	JLT    mv2
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ   R8, R10
+	MOVQ   SI, AX
+	MOVQ   R13, BX
+	TESTQ  BX, BX
+	JZ     mv4odd
+
+mv4pairs:
+	VBROADCASTF128 (AX), Y4
+	MVPAIR((R10), (R10)(R9*1), X5, Y5, Y0)
+	MVPAIR((R10)(R9*2), (R10)(R11*1), X6, Y6, Y1)
+	ADDQ           $16, AX
+	ADDQ           $16, R10
+	DECQ           BX
+	JNZ            mv4pairs
+
+mv4odd:
+	TESTQ       DX, DX
+	JZ          mv4sum
+	VMOVSD      (AX), X4
+	VINSERTF128 $1, X4, Y4, Y4
+	MVODD((R10), (R10)(R9*1), X5, Y5, Y0)
+	MVODD((R10)(R9*2), (R10)(R11*1), X6, Y6, Y1)
+
+mv4sum:
+	VHADDPD Y1, Y0, Y0
+	VPERMPD $0xD8, Y0, Y0
+	VADDPD  (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	LEAQ    (R8)(R9*4), R8
+	SUBQ    $4, CX
+
+mv2:
+	CMPQ   CX, $2
+	JLT    mv1
+	VXORPD Y0, Y0, Y0
+	MOVQ   R8, R10
+	MOVQ   SI, AX
+	MOVQ   R13, BX
+	TESTQ  BX, BX
+	JZ     mv2odd
+
+mv2pairs:
+	VBROADCASTF128 (AX), Y4
+	MVPAIR((R10), (R10)(R9*1), X5, Y5, Y0)
+	ADDQ           $16, AX
+	ADDQ           $16, R10
+	DECQ           BX
+	JNZ            mv2pairs
+
+mv2odd:
+	TESTQ       DX, DX
+	JZ          mv2sum
+	VMOVSD      (AX), X4
+	VINSERTF128 $1, X4, Y4, Y4
+	MVODD((R10), (R10)(R9*1), X5, Y5, Y0)
+
+mv2sum:
+	VEXTRACTF128 $1, Y0, X1
+	VHADDPD      X1, X0, X0  // rows k, k+1
+	VADDPD       (DI), X0, X0
+	VMOVUPD      X0, (DI)
+	ADDQ         $16, DI
+	LEAQ         (R8)(R9*2), R8
+	SUBQ         $2, CX
+
+mv1:
+	TESTQ  CX, CX
+	JZ     mvdone
+	VXORPD X0, X0, X0
+	MOVQ   R8, R10
+	MOVQ   SI, AX
+	MOVQ   R13, BX
+	TESTQ  BX, BX
+	JZ     mv1odd
+
+mv1pairs:
+	VMOVUPD (AX), X4
+	VMULPD  (R10), X4, X5
+	VADDPD  X5, X0, X0
+	ADDQ    $16, AX
+	ADDQ    $16, R10
+	DECQ    BX
+	JNZ     mv1pairs
+
+mv1odd:
+	TESTQ  DX, DX
+	JZ     mv1sum
+	VMOVSD (AX), X4
+	VMOVSD (R10), X5
+	VMULPD X4, X5, X5
+	VADDPD X5, X0, X0
+
+mv1sum:
+	VHADDPD X0, X0, X0
+	VADDSD  (DI), X0, X0
+	VMOVSD  X0, (DI)
+
+mvdone:
+	VZEROUPPER
+	RET
+
+// func addMatMulATBAVX2(out, a, b []float64, rows, ac, bc int)
+//
+// Out row kk is addVecMatAVX2's column-outer loop with x = column kk of a:
+// a block of the row stays in registers while i runs over every row of a
+// and b, taking out[kk][j] += a[i][kk]·b[i][j] for i ascending, multiply
+// then add — addMatMulATBGo's per-element sequence. Blocks are 16, 4 and
+// 1 columns. The whole panel is one call.
+// Registers: DI the out row, R13 the end of out, SI column kk of a, R14 a's
+// row stride in bytes, R8 b, R9 b's row stride in bytes, CX bc, DX rows.
+// With no rows there is nothing to add.
+TEXT ·addMatMulATBAVX2(SB), NOSPLIT, $0-96
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), R13
+	LEAQ (DI)(R13*8), R13
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	MOVQ rows+72(FP), DX
+	MOVQ ac+80(FP), R14
+	SHLQ $3, R14
+	MOVQ bc+88(FP), CX
+	LEAQ (CX*8), R9
+	TESTQ DX, DX
+	JLE  atbdone
+
+atbrow:
+	CMPQ DI, R13
+	JGE  atbdone
+	XORQ BX, BX
+
+atb16:
+	LEAQ    16(BX), AX
+	CMPQ    AX, CX
+	JGT     atb4
+	VMOVUPD (DI)(BX*8), Y0
+	VMOVUPD 32(DI)(BX*8), Y1
+	VMOVUPD 64(DI)(BX*8), Y2
+	VMOVUPD 96(DI)(BX*8), Y3
+	LEAQ    (R8)(BX*8), R10
+	MOVQ    SI, R11
+	MOVQ    DX, R12
+
+atbk16:
+	VBROADCASTSD (R11), Y4
+	VMULPD       (R10), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       32(R10), Y4, Y6
+	VADDPD       Y6, Y1, Y1
+	VMULPD       64(R10), Y4, Y7
+	VADDPD       Y7, Y2, Y2
+	VMULPD       96(R10), Y4, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         R14, R11
+	ADDQ         R9, R10
+	DECQ         R12
+	JNZ          atbk16
+	VMOVUPD      Y0, (DI)(BX*8)
+	VMOVUPD      Y1, 32(DI)(BX*8)
+	VMOVUPD      Y2, 64(DI)(BX*8)
+	VMOVUPD      Y3, 96(DI)(BX*8)
+	MOVQ         AX, BX
+	JMP          atb16
+
+atb4:
+	LEAQ    4(BX), AX
+	CMPQ    AX, CX
+	JGT     atb1
+	VMOVUPD (DI)(BX*8), Y0
+	LEAQ    (R8)(BX*8), R10
+	MOVQ    SI, R11
+	MOVQ    DX, R12
+
+atbk4:
+	VBROADCASTSD (R11), Y4
+	VMULPD       (R10), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         R14, R11
+	ADDQ         R9, R10
+	DECQ         R12
+	JNZ          atbk4
+	VMOVUPD      Y0, (DI)(BX*8)
+	MOVQ         AX, BX
+	JMP          atb4
+
+atb1:
+	CMPQ   BX, CX
+	JGE    atbnext
+	VMOVSD (DI)(BX*8), X0
+	LEAQ   (R8)(BX*8), R10
+	MOVQ   SI, R11
+	MOVQ   DX, R12
+
+atbk1:
+	VMOVSD (R11), X4
+	VMULSD (R10), X4, X5
+	VADDSD X5, X0, X0
+	ADDQ   R14, R11
+	ADDQ   R9, R10
+	DECQ   R12
+	JNZ    atbk1
+	VMOVSD X0, (DI)(BX*8)
+	INCQ   BX
+	JMP    atb1
+
+atbnext:
+	ADDQ R9, DI
+	ADDQ $8, SI
+	JMP  atbrow
+
+atbdone:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

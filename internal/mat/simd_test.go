@@ -32,18 +32,39 @@ func TestSIMDEnabled(t *testing.T) {
 // vector path off.
 func TestSIMDSelfCheckRejectsMismatch(t *testing.T) {
 	needSIMD(t)
-	if !simdSelfCheck(addVecMatGo, sigmoidGo, tanhGo) {
+	if !simdSelfCheck(scalarTwins) {
 		t.Fatal("self-check rejects the package's own scalar loops")
 	}
 	flip := func(v float64) float64 { return math.Float64frombits(math.Float64bits(v) ^ 1) }
 	corrupt := func(f func(dst, src []float64)) func(dst, src []float64) {
 		return func(dst, src []float64) { f(dst, src); dst[len(dst)/2] = flip(dst[len(dst)/2]) }
 	}
-	badVecMat := func(dst, x, b []float64, stride int) { addVecMatGo(dst, x, b, stride); dst[0] = flip(dst[0]) }
+	with := func(edit func(*scalarKernels)) bool {
+		k := scalarTwins
+		edit(&k)
+		return simdSelfCheck(k)
+	}
 	for name, ok := range map[string]bool{
-		"sigmoid":   simdSelfCheck(addVecMatGo, corrupt(sigmoidGo), tanhGo),
-		"tanh":      simdSelfCheck(addVecMatGo, sigmoidGo, corrupt(tanhGo)),
-		"addVecMat": simdSelfCheck(badVecMat, sigmoidGo, tanhGo),
+		"sigmoid": with(func(k *scalarKernels) { k.sigmoid = corrupt(sigmoidGo) }),
+		"tanh":    with(func(k *scalarKernels) { k.tanh = corrupt(tanhGo) }),
+		"addVecMat": with(func(k *scalarKernels) {
+			k.addVecMat = func(dst, x, b []float64, stride int) { addVecMatGo(dst, x, b, stride); dst[0] = flip(dst[0]) }
+		}),
+		// The last row: only the 1-row block of the odd-length probe computes it.
+		"addMatVec (ABT)": with(func(k *scalarKernels) {
+			k.addMatVec = func(dst, b, x []float64) {
+				addMatVecGo(dst, b, x)
+				if len(dst) == 15 {
+					dst[14] = flip(dst[14])
+				}
+			}
+		}),
+		"addMatMulATB": with(func(k *scalarKernels) {
+			k.addMatMulATB = func(out, a, b []float64, rows, ac, bc int) {
+				addMatMulATBGo(out, a, b, rows, ac, bc)
+				out[len(out)-1] = flip(out[len(out)-1])
+			}
+		}),
 	} {
 		if ok {
 			t.Errorf("self-check passed with a corrupted %s twin", name)
@@ -259,6 +280,99 @@ func TestAddVecMatBounds(t *testing.T) {
 	}
 }
 
+// TestAddMatVecSIMDParity: every row count 0–20 (each 8-, 4-, 2- and 1-row
+// block and leftover), every row length 0–41 (odd and even), dst already
+// holding values.
+func TestAddMatVecSIMDParity(t *testing.T) {
+	needSIMD(t)
+	pool := randPool(1<<13, 11)
+	for n := 0; n <= 20; n++ {
+		for c := 1; c <= 41; c++ {
+			off := (n*43 + c) % 512
+			b, x := pool[off:][:n*c], pool[(off+5*c)%1024:][:c]
+			got := append(make([]float64, 0, n+1), pool[off+9:][:n]...)
+			want := append([]float64(nil), got...)
+			addMatVecAVX2(got, b, x)
+			addMatVecGo(want, b, x)
+			if i := firstMismatch(got, want); i >= 0 {
+				t.Fatalf("rows %d len %d: dst[%d] = %v vector, %v scalar", n, c, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAddMatMulATBSIMDParity: every out row length 0–37 (each 16-, 4- and
+// 1-wide tail), 1–5 out rows from a column range of a wider a, 1–11 rows of
+// a and b.
+func TestAddMatMulATBSIMDParity(t *testing.T) {
+	needSIMD(t)
+	pool := randPool(1<<13, 13)
+	for bc := 0; bc <= 37; bc++ {
+		for nk := 1; nk <= 5; nk++ {
+			for rows := 1; rows <= 11; rows++ {
+				ac := nk + rows%3
+				off := (bc*31 + nk*7 + rows) % 512
+				a, b := pool[off:][:rows*ac], pool[(off+3*bc)%1024:][:rows*bc]
+				got := append([]float64(nil), pool[off+17:][:nk*bc]...)
+				want := append([]float64(nil), got...)
+				addMatMulATBAVX2(got, a, b, rows, ac, bc)
+				addMatMulATBGo(want, a, b, rows, ac, bc)
+				if i := firstMismatch(got, want); i >= 0 {
+					t.Fatalf("bc %d out rows %d rows %d: out[%d] = %v vector, %v scalar", bc, nk, rows, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBackwardKernelsMatchScalar: the exported GEMM backward halves, on
+// whichever path this host runs, equal the scalar loops they replaced, at
+// the training shapes and at odd ones.
+func TestBackwardKernelsMatchScalar(t *testing.T) {
+	pool := randPool(1<<14, 17) // each operand below is at most 2368 floats
+	mk := func(r, c, off int) *Matrix {
+		return &Matrix{Rows: r, Cols: c, Data: append([]float64(nil), pool[off:][:r*c]...)}
+	}
+	for _, s := range [][3]int{{10, 24, 16}, {10, 16, 24}, {1, 64, 37}, {7, 5, 3}, {3, 1, 9}} {
+		r, k, c := s[0], s[1], s[2]
+		// ABT: out (r×k) += a (r×c) · bᵀ, b k×c.
+		a, b := mk(r, c, 0), mk(k, c, 2500)
+		got, want := mk(r, k, 5000), mk(r, k, 5000)
+		AddMatMulABT(got, a, b)
+		for i := 0; i < r; i++ {
+			for kk := 0; kk < k; kk++ {
+				var s0, s1 float64
+				j := 0
+				for ; j+2 <= c; j += 2 {
+					s0 += a.Data[i*c+j] * b.Data[kk*c+j]
+					s1 += a.Data[i*c+j+1] * b.Data[kk*c+j+1]
+				}
+				if j < c {
+					s0 += a.Data[i*c+j] * b.Data[kk*c+j]
+				}
+				want.Data[i*k+kk] += s0 + s1
+			}
+		}
+		if i := firstMismatch(got.Data, want.Data); i >= 0 {
+			t.Fatalf("ABT %v: [%d] = %v, scalar %v", s, i, got.Data[i], want.Data[i])
+		}
+		// ATB: out (k×c) += aᵀ · b, a r×k, b r×c.
+		a, b = mk(r, k, 7500), mk(r, c, 10000)
+		got, want = mk(k, c, 12500), mk(k, c, 12500)
+		AddMatMulATB(got, a, b)
+		for i := 0; i < r; i++ {
+			for kk := 0; kk < k; kk++ {
+				for j := 0; j < c; j++ {
+					want.Data[kk*c+j] += a.Data[i*k+kk] * b.Data[i*c+j]
+				}
+			}
+		}
+		if i := firstMismatch(got.Data, want.Data); i >= 0 {
+			t.Fatalf("ATB %v: [%d] = %v, scalar %v", s, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
 // FuzzSIMDKernels: arbitrary float bits, lengths and strides; each vector
 // kernel equals its scalar twin.
 func FuzzSIMDKernels(f *testing.F) {
@@ -306,6 +420,28 @@ func FuzzSIMDKernels(f *testing.F) {
 		if i := firstMismatch(got, want); i >= 0 {
 			t.Fatalf("addVecMat n %d nx %d stride %d: dst[%d] = %v vector, %v scalar", cols, rows, stride, i, got[i], want[i])
 		}
+		// addMatVec: rows × len(x) with odd lengths and 1–3 leftover rows.
+		n8, c := int(n)%21, 1+int(nx)%41
+		b, x = cycle(n8*c), cycle(c)
+		got = cycle(n8)
+		want = append([]float64(nil), got...)
+		addMatVecAVX2(got, b, x)
+		addMatVecGo(want, b, x)
+		if i := firstMismatch(got, want); i >= 0 {
+			t.Fatalf("addMatVec rows %d len %d: dst[%d] = %v vector, %v scalar", n8, c, i, got[i], want[i])
+		}
+		// The ATB panel: any out row length, 1–4 out rows of a wider a.
+		nk, ar := 1+int(pad)%4, 1+int(nx)%11
+		ac := nk + int(pad)/4%3
+		a := cycle(ar * ac)
+		b = cycle(ar * cols)
+		got = cycle(nk * cols)
+		want = append([]float64(nil), got...)
+		addMatMulATBAVX2(got, a, b, ar, ac, cols)
+		addMatMulATBGo(want, a, b, ar, ac, cols)
+		if i := firstMismatch(got, want); i >= 0 {
+			t.Fatalf("addMatMulATB rows %d out rows %d bc %d: out[%d] = %v vector, %v scalar", ar, nk, cols, i, got[i], want[i])
+		}
 	})
 }
 
@@ -333,6 +469,48 @@ func BenchmarkAddVecMat(b *testing.B) {
 			})
 		}
 	}
+}
+
+// backwardPaths runs one MatMul backward half on each path: the scalar
+// twin, and the vector kernel when this host takes it.
+func backwardPaths(b *testing.B, scalar, vec func()) {
+	for _, path := range []struct {
+		name string
+		f    func()
+	}{{"scalar", scalar}, {"simd", vec}} {
+		b.Run(path.name, func(b *testing.B) {
+			if path.name == "simd" && !useSIMD {
+				b.Skip("vector path off")
+			}
+			for i := 0; i < b.N; i++ {
+				path.f()
+			}
+		})
+	}
+}
+
+// BenchmarkAddMatMulABT is ∂X += ∂Out·Wᵀ of the hottest training MatMul,
+// X (10×24) · W (24×16): ten rows of 24 dot products of length 16.
+func BenchmarkAddMatMulABT(b *testing.B) {
+	pool := normals(1024, 3)
+	dout, w, dx := pool[:160], pool[160:][:384], make([]float64, 240)
+	rows := func(f func(dst, b, x []float64)) func() {
+		return func() {
+			for i := 0; i < 10; i++ {
+				f(dx[i*24:][:24], w, dout[i*16:][:16])
+			}
+		}
+	}
+	backwardPaths(b, rows(addMatVecGo), rows(addMatVecAVX2))
+}
+
+// BenchmarkAddMatMulATB is ∂W += Xᵀ·∂Out of the same MatMul: (10×24)ᵀ·(10×16).
+func BenchmarkAddMatMulATB(b *testing.B) {
+	pool := normals(1024, 4)
+	x, dout, dw := pool[:240], pool[240:][:160], make([]float64, 384)
+	backwardPaths(b,
+		func() { addMatMulATBGo(dw, x, dout, 10, 24, 16) },
+		func() { addMatMulATBAVX2(dw, x, dout, 10, 24, 16) })
 }
 
 // benchActivation times one activation over 48 floats — an LSTM step's

@@ -50,9 +50,10 @@ type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	WeightDecay           float64
 
-	t int
-	m map[*Param]*mat.Matrix
-	v map[*Param]*mat.Matrix
+	t        int
+	bc1, bc2 float64 // the open step's bias corrections
+	m        map[*Param]*mat.Matrix
+	v        map[*Param]*mat.Matrix
 }
 
 // NewAdam returns Adam with the paper-standard hyper-parameters
@@ -67,30 +68,45 @@ func NewAdam(lr float64) *Adam {
 
 // Step implements Optimizer.
 func (o *Adam) Step(params []*Param) {
-	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	o.Begin(params)
 	for _, p := range params {
-		m := o.m[p]
-		if m == nil {
-			m = mat.New(p.Value.Rows, p.Value.Cols)
-			o.m[p] = m
-		}
-		v := o.v[p]
-		if v == nil {
-			v = mat.New(p.Value.Rows, p.Value.Cols)
-			o.v[p] = v
-		}
-		for i, g := range p.Grad.Data {
-			if o.WeightDecay > 0 {
-				g += o.WeightDecay * p.Value.Data[i]
-			}
-			m.Data[i] = o.Beta1*m.Data[i] + (1-o.Beta1)*g
-			v.Data[i] = o.Beta2*v.Data[i] + (1-o.Beta2)*g*g
-			mHat := m.Data[i] / bc1
-			vHat := v.Data[i] / bc2
-			p.Value.Data[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
-		}
-		p.ZeroGrad()
+		o.Update(p, 0, len(p.Value.Data))
 	}
+}
+
+// Begin opens one step over params: it advances t, fixes the bias
+// corrections and allocates any missing moment buffers. Update then applies
+// the step, range by range; Begin followed by Update over every element is
+// Step.
+func (o *Adam) Begin(params []*Param) {
+	o.t++
+	o.bc1 = 1 - math.Pow(o.Beta1, float64(o.t))
+	o.bc2 = 1 - math.Pow(o.Beta2, float64(o.t))
+	for _, p := range params {
+		if o.m[p] == nil {
+			o.m[p] = mat.New(p.Value.Rows, p.Value.Cols)
+		}
+		if o.v[p] == nil {
+			o.v[p] = mat.New(p.Value.Rows, p.Value.Cols)
+		}
+	}
+}
+
+// Update applies the step Begin opened to elements [lo, hi) of p and zeroes
+// their gradients. Each element's arithmetic depends on that element alone,
+// so calls on disjoint ranges may run concurrently.
+func (o *Adam) Update(p *Param, lo, hi int) {
+	m, v := o.m[p].Data, o.v[p].Data
+	for i, g := range p.Grad.Data[lo:hi] {
+		i += lo
+		if o.WeightDecay > 0 {
+			g += o.WeightDecay * p.Value.Data[i]
+		}
+		m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
+		v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
+		mHat := m[i] / o.bc1
+		vHat := v[i] / o.bc2
+		p.Value.Data[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
+	}
+	clear(p.Grad.Data[lo:hi])
 }

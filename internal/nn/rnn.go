@@ -237,17 +237,15 @@ func (t *Tape) backLSTM(n *Node) {
 			dgg[j] = dgj * (1 - g[j]*g[j]) // Tanh
 			do[j] = dhj * tc[j] * o[j] * (1 - o[j])
 		}
-		// MatMul([x | h_prev], W): ∂h_prev, and ∂x when seq needs it.
+		// MatMul([x | h_prev], W): ∂h_prev, and ∂x when seq needs it, each
+		// a row of AddMatMulABT over W's rows. ∂h_prev starts from zero,
+		// and 0 + d is d: a dot product's two sums never reach -0.
 		if s > 0 {
-			for m := range dh.Data {
-				dh.Data[m] = dotABT(dgr, w.Row(in+m))
-			}
+			clear(dh.Data)
+			mat.AddMatVec(dh.Data, w.Data[in*w.Cols:], dgr)
 		}
 		if gseq != nil {
-			gx := gseq.Row(r)
-			for m := range gx {
-				gx[m] += dotABT(dgr, w.Row(m))
-			}
+			mat.AddMatVec(gseq.Row(r), w.Data[:in*w.Cols], dgr)
 		}
 	}
 	// AddRowBroadcast(·, b) and MatMul(·, W), step by step in sweep order.
@@ -270,21 +268,6 @@ func (t *Tape) backLSTM(n *Node) {
 	t.pool.Put(dc)
 	t.pool.Put(dh)
 	t.pool.Put(dg)
-}
-
-// dotABT is AddMatMulABT's dot product of two rows: two accumulators over
-// alternating terms, summed at the end.
-func dotABT(a, b []float64) float64 {
-	var s0, s1 float64
-	j := 0
-	for ; j+2 <= len(a); j += 2 {
-		s0 += a[j] * b[j]
-		s1 += a[j+1] * b[j+1]
-	}
-	if j < len(a) {
-		s0 += a[j] * b[j]
-	}
-	return s0 + s1
 }
 
 // BiLSTM runs one LSTM forward and one backward over a sequence and

@@ -8,9 +8,9 @@ import "repro/internal/mat"
 // accumulates into the slot's shadow (via Tape.WithGrads) instead of the
 // shared Param.Grad buffers, so concurrent backward passes never write the
 // same memory. After a batch the trainer folds the shadows into the real
-// gradients with AddInto in a fixed order, which keeps float summation —
-// and therefore same-seed training — bitwise reproducible regardless of
-// how many workers ran.
+// gradients with FoldInto, slots in a fixed order for every element, which
+// keeps float summation — and therefore same-seed training — bitwise
+// reproducible regardless of how many workers ran.
 type GradShadow struct {
 	ps    *ParamSet
 	grads map[*Param]*mat.Matrix
@@ -34,19 +34,13 @@ func (gs *GradShadow) Grad(p *Param) *mat.Matrix {
 	return p.Grad
 }
 
-// Zero clears every shadow buffer.
-func (gs *GradShadow) Zero() {
-	for _, name := range gs.ps.order {
-		gs.grads[gs.ps.byName[name]].Zero()
+// FoldInto adds elements [lo, hi) of p's shadow buffer into p.Grad and
+// zeroes them. Calls on disjoint ranges touch disjoint memory, so the
+// trainer folds a parameter range per worker.
+func (gs *GradShadow) FoldInto(p *Param, lo, hi int) {
+	g, sh := p.Grad.Data[lo:hi], gs.grads[p].Data[lo:hi]
+	for i, v := range sh {
+		g[i] += v
 	}
-}
-
-// AddInto folds the shadow into the real Param.Grad buffers, iterating
-// parameters in registration order so the accumulation order is the same
-// on every run.
-func (gs *GradShadow) AddInto() {
-	for _, name := range gs.ps.order {
-		p := gs.ps.byName[name]
-		p.Grad.AddInPlace(gs.grads[p])
-	}
+	clear(sh)
 }

@@ -158,13 +158,12 @@ func TestGradShadowIsolatesAndFolds(t *testing.T) {
 	if !gs.Grad(w).EqualApprox(want, 0) {
 		t.Fatal("shadow gradient differs from direct gradient")
 	}
-	gs.AddInto()
+	gs.FoldInto(w, 0, len(w.Grad.Data))
 	if !w.Grad.EqualApprox(want, 0) {
-		t.Fatal("AddInto did not fold the shadow into Param.Grad")
+		t.Fatal("FoldInto did not fold the shadow into Param.Grad")
 	}
-	gs.Zero()
 	if gs.Grad(w).MaxAbs() != 0 {
-		t.Fatal("Zero left shadow gradients dirty")
+		t.Fatal("FoldInto left shadow gradients dirty")
 	}
 
 	// A param outside the mirrored set falls back to its own buffer.

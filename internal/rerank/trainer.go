@@ -158,9 +158,82 @@ type slotState struct {
 	ok     bool
 }
 
-type slotJob struct {
+// A shard is one worker's share of the batch reduction: a contiguous range
+// of the parameters laid end to end, as segments of whole or partial
+// parameters. Every element of the model is in exactly one shard.
+type shard struct {
+	segs   []segment
+	finite bool // the last fold left every gradient in the shard finite
+}
+
+type segment struct {
+	p      *nn.Param
+	lo, hi int
+}
+
+// shardParams cuts the parameters, in registration order, into n contiguous
+// ranges of as near equal size as whole elements allow.
+func shardParams(params []*nn.Param, n int) []*shard {
+	total := 0
+	for _, p := range params {
+		total += len(p.Value.Data)
+	}
+	shards := make([]*shard, n)
+	pi, off := 0, 0 // the next element: params[pi], offset off
+	for i := range shards {
+		sh := &shard{}
+		for left := (i+1)*total/n - i*total/n; left > 0; {
+			size := len(params[pi].Value.Data)
+			take := min(size-off, left)
+			sh.segs = append(sh.segs, segment{params[pi], off, off + take})
+			left -= take
+			if off += take; off == size {
+				pi, off = pi+1, 0
+			}
+		}
+		shards[i] = sh
+	}
+	return shards
+}
+
+// fold adds the shadows into the shard's gradients, slots in the given
+// (ascending) order for every element, and zeroes them; scales the sums by
+// 1/len(shadows) when more than one slot contributed; and records whether
+// every result is finite.
+func (sh *shard) fold(shadows []*nn.GradShadow) {
+	inv := 1 / float64(len(shadows))
+	sh.finite = true
+	for _, sg := range sh.segs {
+		for _, gs := range shadows {
+			gs.FoldInto(sg.p, sg.lo, sg.hi)
+		}
+		g := sg.p.Grad.Data[sg.lo:sg.hi]
+		for i := range g {
+			if len(shadows) > 1 {
+				g[i] *= inv
+			}
+			if math.IsNaN(g[i]) || math.IsInf(g[i], 0) {
+				sh.finite = false
+			}
+		}
+	}
+}
+
+// update applies the optimizer step Adam.Begin opened to the shard.
+func (sh *shard) update(opt *nn.Adam) {
+	for _, sg := range sh.segs {
+		opt.Update(sg.p, sg.lo, sg.hi)
+	}
+}
+
+// A job is one unit of a worker's work: a batch slot's forward/backward
+// pass, or a reduction phase over one shard.
+type job struct {
 	slot int
 	inst *Instance
+	// Reduction phases set sh and leave inst nil.
+	sh     *shard
+	update bool // false: fold the ok slots' shadows; true: the Adam update
 }
 
 // TrainListwise optimizes the model's BCE loss (Eq. 11) over the training
@@ -168,7 +241,11 @@ type slotJob struct {
 // step. Within a batch the forward/backward passes run on up to
 // cfg.Workers goroutines; gradients land in per-slot shadows that are
 // folded into the parameters in slot order, so results are bitwise
-// independent of the worker count. It returns the final epoch's mean loss.
+// independent of the worker count. The same workers then run the batch's
+// reduction, each over its own contiguous range of the parameters: the fold
+// with the 1/batch scale and the finite check, and, once the serial global
+// norm clip and Adam's bias corrections are done, Adam's element update.
+// It returns the final epoch's mean loss.
 func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64, error) {
 	if cfg.BatchSize < 1 {
 		cfg.BatchSize = 1
@@ -210,23 +287,41 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 	for i := range slots {
 		slots[i] = &slotState{shadow: nn.NewGradShadow(ps)}
 	}
+	params := ps.All()
+	shards := shardParams(params, workers)
+	okShadows := make([]*nn.GradShadow, 0, cfg.BatchSize)
 
-	// A persistent worker pool for the whole run: jobs carry a slot index,
-	// wg marks batch completion. Channel send/receive orders the trainer's
-	// sequential work (instance prep, previous-batch reduction) before the
-	// worker's forward pass; wg.Wait orders all backward passes before the
-	// reduction that reads the shadows.
-	jobs := make(chan slotJob)
+	// A persistent worker pool for the whole run: jobs carry a slot index or
+	// a shard, wg marks a phase's completion. Channel send/receive orders the
+	// trainer's sequential work (instance prep, the serial parts of the
+	// reduction) before the worker's job; wg.Wait orders every job of a
+	// phase before what reads its results.
+	jobs := make(chan job)
 	var wg sync.WaitGroup
 	defer close(jobs)
 	for w := 0; w < workers; w++ {
 		go func() {
 			tape := newModelTape(m)
 			for j := range jobs {
-				runSlot(m, tape, slots[j.slot], j.inst)
+				switch {
+				case j.inst != nil:
+					runSlot(m, tape, slots[j.slot], j.inst)
+				case j.update:
+					j.sh.update(opt)
+				default:
+					j.sh.fold(okShadows)
+				}
 				wg.Done()
 			}
 		}()
+	}
+	// phase runs one reduction phase on every shard and waits for it.
+	phase := func(update bool) {
+		wg.Add(len(shards))
+		for _, sh := range shards {
+			jobs <- job{sh: sh, update: update}
+		}
+		wg.Wait()
 	}
 
 	var lastLoss float64
@@ -250,19 +345,17 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 			n := end - start
 			wg.Add(n)
 			for s := 0; s < n; s++ {
-				jobs <- slotJob{slot: s, inst: train[perm[start+s]]}
+				jobs <- job{slot: s, inst: train[perm[start+s]]}
 			}
 			wg.Wait()
 			// Reduce in slot order — never in completion order.
-			ok := 0
+			okShadows = okShadows[:0]
 			for s := 0; s < n; s++ {
 				sl := slots[s]
 				if sl.ok {
 					epochLoss += sl.loss
 					counted++
-					ok++
-					sl.shadow.AddInto()
-					sl.shadow.Zero()
+					okShadows = append(okShadows, sl.shadow)
 				} else {
 					skipped++
 					if cfg.Stats != nil {
@@ -270,14 +363,26 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 					}
 				}
 			}
-			if ok > 0 {
-				if step(ps, opt, cfg, ok) {
-					steps++
-				} else {
-					dropped++
-					if cfg.Stats != nil {
-						cfg.Stats.DroppedSteps++
-					}
+			if len(okShadows) == 0 {
+				continue
+			}
+			phase(false)
+			if allFinite(shards) {
+				if cfg.ClipNorm > 0 {
+					ps.ClipGradNorm(cfg.ClipNorm)
+				}
+				opt.Begin(params)
+				phase(true)
+				steps++
+			} else {
+				// A finite loss can still backpropagate into NaN/Inf
+				// gradients (e.g. a saturated softplus). Dropping the step
+				// and zeroing the buffers keeps Adam's moment estimates
+				// clean; applying it would corrupt them permanently.
+				ps.ZeroGrad()
+				dropped++
+				if cfg.Stats != nil {
+					cfg.Stats.DroppedSteps++
 				}
 			}
 		}
@@ -382,37 +487,10 @@ func restoreValues(ps *nn.ParamSet, snap [][]float64) {
 	}
 }
 
-// step applies one accumulated optimizer step, reporting whether it was
-// applied (false: the non-finite-gradient guard dropped it; the caller owns
-// the counting).
-func step(ps *nn.ParamSet, opt nn.Optimizer, cfg TrainConfig, batch int) bool {
-	if batch > 1 {
-		inv := 1 / float64(batch)
-		for _, p := range ps.All() {
-			p.Grad.ScaleInPlace(inv)
-		}
-	}
-	if !gradsFinite(ps) {
-		// A finite loss can still backpropagate into NaN/Inf gradients (e.g.
-		// a saturated softplus). Dropping the step and zeroing the buffers
-		// keeps Adam's moment estimates clean; applying it would corrupt
-		// them permanently.
-		ps.ZeroGrad()
-		return false
-	}
-	if cfg.ClipNorm > 0 {
-		ps.ClipGradNorm(cfg.ClipNorm)
-	}
-	opt.Step(ps.All())
-	return true
-}
-
-func gradsFinite(ps *nn.ParamSet) bool {
-	for _, p := range ps.All() {
-		for _, g := range p.Grad.Data {
-			if math.IsNaN(g) || math.IsInf(g, 0) {
-				return false
-			}
+func allFinite(shards []*shard) bool {
+	for _, sh := range shards {
+		if !sh.finite {
+			return false
 		}
 	}
 	return true

@@ -263,6 +263,15 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, batch boo
 	body, err := serve.ReadBody(http.MaxBytesReader(w, req.Body, maxBodyBytes), req.ContentLength, nil)
 	if err != nil {
 		r.met.responses.With("bad_input").Inc()
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			// A replica's answer to the same body, byte for byte: the v1
+			// envelope every non-2xx on /v1/rerank carries.
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusRequestEntityTooLarge)
+			fmt.Fprintf(w, "{\"error\":{\"code\":\"too_large\",\"message\":\"request body exceeds %d bytes\"}}\n", tooBig.Limit)
+			return
+		}
 		http.Error(w, "body too large or unreadable", http.StatusBadRequest)
 		return
 	}
@@ -483,6 +492,11 @@ func (r *Router) sleepBackoff(ctx context.Context, n int, retryAfter time.Durati
 // inside attempt, in the attempt's own goroutine, so a canceled loser never
 // counts against its replica.
 func (r *Router) attemptHedged(ctx context.Context, primary *replicaState, hedgePick func() *replicaState, path string, body []byte, contentType string) *attemptResult {
+	if hedgePick == nil {
+		// Nothing to race: the attempt runs inline, without a goroutine,
+		// channel or cancel context of its own.
+		return r.attempt(ctx, primary, path, body, contentType)
+	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels the loser once the winner returns
 
@@ -493,12 +507,9 @@ func (r *Router) attemptHedged(ctx context.Context, primary *replicaState, hedge
 	launch(primary)
 	inFlight := 1
 
-	var hedgeC <-chan time.Time
-	if hedgePick != nil {
-		t := time.NewTimer(r.cfg.HedgeDelay)
-		defer t.Stop()
-		hedgeC = t.C
-	}
+	t := time.NewTimer(r.cfg.HedgeDelay)
+	defer t.Stop()
+	hedgeC := t.C
 
 	var first *attemptResult
 	for {

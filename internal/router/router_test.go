@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/rerank"
 	"repro/internal/serve"
 )
 
@@ -542,5 +544,32 @@ func TestFleetGaugesConcurrentFirstProbes(t *testing.T) {
 			t.Fatalf("round %d: versions gauge %v skew %v, want 2 and 1", round, v, skew)
 		}
 		r.Close()
+	}
+}
+
+// TestRouterOversizedBodyAnswersLikeReplica: a body over the 8 MiB cap gets
+// from the router the answer a replica gives the same body — 413 with the v1
+// envelope, byte for byte — without reaching any replica, and counts as
+// bad_input.
+func TestRouterOversizedBodyAnswersLikeReplica(t *testing.T) {
+	replica := serve.NewServer(engine.Adapt(rerank.Identity{}), engine.Manifest{Dataset: "test", Config: core.DefaultConfig(3, 2, 2, 1)}, serve.Config{})
+	r, reps := testRouter(t, Config{}, okJSON)
+	body := []byte(`{"user_features":[` + strings.Repeat("1,", maxBodyBytes/2) + `1]}`)
+	want := post(replica.Handler(), "/v1/rerank", body)
+	got := post(r.Handler(), "/v1/rerank", body)
+	if want.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("replica answered %d, want 413", want.Code)
+	}
+	if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") || got.Body.String() != want.Body.String() {
+		t.Fatalf("router answered %d %q %q, replica %d %q %q", got.Code, got.Header().Get("Content-Type"), got.Body.String(),
+			want.Code, want.Header().Get("Content-Type"), want.Body.String())
+	}
+	if n := reps[0].hits.Load(); n != 0 {
+		t.Fatalf("oversized body reached a replica %d times", n)
+	}
+	w := httptest.NewRecorder()
+	r.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(w.Body.String(), `rapid_router_responses_total{status="bad_input"} 1`) {
+		t.Fatalf("no bad_input response counted:\n%s", w.Body.String())
 	}
 }

@@ -14,7 +14,8 @@ import (
 // Client is one binary-protocol connection. Rerank calls are serialized on
 // the connection (the protocol answers in order); callers that want
 // concurrency hold a Client per in-flight stream, which is how the load
-// generator and the router's replica pools already shape their connections.
+// generator (cmd/rapidload) and the repository benchmark (bench/) shape
+// their connections. The router still speaks HTTP to its replicas.
 // Encode and read buffers are reused across calls, so a steady-state client
 // allocates only what the decoded response itself needs.
 type Client struct {

@@ -1,9 +1,11 @@
 // Package binproto is the fleet-internal binary frontend for the RAPID
 // scoring engine: the same engine.Engine the HTTP frontend serves, behind a
-// length-prefixed binary protocol over TCP. It exists for the fleet-internal
-// hop (router → replica, batch backfill → replica) where both ends are this
-// codebase and JSON's encode/decode cost — float formatting, reflection,
-// per-field allocations — is pure overhead inside a ~50 ms budget.
+// length-prefixed binary protocol over TCP. It exists for hops where both
+// ends are this codebase and JSON's encode/decode cost — float formatting,
+// reflection, per-field allocations — is pure overhead inside a ~50 ms
+// budget. Its clients today are the load generator (cmd/rapidload) and the
+// repository benchmark (bench/); the router still reaches its replicas over
+// HTTP, and moving that hop onto this protocol is ROADMAP item 2.
 //
 // Scores cross the wire as raw IEEE-754 bits, so a response is bitwise
 // identical to the same request served over HTTP (the JSON path round-trips

@@ -18,32 +18,44 @@ import (
 // greedy analysis (Theorem 5.1) relies on; both are property-tested.
 func Coverage(cover [][]float64, m int) []float64 {
 	c := make([]float64, m)
-	remain := make([]float64, m)
-	for j := range remain {
-		remain[j] = 1
-	}
-	for _, tau := range cover {
-		if len(tau) != m {
-			panic(fmt.Sprintf("topics: item coverage has %d topics, want %d", len(tau), m))
-		}
-		for j, t := range tau {
-			remain[j] *= 1 - t
-		}
-	}
-	for j := range c {
-		c[j] = 1 - remain[j]
+	uncovered(c, cover)
+	for j, r := range c {
+		c[j] = 1 - r
 	}
 	return c
 }
 
 // CoverageTotal returns Σ_j c_j(G), the expected number of covered topics —
-// the div@k quantity of Section IV-B2 for a single list.
+// the div@k quantity of Section IV-B2 for a single list. It sums Coverage's
+// entries in order; for up to 16 topics it allocates nothing.
 func CoverageTotal(cover [][]float64, m int) float64 {
+	var buf [16]float64
+	remain := buf[:min(m, len(buf))]
+	if m > len(buf) {
+		remain = make([]float64, m)
+	}
+	uncovered(remain, cover)
 	var s float64
-	for _, c := range Coverage(cover, m) {
-		s += c
+	for _, r := range remain {
+		s += 1 - r
 	}
 	return s
+}
+
+// uncovered sets remain_j = Π_{τ∈cover} (1 − τ_j), the probability that no
+// item of the set covers topic j, for j < len(remain).
+func uncovered(remain []float64, cover [][]float64) {
+	for j := range remain {
+		remain[j] = 1
+	}
+	for _, tau := range cover {
+		if len(tau) != len(remain) {
+			panic(fmt.Sprintf("topics: item coverage has %d topics, want %d", len(tau), len(remain)))
+		}
+		for j, t := range tau {
+			remain[j] *= 1 - t
+		}
+	}
 }
 
 // MarginalDiversity computes d_R(R(i)) of Eq. (5) for every item in the
@@ -116,11 +128,35 @@ func NewIncrementalCoverage(m int) *IncrementalCoverage {
 // Gain returns the per-topic coverage increase Σ-free vector ζ(v) obtained
 // by adding an item with coverage tau: ζ_j = remain_j · τ_j.
 func (ic *IncrementalCoverage) Gain(tau []float64) []float64 {
-	g := make([]float64, ic.m)
+	return ic.GainInto(make([]float64, ic.m), tau)
+}
+
+// GainInto writes Gain(tau) into dst, which has length m, and returns it.
+func (ic *IncrementalCoverage) GainInto(dst, tau []float64) []float64 {
+	clear(dst[len(tau):ic.m])
 	for j, t := range tau {
-		g[j] = ic.remain[j] * t
+		dst[j] = ic.remain[j] * t
 	}
-	return g
+	return dst
+}
+
+// WeightedGain returns Σ_j w_j·ζ_j for ζ = Gain(tau), the attraction's
+// personalized diversity term ρ̄ᵀζ(v), without building ζ: the sum
+// mat.Dot(w, Gain(tau)) takes, term for term and in the same order, so the
+// two agree bit for bit. Like Dot, it panics unless len(w) is m.
+func (ic *IncrementalCoverage) WeightedGain(w, tau []float64) float64 {
+	if len(w) != ic.m || len(tau) > ic.m {
+		panic(fmt.Sprintf("topics: WeightedGain over %d weights and %d coverages, want %d topics", len(w), len(tau), ic.m))
+	}
+	var s float64
+	for j, wj := range w {
+		var z float64
+		if j < len(tau) {
+			z = ic.remain[j] * tau[j]
+		}
+		s += wj * z
+	}
+	return s
 }
 
 // GainTotal returns Σ_j Gain(tau)_j.

@@ -297,3 +297,41 @@ func TestGMMEmptyPanics(t *testing.T) {
 	}()
 	FitGMM(nil, 2, 5, rand.New(rand.NewSource(1)))
 }
+
+// TestWeightedGainMatchesDot: WeightedGain is mat.Dot's sum over Gain, bit
+// for bit — full and short coverage rows, after items were added.
+func TestWeightedGainMatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const m = 5
+	for trial := 0; trial < 200; trial++ {
+		ic := NewIncrementalCoverage(m)
+		for _, tau := range randCover(rng, rng.Intn(4), m) {
+			ic.Add(tau)
+		}
+		w := randCover(rng, 1, m)[0]
+		tau := randCover(rng, 1, 1+rng.Intn(m))[0]
+		g := ic.Gain(tau)
+		var want float64
+		for j := range w { // mat.Dot's loop
+			want += w[j] * g[j]
+		}
+		if got := ic.WeightedGain(w, tau); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: WeightedGain %v, Dot over Gain %v", trial, got, want)
+		}
+		if into := ic.GainInto(append([]float64(nil), w...), tau); !equalBits(into, g) {
+			t.Fatalf("trial %d: GainInto %v, Gain %v", trial, into, g)
+		}
+	}
+}
+
+func equalBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
