@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzBinaryFrame -fuzztime=$(FUZZTIME) ./internal/serve/binproto
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequestJSON -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=^$$ -fuzz=FuzzRouteKeyJSON -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -run=^$$ -fuzz=FuzzParseFloat -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=^$$ -fuzz=FuzzSIMDKernels -fuzztime=$(FUZZTIME) ./internal/mat
 
 # Model-lifecycle smoke: trains two tiny models, publishes them into a

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/big"
+	"math/bits"
 	"strconv"
 )
 
@@ -33,9 +36,20 @@ import (
 // On false the caller decodes the same bytes with encoding/json, which stays
 // the reference: accepted inputs, rejections and error text are its own, and
 // the differential fuzz targets hold the two equal wherever this reader
-// answers. Floats are converted by strconv.ParseFloat on the literal's bytes
-// — the call encoding/json makes — so decoded requests are bitwise the ones
-// it produces and the serving parity suites hold unchanged.
+// answers.
+//
+// Numbers are converted in the scan that checks their grammar. encoding/json
+// converts a float with strconv.ParseFloat, which is correctly rounded: each
+// literal has exactly one right answer, so any correctly rounded converter
+// returns ParseFloat's bits. The scan reads up to 19 significant digits and
+// the decimal exponent, as strconv's readFloat does, and eiselLemire converts
+// them: strconv's Eisel–Lemire, extended to subnormal results. Whatever it
+// leaves open — more than 19 significant digits, an exponent outside its
+// table, a product too close to a rounding boundary — goes to
+// strconv.ParseFloat on the literal's bytes. Ids take the scanned digits too;
+// only literals longer than 18 digits reach strconv.ParseInt for the range
+// check. Decoded requests are therefore bitwise the ones encoding/json
+// produces and the serving parity suites hold unchanged.
 //
 // Storage: every float lands in one slab that UserFeatures, Features and
 // Cover sub-slice, capacity-clamped so appending to one cannot reach its
@@ -58,9 +72,9 @@ const (
 	topicsPresize = 8
 	// maxSkipDepth bounds recursion through an unknown field's value.
 	maxSkipDepth = 32
-	// A float literal without an exponent and at most this many bytes is
-	// below 1e300 in magnitude: strconv cannot find it out of range.
-	maxPlainFloatLen = 300
+	// A float literal below 10^maxInRangeExp10 in magnitude is within
+	// float64's range: strconv cannot find it out of range.
+	maxInRangeExp10 = 308
 )
 
 // DecodeRequestJSON decodes the body of POST /v1/rerank into *req. It
@@ -95,8 +109,9 @@ func DecodeBatchJSON(body []byte) ([]Request, bool) {
 // user key without building the request: the same grammar walk, converting
 // only user_features and folding them into the key as it goes. Every other
 // known field is type-checked and its numbers grammar-checked — ids parsed
-// as in-range integers, floats converted only when they carry an exponent or
-// run past maxPlainFloatLen, the only literals that can be out of range — so
+// as in-range integers, floats converted only when they reach
+// 10^maxInRangeExp10 in magnitude, the only literals that can be out of
+// range — so
 // a true answer means encoding/json accepts the body and UserKey
 // (BatchUserKey) of what it decodes is the key returned, bit for bit. False
 // means decode and hash the slow way.
@@ -196,76 +211,287 @@ func (d *jsonWalk) next(first bool, closer byte) (more, ok bool) {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// number consumes one number literal, checked against the JSON grammar
-// (strconv alone would also take hex, underscores, "inf", a bare "1.").
-// plain means an integer literal: no fraction, no exponent.
-func (d *jsonWalk) number() (lit []byte, plain, exp, ok bool) {
-	d.peek()
+// number is one literal as the scan reads it, in the terms of strconv's
+// readFloat: its value is man × 10^exp10, exactly unless trunc.
+type number struct {
+	man   uint64 // the first maxMantDigits significant digits
+	exp10 int
+	nd    int // significant digits in man
+	neg   bool
+	plain bool // an integer literal: no fraction, no exponent
+	trunc bool // a nonzero digit past the last one man holds
+}
+
+// maxMantDigits is the significant digits a uint64 always holds: 10^19 < 2^64.
+const maxMantDigits = 19
+
+// number consumes the number literal under the cursor, checked against the
+// JSON grammar (strconv alone would also take hex, underscores, "inf", a
+// bare "1."), and reads its digits and exponent on the way.
+func (d *jsonWalk) number() (n number, ok bool) {
 	b, i := d.b, d.i
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
+	// dp is where the decimal point sits, in digits after the first
+	// significant one: the literal is 0.d₁d₂… × 10^dp.
+	dp := 0
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && isDigit(b[i]):
-		for i++; i < len(b) && isDigit(b[i]); i++ {
-		}
+		start := i
+		i = n.digits(b, i)
+		dp = i - start
 	default:
-		return nil, false, false, false
+		return n, false
 	}
-	plain = true
+	n.plain = true
 	if i < len(b) && b[i] == '.' {
-		plain = false
+		n.plain = false
 		i++
-		if i >= len(b) || !isDigit(b[i]) {
-			return nil, false, false, false
+		start := i
+		if n.nd == 0 { // zeros ahead of the first significant digit move the point
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+			dp -= i - start
 		}
-		for i++; i < len(b) && isDigit(b[i]); i++ {
+		if i = n.digits(b, i); i == start {
+			return n, false
 		}
 	}
 	if i < len(b) && b[i]|0x20 == 'e' {
-		plain, exp = false, true
+		n.plain = false
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		neg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || neg) {
 			i++
 		}
 		if i >= len(b) || !isDigit(b[i]) {
-			return nil, false, false, false
+			return n, false
 		}
-		for i++; i < len(b) && isDigit(b[i]); i++ {
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 10000 { // past this, any literal is zero or out of range
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if neg {
+			e = -e
+		}
+		dp += e
+	}
+	n.exp10 = dp - n.nd
+	d.i = i
+	return n, true
+}
+
+// digits consumes the run of significant digits at b[i:] into n and returns
+// where it ends.
+func (n *number) digits(b []byte, i int) int {
+	man, nd := n.man, n.nd
+	for nd <= maxMantDigits-8 && i+8 <= len(b) {
+		v := binary.LittleEndian.Uint64(b[i:])
+		if !eightDigits(v) {
+			break
+		}
+		man = man*1e8 + eightDigitsValue(v)
+		nd += 8
+		i += 8
+	}
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		if nd < maxMantDigits {
+			man = man*10 + uint64(c)
+			nd++
+		} else if c != 0 {
+			n.trunc = true
 		}
 	}
-	lit = b[d.i:i]
-	d.i = i
-	return lit, plain, exp, true
+	n.man, n.nd = man, nd
+	return i
+}
+
+// eightDigits reports whether the eight bytes of v, read little-endian, are
+// all ASCII digits: each byte's high nibble is 3, and adding 6 to its low
+// one does not carry (the SWAR test of Lemire's fast_float).
+func eightDigits(v uint64) bool {
+	return (v&0xF0F0F0F0F0F0F0F0)|((v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0)>>4 == 0x3333333333333333
+}
+
+// eightDigitsValue is the value of the eight digits eightDigits accepted,
+// first byte most significant, in three multiplications: pairs, quads, all.
+func eightDigitsValue(v uint64) uint64 {
+	v -= 0x3030303030303030
+	v = v*10 + v>>8
+	return ((v&0x000000FF000000FF)*(100+1000000<<32) + (v>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
 }
 
 // float consumes one number destined for a float64 field. With convert false
 // (the skim, on a value the key does not hash) the literal is only checked,
 // and converted just when it could be out of range.
 func (d *jsonWalk) float(convert bool) (float64, bool) {
-	lit, _, exp, ok := d.number()
+	d.peek()
+	start := d.i
+	n, ok := d.number()
 	if !ok {
 		return 0, false
 	}
-	if !convert && !exp && len(lit) <= maxPlainFloatLen {
+	if !convert && n.exp10+n.nd <= maxInRangeExp10 {
 		return 0, true
 	}
-	f, err := strconv.ParseFloat(string(lit), 64)
+	if !n.trunc {
+		if f, ok := eiselLemire(n.man, n.exp10, n.neg); ok {
+			return f, true
+		}
+	}
+	f, err := strconv.ParseFloat(string(d.b[start:d.i]), 64)
 	return f, err == nil
 }
 
 // integer consumes one number destined for an int field: encoding/json
 // parses it with ParseInt, so a fraction or an exponent is a type error.
 func (d *jsonWalk) integer() (int, bool) {
-	lit, plain, _, ok := d.number()
-	if !ok || !plain {
+	d.peek()
+	start := d.i
+	n, ok := d.number()
+	if !ok || !n.plain {
 		return 0, false
 	}
-	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-	return int(n), err == nil
+	if n.nd <= 18 { // at most 18 digits, all in man: below 10^18
+		v := int64(n.man)
+		if n.neg {
+			v = -v
+		}
+		if int64(int(v)) == v {
+			return int(v), true
+		}
+	}
+	v, err := strconv.ParseInt(string(d.b[start:d.i]), 10, strconv.IntSize)
+	return int(v), err == nil
 }
+
+// eiselLemire converts man × 10^exp10 to the nearest float64, or reports
+// false when it cannot tell which float64 that is. It is strconv's
+// eiselLemire64 — the same checks in the same order over the same table —
+// extended to subnormal results, which strconv leaves to its big-decimal
+// fallback (as Lemire, "Number Parsing at a Gigabyte per Second", does).
+//
+// Past the wider-approximation check, the 54 bits below the product's
+// leading one are exactly the floor of the true product's, so a result
+// rounded at or above their lowest bit is settled by them alone. A subnormal
+// result is rounded once, at 2^-1074, from those bits. It cannot be a tie:
+// the true value man × 10^exp10 with exp10 ≤ -308 is no dyadic rational
+// (5^-exp10 does not divide man), so the bits below the rounding bit are
+// never all zero and half always rounds up.
+func eiselLemire(man uint64, exp10 int, neg bool) (float64, bool) {
+	var sign uint64
+	if neg {
+		sign = 1 << 63
+	}
+	if man == 0 {
+		return math.Float64frombits(sign), true
+	}
+	if exp10 < pow10Min || pow10Max < exp10 {
+		return 0, false
+	}
+
+	// Normalization.
+	clz := bits.LeadingZeros64(man)
+	man <<= uint(clz)
+	const float64ExponentBias = 1023
+	retExp2 := 217706*exp10>>16 + 64 + float64ExponentBias - clz
+
+	// Multiplication.
+	pow := &pow10[exp10-pow10Min]
+	xHi, xLo := bits.Mul64(man, pow[1])
+
+	// Wider Approximation.
+	if xHi&0x1FF == 0x1FF && xLo+man < man {
+		yHi, yLo := bits.Mul64(man, pow[0])
+		mergedHi, mergedLo := xHi, xLo+yHi
+		if mergedLo < xLo {
+			mergedHi++
+		}
+		if mergedHi&0x1FF == 0x1FF && mergedLo+1 == 0 && yLo+man < man {
+			return 0, false
+		}
+		xHi, xLo = mergedHi, mergedLo
+	}
+
+	// Shifting to 54 Bits.
+	msb := xHi >> 63
+	retMantissa := xHi >> (msb + 9)
+	retExp2 -= 1 ^ int(msb)
+
+	if retExp2 <= 0 {
+		// A subnormal (or zero) result: its unit, 2^-1074, is 2^(2-retExp2)
+		// of retMantissa's. Keep the rounding bit, then round half up. A
+		// carry into bit 52 is the smallest normal number, as it should be.
+		m := retMantissa >> (1 - retExp2)
+		return math.Float64frombits(sign | (m+1)>>1), true
+	}
+
+	// Half-way Ambiguity.
+	if xLo == 0 && xHi&0x1FF == 0 && retMantissa&3 == 1 {
+		return 0, false
+	}
+
+	// From 54 to 53 Bits.
+	retMantissa += retMantissa & 1
+	retMantissa >>= 1
+	if retMantissa>>53 > 0 {
+		retMantissa >>= 1
+		retExp2++
+	}
+	if retExp2 >= 0x7FF {
+		return 0, false
+	}
+	return math.Float64frombits(sign | uint64(retExp2)<<52 | retMantissa&(1<<52-1)), true
+}
+
+// The decimal exponents pow10 covers, strconv's detailedPowersOfTen range.
+const (
+	pow10Min = -348
+	pow10Max = 347
+)
+
+// pow10 is strconv's detailedPowersOfTen: 10^e for e in [pow10Min,
+// pow10Max] as a 128-bit mantissa {low, high} with the top bit set, rounded
+// down; the binary exponent is implied (217706·e>>16). Built once with
+// math/big rather than listed.
+var pow10 = func() (t [pow10Max - pow10Min + 1][2]uint64) {
+	var buf [16]byte
+	split := func(m *big.Int) [2]uint64 {
+		m.FillBytes(buf[:])
+		return [2]uint64{binary.BigEndian.Uint64(buf[8:]), binary.BigEndian.Uint64(buf[:8])}
+	}
+	ten, m := big.NewInt(10), new(big.Int)
+	// 10^e, e ≥ 0: the top 128 bits, exact up to 10^55.
+	p := big.NewInt(1)
+	for e := 0; e <= pow10Max; e++ {
+		if s := p.BitLen() - 128; s > 0 {
+			m.Rsh(p, uint(s))
+		} else {
+			m.Lsh(p, uint(-s))
+		}
+		t[e-pow10Min] = split(m)
+		p.Mul(p, ten)
+	}
+	// 10^-e = 1/p: floor(2^k / p) with 2^(k-128) < p < 2^(k-127).
+	p.SetInt64(10)
+	for e := -1; e >= pow10Min; e-- {
+		m.Lsh(big.NewInt(1), uint(p.BitLen()+127))
+		t[e-pow10Min] = split(m.Quo(m, p))
+		p.Mul(p, ten)
+	}
+	return t
+}()
 
 // floatList consumes an array of numbers onto the float slab. hashed marks
 // user_features, which the skim converts and folds into the key.
@@ -438,7 +664,7 @@ func (d *jsonWalk) skip(depth int) bool {
 	case 'n':
 		return d.literal("null")
 	}
-	_, _, _, ok := d.number()
+	_, ok := d.number()
 	return ok
 }
 

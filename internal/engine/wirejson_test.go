@@ -179,6 +179,8 @@ var wireCases = []struct {
 	{"negative zero", `{"user_features":[-0,-0.0,0]}`, true},
 	{"small exponent", `{"user_features":[1e-7,1E+2,2.5e-320,1e-999]}`, true},
 	{"extremes", `{"user_features":[1e308,-1e308,0],"items":[{"id":-9223372036854775808,"init_score":1.7976931348623157e308}]}`, true},
+	{"ids either side of 18 digits", `{"items":[{"id":-0},{"id":999999999999999999},{"id":-999999999999999999},{"id":1000000000000000000},{"id":9223372036854775807}]}`, true},
+	{"subnormals", `{"user_features":[7.1e-322,-4.9e-324,2.2250738585072011e-308],"items":[{"cover":[5e-324,1e-310]}]}`, true},
 	{"long literal", `{"user_features":[0.` + strings.Repeat("1", 400) + `]}`, true},
 	{"unknown fields", `{"x":{"a":[1,"é\n\u00e9",true,false,null,{"b\"":-1.5e3}]},"user_features":[1],"items":[{"id":1,"y":"z"}]}`, true},
 	{"unknown number out of range", `{"x":1e999,"user_features":[1]}`, true}, // encoding/json never converts a skipped value
@@ -449,52 +451,70 @@ func FuzzRouteKeyJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkSkim(t, body) })
 }
 
-func benchBody(b *testing.B) []byte {
-	return mustJSON(b, poolShapedRequest(rand.New(rand.NewSource(5))))
+// benchBodies runs bench once per body fixture: "gaussian", one
+// pool-shaped request of full-precision normal floats, and "dataset", the
+// first 40 bodies of the benchmark's Taobao-like pool, cycled — the bodies
+// the serving workloads send, subnormal covers included. bench's loop
+// decodes bodies[i%len(bodies)].
+func benchBodies(b *testing.B, bench func(b *testing.B, bodies [][]byte)) {
+	gaussian := [][]byte{mustJSON(b, poolShapedRequest(rand.New(rand.NewSource(5))))}
+	var pool [][]byte
+	for _, req := range datasetRequests(b, 40) {
+		pool = append(pool, mustJSON(b, &req))
+	}
+	for _, fx := range []struct {
+		name   string
+		bodies [][]byte
+	}{{"gaussian", gaussian}, {"dataset", pool}} {
+		b.Run(fx.name, func(b *testing.B) {
+			n := 0
+			for _, body := range fx.bodies {
+				n += len(body)
+			}
+			b.SetBytes(int64(n / len(fx.bodies)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			bench(b, fx.bodies)
+		})
+	}
 }
 
 var benchSink uint64
 
 func BenchmarkDecodeRequestJSON(b *testing.B) {
-	body := benchBody(b)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var req Request
-		if !DecodeRequestJSON(body, &req) {
-			b.Fatal("declined")
+	benchBodies(b, func(b *testing.B, bodies [][]byte) {
+		for i := 0; i < b.N; i++ {
+			var req Request
+			if !DecodeRequestJSON(bodies[i%len(bodies)], &req) {
+				b.Fatal("declined")
+			}
+			benchSink += uint64(len(req.Items))
 		}
-		benchSink += uint64(len(req.Items))
-	}
+	})
 }
 
 // BenchmarkDecodeRequestStd is the encoding/json reference the other two are
 // read against.
 func BenchmarkDecodeRequestStd(b *testing.B) {
-	body := benchBody(b)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var req Request
-		if err := json.Unmarshal(body, &req); err != nil {
-			b.Fatal(err)
+	benchBodies(b, func(b *testing.B, bodies [][]byte) {
+		for i := 0; i < b.N; i++ {
+			var req Request
+			if err := json.Unmarshal(bodies[i%len(bodies)], &req); err != nil {
+				b.Fatal(err)
+			}
+			benchSink += UserKey(&req)
 		}
-		benchSink += UserKey(&req)
-	}
+	})
 }
 
 func BenchmarkRouteKeySkim(b *testing.B) {
-	body := benchBody(b)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key, ok := UserKeyJSON(body, false)
-		if !ok {
-			b.Fatal("declined")
+	benchBodies(b, func(b *testing.B, bodies [][]byte) {
+		for i := 0; i < b.N; i++ {
+			key, ok := UserKeyJSON(bodies[i%len(bodies)], false)
+			if !ok {
+				b.Fatal("declined")
+			}
+			benchSink += key
 		}
-		benchSink += key
-	}
+	})
 }

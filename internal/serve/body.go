@@ -46,8 +46,9 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // takes the body, with encoding/json into v otherwise. encoding/json sees the
 // bytes — and, when the read itself failed, the error after them — exactly as
 // it did when it read the body directly, so every rejection, status code and
-// message is its own. Nothing fast produces may alias the buffer, which is
-// back in the pool when this returns.
+// message is its own; a body read whole that fast declined counts on
+// rapid_json_decode_fallback_total. Nothing fast produces may alias the
+// buffer, which is back in the pool when this returns.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, fast func(body []byte) bool) error {
 	buf := bodyPool.Get().(*[]byte)
 	body, err := ReadBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, *buf)
@@ -57,8 +58,11 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, fast 
 			bodyPool.Put(buf)
 		}
 	}()
-	if err == nil && fast(body) {
-		return nil
+	if err == nil {
+		if fast(body) {
+			return nil
+		}
+		s.jsonFallback.Inc()
 	}
 	var src io.Reader = bytes.NewReader(body)
 	if err != nil {

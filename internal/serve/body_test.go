@@ -138,6 +138,43 @@ func TestDeclinedBodiesMatchEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestDecodeFallbackCounted: a body the schema decoder declines — here an
+// escaped key, which encoding/json accepts — is still served, and counts on
+// rapid_json_decode_fallback_total; a body it takes, or one whose read
+// failed, does not.
+func TestDecodeFallbackCounted(t *testing.T) {
+	s := stubServer(t, Config{MaxBodyBytes: 1 << 10})
+	h := s.Handler()
+	valid := string(mustJSON(t, validRequest()))
+	escaped := strings.Replace(valid, `"id":7`, `"\u0069d":7`, 1)
+	for _, tc := range []struct {
+		body   string
+		batch  bool
+		status int
+		want   int64
+	}{
+		{valid, false, http.StatusOK, 0},
+		{escaped, false, http.StatusOK, 1},
+		{`{"requests":[` + escaped + `]}`, true, http.StatusOK, 2},
+		{`{"requests":[` + valid + `]}`, true, http.StatusOK, 2},
+		{`{"pad":"` + strings.Repeat("a", 2<<10) + `"}`, false, http.StatusRequestEntityTooLarge, 2},
+	} {
+		post := postRerank
+		if tc.batch {
+			post = postBatch
+		}
+		if w := post(t, h, []byte(tc.body)); w.Code != tc.status {
+			t.Fatalf("%.60q…: status %d (%s), want %d", tc.body, w.Code, w.Body.String(), tc.status)
+		}
+		if got := s.jsonFallback.Value(); got != tc.want {
+			t.Fatalf("%.60q…: fallback count %d, want %d", tc.body, got, tc.want)
+		}
+	}
+	if text := getMetrics(t, h); !strings.Contains(text, "rapid_json_decode_fallback_total 2\n") {
+		t.Errorf("exposition lacks the fallback count:\n%s", text)
+	}
+}
+
 // TestOversizedBodyWithCompleteValue: encoding/json stops reading at the end
 // of the first value, so a body whose request is complete inside the cap is
 // served even if junk after it runs past the cap — and one whose value is

@@ -124,6 +124,7 @@ func TestMetricsExposition(t *testing.T) {
 		`rapid_http_responses_total{status="ok"} 2`,
 		`rapid_degraded_total{reason="error"} 1`,
 		`rapid_bad_input_total 1`,
+		`rapid_json_decode_fallback_total 1`,
 		`rapid_shed_total{reason="backpressure"} 0`,
 		`rapid_shed_total{reason="draining"} 0`,
 		`rapid_panics_recovered_total 0`,

@@ -127,6 +127,9 @@ type Server struct {
 	*engine.Engine
 	cfg Config
 	met *engine.Metrics
+	// jsonFallback counts request bodies the engine's decoder declined and
+	// encoding/json decoded instead (decodeBody).
+	jsonFallback *obs.Counter
 }
 
 // NewServer wraps a single fixed scorer with the hardened handler chain.
@@ -153,7 +156,9 @@ func NewProviderServer(p engine.Provider, cfg Config) *Server {
 		Tenants:           cfg.Tenants,
 		TenantMaxInFlight: cfg.TenantMaxInFlight,
 	})
-	return &Server{Engine: eng, cfg: cfg, met: eng.Metrics()}
+	return &Server{Engine: eng, cfg: cfg, met: eng.Metrics(),
+		jsonFallback: eng.Registry().Counter("rapid_json_decode_fallback_total",
+			"Re-rank request bodies the schema decoder declined and encoding/json decoded instead (escaped, case-variant or duplicate keys, null, malformed input).")}
 }
 
 // Handler returns the full handler chain: routing wrapped in panic
