@@ -11,8 +11,12 @@ check: vet fmt layers test bench-test
 build:
 	$(GO) build ./...
 
+# The portable build too, as CI does: off amd64 the vector kernels are stubs
+# (internal/mat/simd_other.go), and code moved or deleted around them must
+# still compile there.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # gofmt -l prints offending files; any output fails the target.
 fmt:

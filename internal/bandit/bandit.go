@@ -78,25 +78,25 @@ func NewEnv(q, m, k, users, items, pool int, seed int64) *Env {
 	return e
 }
 
-// Round is one bandit interaction: a user and their candidate pool.
-type Round struct {
+// round is one bandit interaction: a user and their candidate pool.
+type round struct {
 	User int
 	Pool []int
 }
 
-// NextRound samples a round.
-func (e *Env) NextRound() Round {
+// nextRound samples a round.
+func (e *Env) nextRound() round {
 	u := e.rng.Intn(e.NumUsers)
 	pool := make([]int, e.PoolSize)
 	for i := range pool {
 		pool[i] = e.rng.Intn(e.NumItems)
 	}
-	return Round{User: u, Pool: pool}
+	return round{User: u, Pool: pool}
 }
 
-// Feature builds η(u, v | S-coverage tracker): relevance features followed
+// feature builds η(u, v | S-coverage tracker): relevance features followed
 // by the personalized marginal-diversity features pref_u ⊙ ζ(v).
-func (e *Env) Feature(u, v int, ic *topics.IncrementalCoverage) []float64 {
+func (e *Env) feature(u, v int, ic *topics.IncrementalCoverage) []float64 {
 	eta := make([]float64, e.Q+e.M)
 	xu, xv := e.userFeat[u], e.itemFeat[v]
 	for i := 0; i < e.Q; i++ {
@@ -111,18 +111,18 @@ func (e *Env) Feature(u, v int, ic *topics.IncrementalCoverage) []float64 {
 	return eta
 }
 
-// Attraction is φ̄ = ω*ᵀη clamped to [0,1].
-func (e *Env) Attraction(eta []float64) float64 {
+// attraction is φ̄ = ω*ᵀη clamped to [0,1].
+func (e *Env) attraction(eta []float64) float64 {
 	return mat.Clamp(mat.Dot(e.OmegaStar, eta), 0, 1)
 }
 
-// SimulateClicks plays one DCM scan over a chosen slate, returning clicks
+// simulateClicks plays one DCM scan over a chosen slate, returning clicks
 // and the per-slot features the learner observed.
-func (e *Env) SimulateClicks(u int, slate []int) (clicks []bool) {
+func (e *Env) simulateClicks(u int, slate []int) (clicks []bool) {
 	ic := topics.NewIncrementalCoverage(e.M)
 	clicks = make([]bool, len(slate))
 	for k, v := range slate {
-		phi := e.Attraction(e.Feature(u, v, ic))
+		phi := e.attraction(e.feature(u, v, ic))
 		ic.Add(e.itemCover[v])
 		if e.rng.Float64() < phi {
 			clicks[k] = true
@@ -134,58 +134,28 @@ func (e *Env) SimulateClicks(u int, slate []int) (clicks []bool) {
 	return clicks
 }
 
-// Utility is the DCM satisfaction f(S, ε̄, φ̄) = 1 − Π (1 − ε̄(k)·φ̄(v_k))
+// utility is the DCM satisfaction f(S, ε̄, φ̄) = 1 − Π (1 − ε̄(k)·φ̄(v_k))
 // computed with the true parameters.
-func (e *Env) Utility(u int, slate []int) float64 {
+func (e *Env) utility(u int, slate []int) float64 {
 	ic := topics.NewIncrementalCoverage(e.M)
 	prod := 1.0
 	for k, v := range slate {
-		phi := e.Attraction(e.Feature(u, v, ic))
+		phi := e.attraction(e.feature(u, v, ic))
 		ic.Add(e.itemCover[v])
 		prod *= 1 - e.Termination[k]*phi
 	}
 	return 1 - prod
 }
 
-// Gamma returns the theorem's greedy approximation ratio
-// γ = (1 − 1/e)·max{1/K, 1 − 2·φ̄max/(K−1)} for the given maximum
-// attraction probability. The simulation reports plain regret against the
-// greedy oracle (the standard empirical comparator); dividing f(S) by this
-// γ recovers the exact quantity bounded by Theorem 5.1.
-func (e *Env) Gamma(phiMax float64) float64 {
-	a := 1.0 / float64(e.K)
-	b := 1 - 2*phiMax/float64(e.K-1)
-	if b > a {
-		a = b
-	}
-	return (1 - 1/math.E) * a
-}
-
-// MaxAttraction estimates φ̄max by sampling rounds and scoring first-slot
-// attractions — the quantity entering the γ of Theorem 5.1.
-func (e *Env) MaxAttraction(samples int) float64 {
-	var mx float64
-	for s := 0; s < samples; s++ {
-		r := e.NextRound()
-		ic := topics.NewIncrementalCoverage(e.M)
-		for _, v := range r.Pool {
-			if phi := e.Attraction(e.Feature(r.User, v, ic)); phi > mx {
-				mx = phi
-			}
-		}
-	}
-	return mx
-}
-
-// OracleSlate greedily assembles the γ-approximate optimal slate using the
+// oracleSlate greedily assembles the γ-approximate optimal slate using the
 // true ω* (the comparator S*_u of Eq. 12).
-func (e *Env) OracleSlate(r Round) []int {
+func (e *Env) oracleSlate(r round) []int {
 	return greedySlate(r, e.K, func(u, v int, ic *topics.IncrementalCoverage) float64 {
-		return e.Attraction(e.Feature(u, v, ic))
+		return e.attraction(e.feature(u, v, ic))
 	}, e)
 }
 
-func greedySlate(r Round, k int, score func(u, v int, ic *topics.IncrementalCoverage) float64, e *Env) []int {
+func greedySlate(r round, k int, score func(u, v int, ic *topics.IncrementalCoverage) float64, e *Env) []int {
 	ic := topics.NewIncrementalCoverage(e.M)
 	used := make(map[int]bool, k)
 	slate := make([]int, 0, k)

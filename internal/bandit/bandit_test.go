@@ -36,14 +36,14 @@ func TestEnvInvariants(t *testing.T) {
 func TestFeatureAndAttractionBounds(t *testing.T) {
 	e := testEnv(2)
 	for trial := 0; trial < 50; trial++ {
-		r := e.NextRound()
+		r := e.nextRound()
 		ic := topics.NewIncrementalCoverage(e.M)
 		for _, v := range r.Pool[:3] {
-			eta := e.Feature(r.User, v, ic)
+			eta := e.feature(r.User, v, ic)
 			if len(eta) != e.Q+e.M {
 				t.Fatalf("feature length %d", len(eta))
 			}
-			phi := e.Attraction(eta)
+			phi := e.attraction(eta)
 			if phi < 0 || phi > 1 {
 				t.Fatalf("attraction %v", phi)
 			}
@@ -55,9 +55,9 @@ func TestFeatureAndAttractionBounds(t *testing.T) {
 func TestUtilityBounds(t *testing.T) {
 	e := testEnv(3)
 	for trial := 0; trial < 20; trial++ {
-		r := e.NextRound()
-		slate := e.OracleSlate(r)
-		u := e.Utility(r.User, slate)
+		r := e.nextRound()
+		slate := e.oracleSlate(r)
+		u := e.utility(r.User, slate)
 		if u < 0 || u > 1 {
 			t.Fatalf("utility %v", u)
 		}
@@ -68,9 +68,9 @@ func TestOracleBeatsRandomSlate(t *testing.T) {
 	e := testEnv(4)
 	var oracleU, randomU float64
 	for trial := 0; trial < 200; trial++ {
-		r := e.NextRound()
-		oracleU += e.Utility(r.User, e.OracleSlate(r))
-		randomU += e.Utility(r.User, r.Pool[:e.K])
+		r := e.nextRound()
+		oracleU += e.utility(r.User, e.oracleSlate(r))
+		randomU += e.utility(r.User, r.Pool[:e.K])
 	}
 	if oracleU <= randomU {
 		t.Fatalf("oracle %v not above random %v", oracleU, randomU)
@@ -78,7 +78,7 @@ func TestOracleBeatsRandomSlate(t *testing.T) {
 }
 
 func TestShermanMorrisonMatchesDirectInverse(t *testing.T) {
-	l := NewLinRAPID(3, 1, UCB)
+	l := newLinRAPID(3, 1, UCB)
 	etas := [][]float64{{1, 0, 0.5}, {0.2, 0.7, 0.1}, {0.3, 0.3, 0.3}}
 	for _, eta := range etas {
 		l.rankOne(eta)
@@ -110,7 +110,7 @@ func TestShermanMorrisonMatchesDirectInverse(t *testing.T) {
 }
 
 func TestQuadFormNonNegative(t *testing.T) {
-	l := NewLinRAPID(4, 1, UCB)
+	l := newLinRAPID(4, 1, UCB)
 	l.rankOne([]float64{0.5, 0.1, 0.2, 0.9})
 	for _, eta := range [][]float64{{1, 0, 0, 0}, {0.3, 0.3, 0.3, 0.3}} {
 		if q := l.quad(eta); q < 0 {
@@ -122,16 +122,16 @@ func TestQuadFormNonNegative(t *testing.T) {
 func TestLearnerConvergesToOracle(t *testing.T) {
 	e := testEnv(5)
 	d := e.Q + e.M
-	l := NewLinRAPID(d, 0.5, UCB)
+	l := newLinRAPID(d, 0.5, UCB)
 	var early, late float64
 	const n = 1200
 	for round := 1; round <= n; round++ {
-		r := e.NextRound()
-		feats := l.SelectSlate(e, r)
-		slate := l.LastSlate()
-		clicks := e.SimulateClicks(r.User, slate)
-		l.Update(feats, clicks)
-		gap := e.Utility(r.User, e.OracleSlate(r)) - e.Utility(r.User, slate)
+		r := e.nextRound()
+		feats := l.selectSlate(e, r)
+		slate := l.lastSlate
+		clicks := e.simulateClicks(r.User, slate)
+		l.update(feats, clicks)
+		gap := e.utility(r.User, e.oracleSlate(r)) - e.utility(r.User, slate)
 		if round <= n/4 {
 			early += gap
 		} else if round > 3*n/4 {
@@ -181,7 +181,7 @@ func TestUCBOutperformsAblations(t *testing.T) {
 }
 
 func TestExplorationScalePositive(t *testing.T) {
-	if s := ExplorationScale(1000, 5, 10); s <= 1 {
+	if s := explorationScale(1000, 5, 10); s <= 1 {
 		t.Fatalf("exploration scale %v", s)
 	}
 }
@@ -215,7 +215,7 @@ func TestGammaBounds(t *testing.T) {
 }
 
 func TestCholeskyFactorization(t *testing.T) {
-	l := NewLinRAPID(3, 1, Thompson)
+	l := newLinRAPID(3, 1, Thompson)
 	l.rankOne([]float64{0.4, 0.2, 0.7})
 	l.rankOne([]float64{0.1, 0.9, 0.3})
 	ch := cholesky(l.minv)
@@ -236,16 +236,16 @@ func TestCholeskyFactorization(t *testing.T) {
 func TestThompsonLearns(t *testing.T) {
 	e := testEnv(13)
 	d := e.Q + e.M
-	l := NewLinRAPID(d, 1.0, Thompson)
+	l := newLinRAPID(d, 1.0, Thompson)
 	var early, late float64
 	const n = 1200
 	for round := 1; round <= n; round++ {
-		r := e.NextRound()
-		feats := l.SelectSlate(e, r)
-		slate := l.LastSlate()
-		clicks := e.SimulateClicks(r.User, slate)
-		l.Update(feats, clicks)
-		gap := e.Utility(r.User, e.OracleSlate(r)) - e.Utility(r.User, slate)
+		r := e.nextRound()
+		feats := l.selectSlate(e, r)
+		slate := l.lastSlate
+		clicks := e.simulateClicks(r.User, slate)
+		l.update(feats, clicks)
+		gap := e.utility(r.User, e.oracleSlate(r)) - e.utility(r.User, slate)
 		if round <= n/4 {
 			early += gap
 		} else if round > 3*n/4 {
@@ -255,4 +255,34 @@ func TestThompsonLearns(t *testing.T) {
 	if late >= early {
 		t.Fatalf("Thompson per-round regret did not shrink: early %v late %v", early, late)
 	}
+}
+
+// Gamma returns the theorem's greedy approximation ratio
+// γ = (1 − 1/e)·max{1/K, 1 − 2·φ̄max/(K−1)} for the given maximum
+// attraction probability. The simulation reports plain regret against the
+// greedy oracle (the standard empirical comparator); dividing f(S) by this
+// γ recovers the exact quantity bounded by Theorem 5.1.
+func (e *Env) Gamma(phiMax float64) float64 {
+	a := 1.0 / float64(e.K)
+	b := 1 - 2*phiMax/float64(e.K-1)
+	if b > a {
+		a = b
+	}
+	return (1 - 1/math.E) * a
+}
+
+// MaxAttraction estimates φ̄max by sampling rounds and scoring first-slot
+// attractions — the quantity entering the γ of Theorem 5.1.
+func (e *Env) MaxAttraction(samples int) float64 {
+	var mx float64
+	for s := 0; s < samples; s++ {
+		r := e.nextRound()
+		ic := topics.NewIncrementalCoverage(e.M)
+		for _, v := range r.Pool {
+			if phi := e.attraction(e.feature(r.User, v, ic)); phi > mx {
+				mx = phi
+			}
+		}
+	}
+	return mx
 }

@@ -42,11 +42,11 @@ func (m Mode) String() string {
 	}
 }
 
-// LinRAPID is the linearized RAPID learner: ridge regression over the
+// linRAPID is the linearized RAPID learner: ridge regression over the
 // per-position features with a confidence ellipsoid, exactly the object
 // analyzed in Theorem 5.1. M⁻¹ is maintained by Sherman–Morrison updates so
 // each round costs O(K·pool·d²).
-type LinRAPID struct {
+type linRAPID struct {
 	Mode Mode
 	// S is the exploration scale s of the theorem.
 	S float64
@@ -63,18 +63,18 @@ type LinRAPID struct {
 	wSample   []float64 // per-round Thompson sample ω̃
 }
 
-// NewLinRAPID creates a learner for feature dimension d.
-func NewLinRAPID(d int, s float64, mode Mode) *LinRAPID {
+// newLinRAPID creates a learner for feature dimension d.
+func newLinRAPID(d int, s float64, mode Mode) *linRAPID {
 	minv := mat.New(d, d)
 	for i := 0; i < d; i++ {
 		minv.Set(i, i, 1)
 	}
-	return &LinRAPID{Mode: mode, S: s, d: d, minv: minv, bvec: make([]float64, d), wHat: make([]float64, d)}
+	return &linRAPID{Mode: mode, S: s, d: d, minv: minv, bvec: make([]float64, d), wHat: make([]float64, d)}
 }
 
-// SelectSlate greedily builds the slate by UCB score, mirroring the
+// selectSlate greedily builds the slate by UCB score, mirroring the
 // paper's top-K-by-upper-confidence-bound re-ranking.
-func (l *LinRAPID) SelectSlate(e *Env, r Round) [][]float64 {
+func (l *linRAPID) selectSlate(e *Env, r round) [][]float64 {
 	// Returns the features of the chosen slate in order; the slate item
 	// IDs are tracked in lastSlate.
 	l.refresh()
@@ -117,14 +117,11 @@ func (l *LinRAPID) SelectSlate(e *Env, r Round) [][]float64 {
 	return feats
 }
 
-// lastSlate holds the item IDs chosen by the most recent SelectSlate.
-func (l *LinRAPID) LastSlate() []int { return l.lastSlate }
-
-// Update feeds back the DCM clicks. Under the DCM, positions up to the last
+// update feeds back the DCM clicks. Under the DCM, positions up to the last
 // click are known to be examined; later positions after a terminating click
 // carry no attraction signal and are skipped, matching the estimation
 // protocol of the analysis.
-func (l *LinRAPID) Update(feats [][]float64, clicks []bool) {
+func (l *linRAPID) update(feats [][]float64, clicks []bool) {
 	last := -1
 	for k, c := range clicks {
 		if c {
@@ -147,8 +144,8 @@ func (l *LinRAPID) Update(feats [][]float64, clicks []bool) {
 	l.dirt = true
 }
 
-func (l *LinRAPID) feature(e *Env, u, v int, ic *topics.IncrementalCoverage) []float64 {
-	eta := e.Feature(u, v, ic)
+func (l *linRAPID) feature(e *Env, u, v int, ic *topics.IncrementalCoverage) []float64 {
+	eta := e.feature(u, v, ic)
 	if l.Mode == NoPersonal {
 		// Replace pref_u ⊙ ζ with uniform(1/m) ⊙ ζ.
 		gain := ic.Gain(e.itemCover[v])
@@ -160,7 +157,7 @@ func (l *LinRAPID) feature(e *Env, u, v int, ic *topics.IncrementalCoverage) []f
 }
 
 // rankOne applies the Sherman–Morrison update M⁻¹ ← M⁻¹ − (M⁻¹ηηᵀM⁻¹)/(1+ηᵀM⁻¹η).
-func (l *LinRAPID) rankOne(eta []float64) {
+func (l *linRAPID) rankOne(eta []float64) {
 	u := make([]float64, l.d) // M⁻¹·η
 	for i := 0; i < l.d; i++ {
 		row := l.minv.Row(i)
@@ -179,7 +176,7 @@ func (l *LinRAPID) rankOne(eta []float64) {
 	}
 }
 
-func (l *LinRAPID) quad(eta []float64) float64 {
+func (l *linRAPID) quad(eta []float64) float64 {
 	var q float64
 	for i := 0; i < l.d; i++ {
 		row := l.minv.Row(i)
@@ -195,7 +192,7 @@ func (l *LinRAPID) quad(eta []float64) float64 {
 	return q
 }
 
-func (l *LinRAPID) refresh() {
+func (l *linRAPID) refresh() {
 	if !l.dirt && l.wHatInit {
 		return
 	}
@@ -214,7 +211,7 @@ func (l *LinRAPID) refresh() {
 // samplePosterior draws ω̃ ~ N(ω̂, (S/3)²·M⁻¹) via the Cholesky factor of
 // M⁻¹. The S/3 deflation mirrors common practice: the theorem's s is a
 // high-probability envelope, far wider than a posterior standard deviation.
-func (l *LinRAPID) samplePosterior() {
+func (l *linRAPID) samplePosterior() {
 	if l.Rng == nil {
 		l.Rng = rand.New(rand.NewSource(20260705))
 	}

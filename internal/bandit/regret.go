@@ -24,9 +24,9 @@ type RegretCurve struct {
 	Alpha float64
 }
 
-// ExplorationScale returns the theorem's s for horizon n and feature
+// explorationScale returns the theorem's s for horizon n and feature
 // dimension q0 with σ = 1 and ‖ω*‖ ≤ 1 (a constant-factor-faithful form).
-func ExplorationScale(n, k, q0 int) float64 {
+func explorationScale(n, k, q0 int) float64 {
 	fn, fq := float64(n), float64(q0)
 	return math.Sqrt(fq*math.Log(1+fn*float64(k)/fq)+2*math.Log(fn)) + 1
 }
@@ -36,8 +36,8 @@ func ExplorationScale(n, k, q0 int) float64 {
 // Σ f(S*_u) − f(S_u), checkpointed every `every` rounds.
 func SimulateRegret(e *Env, mode Mode, n, every int, sScale float64) RegretCurve {
 	d := e.Q + e.M
-	s := sScale * ExplorationScale(n, e.K, d)
-	learner := NewLinRAPID(d, s, mode)
+	s := sScale * explorationScale(n, e.K, d)
+	learner := newLinRAPID(d, s, mode)
 	curve := RegretCurve{Mode: mode}
 	var cum float64
 	type pt struct {
@@ -46,13 +46,13 @@ func SimulateRegret(e *Env, mode Mode, n, every int, sScale float64) RegretCurve
 	}
 	var checkpoints []pt
 	for round := 1; round <= n; round++ {
-		r := e.NextRound()
-		feats := learner.SelectSlate(e, r)
-		slate := learner.LastSlate()
-		clicks := e.SimulateClicks(r.User, slate)
-		learner.Update(feats, clicks)
-		opt := e.OracleSlate(r)
-		cum += e.Utility(r.User, opt) - e.Utility(r.User, slate)
+		r := e.nextRound()
+		feats := learner.selectSlate(e, r)
+		slate := learner.lastSlate
+		clicks := e.simulateClicks(r.User, slate)
+		learner.update(feats, clicks)
+		opt := e.oracleSlate(r)
+		cum += e.utility(r.User, opt) - e.utility(r.User, slate)
 		if round%every == 0 || round == n {
 			checkpoints = append(checkpoints, pt{round, cum})
 		}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dataset"
+	"repro/internal/diversify"
 	"repro/internal/mat"
 	"repro/internal/rerank"
 )
@@ -187,19 +188,19 @@ func TestAdpMMRPropensityDirection(t *testing.T) {
 }
 
 func TestGreedyScoresEncodeOrder(t *testing.T) {
-	s := greedyScores([]int{2, 0, 1}, 3)
+	s := diversify.GreedyScores([]int{2, 0, 1}, 3)
 	// Item 2 picked first → highest score.
 	if !(s[2] > s[0] && s[0] > s[1]) {
-		t.Fatalf("greedyScores = %v", s)
+		t.Fatalf("GreedyScores = %v", s)
 	}
 }
 
 func TestNormalizeRelevance(t *testing.T) {
-	out := normalizeRelevance([]float64{2, 4, 6})
+	out := diversify.NormalizeRelevance([]float64{2, 4, 6})
 	if out[0] != 0 || out[2] != 1 || math.Abs(out[1]-0.5) > 1e-12 {
-		t.Fatalf("normalizeRelevance = %v", out)
+		t.Fatalf("NormalizeRelevance = %v", out)
 	}
-	flat := normalizeRelevance([]float64{3, 3})
+	flat := diversify.NormalizeRelevance([]float64{3, 3})
 	if flat[0] != 0.5 || flat[1] != 0.5 {
 		t.Fatalf("constant input = %v", flat)
 	}
@@ -216,19 +217,19 @@ func TestDPPGreedyMatchesExhaustive(t *testing.T) {
 	for i := 0; i < n; i++ {
 		kernel.Set(i, i, kernel.At(i, i)+0.1)
 	}
-	order := GreedyMAP(kernel, 3)
+	order := diversify.GreedyMAP(kernel, 3)
 	if len(order) != 3 {
 		t.Fatalf("greedy returned %d items", len(order))
 	}
 	// Verify each prefix beats all single-swap alternatives of the last pick.
 	for k := 1; k <= 3; k++ {
-		base := LogDet(kernel, order[:k])
+		base := diversify.LogDet(kernel, order[:k])
 		for alt := 0; alt < n; alt++ {
 			if contains(order[:k], alt) {
 				continue
 			}
 			cand := append(append([]int{}, order[:k-1]...), alt)
-			if LogDet(kernel, cand) > base+1e-9 {
+			if diversify.LogDet(kernel, cand) > base+1e-9 {
 				t.Fatalf("greedy step %d suboptimal: swap %v for %v gains", k, order[k-1], alt)
 			}
 		}
@@ -237,7 +238,7 @@ func TestDPPGreedyMatchesExhaustive(t *testing.T) {
 
 func TestDPPKernelSymmetricPositiveDiagonal(t *testing.T) {
 	inst := fixture(t, 1)[0]
-	k := NewDPP().Kernel(inst)
+	k := NewDPP().kernel(inst)
 	for i := 0; i < k.Rows; i++ {
 		if k.At(i, i) <= 0 {
 			t.Fatal("non-positive kernel diagonal")
@@ -343,7 +344,7 @@ func TestGreedyMAPPermutationProperty(t *testing.T) {
 			kernel.Set(i, i, kernel.At(i, i)+0.2)
 		}
 		k := 1 + rng.Intn(n)
-		order := GreedyMAP(kernel, k)
+		order := diversify.GreedyMAP(kernel, k)
 		if len(order) != k {
 			return false
 		}

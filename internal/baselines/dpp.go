@@ -31,15 +31,15 @@ func (m *DPP) Name() string { return "DPP" }
 // Scores implements rerank.Reranker.
 func (m *DPP) Scores(inst *rerank.Instance) []float64 {
 	l := inst.L()
-	kernel := m.Kernel(inst)
-	order := GreedyMAP(kernel, l)
-	return greedyScores(order, l)
+	kernel := m.kernel(inst)
+	order := diversify.GreedyMAP(kernel, l)
+	return diversify.GreedyScores(order, l)
 }
 
-// Kernel builds the L-ensemble kernel matrix for an instance.
-func (m *DPP) Kernel(inst *rerank.Instance) *mat.Matrix {
+// kernel builds the L-ensemble kernel matrix for an instance.
+func (m *DPP) kernel(inst *rerank.Instance) *mat.Matrix {
 	l := inst.L()
-	rel := normalizeRelevance(inst.InitScores)
+	rel := diversify.NormalizeRelevance(inst.InitScores)
 	q := make([]float64, l)
 	for i := range q {
 		q[i] = math.Exp(m.QualityWeight * rel[i])
@@ -62,21 +62,6 @@ func (m *DPP) Kernel(inst *rerank.Instance) *mat.Matrix {
 		}
 	}
 	return k
-}
-
-// GreedyMAP returns the greedy MAP selection order over the kernel,
-// selecting up to k items. The Chen et al. incremental-Cholesky loop was
-// lifted verbatim into internal/diversify (where it also serves behind
-// /v1/rerank); this alias keeps PD-GAN and the benchmark suite on their
-// historical entry point.
-func GreedyMAP(kernel *mat.Matrix, k int) []int {
-	return diversify.GreedyMAP(kernel, k)
-}
-
-// LogDet returns log det of the kernel submatrix indexed by sel, computed
-// by Cholesky. It exists for tests verifying the greedy objective.
-func LogDet(kernel *mat.Matrix, sel []int) float64 {
-	return diversify.LogDet(kernel, sel)
 }
 
 func cosine(a, b []float64) float64 {

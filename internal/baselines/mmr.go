@@ -8,24 +8,6 @@ import (
 	"repro/internal/rerank"
 )
 
-// greedyScores converts a greedy selection order (indices into the
-// instance's items, best first) into a score vector aligned with the
-// original positions, so greedy re-rankers satisfy the Reranker contract.
-// The implementation lives in internal/diversify (the servable home of the
-// greedy family); this alias keeps the package's other greedy baselines
-// (seq2slate, SSD, PD-GAN) on their historical helper.
-func greedyScores(order []int, l int) []float64 {
-	return diversify.GreedyScores(order, l)
-}
-
-// normalizeRelevance min-max scales initial scores into [0,1] so the
-// relevance and coverage-gain terms of MMR-style objectives are comparable.
-// Lifted into internal/diversify; identical on the finite scores every
-// instance here carries.
-func normalizeRelevance(init []float64) []float64 {
-	return diversify.NormalizeRelevance(init)
-}
-
 // MMR is Carbonell & Goldstein's Maximal Marginal Relevance, instantiated
 // with the probabilistic-coverage gain as the novelty term: items are
 // selected greedily by θ·rel + (1−θ)·coverage-gain. The tradeoff θ is
@@ -53,9 +35,9 @@ func (m *MMR) Scores(inst *rerank.Instance) []float64 {
 // /v1/rerank; the equivalence tests pin this delegation against a frozen
 // copy of the pre-refactor loop.
 func mmrScores(inst *rerank.Instance, theta float64, topicWeights []float64) []float64 {
-	rel := normalizeRelevance(inst.InitScores)
+	rel := diversify.NormalizeRelevance(inst.InitScores)
 	order := diversify.MMRSelect(rel, inst.Cover, inst.M, theta, topicWeights)
-	return greedyScores(order, inst.L())
+	return diversify.GreedyScores(order, inst.L())
 }
 
 // AdpMMR is the adaptive-diversity heuristic of Di Noia et al.: the user's

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/diversify"
 	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/rerank"
@@ -179,7 +180,7 @@ func (m *PDGAN) Fit(train []*rerank.Instance) error {
 			if len(real) == 0 {
 				continue
 			}
-			fake := GreedyMAP(m.personalKernel(inst, m.qualities(inst)), m.K)
+			fake := diversify.GreedyMAP(m.personalKernel(inst, m.qualities(inst)), m.K)
 			// Discriminator step: real 1, fake 0.
 			for _, ex := range []struct {
 				set   []int
@@ -217,8 +218,8 @@ func (m *PDGAN) Scores(inst *rerank.Instance) []float64 {
 	if !m.built {
 		m.build(inst)
 	}
-	order := GreedyMAP(m.personalKernel(inst, m.qualities(inst)), inst.L())
-	return greedyScores(order, inst.L())
+	order := diversify.GreedyMAP(m.personalKernel(inst, m.qualities(inst)), inst.L())
+	return diversify.GreedyScores(order, inst.L())
 }
 
 func clickedSet(inst *rerank.Instance) []int {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/diversify"
 	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/rerank"
@@ -177,5 +178,5 @@ func (m *Seq2Slate) Scores(inst *rerank.Instance) []float64 {
 	if !m.built {
 		m.build(inst.FeatureDim())
 	}
-	return greedyScores(m.decode(inst), inst.L())
+	return diversify.GreedyScores(m.decode(inst), inst.L())
 }

@@ -3,6 +3,7 @@ package baselines
 import (
 	"math"
 
+	"repro/internal/diversify"
 	"repro/internal/mat"
 	"repro/internal/rerank"
 )
@@ -30,7 +31,7 @@ func (m *SSD) Name() string { return "SSD" }
 // Scores implements rerank.Reranker.
 func (m *SSD) Scores(inst *rerank.Instance) []float64 {
 	l := inst.L()
-	rel := normalizeRelevance(inst.InitScores)
+	rel := diversify.NormalizeRelevance(inst.InitScores)
 	// Item vectors: topic coverage concatenated with unit-normalized
 	// features, so both topical and latent similarity shrink the volume.
 	vecs := make([][]float64, l)
@@ -71,7 +72,7 @@ func (m *SSD) Scores(inst *rerank.Instance) []float64 {
 			}
 		}
 	}
-	return greedyScores(order, l)
+	return diversify.GreedyScores(order, l)
 }
 
 // residual returns v minus its projection onto the orthonormal basis.

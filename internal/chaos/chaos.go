@@ -81,13 +81,6 @@ func (s *Script) Fault(r *http.Request) Fault {
 	return f
 }
 
-// Remaining reports how many scripted faults have not fired yet.
-func (s *Script) Remaining() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.Faults) - s.next
-}
-
 // ScoringOnly is a Script.Match that spares health probes: only the POST
 // scoring endpoints consume script entries.
 func ScoringOnly(r *http.Request) bool { return r.Method == http.MethodPost }
@@ -132,9 +125,6 @@ func (p *Proxy) SetInjector(i Injector) {
 // has its connection severed with no response, exactly what a kill -9 of the
 // replica process looks like to callers. SetDown(false) "restarts" it.
 func (p *Proxy) SetDown(down bool) { p.down.Store(down) }
-
-// Down reports whether the proxy is blacked out.
-func (p *Proxy) Down() bool { return p.down.Load() }
 
 // ServeHTTP implements http.Handler.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {

@@ -138,3 +138,13 @@ func TestScript(t *testing.T) {
 		t.Fatalf("exhausted script still injecting: %+v", f)
 	}
 }
+
+// Remaining reports how many scripted faults have not fired yet.
+func (s *Script) Remaining() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.Faults) - s.next
+}
+
+// Down reports whether the proxy is blacked out.
+func (p *Proxy) Down() bool { return p.down.Load() }

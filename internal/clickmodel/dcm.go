@@ -42,8 +42,8 @@ type DCM struct {
 	Topics int
 }
 
-// Epsilon returns ε̄ at 0-based position k.
-func (d *DCM) Epsilon(k int) float64 {
+// epsilon returns ε̄ at 0-based position k.
+func (d *DCM) epsilon(k int) float64 {
 	if len(d.Termination) == 0 {
 		return 0
 	}
@@ -77,7 +77,7 @@ func (d *DCM) Simulate(user int, list []int, rng *rand.Rand) (clicks []bool, lef
 	for k := range list {
 		if rng.Float64() < phi[k] {
 			clicks[k] = true
-			if rng.Float64() < d.Epsilon(k) {
+			if rng.Float64() < d.epsilon(k) {
 				return clicks, k
 			}
 		}
@@ -102,7 +102,7 @@ func (d *DCM) ExpectedClicksFrom(phi []float64) []float64 {
 	examine := 1.0
 	for k := range phi {
 		out[k] = examine * phi[k]
-		examine *= 1 - phi[k]*d.Epsilon(k)
+		examine *= 1 - phi[k]*d.epsilon(k)
 	}
 	return out
 }
@@ -122,7 +122,7 @@ func (d *DCM) SatisfactionFrom(phi []float64, k int) float64 {
 	}
 	prod := 1.0
 	for i := 0; i < k; i++ {
-		prod *= 1 - d.Epsilon(i)*phi[i]
+		prod *= 1 - d.epsilon(i)*phi[i]
 	}
 	return 1 - prod
 }

@@ -89,14 +89,14 @@ func TestAttractionsBoundedProperty(t *testing.T) {
 
 func TestEpsilonExtension(t *testing.T) {
 	d := testDCM(1)
-	if d.Epsilon(0) != 0.5 || d.Epsilon(3) != 0.2 {
+	if d.epsilon(0) != 0.5 || d.epsilon(3) != 0.2 {
 		t.Fatal("Epsilon lookup broken")
 	}
-	if d.Epsilon(10) != 0.2 {
-		t.Fatalf("Epsilon beyond slice = %v, want last value", d.Epsilon(10))
+	if d.epsilon(10) != 0.2 {
+		t.Fatalf("Epsilon beyond slice = %v, want last value", d.epsilon(10))
 	}
 	empty := &DCM{}
-	if empty.Epsilon(0) != 0 {
+	if empty.epsilon(0) != 0 {
 		t.Fatal("empty termination should give 0")
 	}
 }
@@ -303,4 +303,60 @@ func BenchmarkDCMAttractions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Attractions(0, list)
 	}
+}
+
+// Satisfaction computes satis@k with the fitted φ̃ and ε̃.
+func (e *Estimated) Satisfaction(user int, list []int, k int) float64 {
+	phi := e.Attractions(user, list)
+	if k > len(list) {
+		k = len(list)
+	}
+	prod := 1.0
+	for i := 0; i < k && i < len(phi); i++ {
+		eps := 0.5
+		if i < len(e.Eps) {
+			eps = e.Eps[i]
+		}
+		prod *= 1 - eps*phi[i]
+	}
+	return 1 - prod
+}
+
+// LogLikelihood returns the DCM log-likelihood of the logs under the fitted
+// parameters, useful for verifying that estimation improves the fit.
+func (e *Estimated) LogLikelihood(logs []Session) float64 {
+	var ll float64
+	for _, s := range logs {
+		phi := e.Attractions(s.User, s.List)
+		last := lastClick(s.Clicks)
+		for k := range s.List {
+			if last >= 0 && k > last {
+				break
+			}
+			p := mat.Clamp(phi[k], 1e-6, 1-1e-6)
+			if k < len(s.Clicks) && s.Clicks[k] {
+				ll += math.Log(p)
+			} else {
+				ll += math.Log(1 - p)
+			}
+		}
+	}
+	return ll
+}
+
+// Attractions mirrors DCM.Attractions using the fitted parameters.
+func (e *Estimated) Attractions(user int, list []int) []float64 {
+	phi := make([]float64, len(list))
+	rho := e.Rho[user]
+	ic := topics.NewIncrementalCoverage(e.Topics)
+	for k, v := range list {
+		tau := e.Cover(v)
+		div := 0.0
+		if rho != nil {
+			div = ic.WeightedGain(rho, tau)
+		}
+		phi[k] = mat.Clamp(e.Lambda*e.Alpha[v]+(1-e.Lambda)*div, 0, 1)
+		ic.Add(tau)
+	}
+	return phi
 }

@@ -2,7 +2,6 @@ package clickmodel
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/mat"
 	"repro/internal/topics"
@@ -26,8 +25,8 @@ type PBM struct {
 	Examination []float64
 }
 
-// Gamma returns γ at 0-based position k.
-func (p *PBM) Gamma(k int) float64 {
+// gamma returns γ at 0-based position k.
+func (p *PBM) gamma(k int) float64 {
 	if len(p.Examination) == 0 {
 		return 1
 	}
@@ -37,9 +36,9 @@ func (p *PBM) Gamma(k int) float64 {
 	return p.Examination[k]
 }
 
-// Attractions mirrors DCM.Attractions: position-dependent attraction with
+// attractions mirrors DCM.Attractions: position-dependent attraction with
 // the incremental personalized diversity term.
-func (p *PBM) Attractions(user int, list []int) []float64 {
+func (p *PBM) attractions(user int, list []int) []float64 {
 	phi := make([]float64, len(list))
 	rho := p.DivWeight(user)
 	ic := topics.NewIncrementalCoverage(p.Topics)
@@ -53,22 +52,12 @@ func (p *PBM) Attractions(user int, list []int) []float64 {
 
 // ExpectedClicks returns γ(k)·φ(v_k) per position.
 func (p *PBM) ExpectedClicks(user int, list []int) []float64 {
-	phi := p.Attractions(user, list)
+	phi := p.attractions(user, list)
 	out := make([]float64, len(list))
 	for k := range list {
-		out[k] = p.Gamma(k) * phi[k]
+		out[k] = p.gamma(k) * phi[k]
 	}
 	return out
-}
-
-// Simulate draws one PBM click realization.
-func (p *PBM) Simulate(user int, list []int, rng *rand.Rand) []bool {
-	phi := p.Attractions(user, list)
-	clicks := make([]bool, len(list))
-	for k := range list {
-		clicks[k] = rng.Float64() < p.Gamma(k)*phi[k]
-	}
-	return clicks
 }
 
 // DefaultExamination builds the standard 1/(k+1)^η examination curve.

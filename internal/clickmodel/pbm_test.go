@@ -23,17 +23,17 @@ func testPBM(lambda float64) *PBM {
 
 func TestPBMGamma(t *testing.T) {
 	p := testPBM(1)
-	if p.Gamma(0) != 1 {
-		t.Fatalf("gamma(0) = %v", p.Gamma(0))
+	if p.gamma(0) != 1 {
+		t.Fatalf("gamma(0) = %v", p.gamma(0))
 	}
-	if p.Gamma(1) >= p.Gamma(0) {
+	if p.gamma(1) >= p.gamma(0) {
 		t.Fatal("examination should decay with position")
 	}
-	if p.Gamma(99) != p.Gamma(3) {
+	if p.gamma(99) != p.gamma(3) {
 		t.Fatal("out-of-range gamma should reuse the last entry")
 	}
 	empty := &PBM{}
-	if empty.Gamma(0) != 1 {
+	if empty.gamma(0) != 1 {
 		t.Fatal("empty examination should default to 1")
 	}
 }
@@ -43,7 +43,7 @@ func TestPBMAttractionMatchesDCM(t *testing.T) {
 	p := testPBM(0.5)
 	d := testDCM(0.5)
 	list := []int{0, 2, 1, 3}
-	pa := p.Attractions(0, list)
+	pa := p.attractions(0, list)
 	da := d.Attractions(0, list)
 	for k := range list {
 		if math.Abs(pa[k]-da[k]) > 1e-12 {
@@ -94,4 +94,14 @@ func TestDefaultExamination(t *testing.T) {
 	if g[0] != 1 || math.Abs(g[4]-0.2) > 1e-12 {
 		t.Fatalf("examination curve %v", g)
 	}
+}
+
+// Simulate draws one PBM click realization.
+func (p *PBM) Simulate(user int, list []int, rng *rand.Rand) []bool {
+	phi := p.attractions(user, list)
+	clicks := make([]bool, len(list))
+	for k := range list {
+		clicks[k] = rng.Float64() < p.gamma(k)*phi[k]
+	}
+	return clicks
 }

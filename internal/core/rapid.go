@@ -299,7 +299,7 @@ func (m *Model) Logits(t *nn.Tape, inst *rerank.Instance, train bool) *nn.Node {
 	return t.Add(mu, sigma)
 }
 
-// PrepareInstance implements rerank.BatchPreparer: it draws the instance's
+// PrepareInstance is the trainer's batch-preparer hook: it draws the instance's
 // reparameterization noise ξ from the model's RNG ahead of the concurrent
 // forward passes. The trainer calls it sequentially in batch order, so the
 // noise stream is consumed in a deterministic order no matter how many

@@ -34,14 +34,6 @@ type UserState struct {
 // the slice length.
 func NewUserState(theta []float64) *UserState { return &UserState{theta: theta} }
 
-// Theta exposes the encoded preference distribution. The returned slice is
-// the state's backing storage: callers must treat it as read-only.
-func (s *UserState) Theta() []float64 { return s.theta }
-
-// Topics reports the preference dimensionality (0 for a diversity-free
-// model's empty state).
-func (s *UserState) Topics() int { return len(s.theta) }
-
 // SizeBytes is what one resident state-cache entry costs in live heap, for
 // cache budget accounting: the float64 payload plus entryOverhead.
 func (s *UserState) SizeBytes() int { return 8*len(s.theta) + entryOverhead }

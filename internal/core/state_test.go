@@ -159,3 +159,11 @@ func TestEncodeUserStateHonorsContext(t *testing.T) {
 		t.Fatal("EncodeUserState ignored canceled context")
 	}
 }
+
+// Theta exposes the encoded preference distribution. The returned slice is
+// the state's backing storage: callers must treat it as read-only.
+func (s *UserState) Theta() []float64 { return s.theta }
+
+// Topics reports the preference dimensionality (0 for a diversity-free
+// model's empty state).
+func (s *UserState) Topics() int { return len(s.theta) }

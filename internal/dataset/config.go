@@ -17,7 +17,7 @@ type Config struct {
 	// GMM (Taobao), multi-hot normalized (MovieLens), one-hot (App Store).
 	CoverageKind CoverageKind
 	// Categories is the raw category count clustered by GMM when
-	// CoverageKind == CoverGMM (the Taobao path).
+	// CoverageKind == coverGMM (the Taobao path).
 	Categories int
 	// MaxGenres bounds how many genres a multi-hot item may carry.
 	MaxGenres int
@@ -65,15 +65,15 @@ type CoverageKind int
 
 // Coverage geometries.
 const (
-	// CoverGMM derives probabilistic coverage by clustering raw category
+	// coverGMM derives probabilistic coverage by clustering raw category
 	// embeddings with a Gaussian mixture (Taobao: 9,439 categories → 5
 	// topics in the paper).
-	CoverGMM CoverageKind = iota
-	// CoverMultiHot assigns 1–MaxGenres genres and normalizes the
+	coverGMM CoverageKind = iota
+	// coverMultiHot assigns 1–MaxGenres genres and normalizes the
 	// indicator vector (MovieLens genre vectors).
-	CoverMultiHot
-	// CoverOneHot assigns exactly one category (App Store).
-	CoverOneHot
+	coverMultiHot
+	// coverOneHot assigns exactly one category (App Store).
+	coverOneHot
 )
 
 // TaobaoLike mirrors the Taobao setup: m=5 topics from GMM-clustered
@@ -82,7 +82,7 @@ func TaobaoLike(seed int64) Config {
 	return Config{
 		Name: "taobao", Seed: seed,
 		NumUsers: 600, NumItems: 1200,
-		Topics: 5, CoverageKind: CoverGMM, Categories: 120,
+		Topics: 5, CoverageKind: coverGMM, Categories: 120,
 		LatentDim: 8, UserDim: 13, ItemDim: 8, FeatureNoise: 0.2,
 		RelAffinity: 2.6, RelTopical: 3.2, RelBias: -2.8,
 		FocusedFrac: 0.5, FocusedTopics: 1, HistoryLen: 40,
@@ -98,7 +98,7 @@ func MovieLensLike(seed int64) Config {
 	return Config{
 		Name: "movielens", Seed: seed,
 		NumUsers: 600, NumItems: 1200,
-		Topics: 20, CoverageKind: CoverMultiHot, MaxGenres: 3,
+		Topics: 20, CoverageKind: coverMultiHot, MaxGenres: 3,
 		LatentDim: 8, UserDim: 28, ItemDim: 8, FeatureNoise: 0.2,
 		RelAffinity: 2.4, RelTopical: 3.5, RelBias: -2.6,
 		FocusedFrac: 0.4, FocusedTopics: 2, HistoryLen: 48,
@@ -114,7 +114,7 @@ func AppStoreLike(seed int64) Config {
 	return Config{
 		Name: "appstore", Seed: seed,
 		NumUsers: 600, NumItems: 800,
-		Topics: 23, CoverageKind: CoverOneHot,
+		Topics: 23, CoverageKind: coverOneHot,
 		LatentDim: 8, UserDim: 31, ItemDim: 8, FeatureNoise: 0.2,
 		RelAffinity: 2.6, RelTopical: 3.0, RelBias: -2.6,
 		FocusedFrac: 0.45, FocusedTopics: 2, HistoryLen: 40,

@@ -24,7 +24,7 @@ func TestGenerateValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		if err := d.Validate(); err != nil {
+		if err := d.validate(); err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
 		if len(d.Users) == 0 || len(d.Items) == 0 || len(d.RankerTrain) == 0 {

@@ -19,7 +19,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	genRankerTrain(d)
 	d.RerankPools = genPools(d, cfg.RerankRequests, rngFor(cfg.Seed, "pools-rerank"))
 	d.TestPools = genPools(d, cfg.TestRequests, rngFor(cfg.Seed, "pools-test"))
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		return nil, fmt.Errorf("dataset: generated universe invalid: %w", err)
 	}
 	return d, nil
@@ -86,13 +86,13 @@ func genItems(d *Dataset) {
 func genCoverage(cfg Config, rng *rand.Rand) [][]float64 {
 	covers := make([][]float64, cfg.NumItems)
 	switch cfg.CoverageKind {
-	case CoverOneHot:
+	case coverOneHot:
 		for v := range covers {
 			c := make([]float64, cfg.Topics)
 			c[rng.Intn(cfg.Topics)] = 1
 			covers[v] = c
 		}
-	case CoverMultiHot:
+	case coverMultiHot:
 		maxG := cfg.MaxGenres
 		if maxG < 1 {
 			maxG = 1
@@ -105,7 +105,7 @@ func genCoverage(cfg Config, rng *rand.Rand) [][]float64 {
 			}
 			covers[v] = mat.Normalize(c)
 		}
-	case CoverGMM:
+	case coverGMM:
 		// Raw categories are points in a 2·Topics-dimensional embedding
 		// space drawn around per-topic centers; a GMM recovers the topic
 		// structure and its responsibilities become probabilistic coverage

@@ -153,9 +153,9 @@ func (d *Dataset) ItemFeatures(v int) []float64 { return d.Items[v].Features }
 // Bid returns the bid price of item v.
 func (d *Dataset) Bid(v int) float64 { return d.Items[v].Bid }
 
-// Validate performs internal consistency checks and returns the first
+// validate performs internal consistency checks and returns the first
 // problem found, or nil. Generators call it before returning.
-func (d *Dataset) Validate() error {
+func (d *Dataset) validate() error {
 	m := d.Cfg.Topics
 	for _, it := range d.Items {
 		if len(it.Cover) != m {

@@ -43,7 +43,7 @@ func (s *Scorer) Score(ctx context.Context, inst *rerank.Instance) ([]float64, e
 		return nil, err
 	}
 	n := inst.L()
-	order := s.Diversifier.Rerank(FromInstance(inst), s.Lambda)
+	order := s.Diversifier.Rerank(fromInstance(inst), s.Lambda)
 	if err := validOrder(order, n); err != nil {
 		// Defensive: the built-in diversifiers always return permutations;
 		// a custom implementation that does not must degrade the request,

@@ -2,7 +2,7 @@ package diversify
 
 import "math"
 
-// BSwap is the bounded greedy-exchange diversifier (the BSwap strategy of
+// bswap is the bounded greedy-exchange diversifier (the BSwap strategy of
 // the DivSuite taxonomy): start from the K most relevant items, then
 // hill-climb single swaps — evict the selected item contributing least
 // pairwise distance, admit the outsider that most improves the blended set
@@ -10,7 +10,7 @@ import "math"
 // until no swap strictly improves F. Strict improvement makes λ=0 a no-op
 // (the relevance top-K is already mean-relevance optimal), so the degenerate
 // contract holds by construction.
-type BSwap struct {
+type bswap struct {
 	// K is the exchange-set size — the list head being diversified (default
 	// 10, the cross-evaluation cutoff). Capped at the list length.
 	K int
@@ -20,15 +20,15 @@ type BSwap struct {
 	MaxSweeps int
 }
 
-// NewBSwap returns a BSwap diversifier with the serving defaults.
-func NewBSwap() *BSwap { return &BSwap{K: 10} }
+// newBswap returns a BSwap diversifier with the serving defaults.
+func newBswap() *bswap { return &bswap{K: 10} }
 
 // Name implements Diversifier.
-func (*BSwap) Name() string { return "bswap" }
+func (*bswap) Name() string { return "bswap" }
 
 // Rerank implements Diversifier.
-func (b *BSwap) Rerank(l List, lambda float64) []int {
-	n := l.Len()
+func (b *bswap) Rerank(l List, lambda float64) []int {
+	n := l.size()
 	lambda = clampLambda(lambda)
 	rel := sanitizedRel(l)
 	byRel := relevanceOrder(rel)
@@ -133,7 +133,7 @@ func (b *BSwap) Rerank(l List, lambda float64) []int {
 // [0, 2] and non-finite inputs read as maximally similar (distance 0), so a
 // hostile list can never fake diversity.
 func pairwiseDistances(l List, n int) [][]float64 {
-	m := l.Topics()
+	m := l.topics()
 	cover := sanitizedCover(l, m)
 	hasFeats := len(l.Feats) > 0
 	dist := make([][]float64, n)

@@ -32,15 +32,15 @@ type List struct {
 	Feats [][]float64
 }
 
-// Len is the candidate count; Rel defines it, Cover/Feats rows beyond it are
+// size is the candidate count; Rel defines it, Cover/Feats rows beyond it are
 // ignored.
-func (l List) Len() int { return len(l.Rel) }
+func (l List) size() int { return len(l.Rel) }
 
-// Topics returns the topic dimensionality: the widest coverage row within
+// topics returns the topic dimensionality: the widest coverage row within
 // the list (0 when no item carries coverage).
-func (l List) Topics() int {
+func (l List) topics() int {
 	m := 0
-	for i := 0; i < l.Len() && i < len(l.Cover); i++ {
+	for i := 0; i < l.size() && i < len(l.Cover); i++ {
 		if len(l.Cover[i]) > m {
 			m = len(l.Cover[i])
 		}
@@ -63,13 +63,13 @@ type Diversifier interface {
 func New(name string) (Diversifier, error) {
 	switch name {
 	case "mmr":
-		return &MMR{}, nil
+		return &mmr{}, nil
 	case "dpp":
-		return NewDPP(), nil
+		return newDPP(), nil
 	case "bswap":
-		return NewBSwap(), nil
+		return newBswap(), nil
 	case "window":
-		return NewSlidingWindow(), nil
+		return newSlidingWindow(), nil
 	}
 	return nil, fmt.Errorf("diversify: unknown diversifier %q (have %v)", name, Names())
 }
@@ -88,10 +88,10 @@ func Known(name string) bool {
 	return false
 }
 
-// FromInstance projects a re-rank instance onto the diversifier-side List:
+// fromInstance projects a re-rank instance onto the diversifier-side List:
 // positional relevance, coverage and feature rows. Slices are referenced, not
 // copied; diversifiers never mutate them.
-func FromInstance(inst *rerank.Instance) List {
+func fromInstance(inst *rerank.Instance) List {
 	n := inst.L()
 	l := List{Rel: inst.InitScores, Cover: inst.Cover}
 	if len(l.Rel) > n {
@@ -127,7 +127,7 @@ type divReranker struct {
 func (r *divReranker) Name() string { return "div-" + r.d.Name() }
 
 func (r *divReranker) Scores(inst *rerank.Instance) []float64 {
-	return GreedyScores(r.d.Rerank(FromInstance(inst), r.lambda), inst.L())
+	return GreedyScores(r.d.Rerank(fromInstance(inst), r.lambda), inst.L())
 }
 
 // GreedyScores converts a selection order (indices, best first) into a score
@@ -206,7 +206,7 @@ func sanitizedRel(l List) []float64 {
 // columns with every entry clamped into [0,1] (non-finite → 0). The copy
 // keeps diversifiers from mutating caller state.
 func sanitizedCover(l List, m int) [][]float64 {
-	n := l.Len()
+	n := l.size()
 	out := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		row := make([]float64, m)

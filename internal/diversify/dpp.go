@@ -6,7 +6,7 @@ import (
 	"repro/internal/mat"
 )
 
-// DPP re-ranks with a determinantal point process (Wilhelm et al., CIKM'18)
+// dpp re-ranks with a determinantal point process (Wilhelm et al., CIKM'18)
 // solved by Chen et al.'s fast greedy MAP inference — the lifted core of the
 // internal/baselines DPP reference, which now delegates its selection loop
 // here. The kernel is L_ij = q_i·S_ij·q_j with quality q_i = exp(w·rel_i)
@@ -16,7 +16,7 @@ import (
 // the legacy baseline kernel exactly (w = QualityWeight), λ→1 flattens
 // quality into pure-similarity volume maximization, and λ=0 short-circuits
 // to the relevance order (the uniform degenerate contract of this package).
-type DPP struct {
+type dpp struct {
 	// QualityWeight scales how sharply relevance enters the kernel at the
 	// λ=0.5 midpoint.
 	QualityWeight float64
@@ -32,15 +32,15 @@ type DPP struct {
 // at all.
 const maxQualitySharpness = 30
 
-// NewDPP returns a DPP diversifier with the baseline-matching defaults.
-func NewDPP() *DPP { return &DPP{QualityWeight: 1.0, FeatureMix: 0.3} }
+// newDPP returns a DPP diversifier with the baseline-matching defaults.
+func newDPP() *dpp { return &dpp{QualityWeight: 1.0, FeatureMix: 0.3} }
 
 // Name implements Diversifier.
-func (*DPP) Name() string { return "dpp" }
+func (*dpp) Name() string { return "dpp" }
 
 // Rerank implements Diversifier.
-func (d *DPP) Rerank(l List, lambda float64) []int {
-	n := l.Len()
+func (d *dpp) Rerank(l List, lambda float64) []int {
+	n := l.size()
 	lambda = clampLambda(lambda)
 	rel := sanitizedRel(l)
 	if lambda == 0 || n == 0 {
@@ -50,7 +50,7 @@ func (d *DPP) Rerank(l List, lambda float64) []int {
 	if w > maxQualitySharpness {
 		w = maxQualitySharpness
 	}
-	m := l.Topics()
+	m := l.topics()
 	cover := sanitizedCover(l, m)
 	q := make([]float64, n)
 	for i := range q {

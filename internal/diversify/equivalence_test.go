@@ -252,7 +252,10 @@ func TestAdpMMREquivalence(t *testing.T) {
 func TestDPPEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := baselines.NewDPP()
-	nd := diversify.NewDPP()
+	nd, err := diversify.New("dpp")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < equivTrials; trial++ {
 		inst := randomInstance(rng, 2+rng.Intn(24), 1+rng.Intn(6), 4)
 		legacyKernel := legacyDPPKernel(inst, d.QualityWeight, d.FeatureMix)
@@ -260,15 +263,15 @@ func TestDPPEquivalence(t *testing.T) {
 		if got := d.Scores(inst); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: baselines DPP diverged from legacy\n got %v\nwant %v", trial, got, want)
 		}
-		order := nd.Rerank(diversify.FromInstance(inst), 0.5)
-		if got := diversify.GreedyScores(order, inst.L()); !reflect.DeepEqual(got, want) {
+		if got := diversify.AsReranker(nd, 0.5).Scores(inst); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: diversify DPP@λ=0.5 diverged from legacy\n got %v\nwant %v", trial, got, want)
 		}
 	}
 }
 
-// TestGreedyMAPEquivalence drives the exported MAP solvers over random PSD
-// kernels directly, independent of instance plumbing.
+// TestGreedyMAPEquivalence drives diversify.GreedyMAP over random PSD
+// kernels directly, independent of instance plumbing, against the frozen
+// legacy copy.
 func TestGreedyMAPEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < equivTrials; trial++ {
@@ -295,15 +298,6 @@ func TestGreedyMAPEquivalence(t *testing.T) {
 		want := legacyGreedyMAP(kernel, k)
 		if got := diversify.GreedyMAP(kernel, k); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: diversify.GreedyMAP diverged\n got %v\nwant %v", trial, got, want)
-		}
-		if got := baselines.GreedyMAP(kernel, k); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: baselines.GreedyMAP diverged\n got %v\nwant %v", trial, got, want)
-		}
-		if sel := want; len(sel) > 0 {
-			lg, dg := baselines.LogDet(kernel, sel), diversify.LogDet(kernel, sel)
-			if lg != dg && !(math.IsNaN(lg) && math.IsNaN(dg)) {
-				t.Fatalf("trial %d: LogDet diverged: baselines %v, diversify %v", trial, lg, dg)
-			}
 		}
 	}
 }

@@ -1,4 +1,4 @@
-package diversify_test
+package diversify
 
 import (
 	"context"
@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/diversify"
 	"repro/internal/rerank"
 )
 
@@ -29,23 +28,23 @@ func FuzzDiversifierAdapter(f *testing.F) {
 	f.Add(byte(3), 1.0, byte(255), []byte{9, 1, 2, 3, 4, 5, 6}) // k >> n
 
 	f.Fuzz(func(t *testing.T, which byte, lambda float64, kb byte, data []byte) {
-		names := diversify.Names()
+		names := Names()
 		name := names[int(which)%len(names)]
-		d, err := diversify.New(name)
+		d, err := New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Fuzz the selection caps too: K past the list length must be a
 		// clean no-op/truncation, never a panic.
 		switch d := d.(type) {
-		case *diversify.DPP:
+		case *dpp:
 			d.K = int(kb)
-		case *diversify.BSwap:
+		case *bswap:
 			d.K = int(kb)
-		case *diversify.SlidingWindow:
+		case *slidingWindow:
 			d.W = int(kb)
 		}
-		sc := &diversify.Scorer{Diversifier: d, Lambda: lambda}
+		sc := &Scorer{Diversifier: d, Lambda: lambda}
 
 		inst := fuzzInstance(data)
 		scores, err := sc.Score(context.Background(), inst)
@@ -81,7 +80,7 @@ func fuzzInstance(data []byte) *rerank.Instance {
 		if len(data) >= (i+1)*8 {
 			bits := binary.LittleEndian.Uint64(data[i*8 : (i+1)*8])
 			inst.InitScores = append(inst.InitScores, math.Float64frombits(bits))
-		} // else: scores shorter than items — FromInstance must pad
+		} // else: scores shorter than items — fromInstance must pad
 		row := make([]float64, int(byteAt(data, i+1))%5) // ragged
 		for j := range row {
 			row[j] = float64(byteAt(data, i+j)) / 255

@@ -6,19 +6,19 @@ import (
 	"repro/internal/topics"
 )
 
-// MMR is Carbonell & Goldstein's Maximal Marginal Relevance with the paper's
+// mmr is Carbonell & Goldstein's Maximal Marginal Relevance with the paper's
 // probabilistic topic-coverage gain as the novelty term: items are selected
 // greedily by (1−λ)·rel + λ·coverage-gain. It is the lifted core of the
 // internal/baselines MMR/adpMMR reference implementations, which now
 // delegate here (equivalence-tested item for item).
-type MMR struct{}
+type mmr struct{}
 
 // Name implements Diversifier.
-func (*MMR) Name() string { return "mmr" }
+func (*mmr) Name() string { return "mmr" }
 
 // Rerank implements Diversifier.
-func (*MMR) Rerank(l List, lambda float64) []int {
-	m := l.Topics()
+func (*mmr) Rerank(l List, lambda float64) []int {
+	m := l.topics()
 	return MMRSelect(sanitizedRel(l), sanitizedCover(l, m), m, 1-clampLambda(lambda), nil)
 }
 

@@ -109,9 +109,9 @@ func allDiversifiers(t *testing.T) map[string]Diversifier {
 		}
 		out[name] = d
 	}
-	out["dpp-k3"] = &DPP{QualityWeight: 1, FeatureMix: 0.3, K: 3}
-	out["bswap-k300"] = &BSwap{K: 300}
-	out["window-w1"] = &SlidingWindow{W: 1}
+	out["dpp-k3"] = &dpp{QualityWeight: 1, FeatureMix: 0.3, K: 3}
+	out["bswap-k300"] = &bswap{K: 300}
+	out["window-w1"] = &slidingWindow{W: 1}
 	return out
 }
 
@@ -120,7 +120,7 @@ func allDiversifiers(t *testing.T) map[string]Diversifier {
 func TestRerankPermutationProperty(t *testing.T) {
 	for name, d := range allDiversifiers(t) {
 		f := func(h hostileList) bool {
-			return isPermutation(d.Rerank(h.l, h.lambda), h.l.Len())
+			return isPermutation(d.Rerank(h.l, h.lambda), h.l.size())
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 			t.Errorf("%s: %v", name, err)

@@ -2,7 +2,7 @@ package diversify
 
 import "math"
 
-// SlidingWindow is the Huawei live-recommender heuristic ("Personalized
+// slidingWindow is the Huawei live-recommender heuristic ("Personalized
 // Re-ranking for Improving Diversity in Live Recommender Systems"): a greedy
 // pass where the diversity term only looks at the last W already-placed
 // items instead of the whole prefix. The insight is positional — users
@@ -16,27 +16,27 @@ import "math"
 // recomputed per position (O(W·m)), keeping the whole pass O(n²·m) worst
 // case with a small constant — this is why it is the cheap-serving default
 // among the suite (see DESIGN.md).
-type SlidingWindow struct {
+type slidingWindow struct {
 	// W is the window size (default 5 — a feed viewport).
 	W int
 }
 
-// NewSlidingWindow returns the heuristic with the serving default window.
-func NewSlidingWindow() *SlidingWindow { return &SlidingWindow{W: 5} }
+// newSlidingWindow returns the heuristic with the serving default window.
+func newSlidingWindow() *slidingWindow { return &slidingWindow{W: 5} }
 
 // Name implements Diversifier.
-func (*SlidingWindow) Name() string { return "window" }
+func (*slidingWindow) Name() string { return "window" }
 
 // Rerank implements Diversifier.
-func (s *SlidingWindow) Rerank(l List, lambda float64) []int {
-	n := l.Len()
+func (s *slidingWindow) Rerank(l List, lambda float64) []int {
+	n := l.size()
 	lambda = clampLambda(lambda)
 	rel := sanitizedRel(l)
 	w := s.W
 	if w <= 0 {
 		w = 5
 	}
-	m := l.Topics()
+	m := l.topics()
 	cover := sanitizedCover(l, m)
 	selected := make([]bool, n)
 	order := make([]int, 0, n)

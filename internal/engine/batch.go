@@ -43,7 +43,7 @@ type scoreJob struct {
 	// key identifies this request's encoded user state in the engine's state
 	// cache; hasKey is set only when the cache is enabled and the pinned
 	// scorer can consume states (so workers never hash or look up in vain).
-	key    StateKey
+	key    stateKey
 	hasKey bool
 }
 
@@ -165,7 +165,7 @@ func (e *Engine) score(j *scoreJob) (out scoreOutcome) {
 	if err != nil {
 		return scoreOutcome{err: err}
 	}
-	if as, ok := e.Faults.(AfterScoreInjector); ok {
+	if as, ok := e.Faults.(afterScoreInjector); ok {
 		if err := as.AfterScore(j.ctx, j.inst, scores); err != nil {
 			return scoreOutcome{err: err}
 		}
@@ -182,13 +182,13 @@ func (e *Engine) score(j *scoreJob) (out scoreOutcome) {
 // ScoreBatchStates takes slices because the frozen bench/trace.go implements
 // that signature (ROADMAP item 1 narrows it); they are slices of one.
 func (e *Engine) callScorer(j *scoreJob) ([]float64, error) {
-	ss, ok := j.pin.Scorer.(StateScorer)
+	ss, ok := j.pin.Scorer.(stateScorer)
 	if !ok || e.stateCache == nil {
 		return j.pin.Scorer.Score(j.ctx, j.inst)
 	}
 	var state *core.UserState
 	if j.hasKey {
-		state, _ = e.stateCache.Get(j.key)
+		state, _ = e.stateCache.get(j.key)
 	}
 	res, used, err := ss.ScoreBatchStates(j.ctx, []*rerank.Instance{j.inst}, []*core.UserState{state})
 	if err != nil {
@@ -197,11 +197,11 @@ func (e *Engine) callScorer(j *scoreJob) ([]float64, error) {
 	if len(res) != 1 {
 		return nil, fmt.Errorf("scorer %s returned %d score sets for 1 instance", ss.Name(), len(res))
 	}
-	// Install only a fresh miss: a hit's entry is already resident (Get bumped
+	// Install only a fresh miss: a hit's entry is already resident (get bumped
 	// its recency), and used is nil for diversity-free models, which have no
 	// state worth caching.
 	if j.hasKey && state == nil && len(used) == 1 && used[0] != nil {
-		e.stateCache.Put(j.key, used[0])
+		e.stateCache.put(j.key, used[0])
 	}
 	return res[0], nil
 }

@@ -136,7 +136,7 @@ type Stats struct {
 const (
 	ShedBackpressure = "backpressure"
 	ShedDraining     = "draining"
-	ShedTenantQuota  = "tenant_quota"
+	shedTenantQuota  = "tenant_quota"
 )
 
 // MaxBatchRequests caps the instances one RerankBatch call may carry. The
@@ -187,7 +187,7 @@ func New(p Provider, cfg Config) *Engine {
 		provider:   p,
 		sem:        make(chan struct{}, cfg.MaxInFlight),
 		reg:        reg,
-		met:        NewMetrics(reg),
+		met:        newMetrics(reg),
 		idPrefix:   newIDPrefix(),
 		tenantSems: make(map[string]chan struct{}),
 		Log:        log.Printf,
@@ -212,14 +212,8 @@ func (e *Engine) Metrics() *Metrics { return e.met }
 // report its active pin).
 func (e *Engine) Provider() Provider { return e.provider }
 
-// Budget reports the per-request scoring deadline after defaulting.
-func (e *Engine) Budget() time.Duration { return e.cfg.Budget }
-
 // DrainWindow reports the configured drain timeout after defaulting.
 func (e *Engine) DrainWindow() time.Duration { return e.cfg.DrainTimeout }
-
-// FeedbackSink reports the configured feedback sink (nil when unset).
-func (e *Engine) FeedbackSink() FeedbackSink { return e.cfg.Feedback }
 
 // SetDraining flips the engine's drain flag. A draining engine finishes
 // what it admitted but sheds everything new with reason ShedDraining, so a
@@ -291,8 +285,8 @@ func (e *Engine) shed(reason, tenant string) *ShedError {
 	case ShedDraining:
 		e.met.ShedDrain.Inc()
 		return &ShedError{Reason: reason, RetryAfterS: max(1, int(e.cfg.DrainTimeout/time.Second))}
-	case ShedTenantQuota:
-		e.met.Shed.With(ShedTenantQuota).Inc()
+	case shedTenantQuota:
+		e.met.Shed.With(shedTenantQuota).Inc()
 		e.met.TenantShed.With(tenant).Inc()
 		return &ShedError{Reason: reason, RetryAfterS: e.RetryAfterS()}
 	default:
@@ -340,7 +334,7 @@ func (e *Engine) shedReason() string {
 // providerFor resolves a request's tenant field to (metric label, provider).
 func (e *Engine) providerFor(name string) (string, Provider, error) {
 	if name == "" {
-		return DefaultTenant, e.provider, nil
+		return defaultTenant, e.provider, nil
 	}
 	if e.cfg.Tenants == nil {
 		return name, nil, &UnknownTenantError{Tenant: name}
@@ -477,7 +471,7 @@ func (e *Engine) Rerank(ctx context.Context, req *Request) (Response, error) {
 	}
 	tenantRelease, admitted := e.tenantAcquire(j.tenant)
 	if !admitted {
-		return Response{}, e.shed(ShedTenantQuota, j.tenant)
+		return Response{}, e.shed(shedTenantQuota, j.tenant)
 	}
 	defer tenantRelease()
 

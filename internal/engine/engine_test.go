@@ -525,9 +525,9 @@ func stateOfSize(topics int) *core.UserState {
 
 // putSeen puts key's state twice: the first Put only shows the key to the
 // doorkeeper, the second caches it.
-func putSeen(c *StateCache, key StateKey, st *core.UserState) {
-	c.Put(key, st)
-	c.Put(key, st)
+func putSeen(c *StateCache, key stateKey, st *core.UserState) {
+	c.put(key, st)
+	c.put(key, st)
 }
 
 // TestStateCacheChargeMatchesHeap holds the budget to what it buys: the
@@ -537,12 +537,12 @@ func putSeen(c *StateCache, key StateKey, st *core.UserState) {
 // memory and not a multiple of it.
 func TestStateCacheChargeMatchesHeap(t *testing.T) {
 	const n, topics = 20000, 5
-	c := newStateCache(1<<40, NewMetrics(obs.NewRegistry()))
+	c := newStateCache(1<<40, newMetrics(obs.NewRegistry()))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		key := StateKey{Tenant: "default", History: uint64(i) * 2654435761, Version: "v1"}
+		key := stateKey{Tenant: "default", History: uint64(i) * 2654435761, Version: "v1"}
 		putSeen(c, key, stateOfSize(topics))
 	}
 	runtime.GC()
@@ -565,17 +565,17 @@ func TestStateCacheChargeMatchesHeap(t *testing.T) {
 // never as the other key's state, and a Put must displace the squatter
 // without leaking its charge.
 func TestStateCacheFoldCollision(t *testing.T) {
-	c := newStateCache(1<<20, NewMetrics(obs.NewRegistry()))
-	a := StateKey{Tenant: "t", History: 2, Version: "v1"}
+	c := newStateCache(1<<20, newMetrics(obs.NewRegistry()))
+	a := stateKey{Tenant: "t", History: 2, Version: "v1"}
 	putSeen(c, a, stateOfSize(4))
 	// Make the resident entry some other key that folded to a's slot.
-	c.by[a.hash()].key = StateKey{Tenant: "t", History: 9, Version: "v1"}
-	if _, ok := c.Get(a); ok {
+	c.by[a.hash()].key = stateKey{Tenant: "t", History: 9, Version: "v1"}
+	if _, ok := c.get(a); ok {
 		t.Fatal("a slot holding another key's entry read as a hit")
 	}
 	mine := stateOfSize(4)
-	c.Put(a, mine)
-	if got, ok := c.Get(a); !ok || got != mine {
+	c.put(a, mine)
+	if got, ok := c.get(a); !ok || got != mine {
 		t.Fatal("Put did not displace the entry squatting on its slot")
 	}
 	if n, b := c.Stats(); n != 1 || b != int64(mine.SizeBytes()) {
@@ -584,12 +584,12 @@ func TestStateCacheFoldCollision(t *testing.T) {
 }
 
 // TestStateCacheLRU pins the cache's budget accounting: inserts beyond the
-// byte budget evict in LRU order, a Get refreshes recency, and replacing a
+// byte budget evict in LRU order, a get refreshes recency, and replacing a
 // key's entry adjusts bytes instead of double-charging.
 func TestStateCacheLRU(t *testing.T) {
 	one := int64(stateOfSize(4).SizeBytes())
-	c := newStateCache(3*one, NewMetrics(obs.NewRegistry())) // room for exactly three entries
-	key := func(i int) StateKey { return StateKey{History: uint64(i), Version: "v1"} }
+	c := newStateCache(3*one, newMetrics(obs.NewRegistry())) // room for exactly three entries
+	key := func(i int) stateKey { return stateKey{History: uint64(i), Version: "v1"} }
 	for i := 0; i < 3; i++ {
 		putSeen(c, key(i), stateOfSize(4))
 	}
@@ -597,29 +597,29 @@ func TestStateCacheLRU(t *testing.T) {
 		t.Fatalf("after 3 puts: %d entries / %d bytes, want 3 / %d", n, b, 3*one)
 	}
 	// Touch key 0 so key 1 is now the LRU victim.
-	if _, ok := c.Get(key(0)); !ok {
+	if _, ok := c.get(key(0)); !ok {
 		t.Fatal("resident entry missing")
 	}
 	putSeen(c, key(3), stateOfSize(4))
-	if _, ok := c.Get(key(1)); ok {
+	if _, ok := c.get(key(1)); ok {
 		t.Fatal("LRU victim survived eviction")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if _, ok := c.Get(key(i)); !ok {
+		if _, ok := c.get(key(i)); !ok {
 			t.Fatalf("entry %d evicted out of LRU order", i)
 		}
 	}
 	// Replacing a resident key must not double-charge the budget.
-	c.Put(key(0), stateOfSize(4))
+	c.put(key(0), stateOfSize(4))
 	if n, b := c.Stats(); n != 3 || b != 3*one {
 		t.Fatalf("after replace: %d entries / %d bytes, want 3 / %d", n, b, 3*one)
 	}
 	// An entry larger than the whole budget is refused outright.
-	putSeen(c, StateKey{History: 99}, stateOfSize(1024))
-	if _, ok := c.Get(StateKey{History: 99}); ok {
+	putSeen(c, stateKey{History: 99}, stateOfSize(1024))
+	if _, ok := c.get(stateKey{History: 99}); ok {
 		t.Fatal("over-budget state was admitted")
 	}
-	c.Flush()
+	c.flush()
 	if n, b := c.Stats(); n != 0 || b != 0 {
 		t.Fatalf("after flush: %d entries / %d bytes", n, b)
 	}
@@ -627,13 +627,13 @@ func TestStateCacheLRU(t *testing.T) {
 
 // TestStateCacheDoorkeeper: a key put once stays out of the cache (but for
 // the doorkeeper's shared bits, a small share), a key put twice is
-// resident, and Flush forgets first sightings.
+// resident, and flush forgets first sightings.
 func TestStateCacheDoorkeeper(t *testing.T) {
-	met := NewMetrics(obs.NewRegistry())
+	met := newMetrics(obs.NewRegistry())
 	c := newStateCache(1<<40, met)
 	const n = 100000
 	for i := 0; i < n; i++ {
-		c.Put(StateKey{Tenant: "default", History: uint64(i) * 2654435761, Version: "v1"}, stateOfSize(5))
+		c.put(stateKey{Tenant: "default", History: uint64(i) * 2654435761, Version: "v1"}, stateOfSize(5))
 	}
 	entries, _ := c.Stats()
 	t.Logf("%d of %d keys put once are resident", entries, n)
@@ -644,21 +644,21 @@ func TestStateCacheDoorkeeper(t *testing.T) {
 		t.Fatalf("deferred counter %d, want %d", d, n-entries)
 	}
 
-	c = newStateCache(1<<20, NewMetrics(obs.NewRegistry()))
-	once, twice := StateKey{History: 1, Version: "v1"}, StateKey{History: 2, Version: "v1"}
-	c.Put(twice, stateOfSize(4))
-	if _, ok := c.Get(twice); ok {
+	c = newStateCache(1<<20, newMetrics(obs.NewRegistry()))
+	once, twice := stateKey{History: 1, Version: "v1"}, stateKey{History: 2, Version: "v1"}
+	c.put(twice, stateOfSize(4))
+	if _, ok := c.get(twice); ok {
 		t.Fatal("a first sighting was cached")
 	}
 	st := stateOfSize(4)
-	c.Put(twice, st)
-	if got, ok := c.Get(twice); !ok || got != st {
+	c.put(twice, st)
+	if got, ok := c.get(twice); !ok || got != st {
 		t.Fatal("a key put twice is not resident")
 	}
-	c.Put(once, stateOfSize(4))
-	c.Flush()
-	c.Put(once, stateOfSize(4))
-	if _, ok := c.Get(once); ok {
+	c.put(once, stateOfSize(4))
+	c.flush()
+	c.put(once, stateOfSize(4))
+	if _, ok := c.get(once); ok {
 		t.Fatal("Flush kept a first sighting: the next Put cached the key")
 	}
 }
@@ -688,30 +688,30 @@ func TestRouteKeyDeterministicAndSensitive(t *testing.T) {
 // encoder input changes — user features, sequence features, or which topic a
 // behavior belongs to — and must be stable for identical requests.
 func TestHistoryKeyDiscriminates(t *testing.T) {
-	base := HistoryKey(validRequest())
-	if base != HistoryKey(validRequest()) {
-		t.Fatal("HistoryKey not deterministic")
+	base := historyKey(validRequest())
+	if base != historyKey(validRequest()) {
+		t.Fatal("historyKey not deterministic")
 	}
 	user := validRequest()
 	user.UserFeatures[0] += 0.5
-	if HistoryKey(user) == base {
+	if historyKey(user) == base {
 		t.Fatal("user-feature change did not change the key")
 	}
 	seq := validRequest()
 	seq.TopicSequences[0][0].Features[1] += 0.5
-	if HistoryKey(seq) == base {
+	if historyKey(seq) == base {
 		t.Fatal("sequence-feature change did not change the key")
 	}
 	moved := validRequest()
 	moved.TopicSequences[0], moved.TopicSequences[1] = moved.TopicSequences[1], moved.TopicSequences[0]
-	if HistoryKey(moved) == base {
+	if historyKey(moved) == base {
 		t.Fatal("moving a behavior to another topic did not change the key")
 	}
 	// Items are deliberately NOT part of the history hash: the candidate list
 	// does not feed the user-preference encoder.
 	items := validRequest()
 	items.Items[0].Features[0] += 0.5
-	if HistoryKey(items) != base {
+	if historyKey(items) != base {
 		t.Fatal("candidate-item change leaked into the history key")
 	}
 }

@@ -25,7 +25,7 @@ type FaultInjector interface {
 	BeforeScore(ctx context.Context, inst *rerank.Instance) error
 }
 
-// AfterScoreInjector is the optional post-scoring half of the chaos seam.
+// afterScoreInjector is the optional post-scoring half of the chaos seam.
 // AfterScore runs on the scoring goroutine after the model produced scores,
 // still inside the panic-recovery envelope and the request deadline. A
 // non-nil error (or a panic) replaces the job's successful outcome and
@@ -34,7 +34,7 @@ type FaultInjector interface {
 // reply is late, which is how an overloaded or GC-pausing replica actually
 // looks from a fleet router. Injectors that only implement FaultInjector
 // keep their exact previous behavior.
-type AfterScoreInjector interface {
+type afterScoreInjector interface {
 	AfterScore(ctx context.Context, inst *rerank.Instance, scores []float64) error
 }
 
@@ -65,7 +65,7 @@ func (h FaultHooks) BeforeScore(ctx context.Context, inst *rerank.Instance) erro
 	return h.Before(ctx, inst)
 }
 
-// AfterScore implements AfterScoreInjector; a nil After is a no-op.
+// AfterScore implements afterScoreInjector; a nil After is a no-op.
 func (h FaultHooks) AfterScore(ctx context.Context, inst *rerank.Instance, scores []float64) error {
 	if h.After == nil {
 		return nil

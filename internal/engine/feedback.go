@@ -52,8 +52,8 @@ func (ev *FeedbackEvent) Validate() error {
 		return fmt.Errorf("request_id exceeds %d bytes", MaxRequestIDLen)
 	case len(ev.Items) == 0:
 		return fmt.Errorf("items is required")
-	case len(ev.Items) > MaxListLength:
-		return fmt.Errorf("event has %d items, limit is %d", len(ev.Items), MaxListLength)
+	case len(ev.Items) > maxListLength:
+		return fmt.Errorf("event has %d items, limit is %d", len(ev.Items), maxListLength)
 	case len(ev.Clicks) > len(ev.Items):
 		return fmt.Errorf("clicks has %d entries for %d items", len(ev.Clicks), len(ev.Items))
 	}

@@ -44,10 +44,10 @@ type Metrics struct {
 	TenantShed     *obs.CounterVec // tenant-quota sheds by tenant
 }
 
-// NewMetrics registers the engine metric families on r. Registration is
+// newMetrics registers the engine metric families on r. Registration is
 // idempotent per registry (obs re-registration returns the existing metric),
 // so an engine and its frontends may share one registry freely.
-func NewMetrics(r *obs.Registry) *Metrics {
+func newMetrics(r *obs.Registry) *Metrics {
 	m := &Metrics{
 		Requests: r.Counter("rapid_http_requests_total",
 			"Re-rank requests received (any outcome)."),
@@ -119,7 +119,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	m.ResponsesOK = m.Responses.With("ok")
 	m.FeedbackOK = m.Feedback.With("accepted")
 	m.Feedback.With("shed")
-	m.TenantRequests.With(DefaultTenant)
-	m.TenantShed.With(DefaultTenant)
+	m.TenantRequests.With(defaultTenant)
+	m.TenantShed.With(defaultTenant)
 	return m
 }

@@ -8,24 +8,24 @@ import (
 	"repro/internal/rerank"
 )
 
-// StateScorer is the optional encoded-user-state contract: score instances
+// stateScorer is the optional encoded-user-state contract: score instances
 // where states[i], when non-nil, replaces instance i's user-preference
 // encoding, and return the states actually used so the caller can cache the
 // fresh ones. *core.Model implements it; the scoring workers route through it
 // — one instance a call — whenever the engine's state cache is enabled and
 // the pinned scorer supports it.
-type StateScorer interface {
+type stateScorer interface {
 	Scorer
 	ScoreBatchStates(ctx context.Context, insts []*rerank.Instance, states []*core.UserState) ([][]float64, []*core.UserState, error)
 }
 
-// StateKey identifies one cached user state: the tenant that served the
-// request, its HistoryKey and the model version that encoded the state. θ̂ is
-// bitwise a function of what HistoryKey hashes, so one entry serves every
+// stateKey identifies one cached user state: the tenant that served the
+// request, its historyKey and the model version that encoded the state. θ̂ is
+// bitwise a function of what historyKey hashes, so one entry serves every
 // slate a user is shown, and any change in their features or behavior is a
 // miss. The version makes canary and post-promote traffic miss cleanly; the
 // tenant keeps distinct resident scorers apart when their labels collide.
-type StateKey struct {
+type stateKey struct {
 	Tenant  string
 	History uint64
 	Version string
@@ -34,7 +34,7 @@ type StateKey struct {
 // hash folds the key into the 64 bits the cache's index is keyed by: FNV-1a
 // over the two labels (0xff, which no UTF-8 label contains, closes each),
 // then the history hash.
-func (k StateKey) hash() uint64 {
+func (k stateKey) hash() uint64 {
 	h := fnvOffset64
 	for _, s := range [2]string{k.Tenant, k.Version} {
 		for i := 0; i < len(s); i++ {
@@ -48,7 +48,7 @@ func (k StateKey) hash() uint64 {
 // cacheEntry is one resident state with its budget charge, linked into the
 // cache's recency ring.
 type cacheEntry struct {
-	key        StateKey
+	key        stateKey
 	st         *core.UserState
 	size       int64
 	prev, next *cacheEntry
@@ -87,7 +87,7 @@ type StateCache struct {
 // The doorkeeper is a table of 2^doorBits bits indexed by the top doorBits
 // bits of StateKey.hash. It is cleared after doorResetAfter sets — at most
 // 1/8 full, which bounds the share of first sightings a shared bit admits —
-// and on Flush.
+// and on flush.
 const (
 	doorBits       = 20
 	doorResetAfter = 1 << 17
@@ -144,8 +144,8 @@ func (c *StateCache) drop(h uint64, e *cacheEntry) {
 	c.met.CacheEvictions.Inc()
 }
 
-// Get returns the cached state for key, marking it most recently used.
-func (c *StateCache) Get(key StateKey) (*core.UserState, bool) {
+// get returns the cached state for key, marking it most recently used.
+func (c *StateCache) get(key stateKey) (*core.UserState, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.by[key.hash()]
@@ -159,11 +159,11 @@ func (c *StateCache) Get(key StateKey) (*core.UserState, bool) {
 	return e.st, true
 }
 
-// Put refreshes a resident key's state, or installs a key the doorkeeper has
+// put refreshes a resident key's state, or installs a key the doorkeeper has
 // seen before, and evicts least-recently-used entries until the cache fits
 // its budget. The first Put of a key only marks it seen. A state larger
 // than the whole budget is not admitted.
-func (c *StateCache) Put(key StateKey, st *core.UserState) {
+func (c *StateCache) put(key stateKey, st *core.UserState) {
 	if st == nil {
 		return
 	}
@@ -201,12 +201,12 @@ func (c *StateCache) Put(key StateKey, st *core.UserState) {
 	c.met.CacheBytes.Set(float64(c.bytes))
 }
 
-// Flush drops every entry and forgets every first sighting. It is the
+// flush drops every entry and forgets every first sighting. It is the
 // model-lifecycle invalidation hook:
 // wired to the registry's state transitions (load/promote/rollback), so no
 // request can ever read a state across a model swap — even when a version
 // label is reused for different artifacts.
-func (c *StateCache) Flush() {
+func (c *StateCache) flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.by)
@@ -229,14 +229,14 @@ func (c *StateCache) Stats() (entries int, bytes int64) {
 // is enabled and the pinned scorer can consume encoded states, so the
 // scoring workers never hash or probe the cache in vain. tenant is the
 // resolved tenant label.
-func (e *Engine) stateKeyFor(req *Request, tenant string, pin Pinned) (StateKey, bool) {
+func (e *Engine) stateKeyFor(req *Request, tenant string, pin Pinned) (stateKey, bool) {
 	if e.stateCache == nil {
-		return StateKey{}, false
+		return stateKey{}, false
 	}
-	if _, ok := pin.Scorer.(StateScorer); !ok {
-		return StateKey{}, false
+	if _, ok := pin.Scorer.(stateScorer); !ok {
+		return stateKey{}, false
 	}
-	return StateKey{Tenant: tenant, History: HistoryKey(req), Version: pin.Version}, true
+	return stateKey{Tenant: tenant, History: historyKey(req), Version: pin.Version}, true
 }
 
 // StateCache exposes the engine's state cache (nil when disabled) so a
@@ -248,6 +248,6 @@ func (e *Engine) StateCache() *StateCache { return e.stateCache }
 // OnSwap hook so promote/rollback can never serve a stale encoded state.
 func (e *Engine) FlushStateCache() {
 	if e.stateCache != nil {
-		e.stateCache.Flush()
+		e.stateCache.flush()
 	}
 }

@@ -1,8 +1,8 @@
 package engine
 
-// DefaultTenant is the metric label for requests that name no tenant — they
+// defaultTenant is the metric label for requests that name no tenant — they
 // are served by the engine's own provider.
-const DefaultTenant = "default"
+const defaultTenant = "default"
 
 // TenantSource resolves tenant names to providers. It is the multi-tenancy
 // seam: registry.Multi implements it with lazily loaded, warmed-up per-tenant

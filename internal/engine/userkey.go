@@ -20,12 +20,12 @@ func BatchUserKey(reqs []Request) uint64 {
 	return uint64(h)
 }
 
-// HistoryKey hashes exactly what the user-preference encoder reads: it
+// historyKey hashes exactly what the user-preference encoder reads: it
 // continues UserKey's fold over every behavior-sequence feature vector, with
 // topic and length framing so permuted or split sequences cannot collide.
-// Requests with equal HistoryKey encode the same state under one model
+// Requests with equal historyKey encode the same state under one model
 // version, whatever their candidates.
-func HistoryKey(req *Request) uint64 {
+func historyKey(req *Request) uint64 {
 	h := fnv64a(UserKey(req))
 	for j, seq := range req.TopicSequences {
 		h = h.word(uint64(int64(j))<<32 | uint64(uint32(len(seq))))

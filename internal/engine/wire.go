@@ -10,11 +10,11 @@ import (
 	"repro/internal/rerank"
 )
 
-// MaxListLength caps the number of candidates in one re-rank request.
+// maxListLength caps the number of candidates in one re-rank request.
 // Re-ranking operates on the final stage's short list (the paper's lists are
 // tens of items); a four-digit list is a malformed or hostile request, and
 // the Bi-LSTM's O(L) step chain would blow the budget anyway.
-const MaxListLength = 1024
+const maxListLength = 1024
 
 // Request is one re-rank request, transport-neutral: the HTTP frontend
 // decodes it from JSON, the binary frontend from length-prefixed frames, and
@@ -94,8 +94,8 @@ func ToInstance(cfg core.Config, req *Request) (*rerank.Instance, error) {
 	if len(req.Items) == 0 {
 		return nil, fmt.Errorf("no items to re-rank")
 	}
-	if len(req.Items) > MaxListLength {
-		return nil, fmt.Errorf("request has %d items, limit is %d", len(req.Items), MaxListLength)
+	if len(req.Items) > maxListLength {
+		return nil, fmt.Errorf("request has %d items, limit is %d", len(req.Items), maxListLength)
 	}
 	if len(req.TopicSequences) != cfg.Topics {
 		return nil, fmt.Errorf("topic_sequences has %d topics, model wants %d", len(req.TopicSequences), cfg.Topics)

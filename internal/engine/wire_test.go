@@ -53,7 +53,7 @@ func TestToInstanceValidation(t *testing.T) {
 		}},
 		{"oversized list", func(r *Request) {
 			it := r.Items[0]
-			r.Items = make([]Item, MaxListLength+1)
+			r.Items = make([]Item, maxListLength+1)
 			for i := range r.Items {
 				it.ID = i
 				r.Items[i] = it

@@ -378,8 +378,8 @@ func TestDecodeRequestJSONStorage(t *testing.T) {
 }
 
 // TestRouteKeyIsFNV1a pins the engine's inlined hash to hash/fnv: a drift
-// in UserKey would send every user to another replica, and one in HistoryKey
-// would turn every cache cold. HistoryKey's reference is the hash/fnv code it
+// in UserKey would send every user to another replica, and one in historyKey
+// would turn every cache cold. historyKey's reference is the hash/fnv code it
 // was written as, so its values stay what they always were.
 func TestRouteKeyIsFNV1a(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -408,8 +408,8 @@ func TestRouteKeyIsFNV1a(t *testing.T) {
 				}
 			}
 		}
-		if got := HistoryKey(req); got != h.Sum64() {
-			t.Fatalf("HistoryKey %#x, hash/fnv %#x", got, h.Sum64())
+		if got := historyKey(req); got != h.Sum64() {
+			t.Fatalf("historyKey %#x, hash/fnv %#x", got, h.Sum64())
 		}
 		reqs = append(reqs, *req)
 	}

@@ -33,7 +33,7 @@ func RunDivFnAblation(opt Options) (*Table, error) {
 			return nil, fmt.Errorf("experiments: fit %s: %w", name, err)
 		}
 		res := env.Evaluate(m, []int{10})
-		tbl.AddRow(name, f4(res.Mean("click@10")), f4(res.Mean("ndcg@10")),
+		tbl.addRow(name, f4(res.Mean("click@10")), f4(res.Mean("ndcg@10")),
 			f4(res.Mean("div@10")), f4(res.Mean("satis@10")))
 	}
 	return tbl, nil
@@ -84,7 +84,7 @@ func RunRobustness(opt Options) (*Table, error) {
 			c10 = append(c10, metrics.ClickAtK(exp, 10))
 			div = append(div, metrics.DivAtK(cover, d.M(), 10))
 		}
-		tbl.AddRow(r.Name(), f4(metrics.Mean(c5)), f4(metrics.Mean(c10)), f4(metrics.Mean(div)))
+		tbl.addRow(r.Name(), f4(metrics.Mean(c5)), f4(metrics.Mean(c10)), f4(metrics.Mean(div)))
 	}
 	return tbl, nil
 }

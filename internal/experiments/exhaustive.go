@@ -4,13 +4,13 @@ import (
 	"repro/internal/rerank"
 )
 
-// ExhaustiveOracle finds the expected-clicks-optimal ordering of an
+// exhaustiveOracle finds the expected-clicks-optimal ordering of an
 // instance's top candidates by branch-and-bound over orderings — the exact
 // comparator the greedy Oracle γ-approximates (Theorem 5.1's analysis).
 // Complexity is factorial, so Limit caps how many of the list's items are
 // permuted (the rest keep the greedy order); it exists for validation and
 // tests, not for the evaluation pipeline.
-type ExhaustiveOracle struct {
+type exhaustiveOracle struct {
 	Env *Env
 	// Limit is the number of leading items optimized exactly (≤ 8 keeps
 	// the search trivial: 8! = 40320 orderings).
@@ -21,10 +21,10 @@ type ExhaustiveOracle struct {
 }
 
 // Name implements rerank.Reranker.
-func (o ExhaustiveOracle) Name() string { return "ExhaustiveOracle" }
+func (o exhaustiveOracle) Name() string { return "ExhaustiveOracle" }
 
 // Scores implements rerank.Reranker.
-func (o ExhaustiveOracle) Scores(inst *rerank.Instance) []float64 {
+func (o exhaustiveOracle) Scores(inst *rerank.Instance) []float64 {
 	limit := o.Limit
 	if limit <= 0 || limit > inst.L() {
 		limit = inst.L()
@@ -38,7 +38,7 @@ func (o ExhaustiveOracle) Scores(inst *rerank.Instance) []float64 {
 	}
 	// Candidate pool: the greedy oracle's top `limit` items, which always
 	// contains the exact optimum's support for k = limit prefixes.
-	greedy := Oracle{o.Env}
+	greedy := oracle{o.Env}
 	greedyOrder := rerank.OrderByScores(inst.Items, greedy.Scores(inst))
 	pool := greedyOrder[:limit]
 

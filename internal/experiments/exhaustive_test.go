@@ -19,8 +19,8 @@ func TestGreedyOracleNearExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := BuildEnv(rd, 0.5, opt)
-	greedy := Oracle{env}
-	exact := ExhaustiveOracle{Env: env, Limit: 6, K: 6}
+	greedy := oracle{env}
+	exact := exhaustiveOracle{Env: env, Limit: 6, K: 6}
 	var gSum, eSum float64
 	n := len(env.Test)
 	if n > 10 {
@@ -52,7 +52,7 @@ func TestExhaustiveOracleFullRanking(t *testing.T) {
 	}
 	env := BuildEnv(rd, 0.9, opt)
 	inst := env.Test[0]
-	exact := ExhaustiveOracle{Env: env, Limit: 5}
+	exact := exhaustiveOracle{Env: env, Limit: 5}
 	s := exact.Scores(inst)
 	if len(s) != inst.L() {
 		t.Fatalf("%d scores for %d items", len(s), inst.L())

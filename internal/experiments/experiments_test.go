@@ -64,7 +64,7 @@ func TestEvaluateMetricKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := BuildEnv(rd, AppStoreLambda, opt)
+	env := BuildEnv(rd, appStoreLambda, opt)
 	res := env.Evaluate(rerank.Identity{}, []int{5, 10})
 	for _, key := range []string{"click@5", "ndcg@10", "div@5", "satis@10", "rev@5", "rev@10"} {
 		if len(res.PerRequest[key]) != len(env.Test) {
@@ -91,7 +91,7 @@ func TestOracleDominatesInit(t *testing.T) {
 	}
 	env := BuildEnv(rd, 0.5, opt)
 	init := env.Evaluate(rerank.Identity{}, []int{10})
-	orc := env.Evaluate(Oracle{env}, []int{10})
+	orc := env.Evaluate(oracle{env}, []int{10})
 	if orc.Mean("click@10") < init.Mean("click@10") {
 		t.Fatalf("oracle clicks %v below init %v", orc.Mean("click@10"), init.Mean("click@10"))
 	}
@@ -131,8 +131,8 @@ func TestTableFormatting(t *testing.T) {
 		Header: []string{"model", "click@5"},
 		Notes:  []string{"note line"},
 	}
-	tbl.AddRow("Init", "0.1234")
-	tbl.AddRow("RAPID-pro", "0.5678")
+	tbl.addRow("Init", "0.1234")
+	tbl.addRow("RAPID-pro", "0.5678")
 	s := tbl.String()
 	for _, want := range []string{"t\n", "model", "click@5", "Init", "RAPID-pro", "note line"} {
 		if !strings.Contains(s, want) {

@@ -1,40 +1,9 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 )
-
-// WriteCSV emits the table (header + rows) as CSV; the title and notes are
-// written as comment lines so a single file remains self-describing.
-func (t *Table) WriteCSV(w io.Writer) error {
-	if t.Title != "" {
-		if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
-			return err
-		}
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Header); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
-	}
-	for _, n := range t.Notes {
-		if _, err := fmt.Fprintf(w, "# %s\n", n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // tableJSON is the stable wire form of a Table.
 type tableJSON struct {

@@ -12,22 +12,9 @@ func sampleTable() *Table {
 		Header: []string{"model", "click@10"},
 		Notes:  []string{"a note"},
 	}
-	tbl.AddRow("Init", "1.0000")
-	tbl.AddRow("RAPID-pro", "1.2000")
+	tbl.addRow("Init", "1.0000")
+	tbl.addRow("RAPID-pro", "1.2000")
 	return tbl
-}
-
-func TestWriteCSV(t *testing.T) {
-	var sb strings.Builder
-	if err := sampleTable().WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"# Sample", "model,click@10", "RAPID-pro,1.2000", "# a note"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("CSV missing %q:\n%s", want, out)
-		}
-	}
 }
 
 func TestWriteJSON(t *testing.T) {

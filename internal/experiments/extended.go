@@ -31,7 +31,7 @@ func RunExtended(opt Options) (*Table, error) {
 			return nil, err
 		}
 		res := env.Evaluate(r, []int{5, 10})
-		tbl.AddRow(r.Name(), f4(res.Mean("click@5")), f4(res.Mean("ndcg@5")),
+		tbl.addRow(r.Name(), f4(res.Mean("click@5")), f4(res.Mean("ndcg@5")),
 			f4(res.Mean("click@10")), f4(res.Mean("div@10")), f4(res.Mean("satis@10")))
 	}
 	return tbl, nil

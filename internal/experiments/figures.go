@@ -45,7 +45,7 @@ func RunFig3(opt Options) ([]*Table, error) {
 				return nil, fmt.Errorf("experiments: fit %s: %w", v.name, err)
 			}
 			res := env.Evaluate(m, []int{10})
-			tbl.AddRow(v.name, f4(res.Mean("click@10")), f4(res.Mean("div@10")))
+			tbl.addRow(v.name, f4(res.Mean("click@10")), f4(res.Mean("div@10")))
 		}
 		tables = append(tables, tbl)
 	}
@@ -71,7 +71,7 @@ func RunFig4(opt Options) ([]*Table, error) {
 				return nil, fmt.Errorf("experiments: fit hidden=%d: %w", h, err)
 			}
 			res := env.Evaluate(m, []int{10})
-			tbl.AddRow(fmt.Sprintf("%d", h), f4(res.Mean("click@10")), f4(res.Mean("div@10")))
+			tbl.addRow(fmt.Sprintf("%d", h), f4(res.Mean("click@10")), f4(res.Mean("div@10")))
 		}
 		tables = append(tables, tbl)
 	}
@@ -113,7 +113,7 @@ func RunFig5(opt Options) (*Table, error) {
 			recCover[i] = env.Data.Cover(v)
 		}
 		recPref := averageRows(recCover)
-		tbl.AddRow(
+		tbl.addRow(
 			fmt.Sprintf("%d", c.inst.User), c.kind,
 			fmt.Sprintf("%.3f", mat.Entropy(hist)/math.Log(float64(c.inst.M))),
 			topTopics(hist, 4), topTopics(theta, 4), topTopics(recPref, 4),

@@ -22,7 +22,7 @@ func TestHeadroom(t *testing.T) {
 		for _, lam := range []float64{0.5, 0.9, 1.0} {
 			env := BuildEnv(rd, lam, opt)
 			init := env.Evaluate(rerank.Identity{}, []int{10})
-			orc := env.Evaluate(Oracle{env}, []int{10})
+			orc := env.Evaluate(oracle{env}, []int{10})
 			initC, orcC := init.Mean("click@10"), orc.Mean("click@10")
 			t.Logf("%s λ=%.1f: init click@10=%.4f div@10=%.4f | oracle click@10=%.4f div@10=%.4f (headroom %+.1f%%)",
 				cfg.Name, lam, initC, init.Mean("div@10"), orcC, orc.Mean("div@10"), (orcC-initC)/initC*100)

@@ -39,31 +39,31 @@ func NewRAPID(e *Env, opt Options, seedOffset int64, mutate func(*core.Config)) 
 	return m
 }
 
-// Roster identifies which baselines to include.
-type Roster int
+// roster identifies which baselines to include.
+type roster int
 
 // Rosters.
 const (
-	// FullRoster is every baseline plus both RAPID outputs — Tables II–IV.
-	FullRoster Roster = iota
-	// NeuralRoster is PRM, DESA, RAPID — the efficiency study (Table VI).
-	NeuralRoster
-	// RapidOnly is just RAPID-pro.
-	RapidOnly
+	// fullRoster is every baseline plus both RAPID outputs — Tables II–IV.
+	fullRoster roster = iota
+	// neuralRoster is PRM, DESA, RAPID — the efficiency study (Table VI).
+	neuralRoster
+	// rapidOnly is just RAPID-pro.
+	rapidOnly
 )
 
-// BuildRerankers constructs (untrained) re-rankers for the environment.
+// buildRerankers constructs (untrained) re-rankers for the environment.
 // The returned order matches the paper's table layout.
-func BuildRerankers(e *Env, opt Options, roster Roster) []rerank.Reranker {
+func buildRerankers(e *Env, opt Options, roster roster) []rerank.Reranker {
 	h := opt.Hidden
 	switch roster {
-	case NeuralRoster:
+	case neuralRoster:
 		return []rerank.Reranker{
 			baselines.NewPRM(h, opt.Seed+2),
 			baselines.NewDESA(h, opt.Seed+7),
 			NewRAPID(e, opt, 12, nil),
 		}
-	case RapidOnly:
+	case rapidOnly:
 		return []rerank.Reranker{NewRAPID(e, opt, 12, nil)}
 	default:
 		det := NewRAPID(e, opt, 11, func(c *core.Config) { c.Output = core.Deterministic })

@@ -7,21 +7,21 @@ import (
 	"repro/internal/topics"
 )
 
-// Oracle is the skyline re-ranker: it greedily orders the list by the true
+// oracle is the skyline re-ranker: it greedily orders the list by the true
 // DCM attraction probability (relevance plus the user's personalized
 // marginal-diversity gain), which no learned model can beat in expectation.
 // It exists for diagnostics and integration tests — the gap between Init
 // and Oracle is the headroom the re-rankers compete for.
-type Oracle struct {
+type oracle struct {
 	Env *Env
 }
 
 // Name implements rerank.Reranker.
-func (o Oracle) Name() string { return "Oracle" }
+func (o oracle) Name() string { return "Oracle" }
 
 // Scores implements rerank.Reranker: a greedy construction by true
 // attraction, encoded as descending pseudo-scores.
-func (o Oracle) Scores(inst *rerank.Instance) []float64 {
+func (o oracle) Scores(inst *rerank.Instance) []float64 {
 	d := o.Env.Data
 	l := inst.L()
 	rho := d.DivWeight(inst.User)

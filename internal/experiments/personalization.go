@@ -68,7 +68,7 @@ func RunPersonalization(opt Options) (*Table, error) {
 		if focN > 0 {
 			fMean = focSum[0] / focN
 		}
-		tbl.AddRow(r.Name(),
+		tbl.addRow(r.Name(),
 			fmt.Sprintf("%.3f", pearson(appetites, divs)),
 			f4(dMean), f4(fMean), fmt.Sprintf("%+.3f", dMean-fMean))
 	}

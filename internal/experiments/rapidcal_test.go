@@ -25,7 +25,7 @@ func TestRapidCalibration(t *testing.T) {
 	if err := env.FitIfTrainable(m, opt); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []rerank.Reranker{rerank.Identity{}, m, Oracle{env}} {
+	for _, r := range []rerank.Reranker{rerank.Identity{}, m, oracle{env}} {
 		res := env.Evaluate(r, []int{10})
 		t.Logf("%-10s click@10=%.4f ndcg@10=%.4f div@10=%.4f satis@10=%.4f",
 			res.Name, res.Mean("click@10"), res.Mean("ndcg@10"), res.Mean("div@10"), res.Mean("satis@10"))

@@ -55,7 +55,7 @@ func RunRegret(opt RegretOptions) (*Table, []bandit.RegretCurve) {
 				row = append(row, "")
 			}
 		}
-		tbl.AddRow(row...)
+		tbl.addRow(row...)
 	}
 	note := "fitted growth exponents α (regret ≈ c·n^α):"
 	for _, c := range curves {

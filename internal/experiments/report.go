@@ -16,8 +16,8 @@ type Table struct {
 	Notes []string
 }
 
-// AddRow appends a row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// addRow appends a row.
+func (t *Table) addRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {

@@ -77,7 +77,7 @@ func RunTable2(lambda float64, opt Options) ([]*Table, error) {
 // requested metric columns, with a significance note comparing RAPID-pro
 // against the strongest baseline per column.
 func utilityTable(env *Env, opt Options, title string, cols []string) (*Table, error) {
-	rankers := BuildRerankers(env, opt, FullRoster)
+	rankers := buildRerankers(env, opt, fullRoster)
 	tbl := &Table{Title: title, Header: append([]string{"model"}, cols...)}
 	results := make([]*EvalResult, 0, len(rankers))
 	for _, r := range rankers {
@@ -90,7 +90,7 @@ func utilityTable(env *Env, opt Options, title string, cols []string) (*Table, e
 		for _, c := range cols {
 			row = append(row, f4(res.Mean(c)))
 		}
-		tbl.AddRow(row...)
+		tbl.addRow(row...)
 	}
 	tbl.Notes = significanceNotes(results, cols)
 	return tbl, nil

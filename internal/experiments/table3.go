@@ -6,12 +6,12 @@ import (
 	"repro/internal/dataset"
 )
 
-// AppStoreLambda is the λ of the ground-truth user model used as the App
+// appStoreLambda is the λ of the ground-truth user model used as the App
 // Store environment. The paper evaluates App Store with real logged clicks
 // and no click model; our "real user" is by construction the generating
 // DCM, so evaluating against it directly is the faithful analogue
 // (documented in DESIGN.md).
-const AppStoreLambda = 0.8
+const appStoreLambda = 0.8
 
 // table3Columns is the Table III metric layout (adds rev@k).
 var table3Columns = []string{"click@5", "ndcg@5", "div@5", "rev@5", "click@10", "ndcg@10", "div@10", "rev@10"}
@@ -25,7 +25,7 @@ func RunTable3(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := BuildEnv(rd, AppStoreLambda, opt)
+	env := BuildEnv(rd, appStoreLambda, opt)
 	tbl, err := utilityTable(env, opt, "Table III — App Store dataset (revenue objective)", table3Columns)
 	if err != nil {
 		return nil, err
@@ -60,5 +60,5 @@ func addImprovementRow(tbl *Table, cols []string) {
 			row = append(row, "n/a")
 		}
 	}
-	tbl.AddRow(row...)
+	tbl.addRow(row...)
 }

@@ -15,7 +15,7 @@ func RunTable5(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := BuildEnv(rd, AppStoreLambda, opt)
+	env := BuildEnv(rd, appStoreLambda, opt)
 	tbl := &Table{
 		Title:  "Table V — RAPID with different maximum behavior-sequence lengths (App Store)",
 		Header: append([]string{"model"}, table3Columns...),
@@ -30,7 +30,7 @@ func RunTable5(opt Options) (*Table, error) {
 		for _, c := range table3Columns {
 			row = append(row, f4(res.Mean(c)))
 		}
-		tbl.AddRow(row...)
+		tbl.addRow(row...)
 	}
 	return tbl, nil
 }

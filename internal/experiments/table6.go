@@ -27,12 +27,12 @@ func RunTable6(opt Options) (*Table, error) {
 		return nil, err
 	}
 	for _, env := range envs {
-		for _, r := range BuildRerankers(env, opt, NeuralRoster) {
+		for _, r := range buildRerankers(env, opt, neuralRoster) {
 			ta, trb, teb, err := timeModel(env, r, opt)
 			if err != nil {
 				return nil, err
 			}
-			tbl.AddRow(r.Name(), env.Data.Name,
+			tbl.addRow(r.Name(), env.Data.Name,
 				ta.Round(time.Millisecond).String(),
 				fmt.Sprintf("%.1f", trb), fmt.Sprintf("%.1f", teb))
 		}
@@ -62,7 +62,7 @@ func allEnvs(opt Options) ([]*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	envs = append(envs, BuildEnv(rd, AppStoreLambda, opt))
+	envs = append(envs, BuildEnv(rd, appStoreLambda, opt))
 	return envs, nil
 }
 

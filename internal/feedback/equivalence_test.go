@@ -29,7 +29,7 @@ func logSessions(t *testing.T, l *Log, n int, seed int64) []clickmodel.Session {
 		if _, err := l.Append(ev); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, ev.Session())
+		out = append(out, ev.session())
 	}
 	return out
 }
@@ -100,7 +100,7 @@ func TestReplayedIncrementalAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := EncodeRecord(501, &Event{RequestID: "torn", Arm: -1, Items: []int{1}})
+	frame, err := encodeRecord(501, &Event{RequestID: "torn", Arm: -1, Items: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,8 @@ type Event struct {
 	Clicks []bool `json:"clicks,omitempty"`
 }
 
-// Clicked reports whether any position was clicked — the bandit reward.
-func (e *Event) Clicked() bool {
+// clicked reports whether any position was clicked — the bandit reward.
+func (e *Event) clicked() bool {
 	for _, c := range e.Clicks {
 		if c {
 			return true
@@ -59,10 +59,10 @@ func (e *Event) Clicked() bool {
 	return false
 }
 
-// Session converts the event into a click-model session. The user id is
+// session converts the event into a click-model session. The user id is
 // folded from the user key, so every impression of one user is one user to
 // the λ=1 DCM fit, whatever slate it showed.
-func (e *Event) Session() clickmodel.Session {
+func (e *Event) session() clickmodel.Session {
 	return clickmodel.Session{
 		User:   int(e.User % (1 << 31)),
 		List:   e.Items,
@@ -79,32 +79,32 @@ func (e *Event) Session() clickmodel.Session {
 // instead of replaying under the wrong position.
 const (
 	recordHeader = 4 + 8 + 4
-	// MaxRecordBytes caps one encoded event. Well above any valid event
+	// maxRecordBytes caps one encoded event. Well above any valid event
 	// (MaxListLength items with clicks is ~16 KiB of JSON); a larger length
 	// prefix is corruption, not data, and is rejected before allocation.
-	MaxRecordBytes = 1 << 20
+	maxRecordBytes = 1 << 20
 )
 
 // Decode errors, distinguished because replay treats them differently: a
 // truncated tail is the expected shape of a crash mid-write (stop cleanly),
 // corruption mid-segment means lost records (stop the segment, count it).
 var (
-	ErrTruncated = errors.New("feedback: truncated record")
-	ErrCorrupt   = errors.New("feedback: corrupt record")
+	errTruncated = errors.New("feedback: truncated record")
+	errCorrupt   = errors.New("feedback: corrupt record")
 )
 
 var crcTable = crc32.MakeTable(crc32.IEEE)
 
-// EncodeRecord frames one event. Encoding cannot fail for any Event value
+// encodeRecord frames one event. Encoding cannot fail for any Event value
 // within MaxRecordBytes; oversized events error instead of writing a frame
 // the decoder would reject.
-func EncodeRecord(seq uint64, ev *Event) ([]byte, error) {
+func encodeRecord(seq uint64, ev *Event) ([]byte, error) {
 	payload, err := json.Marshal(ev)
 	if err != nil {
 		return nil, fmt.Errorf("feedback: encode event: %w", err)
 	}
-	if len(payload) > MaxRecordBytes {
-		return nil, fmt.Errorf("feedback: event encodes to %d bytes, limit %d", len(payload), MaxRecordBytes)
+	if len(payload) > maxRecordBytes {
+		return nil, fmt.Errorf("feedback: event encodes to %d bytes, limit %d", len(payload), maxRecordBytes)
 	}
 	buf := make([]byte, recordHeader+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
@@ -116,21 +116,21 @@ func EncodeRecord(seq uint64, ev *Event) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeRecord parses one framed record from the front of b, returning the
-// bytes consumed. ErrTruncated means b ends inside the frame (valid prefix
-// of a longer stream — or the torn tail of a crashed write); ErrCorrupt
+// decodeRecord parses one framed record from the front of b, returning the
+// bytes consumed. errTruncated means b ends inside the frame (valid prefix
+// of a longer stream — or the torn tail of a crashed write); errCorrupt
 // means the frame is complete but wrong (bad length, CRC mismatch, invalid
 // JSON).
-func DecodeRecord(b []byte) (seq uint64, ev Event, n int, err error) {
+func decodeRecord(b []byte) (seq uint64, ev Event, n int, err error) {
 	if len(b) < recordHeader {
-		return 0, Event{}, 0, ErrTruncated
+		return 0, Event{}, 0, errTruncated
 	}
 	plen := int(binary.LittleEndian.Uint32(b[0:4]))
-	if plen > MaxRecordBytes {
-		return 0, Event{}, 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrCorrupt, plen, MaxRecordBytes)
+	if plen > maxRecordBytes {
+		return 0, Event{}, 0, fmt.Errorf("%w: payload length %d exceeds %d", errCorrupt, plen, maxRecordBytes)
 	}
 	if len(b) < recordHeader+plen {
-		return 0, Event{}, 0, ErrTruncated
+		return 0, Event{}, 0, errTruncated
 	}
 	seq = binary.LittleEndian.Uint64(b[4:12])
 	want := binary.LittleEndian.Uint32(b[12:16])
@@ -138,10 +138,10 @@ func DecodeRecord(b []byte) (seq uint64, ev Event, n int, err error) {
 	crc := crc32.Update(0, crcTable, b[4:12])
 	crc = crc32.Update(crc, crcTable, payload)
 	if crc != want {
-		return 0, Event{}, 0, fmt.Errorf("%w: crc mismatch at seq %d", ErrCorrupt, seq)
+		return 0, Event{}, 0, fmt.Errorf("%w: crc mismatch at seq %d", errCorrupt, seq)
 	}
 	if err := json.Unmarshal(payload, &ev); err != nil {
-		return 0, Event{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return 0, Event{}, 0, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
 	return seq, ev, recordHeader + plen, nil
 }

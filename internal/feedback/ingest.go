@@ -8,28 +8,34 @@ import (
 	"repro/internal/obs"
 )
 
-// IngestConfig bounds an Ingestor. The zero value of every field falls back
-// to the listed default.
-type IngestConfig struct {
-	// QueueSize bounds the ingest queue (default 1024). A full queue makes
-	// Submit return engine.ErrFeedbackBusy, which the handler maps to 429 —
+const (
+	// defaultQueueSize bounds the ingest queue. A full queue makes Submit
+	// return engine.ErrFeedbackBusy, which the handler maps to 429 —
 	// feedback is shed under pressure, never allowed to block serving.
-	QueueSize int
-	// TrackCap bounds the request-id correlation table (default 65536
-	// entries, FIFO eviction). An evicted or unknown id still ingests the
-	// event, just uncorrelated (no user, no arm credit).
-	TrackCap int
+	defaultQueueSize = 1024
+	// defaultTrackCap bounds the request-id correlation table (entries,
+	// FIFO eviction). An evicted or unknown id still ingests the event,
+	// just uncorrelated (no user, no arm credit).
+	defaultTrackCap = 65536
+)
+
+// IngestConfig configures an Ingestor.
+type IngestConfig struct {
 	// Registry receives the feedback metrics; nil means a private one. Pass
 	// the serving registry so /metrics carries every namespace.
 	Registry *obs.Registry
+
+	// queueSize and trackCap override defaultQueueSize and defaultTrackCap
+	// when positive (tests shrink them).
+	queueSize, trackCap int
 }
 
 func (c IngestConfig) withDefaults() IngestConfig {
-	if c.QueueSize <= 0 {
-		c.QueueSize = 1024
+	if c.queueSize <= 0 {
+		c.queueSize = defaultQueueSize
 	}
-	if c.TrackCap <= 0 {
-		c.TrackCap = 65536
+	if c.trackCap <= 0 {
+		c.trackCap = defaultTrackCap
 	}
 	return c
 }
@@ -73,9 +79,9 @@ func NewIngestor(l *Log, policy *bandit.Policy, cfg IngestConfig) *Ingestor {
 		log:    l,
 		policy: policy,
 		met:    newMetrics(cfg.Registry),
-		track:  make(map[string]tracked, cfg.TrackCap),
-		order:  make([]string, 0, cfg.TrackCap),
-		ch:     make(chan engine.FeedbackEvent, cfg.QueueSize),
+		track:  make(map[string]tracked, cfg.trackCap),
+		order:  make([]string, 0, cfg.trackCap),
+		ch:     make(chan engine.FeedbackEvent, cfg.queueSize),
 		done:   make(chan struct{}),
 	}
 	if policy != nil {
@@ -92,13 +98,13 @@ func NewIngestor(l *Log, policy *bandit.Policy, cfg IngestConfig) *Ingestor {
 
 // Track implements engine.FeedbackSink: called by the request handler just
 // before the response encodes, it records the served (user, version) under
-// the issued request id. Bounded: beyond TrackCap the oldest entry is
-// evicted (its late feedback then ingests uncorrelated).
+// the issued request id. Bounded: beyond the correlation cap the oldest
+// entry is evicted (its late feedback then ingests uncorrelated).
 func (in *Ingestor) Track(requestID string, user uint64, version string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if _, exists := in.track[requestID]; !exists {
-		if len(in.track) >= in.cfg.TrackCap {
+		if len(in.track) >= in.cfg.trackCap {
 			evict := in.order[in.head]
 			in.order[in.head] = requestID
 			in.head = (in.head + 1) % len(in.order)
@@ -173,7 +179,7 @@ func (in *Ingestor) ingest(wire engine.FeedbackEvent) {
 		in.met.events.With("uncorrelated").Inc()
 	}
 	reward := 0.0
-	if ev.Clicked() {
+	if ev.clicked() {
 		in.met.clicks.Inc()
 		reward = 1
 	}
@@ -189,7 +195,7 @@ func (in *Ingestor) ingest(wire engine.FeedbackEvent) {
 }
 
 func (in *Ingestor) publishLogStats() {
-	st := in.log.Stat()
+	st := in.log.stat()
 	in.met.logBytes.Set(float64(st.Bytes))
 	in.met.logSegs.Set(float64(st.Segments))
 	in.met.logRecs.Set(float64(st.Records))

@@ -77,7 +77,7 @@ func TestIngestorCorrelatesAndLogs(t *testing.T) {
 	if got.User != 42 || got.Version != armLabel || got.Arm != 1 || got.Lambda != 0.8 {
 		t.Fatalf("arm event not joined: %+v", got)
 	}
-	if !got.Clicked() || got.UnixMS == 0 {
+	if !got.clicked() || got.UnixMS == 0 {
 		t.Fatalf("click/timestamp lost: %+v", got)
 	}
 	if ev := byID["rid-2"]; ev.User != 43 || ev.Arm != -1 || ev.Version != "v7" {
@@ -100,7 +100,7 @@ func TestIngestorBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewIngestor(l, nil, IngestConfig{QueueSize: 1})
+	in := NewIngestor(l, nil, IngestConfig{queueSize: 1})
 	// Saturate: with a queue of 1, repeated submits must eventually shed
 	// rather than block (the ingest goroutine races the producer, so only the
 	// error value — never blocking — is the contract under test).
@@ -128,7 +128,7 @@ func TestTrackEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewIngestor(l, nil, IngestConfig{TrackCap: 2})
+	in := NewIngestor(l, nil, IngestConfig{trackCap: 2})
 	in.Track("a", 1, "v1")
 	in.Track("b", 2, "v1")
 	in.Track("c", 3, "v1") // evicts a

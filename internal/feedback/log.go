@@ -20,12 +20,16 @@ type Options struct {
 	// MaxSegments caps retained committed segments (default 64); beyond it
 	// the oldest are deleted, bounding disk to ~MaxSegments·SegmentBytes.
 	MaxSegments int
-	// SyncEvery fsyncs the active segment after this many appends (default
-	// 64). Rotation and Close always fsync: a committed segment is durable.
-	// The window trades at most SyncEvery events to a power loss — a
-	// process crash alone loses nothing the page cache has.
-	SyncEvery int
+
+	// syncEvery overrides defaultSyncEvery when positive (tests raise it).
+	syncEvery int
 }
+
+// defaultSyncEvery fsyncs the active segment after this many appends.
+// Rotation and Close always fsync: a committed segment is durable. The
+// window trades at most defaultSyncEvery events to a power loss — a process
+// crash alone loses nothing the page cache has.
+const defaultSyncEvery = 64
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
@@ -34,8 +38,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxSegments <= 0 {
 		o.MaxSegments = 64
 	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 64
+	if o.syncEvery <= 0 {
+		o.syncEvery = defaultSyncEvery
 	}
 	return o
 }
@@ -43,16 +47,16 @@ func (o Options) withDefaults() Options {
 const (
 	segPrefix = "seg-"
 	segSuffix = ".flog"
-	// IndexFile is the atomically committed segment manifest: rewritten via
+	// indexFileName is the atomically committed segment manifest: rewritten via
 	// temp-file + rename + directory fsync on every rotation (the same
 	// commit discipline as registry.Publish), so it can never be observed
 	// half-written. It is a cache — Open rebuilds the truth from the
 	// segment files and self-heals a stale or missing index.
-	IndexFile = "index.json"
+	indexFileName = "index.json"
 )
 
-// SegmentInfo describes one committed (rotated, fsynced) segment.
-type SegmentInfo struct {
+// segmentInfo describes one committed (rotated, fsynced) segment.
+type segmentInfo struct {
 	Name     string `json:"name"`
 	FirstSeq uint64 `json:"first_seq"`
 	Records  int64  `json:"records"`
@@ -61,7 +65,7 @@ type SegmentInfo struct {
 
 type indexFile struct {
 	NextSeq  uint64        `json:"next_seq"`
-	Segments []SegmentInfo `json:"segments"`
+	Segments []segmentInfo `json:"segments"`
 }
 
 // Log is the bounded, crash-safe, segmented append-only event log. One
@@ -80,7 +84,7 @@ type Log struct {
 	activeRecords int64
 	nextSeq       uint64
 	sinceSync     int
-	committed     []SegmentInfo
+	committed     []segmentInfo
 	closed        bool
 }
 
@@ -103,7 +107,7 @@ func Open(dir string, opt Options) (*Log, error) {
 		return nil, err
 	}
 	idx := readIndex(dir)
-	byName := make(map[string]SegmentInfo, len(idx.Segments))
+	byName := make(map[string]segmentInfo, len(idx.Segments))
 	for _, s := range idx.Segments {
 		byName[s.Name] = s
 	}
@@ -153,15 +157,15 @@ func segmentNames(dir string) ([]string, error) {
 }
 
 // scanSegment rebuilds a committed segment's info by decoding it.
-func scanSegment(dir, name string) SegmentInfo {
-	info := SegmentInfo{Name: name, FirstSeq: firstSeqOf(name)}
+func scanSegment(dir, name string) segmentInfo {
+	info := segmentInfo{Name: name, FirstSeq: firstSeqOf(name)}
 	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return info
 	}
 	info.Bytes = int64(len(data))
 	for len(data) > 0 {
-		seq, _, n, err := DecodeRecord(data)
+		seq, _, n, err := decodeRecord(data)
 		if err != nil {
 			break
 		}
@@ -196,7 +200,7 @@ func (l *Log) recoverActive(name string) error {
 	good := 0
 	rest := data
 	for len(rest) > 0 {
-		seq, _, n, err := DecodeRecord(rest)
+		seq, _, n, err := decodeRecord(rest)
 		if err != nil {
 			break // torn or corrupt tail: everything after is discarded
 		}
@@ -250,7 +254,7 @@ func (l *Log) openSegment(firstSeq uint64) error {
 }
 
 // Append frames and writes one event, stamping it with the next sequence
-// number (returned). Rotation and the SyncEvery fsync cadence happen here.
+// number (returned). Rotation and the defaultSyncEvery fsync cadence happen here.
 func (l *Log) Append(ev *Event) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -258,7 +262,7 @@ func (l *Log) Append(ev *Event) (uint64, error) {
 		return 0, fmt.Errorf("feedback: log closed")
 	}
 	seq := l.nextSeq
-	frame, err := EncodeRecord(seq, ev)
+	frame, err := encodeRecord(seq, ev)
 	if err != nil {
 		return 0, err
 	}
@@ -269,7 +273,7 @@ func (l *Log) Append(ev *Event) (uint64, error) {
 	l.activeBytes += int64(len(frame))
 	l.activeRecords++
 	l.sinceSync++
-	if l.sinceSync >= l.opt.SyncEvery {
+	if l.sinceSync >= l.opt.syncEvery {
 		if err := l.f.Sync(); err != nil {
 			return 0, err
 		}
@@ -293,7 +297,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
-	l.committed = append(l.committed, SegmentInfo{
+	l.committed = append(l.committed, segmentInfo{
 		Name: l.activeName, FirstSeq: l.activeFirst,
 		Records: l.activeRecords, Bytes: l.activeBytes,
 	})
@@ -334,7 +338,7 @@ func (l *Log) writeIndex() error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(l.dir, IndexFile)); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(l.dir, indexFileName)); err != nil {
 		return fmt.Errorf("feedback: commit index: %w", err)
 	}
 	return syncDir(l.dir)
@@ -342,24 +346,12 @@ func (l *Log) writeIndex() error {
 
 func readIndex(dir string) indexFile {
 	var idx indexFile
-	data, err := os.ReadFile(filepath.Join(dir, IndexFile))
+	data, err := os.ReadFile(filepath.Join(dir, indexFileName))
 	if err != nil {
 		return idx
 	}
 	_ = json.Unmarshal(data, &idx) // corrupt index = no index; Open rebuilds
 	return idx
-}
-
-// Sync forces the active segment to disk (used at clean shutdown and by
-// tests asserting durability points).
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.sinceSync = 0
-	return l.f.Sync()
 }
 
 // Close fsyncs and closes the active segment and rewrites the index.
@@ -379,19 +371,19 @@ func (l *Log) Close() error {
 	return l.writeIndex()
 }
 
-// Stats is a point-in-time view of the log's shape.
-type Stats struct {
+// stats is a point-in-time view of the log's shape.
+type stats struct {
 	Segments int    // committed + active
 	Bytes    int64  // total retained bytes
 	Records  int64  // total retained records
 	NextSeq  uint64 // sequence number the next append will get
 }
 
-// Stat reports the log's current shape.
-func (l *Log) Stat() Stats {
+// stat reports the log's current shape.
+func (l *Log) stat() stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := Stats{Segments: len(l.committed) + 1, NextSeq: l.nextSeq}
+	st := stats{Segments: len(l.committed) + 1, NextSeq: l.nextSeq}
 	for _, s := range l.committed {
 		st.Bytes += s.Bytes
 		st.Records += s.Records
@@ -400,9 +392,6 @@ func (l *Log) Stat() Stats {
 	st.Records += l.activeRecords
 	return st
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // ReplayStats summarizes one replay pass.
 type ReplayStats struct {
@@ -434,7 +423,7 @@ func Replay(dir string, fromSeq uint64, fn func(seq uint64, ev Event) error) (Re
 		}
 		last := i == len(names)-1
 		for len(data) > 0 {
-			seq, ev, n, derr := DecodeRecord(data)
+			seq, ev, n, derr := decodeRecord(data)
 			if derr != nil {
 				if last {
 					st.Truncated = true

@@ -83,7 +83,7 @@ func TestLogRotationAndRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 0, 60)
-	st := l.Stat()
+	st := l.stat()
 	if st.Segments > 4 {
 		t.Fatalf("retention cap leaked: %d segments live", st.Segments)
 	}
@@ -155,7 +155,7 @@ func TestLogTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	active := filepath.Join(dir, names[len(names)-1])
-	frame, err := EncodeRecord(6, testEvent(5))
+	frame, err := encodeRecord(6, testEvent(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestLogCorruptMidSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, n, err := DecodeRecord(data)
+	_, _, n, err := decodeRecord(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestLogOpenWithStaleIndex(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, IndexFile)); err != nil {
+	if err := os.Remove(filepath.Join(dir, indexFileName)); err != nil {
 		t.Fatal(err)
 	}
 	l2, err := Open(dir, Options{SegmentBytes: 256})
@@ -295,25 +295,25 @@ func TestLogOpenWithStaleIndex(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, IndexFile)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, indexFileName)); err != nil {
 		t.Fatalf("index not rewritten: %v", err)
 	}
 }
 
 func TestDecodeRecordErrors(t *testing.T) {
-	frame, err := EncodeRecord(7, testEvent(1))
+	frame, err := encodeRecord(7, testEvent(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := DecodeRecord(frame[:len(frame)-1]); err != ErrTruncated {
+	if _, _, _, err := decodeRecord(frame[:len(frame)-1]); err != errTruncated {
 		t.Fatalf("short frame: %v, want ErrTruncated", err)
 	}
 	bad := append([]byte(nil), frame...)
 	bad[len(bad)-1] ^= 0x01
-	if _, _, _, err := DecodeRecord(bad); err == nil {
+	if _, _, _, err := decodeRecord(bad); err == nil {
 		t.Fatal("flipped payload byte decoded cleanly")
 	}
-	seq, ev, n, err := DecodeRecord(frame)
+	seq, ev, n, err := decodeRecord(frame)
 	if err != nil || seq != 7 || n != len(frame) {
 		t.Fatalf("good frame: seq %d n %d err %v", seq, n, err)
 	}
@@ -331,11 +331,23 @@ func TestDecodeRecordRouteTag(t *testing.T) {
 	frame = binary.LittleEndian.AppendUint64(frame, 9)
 	crc := crc32.Update(crc32.Update(0, crcTable, frame[4:12]), crcTable, payload)
 	frame = append(binary.LittleEndian.AppendUint32(frame, crc), payload...)
-	seq, ev, _, err := DecodeRecord(frame)
+	seq, ev, _, err := decodeRecord(frame)
 	if err != nil || seq != 9 || ev.User != 42 {
 		t.Fatalf("seq %d user %d err %v, want 9 / 42", seq, ev.User, err)
 	}
-	if re, err := EncodeRecord(seq, &ev); err != nil || !bytes.Equal(re, frame) {
+	if re, err := encodeRecord(seq, &ev); err != nil || !bytes.Equal(re, frame) {
 		t.Fatalf("re-encoded as %q (%v), want the frame back", re, err)
 	}
+}
+
+// Sync forces the active segment to disk, for tests asserting durability
+// points.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil
+	}
+	l.sinceSync = 0
+	return l.f.Sync()
 }

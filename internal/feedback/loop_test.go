@@ -98,10 +98,10 @@ func TestLoopUserStableAcrossSlates(t *testing.T) {
 		if k, seen := keys[u]; seen && k != ev.User {
 			t.Fatalf("user %d logged as %#x and %#x", u, k, ev.User)
 		}
-		if s, seen := sessions[u]; seen && s != ev.Session().User {
-			t.Fatalf("user %d is click-model users %d and %d", u, s, ev.Session().User)
+		if s, seen := sessions[u]; seen && s != ev.session().User {
+			t.Fatalf("user %d is click-model users %d and %d", u, s, ev.session().User)
 		}
-		keys[u], sessions[u] = ev.User, ev.Session().User
+		keys[u], sessions[u] = ev.User, ev.session().User
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -42,14 +42,20 @@ type TrainerConfig struct {
 	// registry while the trainer watches, and the trainer then aborts the
 	// promote instead of forcing a bad version active.
 	PromoteAfter int64
-	// PromotePoll and PromoteTimeout bound the canary watch (defaults 250ms
-	// and 60s). On timeout the candidate stays staged — promotion is retried
-	// on the next cycle rather than forced.
-	PromotePoll    time.Duration
+	// PromoteTimeout bounds the canary watch (default 60s), which polls
+	// every defaultPromotePoll. On timeout the candidate stays staged —
+	// promotion is retried on the next cycle rather than forced.
 	PromoteTimeout time.Duration
-	// Log receives operational messages; nil uses log.Printf.
-	Log func(format string, args ...any)
+
+	// promotePoll overrides defaultPromotePoll when positive, and logf
+	// replaces log.Printf for operational messages when set (tests set
+	// both).
+	promotePoll time.Duration
+	logf        func(format string, args ...any)
 }
+
+// defaultPromotePoll is how often the canary watch polls the candidate.
+const defaultPromotePoll = 250 * time.Millisecond
 
 func (c TrainerConfig) withDefaults() TrainerConfig {
 	if c.Interval <= 0 {
@@ -64,14 +70,14 @@ func (c TrainerConfig) withDefaults() TrainerConfig {
 	if c.PromoteAfter <= 0 {
 		c.PromoteAfter = 50
 	}
-	if c.PromotePoll <= 0 {
-		c.PromotePoll = 250 * time.Millisecond
+	if c.promotePoll <= 0 {
+		c.promotePoll = defaultPromotePoll
 	}
 	if c.PromoteTimeout <= 0 {
 		c.PromoteTimeout = 60 * time.Second
 	}
-	if c.Log == nil {
-		c.Log = log.Printf
+	if c.logf == nil {
+		c.logf = log.Printf
 	}
 	return c
 }
@@ -127,10 +133,6 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	}, nil
 }
 
-// Incremental exposes the trainer's click model (tests and rapidfeed -dump
-// diagnostics read it).
-func (t *Trainer) Incremental() *clickmodel.Incremental { return t.inc }
-
 // Run re-estimates on the configured cadence until ctx is canceled.
 func (t *Trainer) Run(ctx context.Context) error {
 	tick := time.NewTicker(t.cfg.Interval)
@@ -141,7 +143,7 @@ func (t *Trainer) Run(ctx context.Context) error {
 			return ctx.Err()
 		case <-tick.C:
 			if err := t.Step(ctx); err != nil {
-				t.cfg.Log("feedback: trainer step: %v", err)
+				t.cfg.logf("feedback: trainer step: %v", err)
 			}
 		}
 	}
@@ -166,7 +168,7 @@ func (t *Trainer) Step(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	t.cfg.Log("feedback: published %s (arm %s, %d sessions, %d clicks)",
+	t.cfg.logf("feedback: published %s (arm %s, %d sessions, %d clicks)",
 		label, arm.Label(), t.inc.Sessions(), t.inc.Clicks())
 	return t.deploy(ctx, label)
 }
@@ -176,7 +178,7 @@ func (t *Trainer) Step(ctx context.Context) error {
 func (t *Trainer) replayNew() (int, error) {
 	n := 0
 	st, err := Replay(t.cfg.LogDir, t.cursor, func(seq uint64, ev Event) error {
-		t.inc.Add(ev.Session())
+		t.inc.Add(ev.session())
 		if ev.Arm >= 0 {
 			if arm, ok := bandit.ParseArmLabel(ev.Version); ok {
 				tal := t.armsSum[ev.Version]
@@ -185,7 +187,7 @@ func (t *Trainer) replayNew() (int, error) {
 					t.armsSum[ev.Version] = tal
 				}
 				tal.pulls++
-				if ev.Clicked() {
+				if ev.clicked() {
 					tal.rewards++
 				}
 			}
@@ -280,10 +282,10 @@ func (t *Trainer) deploy(ctx context.Context, label string) error {
 	if err := t.cfg.Lifecycle.Load(label); err != nil {
 		return fmt.Errorf("feedback: stage %s: %w", label, err)
 	}
-	t.cfg.Log("feedback: staged %s as canary candidate", label)
+	t.cfg.logf("feedback: staged %s as canary candidate", label)
 	deadline := time.NewTimer(t.cfg.PromoteTimeout)
 	defer deadline.Stop()
-	poll := time.NewTicker(t.cfg.PromotePoll)
+	poll := time.NewTicker(t.cfg.promotePoll)
 	defer poll.Stop()
 	for {
 		vs, err := t.cfg.Lifecycle.Versions()
@@ -299,7 +301,7 @@ func (t *Trainer) deploy(ctx context.Context, label string) error {
 		}
 		switch {
 		case cand == nil || cand.State == "available":
-			t.cfg.Log("feedback: candidate %s was rolled back during canary; not promoting", label)
+			t.cfg.logf("feedback: candidate %s was rolled back during canary; not promoting", label)
 			return nil
 		case cand.State == "active":
 			return nil // someone promoted it for us
@@ -307,13 +309,13 @@ func (t *Trainer) deploy(ctx context.Context, label string) error {
 			err := t.cfg.Lifecycle.Promote(label)
 			if errors.Is(err, engine.ErrLifecycleConflict) {
 				// Rolled back between the poll and the promote.
-				t.cfg.Log("feedback: candidate %s is no longer staged; not promoting", label)
+				t.cfg.logf("feedback: candidate %s is no longer staged; not promoting", label)
 				return nil
 			}
 			if err != nil {
 				return fmt.Errorf("feedback: promote %s: %w", label, err)
 			}
-			t.cfg.Log("feedback: promoted %s after %d canary requests (%d degraded)",
+			t.cfg.logf("feedback: promoted %s after %d canary requests (%d degraded)",
 				label, cand.Requests, cand.Degraded)
 			return nil
 		}
@@ -321,7 +323,7 @@ func (t *Trainer) deploy(ctx context.Context, label string) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-deadline.C:
-			t.cfg.Log("feedback: canary watch for %s timed out at %d/%d requests; leaving it staged",
+			t.cfg.logf("feedback: canary watch for %s timed out at %d/%d requests; leaving it staged",
 				label, candRequests(vs, label), t.cfg.PromoteAfter)
 			return nil
 		case <-poll.C:
@@ -343,7 +345,7 @@ func candRequests(vs []engine.VersionStatus, label string) int64 {
 func ReplaySessions(dir string) ([]clickmodel.Session, ReplayStats, error) {
 	var out []clickmodel.Session
 	st, err := Replay(dir, 0, func(_ uint64, ev Event) error {
-		out = append(out, ev.Session())
+		out = append(out, ev.session())
 		return nil
 	})
 	return out, st, err

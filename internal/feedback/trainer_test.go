@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/clickmodel"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/registry"
@@ -132,8 +133,8 @@ func TestTrainerPublishesBestArmAndPromotes(t *testing.T) {
 	tr, err := NewTrainer(TrainerConfig{
 		LogDir: logDir, ModelRoot: root, Lifecycle: lc,
 		MinEvents: 10, MinArmPulls: 5, PromoteAfter: 4,
-		PromotePoll: 1, PromoteTimeout: 5_000_000_000, // 1ns poll, 5s timeout
-		Log: t.Logf,
+		promotePoll: 1, PromoteTimeout: 5_000_000_000, // 1ns poll, 5s timeout
+		logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +189,7 @@ func TestTrainerCursorAcrossSteps(t *testing.T) {
 	tr, err := NewTrainer(TrainerConfig{
 		LogDir: logDir, ModelRoot: root, Lifecycle: lc,
 		MinEvents: 10, MinArmPulls: 5, PromoteAfter: 2,
-		PromotePoll: 1, Log: t.Logf,
+		promotePoll: 1, logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +240,7 @@ func TestTrainerRespectsRollback(t *testing.T) {
 			tr, err := NewTrainer(TrainerConfig{
 				LogDir: logDir, ModelRoot: seedModelRoot(t), Lifecycle: lc,
 				MinEvents: 5, MinArmPulls: 5, PromoteAfter: 2,
-				PromotePoll: 1, Log: t.Logf,
+				promotePoll: 1, logf: t.Logf,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -262,7 +263,7 @@ func TestTrainerRespectsRollback(t *testing.T) {
 // capped — past maxResiduals the oldest are folded, not kept.
 func TestTrainerBoundsResiduals(t *testing.T) {
 	logDir := t.TempDir()
-	l, err := Open(logDir, Options{SyncEvery: 1 << 30})
+	l, err := Open(logDir, Options{syncEvery: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestTrainerBoundsResiduals(t *testing.T) {
 	}
 	tr, err := NewTrainer(TrainerConfig{
 		LogDir: logDir, ModelRoot: seedModelRoot(t), Lifecycle: &fakeLifecycle{},
-		MinEvents: 1, PromoteAfter: 2, PromotePoll: 1, Log: t.Logf,
+		MinEvents: 1, PromoteAfter: 2, promotePoll: 1, logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,3 +291,6 @@ func TestTrainerBoundsResiduals(t *testing.T) {
 			inc.Residuals(), maxResiduals, inc.Compacted(), extra)
 	}
 }
+
+// Incremental exposes the trainer's click model to the tests.
+func (t *Trainer) Incremental() *clickmodel.Incremental { return t.inc }

@@ -56,7 +56,7 @@ func TestAddMatMulABT(t *testing.T) {
 		a := RandNormal(r, c, 0, 1, rng)   // dOut
 		b := RandNormal(k, c, 0, 1, rng)   // B (the kernel consumes Bᵀ implicitly)
 		out := RandNormal(r, k, 0, 1, rng) // pre-filled: kernel must accumulate
-		want := out.Add(naiveMatMul(a, b.T()))
+		want := out.Clone().AddInPlace(naiveMatMul(a, b.T()))
 		AddMatMulABT(out, a, b)
 		if !out.EqualApprox(want, 1e-12) {
 			t.Fatalf("AddMatMulABT %v diverges from naive a·bᵀ", dims)
@@ -71,7 +71,7 @@ func TestAddMatMulATB(t *testing.T) {
 		a := RandNormal(r, k, 0, 1, rng)   // A
 		b := RandNormal(r, c, 0, 1, rng)   // dOut
 		out := RandNormal(k, c, 0, 1, rng) // pre-filled: kernel must accumulate
-		want := out.Add(naiveMatMul(a.T(), b))
+		want := out.Clone().AddInPlace(naiveMatMul(a.T(), b))
 		AddMatMulATB(out, a, b)
 		if !out.EqualApprox(want, 1e-12) {
 			t.Fatalf("AddMatMulATB %v diverges from naive aᵀ·b", dims)

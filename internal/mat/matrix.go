@@ -111,16 +111,6 @@ func (m *Matrix) assertSameShape(n *Matrix, op string) {
 	}
 }
 
-// Add returns m + n element-wise.
-func (m *Matrix) Add(n *Matrix) *Matrix {
-	m.assertSameShape(n, "Add")
-	out := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] + n.Data[i]
-	}
-	return out
-}
-
 // AddInPlace accumulates n into m and returns m.
 func (m *Matrix) AddInPlace(n *Matrix) *Matrix {
 	m.assertSameShape(n, "AddInPlace")
@@ -128,35 +118,6 @@ func (m *Matrix) AddInPlace(n *Matrix) *Matrix {
 		m.Data[i] += n.Data[i]
 	}
 	return m
-}
-
-// Sub returns m − n element-wise.
-func (m *Matrix) Sub(n *Matrix) *Matrix {
-	m.assertSameShape(n, "Sub")
-	out := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] - n.Data[i]
-	}
-	return out
-}
-
-// MulElem returns the Hadamard (element-wise) product m ⊙ n.
-func (m *Matrix) MulElem(n *Matrix) *Matrix {
-	m.assertSameShape(n, "MulElem")
-	out := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] * n.Data[i]
-	}
-	return out
-}
-
-// Scale returns s·m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = s * m.Data[i]
-	}
-	return out
 }
 
 // ScaleInPlace multiplies every entry by s and returns m.
@@ -411,15 +372,6 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Apply returns a new matrix with f applied to every entry.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
 // Sum returns the sum of all entries.
 func (m *Matrix) Sum() float64 {
 	var s float64
@@ -448,62 +400,6 @@ func (m *Matrix) MaxAbs() float64 {
 	return mx
 }
 
-// Norm2 returns the Frobenius norm of m.
-func (m *Matrix) Norm2() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// ConcatCols returns [m | n]: the matrices stacked horizontally.
-// Both must have the same number of rows.
-func ConcatCols(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic(fmt.Sprintf("mat: ConcatCols row mismatch %d vs %d", m.Rows, rows))
-		}
-		cols += m.Cols
-	}
-	out := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		off := i * cols
-		for _, m := range ms {
-			copy(out.Data[off:off+m.Cols], m.Row(i))
-			off += m.Cols
-		}
-	}
-	return out
-}
-
-// ConcatRows stacks the matrices vertically. All must share a column count.
-func ConcatRows(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic(fmt.Sprintf("mat: ConcatRows col mismatch %d vs %d", m.Cols, cols))
-		}
-		rows += m.Rows
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(out.Data[off:off+len(m.Data)], m.Data)
-		off += len(m.Data)
-	}
-	return out
-}
-
 // SliceRows returns a copy of rows [from, to) of m.
 func (m *Matrix) SliceRows(from, to int) *Matrix {
 	if from < 0 || to > m.Rows || from > to {
@@ -511,28 +407,6 @@ func (m *Matrix) SliceRows(from, to int) *Matrix {
 	}
 	out := New(to-from, m.Cols)
 	copy(out.Data, m.Data[from*m.Cols:to*m.Cols])
-	return out
-}
-
-// SliceCols returns a copy of columns [from, to) of m.
-func (m *Matrix) SliceCols(from, to int) *Matrix {
-	if from < 0 || to > m.Cols || from > to {
-		panic(fmt.Sprintf("mat: SliceCols [%d,%d) out of range for %d cols", from, to, m.Cols))
-	}
-	out := New(m.Rows, to-from)
-	for i := 0; i < m.Rows; i++ {
-		copy(out.Row(i), m.Row(i)[from:to])
-	}
-	return out
-}
-
-// SoftmaxRows returns a matrix where each row of m is replaced by its
-// softmax. The implementation subtracts the row max for numerical stability.
-func (m *Matrix) SoftmaxRows() *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		SoftmaxInto(out.Row(i), m.Row(i))
-	}
 	return out
 }
 

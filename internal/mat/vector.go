@@ -17,18 +17,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// AddVec returns a + b element-wise.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("mat: AddVec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
 // ScaleVec returns s·a.
 func ScaleVec(s float64, a []float64) []float64 {
 	out := make([]float64, len(a))
@@ -54,13 +42,6 @@ func SumVec(a []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// Softmax returns the softmax of a, computed stably.
-func Softmax(a []float64) []float64 {
-	out := make([]float64, len(a))
-	SoftmaxInto(out, a)
-	return out
 }
 
 // SoftmaxInto writes the softmax of src into dst (same length; dst may be
@@ -123,16 +104,6 @@ func ArgSortDesc(a []float64) []int {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(x, y int) bool { return a[idx[x]] > a[idx[y]] })
-	return idx
-}
-
-// TopK returns the indices of the k largest entries of a, in descending
-// order of value. If k exceeds len(a) the full argsort is returned.
-func TopK(a []float64, k int) []int {
-	idx := ArgSortDesc(a)
-	if k < len(idx) {
-		idx = idx[:k]
-	}
 	return idx
 }
 

@@ -40,7 +40,7 @@ func euclid(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// AlphaDCGAtK computes the α-DCG of a ranked list given per-item, per-topic
+// alphaDCGAtK computes the α-DCG of a ranked list given per-item, per-topic
 // relevance rel[i][t] ≥ 0. The gain of the item at rank i is
 //
 //	Σ_t rel[i][t] · (1−α)^{count of topic-t relevance already seen}
@@ -49,7 +49,7 @@ func euclid(a, b []float64) float64 {
 // geometrically, so a list that keeps hitting the same topic earns less than
 // one that spreads across topics. α=0 degenerates to plain DCG over summed
 // relevance; α→1 rewards only the first hit per topic.
-func AlphaDCGAtK(rel [][]float64, alpha float64, k int) float64 {
+func alphaDCGAtK(rel [][]float64, alpha float64, k int) float64 {
 	if k > len(rel) {
 		k = len(rel)
 	}
@@ -66,7 +66,7 @@ func AlphaDCGAtK(rel [][]float64, alpha float64, k int) float64 {
 	return dcg
 }
 
-// AlphaNDCGAtK normalizes AlphaDCGAtK by the α-DCG of a greedily built ideal
+// AlphaNDCGAtK normalizes alphaDCGAtK by the α-DCG of a greedily built ideal
 // ordering of the same items. Computing the exact ideal is NP-hard (it is a
 // weighted coverage problem), so — as is standard for this metric — the
 // ideal is the greedy one: at each rank pick the remaining item with the
@@ -76,11 +76,11 @@ func AlphaNDCGAtK(rel [][]float64, alpha float64, k int) float64 {
 	if len(rel) == 0 || k <= 0 {
 		return 0
 	}
-	ideal := AlphaDCGAtK(greedyIdeal(rel, alpha, k), alpha, k)
+	ideal := alphaDCGAtK(greedyIdeal(rel, alpha, k), alpha, k)
 	if ideal == 0 {
 		return 0
 	}
-	v := AlphaDCGAtK(rel, alpha, k) / ideal
+	v := alphaDCGAtK(rel, alpha, k) / ideal
 	if v > 1 {
 		v = 1
 	}

@@ -84,8 +84,8 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs.
-func Variance(xs []float64) float64 {
+// variance returns the unbiased sample variance of xs.
+func variance(xs []float64) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0

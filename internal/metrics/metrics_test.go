@@ -87,10 +87,10 @@ func TestMeanVariance(t *testing.T) {
 	if Mean(xs) != 5 {
 		t.Fatalf("Mean = %v", Mean(xs))
 	}
-	if math.Abs(Variance(xs)-32.0/7) > 1e-12 {
-		t.Fatalf("Variance = %v", Variance(xs))
+	if math.Abs(variance(xs)-32.0/7) > 1e-12 {
+		t.Fatalf("Variance = %v", variance(xs))
 	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
+	if Mean(nil) != 0 || variance([]float64{1}) != 0 {
 		t.Fatal("degenerate inputs mishandled")
 	}
 }

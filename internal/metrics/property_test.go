@@ -114,7 +114,7 @@ func TestAlphaDCGDegeneratesToDCG(t *testing.T) {
 				sums[i] += v
 			}
 		}
-		return math.Abs(AlphaDCGAtK(rel, 0, k)-dcgAtK(sums, k)) < 1e-9
+		return math.Abs(alphaDCGAtK(rel, 0, k)-dcgAtK(sums, k)) < 1e-9
 	})
 }
 
@@ -127,7 +127,7 @@ func TestAlphaDCGRewardsSpread(t *testing.T) {
 		alpha := 0.05 + 0.9*rng.Float64()
 		repeat := [][]float64{{1, 0}, {1, 0}}
 		spread := [][]float64{{1, 0}, {0, 1}}
-		return AlphaDCGAtK(spread, alpha, 2) > AlphaDCGAtK(repeat, alpha, 2)
+		return alphaDCGAtK(spread, alpha, 2) > alphaDCGAtK(repeat, alpha, 2)
 	})
 }
 

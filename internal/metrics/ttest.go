@@ -19,7 +19,7 @@ func WelchTTest(a, b []float64) TTestResult {
 		return TTestResult{P: 1}
 	}
 	ma, mb := Mean(a), Mean(b)
-	va, vb := Variance(a), Variance(b)
+	va, vb := variance(a), variance(b)
 	sa, sb := va/na, vb/nb
 	se := math.Sqrt(sa + sb)
 	if se == 0 {
@@ -45,7 +45,7 @@ func PairedTTest(a, b []float64) TTestResult {
 	}
 	n := float64(len(diffs))
 	m := Mean(diffs)
-	v := Variance(diffs)
+	v := variance(diffs)
 	if v == 0 {
 		if m == 0 {
 			return TTestResult{P: 1}

@@ -17,7 +17,7 @@ import (
 // the params.
 func GradCheck(params []*Param, f func() float64, fAndBackward func(), eps float64) (maxRelErr float64, err error) {
 	for _, p := range params {
-		p.ZeroGrad()
+		p.zeroGrad()
 	}
 	fAndBackward()
 	analytic := make([][]float64, len(params))

@@ -211,7 +211,7 @@ func (t *Tape) Constant(v *mat.Matrix) *Node {
 func (t *Tape) Use(p *Param) *Node {
 	n := t.alloc(p.Value, opUse, true)
 	if t.grads != nil {
-		n.Grad = t.grads.Grad(p)
+		n.Grad = t.grads.grad(p)
 	} else {
 		n.Grad = p.Grad
 	}
@@ -539,9 +539,9 @@ func (t *Tape) Transpose(a *Node) *Node {
 	return out
 }
 
-// AddRowBroadcast returns a + 1·b where a is R×C and b is 1×C: b is added to
+// addRowBroadcast returns a + 1·b where a is R×C and b is 1×C: b is added to
 // every row of a. This is the bias pattern for dense layers over lists.
-func (t *Tape) AddRowBroadcast(a, b *Node) *Node {
+func (t *Tape) addRowBroadcast(a, b *Node) *Node {
 	if b.Value.Rows != 1 || b.Value.Cols != a.Value.Cols {
 		panic(fmt.Sprintf("nn: AddRowBroadcast wants 1x%d bias, got %dx%d", a.Value.Cols, b.Value.Rows, b.Value.Cols))
 	}
@@ -608,8 +608,8 @@ func (t *Tape) ConcatRows(ns ...*Node) *Node {
 	return out
 }
 
-// SliceCols returns columns [from, to) of a as a new node.
-func (t *Tape) SliceCols(a *Node, from, to int) *Node {
+// sliceCols returns columns [from, to) of a as a new node.
+func (t *Tape) sliceCols(a *Node, from, to int) *Node {
 	av := a.Value
 	if from < 0 || to > av.Cols || from > to {
 		panic(fmt.Sprintf("nn: SliceCols [%d,%d) out of range for %d cols", from, to, av.Cols))
@@ -636,8 +636,8 @@ func (t *Tape) SliceRows(a *Node, from, to int) *Node {
 	return out
 }
 
-// Sigmoid applies the logistic function element-wise.
-func (t *Tape) Sigmoid(a *Node) *Node {
+// sigmoid applies the logistic function element-wise.
+func (t *Tape) sigmoid(a *Node) *Node {
 	v := t.pool.Get(a.Value.Rows, a.Value.Cols)
 	mat.SigmoidInto(v.Data, a.Value.Data)
 	out := t.alloc(v, opSigmoid, a.needsGrad)
@@ -654,8 +654,8 @@ func (t *Tape) Tanh(a *Node) *Node {
 	return out
 }
 
-// ReLU applies max(0, x) element-wise.
-func (t *Tape) ReLU(a *Node) *Node {
+// relu applies max(0, x) element-wise.
+func (t *Tape) relu(a *Node) *Node {
 	v := t.pool.Get(a.Value.Rows, a.Value.Cols)
 	mat.ReLUInto(v.Data, a.Value.Data)
 	out := t.alloc(v, opReLU, a.needsGrad)
@@ -777,9 +777,9 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Node, target int) *Node {
 	return out
 }
 
-// LayerNormRows normalizes each row of a to zero mean / unit variance and
+// layerNormRows normalizes each row of a to zero mean / unit variance and
 // applies a learned per-column gain g and bias b (both 1×C nodes).
-func (t *Tape) LayerNormRows(a, gain, bias *Node) *Node {
+func (t *Tape) layerNormRows(a, gain, bias *Node) *Node {
 	rows, cols := a.Value.Rows, a.Value.Cols
 	v := t.pool.Get(rows, cols)
 	norm := t.pool.Get(rows, cols)  // x̂ before gain/bias, kept for backward

@@ -24,7 +24,7 @@ func checkOp(t *testing.T, name string, p *Param, build func(tp *Tape) *Node) {
 }
 
 func TestGradAdd(t *testing.T) {
-	p := NewParam("p", uniformConst(2, 3, 0.3))
+	p := newParam("p", uniformConst(2, 3, 0.3))
 	c := uniformConst(2, 3, 0.7)
 	checkOp(t, "Add", p, func(tp *Tape) *Node {
 		return tp.Sum(tp.Add(tp.Use(p), tp.Constant(c)))
@@ -32,7 +32,7 @@ func TestGradAdd(t *testing.T) {
 }
 
 func TestGradSub(t *testing.T) {
-	p := NewParam("p", uniformConst(2, 3, 0.4))
+	p := newParam("p", uniformConst(2, 3, 0.4))
 	c := uniformConst(2, 3, 0.9)
 	checkOp(t, "Sub", p, func(tp *Tape) *Node {
 		return tp.Sum(tp.Sub(tp.Constant(c), tp.Use(p)))
@@ -40,7 +40,7 @@ func TestGradSub(t *testing.T) {
 }
 
 func TestGradMul(t *testing.T) {
-	p := NewParam("p", uniformConst(2, 3, 0.5))
+	p := newParam("p", uniformConst(2, 3, 0.5))
 	c := uniformConst(2, 3, 0.2)
 	checkOp(t, "Mul", p, func(tp *Tape) *Node {
 		return tp.Sum(tp.Mul(tp.Use(p), tp.Constant(c)))
@@ -48,8 +48,8 @@ func TestGradMul(t *testing.T) {
 }
 
 func TestGradMulBothSides(t *testing.T) {
-	a := NewParam("a", uniformConst(2, 2, 0.11))
-	b := NewParam("b", uniformConst(2, 2, 0.77))
+	a := newParam("a", uniformConst(2, 2, 0.11))
+	b := newParam("b", uniformConst(2, 2, 0.77))
 	f := func() float64 {
 		tp := NewTape()
 		return tp.Sum(tp.Mul(tp.Use(a), tp.Use(b))).Value.Data[0]
@@ -64,8 +64,8 @@ func TestGradMulBothSides(t *testing.T) {
 }
 
 func TestGradMatMul(t *testing.T) {
-	a := NewParam("a", uniformConst(2, 3, 0.13))
-	b := NewParam("b", uniformConst(3, 4, 0.57))
+	a := newParam("a", uniformConst(2, 3, 0.13))
+	b := newParam("b", uniformConst(3, 4, 0.57))
 	build := func(tp *Tape) *Node {
 		return tp.Sum(tp.MatMul(tp.Use(a), tp.Use(b)))
 	}
@@ -77,7 +77,7 @@ func TestGradMatMul(t *testing.T) {
 }
 
 func TestGradTranspose(t *testing.T) {
-	p := NewParam("p", uniformConst(2, 3, 0.31))
+	p := newParam("p", uniformConst(2, 3, 0.31))
 	c := uniformConst(2, 3, 0.5)
 	checkOp(t, "Transpose", p, func(tp *Tape) *Node {
 		return tp.Sum(tp.Mul(tp.Transpose(tp.Use(p)), tp.Constant(c.T())))
@@ -85,17 +85,17 @@ func TestGradTranspose(t *testing.T) {
 }
 
 func TestGradScale(t *testing.T) {
-	p := NewParam("p", uniformConst(2, 2, 0.21))
+	p := newParam("p", uniformConst(2, 2, 0.21))
 	checkOp(t, "Scale", p, func(tp *Tape) *Node {
 		return tp.Sum(tp.Scale(tp.Use(p), -1.7))
 	})
 }
 
 func TestGradAddRowBroadcast(t *testing.T) {
-	x := NewParam("x", uniformConst(3, 4, 0.15))
-	b := NewParam("b", uniformConst(1, 4, 0.85))
+	x := newParam("x", uniformConst(3, 4, 0.15))
+	b := newParam("b", uniformConst(1, 4, 0.85))
 	build := func(tp *Tape) *Node {
-		return tp.Sum(tp.Sigmoid(tp.AddRowBroadcast(tp.Use(x), tp.Use(b))))
+		return tp.Sum(tp.sigmoid(tp.addRowBroadcast(tp.Use(x), tp.Use(b))))
 	}
 	f := func() float64 { tp := NewTape(); return build(tp).Value.Data[0] }
 	fb := func() { tp := NewTape(); tp.Backward(build(tp)) }
@@ -105,11 +105,11 @@ func TestGradAddRowBroadcast(t *testing.T) {
 }
 
 func TestGradConcatColsAndSlice(t *testing.T) {
-	a := NewParam("a", uniformConst(2, 2, 0.41))
-	b := NewParam("b", uniformConst(2, 3, 0.61))
+	a := newParam("a", uniformConst(2, 2, 0.41))
+	b := newParam("b", uniformConst(2, 3, 0.61))
 	build := func(tp *Tape) *Node {
 		cc := tp.ConcatCols(tp.Use(a), tp.Use(b))
-		return tp.Sum(tp.Tanh(tp.SliceCols(cc, 1, 4)))
+		return tp.Sum(tp.Tanh(tp.sliceCols(cc, 1, 4)))
 	}
 	f := func() float64 { tp := NewTape(); return build(tp).Value.Data[0] }
 	fb := func() { tp := NewTape(); tp.Backward(build(tp)) }
@@ -119,11 +119,11 @@ func TestGradConcatColsAndSlice(t *testing.T) {
 }
 
 func TestGradConcatRowsAndSliceRows(t *testing.T) {
-	a := NewParam("a", uniformConst(2, 3, 0.43))
-	b := NewParam("b", uniformConst(1, 3, 0.67))
+	a := newParam("a", uniformConst(2, 3, 0.43))
+	b := newParam("b", uniformConst(1, 3, 0.67))
 	build := func(tp *Tape) *Node {
 		cr := tp.ConcatRows(tp.Use(a), tp.Use(b))
-		return tp.Sum(tp.Sigmoid(tp.SliceRows(cr, 1, 3)))
+		return tp.Sum(tp.sigmoid(tp.SliceRows(cr, 1, 3)))
 	}
 	f := func() float64 { tp := NewTape(); return build(tp).Value.Data[0] }
 	fb := func() { tp := NewTape(); tp.Backward(build(tp)) }
@@ -137,11 +137,11 @@ func TestGradActivations(t *testing.T) {
 		name  string
 		apply func(tp *Tape, x *Node) *Node
 	}{
-		{"Sigmoid", func(tp *Tape, x *Node) *Node { return tp.Sigmoid(x) }},
+		{"Sigmoid", func(tp *Tape, x *Node) *Node { return tp.sigmoid(x) }},
 		{"Tanh", func(tp *Tape, x *Node) *Node { return tp.Tanh(x) }},
 		{"Softplus", func(tp *Tape, x *Node) *Node { return tp.Softplus(x) }},
 	} {
-		p := NewParam("p", uniformConst(2, 3, 0.37))
+		p := newParam("p", uniformConst(2, 3, 0.37))
 		checkOp(t, tc.name, p, func(tp *Tape) *Node {
 			return tp.Sum(tc.apply(tp, tp.Use(p)))
 		})
@@ -156,14 +156,14 @@ func TestGradReLU(t *testing.T) {
 			v.Data[i] = 0.1
 		}
 	}
-	p := NewParam("p", v)
+	p := newParam("p", v)
 	checkOp(t, "ReLU", p, func(tp *Tape) *Node {
-		return tp.Sum(tp.ReLU(tp.Use(p)))
+		return tp.Sum(tp.relu(tp.Use(p)))
 	})
 }
 
 func TestGradSoftmaxRows(t *testing.T) {
-	p := NewParam("p", uniformConst(3, 4, 0.53))
+	p := newParam("p", uniformConst(3, 4, 0.53))
 	c := uniformConst(3, 4, 0.29)
 	checkOp(t, "SoftmaxRows", p, func(tp *Tape) *Node {
 		return tp.Sum(tp.Mul(tp.SoftmaxRows(tp.Use(p)), tp.Constant(c)))
@@ -171,7 +171,7 @@ func TestGradSoftmaxRows(t *testing.T) {
 }
 
 func TestGradMeanAndMeanRows(t *testing.T) {
-	p := NewParam("p", uniformConst(3, 2, 0.59))
+	p := newParam("p", uniformConst(3, 2, 0.59))
 	checkOp(t, "Mean", p, func(tp *Tape) *Node {
 		return tp.Mean(tp.Use(p))
 	})
@@ -182,7 +182,7 @@ func TestGradMeanAndMeanRows(t *testing.T) {
 }
 
 func TestGradSigmoidBCE(t *testing.T) {
-	p := NewParam("p", uniformConst(4, 1, 0.71))
+	p := newParam("p", uniformConst(4, 1, 0.71))
 	targets := []float64{1, 0, 1, 0}
 	checkOp(t, "SigmoidBCE", p, func(tp *Tape) *Node {
 		return tp.SigmoidBCE(tp.Use(p), targets)
@@ -206,12 +206,12 @@ func TestSigmoidBCEStability(t *testing.T) {
 }
 
 func TestGradLayerNorm(t *testing.T) {
-	x := NewParam("x", uniformConst(3, 4, 0.23))
-	g := NewParam("g", uniformConst(1, 4, 0.91))
-	b := NewParam("b", uniformConst(1, 4, 0.17))
+	x := newParam("x", uniformConst(3, 4, 0.23))
+	g := newParam("g", uniformConst(1, 4, 0.91))
+	b := newParam("b", uniformConst(1, 4, 0.17))
 	c := uniformConst(3, 4, 0.63)
 	build := func(tp *Tape) *Node {
-		return tp.Sum(tp.Mul(tp.LayerNormRows(tp.Use(x), tp.Use(g), tp.Use(b)), tp.Constant(c)))
+		return tp.Sum(tp.Mul(tp.layerNormRows(tp.Use(x), tp.Use(g), tp.Use(b)), tp.Constant(c)))
 	}
 	f := func() float64 { tp := NewTape(); return build(tp).Value.Data[0] }
 	fb := func() { tp := NewTape(); tp.Backward(build(tp)) }
@@ -232,7 +232,7 @@ func TestBackwardRequires1x1(t *testing.T) {
 }
 
 func TestParamGradAccumulation(t *testing.T) {
-	p := NewParam("p", mat.FromSlice(1, 1, []float64{2}))
+	p := newParam("p", mat.FromSlice(1, 1, []float64{2}))
 	for i := 0; i < 3; i++ {
 		tp := NewTape()
 		tp.Backward(tp.Sum(tp.Use(p)))
@@ -240,14 +240,14 @@ func TestParamGradAccumulation(t *testing.T) {
 	if got := p.Grad.Data[0]; got != 3 {
 		t.Fatalf("gradient accumulated to %v, want 3 (one per backward pass)", got)
 	}
-	p.ZeroGrad()
+	p.zeroGrad()
 	if p.Grad.Data[0] != 0 {
 		t.Fatal("ZeroGrad did not clear")
 	}
 }
 
 func TestGradSoftmaxCrossEntropy(t *testing.T) {
-	p := NewParam("p", uniformConst(1, 5, 0.87))
+	p := newParam("p", uniformConst(1, 5, 0.87))
 	checkOp(t, "SoftmaxCrossEntropy", p, func(tp *Tape) *Node {
 		return tp.SoftmaxCrossEntropy(tp.Use(p), 2)
 	})

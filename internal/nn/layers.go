@@ -23,11 +23,11 @@ func (a Activation) apply(t *Tape, x *Node) *Node {
 	case Linear:
 		return x
 	case ReLU:
-		return t.ReLU(x)
+		return t.relu(x)
 	case Tanh:
 		return t.Tanh(x)
 	case SigmoidAct:
-		return t.Sigmoid(x)
+		return t.sigmoid(x)
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", a))
 	}
@@ -92,7 +92,7 @@ func NewDense(ps *ParamSet, prefix string, in, out int, act Activation, rng *ran
 
 // Forward applies the layer to x (R×in) and returns R×out.
 func (d *Dense) Forward(t *Tape, x *Node) *Node {
-	y := t.AddRowBroadcast(t.MatMul(x, t.Use(d.W)), t.Use(d.B))
+	y := t.addRowBroadcast(t.MatMul(x, t.Use(d.W)), t.Use(d.B))
 	return d.Act.apply(t, y)
 }
 
@@ -150,5 +150,5 @@ func NewLayerNorm(ps *ParamSet, prefix string, dim int) *LayerNorm {
 
 // Forward normalizes each row of x.
 func (ln *LayerNorm) Forward(t *Tape, x *Node) *Node {
-	return t.LayerNormRows(x, t.Use(ln.Gain), t.Use(ln.Bias))
+	return t.layerNormRows(x, t.Use(ln.Gain), t.Use(ln.Bias))
 }

@@ -281,20 +281,6 @@ func TestAdamReducesLoss(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumStep(t *testing.T) {
-	ps := NewParamSet()
-	p := ps.New("p", mat.FromSlice(1, 1, []float64{1}))
-	opt := NewSGD(0.1, 0.9)
-	p.Grad.Data[0] = 1
-	opt.Step(ps.All())
-	if got := p.Value.Data[0]; got != 0.9 {
-		t.Fatalf("first SGD step gave %v, want 0.9", got)
-	}
-	if p.Grad.Data[0] != 0 {
-		t.Fatal("Step did not zero the gradient")
-	}
-}
-
 func TestSerializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ps := NewParamSet()
@@ -309,7 +295,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range ps.All() {
-		q := ps2.Get(p.Name)
+		q := ps2.get(p.Name)
 		if q == nil || !q.Value.EqualApprox(p.Value, 0) {
 			t.Fatalf("param %s not restored", p.Name)
 		}
@@ -341,7 +327,7 @@ func TestCopyValuesFrom(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("copied %d params, want 2", n)
 	}
-	if !b.Get("d.W").Value.EqualApprox(a.Get("d.W").Value, 0) {
+	if !b.get("d.W").Value.EqualApprox(a.get("d.W").Value, 0) {
 		t.Fatal("weights not copied")
 	}
 }
@@ -360,7 +346,7 @@ func TestCrossForwardGrad(t *testing.T) {
 func TestUseAliasesParamGrad(t *testing.T) {
 	// Tape.Use must alias the parameter's gradient buffer, so gradients
 	// survive across multiple tapes until the optimizer consumes them.
-	p := NewParam("p", uniformConst(1, 2, 0.4))
+	p := newParam("p", uniformConst(1, 2, 0.4))
 	tp := NewTape()
 	n := tp.Use(p)
 	if n.Grad != p.Grad {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/mat"
 )
 
-// stepStates is the graph Tape.LSTM replaced: one 18-node cell.Step per
+// stepStates is the graph Tape.lstm replaced: one 18-node cell.Step per
 // timestep from the zero state, reading seq's rows first to last (or last
 // to first). It returns the hidden-state node of each row.
 func stepStates(t *Tape, cell *LSTMCell, seq *Node, reverse bool) []*Node {
@@ -84,7 +84,7 @@ func TestFusedLSTMMatchesStepGraph(t *testing.T) {
 			func(tp *Tape, b *BiLSTM, seq *Node) *Node { return (&LSTM{Cell: b.Fwd}).Forward(tp, seq) },
 			func(tp *Tape, b *BiLSTM, seq *Node) *Node { return stepForward(tp, b.Fwd, seq, false) }},
 		{"reverse",
-			func(tp *Tape, b *BiLSTM, seq *Node) *Node { return tp.LSTM(b.Bwd, seq, true) },
+			func(tp *Tape, b *BiLSTM, seq *Node) *Node { return tp.lstm(b.Bwd, seq, true) },
 			func(tp *Tape, b *BiLSTM, seq *Node) *Node { return stepForward(tp, b.Bwd, seq, true) }},
 		{"Last",
 			func(tp *Tape, b *BiLSTM, seq *Node) *Node { return (&LSTM{Cell: b.Fwd}).Last(tp, seq) },
@@ -127,7 +127,7 @@ func TestFusedLSTMMatchesStepGraph(t *testing.T) {
 								for _, p := range ps.All() {
 									g := p.Grad
 									if gs != nil {
-										g = gs.Grad(p)
+										g = gs.grad(p)
 									}
 									grads = append(grads, g.Clone())
 								}

@@ -6,44 +6,6 @@ import (
 	"repro/internal/mat"
 )
 
-// Optimizer updates parameters from their accumulated gradients and then
-// clears the gradients.
-type Optimizer interface {
-	// Step applies one update using the gradients currently stored in the
-	// parameters and zeroes them afterwards.
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[*Param]*mat.Matrix
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*mat.Matrix)}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum > 0 {
-			v := o.velocity[p]
-			if v == nil {
-				v = mat.New(p.Value.Rows, p.Value.Cols)
-				o.velocity[p] = v
-			}
-			v.ScaleInPlace(o.Momentum).AddScaledInPlace(1, p.Grad)
-			p.Value.AddScaledInPlace(-o.LR, v)
-		} else {
-			p.Value.AddScaledInPlace(-o.LR, p.Grad)
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements Kingma & Ba (2014), the optimizer the paper trains every
 // model with (Section IV-C).
 type Adam struct {
@@ -66,7 +28,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update from the gradients currently stored in params
+// and zeroes them afterwards.
 func (o *Adam) Step(params []*Param) {
 	o.Begin(params)
 	for _, p := range params {

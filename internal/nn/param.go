@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/mat"
 )
@@ -16,13 +15,13 @@ type Param struct {
 	Grad  *mat.Matrix
 }
 
-// NewParam wraps v as a named parameter with a zeroed gradient.
-func NewParam(name string, v *mat.Matrix) *Param {
+// newParam wraps v as a named parameter with a zeroed gradient.
+func newParam(name string, v *mat.Matrix) *Param {
 	return &Param{Name: name, Value: v, Grad: mat.New(v.Rows, v.Cols)}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// zeroGrad clears the accumulated gradient.
+func (p *Param) zeroGrad() { p.Grad.Zero() }
 
 // ParamSet is a named collection of parameters. Layers register their
 // parameters into a set so optimizers and serialization can address the
@@ -37,9 +36,9 @@ func NewParamSet() *ParamSet {
 	return &ParamSet{byName: make(map[string]*Param)}
 }
 
-// Add registers p. It panics on duplicate names, which almost always
+// add registers p. It panics on duplicate names, which almost always
 // indicates two layers sharing a prefix by mistake.
-func (s *ParamSet) Add(p *Param) *Param {
+func (s *ParamSet) add(p *Param) *Param {
 	if _, dup := s.byName[p.Name]; dup {
 		panic(fmt.Sprintf("nn: duplicate parameter %q", p.Name))
 	}
@@ -50,11 +49,11 @@ func (s *ParamSet) Add(p *Param) *Param {
 
 // New creates, registers and returns a parameter initialized to v.
 func (s *ParamSet) New(name string, v *mat.Matrix) *Param {
-	return s.Add(NewParam(name, v))
+	return s.add(newParam(name, v))
 }
 
-// Get returns the parameter with the given name, or nil.
-func (s *ParamSet) Get(name string) *Param { return s.byName[name] }
+// get returns the parameter with the given name, or nil.
+func (s *ParamSet) get(name string) *Param { return s.byName[name] }
 
 // All returns the parameters in registration order.
 func (s *ParamSet) All() []*Param {
@@ -65,17 +64,10 @@ func (s *ParamSet) All() []*Param {
 	return out
 }
 
-// Names returns the sorted parameter names.
-func (s *ParamSet) Names() []string {
-	out := append([]string(nil), s.order...)
-	sort.Strings(out)
-	return out
-}
-
-// ZeroGrad clears every parameter's gradient.
+// zeroGrad clears every parameter's gradient.
 func (s *ParamSet) ZeroGrad() {
 	for _, name := range s.order {
-		s.byName[name].ZeroGrad()
+		s.byName[name].zeroGrad()
 	}
 }
 

@@ -15,8 +15,8 @@ func TestRandomGraphGradients(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		rows := 1 + rng.Intn(3)
 		cols := 1 + rng.Intn(3)
-		a := NewParam("a", uniformConst(rows, cols, 0.1+0.03*float64(trial)))
-		b := NewParam("b", uniformConst(rows, cols, 0.9-0.02*float64(trial)))
+		a := newParam("a", uniformConst(rows, cols, 0.1+0.03*float64(trial)))
+		b := newParam("b", uniformConst(rows, cols, 0.9-0.02*float64(trial)))
 		plan := make([]int, 4+rng.Intn(4))
 		for i := range plan {
 			plan[i] = rng.Intn(6)
@@ -30,7 +30,7 @@ func TestRandomGraphGradients(t *testing.T) {
 				case 0:
 					x = tp.Tanh(x)
 				case 1:
-					x = tp.Sigmoid(x)
+					x = tp.sigmoid(x)
 				case 2:
 					x = tp.Add(x, y)
 				case 3:

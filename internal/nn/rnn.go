@@ -26,21 +26,21 @@ func NewLSTMCell(ps *ParamSet, prefix string, in, hidden int, rng *rand.Rand) *L
 	}
 	return &LSTMCell{
 		W:      ps.New(prefix+".W", mat.XavierUniform(in+hidden, 4*hidden, rng)),
-		B:      ps.Add(&Param{Name: prefix + ".b", Value: b, Grad: mat.New(1, 4*hidden)}),
+		B:      ps.add(&Param{Name: prefix + ".b", Value: b, Grad: mat.New(1, 4*hidden)}),
 		Hidden: hidden,
 	}
 }
 
-// Step advances the cell one timestep. x is 1×in; h and c are 1×hidden.
+// step advances the cell one timestep. x is 1×in; h and c are 1×hidden.
 // It returns the new hidden and cell states.
 func (l *LSTMCell) Step(t *Tape, x, h, c *Node) (hNew, cNew *Node) {
 	z := t.ConcatCols(x, h)
-	gates := t.AddRowBroadcast(t.MatMul(z, t.Use(l.W)), t.Use(l.B))
+	gates := t.addRowBroadcast(t.MatMul(z, t.Use(l.W)), t.Use(l.B))
 	hd := l.Hidden
-	i := t.Sigmoid(t.SliceCols(gates, 0, hd))
-	f := t.Sigmoid(t.SliceCols(gates, hd, 2*hd))
-	g := t.Tanh(t.SliceCols(gates, 2*hd, 3*hd))
-	o := t.Sigmoid(t.SliceCols(gates, 3*hd, 4*hd))
+	i := t.sigmoid(t.sliceCols(gates, 0, hd))
+	f := t.sigmoid(t.sliceCols(gates, hd, 2*hd))
+	g := t.Tanh(t.sliceCols(gates, 2*hd, 3*hd))
+	o := t.sigmoid(t.sliceCols(gates, 3*hd, 4*hd))
 	cNew = t.Add(t.Mul(f, c), t.Mul(i, g))
 	hNew = t.Mul(o, t.Tanh(cNew))
 	return hNew, cNew
@@ -97,7 +97,7 @@ func (l *LSTMCell) InferStep(gates, base, xh, c []float64) {
 	}
 }
 
-// LSTM runs an LSTMCell over a sequence given as an L×in node (one row per
+// lstm runs an LSTMCell over a sequence given as an L×in node (one row per
 // timestep) and returns the per-step hidden states stacked as L×hidden.
 type LSTM struct {
 	Cell *LSTMCell
@@ -110,7 +110,7 @@ func NewLSTM(ps *ParamSet, prefix string, in, hidden int, rng *rand.Rand) *LSTM 
 
 // Forward returns the stacked hidden states (L×hidden); for an empty
 // sequence, a 0×hidden node.
-func (l *LSTM) Forward(t *Tape, seq *Node) *Node { return t.LSTM(l.Cell, seq, false) }
+func (l *LSTM) Forward(t *Tape, seq *Node) *Node { return t.lstm(l.Cell, seq, false) }
 
 // Last returns the final hidden state (1×hidden) of the sequence, or a zero
 // state for an empty sequence. The paper uses this as the per-topic summary
@@ -120,10 +120,10 @@ func (l *LSTM) Last(t *Tape, seq *Node) *Node {
 	if steps == 0 {
 		return t.Constant(mat.New(1, l.Cell.Hidden))
 	}
-	return t.SliceRows(t.LSTM(l.Cell, seq, false), steps-1, steps)
+	return t.SliceRows(t.lstm(l.Cell, seq, false), steps-1, steps)
 }
 
-// LSTM records a whole pass of cell over seq — L×in, one row per timestep —
+// lstm records a whole pass of cell over seq — L×in, one row per timestep —
 // as one tape node and returns the L×Hidden hidden states: row r is the
 // state after the step that read seq row r. With reverse the steps read the
 // rows last to first. The initial state is zero.
@@ -139,7 +139,7 @@ func (l *LSTM) Last(t *Tape, seq *Node) *Node {
 // order the step graph's MatMul and bias nodes would add them, last step
 // first. Float addition is not associative, so that is the whole argument:
 // every gradient element takes the same terms in the same sequence.
-func (t *Tape) LSTM(cell *LSTMCell, seq *Node, reverse bool) *Node {
+func (t *Tape) lstm(cell *LSTMCell, seq *Node, reverse bool) *Node {
 	w, b := t.Use(cell.W), t.Use(cell.B)
 	steps, in, hd := seq.Value.Rows, seq.Value.Cols, cell.Hidden
 	if w.Value.Rows != in+hd {
@@ -199,7 +199,7 @@ func lstmRow(s, steps int, reverse bool) int {
 	return s
 }
 
-// backLSTM is the opLSTM backward step: the BPTT sweep Tape.LSTM describes.
+// backLSTM is the opLSTM backward step: the BPTT sweep Tape.lstm describes.
 // Comments name the step-graph node whose backward each line reproduces.
 func (t *Tape) backLSTM(n *Node) {
 	seq, xh, st, gout := n.a, n.aux, n.aux2, n.Grad
@@ -248,7 +248,7 @@ func (t *Tape) backLSTM(n *Node) {
 			mat.AddMatVec(gseq.Row(r), w.Data[:in*w.Cols], dgr)
 		}
 	}
-	// AddRowBroadcast(·, b) and MatMul(·, W), step by step in sweep order.
+	// addRowBroadcast(·, b) and MatMul(·, W), step by step in sweep order.
 	gb, gw := n.c.Grad, n.b.Grad
 	for k := 0; k < steps; k++ {
 		for j, v := range dg.Row(k) {
@@ -287,7 +287,7 @@ func NewBiLSTM(ps *ParamSet, prefix string, in, hidden int, rng *rand.Rand) *BiL
 
 // Forward returns the concatenated forward/backward states, L×2·hidden.
 func (b *BiLSTM) Forward(t *Tape, seq *Node) *Node {
-	return t.ConcatCols(t.LSTM(b.Fwd, seq, false), t.LSTM(b.Bwd, seq, true))
+	return t.ConcatCols(t.lstm(b.Fwd, seq, false), t.lstm(b.Bwd, seq, true))
 }
 
 // GRUCell is a gated recurrent unit (used by the DLCM baseline). Gate order
@@ -301,8 +301,8 @@ type GRUCell struct {
 	Hidden int
 }
 
-// NewGRUCell builds a GRU cell.
-func NewGRUCell(ps *ParamSet, prefix string, in, hidden int, rng *rand.Rand) *GRUCell {
+// newGRUCell builds a GRU cell.
+func newGRUCell(ps *ParamSet, prefix string, in, hidden int, rng *rand.Rand) *GRUCell {
 	return &GRUCell{
 		Wg:     ps.New(prefix+".Wg", mat.XavierUniform(in+hidden, 2*hidden, rng)),
 		Bg:     ps.New(prefix+".bg", mat.New(1, 2*hidden)),
@@ -312,15 +312,15 @@ func NewGRUCell(ps *ParamSet, prefix string, in, hidden int, rng *rand.Rand) *GR
 	}
 }
 
-// Step advances the cell one timestep: x is 1×in, h is 1×hidden.
-func (g *GRUCell) Step(t *Tape, x, h *Node) *Node {
+// step advances the cell one timestep: x is 1×in, h is 1×hidden.
+func (g *GRUCell) step(t *Tape, x, h *Node) *Node {
 	z := t.ConcatCols(x, h)
-	gates := t.Sigmoid(t.AddRowBroadcast(t.MatMul(z, t.Use(g.Wg)), t.Use(g.Bg)))
+	gates := t.sigmoid(t.addRowBroadcast(t.MatMul(z, t.Use(g.Wg)), t.Use(g.Bg)))
 	hd := g.Hidden
-	r := t.SliceCols(gates, 0, hd)
-	u := t.SliceCols(gates, hd, 2*hd)
+	r := t.sliceCols(gates, 0, hd)
+	u := t.sliceCols(gates, hd, 2*hd)
 	zc := t.ConcatCols(x, t.Mul(r, h))
-	cand := t.Tanh(t.AddRowBroadcast(t.MatMul(zc, t.Use(g.Wc)), t.Use(g.Bc)))
+	cand := t.Tanh(t.addRowBroadcast(t.MatMul(zc, t.Use(g.Wc)), t.Use(g.Bc)))
 	// h' = (1−u)⊙h + u⊙cand
 	one := t.Constant(onesLike(u.Value))
 	return t.Add(t.Mul(t.Sub(one, u), h), t.Mul(u, cand))
@@ -333,7 +333,7 @@ type GRU struct {
 
 // NewGRU builds a unidirectional GRU.
 func NewGRU(ps *ParamSet, prefix string, in, hidden int, rng *rand.Rand) *GRU {
-	return &GRU{Cell: NewGRUCell(ps, prefix, in, hidden, rng)}
+	return &GRU{Cell: newGRUCell(ps, prefix, in, hidden, rng)}
 }
 
 // Forward returns the stacked hidden states (L×hidden).
@@ -346,7 +346,7 @@ func (g *GRU) Forward(t *Tape, seq *Node) *Node {
 	out := make([]*Node, steps)
 	for i := 0; i < steps; i++ {
 		x := t.SliceRows(seq, i, i+1)
-		h = g.Cell.Step(t, x, h)
+		h = g.Cell.step(t, x, h)
 		out[i] = h
 	}
 	return t.ConcatRows(out...)

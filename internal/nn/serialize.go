@@ -56,7 +56,7 @@ func (s *ParamSet) load(r io.Reader, strict bool) error {
 	}
 	seen := make(map[string]bool, len(snap.Params))
 	for _, rec := range snap.Params {
-		p := s.Get(rec.Name)
+		p := s.get(rec.Name)
 		if p == nil {
 			return fmt.Errorf("nn: snapshot has unknown parameter %q", rec.Name)
 		}
@@ -125,7 +125,7 @@ func (s *ParamSet) SaveFileAtomic(path string) (err error) {
 func (s *ParamSet) CopyValuesFrom(src *ParamSet) int {
 	n := 0
 	for _, p := range s.All() {
-		q := src.Get(p.Name)
+		q := src.get(p.Name)
 		if q != nil && q.Value.SameShape(p.Value) {
 			copy(p.Value.Data, q.Value.Data)
 			n++

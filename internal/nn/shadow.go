@@ -25,9 +25,9 @@ func NewGradShadow(ps *ParamSet) *GradShadow {
 	return gs
 }
 
-// Grad returns the shadow buffer for p, falling back to p.Grad for a
+// grad returns the shadow buffer for p, falling back to p.Grad for a
 // parameter that is not part of the mirrored set.
-func (gs *GradShadow) Grad(p *Param) *mat.Matrix {
+func (gs *GradShadow) grad(p *Param) *mat.Matrix {
 	if g, ok := gs.grads[p]; ok {
 		return g
 	}

@@ -9,7 +9,7 @@ import (
 
 // buildSmallNet runs a tiny MLP forward/backward on t and returns the loss.
 func buildSmallNet(t *Tape, w1, b1, w2 *Param, x *mat.Matrix, targets []float64) float64 {
-	h := t.Tanh(t.AddRowBroadcast(t.MatMul(t.Constant(x), t.Use(w1)), t.Use(b1)))
+	h := t.Tanh(t.addRowBroadcast(t.MatMul(t.Constant(x), t.Use(w1)), t.Use(b1)))
 	logits := t.MatMul(h, t.Use(w2))
 	loss := t.SigmoidBCE(logits, targets)
 	t.Backward(loss)
@@ -155,20 +155,20 @@ func TestGradShadowIsolatesAndFolds(t *testing.T) {
 	if w.Grad.MaxAbs() != 0 {
 		t.Fatal("shadowed backward leaked into Param.Grad")
 	}
-	if !gs.Grad(w).EqualApprox(want, 0) {
+	if !gs.grad(w).EqualApprox(want, 0) {
 		t.Fatal("shadow gradient differs from direct gradient")
 	}
 	gs.FoldInto(w, 0, len(w.Grad.Data))
 	if !w.Grad.EqualApprox(want, 0) {
 		t.Fatal("FoldInto did not fold the shadow into Param.Grad")
 	}
-	if gs.Grad(w).MaxAbs() != 0 {
+	if gs.grad(w).MaxAbs() != 0 {
 		t.Fatal("FoldInto left shadow gradients dirty")
 	}
 
 	// A param outside the mirrored set falls back to its own buffer.
-	other := NewParam("other", mat.New(1, 1))
-	if gs.Grad(other) != other.Grad {
+	other := newParam("other", mat.New(1, 1))
+	if gs.grad(other) != other.Grad {
 		t.Fatal("Grad for unmirrored param should alias its own buffer")
 	}
 }

@@ -50,7 +50,7 @@ func writeMetricText(w io.Writer, m MetricSnapshot) error {
 		}
 		_, err := fmt.Fprintf(w, "%s_count %d\n", m.Name, m.Hist.Count)
 		return err
-	case m.Kind == KindHistogram && m.Label != "":
+	case m.Kind == kindHistogram && m.Label != "":
 		for _, lh := range m.LabeledHists {
 			var cum int64
 			for i, c := range lh.Hist.Counts {
@@ -71,7 +71,7 @@ func writeMetricText(w io.Writer, m MetricSnapshot) error {
 			}
 		}
 		return nil
-	case m.Kind == KindGauge && m.Label != "":
+	case m.Kind == kindGauge && m.Label != "":
 		for _, lg := range m.LabeledGauges {
 			if _, err := fmt.Fprintf(w, "%s{%s=%q} %s\n", m.Name, m.Label, lg.Value, formatFloat(lg.Gauge)); err != nil {
 				return err

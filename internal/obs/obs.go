@@ -32,15 +32,15 @@ import (
 type Kind string
 
 const (
-	KindCounter   Kind = "counter"
-	KindGauge     Kind = "gauge"
-	KindHistogram Kind = "histogram"
+	kindCounter   Kind = "counter"
+	kindGauge     Kind = "gauge"
+	kindHistogram Kind = "histogram"
 )
 
-// LatencyBuckets are the default histogram bounds for request latencies, in
+// latencyBuckets are the default histogram bounds for request latencies, in
 // seconds. They bracket the paper's 50 ms industrial budget (Section V-B)
 // with decade resolution on both sides.
-var LatencyBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
+var latencyBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
@@ -338,7 +338,7 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return register(r, name, help, func() *Histogram {
 		if bounds == nil {
-			bounds = LatencyBuckets
+			bounds = latencyBuckets
 		}
 		for i := 1; i < len(bounds); i++ {
 			if bounds[i] <= bounds[i-1] {
@@ -357,7 +357,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
 	return register(r, name, help, func() *HistogramVec {
 		if bounds == nil {
-			bounds = LatencyBuckets
+			bounds = latencyBuckets
 		}
 		for i := 1; i < len(bounds); i++ {
 			if bounds[i] <= bounds[i-1] {
@@ -388,13 +388,13 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 		s := MetricSnapshot{Name: m.name, Help: m.help}
 		switch impl := m.impl.(type) {
 		case *Counter:
-			s.Kind = KindCounter
+			s.Kind = kindCounter
 			s.Value = float64(impl.Value())
 		case *Gauge:
-			s.Kind = KindGauge
+			s.Kind = kindGauge
 			s.Value = impl.Value()
 		case *CounterVec:
-			s.Kind = KindCounter
+			s.Kind = kindCounter
 			s.Label = impl.label
 			impl.mu.RLock()
 			for v, c := range impl.by {
@@ -403,7 +403,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 			impl.mu.RUnlock()
 			sort.Slice(s.Labeled, func(i, j int) bool { return s.Labeled[i].Value < s.Labeled[j].Value })
 		case *GaugeVec:
-			s.Kind = KindGauge
+			s.Kind = kindGauge
 			s.Label = impl.label
 			impl.mu.RLock()
 			for v, g := range impl.by {
@@ -412,11 +412,11 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 			impl.mu.RUnlock()
 			sort.Slice(s.LabeledGauges, func(i, j int) bool { return s.LabeledGauges[i].Value < s.LabeledGauges[j].Value })
 		case *Histogram:
-			s.Kind = KindHistogram
+			s.Kind = kindHistogram
 			h := impl.Snapshot()
 			s.Hist = &h
 		case *HistogramVec:
-			s.Kind = KindHistogram
+			s.Kind = kindHistogram
 			s.Label = impl.label
 			impl.mu.RLock()
 			for v, h := range impl.by {

@@ -62,7 +62,7 @@ func TestGaugeVec(t *testing.T) {
 	gv.With("c").Set(0.5)
 
 	snaps := r.Snapshot()
-	if len(snaps) != 1 || snaps[0].Kind != KindGauge || snaps[0].Label != "replica" {
+	if len(snaps) != 1 || snaps[0].Kind != kindGauge || snaps[0].Label != "replica" {
 		t.Fatalf("snapshot %+v", snaps)
 	}
 	lg := snaps[0].LabeledGauges
@@ -114,7 +114,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestHistogramDefaultBounds(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "", nil)
-	if len(h.bounds) != len(LatencyBuckets) {
+	if len(h.bounds) != len(latencyBuckets) {
 		t.Fatalf("nil bounds did not default to LatencyBuckets: %v", h.bounds)
 	}
 }
@@ -260,7 +260,7 @@ func TestHistogramVec(t *testing.T) {
 	}
 
 	snaps := r.Snapshot()
-	if len(snaps) != 1 || snaps[0].Kind != KindHistogram || snaps[0].Label != "version" {
+	if len(snaps) != 1 || snaps[0].Kind != kindHistogram || snaps[0].Label != "version" {
 		t.Fatalf("snapshot %+v", snaps)
 	}
 	lh := snaps[0].LabeledHists

@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// EpochSecondsBuckets are the default histogram bounds for epoch wall-clock
+// epochSecondsBuckets are the default histogram bounds for epoch wall-clock
 // time; epochs range from sub-second (tests, tiny scales) to minutes.
-var EpochSecondsBuckets = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300}
+var epochSecondsBuckets = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300}
 
 // TrainTelemetry is the training-side metric set: per-epoch loss and
 // validation loss gauges, epoch-duration histogram, and monotone counters
@@ -36,7 +36,7 @@ func NewTrainTelemetry(r *Registry) *TrainTelemetry {
 		DroppedSteps:     r.Counter("rapid_train_dropped_steps_total", "Optimizer steps dropped by the non-finite gradient guard."),
 		Loss:             r.Gauge("rapid_train_loss", "Mean training loss of the last completed epoch."),
 		ValidLoss:        r.Gauge("rapid_train_valid_loss", "Validation loss of the last completed epoch (NaN without a validation split)."),
-		EpochSeconds:     r.Histogram("rapid_train_epoch_seconds", "Wall-clock time per training epoch.", EpochSecondsBuckets),
+		EpochSeconds:     r.Histogram("rapid_train_epoch_seconds", "Wall-clock time per training epoch.", epochSecondsBuckets),
 	}
 }
 

@@ -134,7 +134,7 @@ func scorerBytes(sc engine.Scorer) int64 {
 func (m *Multi) Tenant(name string) (engine.Provider, error) {
 	// Tenant names are path components chosen by request bodies — the same
 	// trust boundary as version labels, so the same validation.
-	if err := ValidLabel(name); err != nil {
+	if err := validLabel(name); err != nil {
 		return nil, fmt.Errorf("unknown tenant %q: %w", name, err)
 	}
 	if p := m.lookup(name); p != nil {
@@ -215,11 +215,4 @@ func (m *Multi) admit(rt *resident) {
 	}
 	m.met.resident.Set(float64(len(m.res)))
 	m.met.residentBytes.Set(float64(m.bytes))
-}
-
-// Resident reports the currently resident tenant count and estimated bytes.
-func (m *Multi) Resident() (tenants int, bytes int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.res), m.bytes
 }

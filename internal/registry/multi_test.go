@@ -404,3 +404,10 @@ func TestMultiTenantServingEndToEnd(t *testing.T) {
 	<-held
 	check("acme", heldStatus, heldBody)
 }
+
+// Resident reports the currently resident tenant count and estimated bytes.
+func (m *Multi) Resident() (tenants int, bytes int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.res), m.bytes
+}

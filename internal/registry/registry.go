@@ -254,7 +254,7 @@ func (r *Registry) maybeAutoRollback(cand *version) {
 // golden warm-up set, and stage the version as the canary candidate — or
 // activate it directly when nothing is active yet (process startup).
 func (r *Registry) Load(label string) error {
-	if err := ValidLabel(label); err != nil {
+	if err := validLabel(label); err != nil {
 		return fmt.Errorf("%w: %v", engine.ErrUnknownVersion, err)
 	}
 	r.mu.Lock()

@@ -65,7 +65,7 @@ func fakeVersionDir(t *testing.T, root, label string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{ModelFile, ManifestFile} {
+	for _, f := range []string{modelFile, manifestFile} {
 		if err := os.WriteFile(filepath.Join(dir, f), []byte("stub"), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -31,19 +31,19 @@ import (
 // files exist; the directory itself appears atomically (staging + rename),
 // so a concurrent scan never observes a half-written version.
 const (
-	ModelFile    = "model.gob"
-	ManifestFile = "model.json"
+	modelFile    = "model.gob"
+	manifestFile = "model.json"
 )
 
 // ModelPath is the weights path of one version inside a store root.
 func ModelPath(root, version string) string {
-	return filepath.Join(root, version, ModelFile)
+	return filepath.Join(root, version, modelFile)
 }
 
-// ValidLabel rejects version labels that could escape the store root or
+// validLabel rejects version labels that could escape the store root or
 // collide with staging directories. Labels are path components chosen by
 // operators and admin API callers — they must never be trusted as paths.
-func ValidLabel(label string) error {
+func validLabel(label string) error {
 	switch {
 	case label == "":
 		return fmt.Errorf("empty version label")
@@ -64,7 +64,7 @@ func ValidLabel(label string) error {
 // generates a UTC-timestamped one (v20060102T150405, suffixed on collision).
 func Publish(root, label string, ps *nn.ParamSet, man engine.Manifest) (string, error) {
 	return publishStaged(root, label, man, func(staging string) error {
-		return ps.SaveFileAtomic(filepath.Join(staging, ModelFile))
+		return ps.SaveFileAtomic(filepath.Join(staging, modelFile))
 	})
 }
 
@@ -81,7 +81,7 @@ func PublishDiversifier(root, label string, man engine.Manifest) (string, error)
 	}
 	return publishStaged(root, label, man, func(staging string) error {
 		placeholder := []byte("diversifier:" + man.Diversifier + "\n")
-		return writeFileSync(filepath.Join(staging, ModelFile), placeholder)
+		return writeFileSync(filepath.Join(staging, modelFile), placeholder)
 	})
 }
 
@@ -94,7 +94,7 @@ func publishStaged(root, label string, man engine.Manifest, writeModel func(stag
 	}
 	if label == "" {
 		label = nextLabel(root)
-	} else if err := ValidLabel(label); err != nil {
+	} else if err := validLabel(label); err != nil {
 		return "", fmt.Errorf("registry: %w", err)
 	}
 	final := filepath.Join(root, label)
@@ -111,7 +111,7 @@ func publishStaged(root, label string, man engine.Manifest, writeModel func(stag
 	if err := writeModel(staging); err != nil {
 		return "", err
 	}
-	if err := engine.WriteManifestFileAtomic(filepath.Join(staging, ManifestFile), man); err != nil {
+	if err := engine.WriteManifestFileAtomic(filepath.Join(staging, manifestFile), man); err != nil {
 		return "", err
 	}
 	if err := syncDir(staging); err != nil {
@@ -171,10 +171,10 @@ func Scan(root string) ([]string, error) {
 		if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
 			continue
 		}
-		if _, err := os.Stat(filepath.Join(root, e.Name(), ModelFile)); err != nil {
+		if _, err := os.Stat(filepath.Join(root, e.Name(), modelFile)); err != nil {
 			continue
 		}
-		if _, err := os.Stat(filepath.Join(root, e.Name(), ManifestFile)); err != nil {
+		if _, err := os.Stat(filepath.Join(root, e.Name(), manifestFile)); err != nil {
 			continue
 		}
 		out = append(out, e.Name())

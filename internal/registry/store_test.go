@@ -86,12 +86,12 @@ func TestPublishRejectsBadLabels(t *testing.T) {
 
 func TestValidLabel(t *testing.T) {
 	for _, ok := range []string{"v1", "v20250101T000000", "release-2_final.1"} {
-		if err := ValidLabel(ok); err != nil {
+		if err := validLabel(ok); err != nil {
 			t.Fatalf("%q rejected: %v", ok, err)
 		}
 	}
 	for _, bad := range []string{"", ".", ".staging-x", "a/b", `a\b`, "../up"} {
-		if err := ValidLabel(bad); err == nil {
+		if err := validLabel(bad); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}
 	}
@@ -104,16 +104,16 @@ func TestScanSkipsIncompleteAndHidden(t *testing.T) {
 	// Weights without a manifest: not a version.
 	noMan := filepath.Join(root, "no-manifest")
 	os.MkdirAll(noMan, 0o755)
-	os.WriteFile(filepath.Join(noMan, ModelFile), []byte("x"), 0o644)
+	os.WriteFile(filepath.Join(noMan, modelFile), []byte("x"), 0o644)
 	// Manifest without weights: not a version.
 	noModel := filepath.Join(root, "no-model")
 	os.MkdirAll(noModel, 0o755)
-	os.WriteFile(filepath.Join(noModel, ManifestFile), []byte("x"), 0o644)
+	os.WriteFile(filepath.Join(noModel, manifestFile), []byte("x"), 0o644)
 	// In-flight staging directory: hidden, never listed.
 	staging := filepath.Join(root, ".staging-123")
 	os.MkdirAll(staging, 0o755)
-	os.WriteFile(filepath.Join(staging, ModelFile), []byte("x"), 0o644)
-	os.WriteFile(filepath.Join(staging, ManifestFile), []byte("x"), 0o644)
+	os.WriteFile(filepath.Join(staging, modelFile), []byte("x"), 0o644)
+	os.WriteFile(filepath.Join(staging, manifestFile), []byte("x"), 0o644)
 	// A stray file in the root is not a version either.
 	os.WriteFile(filepath.Join(root, "README"), []byte("x"), 0o644)
 

@@ -22,13 +22,13 @@ type ListwiseModel interface {
 	// The parallel trainer calls Logits from multiple goroutines at once
 	// (distinct tapes, distinct instances), so the method must not mutate
 	// shared model state. Models with train-time randomness implement
-	// BatchPreparer to move their random draws onto the trainer goroutine.
+	// batchPreparer to move their random draws onto the trainer goroutine.
 	Logits(t *nn.Tape, inst *Instance, train bool) *nn.Node
 	// Params exposes the trainable parameters.
 	Params() *nn.ParamSet
 }
 
-// BatchPreparer is an optional ListwiseModel extension for models whose
+// batchPreparer is an optional ListwiseModel extension for models whose
 // training-time forward pass is stochastic. The trainer calls
 // PrepareInstance sequentially — in batch order, before any worker touches
 // the batch — so the model can pre-draw its random numbers from its own RNG
@@ -36,14 +36,14 @@ type ListwiseModel interface {
 // then consumes the stashed draws instead of the RNG, which keeps the
 // forward pass read-only (race-free) and the RNG stream independent of
 // worker scheduling.
-type BatchPreparer interface {
+type batchPreparer interface {
 	PrepareInstance(inst *Instance)
 }
 
-// TapeSized is an optional ListwiseModel extension reporting an estimate of
+// tapeSized is an optional ListwiseModel extension reporting an estimate of
 // the number of tape nodes one Logits call records, so the trainer can
 // pre-size its tapes (nn.NewTapeCap) and skip arena growth entirely.
-type TapeSized interface {
+type tapeSized interface {
 	TapeCapHint() int
 }
 
@@ -281,7 +281,7 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 	opt := nn.NewAdam(cfg.LR)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ps := m.Params()
-	prep, _ := m.(BatchPreparer)
+	prep, _ := m.(batchPreparer)
 
 	slots := make([]*slotState, cfg.BatchSize)
 	for i := range slots {
@@ -398,7 +398,7 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 		// losses; the same value then drives early stopping.
 		vl := math.NaN()
 		if valid != nil {
-			vl = ValidationLoss(m, valid)
+			vl = validationLoss(m, valid)
 		}
 		emitEpoch(cfg.Observer, EpochStats{
 			Epoch: e, Epochs: cfg.Epochs,
@@ -447,7 +447,7 @@ func runSlot(m ListwiseModel, tape *nn.Tape, s *slotState, inst *Instance) {
 // newModelTape builds a tape sized to the model's per-instance graph when
 // the model reports an estimate.
 func newModelTape(m ListwiseModel) *nn.Tape {
-	if ts, ok := m.(TapeSized); ok {
+	if ts, ok := m.(tapeSized); ok {
 		if hint := ts.TapeCapHint(); hint > 0 {
 			return nn.NewTapeCap(hint)
 		}
@@ -455,10 +455,10 @@ func newModelTape(m ListwiseModel) *nn.Tape {
 	return nn.NewTape()
 }
 
-// ValidationLoss computes the deterministic (inference-mode) mean BCE over
+// validationLoss computes the deterministic (inference-mode) mean BCE over
 // labeled instances without touching gradients. One tape is reused across
 // instances; losses are summed in instance order.
-func ValidationLoss(m ListwiseModel, insts []*Instance) float64 {
+func validationLoss(m ListwiseModel, insts []*Instance) float64 {
 	if len(insts) == 0 {
 		return 0
 	}

@@ -7,11 +7,11 @@ import (
 func TestValidationLoss(t *testing.T) {
 	insts := testInstances(t, 6, true)
 	m := newLinearModel(insts[0].FeatureDim(), 9)
-	vl := ValidationLoss(m, insts)
+	vl := validationLoss(m, insts)
 	if vl <= 0 {
 		t.Fatalf("validation loss %v", vl)
 	}
-	if got := ValidationLoss(m, nil); got != 0 {
+	if got := validationLoss(m, nil); got != 0 {
 		t.Fatalf("empty validation loss %v", got)
 	}
 }
@@ -38,8 +38,8 @@ func TestEarlyStoppingRestoresBest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lFree := ValidationLoss(free, valid)
-	lStop := ValidationLoss(stopped, valid)
+	lFree := validationLoss(free, valid)
+	lStop := validationLoss(stopped, valid)
 	if lStop > lFree+1e-9 {
 		t.Fatalf("early stopping ended worse: %v vs free-running %v", lStop, lFree)
 	}

@@ -10,7 +10,7 @@ import (
 
 // noisyModel is a stochastic ListwiseModel for parallel-trainer tests: a
 // dense layer whose training-time logits add Gaussian noise, mirroring
-// RAPID-pro's reparameterization trick. It implements BatchPreparer (noise
+// RAPID-pro's reparameterization trick. It implements batchPreparer (noise
 // is pre-drawn on the trainer goroutine) and TapeSized.
 type noisyModel struct {
 	ps    *nn.ParamSet

@@ -5,26 +5,26 @@ import (
 	"time"
 )
 
-// BreakerState is a circuit breaker's position.
-type BreakerState int
+// breakerState is a circuit breaker's position.
+type breakerState int
 
 const (
-	// BreakerClosed passes traffic and counts outcomes.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen rejects traffic until the open interval elapses.
-	BreakerOpen
-	// BreakerHalfOpen admits a bounded number of probe requests; their
+	// breakerClosed passes traffic and counts outcomes.
+	breakerClosed breakerState = iota
+	// breakerOpen rejects traffic until the open interval elapses.
+	breakerOpen
+	// breakerHalfOpen admits a bounded number of probe requests; their
 	// outcomes decide between re-closing and re-opening.
-	BreakerHalfOpen
+	breakerHalfOpen
 )
 
-func (s BreakerState) String() string {
+func (s breakerState) String() string {
 	switch s {
-	case BreakerClosed:
+	case breakerClosed:
 		return "closed"
-	case BreakerOpen:
+	case breakerOpen:
 		return "open"
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		return "half-open"
 	default:
 		return "unknown"
@@ -90,14 +90,14 @@ type breaker struct {
 	now func() time.Time
 
 	mu        sync.Mutex
-	state     BreakerState
+	state     breakerState
 	buckets   [breakerBuckets]bucket
 	openedAt  time.Time
 	inFlight  int // half-open trial requests currently admitted
 	successes int // consecutive half-open successes
 
 	// onTransition, if non-nil, observes every state change (metrics).
-	onTransition func(from, to BreakerState)
+	onTransition func(from, to breakerState)
 }
 
 type bucket struct {
@@ -120,13 +120,13 @@ func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case BreakerClosed:
+	case breakerClosed:
 		return true
-	case BreakerOpen:
+	case breakerOpen:
 		if b.now().Sub(b.openedAt) < b.cfg.OpenFor {
 			return false
 		}
-		b.transition(BreakerHalfOpen)
+		b.transition(breakerHalfOpen)
 		b.inFlight = 1
 		return true
 	default: // half-open
@@ -143,7 +143,7 @@ func (b *breaker) allow() bool {
 func (b *breaker) cancelProbe() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen && b.inFlight > 0 {
+	if b.state == breakerHalfOpen && b.inFlight > 0 {
 		b.inFlight--
 	}
 }
@@ -153,7 +153,7 @@ func (b *breaker) record(success bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		if b.inFlight > 0 {
 			b.inFlight--
 		}
@@ -163,10 +163,10 @@ func (b *breaker) record(success bool) {
 		}
 		b.successes++
 		if b.successes >= b.cfg.HalfOpenSuccesses {
-			b.transition(BreakerClosed)
+			b.transition(breakerClosed)
 			b.resetWindow()
 		}
-	case BreakerClosed:
+	case breakerClosed:
 		bk := b.currentBucket()
 		if success {
 			bk.ok++
@@ -188,7 +188,7 @@ func (b *breaker) record(success bool) {
 func (b *breaker) forceOpen() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state != BreakerOpen {
+	if b.state != breakerOpen {
 		b.trip()
 	}
 }
@@ -199,7 +199,7 @@ func (b *breaker) forceOpen() {
 func (b *breaker) reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.transition(BreakerClosed)
+	b.transition(breakerClosed)
 	b.inFlight = 0
 	b.successes = 0
 	b.resetWindow()
@@ -207,18 +207,18 @@ func (b *breaker) reset() {
 
 // currentState reports the state, advancing open → half-open if the open
 // interval has elapsed (so observers see the same state allow would).
-func (b *breaker) currentState() BreakerState {
+func (b *breaker) currentState() breakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cfg.OpenFor {
-		return BreakerHalfOpen
+	if b.state == breakerOpen && b.now().Sub(b.openedAt) >= b.cfg.OpenFor {
+		return breakerHalfOpen
 	}
 	return b.state
 }
 
 // trip moves to open and stamps the time. Callers hold b.mu.
 func (b *breaker) trip() {
-	b.transition(BreakerOpen)
+	b.transition(breakerOpen)
 	b.openedAt = b.now()
 	b.successes = 0
 	b.inFlight = 0
@@ -226,13 +226,13 @@ func (b *breaker) trip() {
 }
 
 // transition changes state and notifies the observer. Callers hold b.mu.
-func (b *breaker) transition(to BreakerState) {
+func (b *breaker) transition(to breakerState) {
 	from := b.state
 	if from == to {
 		return
 	}
 	b.state = to
-	if from == BreakerOpen || from == BreakerHalfOpen {
+	if from == breakerOpen || from == breakerHalfOpen {
 		b.successes = 0
 	}
 	if b.onTransition != nil {

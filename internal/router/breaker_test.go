@@ -52,12 +52,12 @@ func TestBreakerLifecycle(t *testing.T) {
 	b.record(false)
 	b.record(false)
 	b.record(false)
-	if b.currentState() != BreakerClosed {
+	if b.currentState() != breakerClosed {
 		t.Fatalf("tripped below MinSamples: %v", b.currentState())
 	}
 	// Fourth sample pushes the window to 4 failures / 4 samples ≥ 50%.
 	b.record(false)
-	if b.currentState() != BreakerOpen {
+	if b.currentState() != breakerOpen {
 		t.Fatalf("state after error burst = %v, want open", b.currentState())
 	}
 	if b.allow() {
@@ -66,7 +66,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// After OpenFor the breaker half-opens and admits exactly one probe.
 	clk.advance(2 * time.Second)
-	if b.currentState() != BreakerHalfOpen {
+	if b.currentState() != breakerHalfOpen {
 		t.Fatalf("state after OpenFor = %v, want half-open", b.currentState())
 	}
 	if !b.allow() {
@@ -78,19 +78,19 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// One success is not enough to close; the second is.
 	b.record(true)
-	if b.currentState() != BreakerHalfOpen {
+	if b.currentState() != breakerHalfOpen {
 		t.Fatalf("closed after 1 of 2 successes: %v", b.currentState())
 	}
 	if !b.allow() {
 		t.Fatal("half-open rejected the second probe")
 	}
 	b.record(true)
-	if b.currentState() != BreakerClosed {
+	if b.currentState() != breakerClosed {
 		t.Fatalf("state after probe successes = %v, want closed", b.currentState())
 	}
 	// The error window restarts clean: old failures are gone.
 	b.record(false)
-	if b.currentState() != BreakerClosed {
+	if b.currentState() != breakerClosed {
 		t.Fatal("re-closed breaker tripped on first failure")
 	}
 }
@@ -108,7 +108,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 		t.Fatal("half-open rejected probe")
 	}
 	b.record(false)
-	if b.currentState() != BreakerOpen {
+	if b.currentState() != breakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", b.currentState())
 	}
 	if b.allow() {
@@ -134,7 +134,7 @@ func TestBreakerWindowExpiry(t *testing.T) {
 	b.record(true)
 	b.record(false)
 	// Window now holds 3 ok + 1 fail = 25% < 50%: must stay closed.
-	if b.currentState() != BreakerClosed {
+	if b.currentState() != breakerClosed {
 		t.Fatalf("expired failures still tripped the breaker: %v", b.currentState())
 	}
 }
@@ -161,14 +161,14 @@ func TestBreakerForceOpenAndReset(t *testing.T) {
 	clk := newFakeClock()
 	b := testBreaker(clk)
 	var transitions []string
-	b.onTransition = func(_, to BreakerState) { transitions = append(transitions, to.String()) }
+	b.onTransition = func(_, to breakerState) { transitions = append(transitions, to.String()) }
 
 	b.forceOpen()
-	if b.currentState() != BreakerOpen || b.allow() {
+	if b.currentState() != breakerOpen || b.allow() {
 		t.Fatal("forceOpen did not open the breaker")
 	}
 	b.reset()
-	if b.currentState() != BreakerClosed || !b.allow() {
+	if b.currentState() != breakerClosed || !b.allow() {
 		t.Fatal("reset did not close the breaker")
 	}
 	if len(transitions) != 2 || transitions[0] != "open" || transitions[1] != "closed" {

@@ -120,13 +120,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func (f *fleet) replicaStatus(id string) ReplicaStatus {
-	for _, rs := range f.router.FleetStatus().Replicas {
+func (f *fleet) replicaStatus(id string) replicaStatus {
+	for _, rs := range f.router.fleetStatus().Replicas {
 		if rs.ID == id {
 			return rs
 		}
 	}
-	return ReplicaStatus{}
+	return replicaStatus{}
 }
 
 // TestChaosFleet is the acceptance scenario from the fleet-routing work:
@@ -161,7 +161,7 @@ func TestChaosFleet(t *testing.T) {
 	})
 	f.router.Start()
 	waitFor(t, "initial probes", func() bool {
-		for _, rs := range f.router.FleetStatus().Replicas {
+		for _, rs := range f.router.fleetStatus().Replicas {
 			if !rs.Healthy {
 				return false
 			}
@@ -174,7 +174,7 @@ func TestChaosFleet(t *testing.T) {
 		w := f.send(body)
 		if w.Code != http.StatusOK {
 			t.Fatalf("%s: dropped request with a healthy replica available: status %d %s (fleet %+v)",
-				phase, w.Code, w.Body.String(), f.router.FleetStatus())
+				phase, w.Code, w.Body.String(), f.router.fleetStatus())
 		}
 		return w
 	}
@@ -323,7 +323,7 @@ func TestChaosAttemptTimeout(t *testing.T) {
 	}
 	// The timeouts opened at least one breaker.
 	opened := false
-	for _, rs := range f.router.FleetStatus().Replicas {
+	for _, rs := range f.router.fleetStatus().Replicas {
 		if rs.Breaker != "closed" {
 			opened = true
 		}
@@ -391,7 +391,7 @@ func TestChaosFleetMetricsExposed(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	var fs FleetStatus
+	var fs fleetStatus
 	w = httptest.NewRecorder()
 	f.handler.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/admin/fleet", nil))
 	if err := json.Unmarshal(w.Body.Bytes(), &fs); err != nil {

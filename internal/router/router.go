@@ -180,16 +180,16 @@ func New(cfg Config) (*Router, error) {
 		}
 		rs.br = newBreaker(cfg.Breaker, func() time.Time { return r.now() })
 		id := rep.ID
-		rs.br.onTransition = func(_, to BreakerState) {
+		rs.br.onTransition = func(_, to breakerState) {
 			r.met.breakerState.With(id).Set(float64(to))
 			r.met.breakerTransitions.With(to.String()).Inc()
 		}
 		r.replicas = append(r.replicas, rs)
 		// Eager series: every replica visible on /metrics from the start.
 		r.met.healthy.With(id).Set(1)
-		r.met.breakerState.With(id).Set(float64(BreakerClosed))
+		r.met.breakerState.With(id).Set(float64(breakerClosed))
 	}
-	for _, to := range []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen} {
+	for _, to := range []breakerState{breakerClosed, breakerOpen, breakerHalfOpen} {
 		r.met.breakerTransitions.With(to.String())
 	}
 	return r, nil
@@ -211,9 +211,6 @@ func (r *Router) Close() {
 	r.closeOnce.Do(func() { close(r.stop) })
 	r.wg.Wait()
 }
-
-// Registry returns the metrics registry serving /metrics.
-func (r *Router) Registry() *obs.Registry { return r.reg }
 
 func (r *Router) logf(format string, args ...any) {
 	if r.cfg.Log != nil {
@@ -245,7 +242,7 @@ func (r *Router) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /admin/fleet", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(r.FleetStatus())
+		json.NewEncoder(w).Encode(r.fleetStatus())
 	})
 	return mux
 }
@@ -728,9 +725,9 @@ func newRouterMetrics(r *obs.Registry) *routerMetrics {
 	return m
 }
 
-// FleetStatus is the GET /admin/fleet introspection document.
-type FleetStatus struct {
-	Replicas []ReplicaStatus `json:"replicas"`
+// fleetStatus is the GET /admin/fleet introspection document.
+type fleetStatus struct {
+	Replicas []replicaStatus `json:"replicas"`
 	// Versions are the distinct model versions advertised by healthy
 	// replicas; VersionSkew is true while there is more than one — expected
 	// during a rollout window, an incident if it persists.
@@ -740,8 +737,8 @@ type FleetStatus struct {
 	RetryBudget float64 `json:"retry_budget"`
 }
 
-// ReplicaStatus is one replica's row in FleetStatus.
-type ReplicaStatus struct {
+// replicaStatus is one replica's row in fleetStatus.
+type replicaStatus struct {
 	ID            string `json:"id"`
 	URL           string `json:"url"`
 	Healthy       bool   `json:"healthy"`
@@ -752,13 +749,13 @@ type ReplicaStatus struct {
 	ProbeFailures int    `json:"probe_failures,omitempty"`
 }
 
-// FleetStatus snapshots the fleet for /admin/fleet.
-func (r *Router) FleetStatus() FleetStatus {
-	st := FleetStatus{RetryBudget: r.budget.balance()}
+// fleetStatus snapshots the fleet for /admin/fleet.
+func (r *Router) fleetStatus() fleetStatus {
+	st := fleetStatus{RetryBudget: r.budget.balance()}
 	seen := map[string]bool{}
 	for _, rs := range r.replicas {
 		healthy, draining, version, lastErr, failures := rs.snapshot()
-		st.Replicas = append(st.Replicas, ReplicaStatus{
+		st.Replicas = append(st.Replicas, replicaStatus{
 			ID:            rs.id,
 			URL:           rs.base,
 			Healthy:       healthy,

@@ -418,7 +418,7 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 	if rs.eligible() {
 		t.Fatal("still eligible after Ejections consecutive failures")
 	}
-	if rs.br.currentState() != BreakerOpen {
+	if rs.br.currentState() != breakerOpen {
 		t.Fatalf("breaker %v after ejection, want open", rs.br.currentState())
 	}
 	d3 := r.probeOnce(rs)
@@ -437,7 +437,7 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 	if !rs.eligible() {
 		t.Fatal("successful probe did not re-admit the replica")
 	}
-	if rs.br.currentState() != BreakerClosed {
+	if rs.br.currentState() != breakerClosed {
 		t.Fatalf("breaker %v after re-admission, want closed", rs.br.currentState())
 	}
 }
@@ -460,7 +460,7 @@ func TestProbeDraining(t *testing.T) {
 	if rs.eligible() {
 		t.Fatal("draining replica still eligible")
 	}
-	if rs.br.currentState() != BreakerClosed {
+	if rs.br.currentState() != breakerClosed {
 		t.Fatalf("draining opened the breaker: %v", rs.br.currentState())
 	}
 }
@@ -489,7 +489,7 @@ func TestFleetStatusAndSkew(t *testing.T) {
 	r.probeOnce(r.replicas[0])
 	r.probeOnce(r.replicas[1])
 
-	st := r.FleetStatus()
+	st := r.fleetStatus()
 	if !st.VersionSkew || len(st.Versions) != 2 {
 		t.Fatalf("skew not detected: %+v", st)
 	}
@@ -502,7 +502,7 @@ func TestFleetStatusAndSkew(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("/admin/fleet status %d", w.Code)
 	}
-	var decoded FleetStatus
+	var decoded fleetStatus
 	if err := json.Unmarshal(w.Body.Bytes(), &decoded); err != nil {
 		t.Fatalf("/admin/fleet not JSON: %v", err)
 	}

@@ -60,7 +60,7 @@ func (s *Server) adminAllowed(r *http.Request) bool {
 func (s *Server) adminGuard(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.adminAllowed(r) {
-			s.writeError(w, http.StatusForbidden, ErrCodeForbidden,
+			s.writeError(w, http.StatusForbidden, errCodeForbidden,
 				"admin endpoints require the admin token or a loopback peer", 0)
 			return
 		}
@@ -73,12 +73,12 @@ func (s *Server) adminGuard(next http.HandlerFunc) http.HandlerFunc {
 // corrupt artifacts) 422 — the request was well-formed but the artifact or
 // state cannot be processed.
 func (s *Server) adminError(w http.ResponseWriter, err error) {
-	status, code := http.StatusUnprocessableEntity, ErrCodeUnprocessable
+	status, code := http.StatusUnprocessableEntity, errCodeUnprocessable
 	switch {
 	case errors.Is(err, engine.ErrUnknownVersion):
-		status, code = http.StatusNotFound, ErrCodeUnknownVersion
+		status, code = http.StatusNotFound, errCodeUnknownVersion
 	case errors.Is(err, engine.ErrLifecycleConflict):
-		status, code = http.StatusConflict, ErrCodeConflict
+		status, code = http.StatusConflict, errCodeConflict
 	}
 	s.writeError(w, status, code, err.Error(), 0)
 }
@@ -97,11 +97,11 @@ func (s *Server) decodeAdminVersion(w http.ResponseWriter, r *http.Request) (str
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
 	var req adminVersionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, ErrCodeBadInput, "bad request: "+err.Error(), 0)
+		s.writeError(w, http.StatusBadRequest, errCodeBadInput, "bad request: "+err.Error(), 0)
 		return "", false
 	}
 	if req.Version == "" {
-		s.writeError(w, http.StatusBadRequest, ErrCodeBadInput, `bad request: missing "version"`, 0)
+		s.writeError(w, http.StatusBadRequest, errCodeBadInput, `bad request: missing "version"`, 0)
 		return "", false
 	}
 	return req.Version, true
@@ -209,16 +209,16 @@ func (c *AdminClient) do(method, path string, body, out any) error {
 // which is not repeated), anything else names the route and status.
 func remoteAdminError(method, path string, resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var env ErrorBody
+	var env errorBody
 	msg := string(bytes.TrimSpace(raw))
 	if json.Unmarshal(raw, &env) == nil && env.Error.Message != "" {
 		msg = env.Error.Message
 	}
 	var kind error
 	switch env.Error.Code {
-	case ErrCodeUnknownVersion:
+	case errCodeUnknownVersion:
 		kind = engine.ErrUnknownVersion
-	case ErrCodeConflict:
+	case errCodeConflict:
 		kind = engine.ErrLifecycleConflict
 	default:
 		return fmt.Errorf("serve: admin %s %s: %s: %s", method, path, resp.Status, msg)

@@ -137,8 +137,8 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 
 // TestErrorCodecRoundTrip: error frames carry code, message and retry hint.
 func TestErrorCodecRoundTrip(t *testing.T) {
-	wire := AppendError(nil, CodeOverloaded, "busy", 3)
-	e, err := DecodeError(wire)
+	wire := appendError(nil, CodeOverloaded, "busy", 3)
+	e, err := decodeError(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestErrorCodecRoundTrip(t *testing.T) {
 func TestDecodeTruncatedNeverPanics(t *testing.T) {
 	reqWire := AppendRequest(nil, validRequest())
 	respWire := AppendResponse(nil, &engine.Response{Ranked: []int{1}, Scores: []float64{0.5}, RequestID: "x"})
-	errWire := AppendError(nil, CodeInternal, "boom", 0)
+	errWire := appendError(nil, codeInternal, "boom", 0)
 	for n := 0; n < len(reqWire); n++ {
 		if _, err := DecodeRequest(reqWire[:n]); err == nil {
 			t.Fatalf("request prefix %d decoded", n)
@@ -170,7 +170,7 @@ func TestDecodeTruncatedNeverPanics(t *testing.T) {
 		}
 	}
 	for n := 0; n < len(errWire); n++ {
-		if _, err := DecodeError(errWire[:n]); err == nil {
+		if _, err := decodeError(errWire[:n]); err == nil {
 			t.Fatalf("error prefix %d decoded", n)
 		}
 	}
@@ -211,7 +211,7 @@ func TestDecodeHostileCounts(t *testing.T) {
 func TestFrameOversizedRejected(t *testing.T) {
 	var hdr [headerSize]byte
 	hdr[0], hdr[1], hdr[2], hdr[3] = 0xFF, 0xFF, 0xFF, 0x7F // ~2 GiB claim
-	hdr[4] = FrameRerankRequest
+	hdr[4] = frameRerankRequest
 	var scratch []byte
 	if _, _, err := readFrame(bytes.NewReader(hdr[:]), &scratch); err == nil {
 		t.Fatal("oversized frame accepted")
@@ -288,7 +288,7 @@ func TestServerUnknownTenant(t *testing.T) {
 	req.Tenant = "ghost"
 	_, err := c.Rerank(context.Background(), req)
 	re, ok := err.(*RemoteError)
-	if !ok || re.Code != CodeUnknownTenant {
+	if !ok || re.Code != codeUnknownTenant {
 		t.Fatalf("err %v, want unknown_tenant RemoteError", err)
 	}
 }
@@ -323,15 +323,15 @@ func TestServerDraining(t *testing.T) {
 func TestServerGarbageFrameCloses(t *testing.T) {
 	_, c := startServer(t, engine.Config{Budget: time.Second})
 	var wbuf []byte
-	if err := writeFrame(c.conn, &wbuf, FrameError, AppendError(nil, "x", "y", 0)); err != nil {
+	if err := writeFrame(c.conn, &wbuf, frameError, appendError(nil, "x", "y", 0)); err != nil {
 		t.Fatal(err)
 	}
 	var rbuf []byte
 	typ, payload, err := readFrame(c.br, &rbuf)
-	if err != nil || typ != FrameError {
+	if err != nil || typ != frameError {
 		t.Fatalf("typ %d err %v, want error frame", typ, err)
 	}
-	re, err := DecodeError(payload)
+	re, err := decodeError(payload)
 	if err != nil || re.Code != CodeBadInput {
 		t.Fatalf("decoded %+v err %v, want bad_input", re, err)
 	}

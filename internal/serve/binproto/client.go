@@ -33,12 +33,12 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewClient(conn), nil
+	return newClient(conn), nil
 }
 
-// NewClient wraps an established connection (tests use net.Pipe or an
+// newClient wraps an established connection (tests use net.Pipe or an
 // in-process listener).
-func NewClient(conn net.Conn) *Client {
+func newClient(conn net.Conn) *Client {
 	return &Client{conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}
 }
 
@@ -59,7 +59,7 @@ func (c *Client) Rerank(ctx context.Context, req *engine.Request) (engine.Respon
 		return engine.Response{}, err
 	}
 	c.pbuf = AppendRequest(c.pbuf[:0], req)
-	if err := writeFrame(c.conn, &c.wbuf, FrameRerankRequest, c.pbuf); err != nil {
+	if err := writeFrame(c.conn, &c.wbuf, frameRerankRequest, c.pbuf); err != nil {
 		return engine.Response{}, fmt.Errorf("binproto: send request: %w", err)
 	}
 	typ, payload, err := readFrame(c.br, &c.rbuf)
@@ -67,10 +67,10 @@ func (c *Client) Rerank(ctx context.Context, req *engine.Request) (engine.Respon
 		return engine.Response{}, fmt.Errorf("binproto: read response: %w", err)
 	}
 	switch typ {
-	case FrameRerankResponse:
+	case frameRerankResponse:
 		return DecodeResponse(payload)
-	case FrameError:
-		re, derr := DecodeError(payload)
+	case frameError:
+		re, derr := decodeError(payload)
 		if derr != nil {
 			return engine.Response{}, derr
 		}

@@ -21,7 +21,7 @@
 // Frame types: 1 = rerank request, 2 = rerank response, 3 = error. Payloads
 // are packed little-endian: integers as fixed-width u32/u64, floats as
 // Float64bits, strings and slices length-prefixed. A frame longer than
-// MaxFrame is a protocol error and closes the connection — the cap bounds
+// maxFrame is a protocol error and closes the connection — the cap bounds
 // what a hostile or corrupted peer can make the server allocate.
 //
 // Errors mirror the HTTP error envelope: a stable machine-readable code
@@ -40,15 +40,15 @@ import (
 
 // Frame types.
 const (
-	FrameRerankRequest  = 1
-	FrameRerankResponse = 2
-	FrameError          = 3
+	frameRerankRequest  = 1
+	frameRerankResponse = 2
+	frameError          = 3
 )
 
-// MaxFrame caps one frame's payload. It is sized to the HTTP frontend's
+// maxFrame caps one frame's payload. It is sized to the HTTP frontend's
 // default body cap (8 MiB): the binary encoding of any request the HTTP
 // surface would admit fits comfortably.
-const MaxFrame = 8 << 20
+const maxFrame = 8 << 20
 
 // headerSize is the frame prefix: u32 payload length + u8 type.
 const headerSize = 5
@@ -58,8 +58,8 @@ const (
 	CodeBadInput      = "bad_input"
 	CodeOverloaded    = "overloaded"
 	CodeDraining      = "draining"
-	CodeUnknownTenant = "unknown_tenant"
-	CodeInternal      = "internal"
+	codeUnknownTenant = "unknown_tenant"
+	codeInternal      = "internal"
 )
 
 // RemoteError is an error frame surfaced to the client caller. Retryable
@@ -157,8 +157,8 @@ func AppendResponse(b []byte, resp *engine.Response) []byte {
 	return b
 }
 
-// AppendError encodes an error payload (no frame header).
-func AppendError(b []byte, code, msg string, retryAfterS int) []byte {
+// appendError encodes an error payload (no frame header).
+func appendError(b []byte, code, msg string, retryAfterS int) []byte {
 	b = appendString(b, code)
 	b = appendString(b, msg)
 	b = appendU32(b, uint32(retryAfterS))
@@ -367,8 +367,8 @@ func DecodeResponse(payload []byte) (engine.Response, error) {
 	return resp, nil
 }
 
-// DecodeError decodes an error payload into a *RemoteError.
-func DecodeError(payload []byte) (*RemoteError, error) {
+// decodeError decodes an error payload into a *RemoteError.
+func decodeError(payload []byte) (*RemoteError, error) {
 	r := &reader{b: payload}
 	e := &RemoteError{}
 	e.Code = r.str("error code")

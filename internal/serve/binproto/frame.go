@@ -10,8 +10,8 @@ import (
 // scratch, when non-nil, is reused for the header+payload assembly so a
 // steady-state connection writes frames without allocating.
 func writeFrame(w io.Writer, scratch *[]byte, typ byte, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("binproto: frame payload %d exceeds %d", len(payload), MaxFrame)
+	if len(payload) > maxFrame {
+		return fmt.Errorf("binproto: frame payload %d exceeds %d", len(payload), maxFrame)
 	}
 	buf := (*scratch)[:0]
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
@@ -31,8 +31,8 @@ func readFrame(r io.Reader, scratch *[]byte) (byte, []byte, error) {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("binproto: frame payload %d exceeds %d", n, MaxFrame)
+	if n > maxFrame {
+		return 0, nil, fmt.Errorf("binproto: frame payload %d exceeds %d", n, maxFrame)
 	}
 	if cap(*scratch) < int(n) {
 		*scratch = make([]byte, n)

@@ -29,7 +29,7 @@ func FuzzBinaryFrame(f *testing.F) {
 		Ranked: []int{8, 7}, Scores: []float64{0.9, 0.4},
 		ModelVersion: "v1", LatencyMS: 1.5, RequestID: "r-1",
 	}))
-	f.Add(AppendError(nil, CodeOverloaded, "busy", 2))
+	f.Add(appendError(nil, CodeOverloaded, "busy", 2))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 
@@ -44,8 +44,8 @@ func FuzzBinaryFrame(f *testing.F) {
 				t.Fatalf("response encoding not canonical: %x re-encoded to %x", payload, re)
 			}
 		}
-		if e, err := DecodeError(payload); err == nil {
-			if re := AppendError(nil, e.Code, e.Message, e.RetryAfterS); !bytes.Equal(re, payload) {
+		if e, err := decodeError(payload); err == nil {
+			if re := appendError(nil, e.Code, e.Message, e.RetryAfterS); !bytes.Equal(re, payload) {
 				t.Fatalf("error encoding not canonical: %x re-encoded to %x", payload, re)
 			}
 		}

@@ -118,13 +118,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		draining := s.closed
 		s.mu.Unlock()
 		if draining {
-			payload = AppendError(payload[:0], CodeDraining, "draining, replica going away", 1)
-			_ = writeFrame(conn, &wbuf, FrameError, payload)
+			payload = appendError(payload[:0], CodeDraining, "draining, replica going away", 1)
+			_ = writeFrame(conn, &wbuf, frameError, payload)
 			return
 		}
-		if typ != FrameRerankRequest {
-			payload = AppendError(payload[:0], CodeBadInput, "unexpected frame type", 0)
-			_ = writeFrame(conn, &wbuf, FrameError, payload)
+		if typ != frameRerankRequest {
+			payload = appendError(payload[:0], CodeBadInput, "unexpected frame type", 0)
+			_ = writeFrame(conn, &wbuf, frameError, payload)
 			return
 		}
 		start := time.Now()
@@ -136,8 +136,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			met.BadInput.Inc()
 			met.Responses.With("bad_input").Inc()
 			met.Request.ObserveDuration(time.Since(start))
-			payload = AppendError(payload[:0], CodeBadInput, derr.Error(), 0)
-			_ = writeFrame(conn, &wbuf, FrameError, payload)
+			payload = appendError(payload[:0], CodeBadInput, derr.Error(), 0)
+			_ = writeFrame(conn, &wbuf, frameError, payload)
 			return
 		}
 		resp, rerr := s.Eng.Rerank(context.Background(), req)
@@ -146,15 +146,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			if code == "" {
 				return // caller-side cancel; nothing to answer
 			}
-			payload = AppendError(payload[:0], code, msg, retry)
-			if writeFrame(conn, &wbuf, FrameError, payload) != nil {
+			payload = appendError(payload[:0], code, msg, retry)
+			if writeFrame(conn, &wbuf, frameError, payload) != nil {
 				return
 			}
 			continue
 		}
 		payload = AppendResponse(payload[:0], &resp)
 		_ = conn.SetWriteDeadline(time.Now().Add(idleTimeout))
-		if err := writeFrame(conn, &wbuf, FrameRerankResponse, payload); err != nil {
+		if err := writeFrame(conn, &wbuf, frameRerankResponse, payload); err != nil {
 			s.logf("binproto: write response: %v", err)
 			return
 		}
@@ -173,13 +173,13 @@ func mapEngineError(err error) (code, msg string, retryAfterS int) {
 	case errors.As(err, &bad):
 		return CodeBadInput, bad.Msg, 0
 	case errors.As(err, &tenant):
-		return CodeUnknownTenant, err.Error(), 0
+		return codeUnknownTenant, err.Error(), 0
 	case errors.As(err, &shed):
 		if shed.Reason == engine.ShedDraining {
 			return CodeDraining, "draining, replica going away", shed.RetryAfterS
 		}
 		return CodeOverloaded, "overloaded, retry later", shed.RetryAfterS
 	default:
-		return CodeInternal, "internal error", 0
+		return codeInternal, "internal error", 0
 	}
 }

@@ -89,7 +89,7 @@ func TestDeclinedBodiesMatchEncodingJSON(t *testing.T) {
 			continue
 		}
 		if wantStatus != http.StatusOK {
-			var got ErrorBody
+			var got errorBody
 			if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || got.Error.Message != wantMsg {
 				t.Errorf("%q: error body %s, want message %q", body, w.Body.String(), wantMsg)
 			}
@@ -120,7 +120,7 @@ func TestDeclinedBodiesMatchEncodingJSON(t *testing.T) {
 		err := json.NewDecoder(strings.NewReader(body)).Decode(&breq)
 		switch {
 		case err != nil:
-			var got ErrorBody
+			var got errorBody
 			if w.Code != http.StatusBadRequest || json.Unmarshal(w.Body.Bytes(), &got) != nil ||
 				got.Error.Message != "bad request: "+err.Error() {
 				t.Errorf("batch %q: status %d body %s, want 400 %v", body, w.Code, w.Body.String(), err)

@@ -167,7 +167,7 @@ func TestServeDrainsInFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	served := make(chan error, 1)
-	go func() { served <- s.Serve(ctx, ln) }()
+	go func() { served <- s.serve(ctx, ln) }()
 
 	body, _ := json.Marshal(validRequest())
 	url := "http://" + ln.Addr().String()

@@ -21,7 +21,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.met.Feedback.With("shed").Inc()
 		w.Header().Set(ShedReasonHeader, engine.ShedDraining)
 		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(s.DrainWindow()/time.Second))))
-		s.writeError(w, http.StatusServiceUnavailable, ErrCodeDraining,
+		s.writeError(w, http.StatusServiceUnavailable, errCodeDraining,
 			"draining, replica going away", max(1, int(s.DrainWindow()/time.Second)))
 		return
 	}
@@ -29,12 +29,12 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var ev engine.FeedbackEvent
 	if err := json.NewDecoder(r.Body).Decode(&ev); err != nil {
 		s.met.Feedback.With("bad_input").Inc()
-		s.writeError(w, http.StatusBadRequest, ErrCodeBadInput, "bad request: "+err.Error(), 0)
+		s.writeError(w, http.StatusBadRequest, errCodeBadInput, "bad request: "+err.Error(), 0)
 		return
 	}
 	if err := ev.Validate(); err != nil {
 		s.met.Feedback.With("bad_input").Inc()
-		s.writeError(w, http.StatusBadRequest, ErrCodeBadInput, err.Error(), 0)
+		s.writeError(w, http.StatusBadRequest, errCodeBadInput, err.Error(), 0)
 		return
 	}
 	if err := s.cfg.Feedback.Submit(ev); err != nil {
@@ -43,12 +43,12 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			retry := s.RetryAfterS()
 			w.Header().Set(ShedReasonHeader, engine.ShedBackpressure)
 			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			s.writeError(w, http.StatusTooManyRequests, ErrCodeOverloaded,
+			s.writeError(w, http.StatusTooManyRequests, errCodeOverloaded,
 				"feedback ingestion overloaded, retry later", retry)
 			return
 		}
 		s.met.Feedback.With("error").Inc()
-		s.writeError(w, http.StatusInternalServerError, ErrCodeInternal, "feedback ingestion failed", 0)
+		s.writeError(w, http.StatusInternalServerError, errCodeInternal, "feedback ingestion failed", 0)
 		return
 	}
 	s.met.FeedbackOK.Inc()

@@ -54,7 +54,7 @@ func FuzzRerankRequest(f *testing.F) {
 			}
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
 			// Rejected cleanly, in the error envelope.
-			var eb ErrorBody
+			var eb errorBody
 			if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || eb.Error.Code == "" || eb.Error.Message == "" {
 				t.Fatalf("status %d outside the error envelope: %q (%v)", w.Code, w.Body.String(), err)
 			}

@@ -183,8 +183,8 @@ func (s *Server) Handler() http.Handler {
 	return s.recovered(mux)
 }
 
-// recovered converts any handler panic into a 500 instead of a process
-// death. Scoring panics never reach here — they are recovered on the scoring
+// recovered converts any handler panic into a 500 with the internal error
+// envelope instead of a process death. Scoring panics never reach here — they are recovered on the scoring
 // goroutine and degrade the response — so this is the last line of defense
 // for bugs in routing, decoding or encoding.
 func (s *Server) recovered(next http.Handler) http.Handler {
@@ -193,7 +193,7 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 			if p := recover(); p != nil {
 				s.met.Panics.Inc()
 				s.Log("serve: recovered handler panic on %s %s: %v", r.Method, r.URL.Path, p)
-				http.Error(w, "internal error", http.StatusInternalServerError)
+				s.writeError(w, http.StatusInternalServerError, errCodeInternal, "internal error", 0)
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -261,13 +261,13 @@ func (s *Server) decodeFailed(w http.ResponseWriter, start time.Time, err error,
 	s.met.Request.ObserveDuration(time.Since(start))
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		s.met.Responses.With("too_large").Inc()
-		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+		s.met.Responses.With(errCodeTooLarge).Inc()
+		s.writeError(w, http.StatusRequestEntityTooLarge, errCodeTooLarge,
 			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), 0)
 		return
 	}
-	s.met.Responses.With("bad_input").Inc()
-	s.writeError(w, http.StatusBadRequest, "bad_input", "bad request: "+err.Error(), 0)
+	s.met.Responses.With(errCodeBadInput).Inc()
+	s.writeError(w, http.StatusBadRequest, errCodeBadInput, "bad request: "+err.Error(), 0)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -308,8 +308,8 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(st)
 }
 
-// NewHTTPServer builds the http.Server with the hardened timeouts.
-func (s *Server) NewHTTPServer(addr string) *http.Server {
+// newHTTPServer builds the http.Server with the hardened timeouts.
+func (s *Server) newHTTPServer(addr string) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           s.Handler(),
@@ -329,14 +329,14 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 	if err != nil {
 		return err
 	}
-	return s.Serve(ctx, ln)
+	return s.serve(ctx, ln)
 }
 
-// Serve is Run on an existing listener (tests use :0 listeners). When
+// serve is Run on an existing listener (tests use :0 listeners). When
 // Config.BinaryListener is set the binary frontend serves alongside HTTP
 // and drains with it.
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := s.NewHTTPServer(ln.Addr().String())
+func (s *Server) serve(ctx context.Context, ln net.Listener) error {
+	hs := s.newHTTPServer(ln.Addr().String())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	var stopBinary func(context.Context)

@@ -139,7 +139,7 @@ func TestRepeatedItemIDBadInput(t *testing.T) {
 	req := validRequest()
 	req.Items[2].ID = req.Items[1].ID
 	w := postRerank(t, s.Handler(), mustJSON(t, req))
-	var eb ErrorBody
+	var eb errorBody
 	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusBadRequest ||
 		eb.Error.Code != "bad_input" || eb.Error.Message != "item 8 appears more than once" {
 		t.Fatalf("status %d, body %s: want 400 bad_input naming item 8", w.Code, w.Body.String())
@@ -240,7 +240,8 @@ func TestSheddingUnderLoad(t *testing.T) {
 }
 
 // TestRecoveryMiddleware: a panic outside the scoring goroutine (a handler
-// bug) must surface as a 500, never kill the process.
+// bug) must surface as a 500 in the JSON error envelope, never kill the
+// process.
 func TestRecoveryMiddleware(t *testing.T) {
 	s := testServer(t, Config{})
 	h := s.recovered(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
@@ -250,6 +251,16 @@ func TestRecoveryMiddleware(t *testing.T) {
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/anything", nil))
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", w.Code)
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q, want application/json", ct)
+	}
+	var body errorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q is not the error envelope: %v", w.Body.String(), err)
+	}
+	if body.Error.Code != errCodeInternal {
+		t.Fatalf("code %q, want %q", body.Error.Code, errCodeInternal)
 	}
 	if st := s.Stats(); st.Panics != 1 {
 		t.Fatalf("stats %+v", st)

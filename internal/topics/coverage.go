@@ -10,21 +10,6 @@ import (
 	"fmt"
 )
 
-// Coverage computes the probabilistic coverage vector c(G) of a set of
-// items, where cover[i] is the m-dimensional topic coverage τ of the i-th
-// item: c_j(G) = 1 − Π_{v∈G} (1 − τ_v^j). The result has length m.
-//
-// Coverage is monotone and submodular in G, the properties the paper's
-// greedy analysis (Theorem 5.1) relies on; both are property-tested.
-func Coverage(cover [][]float64, m int) []float64 {
-	c := make([]float64, m)
-	uncovered(c, cover)
-	for j, r := range c {
-		c[j] = 1 - r
-	}
-	return c
-}
-
 // CoverageTotal returns Σ_j c_j(G), the expected number of covered topics —
 // the div@k quantity of Section IV-B2 for a single list. It sums Coverage's
 // entries in order; for up to 16 topics it allocates nothing.
@@ -173,15 +158,6 @@ func (ic *IncrementalCoverage) Add(tau []float64) {
 	for j, t := range tau {
 		ic.remain[j] *= 1 - t
 	}
-}
-
-// Coverage returns the current coverage vector c(G).
-func (ic *IncrementalCoverage) Coverage() []float64 {
-	c := make([]float64, ic.m)
-	for j, r := range ic.remain {
-		c[j] = 1 - r
-	}
-	return c
 }
 
 // Clone returns an independent copy of the tracker.

@@ -20,33 +20,33 @@ type DiversityFunction interface {
 	Total(cover [][]float64, m int) float64
 }
 
-// ProbCoverage is the paper's default: c_j(G) = 1 − Π (1 − τ^j).
-type ProbCoverage struct{}
+// probCoverage is the paper's default: c_j(G) = 1 − Π (1 − τ^j).
+type probCoverage struct{}
 
 // Name implements DiversityFunction.
-func (ProbCoverage) Name() string { return "prob-coverage" }
+func (probCoverage) Name() string { return "prob-coverage" }
 
 // Marginal implements DiversityFunction.
-func (ProbCoverage) Marginal(cover [][]float64, m int) [][]float64 {
+func (probCoverage) Marginal(cover [][]float64, m int) [][]float64 {
 	return MarginalDiversity(cover, m)
 }
 
 // Total implements DiversityFunction.
-func (ProbCoverage) Total(cover [][]float64, m int) float64 {
+func (probCoverage) Total(cover [][]float64, m int) float64 {
 	return CoverageTotal(cover, m)
 }
 
-// SaturatedCoverage applies a concave saturation to the accumulated topic
+// saturatedCoverage applies a concave saturation to the accumulated topic
 // mass: f_j(G) = log(1 + β·Σ_{v∈G} τ_v^j)/log(1+β). It rewards the first
 // items of a topic most and keeps rewarding (diminishingly) afterwards —
 // a softer alternative to probabilistic coverage, in the family used by
 // Yue & Guestrin's linear submodular bandits.
-type SaturatedCoverage struct {
+type saturatedCoverage struct {
 	// Beta controls how quickly the reward saturates (default 4).
 	Beta float64
 }
 
-func (s SaturatedCoverage) beta() float64 {
+func (s saturatedCoverage) beta() float64 {
 	if s.Beta <= 0 {
 		return 4
 	}
@@ -54,10 +54,10 @@ func (s SaturatedCoverage) beta() float64 {
 }
 
 // Name implements DiversityFunction.
-func (s SaturatedCoverage) Name() string { return "saturated-coverage" }
+func (s saturatedCoverage) Name() string { return "saturated-coverage" }
 
 // Total implements DiversityFunction.
-func (s SaturatedCoverage) Total(cover [][]float64, m int) float64 {
+func (s saturatedCoverage) Total(cover [][]float64, m int) float64 {
 	b := s.beta()
 	var total float64
 	for j := 0; j < m; j++ {
@@ -71,7 +71,7 @@ func (s SaturatedCoverage) Total(cover [][]float64, m int) float64 {
 }
 
 // Marginal implements DiversityFunction.
-func (s SaturatedCoverage) Marginal(cover [][]float64, m int) [][]float64 {
+func (s saturatedCoverage) Marginal(cover [][]float64, m int) [][]float64 {
 	b := s.beta()
 	norm := math.Log1p(b)
 	out, sums := newTable(len(cover), m, m)
@@ -90,17 +90,17 @@ func (s SaturatedCoverage) Marginal(cover [][]float64, m int) [][]float64 {
 	return out
 }
 
-// FacilityLocation scores each topic by its best single item:
+// facilityLocation scores each topic by its best single item:
 // f_j(G) = max_{v∈G} τ_v^j. An item's marginal contribution is how much it
 // raises the per-topic maximum over the rest of the list — the classic
 // facility-location submodular objective restricted to topic space.
-type FacilityLocation struct{}
+type facilityLocation struct{}
 
 // Name implements DiversityFunction.
-func (FacilityLocation) Name() string { return "facility-location" }
+func (facilityLocation) Name() string { return "facility-location" }
 
 // Total implements DiversityFunction.
-func (FacilityLocation) Total(cover [][]float64, m int) float64 {
+func (facilityLocation) Total(cover [][]float64, m int) float64 {
 	var total float64
 	for j := 0; j < m; j++ {
 		var mx float64
@@ -115,7 +115,7 @@ func (FacilityLocation) Total(cover [][]float64, m int) float64 {
 }
 
 // Marginal implements DiversityFunction.
-func (FacilityLocation) Marginal(cover [][]float64, m int) [][]float64 {
+func (facilityLocation) Marginal(cover [][]float64, m int) [][]float64 {
 	out, scratch := newTable(len(cover), m, 2*m)
 	if len(cover) == 0 {
 		return out
@@ -149,11 +149,11 @@ func (FacilityLocation) Marginal(cover [][]float64, m int) [][]float64 {
 func DiversityFunctionByName(name string) (DiversityFunction, error) {
 	switch name {
 	case "", "prob-coverage":
-		return ProbCoverage{}, nil
+		return probCoverage{}, nil
 	case "saturated-coverage":
-		return SaturatedCoverage{}, nil
+		return saturatedCoverage{}, nil
 	case "facility-location":
-		return FacilityLocation{}, nil
+		return facilityLocation{}, nil
 	default:
 		return nil, fmt.Errorf("topics: unknown diversity function %q", name)
 	}

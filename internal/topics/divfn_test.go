@@ -8,7 +8,7 @@ import (
 )
 
 func allDivFns() []DiversityFunction {
-	return []DiversityFunction{ProbCoverage{}, SaturatedCoverage{}, FacilityLocation{}}
+	return []DiversityFunction{probCoverage{}, saturatedCoverage{}, facilityLocation{}}
 }
 
 func TestDiversityFunctionByName(t *testing.T) {
@@ -107,7 +107,7 @@ func TestMarginalNonNegative(t *testing.T) {
 func TestFacilityLocationSecondBest(t *testing.T) {
 	// Removing the per-topic leader must fall back to the runner-up.
 	cover := [][]float64{{0.9, 0.1}, {0.5, 0.8}, {0.2, 0.7}}
-	fl := FacilityLocation{}
+	fl := facilityLocation{}
 	marg := fl.Marginal(cover, 2)
 	if math.Abs(marg[0][0]-(0.9-0.5)) > 1e-12 {
 		t.Fatalf("leader marginal %v, want 0.4", marg[0][0])
@@ -118,11 +118,11 @@ func TestFacilityLocationSecondBest(t *testing.T) {
 }
 
 func TestSaturatedCoverageBetaDefault(t *testing.T) {
-	s := SaturatedCoverage{}
+	s := saturatedCoverage{}
 	if s.beta() != 4 {
 		t.Fatalf("default beta %v", s.beta())
 	}
-	s2 := SaturatedCoverage{Beta: 9}
+	s2 := saturatedCoverage{Beta: 9}
 	if s2.beta() != 9 {
 		t.Fatalf("explicit beta %v", s2.beta())
 	}

@@ -179,18 +179,6 @@ func (g *GMM) Responsibilities(p []float64) []float64 {
 	return logp
 }
 
-// Assign returns the most likely component for p.
-func (g *GMM) Assign(p []float64) int {
-	r := g.Responsibilities(p)
-	best, bestV := 0, r[0]
-	for c, v := range r[1:] {
-		if v > bestV {
-			best, bestV = c+1, v
-		}
-	}
-	return best
-}
-
 func (g *GMM) logGauss(c int, p []float64) float64 {
 	var lp float64
 	mu, va := g.Means[c], g.Vars[c]

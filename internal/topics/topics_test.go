@@ -335,3 +335,39 @@ func equalBits(a, b []float64) bool {
 	}
 	return true
 }
+
+// Coverage computes the probabilistic coverage vector c(G) of a set of
+// items, where cover[i] is the m-dimensional topic coverage τ of the i-th
+// item: c_j(G) = 1 − Π_{v∈G} (1 − τ_v^j). The result has length m.
+//
+// Coverage is monotone and submodular in G, the properties the paper's
+// greedy analysis (Theorem 5.1) relies on; both are property-tested.
+func Coverage(cover [][]float64, m int) []float64 {
+	c := make([]float64, m)
+	uncovered(c, cover)
+	for j, r := range c {
+		c[j] = 1 - r
+	}
+	return c
+}
+
+// Coverage returns the current coverage vector c(G).
+func (ic *IncrementalCoverage) Coverage() []float64 {
+	c := make([]float64, ic.m)
+	for j, r := range ic.remain {
+		c[j] = 1 - r
+	}
+	return c
+}
+
+// Assign returns the most likely component for p.
+func (g *GMM) Assign(p []float64) int {
+	r := g.Responsibilities(p)
+	best, bestV := 0, r[0]
+	for c, v := range r[1:] {
+		if v > bestV {
+			best, bestV = c+1, v
+		}
+	}
+	return best
+}
