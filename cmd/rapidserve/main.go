@@ -202,11 +202,11 @@ func main() {
 // node for fleet testing: every scoring pass takes that much longer while the
 // budget allows, and degrades past it (never a 5xx — the serving layer's
 // contract).
-func chaosHooks(latency time.Duration) engine.FaultInjector {
+func chaosHooks(latency time.Duration) *engine.FaultHooks {
 	if latency <= 0 {
 		return nil
 	}
-	return engine.FaultHooks{
+	return &engine.FaultHooks{
 		After: func(ctx context.Context, _ *rerank.Instance, _ []float64) error {
 			t := time.NewTimer(latency)
 			defer t.Stop()
@@ -221,7 +221,7 @@ func chaosHooks(latency time.Duration) engine.FaultInjector {
 }
 
 // run is the single-model deployment shape: one fixed model, no lifecycle.
-func run(ctx context.Context, modelPath, addr string, cfg serve.Config, faults engine.FaultInjector) error {
+func run(ctx context.Context, modelPath, addr string, cfg serve.Config, faults *engine.FaultHooks) error {
 	model, man, err := engine.LoadModel(modelPath)
 	if err != nil {
 		return err
@@ -237,7 +237,7 @@ func run(ctx context.Context, modelPath, addr string, cfg serve.Config, faults e
 // scoring seat: the manifest next to -model supplies the surface geometry
 // (request validation), but scoring goes through the weightless
 // internal/diversify adapter at the requested λ.
-func runDiversifier(ctx context.Context, modelPath, name string, lambda float64, addr string, cfg serve.Config, faults engine.FaultInjector) error {
+func runDiversifier(ctx context.Context, modelPath, name string, lambda float64, addr string, cfg serve.Config, faults *engine.FaultHooks) error {
 	man, err := engine.ReadManifest(modelPath)
 	if err != nil {
 		return err
@@ -264,27 +264,17 @@ func publishDiversifier(root, name string, lambda float64) error {
 	if !diversify.Known(name) {
 		return fmt.Errorf("unknown diversifier %q (have %v)", name, diversify.Names())
 	}
-	versions, err := registry.Scan(root)
+	// Training metrics belong to the donor version: the new one carries none.
+	man, versions, err := registry.DiversifierManifest(root, name, lambda, nil)
 	if err != nil {
 		return err
 	}
-	if len(versions) == 0 {
-		return fmt.Errorf("no published versions in %s to copy geometry from", root)
-	}
-	latest := versions[len(versions)-1]
-	man, err := engine.ReadManifest(registry.ModelPath(root, latest))
-	if err != nil {
-		return err
-	}
-	man.Diversifier = name
-	man.DiversifierLambda = lambda
-	man.Metrics = nil // training metrics belong to the donor version
 	committed, err := registry.PublishDiversifier(root, "div-"+name, man)
 	if err != nil {
 		return err
 	}
 	log.Printf("rapidserve: published diversifier version %s (diversifier %s, lambda %.2f, geometry from %s)",
-		committed, name, lambda, latest)
+		committed, name, lambda, versions[len(versions)-1])
 	fmt.Println(committed)
 	return nil
 }
@@ -305,7 +295,7 @@ type feedbackOpts struct {
 // -feedback-log it closes the loop: /v1/feedback events land in a crash-safe
 // append-only log, and with -bandit-pct a slice of traffic is served by
 // bandit-tuned diversifier arms whose values learn from that feedback.
-func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canaryPct float64, shadow bool, faults engine.FaultInjector, fb feedbackOpts) error {
+func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canaryPct float64, shadow bool, faults *engine.FaultHooks, fb feedbackOpts) error {
 	reg, err := registry.New(registry.Config{
 		Root:          root,
 		CanaryPercent: canaryPct,

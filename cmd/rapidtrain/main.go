@@ -122,28 +122,17 @@ func run(o options) error {
 		fmt.Fprintf(os.Stderr, "debug server: http://%s/metrics and /debug/pprof/\n", o.debugAddr)
 	}
 
-	// NaN/Inf guards: poisoned batches are skipped and counted rather than
-	// corrupting Adam state; the counters are reported after training.
-	stats := &rerank.TrainStats{}
-	m.TrainCfg.Stats = stats
-	m.TrainCfg.Observer = &trainObserver{tel: obs.NewTrainTelemetry(reg), w: os.Stderr}
-	prevOnEpoch := m.TrainCfg.OnEpoch
-	m.TrainCfg.OnEpoch = func(epoch int, loss float64) {
-		if prevOnEpoch != nil {
-			prevOnEpoch(epoch, loss)
-		}
-		if o.ckptEvery > 0 && (epoch+1)%o.ckptEvery == 0 {
-			if err := m.ParamSet().SaveFileAtomic(o.out); err != nil {
-				fmt.Fprintf(os.Stderr, "checkpoint epoch %d: %v\n", epoch, err)
-			}
-		}
-	}
+	// The observer also writes the periodic checkpoints and totals the
+	// NaN/Inf guards (poisoned batches are skipped and counted rather than
+	// corrupting Adam state), reported after training.
+	tobs := &trainObserver{tel: obs.NewTrainTelemetry(reg), w: os.Stderr, model: m, out: o.out, ckptEvery: o.ckptEvery}
+	m.TrainCfg.Observer = tobs
 	if err := env.FitIfTrainable(m, opt); err != nil {
 		return err
 	}
-	if stats.SkippedInstances > 0 || stats.DroppedSteps > 0 {
+	if tobs.skipped > 0 || tobs.dropped > 0 {
 		fmt.Fprintf(os.Stderr, "training guards: skipped %d non-finite instances, dropped %d non-finite steps\n",
-			stats.SkippedInstances, stats.DroppedSteps)
+			tobs.skipped, tobs.dropped)
 	}
 	res := env.Evaluate(m, []int{5, 10})
 	metrics := map[string]float64{}
@@ -170,16 +159,30 @@ func run(o options) error {
 	return nil
 }
 
-// trainObserver adapts rerank's epoch hook to the obs training telemetry and
-// prints one progress line per epoch. It runs on the trainer goroutine at
-// epoch boundaries, so plain writes are safe; the telemetry side is atomic
-// and therefore scrape-safe from the -debug-addr server.
+// trainObserver adapts rerank's epoch hook to the obs training telemetry,
+// prints one progress line per epoch, checkpoints model to out every
+// ckptEvery epochs (0 disables) and totals the guard counters. It runs on
+// the trainer goroutine at epoch boundaries, so plain writes are safe; the
+// telemetry side is atomic and therefore scrape-safe from the -debug-addr
+// server.
 type trainObserver struct {
-	tel *obs.TrainTelemetry
-	w   io.Writer
+	tel       *obs.TrainTelemetry
+	w         io.Writer
+	model     *core.Model
+	out       string
+	ckptEvery int
+
+	skipped, dropped int
 }
 
 func (t *trainObserver) ObserveEpoch(es rerank.EpochStats) {
+	t.skipped += es.SkippedInstances
+	t.dropped += es.DroppedSteps
+	if t.ckptEvery > 0 && (es.Epoch+1)%t.ckptEvery == 0 {
+		if err := t.model.ParamSet().SaveFileAtomic(t.out); err != nil {
+			fmt.Fprintf(t.w, "checkpoint epoch %d: %v\n", es.Epoch, err)
+		}
+	}
 	t.tel.RecordEpoch(es.Loss, es.ValidLoss, es.Duration, es.Steps, es.Instances, es.SkippedInstances, es.DroppedSteps)
 	line := fmt.Sprintf("epoch %d/%d loss=%.6f", es.Epoch+1, es.Epochs, es.Loss)
 	if !math.IsNaN(es.ValidLoss) {

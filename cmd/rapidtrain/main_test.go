@@ -1,13 +1,16 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/registry"
+	"repro/internal/rerank"
 )
 
 func TestManifestPathSuffix(t *testing.T) {
@@ -123,5 +126,34 @@ func TestRunBadResume(t *testing.T) {
 	o.resume = other
 	if err := run(o); err == nil {
 		t.Fatal("mismatched resume checkpoint accepted")
+	}
+}
+
+// TestTrainObserverCheckpointsAndTotals: the epoch observer writes a
+// checkpoint to -out after every ckptEvery-th epoch and totals the guard
+// counters for the summary printed after training.
+func TestTrainObserverCheckpointsAndTotals(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "m.gob")
+	cfg := core.Config{
+		UserDim: 3, ItemDim: 2, Topics: 2, Hidden: 4, D: 3,
+		Output: core.Probabilistic, Encoder: core.BiLSTMEncoder, Agg: core.LSTMAgg,
+		UseDiversity: true, Heads: 2, Seed: 1,
+	}
+	o := &trainObserver{tel: obs.NewTrainTelemetry(obs.NewRegistry()), w: io.Discard, model: core.New(cfg), out: out, ckptEvery: 2}
+	o.ObserveEpoch(rerank.EpochStats{Epoch: 0, Epochs: 4, SkippedInstances: 1})
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint after epoch 1 with -checkpoint-every 2: %v", err)
+	}
+	o.ObserveEpoch(rerank.EpochStats{Epoch: 1, Epochs: 4, DroppedSteps: 2})
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatalf("no checkpoint after epoch 2: %v", err)
+	}
+	defer f.Close()
+	if err := core.New(cfg).ParamSet().LoadStrict(f); err != nil {
+		t.Fatalf("checkpoint does not load back: %v", err)
+	}
+	if o.skipped != 1 || o.dropped != 2 {
+		t.Fatalf("guard totals skipped=%d dropped=%d, want 1/2", o.skipped, o.dropped)
 	}
 }

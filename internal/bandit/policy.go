@@ -190,10 +190,10 @@ func (p *Policy) Select(user uint64) int {
 	// The exploration stream mixes the user with a global sequence number:
 	// the same user explores different arms over time, but the decision is
 	// reproducible from (user, sequence) — no locked RNG on the hot path.
-	h := mix64(user ^ (p.selSeq.Add(1) * 0x9e3779b97f4a7c15) ^ p.cfg.Seed)
+	h := Mix64(user ^ (p.selSeq.Add(1) * 0x9e3779b97f4a7c15) ^ p.cfg.Seed)
 	nArms := uint64(len(p.cfg.Arms))
 	if float64(h>>11)/(1<<53) < exploreRate {
-		return int(mix64(h) % nArms)
+		return int(Mix64(h) % nArms)
 	}
 	best, bestScore := 0, math.Inf(-1)
 	for a, s := range t.scores[seg] {
@@ -376,9 +376,10 @@ func shermanMorrison(ainv []float64, x []float64) {
 	}
 }
 
-// mix64 is the splitmix64 finalizer: a cheap, well-distributed hash for the
-// hot-path exploration stream.
-func mix64(x uint64) uint64 {
+// Mix64 is splitmix64 (the golden-ratio increment, then its finalizer): a
+// cheap, well-distributed hash for the hot-path exploration stream and for
+// feedback's bandit traffic split.
+func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

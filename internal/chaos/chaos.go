@@ -1,9 +1,9 @@
 // Package chaos is the fault-injection harness for fleet testing: a reverse
 // proxy that sits between the router and a replica and misbehaves on
-// command. It extends the serving layer's FaultInjector seam (which injects
-// faults inside the scoring path) to the network boundary, where a router
-// actually experiences failure: added latency, shed and error bursts,
-// dropped connections, and whole-replica blackouts.
+// command. It extends the serving layer's engine.FaultHooks seam (which
+// injects faults inside the scoring path) to the network boundary, where a
+// router actually experiences failure: added latency, shed and error
+// bursts, dropped connections, and whole-replica blackouts.
 //
 // The proxy is deliberately deterministic — faults come from an Injector the
 // test scripts, not from random sampling — so a chaos test asserts exact

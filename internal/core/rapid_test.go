@@ -51,6 +51,11 @@ func testConfig(d *dataset.Dataset, seed int64) Config {
 	return cfg
 }
 
+// observeFunc adapts a function to rerank.EpochObserver.
+type observeFunc func(rerank.EpochStats)
+
+func (f observeFunc) ObserveEpoch(es rerank.EpochStats) { f(es) }
+
 func TestNames(t *testing.T) {
 	base := Config{UserDim: 2, ItemDim: 2, Topics: 2, Hidden: 4, D: 3, UseDiversity: true, Heads: 2, Output: Probabilistic}
 	cases := []struct {
@@ -121,12 +126,12 @@ func TestTrainingReducesLoss(t *testing.T) {
 	var first, last float64
 	m.TrainCfg = rerank.TrainConfig{
 		Epochs: 6, LR: 0.01, BatchSize: 4, ClipNorm: 5, Seed: 2,
-		OnEpoch: func(e int, loss float64) {
-			if e == 0 {
-				first = loss
+		Observer: observeFunc(func(es rerank.EpochStats) {
+			if es.Epoch == 0 {
+				first = es.Loss
 			}
-			last = loss
-		},
+			last = es.Loss
+		}),
 	}
 	if err := m.Fit(train); err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func TestTrainBitsGolden(t *testing.T) {
 			h := sha256.New()
 			m.TrainCfg = rerank.TrainConfig{
 				Epochs: 2, LR: 0.01, BatchSize: 4, ClipNorm: 5, Seed: 143, Workers: workers,
-				OnEpoch: func(_ int, loss float64) { writeBits(h, loss) },
+				Observer: observeFunc(func(es rerank.EpochStats) { writeBits(h, es.Loss) }),
 			}
 			if err := m.Fit(train); err != nil {
 				t.Fatalf("%s workers=%d: %v", m.Name(), workers, err)

@@ -118,8 +118,8 @@ func (e *Engine) runJob(j *scoreJob) {
 	out := e.score(j)
 	// Observed to true completion: a deadline-abandoned pass still lands its
 	// real latency here, which is what the tail of this histogram is for.
-	// Both fault seams run inside the window, so a request degraded by
-	// BeforeScore lands in it and injected response latency reads exactly as
+	// Both fault hooks run inside the window, so a request degraded by
+	// FaultHooks.Before lands in it and injected response latency reads exactly as
 	// a truly slow forward pass would.
 	elapsed := time.Since(sstart)
 	e.met.Scoring.ObserveDuration(elapsed)
@@ -156,8 +156,8 @@ func (e *Engine) score(j *scoreJob) (out scoreOutcome) {
 			out = scoreOutcome{err: fmt.Errorf("scoring panic: %v", p), panicked: true}
 		}
 	}()
-	if e.Faults != nil {
-		if err := e.Faults.BeforeScore(j.ctx, j.inst); err != nil {
+	if e.Faults != nil && e.Faults.Before != nil {
+		if err := e.Faults.Before(j.ctx, j.inst); err != nil {
 			return scoreOutcome{err: err}
 		}
 	}
@@ -165,8 +165,8 @@ func (e *Engine) score(j *scoreJob) (out scoreOutcome) {
 	if err != nil {
 		return scoreOutcome{err: err}
 	}
-	if as, ok := e.Faults.(afterScoreInjector); ok {
-		if err := as.AfterScore(j.ctx, j.inst, scores); err != nil {
+	if e.Faults != nil && e.Faults.After != nil {
+		if err := e.Faults.After(j.ctx, j.inst, scores); err != nil {
 			return scoreOutcome{err: err}
 		}
 	}

@@ -161,7 +161,7 @@ type Engine struct {
 	tenantSems map[string]chan struct{} // per-tenant quota, lazily created
 
 	// Faults is the chaos-testing seam; nil in production.
-	Faults FaultInjector
+	Faults *FaultHooks
 	// Log receives operational messages; defaults to log.Printf.
 	Log func(format string, args ...any)
 }

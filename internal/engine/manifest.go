@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/diversify"
+	"repro/internal/durable"
 	"repro/internal/topics"
 )
 
@@ -173,44 +173,17 @@ func LoadScorer(modelPath string) (Scorer, Manifest, error) {
 	return m, man, nil
 }
 
-// WriteManifestFileAtomic writes a manifest with the same atomic discipline
-// as the weights (temp file, fsync, rename, fsync the directory): the
-// (weights, manifest) pair on disk is only ever replaced by a complete file,
-// never observed half-written by a concurrently starting server, and the
-// rename survives a crash. rapidtrain and the registry store both publish
-// through this.
-func WriteManifestFileAtomic(path string, man Manifest) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("manifest temp file: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	if err = enc.Encode(man); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("open dir for sync: %w", err)
-	}
-	defer d.Close()
-	return d.Sync()
+// WriteManifestFileAtomic writes a manifest with durable.WriteFile, as the
+// weights are written: the (weights, manifest) pair on disk is only ever
+// replaced by a complete file, never observed half-written by a concurrently
+// starting server. rapidtrain and the registry store both publish through
+// this.
+func WriteManifestFileAtomic(path string, man Manifest) error {
+	return durable.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(man)
+	})
 }
 
 // buildModel constructs the architecture, converting any constructor panic

@@ -3,12 +3,15 @@ package feedback
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // Options bounds a feedback log. The zero value of every field falls back
@@ -240,7 +243,7 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	if err != nil {
 		return fmt.Errorf("feedback: create segment: %w", err)
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := durable.SyncDir(l.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -314,34 +317,16 @@ func (l *Log) rotateLocked() error {
 	return l.openSegment(l.nextSeq)
 }
 
-// writeIndex commits the segment manifest with the registry's staging
-// discipline: temp file, fsync, rename, directory fsync.
+// writeIndex commits the segment manifest with durable.WriteFile.
 func (l *Log) writeIndex() error {
-	idx := indexFile{NextSeq: l.nextSeq, Segments: l.committed}
-	data, err := json.MarshalIndent(idx, "", "  ")
+	data, err := json.MarshalIndent(indexFile{NextSeq: l.nextSeq, Segments: l.committed}, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(l.dir, ".index-*")
-	if err != nil {
-		return fmt.Errorf("feedback: stage index: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
+	return durable.WriteFile(filepath.Join(l.dir, indexFileName), func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
 		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(l.dir, indexFileName)); err != nil {
-		return fmt.Errorf("feedback: commit index: %w", err)
-	}
-	return syncDir(l.dir)
+	})
 }
 
 func readIndex(dir string) indexFile {
@@ -446,20 +431,6 @@ func Replay(dir string, fromSeq uint64, fn func(seq uint64, ev Event) error) (Re
 		}
 	}
 	return st, nil
-}
-
-// syncDir fsyncs a directory so a rename or file creation in it survives a
-// crash — the same durability discipline as registry.Publish.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("feedback: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("feedback: sync dir %s: %w", dir, err)
-	}
-	return nil
 }
 
 // nowMS is the event timestamp source, a hook for tests.

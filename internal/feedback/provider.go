@@ -60,7 +60,7 @@ func (p *BanditProvider) Active() engine.Pinned { return p.base.Active() }
 // arm is weightless — it re-ranks whatever surface the active model defines);
 // everything else passes through to the base provider, canary split included.
 func (p *BanditProvider) Pick(user uint64) engine.Pinned {
-	if p.percent > 0 && float64(splitmix64(user)%10_000) < p.percent*100 {
+	if p.percent > 0 && float64(bandit.Mix64(user)%10_000) < p.percent*100 {
 		arm := p.policy.Select(user)
 		pin := p.base.Active()
 		pin.Scorer = p.scorers[arm]
@@ -74,13 +74,4 @@ func (p *BanditProvider) Pick(user uint64) engine.Pinned {
 		return pin
 	}
 	return p.base.Pick(user)
-}
-
-// splitmix64 is the splitmix64 finalizer, decorrelating the bandit split
-// from the canary split's raw key % 10000.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

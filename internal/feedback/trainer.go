@@ -229,29 +229,14 @@ func (t *Trainer) bestArm() bandit.Arm {
 // forensics. Labels are "div-fb-<n>" — they sort with the other diversifier
 // versions and read as feedback-derived at a glance.
 func (t *Trainer) publish(arm bandit.Arm, est *clickmodel.Estimated) (string, error) {
-	versions, err := registry.Scan(t.cfg.ModelRoot)
+	man, versions, err := registry.DiversifierManifest(t.cfg.ModelRoot, arm.Name, arm.Lambda, map[string]float64{
+		"feedback_sessions": float64(t.inc.Sessions()),
+		"feedback_clicks":   float64(t.inc.Clicks()),
+		"feedback_eps_p0":   firstEps(est),
+		"feedback_lambda":   arm.Lambda,
+	})
 	if err != nil {
 		return "", err
-	}
-	if len(versions) == 0 {
-		return "", fmt.Errorf("feedback: no versions in %s to copy surface geometry from", t.cfg.ModelRoot)
-	}
-	base, err := engine.ReadManifest(registry.ModelPath(t.cfg.ModelRoot, versions[len(versions)-1]))
-	if err != nil {
-		return "", err
-	}
-	man := engine.Manifest{
-		Dataset:           base.Dataset,
-		Lambda:            base.Lambda,
-		Config:            base.Config,
-		Diversifier:       arm.Name,
-		DiversifierLambda: arm.Lambda,
-		Metrics: map[string]float64{
-			"feedback_sessions": float64(t.inc.Sessions()),
-			"feedback_clicks":   float64(t.inc.Clicks()),
-			"feedback_eps_p0":   firstEps(est),
-			"feedback_lambda":   arm.Lambda,
-		},
 	}
 	exists := make(map[string]bool, len(versions))
 	for _, v := range versions {

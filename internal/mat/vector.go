@@ -2,7 +2,6 @@ package mat
 
 import (
 	"math"
-	"sort"
 )
 
 // Dot returns the inner product of a and b. It panics on length mismatch.
@@ -94,17 +93,6 @@ func Entropy(p []float64) float64 {
 		}
 	}
 	return h
-}
-
-// ArgSortDesc returns the indices that sort a in descending order.
-// Ties are broken by ascending index so the result is deterministic.
-func ArgSortDesc(a []float64) []int {
-	idx := make([]int, len(a))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool { return a[idx[x]] > a[idx[y]] })
-	return idx
 }
 
 // Sigmoid returns 1/(1+e^{-x}) computed without overflow for large |x|.

@@ -94,15 +94,6 @@ func TestEntropy(t *testing.T) {
 	}
 }
 
-func TestArgSortDescAndTopK(t *testing.T) {
-	a := []float64{0.3, 0.9, 0.1, 0.9}
-	idx := ArgSortDesc(a)
-	// Ties broken by index: the first 0.9 precedes the second.
-	if idx[0] != 1 || idx[1] != 3 || idx[2] != 0 || idx[3] != 2 {
-		t.Fatalf("ArgSortDesc = %v", idx)
-	}
-}
-
 func TestSigmoidStable(t *testing.T) {
 	if got := Sigmoid(1000); got != 1 {
 		t.Fatalf("Sigmoid(1000) = %v", got)

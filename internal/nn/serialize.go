@@ -4,8 +4,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+
+	"repro/internal/durable"
 )
 
 // snapshot is the on-disk representation of a ParamSet.
@@ -77,46 +77,11 @@ func (s *ParamSet) load(r io.Reader, strict bool) error {
 	return nil
 }
 
-// SaveFileAtomic writes the parameter snapshot to path through a temporary
-// file in the same directory followed by a rename, so a crash or kill
-// mid-write can never leave a truncated or half-written checkpoint at path.
-// The parent directory is fsynced after the rename: syncing only the file
-// makes its *contents* durable, but the rename lives in the directory, and a
-// crash before the directory metadata reaches disk would silently lose a
-// "successfully written" checkpoint or registry version.
-func (s *ParamSet) SaveFileAtomic(path string) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("nn: checkpoint temp file: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = s.Save(tmp); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("nn: sync checkpoint: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("nn: close checkpoint: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("nn: publish checkpoint: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("nn: open checkpoint dir: %w", err)
-	}
-	defer d.Close()
-	if err = d.Sync(); err != nil {
-		return fmt.Errorf("nn: sync checkpoint dir: %w", err)
-	}
-	return nil
+// SaveFileAtomic writes the parameter snapshot to path with durable.WriteFile,
+// so a crash or kill mid-write can never leave a truncated or half-written
+// checkpoint at path.
+func (s *ParamSet) SaveFileAtomic(path string) error {
+	return durable.WriteFile(path, s.Save)
 }
 
 // CopyValuesFrom copies values from src into s for every parameter name both

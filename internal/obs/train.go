@@ -12,7 +12,7 @@ var epochSecondsBuckets = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120,
 // TrainTelemetry is the training-side metric set: per-epoch loss and
 // validation loss gauges, epoch-duration histogram, and monotone counters
 // for optimizer steps and the numerical-guard events
-// (rerank.TrainStats.SkippedInstances / DroppedSteps). It is deliberately
+// (rerank.EpochStats.SkippedInstances / DroppedSteps). It is deliberately
 // typed on plain values so obs stays free of model-layer imports; the
 // binaries adapt it to rerank's epoch-observer hook.
 type TrainTelemetry struct {

@@ -297,7 +297,7 @@ func TestMultiTenantServingEndToEnd(t *testing.T) {
 	})
 	var hold atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
-	srv.Faults = engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
+	srv.Faults = &engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
 		if hold.CompareAndSwap(true, false) {
 			close(entered)
 			<-release

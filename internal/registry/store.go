@@ -17,12 +17,14 @@ package registry
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/nn"
 )
@@ -85,6 +87,28 @@ func PublishDiversifier(root, label string, man engine.Manifest) (string, error)
 	})
 }
 
+// DiversifierManifest builds the manifest of a weightless version serving
+// the named diversifier at lambda: the newest version under root supplies
+// the surface geometry, and metrics replaces the donor's training metrics.
+// It also returns the committed versions it scanned, oldest first.
+func DiversifierManifest(root, name string, lambda float64, metrics map[string]float64) (engine.Manifest, []string, error) {
+	versions, err := Scan(root)
+	if err != nil {
+		return engine.Manifest{}, nil, err
+	}
+	if len(versions) == 0 {
+		return engine.Manifest{}, nil, fmt.Errorf("registry: no published versions in %s to copy geometry from", root)
+	}
+	man, err := engine.ReadManifest(ModelPath(root, versions[len(versions)-1]))
+	if err != nil {
+		return engine.Manifest{}, nil, err
+	}
+	man.Diversifier = name
+	man.DiversifierLambda = lambda
+	man.Metrics = metrics
+	return man, versions, nil
+}
+
 // publishStaged is the shared atomic commit discipline: write the version's
 // artifacts inside a hidden staging directory, fsync it, rename it to the
 // final label, fsync the root so the rename survives a crash.
@@ -114,34 +138,24 @@ func publishStaged(root, label string, man engine.Manifest, writeModel func(stag
 	if err := engine.WriteManifestFileAtomic(filepath.Join(staging, manifestFile), man); err != nil {
 		return "", err
 	}
-	if err := syncDir(staging); err != nil {
+	if err := durable.SyncDir(staging); err != nil {
 		return "", err
 	}
 	if err := os.Rename(staging, final); err != nil {
 		return "", fmt.Errorf("registry: commit version %s: %w", label, err)
 	}
-	if err := syncDir(root); err != nil {
+	if err := durable.SyncDir(root); err != nil {
 		return "", err
 	}
 	return label, nil
 }
 
-// writeFileSync writes a small artifact and fsyncs it; inside a staging
-// directory the usual temp-and-rename dance is unnecessary (the whole
-// directory renames atomically), but durability still matters.
+// writeFileSync commits a small artifact with durable.WriteFile.
 func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("registry: write %s: %w", path, err)
-	}
-	defer f.Close()
-	if _, err := f.Write(data); err != nil {
-		return fmt.Errorf("registry: write %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("registry: sync %s: %w", path, err)
-	}
-	return nil
+	return durable.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // nextLabel generates a fresh timestamped label, suffixing a counter when
@@ -181,18 +195,4 @@ func Scan(root string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// syncDir fsyncs a directory so a preceding rename or file creation in it is
-// durable — without it a crash can lose a "successfully committed" version.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("registry: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("registry: sync dir %s: %w", dir, err)
-	}
-	return nil
 }

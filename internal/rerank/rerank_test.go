@@ -220,19 +220,12 @@ func (m *linearModel) Logits(t *nn.Tape, inst *Instance, _ bool) *nn.Node {
 func TestTrainListwiseReducesLoss(t *testing.T) {
 	train := testInstances(t, 30, true)
 	m := newLinearModel(train[0].FeatureDim(), 3)
-	var first, last float64
-	cfg := TrainConfig{
-		Epochs: 10, LR: 0.02, BatchSize: 4, ClipNorm: 5, Seed: 3,
-		OnEpoch: func(e int, loss float64) {
-			if e == 0 {
-				first = loss
-			}
-			last = loss
-		},
-	}
+	rec := &recordingObserver{}
+	cfg := TrainConfig{Epochs: 10, LR: 0.02, BatchSize: 4, ClipNorm: 5, Seed: 3, Observer: rec}
 	if _, err := TrainListwise(m, train, cfg); err != nil {
 		t.Fatal(err)
 	}
+	first, last := rec.got[0].Loss, rec.got[len(rec.got)-1].Loss
 	if last >= first {
 		t.Fatalf("loss did not decrease: %v → %v", first, last)
 	}

@@ -63,15 +63,12 @@ type TrainConfig struct {
 	// reduced in slot order, so float summation order never depends on
 	// scheduling.
 	Workers int
-	// OnEpoch, when non-nil, receives (epoch, mean loss) after each epoch —
-	// used by the efficiency study and for convergence tests.
-	OnEpoch func(epoch int, loss float64)
 	// Observer, when non-nil, receives a full EpochStats record after each
 	// epoch — the training-telemetry hook behind rapidtrain's progress
-	// lines and /metrics debug port. It fires exactly once per epoch, after
-	// OnEpoch, with the same loss value, on the trainer goroutine (never a
-	// worker), so an implementation may read model state without locking.
-	// A nil observer costs nothing on the hot path.
+	// lines, checkpoints and /metrics debug port. It fires exactly once per
+	// epoch on the trainer goroutine (never a worker), so an implementation
+	// may read model state without locking. A nil observer costs nothing on
+	// the hot path.
 	Observer EpochObserver
 	// ValidFrac, when positive, holds out that fraction of the training
 	// instances (the tail, deterministically) as a validation split and
@@ -82,12 +79,6 @@ type TrainConfig struct {
 	// Patience is the early-stopping patience in epochs (default 2 when
 	// ValidFrac > 0).
 	Patience int
-	// Stats, when non-nil, accumulates robustness counters: instances whose
-	// loss came out NaN/Inf (backward skipped) and optimizer steps dropped
-	// because the accumulated gradient was non-finite. Both guards protect
-	// Adam's moment estimates — a single NaN gradient would otherwise poison
-	// the moving averages for every subsequent step.
-	Stats *TrainStats
 }
 
 // EpochStats is the per-epoch telemetry record handed to
@@ -97,8 +88,7 @@ type EpochStats struct {
 	// Epoch is the zero-based epoch index; Epochs the configured total
 	// (early stopping may end the run before Epoch reaches Epochs-1).
 	Epoch, Epochs int
-	// Loss is the epoch's mean training loss — bitwise the value OnEpoch
-	// received.
+	// Loss is the epoch's mean training loss.
 	Loss float64
 	// ValidLoss is the held-out validation loss, NaN when the run has no
 	// validation split.
@@ -106,10 +96,13 @@ type EpochStats struct {
 	// Duration is the epoch's wall-clock time, including validation.
 	Duration time.Duration
 	// Steps is the number of optimizer steps applied; DroppedSteps the
-	// steps abandoned by the non-finite-gradient guard.
+	// steps abandoned because the accumulated gradient was non-finite.
 	Steps, DroppedSteps int
 	// Instances is the number of instances whose loss entered the epoch
-	// mean; SkippedInstances the instances the NaN/Inf loss guard skipped.
+	// mean; SkippedInstances the instances whose loss came out NaN/Inf
+	// (backward skipped). Both guards protect Adam's moment estimates — a
+	// single NaN gradient would otherwise poison the moving averages for
+	// every subsequent step.
 	Instances, SkippedInstances int
 }
 
@@ -127,17 +120,6 @@ func emitEpoch(o EpochObserver, es EpochStats) {
 	if o != nil {
 		o.ObserveEpoch(es)
 	}
-}
-
-// TrainStats counts training anomalies survived by the numerical guards.
-type TrainStats struct {
-	// SkippedInstances is the number of instances whose forward loss was
-	// NaN/Inf; their backward pass was skipped entirely.
-	SkippedInstances int
-	// DroppedSteps is the number of optimizer steps abandoned because the
-	// accumulated batch gradient contained NaN/Inf; the gradients were
-	// zeroed and Adam state left untouched.
-	DroppedSteps int
 }
 
 // DefaultTrainConfig returns the configuration used across the experiment
@@ -358,9 +340,6 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 					okShadows = append(okShadows, sl.shadow)
 				} else {
 					skipped++
-					if cfg.Stats != nil {
-						cfg.Stats.SkippedInstances++
-					}
 				}
 			}
 			if len(okShadows) == 0 {
@@ -381,18 +360,12 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 				// clean; applying it would corrupt them permanently.
 				ps.ZeroGrad()
 				dropped++
-				if cfg.Stats != nil {
-					cfg.Stats.DroppedSteps++
-				}
 			}
 		}
 		if counted > 0 {
 			lastLoss = epochLoss / float64(counted)
 		} else {
 			lastLoss = math.NaN()
-		}
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(e, lastLoss)
 		}
 		// Validation runs before the observer so one record carries both
 		// losses; the same value then drives early stopping.

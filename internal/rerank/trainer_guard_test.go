@@ -16,6 +16,15 @@ func finiteParams(t *testing.T, m ListwiseModel) {
 	}
 }
 
+// guardTotals sums the NaN/Inf guard counters over every observed epoch.
+func guardTotals(rec *recordingObserver) (skipped, dropped int) {
+	for _, es := range rec.got {
+		skipped += es.SkippedInstances
+		dropped += es.DroppedSteps
+	}
+	return skipped, dropped
+}
+
 // TestTrainSkipsNonFiniteLoss: an instance whose features are poisoned with
 // NaN must be skipped and counted, without corrupting the parameters or the
 // reported epoch loss.
@@ -29,14 +38,14 @@ func TestTrainSkipsNonFiniteLoss(t *testing.T) {
 		return f
 	}
 	m := newLinearModel(train[0].FeatureDim(), 17)
-	stats := &TrainStats{}
-	cfg := TrainConfig{Epochs: 3, LR: 0.02, BatchSize: 4, ClipNorm: 5, Seed: 9, Stats: stats}
+	rec := &recordingObserver{}
+	cfg := TrainConfig{Epochs: 3, LR: 0.02, BatchSize: 4, ClipNorm: 5, Seed: 9, Observer: rec}
 	loss, err := TrainListwise(m, train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SkippedInstances != cfg.Epochs {
-		t.Fatalf("skipped %d instances, want %d (one per epoch)", stats.SkippedInstances, cfg.Epochs)
+	if skipped, _ := guardTotals(rec); skipped != cfg.Epochs {
+		t.Fatalf("skipped %d instances, want %d (one per epoch)", skipped, cfg.Epochs)
 	}
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("final loss %v not finite", loss)
@@ -54,13 +63,13 @@ func TestTrainDropsNonFiniteStep(t *testing.T) {
 	// Pre-poison the gradient buffer: the first accumulation step inherits
 	// the NaN and must be dropped wholesale.
 	m.Params().All()[0].Grad.Data[0] = math.NaN()
-	stats := &TrainStats{}
-	cfg := TrainConfig{Epochs: 1, LR: 0.02, BatchSize: len(train), Seed: 9, Stats: stats}
+	rec := &recordingObserver{}
+	cfg := TrainConfig{Epochs: 1, LR: 0.02, BatchSize: len(train), Seed: 9, Observer: rec}
 	if _, err := TrainListwise(m, train, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if stats.DroppedSteps != 1 {
-		t.Fatalf("dropped %d steps, want 1", stats.DroppedSteps)
+	if _, dropped := guardTotals(rec); dropped != 1 {
+		t.Fatalf("dropped %d steps, want 1", dropped)
 	}
 	after := m.Params().All()[0].Value.Data
 	for i := range before {

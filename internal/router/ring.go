@@ -103,7 +103,9 @@ func (r *ring) sequence(key uint64) []int {
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective avalanche over the
-// raw FNV hash.
+// raw FNV hash. Unlike bandit.Mix64 it omits splitmix64's golden-ratio
+// increment; adding it would move every ring point and so every user's
+// replica.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -117,12 +117,12 @@ func TestHandleRerankBatchLimits(t *testing.T) {
 // only that item — its batch-mates still get real scores.
 func TestHandleRerankBatchPerItemDegraded(t *testing.T) {
 	s := stubServer(t, Config{})
-	s.Faults = engine.FaultFunc(func(_ context.Context, inst *rerank.Instance) error {
+	s.Faults = &engine.FaultHooks{Before: func(_ context.Context, inst *rerank.Instance) error {
 		if inst.Items[0] == 17 {
 			return fmt.Errorf("injected: item 17 feature store down")
 		}
 		return nil
-	})
+	}}
 	h := s.Handler()
 
 	marked := validRequest()
@@ -218,12 +218,12 @@ func TestAdaptCancellation(t *testing.T) {
 // one item's scores to another.
 func TestBatchEnvelopeFaultAttribution(t *testing.T) {
 	s := stubServer(t, Config{})
-	s.Faults = engine.FaultFunc(func(_ context.Context, inst *rerank.Instance) error {
+	s.Faults = &engine.FaultHooks{Before: func(_ context.Context, inst *rerank.Instance) error {
 		if inst.Items[0] == 17 {
 			return fmt.Errorf("injected: item 17 feature store down")
 		}
 		return nil
-	})
+	}}
 	h := s.Handler()
 
 	// Item k carries init score 0.9+k on its lead item; the stub scorer
@@ -317,9 +317,9 @@ func TestBatchEnvelopeTerminalStatus(t *testing.T) {
 		t.Fatalf("all-invalid envelope counted ok=%d bad_input=%d, want 0/1", ok.Value(), badInput.Value())
 	}
 
-	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = &engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
 		return fmt.Errorf("injected: everything is down")
-	})
+	}}
 	if w := postBatch(t, h, mustJSON(t, engine.BatchRequest{Requests: []engine.Request{*validRequest()}})); w.Code != http.StatusOK {
 		t.Fatalf("all-degraded envelope status %d", w.Code)
 	}

@@ -36,7 +36,7 @@ func TestChaos(t *testing.T) {
 	})
 	s.Log = func(string, ...any) {} // recovered-panic logs would swamp the output
 	var calls atomic.Int64
-	s.Faults = engine.FaultFunc(func(ctx context.Context, _ *rerank.Instance) error {
+	s.Faults = &engine.FaultHooks{Before: func(ctx context.Context, _ *rerank.Instance) error {
 		switch calls.Add(1) % 10 {
 		case 0:
 			panic("injected model bug")
@@ -56,7 +56,7 @@ func TestChaos(t *testing.T) {
 		default:
 			return nil
 		}
-	})
+	}}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	body, _ := json.Marshal(validRequest())
@@ -155,11 +155,11 @@ func TestServeDrainsInFlight(t *testing.T) {
 	s := testServer(t, Config{Budget: 2 * time.Second, DrainTimeout: 5 * time.Second})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = &engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
 		close(entered)
 		<-release
 		return nil
-	})
+	}}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

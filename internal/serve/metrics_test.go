@@ -65,9 +65,9 @@ func TestMetricsExposition(t *testing.T) {
 	if w := postRerank(t, h, []byte("{")); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad request status %d", w.Code)
 	}
-	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = &engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
 		return errors.New("feature store down")
-	})
+	}}
 	wantDegraded(t, postRerank(t, h, body), "error")
 	s.Faults = nil
 

@@ -30,106 +30,6 @@ func writeArtifacts(t *testing.T, modelCfg core.Config, manCfg core.Config) stri
 	return modelPath
 }
 
-func TestLoadModelRoundTrip(t *testing.T) {
-	cfg := testConfig()
-	path := writeArtifacts(t, cfg, cfg)
-	m, man, err := engine.LoadModel(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Dataset != "test" || m.Cfg.Topics != cfg.Topics {
-		t.Fatalf("loaded %+v", man)
-	}
-	inst, err := engine.ToInstance(cfg, validRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Scores(inst); len(got) != 3 {
-		t.Fatalf("scores %v", got)
-	}
-}
-
-// TestLoadModelGeometryMismatch: weights written for one architecture must
-// be rejected at startup when the manifest claims another — with an error
-// naming the disagreement, not a panic at the first request.
-func TestLoadModelGeometryMismatch(t *testing.T) {
-	small := testConfig()
-	big := small
-	big.Hidden = 8 // shapes disagree with the saved weights
-	path := writeArtifacts(t, small, big)
-	if _, _, err := engine.LoadModel(path); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-
-	// Weights that cover only part of the model (trained without the
-	// diversity head) must also fail strictly, not serve random weights.
-	noDiv := testConfig()
-	noDiv.UseDiversity = false
-	full := testConfig()
-	path = writeArtifacts(t, noDiv, full)
-	if _, _, err := engine.LoadModel(path); err == nil {
-		t.Fatal("partial weights accepted")
-	}
-}
-
-func TestLoadModelInvalidManifest(t *testing.T) {
-	cfg := testConfig()
-	for name, mutate := range map[string]func(*core.Config){
-		"zero hidden":       func(c *core.Config) { c.Hidden = 0 },
-		"negative topics":   func(c *core.Config) { c.Topics = -1 },
-		"zero user dim":     func(c *core.Config) { c.UserDim = 0 },
-		"zero item dim":     func(c *core.Config) { c.ItemDim = 0 },
-		"zero D":            func(c *core.Config) { c.D = 0 },
-		"bad output":        func(c *core.Config) { c.Output = 99 },
-		"bad encoder":       func(c *core.Config) { c.Encoder = 99 },
-		"bad agg":           func(c *core.Config) { c.Agg = 99 },
-		"bad diversity fn":  func(c *core.Config) { c.DiversityFn = "nope" },
-		"transformer heads": func(c *core.Config) { c.Encoder = core.TransformerEncoder; c.Heads = 0 },
-	} {
-		bad := cfg
-		mutate(&bad)
-		if err := engine.ValidateConfig(bad); err == nil {
-			t.Errorf("%s: invalid config accepted", name)
-		}
-	}
-	if err := engine.ValidateConfig(cfg); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-
-	// A syntactically valid manifest with an unbuildable config must fail at
-	// LoadModel time.
-	bad := cfg
-	bad.Hidden = 0
-	path := writeArtifacts(t, cfg, bad)
-	if _, _, err := engine.LoadModel(path); err == nil {
-		t.Fatal("unbuildable manifest accepted")
-	}
-}
-
-func TestLoadModelMissingFiles(t *testing.T) {
-	dir := t.TempDir()
-	if _, _, err := engine.LoadModel(filepath.Join(dir, "none.gob")); err == nil {
-		t.Fatal("missing manifest accepted")
-	}
-	// Manifest present, weights missing.
-	cfg := testConfig()
-	modelPath := filepath.Join(dir, "model.gob")
-	b, _ := json.Marshal(engine.Manifest{Config: cfg})
-	if err := os.WriteFile(engine.ManifestPath(modelPath), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := engine.LoadModel(modelPath); err == nil {
-		t.Fatal("missing weights accepted")
-	}
-	// Corrupt weights.
-	if err := os.WriteFile(modelPath, []byte("not a gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := engine.LoadModel(modelPath); err == nil {
-		t.Fatal("corrupt weights accepted")
-	}
-}
-
 // TestLoadModelCorruptArtifacts covers the ways a weights file goes bad on
 // real disks — truncation mid-write, zero-byte files from a crashed create,
 // bit rot past the header — and requires a descriptive startup error for

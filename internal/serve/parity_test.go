@@ -168,9 +168,9 @@ func TestBinaryRequestIDsJoinFeedback(t *testing.T) {
 // ordering — because degradation lives in the engine, not the transport.
 func TestCrossFrontendDegradationParity(t *testing.T) {
 	p := newParityHarness(t, Config{Budget: 2 * time.Second})
-	p.s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
+	p.s.Faults = &engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
 		return errors.New("injected scoring error")
-	})
+	}}
 	req := parityRequest(5)
 	jresp, code := p.overHTTP(t, req)
 	if code != http.StatusOK {
@@ -209,14 +209,14 @@ func TestCrossFrontendShedParity(t *testing.T) {
 	// Occupy the only scoring slot so both frontends must shed.
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	p.s.Faults = engine.FaultFunc(func(ctx context.Context, _ *rerank.Instance) error {
+	p.s.Faults = &engine.FaultHooks{Before: func(ctx context.Context, _ *rerank.Instance) error {
 		close(blocked)
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
 		return nil
-	})
+	}}
 	holder := mustJSON(t, parityRequest(1))
 	go func() { // holds the slot; outcome checked implicitly via <-blocked
 		w := httptest.NewRecorder()

@@ -170,9 +170,9 @@ func wantDegraded(t *testing.T, w *httptest.ResponseRecorder, reason string) eng
 
 func TestDegradedOnScoringError(t *testing.T) {
 	s := testServer(t, Config{})
-	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = &engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
 		return errors.New("feature store down")
-	})
+	}}
 	body, _ := json.Marshal(validRequest())
 	wantDegraded(t, postRerank(t, s.Handler(), body), "error")
 	if st := s.Stats(); st.Degraded != 1 {
@@ -182,9 +182,9 @@ func TestDegradedOnScoringError(t *testing.T) {
 
 func TestDegradedOnScoringPanic(t *testing.T) {
 	s := testServer(t, Config{})
-	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = &engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
 		panic("index out of range in model")
-	})
+	}}
 	body, _ := json.Marshal(validRequest())
 	wantDegraded(t, postRerank(t, s.Handler(), body), "panic")
 	if st := s.Stats(); st.Panics != 1 || st.Degraded != 1 {
@@ -194,10 +194,10 @@ func TestDegradedOnScoringPanic(t *testing.T) {
 
 func TestDegradedOnDeadline(t *testing.T) {
 	s := testServer(t, Config{Budget: 10 * time.Millisecond})
-	s.Faults = engine.FaultFunc(func(ctx context.Context, _ *rerank.Instance) error {
+	s.Faults = &engine.FaultHooks{Before: func(ctx context.Context, _ *rerank.Instance) error {
 		<-ctx.Done() // latency spike that outlives the budget
 		return ctx.Err()
-	})
+	}}
 	body, _ := json.Marshal(validRequest())
 	wantDegraded(t, postRerank(t, s.Handler(), body), "deadline")
 }
@@ -213,11 +213,11 @@ func TestSheddingUnderLoad(t *testing.T) {
 	})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.Faults = engine.FaultFunc(func(context.Context, *rerank.Instance) error {
+	s.Faults = &engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
 		close(entered)
 		<-release
 		return nil
-	})
+	}}
 	h := s.Handler()
 	body, _ := json.Marshal(validRequest())
 	first := make(chan *httptest.ResponseRecorder, 1)
@@ -379,21 +379,21 @@ func TestDrainingShedDistinguishable(t *testing.T) {
 
 // TestAfterScoreHook exercises the post-scoring half of the chaos seam:
 // errors, injected response latency past the budget, and panics must each
-// degrade the response (never 5xx), and a FaultHooks with only a Before half
-// must behave exactly like the legacy FaultFunc.
+// degrade the response (never 5xx); a FaultHooks with only a Before half, or
+// with neither, must leave the missing half a no-op.
 func TestAfterScoreHook(t *testing.T) {
 	body, _ := json.Marshal(validRequest())
 
 	t.Run("error degrades", func(t *testing.T) {
 		s := stubServer(t, Config{})
-		s.Faults = engine.FaultHooks{After: func(context.Context, *rerank.Instance, []float64) error {
+		s.Faults = &engine.FaultHooks{After: func(context.Context, *rerank.Instance, []float64) error {
 			return errors.New("response path wedged")
 		}}
 		wantDegraded(t, postRerank(t, s.Handler(), body), "error")
 	})
 	t.Run("latency degrades on deadline", func(t *testing.T) {
 		s := stubServer(t, Config{Budget: 10 * time.Millisecond})
-		s.Faults = engine.FaultHooks{After: func(ctx context.Context, _ *rerank.Instance, _ []float64) error {
+		s.Faults = &engine.FaultHooks{After: func(ctx context.Context, _ *rerank.Instance, _ []float64) error {
 			<-ctx.Done() // slow response that outlives the budget
 			return ctx.Err()
 		}}
@@ -402,7 +402,7 @@ func TestAfterScoreHook(t *testing.T) {
 	t.Run("panic degrades", func(t *testing.T) {
 		s := stubServer(t, Config{})
 		s.Log = func(string, ...any) {}
-		s.Faults = engine.FaultHooks{After: func(context.Context, *rerank.Instance, []float64) error {
+		s.Faults = &engine.FaultHooks{After: func(context.Context, *rerank.Instance, []float64) error {
 			panic("post-scoring bug")
 		}}
 		wantDegraded(t, postRerank(t, s.Handler(), body), "panic")
@@ -412,14 +412,14 @@ func TestAfterScoreHook(t *testing.T) {
 	})
 	t.Run("before-only hooks stay compatible", func(t *testing.T) {
 		s := stubServer(t, Config{})
-		s.Faults = engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
+		s.Faults = &engine.FaultHooks{Before: func(context.Context, *rerank.Instance) error {
 			return errors.New("feature store down")
 		}}
 		wantDegraded(t, postRerank(t, s.Handler(), body), "error")
 	})
 	t.Run("nil hooks pass through", func(t *testing.T) {
 		s := stubServer(t, Config{})
-		s.Faults = engine.FaultHooks{}
+		s.Faults = &engine.FaultHooks{}
 		w := postRerank(t, s.Handler(), body)
 		if w.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", w.Code, w.Body.String())

@@ -160,11 +160,6 @@ func (ic *IncrementalCoverage) Add(tau []float64) {
 	}
 }
 
-// Clone returns an independent copy of the tracker.
-func (ic *IncrementalCoverage) Clone() *IncrementalCoverage {
-	return &IncrementalCoverage{m: ic.m, remain: append([]float64(nil), ic.remain...)}
-}
-
 func ones(m int) []float64 {
 	o := make([]float64, m)
 	for i := range o {

@@ -169,16 +169,6 @@ func TestIncrementalCoverageMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestIncrementalCoverageClone(t *testing.T) {
-	ic := NewIncrementalCoverage(2)
-	ic.Add([]float64{0.5, 0})
-	cl := ic.Clone()
-	cl.Add([]float64{0.5, 0.5})
-	if math.Abs(ic.Coverage()[0]-0.5) > 1e-12 {
-		t.Fatal("Clone shares state with source")
-	}
-}
-
 func TestSplitByTopicBinary(t *testing.T) {
 	cover := map[int][]float64{
 		0: {1, 0}, 1: {0, 1}, 2: {1, 0}, 3: {1, 0},
