@@ -4,7 +4,7 @@
 # under an explicit `go test -update`).
 GO ?= go
 
-.PHONY: check build vet fmt layers test test-short race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-core bench-test
+.PHONY: check build vet fmt layers test test-short examples race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-core bench-test
 
 check: vet fmt layers test bench-test
 
@@ -47,6 +47,13 @@ test:
 
 test-short:
 	$(GO) test -short ./...
+
+# Run every examples/ program end to end; the first non-zero exit fails the
+# target. Tier-1 only compiles them.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d || exit 1; \
+	done
 
 # Full suite under the race detector (slow; the serving and training layers
 # are concurrent and must stay race-clean).

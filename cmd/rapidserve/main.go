@@ -23,7 +23,9 @@
 // the newest one, and exposes the model lifecycle over the admin API: load a
 // candidate (warm-up validated, then canaried to -canary-pct of traffic and
 // shadow-scored with -shadow), promote it, or roll back — all without
-// dropping a request. SIGHUP rescans the root for newly published versions.
+// dropping a request. The root is the registry's only record: every admin
+// listing reads it afresh and a load reads any published label from it, so
+// a newly published version needs no signal. SIGHUP is ignored.
 //
 // With -tenant-root a request may name a tenant. Each tenant is a directory
 // of versions; on the tenant's first request its newest version is loaded,
@@ -291,11 +293,13 @@ type feedbackOpts struct {
 
 // runRegistry is the versioned deployment shape: activate the newest
 // published version, serve through the registry so versions hot-swap under
-// live traffic, expose the lifecycle admin API, and rescan on SIGHUP. With
+// live traffic, and expose the lifecycle admin API, which reads the store
+// from disk on every call (SIGHUP is ignored; it has nothing to reload). With
 // -feedback-log it closes the loop: /v1/feedback events land in a crash-safe
 // append-only log, and with -bandit-pct a slice of traffic is served by
 // bandit-tuned diversifier arms whose values learn from that feedback.
 func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canaryPct float64, shadow bool, faults *engine.FaultHooks, fb feedbackOpts) error {
+	signal.Ignore(syscall.SIGHUP)
 	reg, err := registry.New(registry.Config{
 		Root:          root,
 		CanaryPercent: canaryPct,
@@ -359,22 +363,6 @@ func runRegistry(ctx context.Context, root, addr string, cfg serve.Config, canar
 	// promoted or rolled-back model must never serve a state encoded by its
 	// predecessor (see DESIGN.md on cache invalidation).
 	reg.SetOnSwap(srv.FlushStateCache)
-
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-hup:
-				if _, err := reg.Rescan(); err != nil {
-					log.Printf("rapidserve: SIGHUP rescan: %v", err)
-				}
-			}
-		}
-	}()
 
 	guard := "loopback-only"
 	if cfg.AdminToken != "" {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -29,7 +30,8 @@ func TestRunRegistryEmptyRoot(t *testing.T) {
 }
 
 // TestRunRegistryStartsAndDrains exercises the versioned deployment shape:
-// publish a version, activate it through the registry, serve, drain.
+// publish a version, activate it through the registry, serve, shrug off a
+// SIGHUP, drain.
 func TestRunRegistryStartsAndDrains(t *testing.T) {
 	root := t.TempDir()
 	cfg := core.Config{
@@ -53,6 +55,10 @@ func TestRunRegistryStartsAndDrains(t *testing.T) {
 		errc <- runRegistry(ctx, root, "127.0.0.1:0", serve.Config{DrainTimeout: time.Second}, 5, true, nil, fb)
 	}()
 	time.Sleep(50 * time.Millisecond)
+	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
 	cancel()
 	select {
 	case err := <-errc:
@@ -62,7 +68,7 @@ func TestRunRegistryStartsAndDrains(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("runRegistry did not drain after cancel")
 	}
-	if _, err := os.Stat(filepath.Join(root, "feedback", "index.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(root, "feedback", "seg-000000000001.flog")); err != nil {
 		t.Fatalf("feedback log was not created/committed: %v", err)
 	}
 }

@@ -176,6 +176,37 @@ func TestSignificanceNotes(t *testing.T) {
 	if !strings.Contains(notes[0], "significant") {
 		t.Fatalf("clear separation should be significant: %s", notes[0])
 	}
+
+	// Each column is tested against its own best baseline, once per RAPID
+	// variant: SRGA leads click@10 but DESA leads ndcg@5.
+	mk2 := func(name string, clicks, ndcg []float64) *EvalResult {
+		return &EvalResult{Name: name, PerRequest: map[string][]float64{"click@10": clicks, "ndcg@5": ndcg}}
+	}
+	results = []*EvalResult{
+		mk2("Init", []float64{1, 1, 1, 1}, []float64{0.1, 0.1, 0.1, 0.1}),
+		mk2("SRGA", []float64{1.3, 1.4, 1.3, 1.4}, []float64{0.2, 0.3, 0.2, 0.3}),
+		mk2("DESA", []float64{1.1, 1.2, 1.1, 1.2}, []float64{0.5, 0.6, 0.5, 0.6}),
+		mk2("RAPID-det", []float64{1.5, 1.6, 1.5, 1.6}, []float64{0.4, 0.5, 0.4, 0.5}),
+		mk2("RAPID-pro", []float64{1.6, 1.7, 1.6, 1.7}, []float64{0.7, 0.8, 0.7, 0.8}),
+	}
+	notes = significanceNotes(results, []string{"click@10", "ndcg@5"})
+	want := []string{
+		"click@10: RAPID-det 1.5500 vs best baseline SRGA 1.3500",
+		"click@10: RAPID-pro 1.6500 vs best baseline SRGA 1.3500",
+		"ndcg@5: RAPID-det 0.4500 vs best baseline DESA 0.5500",
+		"ndcg@5: RAPID-pro 0.7500 vs best baseline DESA 0.5500",
+	}
+	if len(notes) != len(want) {
+		t.Fatalf("got %d notes, want %d: %q", len(notes), len(want), notes)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(notes[i], w) {
+			t.Fatalf("note %d = %q, want prefix %q", i, notes[i], w)
+		}
+	}
+	if strings.Contains(notes[2], "significant") || !strings.Contains(notes[3], "significant") {
+		t.Fatalf("only RAPID-pro beats DESA on ndcg@5: %q", notes[2:])
+	}
 }
 
 func TestSmokeAllDrivers(t *testing.T) {

@@ -74,8 +74,8 @@ func RunTable2(lambda float64, opt Options) ([]*Table, error) {
 }
 
 // utilityTable trains the full roster on the environment and formats the
-// requested metric columns, with a significance note comparing RAPID-pro
-// against the strongest baseline per column.
+// requested metric columns, with significance notes comparing RAPID-pro and
+// RAPID-det against the strongest baseline on each column.
 func utilityTable(env *Env, opt Options, title string, cols []string) (*Table, error) {
 	rankers := buildRerankers(env, opt, fullRoster)
 	tbl := &Table{Title: title, Header: append([]string{"model"}, cols...)}
@@ -97,33 +97,37 @@ func utilityTable(env *Env, opt Options, title string, cols []string) (*Table, e
 }
 
 // significanceNotes emits the paper's "*" analysis: for each column, a
-// paired t-test between the best RAPID variant and the best non-RAPID
-// baseline.
+// paired t-test between each RAPID variant present and the best baseline
+// on that column (Init, the initial ranker's own order, is not a baseline).
 func significanceNotes(results []*EvalResult, cols []string) []string {
-	var rapid, bestBase *EvalResult
+	var rapids, bases []*EvalResult
 	for _, r := range results {
 		if isRapid(r.Name) {
-			if rapid == nil || r.Mean("click@10") > rapid.Mean("click@10") {
-				rapid = r
-			}
+			rapids = append(rapids, r)
 		} else if r.Name != "Init" {
-			if bestBase == nil || r.Mean("click@10") > bestBase.Mean("click@10") {
-				bestBase = r
-			}
+			bases = append(bases, r)
 		}
 	}
-	if rapid == nil || bestBase == nil {
+	if len(bases) == 0 {
 		return nil
 	}
 	var notes []string
 	for _, c := range cols {
-		tt := metrics.PairedTTest(rapid.PerRequest[c], bestBase.PerRequest[c])
-		mark := ""
-		if tt.P < 0.05 && rapid.Mean(c) > bestBase.Mean(c) {
-			mark = " *significant (p<0.05)"
+		best := bases[0]
+		for _, b := range bases[1:] {
+			if b.Mean(c) > best.Mean(c) {
+				best = b
+			}
 		}
-		notes = append(notes, fmt.Sprintf("%s: %s %.4f vs best baseline %s %.4f (p=%.4f)%s",
-			c, rapid.Name, rapid.Mean(c), bestBase.Name, bestBase.Mean(c), tt.P, mark))
+		for _, r := range rapids {
+			tt := metrics.PairedTTest(r.PerRequest[c], best.PerRequest[c])
+			mark := ""
+			if tt.P < 0.05 && r.Mean(c) > best.Mean(c) {
+				mark = " *significant (p<0.05)"
+			}
+			notes = append(notes, fmt.Sprintf("%s: %s %.4f vs best baseline %s %.4f (p=%.4f)%s",
+				c, r.Name, r.Mean(c), best.Name, best.Mean(c), tt.P, mark))
+		}
 	}
 	return notes
 }

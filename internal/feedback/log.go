@@ -1,9 +1,7 @@
 package feedback
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,28 +45,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Segment files are named by the sequence number of their first record.
+// The directory's segment files are the log's only record: there is no
+// manifest beside them to keep in step.
 const (
 	segPrefix = "seg-"
 	segSuffix = ".flog"
-	// indexFileName is the atomically committed segment manifest: rewritten via
-	// temp-file + rename + directory fsync on every rotation (the same
-	// commit discipline as registry.Publish), so it can never be observed
-	// half-written. It is a cache — Open rebuilds the truth from the
-	// segment files and self-heals a stale or missing index.
-	indexFileName = "index.json"
 )
 
-// segmentInfo describes one committed (rotated, fsynced) segment.
-type segmentInfo struct {
-	Name     string `json:"name"`
-	FirstSeq uint64 `json:"first_seq"`
-	Records  int64  `json:"records"`
-	Bytes    int64  `json:"bytes"`
-}
-
-type indexFile struct {
-	NextSeq  uint64        `json:"next_seq"`
-	Segments []segmentInfo `json:"segments"`
+// segment is one committed (rotated, fsynced) segment file.
+type segment struct {
+	name  string
+	bytes int64
 }
 
 // Log is the bounded, crash-safe, segmented append-only event log. One
@@ -79,26 +67,25 @@ type Log struct {
 	dir string
 	opt Options
 
-	mu            sync.Mutex
-	f             *os.File
-	activeName    string
-	activeFirst   uint64
-	activeBytes   int64
-	activeRecords int64
-	nextSeq       uint64
-	sinceSync     int
-	committed     []segmentInfo
-	closed        bool
+	mu          sync.Mutex
+	f           *os.File
+	activeName  string
+	activeBytes int64
+	nextSeq     uint64
+	sinceSync   int
+	committed   []segment // oldest first
+	closed      bool
 }
 
 func segName(firstSeq uint64) string {
 	return fmt.Sprintf("%s%012d%s", segPrefix, firstSeq, segSuffix)
 }
 
-// Open opens (or creates) the log in dir and recovers its tail: the newest
-// segment is scanned record by record and truncated at the first torn or
-// corrupt frame, so a kill -9 mid-write costs at most the partial record —
-// everything before it replays byte-identically after restart.
+// Open opens (or creates) the log in dir from its segment files alone: the
+// older ones are committed and only stat'ed, and the newest is scanned
+// record by record and truncated at the first torn or corrupt frame, so a
+// kill -9 mid-write costs at most the partial record — everything before it
+// replays byte-identically after restart.
 func Open(dir string, opt Options) (*Log, error) {
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -109,36 +96,22 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := readIndex(dir)
-	byName := make(map[string]segmentInfo, len(idx.Segments))
-	for _, s := range idx.Segments {
-		byName[s.Name] = s
-	}
-	for i, name := range names {
-		if i == len(names)-1 {
-			break // the newest segment is recovered below, not trusted
-		}
-		info, ok := byName[name]
-		if !ok || info.Name == "" {
-			// Crash between rotation and index write, or a foreign index:
-			// rebuild this segment's entry from its bytes.
-			info = scanSegment(dir, name)
-		}
-		l.committed = append(l.committed, info)
-		if end := info.FirstSeq + uint64(info.Records); end > l.nextSeq {
-			l.nextSeq = end
-		}
-	}
 	if len(names) == 0 {
-		if err := l.openSegment(l.nextSeq); err != nil {
-			return nil, err
+		err = l.openSegment(l.nextSeq)
+	} else {
+		for _, name := range names[:len(names)-1] {
+			fi, err := os.Stat(filepath.Join(dir, name))
+			if err != nil {
+				return nil, fmt.Errorf("feedback: stat %s: %w", name, err)
+			}
+			l.committed = append(l.committed, segment{name: name, bytes: fi.Size()})
 		}
-		return l, l.writeIndex()
+		err = l.recoverActive(names[len(names)-1])
 	}
-	if err := l.recoverActive(names[len(names)-1]); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return l, l.writeIndex() // self-heal a stale index
+	return l, nil
 }
 
 // segmentNames lists the segment files, oldest first (zero-padded first-seq
@@ -159,28 +132,6 @@ func segmentNames(dir string) ([]string, error) {
 	return names, nil
 }
 
-// scanSegment rebuilds a committed segment's info by decoding it.
-func scanSegment(dir, name string) segmentInfo {
-	info := segmentInfo{Name: name, FirstSeq: firstSeqOf(name)}
-	data, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		return info
-	}
-	info.Bytes = int64(len(data))
-	for len(data) > 0 {
-		seq, _, n, err := decodeRecord(data)
-		if err != nil {
-			break
-		}
-		if info.Records == 0 {
-			info.FirstSeq = seq
-		}
-		info.Records++
-		data = data[n:]
-	}
-	return info
-}
-
 func firstSeqOf(name string) uint64 {
 	var seq uint64
 	_, _ = fmt.Sscanf(name, segPrefix+"%d"+segSuffix, &seq)
@@ -196,10 +147,7 @@ func (l *Log) recoverActive(name string) error {
 		return fmt.Errorf("feedback: recover %s: %w", name, err)
 	}
 	l.activeName = name
-	l.activeFirst = firstSeqOf(name)
-	if l.activeFirst+1 > l.nextSeq { // empty active segment created at firstSeq
-		l.nextSeq = l.activeFirst
-	}
+	l.nextSeq = firstSeqOf(name) // an empty active segment was created at its first seq
 	good := 0
 	rest := data
 	for len(rest) > 0 {
@@ -208,7 +156,6 @@ func (l *Log) recoverActive(name string) error {
 			break // torn or corrupt tail: everything after is discarded
 		}
 		good += n
-		l.activeRecords++
 		l.nextSeq = seq + 1
 		rest = rest[n:]
 	}
@@ -249,9 +196,7 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	}
 	l.f = f
 	l.activeName = name
-	l.activeFirst = firstSeq
 	l.activeBytes = 0
-	l.activeRecords = 0
 	l.sinceSync = 0
 	return nil
 }
@@ -274,7 +219,6 @@ func (l *Log) Append(ev *Event) (uint64, error) {
 	}
 	l.nextSeq++
 	l.activeBytes += int64(len(frame))
-	l.activeRecords++
 	l.sinceSync++
 	if l.sinceSync >= l.opt.syncEvery {
 		if err := l.f.Sync(); err != nil {
@@ -291,8 +235,7 @@ func (l *Log) Append(ev *Event) (uint64, error) {
 }
 
 // rotateLocked commits the active segment: fsync, close, record it in the
-// committed list, enforce the retention cap, rewrite the index atomically,
-// open a fresh segment.
+// committed list, enforce the retention cap, open a fresh segment.
 func (l *Log) rotateLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return err
@@ -300,46 +243,18 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
-	l.committed = append(l.committed, segmentInfo{
-		Name: l.activeName, FirstSeq: l.activeFirst,
-		Records: l.activeRecords, Bytes: l.activeBytes,
-	})
+	l.committed = append(l.committed, segment{name: l.activeName, bytes: l.activeBytes})
 	for len(l.committed) > l.opt.MaxSegments {
 		old := l.committed[0]
 		l.committed = l.committed[1:]
-		if err := os.Remove(filepath.Join(l.dir, old.Name)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("feedback: drop segment %s: %w", old.Name, err)
+		if err := os.Remove(filepath.Join(l.dir, old.name)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("feedback: drop segment %s: %w", old.name, err)
 		}
-	}
-	if err := l.writeIndex(); err != nil {
-		return err
 	}
 	return l.openSegment(l.nextSeq)
 }
 
-// writeIndex commits the segment manifest with durable.WriteFile.
-func (l *Log) writeIndex() error {
-	data, err := json.MarshalIndent(indexFile{NextSeq: l.nextSeq, Segments: l.committed}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return durable.WriteFile(filepath.Join(l.dir, indexFileName), func(w io.Writer) error {
-		_, err := w.Write(append(data, '\n'))
-		return err
-	})
-}
-
-func readIndex(dir string) indexFile {
-	var idx indexFile
-	data, err := os.ReadFile(filepath.Join(dir, indexFileName))
-	if err != nil {
-		return idx
-	}
-	_ = json.Unmarshal(data, &idx) // corrupt index = no index; Open rebuilds
-	return idx
-}
-
-// Close fsyncs and closes the active segment and rewrites the index.
+// Close fsyncs and closes the active segment.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -350,10 +265,7 @@ func (l *Log) Close() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	if err := l.f.Close(); err != nil {
-		return err
-	}
-	return l.writeIndex()
+	return l.f.Close()
 }
 
 // stats is a point-in-time view of the log's shape.
@@ -364,17 +276,25 @@ type stats struct {
 	NextSeq  uint64 // sequence number the next append will get
 }
 
-// stat reports the log's current shape.
+// stat reports the log's current shape. Bytes are the segment file sizes;
+// Records follow from the dense sequence numbers: every seq from the oldest
+// retained segment's first up to nextSeq is retained.
 func (l *Log) stat() stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := stats{Segments: len(l.committed) + 1, NextSeq: l.nextSeq}
-	for _, s := range l.committed {
-		st.Bytes += s.Bytes
-		st.Records += s.Records
+	oldest := l.activeName
+	if len(l.committed) > 0 {
+		oldest = l.committed[0].name
 	}
-	st.Bytes += l.activeBytes
-	st.Records += l.activeRecords
+	st := stats{
+		Segments: len(l.committed) + 1,
+		Bytes:    l.activeBytes,
+		Records:  int64(l.nextSeq - firstSeqOf(oldest)),
+		NextSeq:  l.nextSeq,
+	}
+	for _, s := range l.committed {
+		st.Bytes += s.bytes
+	}
 	return st
 }
 

@@ -103,6 +103,49 @@ func TestLogRotationAndRetention(t *testing.T) {
 	if rst.NextSeq != 61 {
 		t.Fatalf("NextSeq = %d, want 61", rst.NextSeq)
 	}
+	// The segment files are the log's only record.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if ok, _ := filepath.Match(segPrefix+"*"+segSuffix, e.Name()); !ok {
+			t.Fatalf("log wrote %s beside its segments", e.Name())
+		}
+	}
+}
+
+// TestLogStatSurvivesReopen: the shape a reopened log reports from its
+// directory equals the shape the writer tracked, and Records counts what
+// Replay returns.
+func TestLogStatSurvivesReopen(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 60} {
+		dir := t.TempDir()
+		opt := Options{SegmentBytes: 256, MaxSegments: 3}
+		l, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, l, 0, n)
+		before := l.stat()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := l2.stat()
+		if err := l2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after != before {
+			t.Fatalf("%d appends: stat after reopen %+v, before close %+v", n, after, before)
+		}
+		if _, evs, _ := replayAll(t, dir); after.Records != int64(len(evs)) {
+			t.Fatalf("%d appends: stat counts %d records, replay returns %d", n, after.Records, len(evs))
+		}
+	}
 }
 
 func TestLogReopenContinuesSequence(t *testing.T) {
@@ -270,8 +313,9 @@ func TestLogCorruptMidSegment(t *testing.T) {
 	}
 }
 
-// TestLogOpenWithStaleIndex deletes the index: Open must rebuild from the
-// segment files alone.
+// TestLogOpenWithStaleIndex plants the index.json older builds kept beside
+// the segments, with a wrong next_seq: Open must go by the segment files
+// alone and leave the planted file as it found it.
 func TestLogOpenWithStaleIndex(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 256})
@@ -282,21 +326,23 @@ func TestLogOpenWithStaleIndex(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, indexFileName)); err != nil {
+	index := filepath.Join(dir, "index.json")
+	stale := []byte(`{"next_seq": 7, "segments": []}` + "\n")
+	if err := os.WriteFile(index, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l2, err := Open(dir, Options{SegmentBytes: 256})
 	if err != nil {
-		t.Fatalf("open without index: %v", err)
+		t.Fatalf("open beside a stale index: %v", err)
 	}
 	if seq, err := l2.Append(testEvent(30)); err != nil || seq != 31 {
-		t.Fatalf("append after index rebuild: seq %d err %v, want 31 nil", seq, err)
+		t.Fatalf("append beside a stale index: seq %d err %v, want 31 nil", seq, err)
 	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, indexFileName)); err != nil {
-		t.Fatalf("index not rewritten: %v", err)
+	if got, err := os.ReadFile(index); err != nil || !bytes.Equal(got, stale) {
+		t.Fatalf("stale index rewritten: %q (%v)", got, err)
 	}
 }
 

@@ -185,7 +185,7 @@ func (t *Tape) saveRefs(ns []*Node) []*Node {
 
 // sameShapeOrPanic guards element-wise ops against shape mismatches.
 func sameShapeOrPanic(a, b *mat.Matrix, op string) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
+	if !a.SameShape(b) {
 		panic(fmt.Sprintf("%s: shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 }
@@ -686,7 +686,10 @@ func (t *Tape) SoftmaxRows(a *Node) *Node {
 	return out
 }
 
-// Sum reduces a to a 1×1 node containing the sum of its entries.
+// Sum reduces a to a 1×1 node containing the sum of its entries. No model
+// calls it: it is the scalar loss the gradient checks in graph_test.go,
+// layers_test.go and randomgraph_test.go reduce to, and its backward is a
+// case of backstep's op switch, so it stays beside the ops it checks.
 func (t *Tape) Sum(a *Node) *Node {
 	v := t.pool.Get(1, 1)
 	v.Data[0] = a.Value.Sum()
@@ -695,7 +698,9 @@ func (t *Tape) Sum(a *Node) *Node {
 	return out
 }
 
-// Mean reduces a to a 1×1 node containing the mean of its entries.
+// Mean reduces a to a 1×1 node containing the mean of its entries. Like
+// Sum, it serves the gradient checks as a scalar loss and keeps its
+// backward in backstep's op switch.
 func (t *Tape) Mean(a *Node) *Node {
 	v := t.pool.Get(1, 1)
 	v.Data[0] = a.Value.Mean()

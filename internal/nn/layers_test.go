@@ -317,21 +317,6 @@ func TestSerializeShapeMismatch(t *testing.T) {
 	}
 }
 
-func TestCopyValuesFrom(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	a := NewParamSet()
-	NewDense(a, "d", 2, 2, Linear, rng)
-	b := NewParamSet()
-	NewDense(b, "d", 2, 2, Linear, rand.New(rand.NewSource(77)))
-	n := b.CopyValuesFrom(a)
-	if n != 2 {
-		t.Fatalf("copied %d params, want 2", n)
-	}
-	if !b.get("d.W").Value.EqualApprox(a.get("d.W").Value, 0) {
-		t.Fatal("weights not copied")
-	}
-}
-
 func TestCrossForwardGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ps := NewParamSet()

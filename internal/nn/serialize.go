@@ -83,18 +83,3 @@ func (s *ParamSet) load(r io.Reader, strict bool) error {
 func (s *ParamSet) SaveFileAtomic(path string) error {
 	return durable.WriteFile(path, s.Save)
 }
-
-// CopyValuesFrom copies values from src into s for every parameter name both
-// sets share with matching shapes. It returns the number of parameters
-// copied. Used to transfer trained weights between model variants.
-func (s *ParamSet) CopyValuesFrom(src *ParamSet) int {
-	n := 0
-	for _, p := range s.All() {
-		q := src.get(p.Name)
-		if q != nil && q.Value.SameShape(p.Value) {
-			copy(p.Value.Data, q.Value.Data)
-			n++
-		}
-	}
-	return n
-}

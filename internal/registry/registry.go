@@ -392,19 +392,3 @@ func (r *Registry) Versions() ([]engine.VersionStatus, error) {
 	}
 	return out, nil
 }
-
-// Rescan re-reads the store root (wired to SIGHUP in rapidserve) and logs
-// the available versions; it returns the scan so callers can act on it.
-func (r *Registry) Rescan() ([]string, error) {
-	versions, err := Scan(r.cfg.Root)
-	if err != nil {
-		return nil, err
-	}
-	st := r.state.Load()
-	active := "none"
-	if st.active != nil {
-		active = st.active.label
-	}
-	log.Printf("registry: rescan of %s found %d version(s) %v (active %s)", r.cfg.Root, len(versions), versions, active)
-	return versions, nil
-}
