@@ -123,10 +123,11 @@ bench:
 # and the router's skim beside encoding/json on a pool-shaped request. And the
 # engine end to end (internal/engine/engine_test.go): one request, and one
 # envelope of 16 — the only committed reading of the envelope path. And the
-# hot kernels (internal/mat/simd_test.go), forward and backward, scalar beside
-# vector.
+# hot kernels (internal/mat/simd_test.go), forward, backward and Adam, scalar
+# beside vector. And the initial ranker (internal/ranker/din_test.go): DIN's
+# tape-free score per candidate and one fit.
 bench-core:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/engine ./internal/mat
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/engine ./internal/mat ./internal/ranker
 
 # The repository benchmark (bench/, BENCHMARK.json) is its own module, so
 # `go vet ./...` and `go test ./...` above never compile it. Its smoke test

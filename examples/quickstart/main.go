@@ -38,12 +38,12 @@ func main() {
 	fmt.Printf("user %d, initial list: %v\n", inst.User, inst.Items)
 	ranked := rapid.Apply(model, inst)
 	fmt.Printf("re-ranked:             %v\n", ranked)
-	fmt.Printf("learned preference θ̂ (first 8 topics): ")
+	fmt.Printf("learned preference θ̂ (first 8 topics):")
 	for j, p := range model.Preference(inst) {
 		if j >= 8 {
 			break
 		}
-		fmt.Printf("%.2f ", p)
+		fmt.Printf(" %.2f", p)
 	}
 	fmt.Println()
 

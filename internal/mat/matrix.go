@@ -211,7 +211,7 @@ func AddVecMat(dst, x, b []float64) { addVecMat(dst, x, b, len(dst)) }
 // b[k*stride:][:len(dst)]. It runs the vector kernel when it can
 // (simd.go) and addVecMatGo otherwise; the two agree bit for bit.
 func addVecMat(dst, x, b []float64, stride int) {
-	if useSIMD && vecMatInBounds(len(dst), len(x), len(b), stride) {
+	if arithSIMD && vecMatInBounds(len(dst), len(x), len(b), stride) {
 		addVecMatAVX2(dst, x, b, stride)
 		return
 	}
@@ -282,7 +282,7 @@ func addMatMulABTPanel(out, a, b *Matrix, i0, i1, k0, k1 int) {
 // runs the vector kernel when every row it reads lies inside b (simd.go)
 // and addMatVecGo otherwise; the two agree bit for bit.
 func AddMatVec(dst, b, x []float64) {
-	if useSIMD && len(x) > 0 && len(dst) <= len(b)/len(x) {
+	if arithSIMD && len(x) > 0 && len(dst) <= len(b)/len(x) {
 		addMatVecAVX2(dst, b, x)
 		return
 	}
@@ -330,7 +330,7 @@ func AddMatMulATB(out, a, b *Matrix) {
 func addMatMulATBPanel(out, a, b *Matrix, k0, k1 int) {
 	bc := b.Cols
 	panel := out.Data[k0*bc : k1*bc]
-	if useSIMD && wellFormed(a) && wellFormed(b) {
+	if arithSIMD && wellFormed(a) && wellFormed(b) {
 		addMatMulATBAVX2(panel, a.Data[k0:], b.Data, a.Rows, a.Cols, bc)
 		return
 	}

@@ -1,8 +1,10 @@
-// The vector layer under the hot loops: addVecMat (every GEMM and the
-// inference forward's vector–matrix products), SigmoidInto and TanhInto, and
-// the training backward's two halves of a MatMul gradient, addMatVec (the
-// rows of AddMatMulABT, and backLSTM's ∂h and ∂x) and the AddMatMulATB
-// panel.
+// The vector layer under the hot loops, in two families.
+//
+// Arithmetic: addVecMat (every GEMM and the inference forward's
+// vector–matrix products), the training backward's two halves of a MatMul
+// gradient — addMatVec (the rows of AddMatMulABT, and backLSTM's ∂h and ∂x)
+// and the AddMatMulATB panel — and AdamUpdate, every trainer's optimizer
+// step. Activations: SigmoidInto and TanhInto.
 //
 // The contract is bitwise: a vector kernel performs the scalar loop's
 // operations in the scalar loop's order, four lanes at a time, so no output
@@ -10,28 +12,34 @@
 //   - the scalar multiply-adds are unfused (the Go compiler lowers only an
 //     explicit math.FMA to an FMA instruction on amd64), and the vector
 //     kernels issue a separate multiply then add;
+//   - VDIVPD and VSQRTPD round correctly, as the scalar DIVSD and SQRTSD
+//     (math.Sqrt) do;
 //   - math.Exp on amd64 takes an FMA path when the CPU has AVX and FMA, and
-//     the vector exp replicates that path instruction for instruction; the
-//     vector path requires the same CPU features, so the two always agree on
-//     which exp runs;
+//     the vector exp replicates that path instruction for instruction;
 //   - both paths round under the same MXCSR mode (round to nearest, which the
 //     Go runtime never changes).
 //
-// Inputs the replicas do not cover — a non-finite value, or |x| ≥ 708 where
-// exp leaves its normal range — send their block of four to the scalar
-// function. At package init every vector kernel is run against its scalar
-// twin on simdProbes; the vector path is enabled only if the CPU has the
-// features and every bit matches. There is no switch: a CPU without AVX2
-// and FMA, or a failed self-check, silently takes the scalar path.
+// Inputs the exp replica does not cover — a non-finite value, or |x| ≥ 708
+// where exp leaves its normal range — send their block of four to the
+// scalar function. At package init every vector kernel is run against its
+// scalar twin on simdProbes, one family at a time: arithSIMD turns on the
+// arithmetic kernels and actSIMD the activations, each only if the CPU has
+// AVX2 and FMA and every bit of that family matches. The families fail
+// apart: when math.Exp leaves its FMA path (GODEBUG=cpu.fma=off), only the
+// activations go scalar, since no arithmetic kernel calls exp. There is no switch: a
+// failed family silently takes the scalar path.
 package mat
 
 import "math"
 
-// useSIMD selects the vector kernels. It is written once, by init.
-var useSIMD bool
+// arithSIMD selects the vector arithmetic kernels and actSIMD the vector
+// activations. init writes each once.
+var arithSIMD, actSIMD bool
 
 func init() {
-	useSIMD = simdSupported() && simdSelfCheck(scalarTwins)
+	ok := simdSupported()
+	arithSIMD = ok && arithSelfCheck(scalarTwins)
+	actSIMD = ok && actSelfCheck(scalarTwins)
 }
 
 // scalarKernels names one scalar twin per vector kernel: the self-check's
@@ -40,11 +48,12 @@ type scalarKernels struct {
 	addVecMat     func(dst, x, b []float64, stride int)
 	addMatVec     func(dst, b, x []float64)
 	addMatMulATB  func(out, a, b []float64, rows, ac, bc int)
+	adam          func(w, g, m, v []float64, k *adamCoeffs)
 	sigmoid, tanh func(dst, src []float64)
 }
 
 // scalarTwins are the package's own scalar loops.
-var scalarTwins = scalarKernels{addVecMatGo, addMatVecGo, addMatMulATBGo, sigmoidGo, tanhGo}
+var scalarTwins = scalarKernels{addVecMatGo, addMatVecGo, addMatMulATBGo, adamGo, sigmoidGo, tanhGo}
 
 // simdExpMax bounds the inputs the vector activations take: for |x| below
 // it, every exp argument the replicas form stays in archExp's normal range.
@@ -108,10 +117,10 @@ func simdProbes() []float64 {
 	return p
 }
 
-// simdSelfCheck reports whether the vector kernels reproduce the given
+// actSelfCheck reports whether the vector activations reproduce the given
 // scalar twins bit for bit on simdProbes, any NaN matching any NaN. init
 // passes the package's own scalar loops; a test passes a corrupted one.
-func simdSelfCheck(twin scalarKernels) bool {
+func actSelfCheck(twin scalarKernels) bool {
 	probes := simdProbes()
 	for _, f := range []struct{ vec, ref func(dst, src []float64) }{{sigmoidSIMD, twin.sigmoid}, {tanhSIMD, twin.tanh}} {
 		got, want := make([]float64, len(probes)), make([]float64, len(probes))
@@ -121,8 +130,14 @@ func simdSelfCheck(twin scalarKernels) bool {
 			return false
 		}
 	}
+	return true
+}
+
+// arithSelfCheck is actSelfCheck for the arithmetic kernels, on the finite
+// probes.
+func arithSelfCheck(twin scalarKernels) bool {
 	var finite []float64
-	for _, v := range probes {
+	for _, v := range simdProbes() {
 		if math.Abs(v) < 1e3 {
 			finite = append(finite, v)
 		}
@@ -164,7 +179,18 @@ func simdSelfCheck(twin scalarKernels) bool {
 			return false
 		}
 	}
-	return true
+	// Adam with every finite probe as a gradient, from moments of either
+	// sign (a negative second moment takes the square root of a negative).
+	// Each side updates its own copy of all three of w, m and v.
+	n := len(finite) &^ 3
+	k := adamCoeffs{0.9, 1 - 0.9, 0.999, 1 - 0.999, 0.19, 0.002997, 0.01, 1e-8}
+	g := fill(n, 0)
+	run := func(f func(w, g, m, v []float64, k *adamCoeffs)) []float64 {
+		w, m, v := fill(n, 1), fill(n, 2), fill(n, 5)
+		f(w, g, m, v, &k)
+		return append(append(w, m...), v...)
+	}
+	return sameBits(run(adamAVX2), run(twin.adam))
 }
 
 // sameBits reports whether a and b hold the same float64 bit patterns,

@@ -51,6 +51,12 @@ func addMatVecAVX2(dst, b, x []float64)
 //go:noescape
 func addMatMulATBAVX2(out, a, b []float64, rows, ac, bc int)
 
+// adamAVX2 is adamGo's vector twin. The caller passes slices of one length,
+// a multiple of four.
+//
+//go:noescape
+func adamAVX2(w, g, m, v []float64, k *adamCoeffs)
+
 // sigmoidAVX2 and tanhAVX2 write f(src[i]) to dst[i] four at a time and
 // return how many they wrote: they stop before a block holding a value the
 // replicas do not cover, and before a tail of fewer than four.

@@ -577,6 +577,62 @@ atbdone:
 	VZEROUPPER
 	RET
 
+// func adamAVX2(w, g, m, v []float64, k *adamCoeffs)
+//
+// adamGo's loop on four elements at a time, each lane taking adamGo's
+// operations in adamGo's order: multiply then add for the moments, then
+// the two divisions, the square root, + ε, lr·m̂ and the last division.
+// VDIVPD and VSQRTPD round correctly, as DIVSD and SQRTSD do. The caller
+// passes slices of one length, a multiple of four; no alignment is assumed.
+// Registers: DI w, SI g, R8 m, R9 v, BX the index, CX blocks left,
+// Y8–Y15 the coefficients in adamCoeffs order.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-104
+	MOVQ         w_base+0(FP), DI
+	MOVQ         w_len+8(FP), CX
+	MOVQ         g_base+24(FP), SI
+	MOVQ         m_base+48(FP), R8
+	MOVQ         v_base+72(FP), R9
+	MOVQ         k+96(FP), AX
+	SHRQ         $2, CX
+	JZ           adamdone
+	VBROADCASTSD 0(AX), Y8   // β1
+	VBROADCASTSD 8(AX), Y9   // 1-β1
+	VBROADCASTSD 16(AX), Y10 // β2
+	VBROADCASTSD 24(AX), Y11 // 1-β2
+	VBROADCASTSD 32(AX), Y12 // bc1
+	VBROADCASTSD 40(AX), Y13 // bc2
+	VBROADCASTSD 48(AX), Y14 // lr
+	VBROADCASTSD 56(AX), Y15 // ε
+	XORQ         BX, BX
+
+adamloop:
+	VMOVUPD (SI)(BX*8), Y0
+	VMULPD  (R8)(BX*8), Y8, Y1 // β1·m
+	VMULPD  Y0, Y9, Y2         // (1-β1)·g
+	VADDPD  Y2, Y1, Y1
+	VMOVUPD Y1, (R8)(BX*8)
+	VMULPD  (R9)(BX*8), Y10, Y3 // β2·v
+	VMULPD  Y0, Y11, Y4         // (1-β2)·g
+	VMULPD  Y0, Y4, Y4          // ·g
+	VADDPD  Y4, Y3, Y3
+	VMOVUPD Y3, (R9)(BX*8)
+	VDIVPD  Y12, Y1, Y1 // m̂ = m/bc1
+	VDIVPD  Y13, Y3, Y3 // v/bc2
+	VSQRTPD Y3, Y3
+	VADDPD  Y15, Y3, Y3 // + ε
+	VMULPD  Y1, Y14, Y1 // lr·m̂
+	VDIVPD  Y3, Y1, Y1
+	VMOVUPD (DI)(BX*8), Y5
+	VSUBPD  Y1, Y5, Y5
+	VMOVUPD Y5, (DI)(BX*8)
+	ADDQ    $4, BX
+	DECQ    CX
+	JNZ     adamloop
+	VZEROUPPER
+
+adamdone:
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -5,53 +5,73 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 )
 
 // The vector kernels are held to their scalar twins with ==: both paths are
 // called directly, so the scalar loops stay tested on AVX2 hardware too.
+// A test of one family runs where init turned that family on.
 
-func needSIMD(t testing.TB) {
+func needArith(t testing.TB) {
 	t.Helper()
-	if !simdSupported() {
-		t.Skip("no AVX2+FMA: only the scalar path exists here")
+	if !arithSIMD {
+		t.Skip("vector arithmetic off: only the scalar path runs here")
+	}
+}
+
+func needAct(t testing.TB) {
+	t.Helper()
+	if !actSIMD {
+		t.Skip("vector activations off: only the scalar path runs here")
 	}
 }
 
 // TestSIMDEnabled: on a CPU with the features, the init self-check passed
-// and the dispatchers take the vector path.
+// and the dispatchers take the vector arithmetic. The activations may be
+// off only when GODEBUG has switched a CPU feature off for the runtime, so
+// that math.Exp leaves the FMA path the replica copies — and then only
+// because their own self-check fails.
 func TestSIMDEnabled(t *testing.T) {
-	t.Logf("AVX2+FMA %v, vector path on %v", simdSupported(), useSIMD)
-	if simdSupported() && !useSIMD {
-		t.Fatal("the CPU has AVX2 and FMA but the init self-check disabled the vector path")
+	t.Logf("AVX2+FMA %v, vector arithmetic on %v, vector activations on %v", simdSupported(), arithSIMD, actSIMD)
+	if !simdSupported() {
+		return
+	}
+	if !arithSIMD {
+		t.Fatal("the CPU has AVX2 and FMA but the init self-check disabled the vector arithmetic")
+	}
+	if actSIMD != actSelfCheck(scalarTwins) {
+		t.Fatalf("vector activations on %v, but their self-check says %v", actSIMD, !actSIMD)
+	}
+	if !actSIMD && !strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+		t.Fatal("the CPU has AVX2 and FMA, GODEBUG leaves them on, but the init self-check disabled the vector activations")
 	}
 }
 
 // TestSIMDSelfCheckRejectsMismatch: a scalar twin that disagrees with its
-// vector kernel on one probe makes the self-check — and so init — turn the
-// vector path off.
+// vector kernel on one probe makes its family's self-check — and so init —
+// turn that family's vector path off.
 func TestSIMDSelfCheckRejectsMismatch(t *testing.T) {
-	needSIMD(t)
-	if !simdSelfCheck(scalarTwins) {
-		t.Fatal("self-check rejects the package's own scalar loops")
+	needArith(t)
+	if !arithSelfCheck(scalarTwins) {
+		t.Fatal("arithmetic self-check rejects the package's own scalar loops")
 	}
 	flip := func(v float64) float64 { return math.Float64frombits(math.Float64bits(v) ^ 1) }
 	corrupt := func(f func(dst, src []float64)) func(dst, src []float64) {
 		return func(dst, src []float64) { f(dst, src); dst[len(dst)/2] = flip(dst[len(dst)/2]) }
 	}
-	with := func(edit func(*scalarKernels)) bool {
+	with := func(check func(scalarKernels) bool, edit func(*scalarKernels)) bool {
 		k := scalarTwins
 		edit(&k)
-		return simdSelfCheck(k)
+		return check(k)
 	}
-	for name, ok := range map[string]bool{
-		"sigmoid": with(func(k *scalarKernels) { k.sigmoid = corrupt(sigmoidGo) }),
-		"tanh":    with(func(k *scalarKernels) { k.tanh = corrupt(tanhGo) }),
-		"addVecMat": with(func(k *scalarKernels) {
+	cases := map[string]bool{
+		"addVecMat": with(arithSelfCheck, func(k *scalarKernels) {
 			k.addVecMat = func(dst, x, b []float64, stride int) { addVecMatGo(dst, x, b, stride); dst[0] = flip(dst[0]) }
 		}),
 		// The last row: only the 1-row block of the odd-length probe computes it.
-		"addMatVec (ABT)": with(func(k *scalarKernels) {
+		"addMatVec (ABT)": with(arithSelfCheck, func(k *scalarKernels) {
 			k.addMatVec = func(dst, b, x []float64) {
 				addMatVecGo(dst, b, x)
 				if len(dst) == 15 {
@@ -59,13 +79,28 @@ func TestSIMDSelfCheckRejectsMismatch(t *testing.T) {
 				}
 			}
 		}),
-		"addMatMulATB": with(func(k *scalarKernels) {
+		"addMatMulATB": with(arithSelfCheck, func(k *scalarKernels) {
 			k.addMatMulATB = func(out, a, b []float64, rows, ac, bc int) {
 				addMatMulATBGo(out, a, b, rows, ac, bc)
 				out[len(out)-1] = flip(out[len(out)-1])
 			}
 		}),
-	} {
+		// The second moment only, at the last element.
+		"adam": with(arithSelfCheck, func(k *scalarKernels) {
+			k.adam = func(w, g, m, v []float64, c *adamCoeffs) {
+				adamGo(w, g, m, v, c)
+				v[len(v)-1] = flip(v[len(v)-1])
+			}
+		}),
+	}
+	if actSIMD {
+		if !actSelfCheck(scalarTwins) {
+			t.Fatal("activation self-check rejects the package's own scalar loops")
+		}
+		cases["sigmoid"] = with(actSelfCheck, func(k *scalarKernels) { k.sigmoid = corrupt(sigmoidGo) })
+		cases["tanh"] = with(actSelfCheck, func(k *scalarKernels) { k.tanh = corrupt(tanhGo) })
+	}
+	for name, ok := range cases {
 		if ok {
 			t.Errorf("self-check passed with a corrupted %s twin", name)
 		}
@@ -128,7 +163,7 @@ func firstMismatch(got, want []float64) int {
 }
 
 func TestActivationsSIMDParity(t *testing.T) {
-	needSIMD(t)
+	needAct(t)
 	in := activationInputs()
 	for _, f := range activations {
 		got, want := make([]float64, len(in)), make([]float64, len(in))
@@ -144,7 +179,7 @@ func TestActivationsSIMDParity(t *testing.T) {
 // every alignment of the specials within a block, out of place with a
 // longer dst whose tail must survive, and in place as InferStep calls it.
 func TestActivationsSIMDLengthsAndInPlace(t *testing.T) {
-	needSIMD(t)
+	needAct(t)
 	rng := rand.New(rand.NewSource(3))
 	pool := make([]float64, 256)
 	for i := range pool {
@@ -221,7 +256,7 @@ func randPool(n int, seed int64) []float64 {
 // TestAddVecMatSIMDParity: every dst length 0–67 (each 16-, 4- and 1-wide
 // tail), every x length 0–40, strides equal to and wider than len(dst).
 func TestAddVecMatSIMDParity(t *testing.T) {
-	needSIMD(t)
+	needArith(t)
 	pool := randPool(1<<13, 5)
 	for n := 0; n <= 67; n++ {
 		for nx := 0; nx <= 40; nx++ {
@@ -284,7 +319,7 @@ func TestAddVecMatBounds(t *testing.T) {
 // block and leftover), every row length 0–41 (odd and even), dst already
 // holding values.
 func TestAddMatVecSIMDParity(t *testing.T) {
-	needSIMD(t)
+	needArith(t)
 	pool := randPool(1<<13, 11)
 	for n := 0; n <= 20; n++ {
 		for c := 1; c <= 41; c++ {
@@ -305,7 +340,7 @@ func TestAddMatVecSIMDParity(t *testing.T) {
 // 1-wide tail), 1–5 out rows from a column range of a wider a, 1–11 rows of
 // a and b.
 func TestAddMatMulATBSIMDParity(t *testing.T) {
-	needSIMD(t)
+	needArith(t)
 	pool := randPool(1<<13, 13)
 	for bc := 0; bc <= 37; bc++ {
 		for nk := 1; nk <= 5; nk++ {
@@ -323,6 +358,69 @@ func TestAddMatMulATBSIMDParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAdamSIMDParity: AdamUpdate on either path equals adamGo on every
+// length 0–67 (each tail after the blocks of four), at slice offsets 0–3
+// into their buffers (trainer shards start anywhere), with gradients,
+// weights and moments drawn from normals sprinkled with NaN, ±Inf,
+// subnormals and extremes. The kernel also runs alone on whole blocks.
+func TestAdamSIMDParity(t *testing.T) {
+	pool := randPool(1<<12, 19)
+	steps := []AdamStep{
+		{LR: 0.01, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, BC1: 0.1, BC2: 0.001},
+		{LR: 1e-3, Beta1: 0.5, Beta2: 0.25, Eps: 0x1p-1074, BC1: 0.75, BC2: 0.9375},
+		{LR: 3, Beta1: 0, Beta2: 1, Eps: 0, BC1: 1, BC2: 1e-300},
+	}
+	for si, s := range steps {
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 4; off++ {
+				at := func(seed int) []float64 {
+					return append(make([]float64, off), pool[(seed*257+n*13+off)%2048:][:n]...)[off:]
+				}
+				g := at(0)
+				gw, gm, gv := at(1), at(2), at(3)
+				ww, wm, wv := at(1), at(2), at(3)
+				k := adamCoeffs{s.Beta1, 1 - s.Beta1, s.Beta2, 1 - s.Beta2, s.BC1, s.BC2, s.LR, s.Eps}
+				AdamUpdate(gw, g, gm, gv, s)
+				adamGo(ww, g, wm, wv, &k)
+				for name, p := range map[string][2][]float64{"w": {gw, ww}, "m": {gm, wm}, "v": {gv, wv}} {
+					if i := firstMismatch(p[0], p[1]); i >= 0 {
+						t.Fatalf("step %d len %d off %d: %s[%d] = %v, scalar %v (g %v)", si, n, off, name, i, p[0][i], p[1][i], g[i])
+					}
+				}
+				if !arithSIMD || n%4 != 0 {
+					continue
+				}
+				vw, vm, vv := at(1), at(2), at(3)
+				adamAVX2(vw, g, vm, vv, &k)
+				if !sameBits(vw, ww) || !sameBits(vm, wm) || !sameBits(vv, wv) {
+					t.Fatalf("step %d len %d off %d: the kernel alone differs from adamGo", si, n, off)
+				}
+			}
+		}
+	}
+}
+
+// TestAdamUpdateLengths: w, m and v longer than g keep their tails; a
+// shorter one panics.
+func TestAdamUpdateLengths(t *testing.T) {
+	g := []float64{1, -2, 3, -4, 5}
+	w, m, v := make([]float64, 7), make([]float64, 7), make([]float64, 7)
+	w[5], m[6], v[5] = 9, 8, 7
+	AdamUpdate(w, g, m, v, AdamStep{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, BC1: 0.1, BC2: 0.001})
+	if w[5] != 9 || w[6] != 0 || m[5] != 0 || m[6] != 8 || v[5] != 7 || v[6] != 0 {
+		t.Fatalf("tails written: w %v m %v v %v", w[5:], m[5:], v[5:])
+	}
+	if w[0] >= 0 || w[1] <= 0 {
+		t.Fatalf("w %v does not step against g", w[:5])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a short v did not panic")
+		}
+	}()
+	AdamUpdate(w, g, m, v[:4:4], AdamStep{})
 }
 
 // TestBackwardKernelsMatchScalar: the exported GEMM backward halves, on
@@ -383,7 +481,7 @@ func FuzzSIMDKernels(f *testing.F) {
 	f.Add(seed, uint8(5), uint8(3), uint8(2))
 	f.Add([]byte("0123456789abcdef0123456789abcdef"), uint8(40), uint8(67), uint8(9))
 	f.Fuzz(func(t *testing.T, data []byte, nx, n, pad uint8) {
-		needSIMD(t)
+		needArith(t)
 		vals := make([]float64, len(data)/8)
 		folded := make([]float64, len(vals)) // most raw bits are huge: also fold them into the vector range
 		for i := range vals {
@@ -392,6 +490,9 @@ func FuzzSIMDKernels(f *testing.F) {
 		}
 		for _, in := range [][]float64{vals, folded} {
 			for _, a := range activations {
+				if !actSIMD {
+					break
+				}
 				got, want := make([]float64, len(in)), make([]float64, len(in))
 				a.vec(got, in)
 				a.ref(want, in)
@@ -402,6 +503,34 @@ func FuzzSIMDKernels(f *testing.F) {
 		}
 		if len(vals) == 0 {
 			return
+		}
+		// Adam through its dispatcher: any length, any offset, the raw bits
+		// as gradients, weights and moments, the first eight as coefficients.
+		for _, in := range [][]float64{vals, folded} {
+			off, ln := int(pad)%4, int(n)%68
+			cyc := func(seed int) []float64 {
+				s := make([]float64, off+ln)
+				for i := range s {
+					s[i] = in[(3*i+seed)%len(in)]
+				}
+				return s[off:]
+			}
+			var c [8]float64
+			for i := range c {
+				c[i] = in[(i+int(nx))%len(in)]
+			}
+			k := adamCoeffs{c[0], 1 - c[0], c[1], 1 - c[1], c[2], c[3], c[4], c[5]}
+			s := AdamStep{LR: c[4], Beta1: c[0], Beta2: c[1], Eps: c[5], BC1: c[2], BC2: c[3]}
+			g := cyc(0)
+			gw, gm, gv := cyc(1), cyc(2), cyc(3)
+			ww, wm, wv := cyc(1), cyc(2), cyc(3)
+			AdamUpdate(gw, g, gm, gv, s)
+			adamGo(ww, g, wm, wv, &k)
+			for name, p := range map[string][2][]float64{"w": {gw, ww}, "m": {gm, wm}, "v": {gv, wv}} {
+				if i := firstMismatch(p[0], p[1]); i >= 0 {
+					t.Fatalf("adam len %d off %d %s[%d] = %v vector, %v scalar (g %v)", ln, off, name, i, p[0][i], p[1][i], g[i])
+				}
+			}
 		}
 		cycle := func(k int) []float64 {
 			s := make([]float64, k)
@@ -458,7 +587,7 @@ func BenchmarkAddVecMat(b *testing.B) {
 			f    func(dst, x, b []float64, stride int)
 		}{{"scalar", addVecMatGo}, {"simd", addVecMatAVX2}} {
 			b.Run(fmt.Sprintf("x=%d/%s", nx, path.name), func(b *testing.B) {
-				if path.name == "simd" && !useSIMD {
+				if path.name == "simd" && !arithSIMD {
 					b.Skip("vector path off")
 				}
 				for i := 0; i < b.N; i++ {
@@ -479,7 +608,7 @@ func backwardPaths(b *testing.B, scalar, vec func()) {
 		f    func()
 	}{{"scalar", scalar}, {"simd", vec}} {
 		b.Run(path.name, func(b *testing.B) {
-			if path.name == "simd" && !useSIMD {
+			if path.name == "simd" && !arithSIMD {
 				b.Skip("vector path off")
 			}
 			for i := 0; i < b.N; i++ {
@@ -523,7 +652,7 @@ func benchActivation(b *testing.B, scalar, vec func(dst, src []float64)) {
 		f    func(dst, src []float64)
 	}{{"scalar", scalar}, {"simd", vec}} {
 		b.Run(path.name, func(b *testing.B) {
-			if path.name == "simd" && !useSIMD {
+			if path.name == "simd" && !actSIMD {
 				b.Skip("vector path off")
 			}
 			for i := 0; i < b.N; i++ {
@@ -537,3 +666,29 @@ func benchActivation(b *testing.B, scalar, vec func(dst, src []float64)) {
 func BenchmarkSigmoidInto(b *testing.B) { benchActivation(b, sigmoidGo, sigmoidSIMD) }
 
 func BenchmarkTanhInto(b *testing.B) { benchActivation(b, tanhGo, tanhSIMD) }
+
+// BenchmarkAdamUpdate is one Adam step over the widest DIN weight (24×16)
+// and over a RAPID-sized tensor, on each path.
+func BenchmarkAdamUpdate(b *testing.B) {
+	for _, n := range []int{384, 4096} {
+		w, g, m, v := normals(n, 5), normals(n, 6), normals(n, 7), normals(n, 8)
+		for i := range v {
+			v[i] *= v[i]
+		}
+		k := adamCoeffs{0.9, 1 - 0.9, 0.999, 1 - 0.999, 0.1, 0.001, 1e-9, 1e-8}
+		for _, path := range []struct {
+			name string
+			f    func(w, g, m, v []float64, k *adamCoeffs)
+		}{{"scalar", adamGo}, {"simd", adamAVX2}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, path.name), func(b *testing.B) {
+				if path.name == "simd" && !arithSIMD {
+					b.Skip("vector path off")
+				}
+				for i := 0; i < b.N; i++ {
+					path.f(w, g, m, v, &k)
+				}
+				benchSink = w[0]
+			})
+		}
+	}
+}

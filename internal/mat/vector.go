@@ -124,7 +124,7 @@ func Softplus(x float64) float64 {
 
 // SigmoidInto applies Sigmoid element-wise.
 func SigmoidInto(dst, src []float64) {
-	if useSIMD && len(dst) >= len(src) {
+	if actSIMD && len(dst) >= len(src) {
 		sigmoidSIMD(dst, src)
 		return
 	}
@@ -133,7 +133,7 @@ func SigmoidInto(dst, src []float64) {
 
 // TanhInto applies math.Tanh element-wise.
 func TanhInto(dst, src []float64) {
-	if useSIMD && len(dst) >= len(src) {
+	if actSIMD && len(dst) >= len(src) {
 		tanhSIMD(dst, src)
 		return
 	}

@@ -342,15 +342,3 @@ func TestUseAliasesParamGrad(t *testing.T) {
 		t.Fatalf("gradient not accumulated into param: %v", p.Grad.Data)
 	}
 }
-
-func TestAdamWeightDecay(t *testing.T) {
-	ps := NewParamSet()
-	p := ps.New("p", mat.FromSlice(1, 1, []float64{10}))
-	opt := NewAdam(0.1)
-	opt.WeightDecay = 1
-	// Zero gradient: only decay should move the weight toward zero.
-	opt.Step(ps.All())
-	if p.Value.Data[0] >= 10 {
-		t.Fatalf("weight decay did not shrink the parameter: %v", p.Value.Data[0])
-	}
-}

@@ -10,12 +10,11 @@ import (
 // model with (Section IV-C).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
-	WeightDecay           float64
 
-	t        int
-	bc1, bc2 float64 // the open step's bias corrections
-	m        map[*Param]*mat.Matrix
-	v        map[*Param]*mat.Matrix
+	t    int
+	step mat.AdamStep // the open step's scalars
+	m    map[*Param]*mat.Matrix
+	v    map[*Param]*mat.Matrix
 }
 
 // NewAdam returns Adam with the paper-standard hyper-parameters
@@ -37,14 +36,18 @@ func (o *Adam) Step(params []*Param) {
 	}
 }
 
-// Begin opens one step over params: it advances t, fixes the bias
-// corrections and allocates any missing moment buffers. Update then applies
+// Begin opens one step over params: it advances t, fixes the step's
+// scalars (the bias corrections, and LR, β and ε as they stand now) and
+// allocates any missing moment buffers. Update then applies
 // the step, range by range; Begin followed by Update over every element is
 // Step.
 func (o *Adam) Begin(params []*Param) {
 	o.t++
-	o.bc1 = 1 - math.Pow(o.Beta1, float64(o.t))
-	o.bc2 = 1 - math.Pow(o.Beta2, float64(o.t))
+	o.step = mat.AdamStep{
+		LR: o.LR, Beta1: o.Beta1, Beta2: o.Beta2, Eps: o.Eps,
+		BC1: 1 - math.Pow(o.Beta1, float64(o.t)),
+		BC2: 1 - math.Pow(o.Beta2, float64(o.t)),
+	}
 	for _, p := range params {
 		if o.m[p] == nil {
 			o.m[p] = mat.New(p.Value.Rows, p.Value.Cols)
@@ -56,20 +59,10 @@ func (o *Adam) Begin(params []*Param) {
 }
 
 // Update applies the step Begin opened to elements [lo, hi) of p and zeroes
-// their gradients. Each element's arithmetic depends on that element alone,
-// so calls on disjoint ranges may run concurrently.
+// their gradients. Each element's arithmetic depends on that element alone
+// (mat.AdamUpdate), so calls on disjoint ranges may run concurrently.
 func (o *Adam) Update(p *Param, lo, hi int) {
-	m, v := o.m[p].Data, o.v[p].Data
-	for i, g := range p.Grad.Data[lo:hi] {
-		i += lo
-		if o.WeightDecay > 0 {
-			g += o.WeightDecay * p.Value.Data[i]
-		}
-		m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-		v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-		mHat := m[i] / o.bc1
-		vHat := v[i] / o.bc2
-		p.Value.Data[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
-	}
-	clear(p.Grad.Data[lo:hi])
+	g := p.Grad.Data[lo:hi]
+	mat.AdamUpdate(p.Value.Data[lo:hi], g, o.m[p].Data[lo:hi], o.v[p].Data[lo:hi], o.step)
+	clear(g)
 }

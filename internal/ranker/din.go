@@ -2,6 +2,7 @@ package ranker
 
 import (
 	"math/rand"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/mat"
@@ -103,12 +104,91 @@ func (m *DIN) Fit(d *dataset.Dataset) error {
 	return nil
 }
 
-// Score implements Ranker. Each call builds its own small tape, so
-// concurrent callers share nothing.
+// Score implements Ranker. It replays forward's arithmetic without a tape:
+// the same operations in the same order on one pooled scratch buffer, so
+// each score has forward's bits, and concurrent callers share nothing.
 func (m *DIN) Score(d *dataset.Dataset, user, item int) float64 {
 	if !m.built {
 		panic("ranker: DIN.Score before Fit")
 	}
-	t := nn.NewTapeCap(m.tapeNodes())
-	return mat.Sigmoid(m.forward(t, d, user, item).Value.Data[0])
+	xu, xv := d.UserFeatures(user), d.ItemFeatures(item)
+	hist := d.Users[user].History
+	if len(hist) > m.HistoryCap {
+		hist = hist[len(hist)-m.HistoryCap:]
+	}
+	qu, qv, h := len(xu), len(xv), len(hist)
+	// in is the head's input [x_u | x_v | pooled], hm the history rows;
+	// the layers write into a and b by turns.
+	width := max(widest(m.att)*h, widest(m.head))
+	s := scratchPool.Get().(*scratch)
+	if need := h*qv + qu + 2*qv + 2*width; cap(s.buf) < need {
+		s.buf = make([]float64, need)
+	}
+	hm, rest := s.buf[:h*qv], s.buf[h*qv:]
+	in, a, b := rest[:qu+2*qv], rest[qu+2*qv:][:width], rest[qu+2*qv+width:][:width]
+	copy(in, xu)
+	copy(in[qu:], xv)
+	pooled := in[qu+qv:]
+	clear(pooled)
+	if h > 0 {
+		// The attention unit over rows [x_h | x_v | x_h⊙x_v], built in b,
+		// then pooled = softmax(weightsᵀ)·history.
+		for i, it := range hist {
+			xh := hm[i*qv:][:qv]
+			copy(xh, d.ItemFeatures(it))
+			row := b[i*3*qv:][:3*qv]
+			copy(row, xh)
+			copy(row[qv:], xv)
+			for j, x := range xh {
+				row[2*qv+j] = x * xv[j]
+			}
+		}
+		w := denseRows(m.att, b, a, b, h)
+		mat.SoftmaxInto(w, w)
+		mat.AddVecMat(pooled, w, hm)
+	}
+	score := mat.Sigmoid(denseRows(m.head, in, a, b, 1)[0])
+	scratchPool.Put(s)
+	return score
+}
+
+// scratch is one Score call's working memory; scratchPool keeps it between
+// calls.
+type scratch struct{ buf []float64 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// widest is the widest input or output of any layer of mlp.
+func widest(mlp *nn.MLP) int {
+	w := 0
+	for _, l := range mlp.Layers {
+		w = max(w, l.W.Value.Rows, l.W.Value.Cols)
+	}
+	return w
+}
+
+// denseRows applies mlp to rows inputs held row-major in x, as
+// mlp.Forward does on a tape: each output row starts at zero and takes
+// x_r·W by mat.AddVecMat (MatMulInto's per-row kernel), the bias is added
+// last (addRowBroadcast), and the activation is applied to the whole
+// output. nn.DenseInto starts from the bias instead, which rounds
+// differently. Layer i writes into a when i is even and into b when it is
+// odd, so x may share memory with b but not with a; each must hold rows
+// times the widest layer. It returns the last layer's output.
+func denseRows(mlp *nn.MLP, x, a, b []float64, rows int) []float64 {
+	for _, l := range mlp.Layers {
+		in, out := l.W.Value.Rows, l.W.Value.Cols
+		y := a[:rows*out]
+		for r := 0; r < rows; r++ {
+			o := y[r*out : (r+1)*out]
+			clear(o)
+			mat.AddVecMat(o, x[r*in:(r+1)*in], l.W.Value.Data)
+			for j, bias := range l.B.Value.Data {
+				o[j] += bias
+			}
+		}
+		l.Act.InPlace(y)
+		x, a, b = y, b, a
+	}
+	return x
 }
