@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 
 	rapid "repro"
 )
@@ -15,7 +16,10 @@ func main() {
 	opt.Rounds = 3000
 	opt.Checkpoint = 200
 	tbl, curves := rapid.RunRegret(opt)
-	fmt.Println(tbl)
+	// The table pads its last column; no printed line ends in a space.
+	for _, line := range strings.Split(tbl.String(), "\n") {
+		fmt.Println(strings.TrimRight(line, " "))
+	}
 
 	// A tiny ASCII plot of the UCB curve vs the √n reference.
 	ucb := curves[0]
@@ -34,7 +38,7 @@ func main() {
 		}
 		line[refPos] = '|'
 		line[rPos] = '.'
-		fmt.Printf("n=%5d %s\n", p.Round, line)
+		fmt.Printf("n=%5d %s\n", p.Round, strings.TrimRight(string(line), " "))
 	}
 	fmt.Printf("\nfitted exponent α=%.2f (theorem predicts ≈0.5)\n", ucb.Alpha)
 }

@@ -96,19 +96,22 @@ func BuildRankedData(cfg dataset.Config, rk ranker.Ranker, opt Options) (*Ranked
 	}
 	opt.logf("[%s] initial ranker %s fitted in %v", cfg.Name, rk.Name(), time.Since(start).Round(time.Millisecond))
 	rd := &RankedData{Data: d, Ranker: rk}
-	for _, p := range d.RerankPools {
-		items, scores := ranker.RankPool(rk, d, p, cfg.ListLen)
-		rd.trainLists = append(rd.trainLists, items)
-		rd.trainScores = append(rd.trainScores, scores)
-		rd.trainUsers = append(rd.trainUsers, p.User)
-	}
-	for _, p := range d.TestPools {
-		items, scores := ranker.RankPool(rk, d, p, cfg.ListLen)
-		rd.testLists = append(rd.testLists, items)
-		rd.testScores = append(rd.testScores, scores)
-		rd.testUsers = append(rd.testUsers, p.User)
-	}
+	rd.trainLists, rd.trainScores, rd.trainUsers = rankPools(rk, d, d.RerankPools, cfg.ListLen)
+	rd.testLists, rd.testScores, rd.testUsers = rankPools(rk, d, d.TestPools, cfg.ListLen)
 	return rd, nil
+}
+
+// rankPools ranks every pool with rk on every core (rk's Score is safe for
+// concurrent use): the initial lists of length l, their scores and their
+// users, in pool order.
+func rankPools(rk ranker.Ranker, d *dataset.Dataset, pools []dataset.Pool, l int) (lists [][]int, scores [][]float64, users []int) {
+	lists, scores, users = make([][]int, len(pools)), make([][]float64, len(pools)), make([]int, len(pools))
+	forEach(len(pools), func(_ struct{}, i int) struct{} {
+		lists[i], scores[i] = ranker.RankPool(rk, d, pools[i], l)
+		users[i] = pools[i].User
+		return struct{}{}
+	})
+	return lists, scores, users
 }
 
 // BuildEnv derives the λ-specific environment from ranked data: the DCM,
@@ -188,53 +191,36 @@ func (e *Env) Evaluate(r rerank.Reranker, ks []int) *EvalResult {
 		}
 	}
 	vals := make([]float64, len(e.Test)*len(keys))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(e.Test) {
-		workers = len(e.Test)
+	type scratch struct {
+		cover [][]float64 // reused across one goroutine's lists
+		bid   []float64
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var cover [][]float64 // per worker, reused across lists
-			var bid []float64
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(e.Test) {
-					return
-				}
-				inst := e.Test[i]
-				ranked := rerank.Apply(r, inst)
-				phi := e.DCM.Attractions(inst.User, ranked)
-				exp := e.DCM.ExpectedClicksFrom(phi)
-				cover, bid = slices.Grow(cover[:0], len(ranked)), slices.Grow(bid[:0], len(ranked))
-				for _, v := range ranked {
-					cover = append(cover, e.Data.Cover(v))
-					if bids {
-						bid = append(bid, e.Data.Bid(v))
-					}
-				}
-				row := vals[i*len(keys) : (i+1)*len(keys)]
-				for _, k := range ks {
-					row[0] = metrics.ClickAtK(exp, k)
-					row[1] = metrics.NDCGAtK(exp, k)
-					row[2] = metrics.DivAtK(cover, e.Data.M(), k)
-					row[3] = e.DCM.SatisfactionFrom(phi, k)
-					row = row[4:]
-					if bids {
-						row[0] = metrics.RevAtK(exp, bid, k)
-						row = row[1:]
-					}
-				}
+	forEach(len(e.Test), func(s scratch, i int) scratch {
+		inst := e.Test[i]
+		ranked := rerank.Apply(r, inst)
+		phi := e.DCM.Attractions(inst.User, ranked)
+		exp := e.DCM.ExpectedClicksFrom(phi)
+		cover, bid := slices.Grow(s.cover[:0], len(ranked)), slices.Grow(s.bid[:0], len(ranked))
+		for _, v := range ranked {
+			cover = append(cover, e.Data.Cover(v))
+			if bids {
+				bid = append(bid, e.Data.Bid(v))
 			}
-		}()
-	}
-	wg.Wait()
+		}
+		row := vals[i*len(keys) : (i+1)*len(keys)]
+		for _, k := range ks {
+			row[0] = metrics.ClickAtK(exp, k)
+			row[1] = metrics.NDCGAtK(exp, k)
+			row[2] = metrics.DivAtK(cover, e.Data.M(), k)
+			row[3] = e.DCM.SatisfactionFrom(phi, k)
+			row = row[4:]
+			if bids {
+				row[0] = metrics.RevAtK(exp, bid, k)
+				row = row[1:]
+			}
+		}
+		return scratch{cover, bid}
+	})
 	res := &EvalResult{Name: r.Name(), PerRequest: make(map[string][]float64, len(keys))}
 	if len(e.Test) > 0 {
 		for _, key := range keys {
@@ -247,6 +233,33 @@ func (e *Env) Evaluate(r rerank.Reranker, ks []int) *EvalResult {
 		}
 	}
 	return res
+}
+
+// forEach calls body for every i in [0, n) on up to GOMAXPROCS goroutines,
+// each taking the next i as it frees up. A goroutine hands body the scratch
+// its previous call returned (the zero S at first), so scratch is reused
+// without a lock and without escaping to the heap. Callers write results
+// by index, so the output does not depend on the schedule; body must be
+// safe to run concurrently with itself.
+func forEach[S any](n int, body func(s S, i int) S) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	nw := max(1, min(runtime.GOMAXPROCS(0), n))
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s S
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				s = body(s, i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // FitIfTrainable fits r on the environment's training instances when it is

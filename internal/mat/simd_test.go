@@ -481,13 +481,35 @@ func FuzzSIMDKernels(f *testing.F) {
 	f.Add(seed, uint8(5), uint8(3), uint8(2))
 	f.Add([]byte("0123456789abcdef0123456789abcdef"), uint8(40), uint8(67), uint8(9))
 	f.Fuzz(func(t *testing.T, data []byte, nx, n, pad uint8) {
-		needArith(t)
 		vals := make([]float64, len(data)/8)
 		folded := make([]float64, len(vals)) // most raw bits are huge: also fold them into the vector range
 		for i := range vals {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 			folded[i] = math.Mod(vals[i], 750)
 		}
+		// ReLU's mask against its branch, on any host: the raw bits as
+		// inputs, and as gradients rotated by nx against them.
+		relu, branch := make([]float64, len(vals)), make([]float64, len(vals))
+		ReLUInto(relu, vals)
+		reluBranchy(branch, vals)
+		for i := range vals {
+			if math.Float64bits(relu[i]) != math.Float64bits(branch[i]) {
+				t.Fatalf("ReLU(%#x) = %#x, branch %#x", math.Float64bits(vals[i]), math.Float64bits(relu[i]), math.Float64bits(branch[i]))
+			}
+		}
+		if len(vals) > 0 {
+			g := append(vals[int(nx)%len(vals):len(vals):len(vals)], vals[:int(nx)%len(vals)]...)
+			copy(relu, folded)
+			copy(branch, folded)
+			ReLUGradInto(relu, g, vals)
+			reluGradBranchy(branch, g, vals)
+			for i := range vals {
+				if math.Float64bits(relu[i]) != math.Float64bits(branch[i]) {
+					t.Fatalf("ReLU grad x %#x g %#x ga %#x: %#x, branch %#x", math.Float64bits(vals[i]), math.Float64bits(g[i]), math.Float64bits(folded[i]), math.Float64bits(relu[i]), math.Float64bits(branch[i]))
+				}
+			}
+		}
+		needArith(t)
 		for _, in := range [][]float64{vals, folded} {
 			for _, a := range activations {
 				if !actSIMD {
@@ -668,23 +690,42 @@ func BenchmarkSigmoidInto(b *testing.B) { benchActivation(b, sigmoidGo, sigmoidS
 func BenchmarkTanhInto(b *testing.B) { benchActivation(b, tanhGo, tanhSIMD) }
 
 // BenchmarkAdamUpdate is one Adam step over the widest DIN weight (24×16)
-// and over a RAPID-sized tensor, on each path.
+// and over a RAPID-sized tensor, on each path; then over as many weights
+// as DIN has on TaobaoLike (1040), as they are and with every hundredth
+// first moment subnormal and its gradient zero. That is what long runs of
+// zero gradients leave behind in DIN.Fit, where the first moments decay by
+// β1 a step until they leave the normal range; each subnormal operand
+// costs the CPU a microcode assist.
 func BenchmarkAdamUpdate(b *testing.B) {
-	for _, n := range []int{384, 4096} {
-		w, g, m, v := normals(n, 5), normals(n, 6), normals(n, 7), normals(n, 8)
+	for _, c := range []struct {
+		n         int
+		subnormal bool
+	}{{384, false}, {4096, false}, {1040, false}, {1040, true}} {
+		w, g, m, v := normals(c.n, 5), normals(c.n, 6), normals(c.n, 7), normals(c.n, 8)
 		for i := range v {
 			v[i] *= v[i]
+		}
+		name := fmt.Sprintf("n=%d", c.n)
+		var sub []int
+		if c.subnormal {
+			name += "/subnormal=1%"
+			for i := 0; i < c.n; i += 100 {
+				sub, g[i] = append(sub, i), 0
+			}
 		}
 		k := adamCoeffs{0.9, 1 - 0.9, 0.999, 1 - 0.999, 0.1, 0.001, 1e-9, 1e-8}
 		for _, path := range []struct {
 			name string
 			f    func(w, g, m, v []float64, k *adamCoeffs)
 		}{{"scalar", adamGo}, {"simd", adamAVX2}} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, path.name), func(b *testing.B) {
+			b.Run(name+"/"+path.name, func(b *testing.B) {
 				if path.name == "simd" && !arithSIMD {
 					b.Skip("vector path off")
 				}
 				for i := 0; i < b.N; i++ {
+					for _, j := range sub {
+						m[j] = 0x1p-1030 // the step decays it: set it again
+					}
 					path.f(w, g, m, v, &k)
 				}
 				benchSink = w[0]

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math"
+	"math/bits"
 )
 
 // Dot returns the inner product of a and b. It panics on length mismatch.
@@ -154,15 +155,36 @@ func tanhGo(dst, src []float64) {
 	}
 }
 
-// ReLUInto applies max(0, x) element-wise.
+// ReLUInto applies max(0, x) element-wise: dst[i] is x where x > 0 and +0
+// elsewhere, NaN included. It selects by mask instead of branching, since
+// the sign of an activation is data the branch predictor cannot learn.
 func ReLUInto(dst, src []float64) {
+	dst = dst[:len(src)]
 	for i, x := range src {
-		if x > 0 {
-			dst[i] = x
-		} else {
-			dst[i] = 0
-		}
+		dst[i] = math.Float64frombits(math.Float64bits(x) & positiveMask(x))
 	}
+}
+
+// ReLUGradInto is ReLU's backward step: ga[i] += g[i] where x[i] > 0, and
+// ga[i] is left as it is elsewhere. It selects between ga[i]+g[i] and
+// ga[i] by mask rather than adding a masked g[i], so a −0 in ga survives
+// where x ≤ 0, as it does under the branch. ga and g are at least as long
+// as x.
+func ReLUGradInto(ga, g, x []float64) {
+	for i, xi := range x {
+		keep := positiveMask(xi)
+		sum, old := math.Float64bits(ga[i]+g[i]), math.Float64bits(ga[i])
+		ga[i] = math.Float64frombits(sum&keep | old&^keep)
+	}
+}
+
+// positiveMask is all ones where x > 0 and zero elsewhere. Below +Inf's
+// bit pattern, the patterns less one are exactly those of the positive
+// numbers from the smallest subnormal to +Inf: +0 wraps to the top, and
+// −0, the negatives and every NaN lie at or above +Inf's.
+func positiveMask(x float64) uint64 {
+	_, borrow := bits.Sub64(math.Float64bits(x)-1, 0x7ff0000000000000, 0)
+	return -borrow
 }
 
 // SoftplusInto applies Softplus element-wise.

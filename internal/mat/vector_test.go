@@ -117,3 +117,77 @@ func TestClamp(t *testing.T) {
 		t.Fatal("Clamp broken")
 	}
 }
+
+// reluBranchy and reluGradBranchy are ReLU's loops as they were written
+// with a branch: the references ReLUInto and ReLUGradInto must match bit
+// for bit.
+func reluBranchy(dst, src []float64) {
+	for i, x := range src {
+		if x > 0 {
+			dst[i] = x
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+func reluGradBranchy(ga, g, x []float64) {
+	for i, xi := range x {
+		if xi > 0 {
+			ga[i] += g[i]
+		}
+	}
+}
+
+// reluInputs is every class of float64 the mask must sort: both zeros,
+// quiet and signalling NaNs of either sign and several payloads, both
+// infinities, the extremes of the normal and subnormal ranges, and
+// ordinary values.
+func reluInputs() []float64 {
+	nan := func(bits uint64) float64 { return math.Float64frombits(bits) }
+	return []float64{
+		0, math.Copysign(0, -1),
+		math.NaN(), nan(0x7ff8000000000001), nan(0x7ff0000000000001), nan(0x7ff4000000000000), nan(0x7fffffffffffffff),
+		nan(0xfff8000000000000), nan(0xfff0000000000001), nan(0xffffffffffffffff),
+		math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022,
+		math.Nextafter(0x1p-1022, 0), -math.Nextafter(0x1p-1022, 0),
+		1, -1, 0.5, -2.75, 1e300, -1e-300,
+	}
+}
+
+// TestReLUMatchesBranch holds the mask-selecting ReLU to the branch on
+// every input class, and its gradient to the branch's accumulation from a
+// gradient buffer holding −0, +0, a NaN and ordinary values, so a −0 left
+// where x ≤ 0 must survive.
+func TestReLUMatchesBranch(t *testing.T) {
+	in := reluInputs()
+	got, want := make([]float64, len(in)), make([]float64, len(in))
+	ReLUInto(got, in)
+	reluBranchy(want, in)
+	for i := range in {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("ReLU(%#x) = %#x, branch %#x", math.Float64bits(in[i]), math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+	in2 := append([]float64(nil), in...)
+	ReLUInto(in2, in2)
+	if firstMismatch(in2, want) >= 0 {
+		t.Error("ReLUInto in place differs from a separate dst")
+	}
+	for _, ga0 := range []float64{math.Copysign(0, -1), 0, math.NaN(), 3, -0.25} {
+		for _, g0 := range []float64{math.Copysign(0, -1), 0, 1, -7, math.Inf(-1)} {
+			ga, wantGA, g := make([]float64, len(in)), make([]float64, len(in)), make([]float64, len(in))
+			for i := range in {
+				ga[i], wantGA[i], g[i] = ga0, ga0, g0
+			}
+			ReLUGradInto(ga, g, in)
+			reluGradBranchy(wantGA, g, in)
+			for i := range in {
+				if math.Float64bits(ga[i]) != math.Float64bits(wantGA[i]) {
+					t.Errorf("ga %v g %v x %#x: %#x, branch %#x", ga0, g0, math.Float64bits(in[i]), math.Float64bits(ga[i]), math.Float64bits(wantGA[i]))
+				}
+			}
+		}
+	}
+}

@@ -375,12 +375,7 @@ func (t *Tape) backstep(n *Node) {
 		}
 	case opReLU:
 		if n.a.needsGrad {
-			ga := t.gradOf(n.a)
-			for i, x := range n.a.Value.Data {
-				if x > 0 {
-					ga.Data[i] += g.Data[i]
-				}
-			}
+			mat.ReLUGradInto(t.gradOf(n.a).Data, g.Data, n.a.Value.Data)
 		}
 	case opSoftplus:
 		if n.a.needsGrad {

@@ -14,7 +14,9 @@ import (
 )
 
 // Ranker scores a (user, item) pair; higher is better. Implementations are
-// trained by Fit on the dataset's RankerTrain split.
+// trained by Fit on the dataset's RankerTrain split. Score is safe for
+// concurrent use once Fit has returned: the experiment harness ranks pools
+// on every core at once.
 type Ranker interface {
 	Name() string
 	Fit(d *dataset.Dataset) error

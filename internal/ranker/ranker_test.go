@@ -72,7 +72,7 @@ func TestDINTapeNodesBoundsGraph(t *testing.T) {
 		t.Fatal("no user with a full history")
 	}
 	tp := nn.NewTape()
-	tp.SigmoidBCE(din.forward(tp, d, user, 0), []float64{1})
+	tp.SigmoidBCE(din.tapeForward(tp, d, user, 0), []float64{1})
 	if got := tp.NumNodes(); got != din.tapeNodes() {
 		t.Fatalf("full-history pass records %d nodes, tapeNodes() = %d", got, din.tapeNodes())
 	}

@@ -93,7 +93,8 @@ var (
 
 // Initial rankers (internal/ranker).
 type (
-	// Ranker is an initial (pre-re-ranking) scoring model.
+	// Ranker is an initial (pre-re-ranking) scoring model. Score is safe
+	// for concurrent use once Fit has returned.
 	Ranker = ranker.Ranker
 )
 
