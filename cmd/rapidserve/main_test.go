@@ -40,7 +40,7 @@ func TestRunRegistryStartsAndDrains(t *testing.T) {
 		UseDiversity: true, Heads: 2, Seed: 1,
 	}
 	m := core.New(cfg)
-	if _, err := registry.Publish(root, "v1", m.ParamSet(), engine.Manifest{Dataset: "test", Config: cfg}); err != nil {
+	if _, err := registry.Publish(root, "v1", m.Params(), engine.Manifest{Dataset: "test", Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -84,7 +84,7 @@ func TestRunStartsAndDrains(t *testing.T) {
 		UseDiversity: true, Heads: 2, Seed: 1,
 	}
 	m := core.New(cfg)
-	if err := m.ParamSet().SaveFileAtomic(modelPath); err != nil {
+	if err := m.Params().SaveFileAtomic(modelPath); err != nil {
 		t.Fatal(err)
 	}
 	man, err := json.Marshal(engine.Manifest{Dataset: "test", Config: cfg})

@@ -101,7 +101,7 @@ func run(o options) error {
 		if err != nil {
 			return fmt.Errorf("resume: %w", err)
 		}
-		err = m.ParamSet().LoadStrict(f)
+		err = m.Params().LoadStrict(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("resume checkpoint %s does not match the model architecture: %w", o.resume, err)
@@ -140,7 +140,7 @@ func run(o options) error {
 		metrics[k] = res.Mean(k)
 	}
 
-	if err := m.ParamSet().SaveFileAtomic(o.out); err != nil {
+	if err := m.Params().SaveFileAtomic(o.out); err != nil {
 		return err
 	}
 	manifest := engine.Manifest{Dataset: o.dataset, Lambda: o.lambda, Config: m.Cfg, Metrics: metrics}
@@ -149,7 +149,7 @@ func run(o options) error {
 	}
 	fmt.Fprintf(os.Stderr, "saved %s (+ manifest); test metrics: %v\n", o.out, metrics)
 	if o.publish != "" {
-		label, err := registry.Publish(o.publish, "", m.ParamSet(), manifest)
+		label, err := registry.Publish(o.publish, "", m.Params(), manifest)
 		if err != nil {
 			return err
 		}
@@ -179,7 +179,7 @@ func (t *trainObserver) ObserveEpoch(es rerank.EpochStats) {
 	t.skipped += es.SkippedInstances
 	t.dropped += es.DroppedSteps
 	if t.ckptEvery > 0 && (es.Epoch+1)%t.ckptEvery == 0 {
-		if err := t.model.ParamSet().SaveFileAtomic(t.out); err != nil {
+		if err := t.model.Params().SaveFileAtomic(t.out); err != nil {
 			fmt.Fprintf(t.w, "checkpoint epoch %d: %v\n", es.Epoch, err)
 		}
 	}

@@ -120,7 +120,7 @@ func TestRunBadResume(t *testing.T) {
 		Output: core.Probabilistic, Encoder: core.BiLSTMEncoder, Agg: core.LSTMAgg,
 		UseDiversity: true, Heads: 2, Seed: 1,
 	}
-	if err := core.New(cfg).ParamSet().SaveFileAtomic(other); err != nil {
+	if err := core.New(cfg).Params().SaveFileAtomic(other); err != nil {
 		t.Fatal(err)
 	}
 	o.resume = other
@@ -150,7 +150,7 @@ func TestTrainObserverCheckpointsAndTotals(t *testing.T) {
 		t.Fatalf("no checkpoint after epoch 2: %v", err)
 	}
 	defer f.Close()
-	if err := core.New(cfg).ParamSet().LoadStrict(f); err != nil {
+	if err := core.New(cfg).Params().LoadStrict(f); err != nil {
 		t.Fatalf("checkpoint does not load back: %v", err)
 	}
 	if o.skipped != 1 || o.dropped != 2 {

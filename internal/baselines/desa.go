@@ -30,7 +30,9 @@ type DESA struct {
 }
 
 // NewDESA returns a DESA with hidden width qh.
-func NewDESA(qh int, seed int64) *DESA { return &DESA{Hidden: qh, Seed: seed} }
+func NewDESA(qh int, seed int64) *DESA {
+	return &DESA{Hidden: qh, Seed: seed, TrainCfg: rerank.DefaultTrainConfig(seed)}
+}
 
 // Name implements rerank.Reranker.
 func (m *DESA) Name() string { return "DESA" }
@@ -50,10 +52,6 @@ func (m *DESA) build(featDim, topicsN int) {
 
 // Params implements rerank.ListwiseModel.
 func (m *DESA) Params() *nn.ParamSet { return m.ps }
-
-// TapeCapHint implements rerank.TapeSized: two attention views plus the
-// scoring MLP, all matrix-level ops.
-func (m *DESA) TapeCapHint() int { return 192 }
 
 // Logits implements rerank.ListwiseModel.
 func (m *DESA) Logits(t *nn.Tape, inst *rerank.Instance, _ bool) *nn.Node {
@@ -83,11 +81,7 @@ func (m *DESA) Fit(train []*rerank.Instance) error {
 	if !m.built && len(train) > 0 {
 		m.build(train[0].FeatureDim(), train[0].M)
 	}
-	cfg := m.TrainCfg
-	if cfg.Epochs == 0 {
-		cfg = rerank.DefaultTrainConfig(m.Seed)
-	}
-	_, err := rerank.TrainListwise(m, train, cfg)
+	_, err := rerank.TrainListwise(m, train, m.TrainCfg)
 	return err
 }
 

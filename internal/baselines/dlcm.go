@@ -2,8 +2,10 @@
 // compares RAPID against (Section IV-B3): the relevance-oriented neural
 // models DLCM, PRM, SetRank and SRGA; the diversity-aware MMR, DPP, DESA
 // and SSD; the personalized-diversity adpMMR and PD-GAN; plus a
-// pointer-network Seq2Slate as an extra cited baseline. Neural models
-// share the listwise BCE training loop in internal/rerank.
+// pointer-network Seq2Slate as an extra cited baseline. The listwise
+// neural models (DLCM, PRM, SetRank, SRGA, DESA) share the BCE training loop
+// in internal/rerank; each constructor sets the model's TrainCfg to
+// rerank.DefaultTrainConfig of its seed.
 package baselines
 
 import (
@@ -30,7 +32,9 @@ type DLCM struct {
 }
 
 // NewDLCM returns a DLCM with hidden width qh.
-func NewDLCM(qh int, seed int64) *DLCM { return &DLCM{Hidden: qh, Seed: seed} }
+func NewDLCM(qh int, seed int64) *DLCM {
+	return &DLCM{Hidden: qh, Seed: seed, TrainCfg: rerank.DefaultTrainConfig(seed)}
+}
 
 // Name implements rerank.Reranker.
 func (m *DLCM) Name() string { return "DLCM" }
@@ -46,10 +50,6 @@ func (m *DLCM) build(featDim int) {
 
 // Params implements rerank.ListwiseModel.
 func (m *DLCM) Params() *nn.ParamSet { return m.ps }
-
-// TapeCapHint implements rerank.TapeSized: the GRU recurrence dominates at
-// ~15 nodes per list position.
-func (m *DLCM) TapeCapHint() int { return 64*16 + 64 }
 
 // Logits implements rerank.ListwiseModel.
 func (m *DLCM) Logits(t *nn.Tape, inst *rerank.Instance, _ bool) *nn.Node {
@@ -73,11 +73,7 @@ func (m *DLCM) Fit(train []*rerank.Instance) error {
 	if !m.built && len(train) > 0 {
 		m.build(train[0].FeatureDim())
 	}
-	cfg := m.TrainCfg
-	if cfg.Epochs == 0 {
-		cfg = rerank.DefaultTrainConfig(m.Seed)
-	}
-	_, err := rerank.TrainListwise(m, train, cfg)
+	_, err := rerank.TrainListwise(m, train, m.TrainCfg)
 	return err
 }
 

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math/rand"
+	"strconv"
 
 	"repro/internal/mat"
 	"repro/internal/nn"
@@ -32,7 +33,7 @@ type PRM struct {
 
 // NewPRM returns a PRM with hidden width qh.
 func NewPRM(qh int, seed int64) *PRM {
-	return &PRM{Hidden: qh, Blocks: 2, Heads: 2, MaxLen: 64, Seed: seed}
+	return &PRM{Hidden: qh, Blocks: 2, Heads: 2, MaxLen: 64, Seed: seed, TrainCfg: rerank.DefaultTrainConfig(seed)}
 }
 
 // Name implements rerank.Reranker.
@@ -45,7 +46,7 @@ func (m *PRM) build(featDim int) {
 	m.proj = nn.NewDense(m.ps, "prm.proj", featDim, dim, nn.Linear, rng)
 	m.posEmb = m.ps.New("prm.pos", mat.RandNormal(m.MaxLen, dim, 0, 0.02, rng))
 	for b := 0; b < m.Blocks; b++ {
-		m.blocks = append(m.blocks, nn.NewTransformerBlock(m.ps, "prm.block"+itoa(b), dim, m.Heads, 2*dim, rng))
+		m.blocks = append(m.blocks, nn.NewTransformerBlock(m.ps, "prm.block"+strconv.Itoa(b), dim, m.Heads, 2*dim, rng))
 	}
 	m.score = nn.NewMLP(m.ps, "prm.score", []int{dim, m.Hidden, 1}, nn.ReLU, nn.Linear, rng)
 	m.built = true
@@ -53,10 +54,6 @@ func (m *PRM) build(featDim int) {
 
 // Params implements rerank.ListwiseModel.
 func (m *PRM) Params() *nn.ParamSet { return m.ps }
-
-// TapeCapHint implements rerank.TapeSized: transformer blocks record a
-// bounded number of (matrix-level) nodes regardless of list length.
-func (m *PRM) TapeCapHint() int { return 64 + m.Blocks*(m.Heads*16+32) }
 
 // Logits implements rerank.ListwiseModel.
 func (m *PRM) Logits(t *nn.Tape, inst *rerank.Instance, _ bool) *nn.Node {
@@ -82,23 +79,11 @@ func (m *PRM) Fit(train []*rerank.Instance) error {
 	if !m.built && len(train) > 0 {
 		m.build(train[0].FeatureDim())
 	}
-	cfg := m.TrainCfg
-	if cfg.Epochs == 0 {
-		cfg = rerank.DefaultTrainConfig(m.Seed)
-	}
-	_, err := rerank.TrainListwise(m, train, cfg)
+	_, err := rerank.TrainListwise(m, train, m.TrainCfg)
 	return err
 }
 
 // Scores implements rerank.Reranker.
 func (m *PRM) Scores(inst *rerank.Instance) []float64 {
 	return rerank.ScoreWithSigmoid(m, inst)
-}
-
-func itoa(i int) string {
-	const digits = "0123456789"
-	if i < 10 {
-		return digits[i : i+1]
-	}
-	return itoa(i/10) + digits[i%10:i%10+1]
 }

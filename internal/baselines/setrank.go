@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math/rand"
+	"strconv"
 
 	"repro/internal/mat"
 	"repro/internal/nn"
@@ -40,7 +41,7 @@ type imsabBlock struct {
 
 // NewSetRank returns a SetRank with hidden width qh.
 func NewSetRank(qh int, seed int64) *SetRank {
-	return &SetRank{Hidden: qh, Blocks: 2, Heads: 2, Induced: 4, Seed: seed}
+	return &SetRank{Hidden: qh, Blocks: 2, Heads: 2, Induced: 4, Seed: seed, TrainCfg: rerank.DefaultTrainConfig(seed)}
 }
 
 // Name implements rerank.Reranker.
@@ -52,7 +53,7 @@ func (m *SetRank) build(featDim int) {
 	dim := 2 * m.Hidden
 	m.proj = nn.NewDense(m.ps, "setrank.proj", featDim, dim, nn.Linear, rng)
 	for b := 0; b < m.Blocks; b++ {
-		prefix := "setrank.b" + itoa(b)
+		prefix := "setrank.b" + strconv.Itoa(b)
 		m.imsab = append(m.imsab, &imsabBlock{
 			induce:      m.ps.New(prefix+".I", mat.RandNormal(m.Induced, dim, 0, 0.1, rng)),
 			toInduced:   nn.NewMultiHeadAttention(m.ps, prefix+".to", dim, m.Heads, rng),
@@ -84,10 +85,6 @@ func crossMHA(t *nn.Tape, mha *nn.MultiHeadAttention, q, kv *nn.Node) *nn.Node {
 // Params implements rerank.ListwiseModel.
 func (m *SetRank) Params() *nn.ParamSet { return m.ps }
 
-// TapeCapHint implements rerank.TapeSized: each IMSAB block runs two
-// multi-head cross-attentions through the inducing points.
-func (m *SetRank) TapeCapHint() int { return 64 + m.Blocks*(m.Heads*32+32) }
-
 // Logits implements rerank.ListwiseModel.
 func (m *SetRank) Logits(t *nn.Tape, inst *rerank.Instance, _ bool) *nn.Node {
 	if !m.built {
@@ -105,11 +102,7 @@ func (m *SetRank) Fit(train []*rerank.Instance) error {
 	if !m.built && len(train) > 0 {
 		m.build(train[0].FeatureDim())
 	}
-	cfg := m.TrainCfg
-	if cfg.Epochs == 0 {
-		cfg = rerank.DefaultTrainConfig(m.Seed)
-	}
-	_, err := rerank.TrainListwise(m, train, cfg)
+	_, err := rerank.TrainListwise(m, train, m.TrainCfg)
 	return err
 }
 

@@ -31,7 +31,7 @@ type SRGA struct {
 
 // NewSRGA returns an SRGA with hidden width qh.
 func NewSRGA(qh int, seed int64) *SRGA {
-	return &SRGA{Hidden: qh, Radius: 2, Seed: seed}
+	return &SRGA{Hidden: qh, Radius: 2, Seed: seed, TrainCfg: rerank.DefaultTrainConfig(seed)}
 }
 
 // Name implements rerank.Reranker.
@@ -52,10 +52,6 @@ func (m *SRGA) build(featDim int) {
 
 // Params implements rerank.ListwiseModel.
 func (m *SRGA) Params() *nn.ParamSet { return m.ps }
-
-// TapeCapHint implements rerank.TapeSized: global + local attention views,
-// gate, norm and scorer — all matrix-level ops.
-func (m *SRGA) TapeCapHint() int { return 256 }
 
 // Logits implements rerank.ListwiseModel.
 func (m *SRGA) Logits(t *nn.Tape, inst *rerank.Instance, _ bool) *nn.Node {
@@ -78,11 +74,7 @@ func (m *SRGA) Fit(train []*rerank.Instance) error {
 	if !m.built && len(train) > 0 {
 		m.build(train[0].FeatureDim())
 	}
-	cfg := m.TrainCfg
-	if cfg.Epochs == 0 {
-		cfg = rerank.DefaultTrainConfig(m.Seed)
-	}
-	_, err := rerank.TrainListwise(m, train, cfg)
+	_, err := rerank.TrainListwise(m, train, m.TrainCfg)
 	return err
 }
 

@@ -98,7 +98,7 @@ func BenchmarkEncodeUserState(b *testing.B) {
 // a reused tape: the path inference left, kept as the yardstick.
 func BenchmarkLegacyLogits(b *testing.B) {
 	m, insts := benchFixture(b)
-	t := nn.NewTapeCap(m.TapeCapHint())
+	t := nn.NewTape()
 	var logits *nn.Node
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -117,7 +117,7 @@ func trainStep(tb testing.TB) func(i int) {
 	for _, inst := range insts {
 		m.PrepareInstance(inst)
 	}
-	t := nn.NewTapeCap(m.TapeCapHint())
+	t := nn.NewTape()
 	t.WithGrads(nn.NewGradShadow(m.Params()))
 	return func(i int) {
 		inst := insts[i%len(insts)]

@@ -137,7 +137,8 @@ type Model struct {
 	// parallel trainer. It is written only between batches (on the trainer
 	// goroutine) and read by Logits inside the batch, so no lock is needed.
 	preNoise map[*rerank.Instance]*mat.Matrix
-	// TrainCfg is used by Fit; zero value means rerank.DefaultTrainConfig.
+	// TrainCfg is what Fit trains with; New sets
+	// rerank.DefaultTrainConfig(Cfg.Seed).
 	TrainCfg rerank.TrainConfig
 }
 
@@ -150,7 +151,8 @@ func New(cfg Config) *Model {
 	if err != nil {
 		panic(err)
 	}
-	m := &Model{Cfg: cfg, ps: nn.NewParamSet(), divFn: divFn, noise: rand.New(rand.NewSource(cfg.Seed + 7))}
+	m := &Model{Cfg: cfg, ps: nn.NewParamSet(), divFn: divFn, noise: rand.New(rand.NewSource(cfg.Seed + 7)),
+		TrainCfg: rerank.DefaultTrainConfig(cfg.Seed)}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	featDim := cfg.UserDim + cfg.ItemDim + cfg.Topics + 1 // + initial score
 	relDim := 2 * cfg.Hidden
@@ -213,7 +215,8 @@ func (m *Model) Name() string {
 	}
 }
 
-// Params implements rerank.ListwiseModel.
+// Params implements rerank.ListwiseModel; it is also what a checkpoint
+// saves and loads.
 func (m *Model) Params() *nn.ParamSet { return m.ps }
 
 // relevance builds H_R, the L×2q_h listwise relevance representation.
@@ -321,31 +324,9 @@ func (m *Model) PrepareInstance(inst *rerank.Instance) {
 	}
 }
 
-// TapeCapHint implements rerank.TapeSized: an upper bound on the tape nodes
-// one training pass (Logits and its loss) records, so trainer tapes never
-// grow mid-pass. Each recurrence is one node whatever its length, so the
-// count does not depend on L; measured at full histories it is 31
-// (RAPID-RNN), 65 (RAPID-det), 78 (RAPID-pro), 88 (RAPID-mean) and 122
-// (RAPID-trans, 2 heads), and each term below rounds its part up
-// (TestTapeCapHintBoundsGraph).
-func (m *Model) TapeCapHint() int {
-	n := 32 // list input, Bi-LSTM, heads, noise and loss
-	if m.Cfg.Encoder == TransformerEncoder {
-		n += 24 + 12*m.Cfg.Heads // 11 nodes a head, and the block around them
-	}
-	if m.Cfg.UseDiversity {
-		n += 8*m.Cfg.Topics + 24 // ≤ 7 nodes a topic summary, attention, θ̂ MLP, gain
-	}
-	return n
-}
-
 // Fit implements rerank.Trainable.
 func (m *Model) Fit(train []*rerank.Instance) error {
-	cfg := m.TrainCfg
-	if cfg.Epochs == 0 {
-		cfg = rerank.DefaultTrainConfig(m.Cfg.Seed)
-	}
-	_, err := rerank.TrainListwise(m, train, cfg)
+	_, err := rerank.TrainListwise(m, train, m.TrainCfg)
 	return err
 }
 
@@ -366,6 +347,3 @@ func (m *Model) Preference(inst *rerank.Instance) []float64 {
 	st, _ := m.EncodeUserState(context.Background(), inst)
 	return st.theta
 }
-
-// ParamSet exposes the parameters for serialization.
-func (m *Model) ParamSet() *nn.ParamSet { return m.ps }

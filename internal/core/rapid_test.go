@@ -241,11 +241,11 @@ func TestSerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := m.ParamSet().Save(&buf); err != nil {
+	if err := m.Params().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m2 := New(testConfig(d, 100))
-	if err := m2.ParamSet().Load(&buf); err != nil {
+	if err := m2.Params().Load(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s1 := m.Scores(train[0])
@@ -312,27 +312,27 @@ func fullHistory(inst *rerank.Instance) *rerank.Instance {
 	return &full
 }
 
-// TestTapeCapHintBoundsGraph holds TapeCapHint to what a training pass
-// records: never fewer nodes than the graph at any list length, never more
-// than twice the graph of a 64-item list, for every variant. And a RAPID-pro
-// pass at L = 20 is at most 80 nodes: each recurrence is one node, where the
-// step graph recorded 19 per step (1 321 nodes on this list).
+// TestTapeCapHintBoundsGraph holds the size of a training pass's graph:
+// every variant records as many nodes at L = 64 as at L = 1, since each
+// recurrence is one node whatever its length, and a RAPID-pro pass at
+// L = 20 is at most 80 nodes, where the step graph recorded 19 per step
+// (1 321 nodes on this list).
 func TestTapeCapHintBoundsGraph(t *testing.T) {
 	long, d := fixtureLen(t, 1, 91, 64)
 	full := fullHistory(long[0])
 	for _, m := range modelVariants(d) {
-		hint := m.TapeCapHint()
+		nodes := map[int]int{}
 		for _, l := range []int{1, 20, 64} {
 			inst := truncated(full, l)
 			tp := nn.NewTape()
 			tp.SigmoidBCE(m.Logits(tp, inst, true), inst.Labels)
-			n := tp.NumNodes()
-			if n > hint || (l == 64 && hint > 2*n) {
-				t.Errorf("%s L=%d: %d nodes against a hint of %d", m.Name(), l, n, hint)
-			}
-			if m.Name() == "RAPID-pro" && l == 20 && n > 80 {
-				t.Errorf("RAPID-pro L=20 records %d nodes, want ≤ 80", n)
-			}
+			nodes[l] = tp.NumNodes()
+		}
+		if nodes[1] != nodes[64] {
+			t.Errorf("%s: %d nodes at L=1, %d at L=64", m.Name(), nodes[1], nodes[64])
+		}
+		if m.Name() == "RAPID-pro" && nodes[20] > 80 {
+			t.Errorf("RAPID-pro L=20 records %d nodes, want ≤ 80", nodes[20])
 		}
 	}
 }

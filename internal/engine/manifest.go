@@ -108,7 +108,7 @@ func LoadModel(modelPath string) (*core.Model, Manifest, error) {
 		return nil, man, fmt.Errorf("open model: %w", err)
 	}
 	defer wf.Close()
-	if err := m.ParamSet().LoadStrict(wf); err != nil {
+	if err := m.Params().LoadStrict(wf); err != nil {
 		return nil, man, fmt.Errorf("weights %s disagree with manifest config: %w", modelPath, err)
 	}
 	return m, man, nil

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/baselines"
 	"repro/internal/clickmodel"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -58,11 +57,7 @@ func RunRobustness(opt Options) (*Table, error) {
 		Topics:      d.M(),
 		Examination: clickmodel.DefaultExamination(d.Cfg.ListLen, 0.7),
 	}
-	models := []rerank.Reranker{
-		rerank.Identity{},
-		withTrainCfg(baselines.NewPRM(opt.Hidden, opt.Seed+2), opt, 2),
-		NewRAPID(env, opt, 12, nil),
-	}
+	models := buildRerankers(env, opt, []string{"Init", "PRM", "RAPID-pro"})
 	tbl := &Table{
 		Title:  "Robustness — trained on DCM clicks, evaluated under a PBM (taobao, λ=0.5)",
 		Header: []string{"model", "pbm-click@5", "pbm-click@10", "div@10"},

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"repro/internal/baselines"
-	"repro/internal/dataset"
-	"repro/internal/rerank"
-)
+import "repro/internal/dataset"
 
 // RunExtended evaluates the extra baselines that the paper cites but does
 // not table — currently the pointer-network Seq2Slate — against Init, PRM
@@ -16,12 +12,7 @@ func RunExtended(opt Options) (*Table, error) {
 		return nil, err
 	}
 	env := BuildEnv(rd, 0.9, opt)
-	models := []rerank.Reranker{
-		rerank.Identity{},
-		withTrainCfg(baselines.NewPRM(opt.Hidden, opt.Seed+2), opt, 2),
-		baselines.NewSeq2Slate(opt.Hidden, opt.Seed+14),
-		NewRAPID(env, opt, 12, nil),
-	}
+	models := buildRerankers(env, opt, []string{"Init", "PRM", "Seq2Slate", "RAPID-pro"})
 	tbl := &Table{
 		Title:  "Extended baselines — Seq2Slate vs the paper's roster (taobao, λ=0.9)",
 		Header: []string{"model", "click@5", "ndcg@5", "click@10", "div@10", "satis@10"},

@@ -6,13 +6,13 @@ import (
 	"repro/internal/rerank"
 )
 
-// trainCfg builds the shared neural training configuration from options.
-func trainCfg(opt Options, seedOffset int64) rerank.TrainConfig {
-	cfg := rerank.DefaultTrainConfig(opt.Seed + seedOffset)
+// epochs is how many epochs the harness trains a neural re-ranker for:
+// Options.Epochs, or DefaultTrainConfig's when that is unset.
+func epochs(opt Options) int {
 	if opt.Epochs > 0 {
-		cfg.Epochs = opt.Epochs
+		return opt.Epochs
 	}
-	return cfg
+	return rerank.DefaultTrainConfig(0).Epochs
 }
 
 // rapidConfig builds a core.Config from the environment geometry.
@@ -27,7 +27,8 @@ func rapidConfig(e *Env, opt Options, seedOffset int64) core.Config {
 	return cfg
 }
 
-// NewRAPID builds a RAPID model for the environment; mutate selects the
+// NewRAPID builds a RAPID model for the environment, seeded Options.Seed
+// plus seedOffset and set to train the harness's epochs; mutate selects the
 // variant (nil for the default probabilistic model).
 func NewRAPID(e *Env, opt Options, seedOffset int64, mutate func(*core.Config)) *core.Model {
 	cfg := rapidConfig(e, opt, seedOffset)
@@ -35,72 +36,72 @@ func NewRAPID(e *Env, opt Options, seedOffset int64, mutate func(*core.Config)) 
 		mutate(&cfg)
 	}
 	m := core.New(cfg)
-	m.TrainCfg = trainCfg(opt, seedOffset)
+	m.TrainCfg.Epochs = epochs(opt)
 	return m
 }
 
-// roster identifies which baselines to include.
-type roster int
-
-// Rosters.
-const (
-	// fullRoster is every baseline plus both RAPID outputs — Tables II–IV.
-	fullRoster roster = iota
-	// neuralRoster is PRM, DESA, RAPID — the efficiency study (Table VI).
-	neuralRoster
-	// rapidOnly is just RAPID-pro.
-	rapidOnly
+// The rosters, in the paper's table order: every baseline plus both RAPID
+// outputs (Tables II–IV), and PRM, DESA and RAPID for the efficiency study
+// (Table VI).
+var (
+	fullRoster   = []string{"Init", "DLCM", "PRM", "SetRank", "SRGA", "MMR", "DPP", "DESA", "SSD", "adpMMR", "PD-GAN", "RAPID-det", "RAPID-pro"}
+	neuralRoster = []string{"PRM", "DESA", "RAPID-pro"}
 )
 
-// buildRerankers constructs (untrained) re-rankers for the environment.
-// The returned order matches the paper's table layout.
-func buildRerankers(e *Env, opt Options, roster roster) []rerank.Reranker {
-	h := opt.Hidden
-	switch roster {
-	case neuralRoster:
-		return []rerank.Reranker{
-			baselines.NewPRM(h, opt.Seed+2),
-			baselines.NewDESA(h, opt.Seed+7),
-			NewRAPID(e, opt, 12, nil),
-		}
-	case rapidOnly:
-		return []rerank.Reranker{NewRAPID(e, opt, 12, nil)}
-	default:
-		det := NewRAPID(e, opt, 11, func(c *core.Config) { c.Output = core.Deterministic })
-		pro := NewRAPID(e, opt, 12, nil)
-		return []rerank.Reranker{
-			rerank.Identity{},
-			withTrainCfg(baselines.NewDLCM(h, opt.Seed+1), opt, 1),
-			withTrainCfg(baselines.NewPRM(h, opt.Seed+2), opt, 2),
-			withTrainCfg(baselines.NewSetRank(h, opt.Seed+3), opt, 3),
-			withTrainCfg(baselines.NewSRGA(h, opt.Seed+4), opt, 4),
-			baselines.NewMMR(),
-			baselines.NewDPP(),
-			withTrainCfg(baselines.NewDESA(h, opt.Seed+7), opt, 7),
-			baselines.NewSSD(),
-			baselines.NewAdpMMR(),
-			baselines.NewPDGAN(h, opt.Seed+10),
-			det,
-			pro,
-		}
+// buildRerankers builds the named re-rankers, untrained, in order.
+func buildRerankers(e *Env, opt Options, names []string) []rerank.Reranker {
+	rs := make([]rerank.Reranker, len(names))
+	for i, name := range names {
+		rs[i] = newReranker(e, opt, name)
 	}
+	return rs
 }
 
-// withTrainCfg injects the shared training configuration into the neural
-// baselines, which all expose a TrainCfg field.
-func withTrainCfg(r rerank.Reranker, opt Options, seedOffset int64) rerank.Reranker {
-	cfg := trainCfg(opt, seedOffset)
-	switch m := r.(type) {
-	case *baselines.DLCM:
-		m.TrainCfg = cfg
-	case *baselines.PRM:
-		m.TrainCfg = cfg
-	case *baselines.SetRank:
-		m.TrainCfg = cfg
-	case *baselines.SRGA:
-		m.TrainCfg = cfg
-	case *baselines.DESA:
-		m.TrainCfg = cfg
+// newReranker builds the untrained re-ranker whose Name is name, seeded
+// Options.Seed plus the model's own offset; a neural one trains the
+// harness's epochs. Every table builds its models here, so a model trains
+// alike in each table it appears in.
+func newReranker(e *Env, opt Options, name string) rerank.Reranker {
+	h, n := opt.Hidden, epochs(opt)
+	switch name {
+	case "Init":
+		return rerank.Identity{}
+	case "DLCM":
+		m := baselines.NewDLCM(h, opt.Seed+1)
+		m.TrainCfg.Epochs = n
+		return m
+	case "PRM":
+		m := baselines.NewPRM(h, opt.Seed+2)
+		m.TrainCfg.Epochs = n
+		return m
+	case "SetRank":
+		m := baselines.NewSetRank(h, opt.Seed+3)
+		m.TrainCfg.Epochs = n
+		return m
+	case "SRGA":
+		m := baselines.NewSRGA(h, opt.Seed+4)
+		m.TrainCfg.Epochs = n
+		return m
+	case "MMR":
+		return baselines.NewMMR()
+	case "DPP":
+		return baselines.NewDPP()
+	case "DESA":
+		m := baselines.NewDESA(h, opt.Seed+7)
+		m.TrainCfg.Epochs = n
+		return m
+	case "SSD":
+		return baselines.NewSSD()
+	case "adpMMR":
+		return baselines.NewAdpMMR()
+	case "PD-GAN":
+		return baselines.NewPDGAN(h, opt.Seed+10)
+	case "RAPID-det":
+		return NewRAPID(e, opt, 11, func(c *core.Config) { c.Output = core.Deterministic })
+	case "RAPID-pro":
+		return NewRAPID(e, opt, 12, nil)
+	case "Seq2Slate":
+		return baselines.NewSeq2Slate(h, opt.Seed+14)
 	}
-	return r
+	panic("experiments: no re-ranker named " + name)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/baselines"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/rerank"
@@ -23,11 +22,7 @@ func RunPersonalization(opt Options) (*Table, error) {
 		return nil, err
 	}
 	env := BuildEnv(rd, 0.5, opt)
-	models := []rerank.Reranker{
-		rerank.Identity{},
-		withTrainCfg(baselines.NewPRM(opt.Hidden, opt.Seed+2), opt, 2),
-		NewRAPID(env, opt, 12, nil),
-	}
+	models := buildRerankers(env, opt, []string{"Init", "PRM", "RAPID-pro"})
 	tbl := &Table{
 		Title:  "Personalization analysis (RQ5) — appetite vs delivered diversity (movielens, λ=0.5)",
 		Header: []string{"model", "corr(appetite, div@10)", "div@10 diverse users", "div@10 focused users", "gap"},

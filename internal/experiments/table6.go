@@ -19,7 +19,7 @@ func RunTable6(opt Options) (*Table, error) {
 		Header: []string{"model", "dataset", "train-all", "train-b (ms)", "test-b (ms)"},
 		Notes: []string{
 			"CPU wall-clock (paper: NVIDIA 3080 / V100); compare relative ordering, not absolutes.",
-			fmt.Sprintf("batch size %d; train-all covers %d epochs", batchForTiming, maxEpochs(opt)),
+			fmt.Sprintf("batch size %d; train-all covers %d epochs", batchForTiming, epochs(opt)),
 		},
 	}
 	envs, err := allEnvs(opt)
@@ -41,13 +41,6 @@ func RunTable6(opt Options) (*Table, error) {
 }
 
 const batchForTiming = 16
-
-func maxEpochs(opt Options) int {
-	if opt.Epochs > 0 {
-		return opt.Epochs
-	}
-	return 4
-}
 
 func allEnvs(opt Options) ([]*Env, error) {
 	var envs []*Env
@@ -80,8 +73,7 @@ func timeModel(env *Env, r rerank.Reranker, opt Options) (trainAll time.Duration
 	}
 	trainAll = time.Since(start)
 	batches := (len(env.Train) + batchForTiming - 1) / batchForTiming
-	epochs := maxEpochs(opt)
-	trainBatchMS = float64(trainAll.Milliseconds()) / float64(batches*epochs)
+	trainBatchMS = float64(trainAll.Milliseconds()) / float64(batches*epochs(opt))
 
 	start = time.Now()
 	for _, inst := range env.Test {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/mat"
 )
@@ -79,7 +80,7 @@ func NewMultiHeadAttention(ps *ParamSet, prefix string, dim, heads int, rng *ran
 	m := &MultiHeadAttention{Wo: ps.New(prefix+".Wo", mat.XavierUniform(dim, dim, rng))}
 	hd := dim / heads
 	for i := 0; i < heads; i++ {
-		m.Heads = append(m.Heads, NewAttentionHead(ps, prefix+".h"+itoa(i), dim, hd, rng))
+		m.Heads = append(m.Heads, NewAttentionHead(ps, prefix+".h"+strconv.Itoa(i), dim, hd, rng))
 	}
 	return m
 }
@@ -153,17 +154,3 @@ func BandMask(l, radius int) *mat.Matrix {
 // maskPenalty is a large negative number used instead of −inf so the
 // softmax stays finite even for fully masked rows.
 const maskPenalty = -1e9
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
-}

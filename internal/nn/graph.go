@@ -13,7 +13,7 @@
 //
 // Hot paths reuse one tape across many forward/backward passes:
 //
-//	tape := nn.NewTapeCap(model.TapeCapHint())
+//	tape := nn.NewTape()
 //	for _, inst := range instances {
 //		tape.Reset() // recycles every buffer the previous pass created
 //		...
@@ -86,10 +86,10 @@ type Node struct {
 	ts        []float64 // BCE targets (caller-owned, read-only)
 }
 
-// tapeChunk is the largest node-arena chunk. Chunks keep node pointers
+// tapeChunk is the size of a node-arena chunk. Chunks keep node pointers
 // stable while the tape grows (a flat slice would move nodes on append); a
-// tape sized below one chunk (NewTapeCap) uses chunks of its own size, so a
-// small graph does not zero a full one.
+// graph larger than one chunk adds chunks on its first pass, and Reset keeps
+// them, so later passes of the same graph do not grow the arena again.
 const tapeChunk = 256
 
 // Tape records nodes in topological (creation) order so Backward can run a
@@ -100,36 +100,18 @@ const tapeChunk = 256
 type Tape struct {
 	nodes  []*Node
 	chunks [][]Node
-	chunk  int // nodes per arena chunk
 	used   int
 	refs   []*Node
 	pool   mat.Pool
 	grads  *GradShadow
 }
 
-// NewTape returns an empty tape with a default capacity hint.
-func NewTape() *Tape { return NewTapeCap(tapeChunk) }
-
-// NewTapeCap returns an empty tape pre-sized for about n nodes, eliminating
-// arena and index growth during the first passes. Models that know their
-// per-instance graph size (see rerank.TapeSized) pass their estimate here.
-func NewTapeCap(n int) *Tape {
-	if n < 1 {
-		n = 1
-	}
-	const maxPrealloc = 1 << 16
-	if n > maxPrealloc {
-		n = maxPrealloc
-	}
-	t := &Tape{nodes: make([]*Node, 0, n), chunk: min(n, tapeChunk)}
-	for c := 0; c < (n+t.chunk-1)/t.chunk; c++ {
-		t.chunks = append(t.chunks, make([]Node, t.chunk))
-	}
-	return t
+// NewTape returns an empty tape with room for one chunk of nodes.
+func NewTape() *Tape {
+	return &Tape{nodes: make([]*Node, 0, tapeChunk), chunks: [][]Node{make([]Node, tapeChunk)}}
 }
 
 // NumNodes returns the number of nodes recorded since the last Reset.
-// Models use it to calibrate NewTapeCap hints.
 func (t *Tape) NumNodes() int { return len(t.nodes) }
 
 // WithGrads redirects the gradients of every parameter subsequently
@@ -163,9 +145,9 @@ func (t *Tape) Reset() {
 
 // alloc carves a node out of the arena and records it on the tape.
 func (t *Tape) alloc(v *mat.Matrix, op opKind, needs bool) *Node {
-	ci, off := t.used/t.chunk, t.used%t.chunk
+	ci, off := t.used/tapeChunk, t.used%tapeChunk
 	if ci == len(t.chunks) {
-		t.chunks = append(t.chunks, make([]Node, t.chunk))
+		t.chunks = append(t.chunks, make([]Node, tapeChunk))
 	}
 	n := &t.chunks[ci][off]
 	t.used++

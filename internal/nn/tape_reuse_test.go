@@ -70,19 +70,42 @@ func TestTapeReuseSteadyStateAllocs(t *testing.T) {
 		tape.Backward(loss)
 	}
 
-	tape := NewTape()
-	pass := func() {
-		tape.Reset()
-		buildSmallNet(tape, w1, b1, w2, x, targets)
-		tape.Reset()
-		recurrent(tape)
+	// A graph of several arena chunks: its first pass grows the tape, and
+	// the grown tape must then run as flat as a small graph.
+	big := func(tape *Tape) {
+		h := tape.MatMul(tape.Constant(x), tape.Use(w1))
+		for i := 0; i < 2*tapeChunk; i++ {
+			h = tape.Tanh(tape.addRowBroadcast(h, tape.Use(b1)))
+		}
+		tape.Backward(tape.Sum(h))
 	}
-	pass() // warm the pool
-	allocs := testing.AllocsPerRun(50, pass)
-	// Steady state should be near-zero; leave headroom for the runtime's
-	// occasional map/stack noise but fail loudly on per-op churn (~30 nodes).
-	if allocs > 4 {
-		t.Fatalf("steady-state tape reuse allocates %.0f objects per pass, want <= 4", allocs)
+
+	tape := NewTape()
+	for _, c := range []struct {
+		name string
+		pass func()
+	}{
+		{"small graphs", func() {
+			tape.Reset()
+			buildSmallNet(tape, w1, b1, w2, x, targets)
+			tape.Reset()
+			recurrent(tape)
+		}},
+		{"graph past one chunk", func() {
+			tape.Reset()
+			big(tape)
+		}},
+	} {
+		c.pass() // warm the pool and grow the arena
+		allocs := testing.AllocsPerRun(50, c.pass)
+		// Steady state should be near-zero; leave headroom for the runtime's
+		// occasional map/stack noise but fail loudly on per-op churn.
+		if allocs > 4 {
+			t.Fatalf("%s: steady-state tape reuse allocates %.0f objects per pass, want <= 4", c.name, allocs)
+		}
+	}
+	if n := tape.NumNodes(); n <= tapeChunk {
+		t.Fatalf("the big graph recorded %d nodes, want more than one chunk (%d)", n, tapeChunk)
 	}
 }
 
@@ -101,8 +124,10 @@ func TestConstantGradStaysNil(t *testing.T) {
 	}
 }
 
+// TestNewTapeCapAndNumNodes: NumNodes counts what a pass recorded, and node
+// pointers stay put while the arena grows chunk by chunk.
 func TestNewTapeCapAndNumNodes(t *testing.T) {
-	tape := NewTapeCap(1000)
+	tape := NewTape()
 	if got := tape.NumNodes(); got != 0 {
 		t.Fatalf("fresh tape NumNodes = %d", got)
 	}
@@ -113,7 +138,7 @@ func TestNewTapeCapAndNumNodes(t *testing.T) {
 	if got := tape.NumNodes(); got != 700 {
 		t.Fatalf("NumNodes = %d, want 700", got)
 	}
-	// Node pointers must stay stable as the arena grows past its hint.
+	// Node pointers must stay stable as the arena grows past its chunks.
 	first := tape.Constant(x)
 	for i := 0; i < 5000; i++ {
 		tape.Constant(x)
@@ -124,15 +149,6 @@ func TestNewTapeCapAndNumNodes(t *testing.T) {
 	tape.Reset()
 	if got := tape.NumNodes(); got != 0 {
 		t.Fatalf("NumNodes after Reset = %d", got)
-	}
-
-	// A tape sized below one chunk grows in chunks of its own size.
-	small := NewTapeCap(3)
-	for i := 0; i < 10; i++ {
-		small.Constant(x)
-	}
-	if got := small.NumNodes(); got != 10 {
-		t.Fatalf("small tape NumNodes = %d, want 10", got)
 	}
 }
 

@@ -58,7 +58,7 @@ func (m *DIN) fitTape(d *dataset.Dataset) {
 	opt := nn.NewAdam(m.LR)
 	rng := rand.New(rand.NewSource(m.Seed + 1))
 	inter := d.RankerTrain
-	t := nn.NewTapeCap(m.tapeNodes())
+	t := nn.NewTape()
 	for e := 0; e < m.Epochs; e++ {
 		for _, i := range shuffled(len(inter), rng) {
 			ex := inter[i]
@@ -124,7 +124,7 @@ func everyCandidate(d *dataset.Dataset) []scoringCase {
 func TestDINScoreMatchesTape(t *testing.T) {
 	for _, cfg := range []dataset.Config{dataset.TaobaoLike(11), dataset.MovieLensLike(12)} {
 		din, d := fittedDIN(t, cfg)
-		tp := nn.NewTapeCap(din.tapeNodes())
+		tp := nn.NewTape()
 		for _, c := range everyCandidate(d) {
 			tp.Reset()
 			want := mat.Sigmoid(din.tapeForward(tp, d, c.user, c.item).Value.Data[0])

@@ -20,7 +20,7 @@ func TestPublishDiversifierLifecycle(t *testing.T) {
 	cfg := testGeometry()
 	m := core.New(cfg)
 
-	if _, err := Publish(root, "v20250101T000000", m.ParamSet(),
+	if _, err := Publish(root, "v20250101T000000", m.Params(),
 		engine.Manifest{Dataset: "test", Lambda: 0.9, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}

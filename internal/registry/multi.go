@@ -122,8 +122,8 @@ const weightlessBytes = 4 << 10
 // scorerBytes is the residency estimate: 8 bytes per parameter for neural
 // models, weightlessBytes for weightless diversifier adapters.
 func scorerBytes(sc engine.Scorer) int64 {
-	if m, ok := sc.(interface{ ParamSet() *nn.ParamSet }); ok {
-		return int64(m.ParamSet().NumParams()) * 8
+	if m, ok := sc.(interface{ Params() *nn.ParamSet }); ok {
+		return int64(m.Params().NumParams()) * 8
 	}
 	return weightlessBytes
 }

@@ -191,7 +191,7 @@ func TestMultiOversizedTenantStaysServable(t *testing.T) {
 	// The huge tenant's store publishes "vbig", served by a real RAPID model
 	// charged for its parameters; the small tenant's stub is weightless.
 	big := core.New(testGeometry())
-	bigBytes := int64(big.ParamSet().NumParams()) * 8
+	bigBytes := int64(big.Params().NumParams()) * 8
 	m, _ := newTestMulti(t, []string{"small"}, func(cfg *MultiConfig) {
 		cfg.MaxResidentBytes = weightlessBytes + 1
 		stub := cfg.Loader
@@ -275,7 +275,7 @@ func TestMultiTenantServingEndToEnd(t *testing.T) {
 	for i, name := range []string{"acme", "beta"} {
 		geo := testGeometry()
 		geo.Seed = int64(i + 1)
-		if _, err := Publish(filepath.Join(root, name), "v1", core.New(geo).ParamSet(),
+		if _, err := Publish(filepath.Join(root, name), "v1", core.New(geo).Params(),
 			engine.Manifest{Dataset: name, Config: geo}); err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func TestPublishScanLoadRoundTrip(t *testing.T) {
 	m := core.New(cfg)
 	man := engine.Manifest{Dataset: "test", Lambda: 0.9, Config: cfg}
 
-	label, err := Publish(root, "v1", m.ParamSet(), man)
+	label, err := Publish(root, "v1", m.Params(), man)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,16 +51,16 @@ func TestPublishScanLoadRoundTrip(t *testing.T) {
 	}
 
 	// Publishing the same label twice is an error, not an overwrite.
-	if _, err := Publish(root, "v1", m.ParamSet(), man); err == nil {
+	if _, err := Publish(root, "v1", m.Params(), man); err == nil {
 		t.Fatal("duplicate label accepted")
 	}
 	// An empty label generates distinct timestamped ones even within the same
 	// second.
-	a, err := Publish(root, "", m.ParamSet(), man)
+	a, err := Publish(root, "", m.Params(), man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Publish(root, "", m.ParamSet(), man)
+	b, err := Publish(root, "", m.Params(), man)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPublishRejectsBadLabels(t *testing.T) {
 	m := core.New(testGeometry())
 	man := engine.Manifest{Config: testGeometry()}
 	for _, label := range []string{".hidden", "a/b", `a\b`, "../escape"} {
-		if _, err := Publish(root, label, m.ParamSet(), man); err == nil {
+		if _, err := Publish(root, label, m.Params(), man); err == nil {
 			t.Fatalf("label %q accepted", label)
 		}
 	}

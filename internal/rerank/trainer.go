@@ -13,7 +13,10 @@ import (
 )
 
 // ListwiseModel is the contract between a neural re-ranker and the shared
-// training loop: build the score logits for one instance on a fresh tape.
+// training loop: build the score logits for one instance on a tape the
+// trainer owns and reuses, and expose the parameters the loop updates. Each
+// model also carries the TrainConfig it is built with (DefaultTrainConfig
+// of its seed) and hands it to TrainListwise in its Fit.
 type ListwiseModel interface {
 	// Logits returns an L×1 node of pre-sigmoid re-ranking scores for the
 	// instance. train distinguishes stochastic behavior (e.g. RAPID-pro
@@ -38,13 +41,6 @@ type ListwiseModel interface {
 // worker scheduling.
 type batchPreparer interface {
 	PrepareInstance(inst *Instance)
-}
-
-// tapeSized is an optional ListwiseModel extension reporting an estimate of
-// the number of tape nodes one Logits call records, so the trainer can
-// pre-size its tapes (nn.NewTapeCap) and skip arena growth entirely.
-type tapeSized interface {
-	TapeCapHint() int
 }
 
 // TrainConfig bundles the optimization hyper-parameters shared by all
@@ -122,8 +118,9 @@ func emitEpoch(o EpochObserver, es EpochStats) {
 	}
 }
 
-// DefaultTrainConfig returns the configuration used across the experiment
-// harness unless a table overrides it.
+// DefaultTrainConfig returns the configuration every neural re-ranker is
+// built with (its seed being the model's); the experiment harness changes
+// only the epochs.
 func DefaultTrainConfig(seed int64) TrainConfig {
 	return TrainConfig{Epochs: 8, LR: 0.005, BatchSize: 8, ClipNorm: 5, Seed: seed}
 }
@@ -283,7 +280,7 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 	defer close(jobs)
 	for w := 0; w < workers; w++ {
 		go func() {
-			tape := newModelTape(m)
+			tape := nn.NewTape()
 			for j := range jobs {
 				switch {
 				case j.inst != nil:
@@ -417,17 +414,6 @@ func runSlot(m ListwiseModel, tape *nn.Tape, s *slotState, inst *Instance) {
 	s.loss, s.ok = lv, true
 }
 
-// newModelTape builds a tape sized to the model's per-instance graph when
-// the model reports an estimate.
-func newModelTape(m ListwiseModel) *nn.Tape {
-	if ts, ok := m.(tapeSized); ok {
-		if hint := ts.TapeCapHint(); hint > 0 {
-			return nn.NewTapeCap(hint)
-		}
-	}
-	return nn.NewTape()
-}
-
 // validationLoss computes the deterministic (inference-mode) mean BCE over
 // labeled instances without touching gradients. One tape is reused across
 // instances; losses are summed in instance order.
@@ -435,7 +421,7 @@ func validationLoss(m ListwiseModel, insts []*Instance) float64 {
 	if len(insts) == 0 {
 		return 0
 	}
-	t := newModelTape(m)
+	t := nn.NewTape()
 	var total float64
 	for _, inst := range insts {
 		t.Reset()

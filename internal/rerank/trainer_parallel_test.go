@@ -11,7 +11,7 @@ import (
 // noisyModel is a stochastic ListwiseModel for parallel-trainer tests: a
 // dense layer whose training-time logits add Gaussian noise, mirroring
 // RAPID-pro's reparameterization trick. It implements batchPreparer (noise
-// is pre-drawn on the trainer goroutine) and TapeSized.
+// is pre-drawn on the trainer goroutine).
 type noisyModel struct {
 	ps    *nn.ParamSet
 	d     *nn.Dense
@@ -29,7 +29,6 @@ func newNoisyModel(featDim int, seed int64) *noisyModel {
 }
 
 func (m *noisyModel) Params() *nn.ParamSet { return m.ps }
-func (m *noisyModel) TapeCapHint() int     { return 16 }
 
 func (m *noisyModel) PrepareInstance(inst *Instance) {
 	if m.pre == nil {

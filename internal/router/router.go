@@ -92,9 +92,6 @@ type Config struct {
 	Breaker BreakerConfig
 	Retry   RetryConfig
 
-	// Client issues proxied requests; nil means a default client. The probe
-	// path always uses its own short-timeout client.
-	Client *http.Client
 	// Log receives operational one-liners; nil means silent.
 	Log func(format string, args ...any)
 }
@@ -155,7 +152,7 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:         cfg,
 		ring:        rg,
-		client:      cfg.Client,
+		client:      &http.Client{},
 		probeClient: &http.Client{Timeout: cfg.Health.Timeout},
 		reg:         reg,
 		met:         newRouterMetrics(reg),
@@ -168,9 +165,6 @@ func New(cfg Config) (*Router, error) {
 		now:    time.Now,
 		jitter: rand.Float64,
 		stop:   make(chan struct{}),
-	}
-	if r.client == nil {
-		r.client = &http.Client{}
 	}
 	for _, rep := range cfg.Replicas {
 		rs := &replicaState{

@@ -16,7 +16,7 @@ func writeArtifacts(t *testing.T, modelCfg core.Config, manCfg core.Config) stri
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "model.gob")
 	m := core.New(modelCfg)
-	if err := m.ParamSet().SaveFileAtomic(modelPath); err != nil {
+	if err := m.Params().SaveFileAtomic(modelPath); err != nil {
 		t.Fatal(err)
 	}
 	b, err := json.Marshal(engine.Manifest{Dataset: "test", Config: manCfg})
