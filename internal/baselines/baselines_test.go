@@ -13,7 +13,7 @@ import (
 )
 
 // fixture builds small labeled instances shared by the baseline tests.
-func fixture(t *testing.T, n int) []*rerank.Instance {
+func fixture(t testing.TB, n int) []*rerank.Instance {
 	t.Helper()
 	cfg := dataset.TaobaoLike(21)
 	cfg.NumUsers = 25

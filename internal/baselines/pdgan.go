@@ -3,6 +3,7 @@ package baselines
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/diversify"
 	"repro/internal/mat"
@@ -32,11 +33,11 @@ type PDGAN struct {
 	AdvRounds int
 	Seed      int64
 
-	ps    *nn.ParamSet
-	gen   *nn.MLP // quality generator over [x_u, x_v, τ_v]
-	disc  *nn.MLP // discriminator over pooled set representation
-	built bool
-	rng   *rand.Rand
+	ps   *nn.ParamSet
+	gen  *nn.MLP // quality generator over [x_u, x_v, τ_v]
+	disc *nn.MLP // discriminator over pooled set representation
+	rng  *rand.Rand
+	once sync.Once // builds the parameters from the first instance seen
 }
 
 // NewPDGAN returns a PD-GAN with small-scale defaults.
@@ -57,7 +58,6 @@ func (m *PDGAN) build(inst *rerank.Instance) {
 	m.gen = nn.NewMLP(m.ps, "pdgan.gen", []int{genIn, m.Hidden, 1}, nn.ReLU, nn.Linear, rng)
 	discIn := qu + qv + inst.M
 	m.disc = nn.NewMLP(m.ps, "pdgan.disc", []int{discIn, m.Hidden, 1}, nn.ReLU, nn.Linear, rng)
-	m.built = true
 }
 
 // qualityLogits scores every listed item independently (ranking-stage
@@ -151,9 +151,7 @@ func (m *PDGAN) Fit(train []*rerank.Instance) error {
 	if len(train) == 0 {
 		return nil
 	}
-	if !m.built {
-		m.build(train[0])
-	}
+	m.once.Do(func() { m.build(train[0]) })
 	genParams := paramsWithPrefix(m.ps, "pdgan.gen")
 	discParams := paramsWithPrefix(m.ps, "pdgan.disc")
 	genOpt := nn.NewAdam(0.003)
@@ -215,9 +213,7 @@ func (m *PDGAN) Fit(train []*rerank.Instance) error {
 
 // Scores implements rerank.Reranker.
 func (m *PDGAN) Scores(inst *rerank.Instance) []float64 {
-	if !m.built {
-		m.build(inst)
-	}
+	m.once.Do(func() { m.build(inst) })
 	order := diversify.GreedyMAP(m.personalKernel(inst, m.qualities(inst)), inst.L())
 	return diversify.GreedyScores(order, inst.L())
 }

@@ -14,76 +14,41 @@ import (
 // blocks whose self-attention models the cross-item interactions, followed
 // by a position-wise scoring layer. Learned positional embeddings are added
 // to the projected inputs as in the original.
-type PRM struct {
-	Hidden int
-	Blocks int
-	Heads  int
-	MaxLen int
-	Seed   int64
+type PRM struct{ *rerank.Net }
 
-	ps     *nn.ParamSet
-	proj   *nn.Dense
-	posEmb *nn.Param
-	blocks []*nn.TransformerBlock
-	score  *nn.MLP
-	built  bool
-
-	TrainCfg rerank.TrainConfig
-}
+// PRM's geometry beside the hidden width: two encoder blocks of two heads,
+// and positional embeddings for lists of up to prmMaxLen items.
+const (
+	prmBlocks = 2
+	prmHeads  = 2
+	prmMaxLen = 64
+)
 
 // NewPRM returns a PRM with hidden width qh.
 func NewPRM(qh int, seed int64) *PRM {
-	return &PRM{Hidden: qh, Blocks: 2, Heads: 2, MaxLen: 64, Seed: seed, TrainCfg: rerank.DefaultTrainConfig(seed)}
+	return &PRM{rerank.NewNet(seed, func(ps *nn.ParamSet, inst *rerank.Instance, rng *rand.Rand) rerank.LogitsFunc {
+		dim := 2 * qh
+		proj := nn.NewDense(ps, "prm.proj", inst.FeatureDim(), dim, nn.Linear, rng)
+		posEmb := ps.New("prm.pos", mat.RandNormal(prmMaxLen, dim, 0, 0.02, rng))
+		blocks := make([]*nn.TransformerBlock, prmBlocks)
+		for b := range blocks {
+			blocks[b] = nn.NewTransformerBlock(ps, "prm.block"+strconv.Itoa(b), dim, prmHeads, 2*dim, rng)
+		}
+		score := nn.NewMLP(ps, "prm.score", []int{dim, qh, 1}, nn.ReLU, nn.Linear, rng)
+		return func(t *nn.Tape, inst *rerank.Instance, _ bool) *nn.Node {
+			h := proj.Forward(t, t.Constant(inst.ListFeatures()))
+			l := inst.L()
+			if l > prmMaxLen {
+				panic("baselines: PRM list longer than " + strconv.Itoa(prmMaxLen) + " items")
+			}
+			h = t.Add(h, t.SliceRows(t.Use(posEmb), 0, l))
+			for _, b := range blocks {
+				h = b.Forward(t, h, nil)
+			}
+			return score.Forward(t, h)
+		}
+	})}
 }
 
 // Name implements rerank.Reranker.
 func (m *PRM) Name() string { return "PRM" }
-
-func (m *PRM) build(featDim int) {
-	rng := rand.New(rand.NewSource(m.Seed))
-	m.ps = nn.NewParamSet()
-	dim := 2 * m.Hidden
-	m.proj = nn.NewDense(m.ps, "prm.proj", featDim, dim, nn.Linear, rng)
-	m.posEmb = m.ps.New("prm.pos", mat.RandNormal(m.MaxLen, dim, 0, 0.02, rng))
-	for b := 0; b < m.Blocks; b++ {
-		m.blocks = append(m.blocks, nn.NewTransformerBlock(m.ps, "prm.block"+strconv.Itoa(b), dim, m.Heads, 2*dim, rng))
-	}
-	m.score = nn.NewMLP(m.ps, "prm.score", []int{dim, m.Hidden, 1}, nn.ReLU, nn.Linear, rng)
-	m.built = true
-}
-
-// Params implements rerank.ListwiseModel.
-func (m *PRM) Params() *nn.ParamSet { return m.ps }
-
-// Logits implements rerank.ListwiseModel.
-func (m *PRM) Logits(t *nn.Tape, inst *rerank.Instance, _ bool) *nn.Node {
-	if !m.built {
-		m.build(inst.FeatureDim())
-	}
-	x := t.Constant(inst.ListFeatures())
-	h := m.proj.Forward(t, x)
-	l := inst.L()
-	if l > m.MaxLen {
-		panic("baselines: PRM list longer than MaxLen")
-	}
-	pos := t.SliceRows(t.Use(m.posEmb), 0, l)
-	h = t.Add(h, pos)
-	for _, b := range m.blocks {
-		h = b.Forward(t, h, nil)
-	}
-	return m.score.Forward(t, h)
-}
-
-// Fit implements rerank.Trainable.
-func (m *PRM) Fit(train []*rerank.Instance) error {
-	if !m.built && len(train) > 0 {
-		m.build(train[0].FeatureDim())
-	}
-	_, err := rerank.TrainListwise(m, train, m.TrainCfg)
-	return err
-}
-
-// Scores implements rerank.Reranker.
-func (m *PRM) Scores(inst *rerank.Instance) []float64 {
-	return rerank.ScoreWithSigmoid(m, inst)
-}

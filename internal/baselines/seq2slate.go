@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/diversify"
 	"repro/internal/mat"
@@ -32,7 +33,7 @@ type Seq2Slate struct {
 	decoder *nn.LSTMCell
 	w1, w2  *nn.Param // additive attention projections
 	vAttn   *nn.Param // attention score vector
-	built   bool
+	once    sync.Once // builds the parameters from the first instance seen
 }
 
 // NewSeq2Slate returns a Seq2Slate with hidden width qh.
@@ -53,7 +54,6 @@ func (m *Seq2Slate) build(featDim int) {
 	m.w1 = m.ps.New("s2s.W1", mat.XavierUniform(h, h, rng))
 	m.w2 = m.ps.New("s2s.W2", mat.XavierUniform(h, h, rng))
 	m.vAttn = m.ps.New("s2s.v", mat.XavierUniform(h, 1, rng))
-	m.built = true
 }
 
 // pointerScores computes the 1×L additive-attention scores of decoder state
@@ -118,9 +118,7 @@ func (m *Seq2Slate) Fit(train []*rerank.Instance) error {
 	if len(train) == 0 {
 		return nil
 	}
-	if !m.built {
-		m.build(train[0].FeatureDim())
-	}
+	m.once.Do(func() { m.build(train[0].FeatureDim()) })
 	opt := nn.NewAdam(m.LR)
 	rng := rand.New(rand.NewSource(m.Seed + 1))
 	for e := 0; e < m.Epochs; e++ {
@@ -175,8 +173,6 @@ func clickedCount(inst *rerank.Instance) int {
 
 // Scores implements rerank.Reranker via greedy decoding.
 func (m *Seq2Slate) Scores(inst *rerank.Instance) []float64 {
-	if !m.built {
-		m.build(inst.FeatureDim())
-	}
+	m.once.Do(func() { m.build(inst.FeatureDim()) })
 	return diversify.GreedyScores(m.decode(inst), inst.L())
 }

@@ -14,21 +14,15 @@ import (
 // routed through a small set of learned inducing points, which removes the
 // positional dependence of ordinary stacked self-attention and keeps the
 // cost linear in the list length.
-type SetRank struct {
-	Hidden  int
-	Blocks  int
-	Heads   int
-	Induced int // number of inducing points per block
-	Seed    int64
+type SetRank struct{ *rerank.Net }
 
-	ps    *nn.ParamSet
-	proj  *nn.Dense
-	imsab []*imsabBlock
-	score *nn.MLP
-	built bool
-
-	TrainCfg rerank.TrainConfig
-}
+// SetRank's geometry beside the hidden width: two IMSAB blocks of two
+// heads, each routed through four inducing points.
+const (
+	setRankBlocks  = 2
+	setRankHeads   = 2
+	setRankInduced = 4
+)
 
 // imsabBlock is one induced multi-head self-attention block:
 // H = MHA(I, X); Y = MHA(X, H) with learned inducing points I.
@@ -41,29 +35,32 @@ type imsabBlock struct {
 
 // NewSetRank returns a SetRank with hidden width qh.
 func NewSetRank(qh int, seed int64) *SetRank {
-	return &SetRank{Hidden: qh, Blocks: 2, Heads: 2, Induced: 4, Seed: seed, TrainCfg: rerank.DefaultTrainConfig(seed)}
+	return &SetRank{rerank.NewNet(seed, func(ps *nn.ParamSet, inst *rerank.Instance, rng *rand.Rand) rerank.LogitsFunc {
+		dim := 2 * qh
+		proj := nn.NewDense(ps, "setrank.proj", inst.FeatureDim(), dim, nn.Linear, rng)
+		imsab := make([]*imsabBlock, setRankBlocks)
+		for b := range imsab {
+			prefix := "setrank.b" + strconv.Itoa(b)
+			imsab[b] = &imsabBlock{
+				induce:      ps.New(prefix+".I", mat.RandNormal(setRankInduced, dim, 0, 0.1, rng)),
+				toInduced:   nn.NewMultiHeadAttention(ps, prefix+".to", dim, setRankHeads, rng),
+				fromInduced: nn.NewMultiHeadAttention(ps, prefix+".from", dim, setRankHeads, rng),
+				norm:        nn.NewLayerNorm(ps, prefix+".ln", dim),
+			}
+		}
+		score := nn.NewMLP(ps, "setrank.score", []int{dim, qh, 1}, nn.ReLU, nn.Linear, rng)
+		return func(t *nn.Tape, inst *rerank.Instance, _ bool) *nn.Node {
+			h := proj.Forward(t, t.Constant(inst.ListFeatures()))
+			for _, b := range imsab {
+				h = b.forward(t, h)
+			}
+			return score.Forward(t, h)
+		}
+	})}
 }
 
 // Name implements rerank.Reranker.
 func (m *SetRank) Name() string { return "SetRank" }
-
-func (m *SetRank) build(featDim int) {
-	rng := rand.New(rand.NewSource(m.Seed))
-	m.ps = nn.NewParamSet()
-	dim := 2 * m.Hidden
-	m.proj = nn.NewDense(m.ps, "setrank.proj", featDim, dim, nn.Linear, rng)
-	for b := 0; b < m.Blocks; b++ {
-		prefix := "setrank.b" + strconv.Itoa(b)
-		m.imsab = append(m.imsab, &imsabBlock{
-			induce:      m.ps.New(prefix+".I", mat.RandNormal(m.Induced, dim, 0, 0.1, rng)),
-			toInduced:   nn.NewMultiHeadAttention(m.ps, prefix+".to", dim, m.Heads, rng),
-			fromInduced: nn.NewMultiHeadAttention(m.ps, prefix+".from", dim, m.Heads, rng),
-			norm:        nn.NewLayerNorm(m.ps, prefix+".ln", dim),
-		})
-	}
-	m.score = nn.NewMLP(m.ps, "setrank.score", []int{dim, m.Hidden, 1}, nn.ReLU, nn.Linear, rng)
-	m.built = true
-}
 
 func (b *imsabBlock) forward(t *nn.Tape, x *nn.Node) *nn.Node {
 	// Cross-attention through the inducing points. A MultiHeadAttention's
@@ -80,33 +77,4 @@ func crossMHA(t *nn.Tape, mha *nn.MultiHeadAttention, q, kv *nn.Node) *nn.Node {
 		outs[i] = h.CrossForward(t, q, kv)
 	}
 	return t.MatMul(t.ConcatCols(outs...), t.Use(mha.Wo))
-}
-
-// Params implements rerank.ListwiseModel.
-func (m *SetRank) Params() *nn.ParamSet { return m.ps }
-
-// Logits implements rerank.ListwiseModel.
-func (m *SetRank) Logits(t *nn.Tape, inst *rerank.Instance, _ bool) *nn.Node {
-	if !m.built {
-		m.build(inst.FeatureDim())
-	}
-	h := m.proj.Forward(t, t.Constant(inst.ListFeatures()))
-	for _, b := range m.imsab {
-		h = b.forward(t, h)
-	}
-	return m.score.Forward(t, h)
-}
-
-// Fit implements rerank.Trainable.
-func (m *SetRank) Fit(train []*rerank.Instance) error {
-	if !m.built && len(train) > 0 {
-		m.build(train[0].FeatureDim())
-	}
-	_, err := rerank.TrainListwise(m, train, m.TrainCfg)
-	return err
-}
-
-// Scores implements rerank.Reranker.
-func (m *SetRank) Scores(inst *rerank.Instance) []float64 {
-	return rerank.ScoreWithSigmoid(m, inst)
 }

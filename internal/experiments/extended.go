@@ -12,7 +12,7 @@ func RunExtended(opt Options) (*Table, error) {
 		return nil, err
 	}
 	env := BuildEnv(rd, 0.9, opt)
-	models := buildRerankers(env, opt, []string{"Init", "PRM", "Seq2Slate", "RAPID-pro"})
+	models := buildRerankers(env, opt, extendedRoster)
 	tbl := &Table{
 		Title:  "Extended baselines — Seq2Slate vs the paper's roster (taobao, λ=0.9)",
 		Header: []string{"model", "click@5", "ndcg@5", "click@10", "div@10", "satis@10"},

@@ -41,11 +41,12 @@ func NewRAPID(e *Env, opt Options, seedOffset int64, mutate func(*core.Config)) 
 }
 
 // The rosters, in the paper's table order: every baseline plus both RAPID
-// outputs (Tables II–IV), and PRM, DESA and RAPID for the efficiency study
-// (Table VI).
+// outputs (Tables II–IV), PRM, DESA and RAPID for the efficiency study
+// (Table VI), and the extended table's Seq2Slate beside Init, PRM and RAPID.
 var (
-	fullRoster   = []string{"Init", "DLCM", "PRM", "SetRank", "SRGA", "MMR", "DPP", "DESA", "SSD", "adpMMR", "PD-GAN", "RAPID-det", "RAPID-pro"}
-	neuralRoster = []string{"PRM", "DESA", "RAPID-pro"}
+	fullRoster     = []string{"Init", "DLCM", "PRM", "SetRank", "SRGA", "MMR", "DPP", "DESA", "SSD", "adpMMR", "PD-GAN", "RAPID-det", "RAPID-pro"}
+	neuralRoster   = []string{"PRM", "DESA", "RAPID-pro"}
+	extendedRoster = []string{"Init", "PRM", "Seq2Slate", "RAPID-pro"}
 )
 
 // buildRerankers builds the named re-rankers, untrained, in order.
@@ -59,7 +60,8 @@ func buildRerankers(e *Env, opt Options, names []string) []rerank.Reranker {
 
 // newReranker builds the untrained re-ranker whose Name is name, seeded
 // Options.Seed plus the model's own offset; a neural one trains the
-// harness's epochs. Every table builds its models here, so a model trains
+// harness's epochs (PD-GAN keeps its own pre-training and adversarial
+// schedule). Every table builds its models here, so a model trains
 // alike in each table it appears in.
 func newReranker(e *Env, opt Options, name string) rerank.Reranker {
 	h, n := opt.Hidden, epochs(opt)
@@ -101,7 +103,9 @@ func newReranker(e *Env, opt Options, name string) rerank.Reranker {
 	case "RAPID-pro":
 		return NewRAPID(e, opt, 12, nil)
 	case "Seq2Slate":
-		return baselines.NewSeq2Slate(h, opt.Seed+14)
+		m := baselines.NewSeq2Slate(h, opt.Seed+14)
+		m.Epochs = n
+		return m
 	}
 	panic("experiments: no re-ranker named " + name)
 }

@@ -54,3 +54,29 @@ func TestTable6TrainsHarnessEpochs(t *testing.T) {
 		}
 	}
 }
+
+// TestExtendedTrainsHarnessEpochs: the extended table's Seq2Slate, which
+// has no epoch observer, is set to train Options.Epochs epochs, seeded as
+// in every other table.
+func TestExtendedTrainsHarnessEpochs(t *testing.T) {
+	opt := tinyOptions(53)
+	rd, err := cachedRankedData(dataset.TaobaoLike(53), "DIN", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := BuildEnv(rd, 0.9, opt)
+	for _, r := range buildRerankers(env, opt, extendedRoster) {
+		m, ok := r.(*baselines.Seq2Slate)
+		if !ok {
+			continue
+		}
+		if want := opt.Seed + 14; m.Seed != want {
+			t.Errorf("Seq2Slate seeded %d, want %d", m.Seed, want)
+		}
+		if m.Epochs != opt.Epochs {
+			t.Errorf("Seq2Slate trains %d epochs, want Options.Epochs = %d", m.Epochs, opt.Epochs)
+		}
+		return
+	}
+	t.Fatal("the extended table has no Seq2Slate")
+}

@@ -1,7 +1,8 @@
 // Package rerank defines the shared abstractions of the re-ranking stage:
 // the Instance type (one initial list with everything a re-ranker may look
-// at), the Reranker interface implemented by RAPID and all baselines, and a
-// generic listwise training loop used by every neural model.
+// at), the Reranker interface implemented by RAPID and all baselines, a
+// generic listwise training loop used by every neural model, and Net, the
+// listwise baselines' shared build, fit and score.
 package rerank
 
 import (

@@ -241,8 +241,13 @@ func TestTrainListwiseRejectsUnlabeled(t *testing.T) {
 
 func TestScoreWithSigmoidRange(t *testing.T) {
 	inst := testInstances(t, 1, false)[0]
-	m := newLinearModel(inst.FeatureDim(), 5)
-	scores := ScoreWithSigmoid(m, inst)
+	m := NewNet(5, func(ps *nn.ParamSet, inst *Instance, rng *rand.Rand) LogitsFunc {
+		d := nn.NewDense(ps, "lin", inst.FeatureDim(), 1, nn.Linear, rng)
+		return func(t *nn.Tape, inst *Instance, _ bool) *nn.Node {
+			return d.Forward(t, t.Constant(inst.ListFeatures()))
+		}
+	})
+	scores := m.Scores(inst)
 	if len(scores) != inst.L() {
 		t.Fatalf("scores length %d", len(scores))
 	}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mat"
 	"repro/internal/nn"
 )
 
@@ -16,7 +15,8 @@ import (
 // training loop: build the score logits for one instance on a tape the
 // trainer owns and reuses, and expose the parameters the loop updates. Each
 // model also carries the TrainConfig it is built with (DefaultTrainConfig
-// of its seed) and hands it to TrainListwise in its Fit.
+// of its seed) and hands it to TrainListwise in its Fit. Net implements it
+// for the listwise baselines, core.Model for RAPID.
 type ListwiseModel interface {
 	// Logits returns an L×1 node of pre-sigmoid re-ranking scores for the
 	// instance. train distinguishes stochastic behavior (e.g. RAPID-pro
@@ -453,16 +453,4 @@ func allFinite(shards []*shard) bool {
 		}
 	}
 	return true
-}
-
-// ScoreWithSigmoid evaluates the model on one instance (inference mode) and
-// returns per-item probabilities — the φ_R of Eq. (7).
-func ScoreWithSigmoid(m ListwiseModel, inst *Instance) []float64 {
-	t := nn.NewTape()
-	logits := m.Logits(t, inst, false)
-	out := make([]float64, logits.Value.Rows)
-	for i := range out {
-		out[i] = mat.Sigmoid(logits.Value.Data[i])
-	}
-	return out
 }

@@ -195,21 +195,6 @@ func TestAdaptBaselinesBatchBitwise(t *testing.T) {
 	}
 }
 
-// TestAdaptCancellation: a canceled context stops adapted scoring before any
-// work happens.
-func TestAdaptCancellation(t *testing.T) {
-	inst, err := engine.ToInstance(testConfig(), validRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sc := engine.Adapt(baselines.NewMMR())
-	if _, err := sc.Score(ctx, inst); err != context.Canceled {
-		t.Fatalf("Score under canceled ctx: %v", err)
-	}
-}
-
 // TestBatchEnvelopeFaultAttribution: a fault on an EARLIER envelope item
 // must not shift the scores of later items onto the wrong responses. This
 // is the regression test for runBatch compacting the dispatched slice in

@@ -600,8 +600,9 @@ func (c *fieldCensus) walkWrites(cf *censusFile, decl ast.Decl) {
 //   - cross-package: non-test code in another package of the module (cmd/,
 //     the facade, examples/, internal/) uses it;
 //   - interface: a method that implements a method of an interface its
-//     type satisfies (one declared in the module, error, fmt.Stringer,
-//     http.Handler, io.Reader/Writer/Closer, sort.Interface, Unwrap);
+//     type, or a module type that embeds its type, satisfies (one declared
+//     in the module, error, fmt.Stringer, http.Handler, io.Reader/Writer/
+//     Closer, sort.Interface, Unwrap);
 //   - bench-only: bench/ uses it, tests included;
 //   - test-helper: another package's tests use it;
 //   - package-only: only its own package's non-test code uses it;
@@ -702,7 +703,7 @@ func TestInternalSurfaceGolden(t *testing.T) {
 			}
 		}
 	}
-	ifaces := m.interfaces(t)
+	ifaces, promoters := m.interfaces(t), m.promoters()
 	lines := make([]string, 0, len(names))
 	for _, obj := range names {
 		var name, kind string
@@ -723,7 +724,7 @@ func TestInternalSurfaceGolden(t *testing.T) {
 		switch u := uses[obj]; {
 		case u&crossUse != 0:
 			class = "cross-package"
-		case kind == "method" && implements(obj.(*types.Func), ifaces):
+		case kind == "method" && implements(obj.(*types.Func), ifaces, promoters):
 			class = "interface"
 		case u&benchUse != 0:
 			class = "bench-only"
@@ -995,15 +996,46 @@ func (m *moduleCheck) interfaces(t *testing.T) []*types.Interface {
 	return append(out, types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
 }
 
-// implements reports whether method fn is how its receiver type satisfies
-// one of ifaces.
-func implements(fn *types.Func, ifaces []*types.Interface) bool {
-	named := recvNamed(fn.Type().(*types.Signature).Recv().Type())
+// promoters maps each method an embedded field promotes to the module's
+// named types whose method sets it is promoted into.
+func (m *moduleCheck) promoters() map[*types.Func][]*types.Named {
+	out := map[*types.Func][]*types.Named{}
+	for _, pkg := range m.plain {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			ms := types.NewMethodSet(types.NewPointer(named))
+			for i := 0; i < ms.Len(); i++ {
+				if sel := ms.At(i); len(sel.Index()) > 1 {
+					fn := sel.Obj().(*types.Func)
+					out[fn] = append(out[fn], named)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// implements reports whether method fn is how its receiver type, or a type
+// that promotes it, satisfies one of ifaces.
+func implements(fn *types.Func, ifaces []*types.Interface, promoters map[*types.Func][]*types.Named) bool {
+	owners := append([]*types.Named{recvNamed(fn.Type().(*types.Signature).Recv().Type())}, promoters[fn]...)
 	for _, iface := range ifaces {
 		for i := 0; i < iface.NumMethods(); i++ {
-			if iface.Method(i).Name() == fn.Name() &&
-				(types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
-				return true
+			if iface.Method(i).Name() != fn.Name() {
+				continue
+			}
+			for _, named := range owners {
+				if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+					return true
+				}
 			}
 		}
 	}
