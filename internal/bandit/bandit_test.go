@@ -81,7 +81,7 @@ func TestShermanMorrisonMatchesDirectInverse(t *testing.T) {
 	l := newLinRAPID(3, 1, UCB)
 	etas := [][]float64{{1, 0, 0.5}, {0.2, 0.7, 0.1}, {0.3, 0.3, 0.3}}
 	for _, eta := range etas {
-		l.rankOne(eta)
+		shermanMorrison(l.minv.Data, eta)
 	}
 	// M = I + Σ ηηᵀ computed directly, then check M·M⁻¹ ≈ I.
 	m := [3][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
@@ -111,9 +111,9 @@ func TestShermanMorrisonMatchesDirectInverse(t *testing.T) {
 
 func TestQuadFormNonNegative(t *testing.T) {
 	l := newLinRAPID(4, 1, UCB)
-	l.rankOne([]float64{0.5, 0.1, 0.2, 0.9})
+	shermanMorrison(l.minv.Data, []float64{0.5, 0.1, 0.2, 0.9})
 	for _, eta := range [][]float64{{1, 0, 0, 0}, {0.3, 0.3, 0.3, 0.3}} {
-		if q := l.quad(eta); q < 0 {
+		if q := quadForm(l.minv.Data, eta); q < 0 {
 			t.Fatalf("quadratic form %v < 0", q)
 		}
 	}
@@ -216,8 +216,8 @@ func TestGammaBounds(t *testing.T) {
 
 func TestCholeskyFactorization(t *testing.T) {
 	l := newLinRAPID(3, 1, Thompson)
-	l.rankOne([]float64{0.4, 0.2, 0.7})
-	l.rankOne([]float64{0.1, 0.9, 0.3})
+	shermanMorrison(l.minv.Data, []float64{0.4, 0.2, 0.7})
+	shermanMorrison(l.minv.Data, []float64{0.1, 0.9, 0.3})
 	ch := cholesky(l.minv)
 	// Verify L·Lᵀ = M⁻¹.
 	for i := 0; i < 3; i++ {

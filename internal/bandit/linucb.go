@@ -98,7 +98,7 @@ func (l *linRAPID) selectSlate(e *Env, r round) [][]float64 {
 			case Thompson:
 				score = mat.Dot(l.wSample, eta)
 			case UCB:
-				score = mat.Dot(l.wHat, eta) + l.S*math.Sqrt(l.quad(eta))
+				score = mat.Dot(l.wHat, eta) + l.S*math.Sqrt(quadForm(l.minv.Data, eta))
 			default:
 				score = mat.Dot(l.wHat, eta)
 			}
@@ -136,7 +136,7 @@ func (l *linRAPID) update(feats [][]float64, clicks []bool) {
 		if k < len(clicks) && clicks[k] {
 			y = 1
 		}
-		l.rankOne(eta)
+		shermanMorrison(l.minv.Data, eta)
 		for i, x := range eta {
 			l.bvec[i] += x * y
 		}
@@ -156,35 +156,31 @@ func (l *linRAPID) feature(e *Env, u, v int, ic *topics.IncrementalCoverage) []f
 	return eta
 }
 
-// rankOne applies the Sherman–Morrison update M⁻¹ ← M⁻¹ − (M⁻¹ηηᵀM⁻¹)/(1+ηᵀM⁻¹η).
-func (l *linRAPID) rankOne(eta []float64) {
-	u := make([]float64, l.d) // M⁻¹·η
-	for i := 0; i < l.d; i++ {
-		row := l.minv.Row(i)
-		var s float64
-		for j, x := range eta {
-			s += row[j] * x
-		}
-		u[i] = s
+// shermanMorrison applies A⁻¹ ← A⁻¹ − (A⁻¹xxᵀA⁻¹)/(1+xᵀA⁻¹x) in place on a
+// row-major d×d inverse, d = len(x): the rank-one update of both linear
+// bandits, linRAPID's M⁻¹ and each Policy arm's A⁻¹.
+func shermanMorrison(ainv, x []float64) {
+	d := len(x)
+	u := make([]float64, d) // A⁻¹·x
+	for i := range u {
+		u[i] = mat.Dot(ainv[i*d:(i+1)*d], x)
 	}
-	denom := 1 + mat.Dot(eta, u)
-	for i := 0; i < l.d; i++ {
-		row := l.minv.Row(i)
-		for j := 0; j < l.d; j++ {
+	denom := 1 + mat.Dot(x, u)
+	for i := 0; i < d; i++ {
+		row := ainv[i*d : (i+1)*d]
+		for j := range row {
 			row[j] -= u[i] * u[j] / denom
 		}
 	}
 }
 
-func (l *linRAPID) quad(eta []float64) float64 {
+// quadForm returns the confidence width's square xᵀA⁻¹x for a row-major d×d
+// inverse, d = len(x), clamped at 0 against round-off.
+func quadForm(ainv, x []float64) float64 {
+	d := len(x)
 	var q float64
-	for i := 0; i < l.d; i++ {
-		row := l.minv.Row(i)
-		var s float64
-		for j, x := range eta {
-			s += row[j] * x
-		}
-		q += eta[i] * s
+	for i, xi := range x {
+		q += xi * mat.Dot(ainv[i*d:(i+1)*d], x)
 	}
 	if q < 0 {
 		return 0

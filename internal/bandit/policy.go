@@ -280,19 +280,7 @@ func (p *Policy) scoreLocked(seg, arm int) float64 {
 		}
 		mean += wi * x[i]
 	}
-	// xᵀA⁻¹x confidence width.
-	var q float64
-	for i := 0; i < d; i++ {
-		var s float64
-		for j := 0; j < d; j++ {
-			s += ainv[i*d+j] * x[j]
-		}
-		q += x[i] * s
-	}
-	if q < 0 {
-		q = 0
-	}
-	return mean + ucbScale*math.Sqrt(q)
+	return mean + ucbScale*math.Sqrt(quadForm(ainv, x))
 }
 
 // context is the LinUCB feature of a segment: bias + one-hot(segment). The
@@ -351,29 +339,6 @@ func identity(d int) []float64 {
 		m[i*d+i] = 1
 	}
 	return m
-}
-
-// shermanMorrison applies A⁻¹ ← A⁻¹ − (A⁻¹xxᵀA⁻¹)/(1+xᵀA⁻¹x) in place on a
-// row-major d×d matrix.
-func shermanMorrison(ainv []float64, x []float64) {
-	d := len(x)
-	u := make([]float64, d) // A⁻¹·x
-	for i := 0; i < d; i++ {
-		var s float64
-		for j := 0; j < d; j++ {
-			s += ainv[i*d+j] * x[j]
-		}
-		u[i] = s
-	}
-	var denom float64 = 1
-	for i, xi := range x {
-		denom += xi * u[i]
-	}
-	for i := 0; i < d; i++ {
-		for j := 0; j < d; j++ {
-			ainv[i*d+j] -= u[i] * u[j] / denom
-		}
-	}
 }
 
 // Mix64 is splitmix64 (the golden-ratio increment, then its finalizer): a

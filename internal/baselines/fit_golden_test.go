@@ -54,7 +54,7 @@ func TestFitBitsGolden(t *testing.T) {
 		cfg.Epochs = 2
 	}
 	s2s := NewSeq2Slate(8, 6)
-	s2s.Epochs = 2
+	s2s.TrainCfg.Epochs = 2
 	pdgan := NewPDGAN(8, 7)
 
 	var b strings.Builder
@@ -67,7 +67,7 @@ func TestFitBitsGolden(t *testing.T) {
 		{setrank, setrank.Params},
 		{srga, srga.Params},
 		{desa, desa.Params},
-		{s2s, func() *nn.ParamSet { return s2s.ps }},
+		{s2s, s2s.Params},
 		{pdgan, func() *nn.ParamSet { return pdgan.ps }},
 	} {
 		if err := c.r.(rerank.Trainable).Fit(train); err != nil {

@@ -61,3 +61,28 @@ func BenchmarkNetScores(b *testing.B) {
 		scoresSink = m.Scores(inst)
 	}
 }
+
+// TestScoresAllocCeiling: Seq2Slate and PD-GAN score on a pooled tape they
+// reset, so a call on a built model allocates only what lives outside the
+// tape: the input matrices, the decoder's per-step node lists and masks, the
+// DPP kernel and the scores. The ceilings only move down.
+func TestScoresAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not repeat under the race detector")
+	}
+	inst := fixture(t, 1)[0]
+	for _, c := range []struct {
+		r       rerank.Reranker
+		ceiling float64
+	}{
+		{NewSeq2Slate(8, 6), 40},
+		{NewPDGAN(8, 7), 15},
+	} {
+		c.r.Scores(inst) // builds the model and sizes the pooled tape
+		n := testing.AllocsPerRun(100, func() { scoresSink = c.r.Scores(inst) })
+		t.Logf("%s: %v allocations per Scores", c.r.Name(), n)
+		if n > c.ceiling {
+			t.Errorf("%s: %v allocations per Scores, ceiling %v", c.r.Name(), n, c.ceiling)
+		}
+	}
+}

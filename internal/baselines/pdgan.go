@@ -27,6 +27,11 @@ import (
 // Training follows the original's two phases in compact form: the quality
 // generator is pre-trained pointwise on clicks, then refined with REINFORCE
 // against the discriminator's judgment of generated vs clicked item sets.
+//
+// It trains outside rerank.TrainListwise on purpose: the adversarial round
+// continues the pre-training's Adam state for the generator, and a
+// TrainListwise pre-training would hand it a fresh optimizer instead,
+// which moves both the fitted model and Table II.
 type PDGAN struct {
 	Hidden    int
 	K         int // generated-set size during adversarial training
@@ -136,8 +141,9 @@ func (m *PDGAN) personalKernel(inst *rerank.Instance, quality []float64) *mat.Ma
 	return k
 }
 
-func (m *PDGAN) qualities(inst *rerank.Instance) []float64 {
-	t := nn.NewTape()
+// qualities returns the generator's per-item DPP qualities, exp(σ(logit)),
+// built on t.
+func (m *PDGAN) qualities(t *nn.Tape, inst *rerank.Instance) []float64 {
 	logits := m.qualityLogits(t, inst)
 	q := make([]float64, inst.L())
 	for i := range q {
@@ -156,12 +162,13 @@ func (m *PDGAN) Fit(train []*rerank.Instance) error {
 	discParams := paramsWithPrefix(m.ps, "pdgan.disc")
 	genOpt := nn.NewAdam(0.003)
 	discOpt := nn.NewAdam(0.003)
+	t := nn.NewTape() // reset before every pass
 
 	// Phase 1: pointwise pre-training of the generator on clicks.
 	for epoch := 0; epoch < 2; epoch++ {
 		for _, idx := range m.rng.Perm(len(train)) {
 			inst := train[idx]
-			t := nn.NewTape()
+			t.Reset()
 			logits := m.qualityLogits(t, inst)
 			loss := t.SigmoidBCE(logits, inst.Labels)
 			t.Backward(loss)
@@ -178,33 +185,34 @@ func (m *PDGAN) Fit(train []*rerank.Instance) error {
 			if len(real) == 0 {
 				continue
 			}
-			fake := diversify.GreedyMAP(m.personalKernel(inst, m.qualities(inst)), m.K)
+			t.Reset()
+			fake := diversify.GreedyMAP(m.personalKernel(inst, m.qualities(t, inst)), m.K)
 			// Discriminator step: real 1, fake 0.
 			for _, ex := range []struct {
 				set   []int
 				label float64
 			}{{real, 1}, {fake, 0}} {
-				t := nn.NewTape()
+				t.Reset()
 				logit := m.discLogit(t, inst, ex.set)
 				loss := t.SigmoidBCE(logit, []float64{ex.label})
 				t.Backward(loss)
 				discOpt.Step(discParams)
 			}
 			// Generator step: REINFORCE with reward = log D(fake).
-			t := nn.NewTape()
+			t.Reset()
 			dval := mat.Sigmoid(m.discLogit(t, inst, fake).Value.Data[0])
 			reward := math.Log(dval + 1e-6)
 			baseline = 0.9*baseline + 0.1*reward
 			advantage := reward - baseline
-			tg := nn.NewTape()
-			logits := m.qualityLogits(tg, inst)
+			t.Reset()
+			logits := m.qualityLogits(t, inst)
 			// Surrogate loss: −advantage · Σ_{i∈fake} log σ(logit_i).
 			targets := make([]float64, inst.L())
 			for _, i := range fake {
 				targets[i] = 1
 			}
-			loss := tg.Scale(tg.SigmoidBCE(logits, targets), advantage)
-			tg.Backward(loss)
+			loss := t.Scale(t.SigmoidBCE(logits, targets), advantage)
+			t.Backward(loss)
 			genOpt.Step(genParams)
 		}
 	}
@@ -214,7 +222,11 @@ func (m *PDGAN) Fit(train []*rerank.Instance) error {
 // Scores implements rerank.Reranker.
 func (m *PDGAN) Scores(inst *rerank.Instance) []float64 {
 	m.once.Do(func() { m.build(inst) })
-	order := diversify.GreedyMAP(m.personalKernel(inst, m.qualities(inst)), inst.L())
+	t := tapes.Get().(*nn.Tape)
+	q := m.qualities(t, inst)
+	t.Reset()
+	tapes.Put(t)
+	order := diversify.GreedyMAP(m.personalKernel(inst, q), inst.L())
 	return diversify.GreedyScores(order, inst.L())
 }
 

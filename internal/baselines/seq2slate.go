@@ -21,13 +21,16 @@ import (
 //
 // Training uses the supervised variant: the target permutation places
 // clicked items first (ties broken by the initial order) and the loss is
-// the stepwise pointer cross-entropy. Inference decodes greedily.
+// the stepwise pointer cross-entropy, trained by rerank.TrainListwise one
+// instance per step. Inference decodes greedily.
 type Seq2Slate struct {
-	Hidden int
-	Epochs int
-	LR     float64
-	Seed   int64
+	// TrainCfg is the schedule Fit trains with: 8 epochs of Adam at 0.005,
+	// one instance per step, the gradient clipped to norm 5, shuffled by
+	// the model's seed + 1.
+	TrainCfg rerank.TrainConfig
 
+	hidden  int
+	seed    int64 // seeds the build
 	ps      *nn.ParamSet
 	encoder *nn.LSTM
 	decoder *nn.LSTMCell
@@ -38,16 +41,20 @@ type Seq2Slate struct {
 
 // NewSeq2Slate returns a Seq2Slate with hidden width qh.
 func NewSeq2Slate(qh int, seed int64) *Seq2Slate {
-	return &Seq2Slate{Hidden: qh, Epochs: 8, LR: 0.005, Seed: seed}
+	return &Seq2Slate{
+		TrainCfg: rerank.TrainConfig{Epochs: 8, LR: 0.005, BatchSize: 1, ClipNorm: 5, Seed: seed + 1},
+		hidden:   qh,
+		seed:     seed,
+	}
 }
 
 // Name implements rerank.Reranker.
 func (m *Seq2Slate) Name() string { return "Seq2Slate" }
 
 func (m *Seq2Slate) build(featDim int) {
-	rng := rand.New(rand.NewSource(m.Seed))
+	rng := rand.New(rand.NewSource(m.seed))
 	m.ps = nn.NewParamSet()
-	h := m.Hidden
+	h := m.hidden
 	m.encoder = nn.NewLSTM(m.ps, "s2s.enc", featDim, h, rng)
 	// Decoder input is the encoded representation of the last picked item.
 	m.decoder = nn.NewLSTMCell(m.ps, "s2s.dec", h, h, rng)
@@ -77,28 +84,43 @@ func (m *Seq2Slate) pointerScores(t *nn.Tape, enc, h *nn.Node, selected []bool) 
 	return t.Add(scores, t.Constant(mask))
 }
 
+// tapes holds the inference tapes of Seq2Slate and PD-GAN between calls:
+// a tape keeps its node arena and buffers across Reset.
+var tapes = sync.Pool{New: func() any { return nn.NewTape() }}
+
+// unroll runs the pointer decoder over the instance for steps steps on t.
+// pick chooses each step's item from the step's pointer scores, the items
+// selected so far masked out; the decoder's next input is that item's
+// encoding.
+func (m *Seq2Slate) unroll(t *nn.Tape, inst *rerank.Instance, steps int, pick func(s int, scores *nn.Node, selected []bool) int) {
+	enc := m.encoder.Forward(t, t.Constant(inst.ListFeatures()))
+	h, c := m.decoder.InitState(t)
+	input := t.Constant(mat.New(1, m.hidden))
+	selected := make([]bool, inst.L())
+	for s := 0; s < steps; s++ {
+		h, c = m.decoder.Step(t, input, h, c)
+		i := pick(s, m.pointerScores(t, enc, h, selected), selected)
+		selected[i] = true
+		input = t.SliceRows(enc, i, i+1)
+	}
+}
+
 // decode runs greedy pointer decoding, returning the selection order.
 func (m *Seq2Slate) decode(inst *rerank.Instance) []int {
-	t := nn.NewTape()
-	enc := m.encoder.Forward(t, t.Constant(inst.ListFeatures()))
-	l := inst.L()
-	h, c := m.decoder.InitState(t)
-	input := t.Constant(mat.New(1, m.Hidden))
-	selected := make([]bool, l)
-	order := make([]int, 0, l)
-	for len(order) < l {
-		h, c = m.decoder.Step(t, input, h, c)
-		scores := m.pointerScores(t, enc, h, selected)
+	t := tapes.Get().(*nn.Tape)
+	order := make([]int, 0, inst.L())
+	m.unroll(t, inst, inst.L(), func(_ int, scores *nn.Node, selected []bool) int {
 		best, bestV := -1, math.Inf(-1)
 		for i, s := range selected {
 			if !s && scores.Value.Data[i] > bestV {
 				best, bestV = i, scores.Value.Data[i]
 			}
 		}
-		selected[best] = true
 		order = append(order, best)
-		input = t.SliceRows(enc, best, best+1)
-	}
+		return best
+	})
+	t.Reset()
+	tapes.Put(t)
 	return order
 }
 
@@ -113,62 +135,37 @@ func targetOrder(inst *rerank.Instance) []int {
 	return idx
 }
 
-// Fit implements rerank.Trainable with the stepwise pointer cross-entropy.
+// Params implements rerank.ListwiseModel; it is nil until the model is
+// built.
+func (m *Seq2Slate) Params() *nn.ParamSet { return m.ps }
+
+// Loss implements rerank.ListwiseModel: the pointer cross-entropy of the
+// decoder teacher-forced along the target permutation, averaged over its
+// steps. Steps beyond the clicked prefix carry little signal, so the loss
+// stops at the last click + 1 (or a minimum of 5 steps).
+func (m *Seq2Slate) Loss(t *nn.Tape, inst *rerank.Instance, _ bool) *nn.Node {
+	target := targetOrder(inst)
+	steps := min(max(len(clickedSet(inst))+1, 5), inst.L())
+	var loss *nn.Node
+	m.unroll(t, inst, steps, func(s int, scores *nn.Node, _ []bool) int {
+		if stepLoss := t.SoftmaxCrossEntropy(scores, target[s]); loss == nil {
+			loss = stepLoss
+		} else {
+			loss = t.Add(loss, stepLoss)
+		}
+		return target[s]
+	})
+	return t.Scale(loss, 1/float64(steps))
+}
+
+// Fit implements rerank.Trainable with rerank.TrainListwise under TrainCfg.
 func (m *Seq2Slate) Fit(train []*rerank.Instance) error {
 	if len(train) == 0 {
 		return nil
 	}
 	m.once.Do(func() { m.build(train[0].FeatureDim()) })
-	opt := nn.NewAdam(m.LR)
-	rng := rand.New(rand.NewSource(m.Seed + 1))
-	for e := 0; e < m.Epochs; e++ {
-		for _, pi := range rng.Perm(len(train)) {
-			inst := train[pi]
-			target := targetOrder(inst)
-			t := nn.NewTape()
-			enc := m.encoder.Forward(t, t.Constant(inst.ListFeatures()))
-			h, c := m.decoder.InitState(t)
-			input := t.Constant(mat.New(1, m.Hidden))
-			selected := make([]bool, inst.L())
-			var loss *nn.Node
-			// Teacher forcing along the target permutation; steps beyond
-			// the clicked prefix carry little signal, so training stops at
-			// the last click + 1 (or a minimum of 5 steps).
-			steps := clickedCount(inst) + 1
-			if steps < 5 {
-				steps = 5
-			}
-			if steps > inst.L() {
-				steps = inst.L()
-			}
-			for s := 0; s < steps; s++ {
-				h, c = m.decoder.Step(t, input, h, c)
-				scores := m.pointerScores(t, enc, h, selected)
-				stepLoss := t.SoftmaxCrossEntropy(scores, target[s])
-				if loss == nil {
-					loss = stepLoss
-				} else {
-					loss = t.Add(loss, stepLoss)
-				}
-				selected[target[s]] = true
-				input = t.SliceRows(enc, target[s], target[s]+1)
-			}
-			t.Backward(t.Scale(loss, 1/float64(steps)))
-			m.ps.ClipGradNorm(5)
-			opt.Step(m.ps.All())
-		}
-	}
-	return nil
-}
-
-func clickedCount(inst *rerank.Instance) int {
-	n := 0
-	for _, y := range inst.Labels {
-		if y > 0.5 {
-			n++
-		}
-	}
-	return n
+	_, err := rerank.TrainListwise(m, train, m.TrainCfg)
+	return err
 }
 
 // Scores implements rerank.Reranker via greedy decoding.

@@ -10,7 +10,7 @@ import (
 func TestSeq2SlateTrainsAndScores(t *testing.T) {
 	train := fixture(t, 20)
 	m := NewSeq2Slate(8, 3)
-	m.Epochs = 2
+	m.TrainCfg.Epochs = 2
 	if err := m.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestSeq2SlateLearnsToFrontloadClicks(t *testing.T) {
 	// clicked items before unclicked ones on the training data.
 	train := fixture(t, 30)
 	m := NewSeq2Slate(8, 5)
-	m.Epochs = 6
+	m.TrainCfg.Epochs = 6
 	if err := m.Fit(train); err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func BenchmarkEncodeUserState(b *testing.B) {
 	_ = st
 }
 
-// BenchmarkLegacyLogits is the training-side forward, Logits(train=false) on
+// BenchmarkLegacyLogits is the training-side forward, logits(train=false) on
 // a reused tape: the path inference left, kept as the yardstick.
 func BenchmarkLegacyLogits(b *testing.B) {
 	m, insts := benchFixture(b)
@@ -104,14 +104,14 @@ func BenchmarkLegacyLogits(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t.Reset()
-		logits = m.Logits(t, insts[i%len(insts)], false)
+		logits = m.logits(t, insts[i%len(insts)], false)
 	}
 	_ = logits
 }
 
 // trainStep is one training instance as a trainer worker runs it:
-// Logits(train=true) on pre-drawn noise, the BCE loss and Backward, on a
-// reused tape whose gradients land in a GradShadow.
+// Loss(train=true) on pre-drawn noise and Backward, on a reused tape whose
+// gradients land in a GradShadow.
 func trainStep(tb testing.TB) func(i int) {
 	m, insts := benchFixture(tb)
 	for _, inst := range insts {
@@ -122,7 +122,7 @@ func trainStep(tb testing.TB) func(i int) {
 	return func(i int) {
 		inst := insts[i%len(insts)]
 		t.Reset()
-		t.Backward(t.SigmoidBCE(m.Logits(t, inst, true), inst.Labels))
+		t.Backward(m.Loss(t, inst, true))
 	}
 }
 
@@ -144,8 +144,8 @@ func TestTrainStepAllocCeiling(t *testing.T) {
 }
 
 // BenchmarkTrainStep is one training instance as a trainer worker runs it:
-// Logits(train=true) on pre-drawn noise, the BCE loss and Backward, on a
-// reused tape whose gradients land in a GradShadow.
+// Loss(train=true) on pre-drawn noise and Backward, on a reused tape whose
+// gradients land in a GradShadow.
 func BenchmarkTrainStep(b *testing.B) {
 	step := trainStep(b)
 	b.ReportAllocs()

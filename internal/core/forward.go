@@ -10,7 +10,7 @@ import (
 	"repro/internal/rerank"
 )
 
-// This file is the inference forward: the arithmetic of Logits(train=false)
+// This file is the inference forward: the arithmetic of logits(train=false)
 // with no autodiff tape under it. It records no node, takes every scratch
 // buffer from one arena, and reads weights in place from Param.Value, so a
 // model that is trained further, reloaded or hot-swapped needs no

@@ -43,7 +43,7 @@ func forwardCases(t *testing.T) []*rerank.Instance {
 }
 
 // TestForwardMatchesLogits is the inference-vs-training half of the numerics
-// contract: the tape-free forward and Logits(train=false) compute the same
+// contract: the tape-free forward and logits(train=false) compute the same
 // function with a different summation order, so for every model variant
 // their logits agree to 1e-12 — and no closer is promised.
 func TestForwardMatchesLogits(t *testing.T) {
@@ -58,7 +58,7 @@ func TestForwardMatchesLogits(t *testing.T) {
 		tape := nn.NewTape()
 		for ci, inst := range cases {
 			tape.Reset()
-			want := m.Logits(tape, inst, false).Value.Data
+			want := m.logits(tape, inst, false).Value.Data
 			got, _, err := m.forward(ctx, new(arena), inst, nil)
 			if err != nil {
 				t.Fatalf("%s case %d: %v", m.Name(), ci, err)
@@ -68,7 +68,7 @@ func TestForwardMatchesLogits(t *testing.T) {
 			}
 			for i := range want {
 				if diff := math.Abs(got[i] - want[i]); !(diff <= 1e-12) {
-					t.Fatalf("%s case %d (L=%d) item %d: forward %v, Logits %v, |Δ| = %g > 1e-12",
+					t.Fatalf("%s case %d (L=%d) item %d: forward %v, logits %v, |Δ| = %g > 1e-12",
 						m.Name(), ci, inst.L(), i, got[i], want[i], diff)
 				}
 			}

@@ -135,7 +135,7 @@ type Model struct {
 	arenas sync.Pool
 	// preNoise holds the ξ vectors pre-drawn by PrepareInstance for the
 	// parallel trainer. It is written only between batches (on the trainer
-	// goroutine) and read by Logits inside the batch, so no lock is needed.
+	// goroutine) and read by logits inside the batch, so no lock is needed.
 	preNoise map[*rerank.Instance]*mat.Matrix
 	// TrainCfg is what Fit trains with; New sets
 	// rerank.DefaultTrainConfig(Cfg.Seed).
@@ -270,8 +270,14 @@ func (m *Model) diversityGain(t *nn.Tape, inst *rerank.Instance, theta *nn.Node)
 	return t.Scale(gain, float64(m.Cfg.Topics)/2)
 }
 
-// Logits implements rerank.ListwiseModel, producing the pre-sigmoid φ_R.
-func (m *Model) Logits(t *nn.Tape, inst *rerank.Instance, train bool) *nn.Node {
+// Loss implements rerank.ListwiseModel: the BCE of the logits against the
+// click labels (Eq. 11).
+func (m *Model) Loss(t *nn.Tape, inst *rerank.Instance, train bool) *nn.Node {
+	return t.SigmoidBCE(m.logits(t, inst, train), inst.Labels)
+}
+
+// logits produces the pre-sigmoid φ_R.
+func (m *Model) logits(t *nn.Tape, inst *rerank.Instance, train bool) *nn.Node {
 	x := t.Constant(inst.ListFeatures())
 	h := m.relevance(t, x)
 	z := h
@@ -288,7 +294,7 @@ func (m *Model) Logits(t *nn.Tape, inst *rerank.Instance, train bool) *nn.Node {
 		// Reparameterization trick (Eq. 9): φ = μ + ξ·Σ, ξ ~ N(0,1).
 		// Under the parallel trainer ξ was pre-drawn by PrepareInstance on
 		// the trainer goroutine; drawing here is the single-threaded
-		// fallback (direct Logits calls outside TrainListwise).
+		// fallback (direct logits calls outside TrainListwise).
 		xi := m.preNoise[inst]
 		if xi == nil || xi.Rows != inst.L() {
 			xi = mat.New(inst.L(), 1)
@@ -306,7 +312,7 @@ func (m *Model) Logits(t *nn.Tape, inst *rerank.Instance, train bool) *nn.Node {
 // reparameterization noise ξ from the model's RNG ahead of the concurrent
 // forward passes. The trainer calls it sequentially in batch order, so the
 // noise stream is consumed in a deterministic order no matter how many
-// workers later evaluate the batch, and Logits stays read-only.
+// workers later evaluate the batch, and Loss stays read-only.
 func (m *Model) PrepareInstance(inst *rerank.Instance) {
 	if m.Cfg.Output != Probabilistic {
 		return

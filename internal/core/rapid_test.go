@@ -152,11 +152,11 @@ func TestGradCheckRapidDet(t *testing.T) {
 	m := New(cfg)
 	build := func() float64 {
 		tp := nn.NewTape()
-		return tp.SigmoidBCE(m.Logits(tp, inst, false), inst.Labels).Value.Data[0]
+		return m.Loss(tp, inst, false).Value.Data[0]
 	}
 	buildBackward := func() {
 		tp := nn.NewTape()
-		tp.Backward(tp.SigmoidBCE(m.Logits(tp, inst, false), inst.Labels))
+		tp.Backward(m.Loss(tp, inst, false))
 	}
 	if _, err := nn.GradCheck(m.Params().All(), build, buildBackward, 1e-5); err != nil {
 		t.Fatal(err)
@@ -169,17 +169,17 @@ func TestProbabilisticHeads(t *testing.T) {
 	m := New(testConfig(d, 70))
 	// Training mode is stochastic: two passes differ.
 	t1 := nn.NewTape()
-	l1 := m.Logits(t1, inst, true)
+	l1 := m.logits(t1, inst, true)
 	t2 := nn.NewTape()
-	l2 := m.Logits(t2, inst, true)
+	l2 := m.logits(t2, inst, true)
 	if l1.Value.EqualApprox(l2.Value, 1e-12) {
 		t.Fatal("training logits identical across samples — reparameterization inactive")
 	}
 	// Inference is deterministic and equals μ + Σ ≥ μ.
 	t3 := nn.NewTape()
-	ucb := m.Logits(t3, inst, false)
+	ucb := m.logits(t3, inst, false)
 	t4 := nn.NewTape()
-	ucb2 := m.Logits(t4, inst, false)
+	ucb2 := m.logits(t4, inst, false)
 	if !ucb.Value.EqualApprox(ucb2.Value, 1e-12) {
 		t.Fatal("inference logits not deterministic")
 	}
@@ -325,7 +325,7 @@ func TestTapeCapHintBoundsGraph(t *testing.T) {
 		for _, l := range []int{1, 20, 64} {
 			inst := truncated(full, l)
 			tp := nn.NewTape()
-			tp.SigmoidBCE(m.Logits(tp, inst, true), inst.Labels)
+			m.Loss(tp, inst, true)
 			nodes[l] = tp.NumNodes()
 		}
 		if nodes[1] != nodes[64] {

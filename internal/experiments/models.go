@@ -104,7 +104,7 @@ func newReranker(e *Env, opt Options, name string) rerank.Reranker {
 		return NewRAPID(e, opt, 12, nil)
 	case "Seq2Slate":
 		m := baselines.NewSeq2Slate(h, opt.Seed+14)
-		m.Epochs = n
+		m.TrainCfg.Epochs = n
 		return m
 	}
 	panic("experiments: no re-ranker named " + name)

@@ -55,9 +55,10 @@ func TestTable6TrainsHarnessEpochs(t *testing.T) {
 	}
 }
 
-// TestExtendedTrainsHarnessEpochs: the extended table's Seq2Slate, which
-// has no epoch observer, is set to train Options.Epochs epochs, seeded as
-// in every other table.
+// TestExtendedTrainsHarnessEpochs: the extended table's Seq2Slate trains
+// Options.Epochs epochs, shuffled by its TrainConfig seed and built from the
+// seed every other table gives it — it fits bit for bit what a Seq2Slate
+// built directly with that seed fits.
 func TestExtendedTrainsHarnessEpochs(t *testing.T) {
 	opt := tinyOptions(53)
 	rd, err := cachedRankedData(dataset.TaobaoLike(53), "DIN", opt)
@@ -70,11 +71,30 @@ func TestExtendedTrainsHarnessEpochs(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if want := opt.Seed + 14; m.Seed != want {
-			t.Errorf("Seq2Slate seeded %d, want %d", m.Seed, want)
+		seed := opt.Seed + 14
+		if want := seed + 1; m.TrainCfg.Seed != want {
+			t.Errorf("Seq2Slate shuffles with seed %d, want %d", m.TrainCfg.Seed, want)
 		}
-		if m.Epochs != opt.Epochs {
-			t.Errorf("Seq2Slate trains %d epochs, want Options.Epochs = %d", m.Epochs, opt.Epochs)
+		var c epochCounter
+		m.TrainCfg.Observer = &c
+		if err := m.Fit(env.Train); err != nil {
+			t.Fatal(err)
+		}
+		if c.n != opt.Epochs {
+			t.Errorf("Seq2Slate trained %d epochs, want Options.Epochs = %d", c.n, opt.Epochs)
+		}
+		ref := baselines.NewSeq2Slate(opt.Hidden, seed)
+		ref.TrainCfg.Epochs = opt.Epochs
+		if err := ref.Fit(env.Train); err != nil {
+			t.Fatal(err)
+		}
+		got, want := m.Params().All(), ref.Params().All()
+		for i, p := range got {
+			for k, v := range p.Value.Data {
+				if v != want[i].Value.Data[k] {
+					t.Fatalf("Seq2Slate %s[%d] = %v, a Seq2Slate built with seed %d fits %v", p.Name, k, v, seed, want[i].Value.Data[k])
+				}
+			}
 		}
 		return
 	}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/nn"
 )
 
-// LogitsFunc is a listwise net's forward pass: ListwiseModel.Logits over
-// the parameters a Net's build func registered.
+// LogitsFunc is a listwise net's forward pass: the L×1 pre-sigmoid scores
+// of an instance over the parameters a Net's build func registered.
 type LogitsFunc func(t *nn.Tape, inst *Instance, train bool) *nn.Node
 
 // Net is a listwise neural re-ranker trained with TrainListwise: the
@@ -25,11 +25,11 @@ type Net struct {
 
 	// seed seeds the build; it stays apart from TrainCfg.Seed, which a
 	// caller may change before the first Fit.
-	seed   int64
-	build  func(ps *nn.ParamSet, inst *Instance, rng *rand.Rand) LogitsFunc
-	once   sync.Once
-	ps     *nn.ParamSet
-	logits LogitsFunc
+	seed    int64
+	build   func(ps *nn.ParamSet, inst *Instance, rng *rand.Rand) LogitsFunc
+	once    sync.Once
+	ps      *nn.ParamSet
+	forward LogitsFunc
 }
 
 // NewNet returns a net whose build func registers its parameters on ps,
@@ -42,17 +42,22 @@ func NewNet(seed int64, build func(ps *nn.ParamSet, inst *Instance, rng *rand.Ra
 func (n *Net) init(inst *Instance) {
 	n.once.Do(func() {
 		n.ps = nn.NewParamSet()
-		n.logits = n.build(n.ps, inst, rand.New(rand.NewSource(n.seed)))
+		n.forward = n.build(n.ps, inst, rand.New(rand.NewSource(n.seed)))
 	})
 }
 
 // Params implements ListwiseModel; it is nil until the net is built.
 func (n *Net) Params() *nn.ParamSet { return n.ps }
 
-// Logits implements ListwiseModel.
-func (n *Net) Logits(t *nn.Tape, inst *Instance, train bool) *nn.Node {
+func (n *Net) logits(t *nn.Tape, inst *Instance, train bool) *nn.Node {
 	n.init(inst)
-	return n.logits(t, inst, train)
+	return n.forward(t, inst, train)
+}
+
+// Loss implements ListwiseModel: the BCE of the logits against the click
+// labels (Eq. 11).
+func (n *Net) Loss(t *nn.Tape, inst *Instance, train bool) *nn.Node {
+	return t.SigmoidBCE(n.logits(t, inst, train), inst.Labels)
 }
 
 // Fit implements Trainable with TrainListwise under TrainCfg.
@@ -64,15 +69,16 @@ func (n *Net) Fit(train []*Instance) error {
 	return err
 }
 
-// scoreTapes holds inference tapes between Scores calls: a tape keeps its
-// node arena and buffers across Reset.
+// scoreTapes holds inference tapes between calls (Net.Scores and the
+// trainer's validation pass): a tape keeps its node arena and buffers across
+// Reset.
 var scoreTapes = sync.Pool{New: func() any { return nn.NewTape() }}
 
 // Scores implements Reranker: the sigmoid of the inference-mode logits,
 // the φ_R of Eq. (7).
 func (n *Net) Scores(inst *Instance) []float64 {
 	t := scoreTapes.Get().(*nn.Tape)
-	logits := n.Logits(t, inst, false)
+	logits := n.logits(t, inst, false)
 	out := make([]float64, logits.Value.Rows)
 	for i := range out {
 		out[i] = mat.Sigmoid(logits.Value.Data[i])

@@ -1,8 +1,8 @@
 // Package rerank defines the shared abstractions of the re-ranking stage:
 // the Instance type (one initial list with everything a re-ranker may look
-// at), the Reranker interface implemented by RAPID and all baselines, a
-// generic listwise training loop used by every neural model, and Net, the
-// listwise baselines' shared build, fit and score.
+// at), the Reranker interface implemented by RAPID and all baselines, the
+// one training loop of the learned re-rankers (a model gives it its Loss and
+// Params), and Net, the listwise baselines' shared build, fit and score.
 package rerank
 
 import (

@@ -213,8 +213,8 @@ func newLinearModel(featDim int, seed int64) *linearModel {
 }
 
 func (m *linearModel) Params() *nn.ParamSet { return m.ps }
-func (m *linearModel) Logits(t *nn.Tape, inst *Instance, _ bool) *nn.Node {
-	return m.d.Forward(t, t.Constant(inst.ListFeatures()))
+func (m *linearModel) Loss(t *nn.Tape, inst *Instance, _ bool) *nn.Node {
+	return t.SigmoidBCE(m.d.Forward(t, t.Constant(inst.ListFeatures())), inst.Labels)
 }
 
 func TestTrainListwiseReducesLoss(t *testing.T) {

@@ -11,22 +11,23 @@ import (
 	"repro/internal/nn"
 )
 
-// ListwiseModel is the contract between a neural re-ranker and the shared
-// training loop: build the score logits for one instance on a tape the
+// ListwiseModel is the contract between a learned re-ranker and the shared
+// training loop: build one instance's scalar training loss on a tape the
 // trainer owns and reuses, and expose the parameters the loop updates. Each
-// model also carries the TrainConfig it is built with (DefaultTrainConfig
-// of its seed) and hands it to TrainListwise in its Fit. Net implements it
-// for the listwise baselines, core.Model for RAPID.
+// model also carries the TrainConfig it is built with and hands it to
+// TrainListwise in its Fit. Net and core.Model implement Loss as the BCE of
+// their logits against the click labels (Eq. 11); Seq2Slate as its
+// teacher-forced pointer cross-entropy.
 type ListwiseModel interface {
-	// Logits returns an L×1 node of pre-sigmoid re-ranking scores for the
-	// instance. train distinguishes stochastic behavior (e.g. RAPID-pro
-	// samples ξ during training but uses the UCB at inference).
+	// Loss returns the 1×1 loss node of the instance. train distinguishes
+	// stochastic behavior (e.g. RAPID-pro samples ξ during training but
+	// uses the UCB at inference); validation calls it with train false.
 	//
-	// The parallel trainer calls Logits from multiple goroutines at once
+	// The parallel trainer calls Loss from multiple goroutines at once
 	// (distinct tapes, distinct instances), so the method must not mutate
 	// shared model state. Models with train-time randomness implement
 	// batchPreparer to move their random draws onto the trainer goroutine.
-	Logits(t *nn.Tape, inst *Instance, train bool) *nn.Node
+	Loss(t *nn.Tape, inst *Instance, train bool) *nn.Node
 	// Params exposes the trainable parameters.
 	Params() *nn.ParamSet
 }
@@ -35,7 +36,7 @@ type ListwiseModel interface {
 // training-time forward pass is stochastic. The trainer calls
 // PrepareInstance sequentially — in batch order, before any worker touches
 // the batch — so the model can pre-draw its random numbers from its own RNG
-// in a deterministic order and stash them per instance. Logits(train=true)
+// in a deterministic order and stash them per instance. Loss(train=true)
 // then consumes the stashed draws instead of the RNG, which keeps the
 // forward pass read-only (race-free) and the RNG stream independent of
 // worker scheduling.
@@ -43,8 +44,8 @@ type batchPreparer interface {
 	PrepareInstance(inst *Instance)
 }
 
-// TrainConfig bundles the optimization hyper-parameters shared by all
-// neural re-rankers (paper Section IV-C: Adam, BCE loss of Eq. 11).
+// TrainConfig bundles the optimization hyper-parameters of TrainListwise
+// (paper Section IV-C: Adam).
 type TrainConfig struct {
 	Epochs    int
 	LR        float64
@@ -118,9 +119,9 @@ func emitEpoch(o EpochObserver, es EpochStats) {
 	}
 }
 
-// DefaultTrainConfig returns the configuration every neural re-ranker is
-// built with (its seed being the model's); the experiment harness changes
-// only the epochs.
+// DefaultTrainConfig returns the configuration RAPID and the listwise nets
+// are built with (its seed being the model's); the experiment harness
+// changes only the epochs.
 func DefaultTrainConfig(seed int64) TrainConfig {
 	return TrainConfig{Epochs: 8, LR: 0.005, BatchSize: 8, ClipNorm: 5, Seed: seed}
 }
@@ -215,10 +216,10 @@ type job struct {
 	update bool // false: fold the ok slots' shadows; true: the Adam update
 }
 
-// TrainListwise optimizes the model's BCE loss (Eq. 11) over the training
-// instances with Adam, accumulating gradients over BatchSize instances per
-// step. Within a batch the forward/backward passes run on up to
-// cfg.Workers goroutines; gradients land in per-slot shadows that are
+// TrainListwise optimizes the model's loss over the training instances
+// with Adam, accumulating gradients over BatchSize instances per step.
+// Within a batch the forward/backward passes run on up to cfg.Workers
+// goroutines; gradients land in per-slot shadows that are
 // folded into the parameters in slot order, so results are bitwise
 // independent of the worker count. The same workers then run the batch's
 // reduction, each over its own contiguous range of the parameters: the fold
@@ -403,8 +404,7 @@ func TrainListwise(m ListwiseModel, train []*Instance, cfg TrainConfig) (float64
 func runSlot(m ListwiseModel, tape *nn.Tape, s *slotState, inst *Instance) {
 	tape.Reset()
 	tape.WithGrads(s.shadow)
-	logits := m.Logits(tape, inst, true)
-	loss := tape.SigmoidBCE(logits, inst.Labels)
+	loss := m.Loss(tape, inst, true)
 	lv := loss.Value.Data[0]
 	if math.IsNaN(lv) || math.IsInf(lv, 0) {
 		s.loss, s.ok = 0, false
@@ -414,20 +414,21 @@ func runSlot(m ListwiseModel, tape *nn.Tape, s *slotState, inst *Instance) {
 	s.loss, s.ok = lv, true
 }
 
-// validationLoss computes the deterministic (inference-mode) mean BCE over
-// labeled instances without touching gradients. One tape is reused across
-// instances; losses are summed in instance order.
+// validationLoss computes the deterministic (inference-mode) mean loss over
+// labeled instances without touching gradients. One pooled tape serves
+// every instance; losses are summed in instance order.
 func validationLoss(m ListwiseModel, insts []*Instance) float64 {
 	if len(insts) == 0 {
 		return 0
 	}
-	t := nn.NewTape()
+	t := scoreTapes.Get().(*nn.Tape)
 	var total float64
 	for _, inst := range insts {
 		t.Reset()
-		logits := m.Logits(t, inst, false)
-		total += t.SigmoidBCE(logits, inst.Labels).Value.Data[0]
+		total += m.Loss(t, inst, false).Value.Data[0]
 	}
+	t.Reset()
+	scoreTapes.Put(t)
 	return total / float64(len(insts))
 }
 

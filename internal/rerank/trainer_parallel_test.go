@@ -44,7 +44,7 @@ func (m *noisyModel) PrepareInstance(inst *Instance) {
 	}
 }
 
-func (m *noisyModel) Logits(t *nn.Tape, inst *Instance, train bool) *nn.Node {
+func (m *noisyModel) Loss(t *nn.Tape, inst *Instance, train bool) *nn.Node {
 	out := m.d.Forward(t, t.Constant(inst.ListFeatures()))
 	if train {
 		xi := m.pre[inst]
@@ -56,7 +56,7 @@ func (m *noisyModel) Logits(t *nn.Tape, inst *Instance, train bool) *nn.Node {
 		}
 		out = t.Add(out, t.Constant(xi))
 	}
-	return out
+	return t.SigmoidBCE(out, inst.Labels)
 }
 
 func paramsBitwiseEqual(t *testing.T, a, b *nn.ParamSet) {
