@@ -255,8 +255,8 @@ func (e *Engine) newRequestID() string {
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Requests:  e.met.Requests.Value(),
-		Degraded:  e.met.Degraded.Total(),
-		Shed:      e.met.Shed.Total(),
+		Degraded:  obs.Total(e.met.Degraded),
+		Shed:      obs.Total(e.met.Shed),
 		Panics:    e.met.Panics.Value(),
 		BadInput:  e.met.BadInput.Value(),
 		Responses: e.met.ResponsesOK.Value(),

@@ -1,94 +1,95 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 )
 
+// series is a registered metric as the exposition sees it: it writes its
+// own sample lines for name, with labels ("" or `k="v"`) inside the braces
+// of each.
+type series interface {
+	expose(w *bytes.Buffer, name, labels string)
+}
+
 // WriteText renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4): a # HELP and # TYPE line per metric,
-// metrics sorted by name, labeled counters sorted by label value, histograms
+// metrics sorted by name, labeled series sorted by label value, histograms
 // as cumulative _bucket{le="..."} series plus _sum and _count. The output is
 // fully deterministic for a given registry state — the golden test pins it.
 func (r *Registry) WriteText(w io.Writer) error {
-	for _, m := range r.Snapshot() {
-		if err := writeMetricText(w, m); err != nil {
-			return err
-		}
+	r.mu.Lock()
+	ms := make([]*metric, 0, len(r.by))
+	for _, m := range r.by {
+		ms = append(ms, m)
 	}
-	return nil
+	r.mu.Unlock()
+	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
+
+	var b bytes.Buffer
+	for _, m := range ms {
+		if m.help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", m.name, escapeHelp(m.help))
+		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, m.typ)
+		m.impl.expose(&b, m.name, "")
+	}
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
-func writeMetricText(w io.Writer, m MetricSnapshot) error {
-	if m.Help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.Name, escapeHelp(m.Help)); err != nil {
-			return err
-		}
+func (c *Counter) expose(w *bytes.Buffer, name, labels string) {
+	fmt.Fprintf(w, "%s%s %d\n", name, braces(labels), c.Value())
+}
+
+func (g *Gauge) expose(w *bytes.Buffer, name, labels string) {
+	fmt.Fprintf(w, "%s%s %s\n", name, braces(labels), formatFloat(g.Value()))
+}
+
+func (h *Histogram) expose(w *bytes.Buffer, name, labels string) {
+	bucket := labels
+	if bucket != "" {
+		bucket += ","
 	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.Name, m.Kind); err != nil {
-		return err
+	var cum int64
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = formatFloat(h.bounds[i])
+		}
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, bucket, le, cum)
 	}
-	switch {
-	case m.Hist != nil:
-		var cum int64
-		for i, c := range m.Hist.Counts {
-			cum += c
-			le := "+Inf"
-			if i < len(m.Hist.Bounds) {
-				le = formatFloat(m.Hist.Bounds[i])
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", m.Name, le, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n", m.Name, formatFloat(m.Hist.Sum)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count %d\n", m.Name, m.Hist.Count)
-		return err
-	case m.Kind == kindHistogram && m.Label != "":
-		for _, lh := range m.LabeledHists {
-			var cum int64
-			for i, c := range lh.Hist.Counts {
-				cum += c
-				le := "+Inf"
-				if i < len(lh.Hist.Bounds) {
-					le = formatFloat(lh.Hist.Bounds[i])
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", m.Name, m.Label, lh.Value, le, cum); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum{%s=%q} %s\n", m.Name, m.Label, lh.Value, formatFloat(lh.Hist.Sum)); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_count{%s=%q} %d\n", m.Name, m.Label, lh.Value, lh.Hist.Count); err != nil {
-				return err
-			}
-		}
-		return nil
-	case m.Kind == kindGauge && m.Label != "":
-		for _, lg := range m.LabeledGauges {
-			if _, err := fmt.Fprintf(w, "%s{%s=%q} %s\n", m.Name, m.Label, lg.Value, formatFloat(lg.Gauge)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case m.Label != "":
-		for _, lv := range m.Labeled {
-			if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", m.Name, m.Label, lv.Value, lv.Count); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		_, err := fmt.Fprintf(w, "%s %s\n", m.Name, formatFloat(m.Value))
-		return err
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, braces(labels), formatFloat(h.Sum()))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, braces(labels), h.Count())
+}
+
+// expose writes each label value's series, sorted by value.
+func (v *Vec[M]) expose(w *bytes.Buffer, name, _ string) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	values := make([]string, 0, len(v.by))
+	for value := range v.by {
+		values = append(values, value)
 	}
+	sort.Strings(values)
+	for _, value := range values {
+		v.by[value].expose(w, name, v.label+"="+strconv.Quote(value))
+	}
+}
+
+// braces wraps a non-empty label list in the exposition's braces.
+func braces(labels string) string {
+	if labels == "" {
+		return ""
+	}
+	return "{" + labels + "}"
 }
 
 // formatFloat renders a sample value the way Prometheus expects: shortest

@@ -1,7 +1,7 @@
 // Package obs is the repository's zero-dependency observability layer: an
-// atomic metrics registry (counters, labeled counters, gauges, fixed-bucket
-// histograms) with a Prometheus-text-format exposition handler and opt-in
-// net/http/pprof wiring.
+// atomic metrics registry (counters, gauges, fixed-bucket histograms, and
+// each of them partitioned by one label) with a Prometheus-text-format
+// exposition handler and opt-in net/http/pprof wiring.
 //
 // The serving layer (internal/serve) and the training CLIs instrument their
 // hot paths against this package; a production re-ranking stage that cannot
@@ -11,30 +11,19 @@
 // accumulation), so instrumenting a path costs nanoseconds and never locks.
 //
 // Concurrency model: metric updates are lock-free and safe from any
-// goroutine. A Snapshot (and therefore a /metrics scrape) reads each atomic
-// individually — counters are monotone and exact, but a histogram's sum,
-// count and buckets are read as separate atomics, so a scrape racing an
-// Observe may see a histogram whose parts differ by the in-flight
-// observation. That is the standard scrape-consistency contract; totals
-// reconcile on the next scrape.
+// goroutine. A /metrics scrape reads each atomic individually — counters
+// are monotone and exact, but a histogram's sum, count and buckets are read
+// as separate atomics, so a scrape racing an Observe may see a histogram
+// whose parts differ by the in-flight observation. That is the standard
+// scrape-consistency contract; totals reconcile on the next scrape.
 package obs
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-)
-
-// Kind discriminates the metric types in a Snapshot.
-type Kind string
-
-const (
-	kindCounter   Kind = "counter"
-	kindGauge     Kind = "gauge"
-	kindHistogram Kind = "histogram"
 )
 
 // latencyBuckets are the default histogram bounds for request latencies, in
@@ -56,35 +45,47 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// CounterVec is a counter partitioned by the values of one label (e.g.
+// Vec is a metric partitioned by the values of one label (e.g.
 // degraded_total{reason="deadline"}). Label values are created on first use
 // and live for the registry's lifetime, so the cardinality must be small and
-// bounded — reasons and statuses, never user ids.
-type CounterVec struct {
+// bounded — reasons, statuses, model versions and replica ids, never user
+// ids.
+type Vec[M series] struct {
 	label string
+	newM  func() M
 	mu    sync.RWMutex
-	by    map[string]*Counter
+	by    map[string]M
 }
 
-// With returns the counter for one label value, creating it on first use.
-func (v *CounterVec) With(value string) *Counter {
+// CounterVec, GaugeVec and HistogramVec are the three labeled families.
+type (
+	CounterVec   = Vec[*Counter]
+	GaugeVec     = Vec[*Gauge]
+	HistogramVec = Vec[*Histogram]
+)
+
+// With returns the series for one label value, creating it on first use.
+// Creating a value eagerly (before any update) is deliberate: it makes the
+// series visible on /metrics at zero, so dashboards see a new model version
+// or replica the moment it is registered rather than at its first event.
+func (v *Vec[M]) With(value string) M {
 	v.mu.RLock()
-	c := v.by[value]
+	m, ok := v.by[value]
 	v.mu.RUnlock()
-	if c != nil {
-		return c
+	if ok {
+		return m
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c = v.by[value]; c == nil {
-		c = &Counter{}
-		v.by[value] = c
+	if m, ok = v.by[value]; !ok {
+		m = v.newM()
+		v.by[value] = m
 	}
-	return c
+	return m
 }
 
-// Total sums the counter across all label values.
-func (v *CounterVec) Total() int64 {
+// Total sums a labeled counter across all label values.
+func Total(v *CounterVec) int64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	var t int64
@@ -94,73 +95,19 @@ func (v *CounterVec) Total() int64 {
 	return t
 }
 
-// HistogramVec is a histogram partitioned by the values of one label (e.g.
-// request latency keyed by model version). Like CounterVec, label values are
-// created on first use and live for the registry's lifetime, so the
-// cardinality must stay small and bounded — model versions and stages, never
-// user ids.
-type HistogramVec struct {
-	label  string
-	bounds []float64
-	mu     sync.RWMutex
-	by     map[string]*Histogram
-}
-
-// With returns the histogram for one label value, creating it on first use.
-// Creating a value eagerly (before any Observe) is deliberate: it makes the
-// series visible on /metrics at zero, so dashboards see a new model version
-// the moment it is registered rather than at its first request.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.RLock()
-	h := v.by[value]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h = v.by[value]; h == nil {
-		h = &Histogram{
-			bounds: append([]float64(nil), v.bounds...),
-			counts: make([]atomic.Int64, len(v.bounds)+1),
+// addFloat atomically adds d to the float64 whose bits u holds; the CAS
+// loop keeps concurrent deltas from losing updates.
+func addFloat(u *atomic.Uint64, d float64) {
+	for {
+		old := u.Load()
+		if u.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+			return
 		}
-		v.by[value] = h
 	}
-	return h
-}
-
-// GaugeVec is a gauge partitioned by the values of one label (e.g. replica
-// health keyed by replica id). Like CounterVec, label values are created on
-// first use and live for the registry's lifetime, so the cardinality must
-// stay small and bounded — replica ids and states, never user ids.
-type GaugeVec struct {
-	label string
-	mu    sync.RWMutex
-	by    map[string]*Gauge
-}
-
-// With returns the gauge for one label value, creating it on first use.
-// Creating a value eagerly (before any Set) is deliberate: it makes the
-// series visible on /metrics at zero, so dashboards see a new replica the
-// moment the router learns of it rather than at its first state change.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.RLock()
-	g := v.by[value]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g = v.by[value]; g == nil {
-		g = &Gauge{}
-		v.by[value] = g
-	}
-	return g
 }
 
 // Gauge is an instantaneous float64 value (in-flight requests, last epoch
-// loss). Add uses a CAS loop so concurrent deltas never lose updates.
+// loss).
 type Gauge struct {
 	bits atomic.Uint64
 }
@@ -169,15 +116,7 @@ type Gauge struct {
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add atomically adds d to the gauge.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
+func (g *Gauge) Add(d float64) { addFloat(&g.bits, d) }
 
 // Value reads the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -201,81 +140,41 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, nw) {
-			return
-		}
-	}
+	addFloat(&h.sum, v)
 }
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// HistogramSnapshot is a consistent-enough copy of a histogram's state (see
-// the package comment for the scrape-consistency contract).
-type HistogramSnapshot struct {
-	// Bounds are the bucket upper bounds; Counts has one extra trailing
-	// entry for the +Inf bucket. Counts are per-bucket, not cumulative.
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-}
+// Count reads the number of observations.
+func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Snapshot copies the histogram's current state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: make([]int64, len(h.counts)),
-		Count:  h.count.Load(),
-		Sum:    math.Float64frombits(h.sum.Load()),
+// Sum reads the sum of the observed values.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+
+// histograms validates bounds (sorted ascending; nil means latencyBuckets)
+// and returns a constructor of empty histograms over one private copy.
+func histograms(name string, bounds []float64) func() *Histogram {
+	if bounds == nil {
+		bounds = latencyBuckets
 	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			panic(fmt.Sprintf("obs: histogram %q bounds not sorted: %v", name, bounds))
+		}
 	}
-	return s
-}
-
-// LabeledValue is one label value of a CounterVec in a snapshot.
-type LabeledValue struct {
-	Value string `json:"value"`
-	Count int64  `json:"count"`
-}
-
-// LabeledGauge is one label value of a GaugeVec in a snapshot.
-type LabeledGauge struct {
-	Value string  `json:"value"`
-	Gauge float64 `json:"gauge"`
-}
-
-// LabeledHist is one label value of a HistogramVec in a snapshot.
-type LabeledHist struct {
-	Value string            `json:"value"`
-	Hist  HistogramSnapshot `json:"histogram"`
-}
-
-// MetricSnapshot is one metric's state in Registry.Snapshot — the common
-// currency of the /metrics renderer, the golden tests and the benchmark
-// harness's JSON output.
-type MetricSnapshot struct {
-	Name          string             `json:"name"`
-	Help          string             `json:"help"`
-	Kind          Kind               `json:"kind"`
-	Value         float64            `json:"value,omitempty"`          // counter, gauge
-	Label         string             `json:"label,omitempty"`          // labeled counter, gauge or histogram
-	Labeled       []LabeledValue     `json:"labeled,omitempty"`        // sorted by label value
-	LabeledGauges []LabeledGauge     `json:"labeled_gauges,omitempty"` // sorted by label value
-	Hist          *HistogramSnapshot `json:"histogram,omitempty"`
-	LabeledHists  []LabeledHist      `json:"labeled_histograms,omitempty"` // sorted by label value
+	bounds = append([]float64(nil), bounds...)
+	return func() *Histogram {
+		return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+	}
 }
 
 // metric is one registered metric with its metadata.
 type metric struct {
 	name string
 	help string
-	impl any // *Counter | *CounterVec | *Gauge | *GaugeVec | *Histogram | *HistogramVec
+	typ  string // the exposition's # TYPE: counter, gauge or histogram
+	impl series
 }
 
 // Registry owns a flat namespace of metrics. Registration is idempotent:
@@ -294,7 +193,7 @@ func NewRegistry() *Registry {
 
 // register returns the existing metric under name or claims the name with
 // make's result, panicking when the existing metric has a different type.
-func register[T any](r *Registry, name, help string, make func() T) T {
+func register[T series](r *Registry, name, help, typ string, make func() T) T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.by[name]; ok {
@@ -305,127 +204,45 @@ func register[T any](r *Registry, name, help string, make func() T) T {
 		return impl
 	}
 	impl := make()
-	r.by[name] = &metric{name: name, help: help, impl: impl}
+	r.by[name] = &metric{name: name, help: help, typ: typ, impl: impl}
 	return impl
+}
+
+// registerVec is register for a family partitioned by label.
+func registerVec[M series](r *Registry, name, help, typ, label string, newM func() M) *Vec[M] {
+	return register(r, name, help, typ, func() *Vec[M] {
+		return &Vec[M]{label: label, newM: newM, by: map[string]M{}}
+	})
 }
 
 // Counter registers (or fetches) a monotone counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	return register(r, name, help, func() *Counter { return &Counter{} })
+	return register(r, name, help, "counter", func() *Counter { return &Counter{} })
 }
 
 // CounterVec registers (or fetches) a counter partitioned by one label.
 func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	return register(r, name, help, func() *CounterVec {
-		return &CounterVec{label: label, by: map[string]*Counter{}}
-	})
+	return registerVec(r, name, help, "counter", label, func() *Counter { return &Counter{} })
 }
 
 // Gauge registers (or fetches) a float gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return register(r, name, help, func() *Gauge { return &Gauge{} })
+	return register(r, name, help, "gauge", func() *Gauge { return &Gauge{} })
 }
 
 // GaugeVec registers (or fetches) a gauge partitioned by one label.
 func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	return register(r, name, help, func() *GaugeVec {
-		return &GaugeVec{label: label, by: map[string]*Gauge{}}
-	})
+	return registerVec(r, name, help, "gauge", label, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram registers (or fetches) a fixed-bucket histogram. bounds must be
-// sorted ascending; nil means LatencyBuckets.
+// sorted ascending; nil means latencyBuckets.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	return register(r, name, help, func() *Histogram {
-		if bounds == nil {
-			bounds = latencyBuckets
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				panic(fmt.Sprintf("obs: histogram %q bounds not sorted: %v", name, bounds))
-			}
-		}
-		return &Histogram{
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]atomic.Int64, len(bounds)+1),
-		}
-	})
+	return register(r, name, help, "histogram", histograms(name, bounds))
 }
 
 // HistogramVec registers (or fetches) a fixed-bucket histogram partitioned
-// by one label. bounds must be sorted ascending; nil means LatencyBuckets.
+// by one label. bounds must be sorted ascending; nil means latencyBuckets.
 func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
-	return register(r, name, help, func() *HistogramVec {
-		if bounds == nil {
-			bounds = latencyBuckets
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				panic(fmt.Sprintf("obs: histogram %q bounds not sorted: %v", name, bounds))
-			}
-		}
-		return &HistogramVec{
-			label:  label,
-			bounds: append([]float64(nil), bounds...),
-			by:     map[string]*Histogram{},
-		}
-	})
-}
-
-// Snapshot captures every registered metric, sorted by name so the output
-// order is stable regardless of registration order.
-func (r *Registry) Snapshot() []MetricSnapshot {
-	r.mu.Lock()
-	ms := make([]*metric, 0, len(r.by))
-	for _, m := range r.by {
-		ms = append(ms, m)
-	}
-	r.mu.Unlock()
-	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
-
-	out := make([]MetricSnapshot, 0, len(ms))
-	for _, m := range ms {
-		s := MetricSnapshot{Name: m.name, Help: m.help}
-		switch impl := m.impl.(type) {
-		case *Counter:
-			s.Kind = kindCounter
-			s.Value = float64(impl.Value())
-		case *Gauge:
-			s.Kind = kindGauge
-			s.Value = impl.Value()
-		case *CounterVec:
-			s.Kind = kindCounter
-			s.Label = impl.label
-			impl.mu.RLock()
-			for v, c := range impl.by {
-				s.Labeled = append(s.Labeled, LabeledValue{Value: v, Count: c.Value()})
-			}
-			impl.mu.RUnlock()
-			sort.Slice(s.Labeled, func(i, j int) bool { return s.Labeled[i].Value < s.Labeled[j].Value })
-		case *GaugeVec:
-			s.Kind = kindGauge
-			s.Label = impl.label
-			impl.mu.RLock()
-			for v, g := range impl.by {
-				s.LabeledGauges = append(s.LabeledGauges, LabeledGauge{Value: v, Gauge: g.Value()})
-			}
-			impl.mu.RUnlock()
-			sort.Slice(s.LabeledGauges, func(i, j int) bool { return s.LabeledGauges[i].Value < s.LabeledGauges[j].Value })
-		case *Histogram:
-			s.Kind = kindHistogram
-			h := impl.Snapshot()
-			s.Hist = &h
-		case *HistogramVec:
-			s.Kind = kindHistogram
-			s.Label = impl.label
-			impl.mu.RLock()
-			for v, h := range impl.by {
-				s.LabeledHists = append(s.LabeledHists, LabeledHist{Value: v, Hist: h.Snapshot()})
-			}
-			impl.mu.RUnlock()
-			sort.Slice(s.LabeledHists, func(i, j int) bool { return s.LabeledHists[i].Value < s.LabeledHists[j].Value })
-		}
-		out = append(out, s)
-	}
-	return out
+	return registerVec(r, name, help, "histogram", label, histograms(name, bounds))
 }

@@ -22,8 +22,8 @@ func TestCounterAndVec(t *testing.T) {
 	v.With("a").Inc()
 	v.With("b").Add(2)
 	v.With("a").Inc()
-	if v.With("a").Value() != 2 || v.With("b").Value() != 2 || v.Total() != 4 {
-		t.Fatalf("vec a=%d b=%d total=%d", v.With("a").Value(), v.With("b").Value(), v.Total())
+	if v.With("a").Value() != 2 || v.With("b").Value() != 2 || Total(v) != 4 {
+		t.Fatalf("vec a=%d b=%d total=%d", v.With("a").Value(), v.With("b").Value(), Total(v))
 	}
 }
 
@@ -49,41 +49,57 @@ func TestGauge(t *testing.T) {
 }
 
 // TestGaugeVec covers the labeled-gauge family: per-value isolation,
-// idempotent With, eager series creation at zero, snapshot ordering and the
-// text exposition (float samples, unlike CounterVec's integers).
+// idempotent With, eager series creation at zero, label-value ordering and
+// the text exposition (float samples, unlike CounterVec's integers).
 func TestGaugeVec(t *testing.T) {
 	r := NewRegistry()
 	gv := r.GaugeVec("replica_up", "by replica", "replica")
 	if gv.With("a") != gv.With("a") {
 		t.Fatal("With not idempotent")
 	}
-	gv.With("b") // eager creation: must appear in the snapshot at zero
+	gv.With("b") // eager creation: must appear in the exposition at zero
 	gv.With("a").Set(1)
 	gv.With("c").Set(0.5)
 
-	snaps := r.Snapshot()
-	if len(snaps) != 1 || snaps[0].Kind != kindGauge || snaps[0].Label != "replica" {
-		t.Fatalf("snapshot %+v", snaps)
+	want := "# HELP replica_up by replica\n" +
+		"# TYPE replica_up gauge\n" +
+		`replica_up{replica="a"} 1` + "\n" +
+		`replica_up{replica="b"} 0` + "\n" +
+		`replica_up{replica="c"} 0.5` + "\n"
+	if got := exposition(t, r); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
-	lg := snaps[0].LabeledGauges
-	if len(lg) != 3 || lg[0].Value != "a" || lg[1].Value != "b" || lg[2].Value != "c" {
-		t.Fatalf("labeled gauges %+v", lg)
-	}
-	if lg[0].Gauge != 1 || lg[1].Gauge != 0 || lg[2].Gauge != 0.5 {
-		t.Fatalf("labeled gauge values %+v", lg)
-	}
+}
+
+// exposition renders r's text exposition.
+func exposition(t *testing.T, r *Registry) string {
+	t.Helper()
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		`replica_up{replica="a"} 1`,
-		`replica_up{replica="b"} 0`,
-		`replica_up{replica="c"} 0.5`,
-	} {
-		if !strings.Contains(b.String(), want+"\n") {
-			t.Fatalf("exposition missing %q:\n%s", want, b.String())
-		}
+	return b.String()
+}
+
+// bucketCounts reads h's per-bucket (not cumulative) counts, +Inf last.
+func bucketCounts(h *Histogram) []int64 {
+	out := make([]int64, len(h.counts))
+	for i := range h.counts {
+		out[i] = h.counts[i].Load()
+	}
+	return out
+}
+
+// TestCounterSamplesAreIntegers: a counter renders its exact integer count
+// whether or not it carries a label, at every magnitude.
+func TestCounterSamplesAreIntegers(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a_total", "").Add(1234567)
+	r.CounterVec("b_total", "", "k").With("x").Add(1234567)
+	want := "# TYPE a_total counter\na_total 1234567\n" +
+		"# TYPE b_total counter\nb_total{k=\"x\"} 1234567\n"
+	if got := exposition(t, r); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -93,21 +109,21 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.05, 0.1, 0.5, 2, 100} {
 		h.Observe(v)
 	}
-	s := h.Snapshot()
 	// Upper bounds are inclusive (Prometheus le semantics): 0.1 lands in the
 	// first bucket; 100 lands in +Inf.
 	want := []int64{2, 1, 1, 1}
+	counts := bucketCounts(h)
 	for i, w := range want {
-		if s.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (snapshot %+v)", i, s.Counts[i], w, s)
+		if counts[i] != w {
+			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, counts[i], w, counts)
 		}
 	}
-	if s.Count != 5 || s.Sum != 0.05+0.1+0.5+2+100 {
-		t.Fatalf("count=%d sum=%v", s.Count, s.Sum)
+	if h.Count() != 5 || h.Sum() != 0.05+0.1+0.5+2+100 {
+		t.Fatalf("count=%d sum=%v", h.Count(), h.Sum())
 	}
 	h.ObserveDuration(50 * time.Millisecond)
-	if got := h.Snapshot(); got.Counts[0] != 3 {
-		t.Fatalf("ObserveDuration(50ms) missed the 0.1 bucket: %+v", got)
+	if got := bucketCounts(h); got[0] != 3 {
+		t.Fatalf("ObserveDuration(50ms) missed the 0.1 bucket: %v", got)
 	}
 }
 
@@ -137,8 +153,8 @@ func TestTrainTelemetry(t *testing.T) {
 	if tel.ValidLoss.Value() != 0.8 {
 		t.Fatalf("valid loss gauge = %v", tel.ValidLoss.Value())
 	}
-	if s := tel.EpochSeconds.Snapshot(); s.Count != 2 {
-		t.Fatalf("epoch histogram count = %d", s.Count)
+	if n := tel.EpochSeconds.Count(); n != 2 {
+		t.Fatalf("epoch histogram count = %d", n)
 	}
 }
 
@@ -209,18 +225,17 @@ func TestConcurrentExactTotals(t *testing.T) {
 	if c.Value() != total {
 		t.Fatalf("counter = %d, want %d", c.Value(), total)
 	}
-	if v.Total() != total || v.With("even").Value() != total/2 || v.With("odd").Value() != total/2 {
-		t.Fatalf("vec total=%d even=%d odd=%d", v.Total(), v.With("even").Value(), v.With("odd").Value())
+	if Total(v) != total || v.With("even").Value() != total/2 || v.With("odd").Value() != total/2 {
+		t.Fatalf("vec total=%d even=%d odd=%d", Total(v), v.With("even").Value(), v.With("odd").Value())
 	}
 	if g.Value() != float64(total) {
 		t.Fatalf("gauge = %v, want %d", g.Value(), total)
 	}
-	s := h.Snapshot()
-	if s.Count != total || s.Sum != float64(total) {
-		t.Fatalf("histogram count=%d sum=%v, want %d", s.Count, s.Sum, total)
+	if h.Count() != total || h.Sum() != float64(total) {
+		t.Fatalf("histogram count=%d sum=%v, want %d", h.Count(), h.Sum(), total)
 	}
 	var bucketSum int64
-	for _, n := range s.Counts {
+	for _, n := range bucketCounts(h) {
 		bucketSum += n
 	}
 	if bucketSum != total {
@@ -229,7 +244,7 @@ func TestConcurrentExactTotals(t *testing.T) {
 }
 
 // TestHistogramVec covers the labeled-histogram family: per-value isolation,
-// idempotent With, eager series creation, snapshot ordering and exact totals
+// idempotent With, eager series creation, label-value ordering and exact totals
 // under concurrent observation from many goroutines.
 func TestHistogramVec(t *testing.T) {
 	r := NewRegistry()
@@ -237,7 +252,7 @@ func TestHistogramVec(t *testing.T) {
 	if hv.With("a") != hv.With("a") {
 		t.Fatal("With not idempotent")
 	}
-	hv.With("b") // eager creation: must appear in the snapshot at zero
+	hv.With("b") // eager creation: must appear in the exposition at zero
 
 	const goroutines, perG = 8, 5000
 	var wg sync.WaitGroup
@@ -252,32 +267,75 @@ func TestHistogramVec(t *testing.T) {
 	}
 	wg.Wait()
 
-	if s := hv.With("a").Snapshot(); s.Count != goroutines*perG || s.Sum != float64(goroutines*perG) {
-		t.Fatalf("labeled histogram count=%d sum=%v", s.Count, s.Sum)
+	if a := hv.With("a"); a.Count() != goroutines*perG || a.Sum() != float64(goroutines*perG) {
+		t.Fatalf("labeled histogram count=%d sum=%v", a.Count(), a.Sum())
 	}
-	if s := hv.With("b").Snapshot(); s.Count != 0 {
-		t.Fatalf("untouched label observed %d", s.Count)
+	if n := hv.With("b").Count(); n != 0 {
+		t.Fatalf("untouched label observed %d", n)
 	}
 
-	snaps := r.Snapshot()
-	if len(snaps) != 1 || snaps[0].Kind != kindHistogram || snaps[0].Label != "version" {
-		t.Fatalf("snapshot %+v", snaps)
+	want := "# HELP hv_seconds by version\n" +
+		"# TYPE hv_seconds histogram\n" +
+		`hv_seconds_bucket{version="a",le="1"} 40000` + "\n" +
+		`hv_seconds_bucket{version="a",le="2"} 40000` + "\n" +
+		`hv_seconds_bucket{version="a",le="+Inf"} 40000` + "\n" +
+		`hv_seconds_sum{version="a"} 40000` + "\n" +
+		`hv_seconds_count{version="a"} 40000` + "\n" +
+		`hv_seconds_bucket{version="b",le="1"} 0` + "\n" +
+		`hv_seconds_bucket{version="b",le="2"} 0` + "\n" +
+		`hv_seconds_bucket{version="b",le="+Inf"} 0` + "\n" +
+		`hv_seconds_sum{version="b"} 0` + "\n" +
+		`hv_seconds_count{version="b"} 0` + "\n"
+	if got := exposition(t, r); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
-	lh := snaps[0].LabeledHists
-	if len(lh) != 2 || lh[0].Value != "a" || lh[1].Value != "b" {
-		t.Fatalf("labeled hists %+v", lh)
+}
+
+// hotPath is the metric work of one served request, each op on a series
+// that already exists.
+func hotPath() []struct {
+	name string
+	op   func()
+} {
+	r := NewRegistry()
+	c := r.Counter("c_total", "")
+	v := r.CounterVec("v_total", "", "status")
+	v.With("ok")
+	h := r.Histogram("h_seconds", "", nil)
+	hv := r.HistogramVec("hv_seconds", "", "version", nil)
+	hv.With("v1")
+	g := r.Gauge("g", "")
+	return []struct {
+		name string
+		op   func()
+	}{
+		{"Counter.Inc", c.Inc},
+		{"CounterVec.With.Inc", func() { v.With("ok").Inc() }},
+		{"Histogram.Observe", func() { h.Observe(0.003) }},
+		{"HistogramVec.With.Observe", func() { hv.With("v1").Observe(0.003) }},
+		{"Gauge.Add", func() { g.Add(1) }},
 	}
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
+}
+
+// TestHotPathZeroAllocs: updating an existing series never allocates.
+func TestHotPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the plain build's under the race detector")
 	}
-	for _, want := range []string{
-		`hv_seconds_bucket{version="a",le="1"} 40000`,
-		`hv_seconds_count{version="a"} 40000`,
-		`hv_seconds_count{version="b"} 0`,
-	} {
-		if !strings.Contains(b.String(), want+"\n") {
-			t.Fatalf("exposition missing %q:\n%s", want, b.String())
+	for _, p := range hotPath() {
+		if n := testing.AllocsPerRun(100, p.op); n != 0 {
+			t.Errorf("%s allocates %v times per op, want 0", p.name, n)
 		}
+	}
+}
+
+func BenchmarkMetricHotPath(b *testing.B) {
+	for _, p := range hotPath() {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.op()
+			}
+		})
 	}
 }

@@ -38,10 +38,9 @@ func TestHistogramProperties(t *testing.T) {
 			}
 			want[b]++
 		}
-		s := h.Snapshot()
 		var bucketSum, cum int64
 		prev := int64(-1)
-		for i, c := range s.Counts {
+		for i, c := range bucketCounts(h) {
 			if c != want[i] {
 				return false
 			}
@@ -52,7 +51,7 @@ func TestHistogramProperties(t *testing.T) {
 			}
 			prev = cum
 		}
-		return bucketSum == s.Count && cum == s.Count && s.Sum == wantSum
+		return bucketSum == h.Count() && cum == h.Count() && h.Sum() == wantSum
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

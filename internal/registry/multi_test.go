@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -53,11 +54,20 @@ func newTestMulti(t *testing.T, tenants []string, mutate func(*MultiConfig)) (*M
 	return m, reg
 }
 
+// counterValue reads an unlabeled metric's sample from reg's exposition.
 func counterValue(t *testing.T, reg *obs.Registry, name string) float64 {
 	t.Helper()
-	for _, snap := range reg.Snapshot() {
-		if snap.Name == name {
-			return snap.Value
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if sample, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(sample, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return v
 		}
 	}
 	t.Fatalf("metric %s not found", name)

@@ -470,7 +470,7 @@ func TestObserveFeedsPerVersionCounters(t *testing.T) {
 	if got := r.met.degraded.With("v1").Value(); got != 1 {
 		t.Fatalf("degraded{v1} %d", got)
 	}
-	if got := r.met.latency.With("v1").Snapshot().Count; got != 2 {
+	if got := r.met.latency.With("v1").Count(); got != 2 {
 		t.Fatalf("latency{v1} count %d", got)
 	}
 }

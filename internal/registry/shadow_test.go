@@ -64,23 +64,23 @@ func TestShadowScoresCandidateOffPath(t *testing.T) {
 	if scored == 0 {
 		t.Fatal("every shadow job was shed")
 	}
-	if got := r.met.shadowDivergence.Snapshot().Count; got != scored {
+	if got := r.met.shadowDivergence.Count(); got != scored {
 		t.Fatalf("divergence observations %d, want %d", got, scored)
 	}
-	if got := r.met.shadowOverlap.Snapshot().Count; got != scored {
+	if got := r.met.shadowOverlap.Count(); got != scored {
 		t.Fatalf("overlap observations %d, want %d", got, scored)
 	}
-	if got := r.met.shadowILD.Snapshot().Count; got != scored {
+	if got := r.met.shadowILD.Count(); got != scored {
 		t.Fatalf("ILD observations %d, want %d", got, scored)
 	}
 	// The stub candidate scores identically to the primary: divergence must be
 	// exactly zero and the top-k overlap total — a smoke check that the
 	// comparison is aligned with inst.Items, not shifted.
-	if sum := r.met.shadowDivergence.Snapshot().Sum; sum != 0 {
+	if sum := r.met.shadowDivergence.Sum(); sum != 0 {
 		t.Fatalf("identical models diverged by %v", sum)
 	}
-	if snap := r.met.shadowOverlap.Snapshot(); snap.Sum != float64(snap.Count) {
-		t.Fatalf("identical models overlap %v/%d", snap.Sum, snap.Count)
+	if o := r.met.shadowOverlap; o.Sum() != float64(o.Count()) {
+		t.Fatalf("identical models overlap %v/%d", o.Sum(), o.Count())
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/rerank"
 )
 
@@ -353,7 +354,7 @@ func TestClientCancelCountsCanceled(t *testing.T) {
 	if got := s.met.Responses.With("canceled").Value(); got != 1 {
 		t.Fatalf("responses{canceled} = %d, want 1", got)
 	}
-	if got := s.met.Degraded.Total(); got != 0 {
+	if got := obs.Total(s.met.Degraded); got != 0 {
 		t.Fatalf("client cancel recorded %d degradations, want 0", got)
 	}
 	if w.Body.Len() != 0 {

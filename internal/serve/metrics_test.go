@@ -75,12 +75,12 @@ func TestMetricsExposition(t *testing.T) {
 	// in-flight decrement, slot release) can outlive the handler by a few
 	// microseconds; wait for quiescence so the scrape below is exact.
 	for deadline := time.Now().Add(2 * time.Second); ; {
-		if s.met.Inflight.Value() == 0 && s.met.Scoring.Snapshot().Count == 3 {
+		if s.met.Inflight.Value() == 0 && s.met.Scoring.Count() == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("scoring metrics did not quiesce: inflight=%v count=%d",
-				s.met.Inflight.Value(), s.met.Scoring.Snapshot().Count)
+				s.met.Inflight.Value(), s.met.Scoring.Count())
 		}
 		time.Sleep(time.Millisecond)
 	}
