@@ -114,7 +114,7 @@ func main() {
 		tenantRoot        = flag.String("tenant-root", "", "multi-tenant model store root (one single-tenant version store per subdirectory); requests may then name a tenant")
 		tenantBudgetMB    = flag.Int64("tenant-budget-mb", 512, "resident-tenant memory budget in MiB; past it least-recently-used tenants are evicted (0 = unlimited)")
 		tenantMaxResident = flag.Int("tenant-max-resident", 0, "max resident tenants regardless of size (0 = unlimited)")
-		tenantMaxInflight = flag.Int("tenant-max-inflight", 0, "per-tenant concurrent rerank admission quota; saturation sheds with reason tenant_quota (0 = no quota)")
+		tenantMaxInflight = flag.Int("tenant-max-inflight", 0, "per-tenant quota of concurrent rerank calls, a batch envelope taking one slot per distinct tenant among its items; saturation sheds with reason tenant_quota (0 = no quota)")
 
 		feedbackLog     = flag.String("feedback-log", "", "directory for the append-only feedback event log; mounts POST /v1/feedback (registry mode)")
 		feedbackSegMB   = flag.Int64("feedback-segment-mb", 4, "feedback log segment rotation threshold in MiB")

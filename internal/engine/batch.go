@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -27,24 +28,42 @@ type BatchConfig struct {
 
 // scoreJob is one resolved request on its way to a scorer: the tenant and
 // user key it resolved under, the pin that serves it and the instance the
-// pin's geometry validated. ctx is its scoring context, set once admitted.
-// done is buffered so the worker's delivery never blocks on a departed
-// waiter; ownsSlot marks jobs whose MaxInFlight slot must be released when
-// scoring truly ends (single requests own one slot each; batch-envelope
-// items share the envelope's slot, which the envelope path releases itself).
+// pin's geometry validated. ctx is its scoring context, set once admitted;
+// idx is its request's position in the call, and call holds the slots it
+// shares with its call-mates. done is buffered so the worker's delivery never
+// blocks on a departed waiter.
 type scoreJob struct {
-	tenant   string
-	user     uint64
-	pin      Pinned
-	inst     *rerank.Instance
-	ctx      context.Context
-	done     chan scoreOutcome
-	ownsSlot bool
+	tenant string
+	user   uint64
+	pin    Pinned
+	inst   *rerank.Instance
+	ctx    context.Context
+	done   chan scoreOutcome
+	idx    int
+	call   *call
 	// key identifies this request's encoded user state in the engine's state
 	// cache; hasKey is set only when the cache is enabled and the pinned
 	// scorer can consume states (so workers never hash or look up in vain).
 	key    stateKey
 	hasKey bool
+}
+
+// call is one Rerank or RerankBatch call's jobs and the slots admitting them
+// took: one MaxInFlight slot and the quota slots in quota, one per distinct
+// tenant. left counts the dispatched jobs not yet finished; the finish that
+// takes it to zero gives every slot back.
+type call struct {
+	jobs  []scoreJob
+	one   [1]scoreJob // backs jobs for a single request
+	left  atomic.Int32
+	quota []chan struct{}
+}
+
+// releaseQuota gives back the call's tenant-quota slots.
+func (c *call) releaseQuota() {
+	for _, sem := range c.quota {
+		<-sem
+	}
 }
 
 // diversifierNamer is the metric-labeling hook a weightless diversifier
@@ -66,9 +85,10 @@ type scorePool struct {
 }
 
 // newScorePool sizes the queue so that a single request's dispatch never
-// blocks: singles hold one MaxInFlight slot each, so at most MaxInFlight of
-// them are queued or scoring. The rest is headroom for envelopes, which hold
-// one slot but dispatch up to MaxBatchRequests jobs.
+// blocks: every call holds one MaxInFlight slot until its last job finishes,
+// so at most MaxInFlight singles are queued or scoring. The rest is headroom
+// for envelopes, which hold one slot but dispatch up to MaxBatchRequests
+// jobs.
 func newScorePool(e *Engine) *scorePool {
 	return &scorePool{e: e, queue: make(chan *scoreJob, e.cfg.MaxInFlight+4*e.cfg.Batch.Workers+16)}
 }
@@ -76,8 +96,8 @@ func newScorePool(e *Engine) *scorePool {
 // dispatch hands one job to the workers. It is the only sender on the queue.
 // An envelope of many jobs can fill the queue behind a stuck scorer; the send
 // therefore gives up when the job's context ends and finishes the job with
-// the context's error, so it still gets exactly one outcome and an owned slot
-// is released.
+// the context's error, so it still gets exactly one outcome and counts
+// toward its call's release.
 func (p *scorePool) dispatch(j *scoreJob) {
 	p.started.Do(func() {
 		for i := 0; i < p.e.cfg.Batch.Workers; i++ {
@@ -206,12 +226,14 @@ func (e *Engine) callScorer(j *scoreJob) ([]float64, error) {
 	return res[0], nil
 }
 
-// finish delivers a job's outcome and releases its scoring slot if it owns
-// one. Exactly one finish per job: the buffered done channel makes delivery
-// non-blocking even when the waiter already gave up on its deadline.
+// finish delivers a job's outcome, and the call's last finish releases every
+// slot the call holds. Exactly one finish per job: the buffered done channel
+// makes delivery non-blocking even when the waiter already gave up on its
+// deadline.
 func (e *Engine) finish(j *scoreJob, out scoreOutcome) {
 	j.done <- out
-	if j.ownsSlot {
+	if j.call.left.Add(-1) == 0 {
 		<-e.sem
+		j.call.releaseQuota()
 	}
 }

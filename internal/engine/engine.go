@@ -41,13 +41,13 @@ import (
 	"log"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/rerank"
 )
 
 // Config bounds the engine's resource envelope. The zero value is usable:
@@ -89,11 +89,14 @@ type Config struct {
 	// providers. nil (the default) rejects every named tenant; requests with
 	// an empty tenant always go to the engine's own provider.
 	Tenants TenantSource
-	// TenantMaxInFlight, when positive, bounds concurrently admitted
-	// single-rerank requests per tenant (the default tenant included).
-	// Saturation sheds with reason ShedTenantQuota instead of queueing, so
-	// one hot tenant cannot occupy every scoring slot. Batch envelopes are
-	// bounded by MaxInFlight/MaxBatchRequests only.
+	// TenantMaxInFlight, when positive, bounds concurrently admitted calls
+	// per tenant (the default tenant included). A call — one Rerank or one
+	// RerankBatch envelope — takes one quota slot for each distinct tenant
+	// among its valid requests, the same unit as its one MaxInFlight slot,
+	// and holds both until its last scorer ends. A request whose tenant is
+	// saturated is shed with reason tenant_quota instead of queueing (a
+	// *ShedError from Rerank, the item's Error in an envelope), so one hot
+	// tenant cannot occupy every scoring slot.
 	TenantMaxInFlight int
 }
 
@@ -140,8 +143,9 @@ const (
 )
 
 // MaxBatchRequests caps the instances one RerankBatch call may carry. The
-// batch is admitted as one unit against MaxInFlight; an unbounded envelope
-// would let a single caller monopolize the scoring pool.
+// envelope is admitted as one call, like a single request: one MaxInFlight
+// slot and one quota slot per distinct tenant. An unbounded envelope would
+// let a single caller monopolize the scoring pool under one slot.
 const MaxBatchRequests = 64
 
 // Engine owns the scoring data plane behind a transport-neutral API.
@@ -277,10 +281,10 @@ func (e *Engine) RetryAfterS() int {
 	return sec
 }
 
-// shed accounts a refused request and builds its typed error. tenant labels
-// tenant-quota sheds only.
+// shed accounts a refused request (or envelope item) by reason and builds
+// its typed error; the call's terminal status is counted by rerank. tenant
+// labels tenant-quota sheds only.
 func (e *Engine) shed(reason, tenant string) *ShedError {
-	e.met.Responses.With("shed").Inc()
 	switch reason {
 	case ShedDraining:
 		e.met.ShedDrain.Inc()
@@ -288,19 +292,18 @@ func (e *Engine) shed(reason, tenant string) *ShedError {
 	case shedTenantQuota:
 		e.met.Shed.With(shedTenantQuota).Inc()
 		e.met.TenantShed.With(tenant).Inc()
-		return &ShedError{Reason: reason, RetryAfterS: e.RetryAfterS()}
 	default:
 		e.met.ShedBack.Inc()
-		return &ShedError{Reason: ShedBackpressure, RetryAfterS: e.RetryAfterS()}
 	}
+	return &ShedError{Reason: reason, RetryAfterS: e.RetryAfterS()}
 }
 
 // acquireSlot takes one scoring slot, waiting at most QueueWait for it; on
-// failure the request is already accounted (shed or canceled) and the error
-// is the one to return. A free slot is taken without arming the timer, so an
-// idle engine admits however short QueueWait is — with the timer armed
-// first, a QueueWait of nanoseconds could expire before the select and shed
-// a request nothing stood in the way of.
+// failure the error (a *ShedError or ErrCanceled) is the one to return. A
+// free slot is taken without arming the timer, so an idle engine admits
+// however short QueueWait is — with the timer armed first, a QueueWait of
+// nanoseconds could expire before the select and shed a request nothing
+// stood in the way of.
 func (e *Engine) acquireSlot(ctx context.Context) error {
 	qstart := time.Now()
 	select {
@@ -311,24 +314,18 @@ func (e *Engine) acquireSlot(ctx context.Context) error {
 		select {
 		case e.sem <- struct{}{}:
 		case <-admit.C:
-			return e.shed(e.shedReason(), "")
+			// A drain that began while the request waited is a draining
+			// shed: the slot will never free for new work.
+			if e.draining.Load() {
+				return e.shed(ShedDraining, "")
+			}
+			return e.shed(ShedBackpressure, "")
 		case <-ctx.Done():
-			e.met.Responses.With("canceled").Inc()
 			return ErrCanceled
 		}
 	}
 	e.met.QueueWait.ObserveDuration(time.Since(qstart))
 	return nil
-}
-
-// shedReason classifies a queue-wait shed: a drain that began while the
-// request waited for a slot is a draining shed (the slot will never free for
-// new work), anything else is ordinary backpressure.
-func (e *Engine) shedReason() string {
-	if e.draining.Load() {
-		return ShedDraining
-	}
-	return ShedBackpressure
 }
 
 // providerFor resolves a request's tenant field to (metric label, provider).
@@ -350,14 +347,15 @@ func (e *Engine) providerFor(name string) (string, Provider, error) {
 	return name, p, nil
 }
 
-// tenantAcquire takes the tenant's quota slot (when quotas are configured).
-// Non-blocking: a saturated tenant sheds immediately rather than queueing —
-// the global QueueWait already absorbs bursts, and waiting here would let a
-// hot tenant's backlog delay everyone behind it in the handler. The
-// returned release covers the request's stay inside Rerank.
-func (e *Engine) tenantAcquire(tenant string) (release func(), ok bool) {
+// tenantAcquire admits one of c's requests under its tenant's quota (when
+// quotas are configured): the call takes one slot per distinct tenant, so a
+// tenant it already holds admits at once. Non-blocking: a saturated tenant
+// sheds immediately rather than queueing — the global QueueWait already
+// absorbs bursts, and waiting here would let a hot tenant's backlog delay
+// everyone behind it in the handler.
+func (e *Engine) tenantAcquire(c *call, tenant string) bool {
 	if e.cfg.TenantMaxInFlight <= 0 {
-		return func() {}, true
+		return true
 	}
 	e.tenantMu.Lock()
 	sem := e.tenantSems[tenant]
@@ -366,11 +364,15 @@ func (e *Engine) tenantAcquire(tenant string) (release func(), ok bool) {
 		e.tenantSems[tenant] = sem
 	}
 	e.tenantMu.Unlock()
+	if slices.Contains(c.quota, sem) {
+		return true
+	}
 	select {
 	case sem <- struct{}{}:
-		return func() { <-sem }, true
+		c.quota = append(c.quota, sem)
+		return true
 	default:
-		return nil, false
+		return false
 	}
 }
 
@@ -380,17 +382,17 @@ type scoreOutcome struct {
 	panicked bool
 }
 
-// resolve pins and validates one request and returns the job it becomes:
-// tenant → provider → user key → pin → instance. The pin comes before the
-// validation because the pinned version's geometry is the contract the
-// request must meet, and the same pin then serves scoring and response
-// labeling, so a version swap mid-request can never mix models. A failure is
-// an *UnknownTenantError or a *BadInputError, already counted as bad input.
-func (e *Engine) resolve(req *Request) (*scoreJob, error) {
+// resolve pins and validates one request into the job it becomes: tenant →
+// provider → user key → pin → instance. The pin comes before the validation
+// because the pinned version's geometry is the contract the request must
+// meet, and the same pin then serves scoring and response labeling, so a
+// version swap mid-request can never mix models. A failure is an
+// *UnknownTenantError or a *BadInputError, already counted as bad input.
+func (e *Engine) resolve(req *Request, j *scoreJob) error {
 	tenant, prov, err := e.providerFor(req.Tenant)
 	if err != nil {
 		e.met.BadInput.Inc()
-		return nil, err
+		return err
 	}
 	e.met.TenantRequests.With(tenant).Inc()
 	user := UserKey(req)
@@ -398,38 +400,48 @@ func (e *Engine) resolve(req *Request) (*scoreJob, error) {
 	inst, err := ToInstance(pin.Manifest.Config, req)
 	if err != nil {
 		e.met.BadInput.Inc()
-		return nil, badInput(err)
+		return badInput(err)
 	}
-	j := &scoreJob{inst: inst, pin: pin, tenant: tenant, user: user, done: make(chan scoreOutcome, 1)}
+	*j = scoreJob{inst: inst, pin: pin, tenant: tenant, user: user, done: make(chan scoreOutcome, 1)}
 	j.key, j.hasKey = e.stateKeyFor(req, tenant, pin)
-	return j, nil
+	return nil
 }
 
 // await waits for a dispatched job's outcome or for the end of its scoring
 // context — the caller's context bounded by Budget — and builds the answer:
-// the model's ordering, or the graceful-degradation fallback with its reason
-// counted. One rule tells a departed caller from an overrun on both entry
-// points: only a cancel of the caller's context means nobody is left to read
-// (ErrCanceled, no response); a deadline, whether the engine's Budget or a
-// tighter one the caller brought, is an overrun and degrades. The worker may
-// still be scoring when await returns; the buffered done channel takes its
-// late outcome.
-func (e *Engine) await(ctx context.Context, j *scoreJob) (resp Response, outcome string, err error) {
+// the model's ordering, or the graceful-degradation fallback. Only a cancel of
+// the caller's context means nobody is left to read (ErrCanceled, no
+// response); a deadline, whether the engine's Budget or a tighter one the
+// caller brought and whether the scorer or the engine saw it first, degrades
+// with reason "deadline", a recovered panic with "panic", any other scoring
+// error with "error". The fallback is the initial ranker's ordering: a
+// re-ranking stage that cannot answer in budget must hand back the list it
+// was given — the upstream ranking is always a valid (if less diverse)
+// answer, while an error would cost the impression. The worker may still be
+// scoring when await returns; the buffered done channel takes its late
+// outcome.
+func (e *Engine) await(ctx context.Context, j *scoreJob) (Response, error) {
 	var out scoreOutcome
 	select {
 	case out = <-j.done:
 	case <-j.ctx.Done():
 		out.err = j.ctx.Err()
 	}
+	reason := "error"
 	switch {
 	case out.err == nil:
-		return okResponse(j.inst, out.scores), "ok", nil
+		ranked, scores := rankBy(j.inst.Items, out.scores)
+		return Response{Ranked: ranked, Scores: scores}, nil
 	case errors.Is(out.err, context.Canceled) && ctx.Err() != nil:
-		return Response{}, "", ErrCanceled
+		return Response{}, ErrCanceled
+	case out.panicked:
+		reason = "panic"
+	case errors.Is(out.err, context.DeadlineExceeded), errors.Is(out.err, context.Canceled):
+		reason = "deadline"
 	}
-	outcome = degradeReason(out)
-	e.met.Degraded.With(outcome).Inc()
-	return degradedResponse(j.inst, outcome), outcome, nil
+	e.met.Degraded.With(reason).Inc()
+	ranked, scores := FallbackOrder(j.inst)
+	return Response{Ranked: ranked, Scores: scores, Degraded: true, DegradedReason: reason}, nil
 }
 
 // label stamps a response that will reach its caller with the pin that
@@ -437,7 +449,7 @@ func (e *Engine) await(ctx context.Context, j *scoreJob) (resp Response, outcome
 // response is handed back, so a feedback event can never race ahead of its
 // correlation entry — and reports the outcome ("ok" or the degrade reason)
 // to the pin's lifecycle hook.
-func (e *Engine) label(resp *Response, j *scoreJob, outcome string, elapsed time.Duration) {
+func (e *Engine) label(resp *Response, j *scoreJob, elapsed time.Duration) {
 	resp.ModelVersion = j.pin.Version
 	resp.Canary = j.pin.Canary
 	resp.LatencyMS = float64(elapsed.Microseconds()) / 1000
@@ -446,188 +458,150 @@ func (e *Engine) label(resp *Response, j *scoreJob, outcome string, elapsed time
 		e.cfg.Feedback.Track(resp.RequestID, j.user, j.pin.Version)
 	}
 	if j.pin.Observe != nil {
+		outcome := "ok"
+		if resp.Degraded {
+			outcome = resp.DegradedReason
+		}
 		j.pin.Observe(outcome, elapsed)
 	}
 }
 
-// Rerank scores one request end to end: resolve, admission, scoring on the
-// pool, graceful degradation and response labeling. It returns a typed error
-// — *BadInputError, *ShedError, *UnknownTenantError or ErrCanceled — when no
-// response was produced; degradation is not an error (the Response carries
-// Degraded/DegradedReason instead).
+// Rerank scores one request end to end: it is an envelope of one through
+// rerank. It returns a typed error — *BadInputError, *ShedError,
+// *UnknownTenantError or ErrCanceled — when no response was produced;
+// degradation is not an error (the Response carries Degraded/DegradedReason
+// instead).
 func (e *Engine) Rerank(ctx context.Context, req *Request) (Response, error) {
-	start := time.Now()
-	e.met.Requests.Inc()
-	defer func() { e.met.Request.ObserveDuration(time.Since(start)) }()
-
-	// A draining engine finishes what it admitted but takes nothing new.
-	if e.draining.Load() {
-		return Response{}, e.shed(ShedDraining, "")
-	}
-	j, err := e.resolve(req)
-	if err != nil {
-		e.met.Responses.With("bad_input").Inc()
-		return Response{}, err
-	}
-	tenantRelease, admitted := e.tenantAcquire(j.tenant)
-	if !admitted {
-		return Response{}, e.shed(shedTenantQuota, j.tenant)
-	}
-	defer tenantRelease()
-
-	// Admission: wait at most QueueWait for a scoring slot, then shed. The
-	// job owns the slot and the worker releases it when scoring truly ends,
-	// not when Rerank returns — an abandoned (deadline-overrun) scorer still
-	// occupies CPU, and only this accounting keeps the concurrency bound
-	// honest.
-	if err := e.acquireSlot(ctx); err != nil {
-		return Response{}, err
-	}
-	j.ownsSlot = true
-	var cancel context.CancelFunc
-	j.ctx, cancel = context.WithTimeout(ctx, e.cfg.Budget)
-	defer cancel()
-	e.pool.dispatch(j)
-
-	resp, outcome, err := e.await(ctx, j)
-	if err != nil {
-		e.met.Responses.With("canceled").Inc()
-		return Response{}, err
-	}
-	if outcome == "ok" {
-		e.met.ResponsesOK.Inc()
-	} else {
-		e.met.Responses.With("degraded").Inc()
-	}
-	e.label(&resp, j, outcome, time.Since(start))
-	return resp, nil
+	var resp [1]Response
+	err := e.rerank(ctx, []Request{*req}, resp[:], false)
+	return resp[0], err
 }
 
 // RerankBatch scores up to MaxBatchRequests independent requests as one
 // envelope. Each item is resolved and answered independently (per-item
-// degraded flags and error strings); the envelope occupies one MaxInFlight
-// slot and one Budget deadline as a whole. Envelope-level counters observe
-// the request once; per-item degradations still land in the per-reason
-// degraded counters. The returned slice is in request order; a typed error
-// means no responses were produced at all.
+// degraded flags and error strings); the envelope is admitted as one call,
+// like a single request, under one Budget deadline. Envelope-level counters observe the
+// request once; per-item degradations still land in the per-reason degraded
+// counters. The returned slice is in request order; a typed error means no
+// responses were produced at all.
 func (e *Engine) RerankBatch(ctx context.Context, reqs []Request) ([]Response, error) {
-	start := time.Now()
-	e.met.Requests.Inc()
 	e.met.BatchRequests.Inc()
-	defer func() { e.met.Request.ObserveDuration(time.Since(start)) }()
-
-	if e.draining.Load() {
-		return nil, e.shed(ShedDraining, "")
+	var resps []Response
+	if n := len(reqs); n > 0 && n <= MaxBatchRequests {
+		e.met.BatchItems.Add(int64(n))
+		resps = make([]Response, n)
 	}
-	n := len(reqs)
-	if n == 0 || n > MaxBatchRequests {
-		e.met.BadInput.Inc()
-		e.met.Responses.With("bad_input").Inc()
-		return nil, badInput(fmt.Errorf("batch must carry 1..%d requests, got %d", MaxBatchRequests, n))
+	if err := e.rerank(ctx, reqs, resps, true); err != nil {
+		return nil, err
 	}
-	e.met.BatchItems.Add(int64(n))
-
-	// One malformed item (or one unknown tenant) yields a per-item error, not
-	// a rejected envelope.
-	resps := make([]Response, n)
-	jobs := make([]*scoreJob, 0, n) // the valid items, in request order
-	idxs := make([]int, 0, n)       // jobs[k] answers reqs[idxs[k]]
-	for i := range reqs {
-		j, err := e.resolve(&reqs[i])
-		if err != nil {
-			resps[i] = Response{Error: err.Error()}
-			continue
-		}
-		jobs, idxs = append(jobs, j), append(idxs, i)
-	}
-
-	// The envelope's terminal status reflects its items: ok if any item
-	// scored, degraded if any item at least reached scoring, bad_input when
-	// every item failed validation. Counting every envelope as ok would hide
-	// batch-path failures from ok-rate dashboards.
-	status := "bad_input"
-	if len(jobs) > 0 {
-		status = "degraded"
-		// Admission: the whole envelope takes one scoring slot.
-		if err := e.acquireSlot(ctx); err != nil {
-			return nil, err
-		}
-		// Release the envelope's slot on every exit — including a panic
-		// recovered by a frontend's wrapper — or one MaxInFlight slot would
-		// leak until restart. The straight-line path releases the slot
-		// early, before response labeling, so a slow client never holds
-		// scoring capacity.
-		held := true
-		defer func() {
-			if held {
-				<-e.sem
-			}
-		}()
-		// Every item is its own job on its own pin, all under the envelope's
-		// one scoring context.
-		sctx, cancel := context.WithTimeout(ctx, e.cfg.Budget)
-		defer cancel()
-		for _, j := range jobs {
-			j.ctx = sctx
-			e.pool.dispatch(j)
-		}
-		outcomes := make([]string, len(jobs))
-		for k, j := range jobs {
-			var err error
-			// A caller disconnect cancels ctx for every remaining item; count
-			// the envelope once as canceled and produce nothing. The deferred
-			// release frees the slot; workers still drain the buffered done
-			// channels.
-			if resps[idxs[k]], outcomes[k], err = e.await(ctx, j); err != nil {
-				e.met.Responses.With("canceled").Inc()
-				return nil, err
-			}
-			if outcomes[k] == "ok" {
-				status = "ok"
-			}
-		}
-		held = false
-		<-e.sem // release the envelope's slot
-		// Each item gets its own request id: feedback joins per impression,
-		// and an envelope is just transport.
-		elapsed := time.Since(start)
-		for k, j := range jobs {
-			e.label(&resps[idxs[k]], j, outcomes[k], elapsed)
-		}
-	}
-	e.met.Responses.With(status).Inc()
 	return resps, nil
 }
 
-// degradedResponse builds the graceful-degradation response: the initial
-// ranker's ordering, marked degraded. A re-ranking stage that cannot answer in
-// budget must hand back the list it was given — the upstream ranking is always
-// a valid (if less diverse) answer, while an error would cost the impression.
-func degradedResponse(inst *rerank.Instance, reason string) Response {
-	order, scores := FallbackOrder(inst)
-	return Response{Ranked: order, Scores: scores, Degraded: true, DegradedReason: reason}
-}
+// rerank is the one request pipeline behind Rerank and RerankBatch: resolve
+// every request, admit the call, dispatch one job per admitted request to the
+// pool, await and label. Admission is one rule whatever the call's size: one
+// quota slot per distinct tenant among the resolved requests (tenantAcquire),
+// then one MaxInFlight slot (acquireSlot). Release is one rule too: finish
+// gives every slot back when the call's last job ends on its worker, not when
+// rerank returns — an abandoned (deadline-overrun) scorer still occupies CPU,
+// and only this accounting keeps both bounds honest. All requests are
+// resolved before the first slot is taken, so nothing that can fail runs
+// between taking a slot and dispatching the jobs that give it back.
+//
+// A request that fails to resolve or admit becomes its response's Error in an
+// envelope and the call's error otherwise. The call counts once in
+// rapid_http_responses_total: ok if any request scored, degraded if any
+// reached scoring, else the status of its failures.
+func (e *Engine) rerank(ctx context.Context, reqs []Request, resps []Response, envelope bool) (err error) {
+	start := time.Now()
+	e.met.Requests.Inc()
+	status := "bad_input"
+	defer func() {
+		// The errors rerank returns are its own, unwrapped.
+		if _, shed := err.(*ShedError); shed {
+			status = "shed"
+		} else if errors.Is(err, ErrCanceled) {
+			status = "canceled"
+		}
+		if status == "ok" {
+			e.met.ResponsesOK.Inc()
+		} else {
+			e.met.Responses.With(status).Inc()
+		}
+		e.met.Request.ObserveDuration(time.Since(start))
+	}()
 
-// degradeReason maps a scoring outcome's error to the degradation label:
-// panic for recovered panics, deadline for context expiry/cancellation
-// (a scorer that honored ctx reports the same reason the engine's own
-// timeout path would), error for everything else. Caller disconnects are
-// filtered out before this mapping — a canceled caller context counts as
-// "canceled", not a degradation.
-func degradeReason(out scoreOutcome) string {
-	switch {
-	case out.panicked:
-		return "panic"
-	case errors.Is(out.err, context.DeadlineExceeded), errors.Is(out.err, context.Canceled):
-		return "deadline"
-	default:
-		return "error"
+	// A draining engine finishes what it admitted but takes nothing new.
+	if e.draining.Load() {
+		return e.shed(ShedDraining, "")
 	}
-}
-
-// okResponse orders the list by the model's scores and aligns the score
-// slice with the returned ranking.
-func okResponse(inst *rerank.Instance, scores []float64) Response {
-	ranked, aligned := rankBy(inst.Items, scores)
-	return Response{Ranked: ranked, Scores: aligned}
+	if n := len(reqs); n == 0 || n > MaxBatchRequests {
+		e.met.BadInput.Inc()
+		return badInput(fmt.Errorf("batch must carry 1..%d requests, got %d", MaxBatchRequests, n))
+	}
+	refuse := func(i int, err error) error {
+		if envelope {
+			resps[i].Error = err.Error()
+			return nil
+		}
+		return err
+	}
+	c := &call{}
+	if c.jobs = c.one[:]; len(reqs) > 1 {
+		c.jobs = make([]scoreJob, len(reqs))
+	}
+	n := 0
+	for i := range reqs {
+		if err := e.resolve(&reqs[i], &c.jobs[n]); err != nil {
+			if err = refuse(i, err); err != nil {
+				return err
+			}
+			continue
+		}
+		c.jobs[n].idx, c.jobs[n].call = i, c
+		n++
+	}
+	admitted := c.jobs[:0]
+	for k := range c.jobs[:n] {
+		if j := &c.jobs[k]; !e.tenantAcquire(c, j.tenant) {
+			status = "shed"
+			if err := refuse(j.idx, e.shed(shedTenantQuota, j.tenant)); err != nil {
+				return err
+			}
+			continue
+		}
+		admitted = append(admitted, c.jobs[k])
+	}
+	if c.jobs = admitted; len(c.jobs) == 0 {
+		return nil // an envelope whose every item carries its Error
+	}
+	if err := e.acquireSlot(ctx); err != nil {
+		c.releaseQuota()
+		return err
+	}
+	// Every job runs under the call's one scoring context.
+	sctx, cancel := context.WithTimeout(ctx, e.cfg.Budget)
+	defer cancel()
+	c.left.Store(int32(len(c.jobs)))
+	for k := range c.jobs {
+		c.jobs[k].ctx = sctx
+		e.pool.dispatch(&c.jobs[k])
+	}
+	status = "degraded"
+	for k := range c.jobs {
+		j := &c.jobs[k]
+		if resps[j.idx], err = e.await(ctx, j); err != nil {
+			return err
+		}
+		if !resps[j.idx].Degraded {
+			status = "ok"
+		}
+	}
+	// Each item gets its own request id: feedback joins per impression, and
+	// an envelope is just transport.
+	elapsed := time.Since(start)
+	for k := range c.jobs {
+		e.label(&resps[c.jobs[k].idx], &c.jobs[k], elapsed)
+	}
+	return nil
 }

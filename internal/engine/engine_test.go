@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -327,9 +328,9 @@ func (s *scriptedStateScorer) ScoreBatchStates(ctx context.Context, insts []*rer
 
 // TestEnvelopeCancelReachesScorer: when an envelope's caller leaves, the
 // scorers working on its items must see the cancel — RerankBatch answers
-// ErrCanceled and gives its slot back at once, so a scorer that kept running
-// would burn CPU the concurrency bound no longer accounts for. On the
-// state-cache path, the one production traffic takes.
+// ErrCanceled at once, and its slot stays held until the last scorer ends, so
+// a scorer that kept running would hold a slot no caller is waiting on. On
+// the state-cache path, the one production traffic takes.
 func TestEnvelopeCancelReachesScorer(t *testing.T) {
 	const giveUp = 2 * time.Second
 	saw := make(chan error, 2)
@@ -346,19 +347,19 @@ func TestEnvelopeCancelReachesScorer(t *testing.T) {
 	e := NewStatic(waits, Manifest{Dataset: "test", Config: testConfig()},
 		Config{Budget: time.Minute, StateCacheBytes: 1 << 20})
 	e.Log = t.Logf
-	defer e.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(10*time.Millisecond, cancel)
 	if _, err := e.RerankBatch(ctx, []Request{*validRequest(), *validRequest()}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("RerankBatch: %v, want ErrCanceled", err)
 	}
-	if got := len(e.sem); got != 0 {
-		t.Fatalf("%d slots held after the envelope was canceled", got)
-	}
 	for i := 0; i < 2; i++ {
 		if err := <-saw; !errors.Is(err, context.Canceled) {
 			t.Fatalf("item %d: the scorer ran its full %v and saw %v, want context.Canceled", i, giveUp, err)
 		}
+	}
+	e.Close()
+	if got := len(e.sem); got != 0 {
+		t.Fatalf("%d slots held after the envelope was canceled", got)
 	}
 }
 
@@ -392,6 +393,165 @@ func TestEnvelopeItemsScoreConcurrently(t *testing.T) {
 		if resp.Degraded || resp.Error != "" {
 			t.Fatalf("item %d: %+v: the two items never scored at the same time", i, resp)
 		}
+	}
+}
+
+// TestEnvelopeOverrunHoldsSlot: an envelope that overruns its budget answers
+// degraded on time, but its MaxInFlight slot stays held until its scorer
+// truly ends, as a single request's does — the scorer still occupies a
+// worker and CPU after the caller has its answer.
+func TestEnvelopeOverrunHoldsSlot(t *testing.T) {
+	const budget = 20 * time.Millisecond
+	release := make(chan struct{})
+	stuck := &scriptedScorer{score: func(_ context.Context, inst *rerank.Instance) ([]float64, error) {
+		<-release // ignores its context: returns only once released
+		return inst.InitScores, nil
+	}}
+	e := NewStatic(stuck, Manifest{Dataset: "test", Config: testConfig()},
+		Config{MaxInFlight: 1, Budget: budget})
+	e.Log = t.Logf
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // on any exit: no scorer stays stuck
+	start := time.Now()
+	resps, err := e.RerankBatch(context.Background(), []Request{*validRequest(), *validRequest()})
+	if err != nil || len(resps) != 2 {
+		t.Fatalf("%d responses, %v", len(resps), err)
+	}
+	for i, resp := range resps {
+		if !resp.Degraded || resp.DegradedReason != "deadline" {
+			t.Fatalf("item %d: %+v, want degraded on deadline", i, resp)
+		}
+	}
+	if took := time.Since(start); took > budget+time.Second {
+		t.Fatalf("answered in %v on a %v budget", took, budget)
+	}
+	if got := len(e.sem); got != 1 {
+		t.Fatalf("%d slots held while the envelope's scorers still run, want 1", got)
+	}
+	unblock()
+	e.Close()
+	if got := len(e.sem); got != 0 {
+		t.Fatalf("%d slots held after the scorers ended", got)
+	}
+}
+
+// tenantSource serves each named tenant from its own provider.
+type tenantSource map[string]Provider
+
+func (s tenantSource) Tenant(name string) (Provider, error) {
+	if p, ok := s[name]; ok {
+		return p, nil
+	}
+	return nil, errors.New("no such tenant")
+}
+
+// TestTenantQuota holds both entry points to one admission rule under
+// TenantMaxInFlight 1: a call takes one quota slot per distinct tenant among
+// its items, a request whose tenant is saturated is shed with tenant_quota —
+// a *ShedError from Rerank, the item's Error in an envelope, its batch-mates
+// of other tenants still scored — and the slot frees only when the call's
+// last scorer ends, not when the call returns.
+func TestTenantQuota(t *testing.T) {
+	const budget = 20 * time.Millisecond
+	tokens := make(chan struct{}, 4) // one per default-tenant scoring pass allowed to end
+	gated := &scriptedScorer{score: func(_ context.Context, inst *rerank.Instance) ([]float64, error) {
+		<-tokens
+		return inst.InitScores, nil
+	}}
+	man := Manifest{Dataset: "test", Config: testConfig()}
+	e := NewStatic(gated, man, Config{
+		MaxInFlight: 4, Budget: budget, TenantMaxInFlight: 1, Batch: BatchConfig{Workers: 4},
+		Tenants: tenantSource{"acme": StaticProvider(Pinned{Scorer: stubScorer{}, Manifest: man})},
+	})
+	e.Log = t.Logf
+	defer e.Close()
+	defer close(tokens) // first, on any exit: no scorer stays stuck for Close
+	acme := *validRequest()
+	acme.Tenant = "acme"
+	quota := func() int {
+		e.tenantMu.Lock()
+		defer e.tenantMu.Unlock()
+		return len(e.tenantSems[defaultTenant])
+	}
+	freed := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); quota() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("default tenant's quota still held 2 s after %s's scorers ended", what)
+			}
+		}
+	}
+	wantShed := func(what string, err error) {
+		t.Helper()
+		var se *ShedError
+		if !errors.As(err, &se) || se.Reason != shedTenantQuota || se.RetryAfterS < 1 {
+			t.Fatalf("%s: %v, want a tenant_quota shed with a retry hint", what, err)
+		}
+	}
+	wantItemShed := func(what string, resp Response) {
+		t.Helper()
+		if !strings.Contains(resp.Error, shedTenantQuota) || len(resp.Ranked) != 0 {
+			t.Fatalf("%s: %+v, want a tenant_quota error and no ranking", what, resp)
+		}
+	}
+
+	// A single request that overruns keeps its tenant's slot until its scorer
+	// ends.
+	if resp, err := e.Rerank(context.Background(), validRequest()); err != nil || resp.DegradedReason != "deadline" {
+		t.Fatalf("first single: %+v, %v; want degraded on deadline", resp, err)
+	}
+	if got := quota(); got != 1 {
+		t.Fatalf("quota slots held while the single's scorer runs: %d, want 1", got)
+	}
+	_, err := e.Rerank(context.Background(), validRequest())
+	wantShed("second single", err)
+	// Mixed traffic: the saturated tenant's items are shed, another tenant's
+	// item in the same envelope still scores.
+	resps, err := e.RerankBatch(context.Background(), []Request{*validRequest(), acme, *validRequest()})
+	if err != nil || len(resps) != 3 {
+		t.Fatalf("mixed envelope: %d responses, %v", len(resps), err)
+	}
+	wantItemShed("mixed envelope item 0", resps[0])
+	wantItemShed("mixed envelope item 2", resps[2])
+	if resps[1].Error != "" || resps[1].Degraded {
+		t.Fatalf("acme's item: %+v, want scored", resps[1])
+	}
+	tokens <- struct{}{}
+	freed("the single")
+
+	// An envelope takes one slot for its tenant, however many items it
+	// carries, and keeps it until its last scorer ends.
+	resps, err = e.RerankBatch(context.Background(), []Request{*validRequest(), *validRequest()})
+	if err != nil || len(resps) != 2 || resps[0].DegradedReason != "deadline" || resps[1].DegradedReason != "deadline" {
+		t.Fatalf("envelope: %+v, %v; want two items degraded on deadline", resps, err)
+	}
+	if got := quota(); got != 1 {
+		t.Fatalf("quota slots held while the envelope's scorers run: %d, want 1", got)
+	}
+	_, err = e.Rerank(context.Background(), validRequest())
+	wantShed("single behind the envelope", err)
+	tokens <- struct{}{}
+	if got := quota(); got != 1 {
+		t.Fatalf("quota slots held while one of the envelope's scorers runs: %d, want 1", got)
+	}
+	tokens <- struct{}{}
+	freed("the envelope")
+	tokens <- struct{}{}
+	if resp, err := e.Rerank(context.Background(), validRequest()); err != nil || resp.Degraded {
+		t.Fatalf("single after the quota freed: %+v, %v", resp, err)
+	}
+
+	if got := e.met.Shed.With(shedTenantQuota).Value(); got != 4 {
+		t.Fatalf("rapid_shed_total{reason=tenant_quota} = %d, want 4", got)
+	}
+	if got := e.met.TenantShed.With(defaultTenant).Value(); got != 4 {
+		t.Fatalf("rapid_tenant_shed_total{tenant=default} = %d, want 4", got)
+	}
+	if got := e.met.TenantShed.With("acme").Value(); got != 0 {
+		t.Fatalf("rapid_tenant_shed_total{tenant=acme} = %d, want 0", got)
+	}
+	if got := e.met.Responses.With("shed").Value(); got != 2 {
+		t.Fatalf("rapid_http_responses_total{status=shed} = %d, want 2: the singles, not the envelope", got)
 	}
 }
 

@@ -12,7 +12,7 @@ type Metrics struct {
 	Responses   *obs.CounterVec // terminal status per request
 	ResponsesOK *obs.Counter    // cached Responses.With("ok")
 	Degraded    *obs.CounterVec // degradation reason
-	Shed        *obs.CounterVec // shed reason: backpressure vs draining
+	Shed        *obs.CounterVec // shed reason: backpressure, tenant_quota, draining
 	ShedBack    *obs.Counter    // cached Shed.With(ShedBackpressure)
 	ShedDrain   *obs.Counter    // cached Shed.With(ShedDraining)
 	Panics      *obs.Counter
@@ -56,7 +56,7 @@ func newMetrics(r *obs.Registry) *Metrics {
 		Degraded: r.CounterVec("rapid_degraded_total",
 			"Degraded (initial-order fallback) responses by reason: deadline, error, panic.", "reason"),
 		Shed: r.CounterVec("rapid_shed_total",
-			"Requests shed by reason: backpressure (429, no scoring slot freed within the queue wait) or draining (503, the server is going away).", "reason"),
+			"Requests shed by reason: backpressure (429, no scoring slot freed within the queue wait), tenant_quota (429, the request's tenant is at its concurrency quota; counts envelope items) or draining (503, the server is going away).", "reason"),
 		Panics: r.Counter("rapid_panics_recovered_total",
 			"Panics recovered in the handler chain or the scoring goroutine."),
 		BadInput: r.Counter("rapid_bad_input_total",

@@ -10,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,5 +239,83 @@ func TestCrossFrontendShedParity(t *testing.T) {
 	}
 	if !re.Retryable() || re.RetryAfterS < 1 {
 		t.Fatalf("binary shed not retryable with hint: %+v", re)
+	}
+}
+
+// tenantSource serves each named tenant from its own provider.
+type tenantSource map[string]engine.Provider
+
+func (s tenantSource) Tenant(name string) (engine.Provider, error) {
+	if p, ok := s[name]; ok {
+		return p, nil
+	}
+	return nil, errors.New("no such tenant")
+}
+
+// TestCrossFrontendTenantQuota: with serve.Config.TenantMaxInFlight 1 and the
+// default tenant's one slot held, each frontend refuses that tenant with its
+// overload shape — HTTP 429 with X-Shed-Reason tenant_quota and Retry-After,
+// binary overloaded with a retry hint — and a /v1/rerank:batch item of that
+// tenant carries its own error while its batch-mate of another tenant still
+// answers.
+func TestCrossFrontendTenantQuota(t *testing.T) {
+	mc := testConfig()
+	acme := engine.StaticProvider(engine.Pinned{Scorer: stubScorer{}, Manifest: engine.Manifest{Dataset: "test", Config: mc}})
+	p := newParityHarness(t, Config{Budget: 2 * time.Second, TenantMaxInFlight: 1,
+		Tenants: tenantSource{"acme": acme}})
+	// The first scoring pass holds the default tenant's slot until released.
+	release := make(chan struct{})
+	blocked := make(chan struct{})
+	var first atomic.Bool
+	p.s.Faults = &engine.FaultHooks{Before: func(ctx context.Context, _ *rerank.Instance) error {
+		if first.CompareAndSwap(false, true) {
+			close(blocked)
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+		return nil
+	}}
+	holder := make(chan int, 1)
+	body := mustJSON(t, parityRequest(1))
+	go func() {
+		w := httptest.NewRecorder()
+		p.h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/rerank", bytes.NewReader(body)))
+		holder <- w.Code
+	}()
+	<-blocked
+	defer func() {
+		close(release)
+		if code := <-holder; code != http.StatusOK {
+			t.Errorf("slot holder: status %d, want 200", code)
+		}
+	}()
+
+	w := httptest.NewRecorder()
+	p.h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/rerank", bytes.NewReader(mustJSON(t, parityRequest(2)))))
+	if w.Code != http.StatusTooManyRequests || w.Header().Get(ShedReasonHeader) != "tenant_quota" || w.Header().Get("Retry-After") == "" {
+		t.Fatalf("http: status %d, %s %q, Retry-After %q; want 429 tenant_quota with a retry hint",
+			w.Code, ShedReasonHeader, w.Header().Get(ShedReasonHeader), w.Header().Get("Retry-After"))
+	}
+	_, err := p.bin.Rerank(context.Background(), parityRequest(2))
+	var re *binproto.RemoteError
+	if !errors.As(err, &re) || re.Code != binproto.CodeOverloaded || !re.Retryable() || re.RetryAfterS < 1 {
+		t.Fatalf("binary: %v, want overloaded with a retry hint", err)
+	}
+
+	mate := *parityRequest(3)
+	mate.Tenant = "acme"
+	env := engine.BatchRequest{Requests: []engine.Request{*parityRequest(2), mate}}
+	bw := postBatch(t, p.h, mustJSON(t, env))
+	var resp engine.BatchResponse
+	if err := json.Unmarshal(bw.Body.Bytes(), &resp); err != nil || bw.Code != http.StatusOK || len(resp.Responses) != 2 {
+		t.Fatalf("batch status %d: %s", bw.Code, bw.Body.String())
+	}
+	if got := resp.Responses[0]; !strings.Contains(got.Error, "tenant_quota") || len(got.Ranked) != 0 {
+		t.Fatalf("default tenant's item: %+v, want a tenant_quota error and no ranking", got)
+	}
+	if got := resp.Responses[1]; got.Error != "" || got.Degraded || len(got.Ranked) != len(mate.Items) {
+		t.Fatalf("acme's batch-mate: %+v, want scored", got)
 	}
 }

@@ -87,8 +87,10 @@ type Config struct {
 	// Tenants resolves the request "tenant" field to additional resident
 	// scorers; see engine.Config.Tenants. nil rejects every named tenant.
 	Tenants engine.TenantSource
-	// TenantMaxInFlight bounds concurrently admitted single-rerank requests
-	// per tenant; see engine.Config.TenantMaxInFlight. 0 disables quotas.
+	// TenantMaxInFlight bounds concurrently admitted calls per tenant: a
+	// single request or a batch envelope takes one slot per distinct tenant
+	// among its items, held until its last scorer ends; see
+	// engine.Config.TenantMaxInFlight. 0 disables quotas.
 	TenantMaxInFlight int
 	// BinaryListener, when set, additionally serves the fleet-internal
 	// binary protocol (internal/serve/binproto) on this listener from the
