@@ -4,7 +4,7 @@
 # under an explicit `go test -update`).
 GO ?= go
 
-.PHONY: check build vet fmt layers test test-short examples race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-core bench-test
+.PHONY: check build vet fmt layers test test-short examples race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-core bench-test results-check
 
 check: vet fmt layers test bench-test
 
@@ -136,3 +136,15 @@ bench-core:
 # itself: `bash bench/run.sh` (bench/README.md).
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The extensions archive (results_extensions.txt) against today's code: its
+# four experiments run again at scale 0.5, seed 42 (≈15 s) into a temp file,
+# which must match the committed archive byte for byte. The archive's first
+# line is the command that regenerates it.
+RESULTS_EXT = divfn robust personal extended
+results-check:
+	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/rapidbench" ./cmd/rapidbench || exit 1; \
+	{ echo '# for e in $(RESULTS_EXT); do go run ./cmd/rapidbench -exp $$e -scale 0.5 -seed 42; done'; \
+	  for e in $(RESULTS_EXT); do "$$d/rapidbench" -exp $$e -scale 0.5 -seed 42 2>/dev/null || exit 1; done; } > "$$d/results_extensions.txt" || exit 1; \
+	diff -u results_extensions.txt "$$d/results_extensions.txt" || { echo "results_extensions.txt is stale: regenerate it with its first line's command"; exit 1; }

@@ -4,8 +4,7 @@
 //
 //	rapidbench -exp table2a [-scale 0.2] [-seed 42]
 //
-// Experiments: table2a table2b table2c table3 table4 table5 table6
-// fig3 fig4 fig5 regret divfn robust extended personal all
+// rapidbench -h lists the experiment ids.
 package main
 
 import (
@@ -13,13 +12,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 )
 
 func main() {
+	var ids []string
+	for _, d := range drivers {
+		ids = append(ids, d.id)
+	}
 	var (
-		exp    = flag.String("exp", "all", "experiment id (table2a..c, table3..6, fig3..5, regret, divfn, robust, extended, personal, all)")
+		exp    = flag.String("exp", "all", "experiment id ("+strings.Join(ids, ", ")+", all)")
 		scale  = flag.Float64("scale", 0.25, "dataset scale factor (1.0 = full harness size)")
 		seed   = flag.Int64("seed", 42, "random seed")
 		asJSON = flag.Bool("json", false, "emit tables as JSON instead of aligned text")
@@ -46,88 +50,85 @@ var (
 	svgPath  string
 )
 
-func emit(w io.Writer, t *experiments.Table) error {
-	if emitJSON {
-		return t.WriteJSON(w)
-	}
-	_, err := fmt.Fprintln(w, t)
-	return err
+// drivers lists every experiment, in the order -exp all runs them.
+var drivers = []struct {
+	id  string
+	run func(experiments.Options) ([]*experiments.Table, error)
+}{
+	{"table2a", table2(0.5)},
+	{"table2b", table2(0.9)},
+	{"table2c", table2(1.0)},
+	{"table3", one(experiments.RunTable3)},
+	{"table4", experiments.RunTable4},
+	{"table5", one(experiments.RunTable5)},
+	{"table6", one(experiments.RunTable6)},
+	{"fig3", experiments.RunFig3},
+	{"fig4", experiments.RunFig4},
+	{"fig5", one(experiments.RunFig5)},
+	{"regret", regret},
+	{"divfn", one(experiments.RunDivFnAblation)},
+	{"robust", one(experiments.RunRobustness)},
+	{"extended", one(experiments.RunExtended)},
+	{"personal", one(experiments.RunPersonalization)},
 }
 
-func run(exp string, opt experiments.Options, w io.Writer) error {
-	printTables := func(tables []*experiments.Table, err error) error {
+func table2(lambda float64) func(experiments.Options) ([]*experiments.Table, error) {
+	return func(opt experiments.Options) ([]*experiments.Table, error) { return experiments.RunTable2(lambda, opt) }
+}
+
+func one(run func(experiments.Options) (*experiments.Table, error)) func(experiments.Options) ([]*experiments.Table, error) {
+	return func(opt experiments.Options) ([]*experiments.Table, error) {
+		t, err := run(opt)
+		return []*experiments.Table{t}, err
+	}
+}
+
+// regret runs the Theorem 5.1 simulation and, with -svg, writes its figure.
+func regret(opt experiments.Options) ([]*experiments.Table, error) {
+	tbl, curves := experiments.RunRegret(experiments.DefaultRegretOptions(opt.Seed))
+	if svgPath != "" {
+		f, err := os.Create(svgPath)
 		if err != nil {
-			return err
+			return nil, err
+		}
+		defer f.Close()
+		if err := experiments.RegretChart(curves).WriteSVG(f); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "rapidbench: wrote %s\n", svgPath)
+	}
+	return []*experiments.Table{tbl}, nil
+}
+
+// run prints the tables of experiment exp, or of every experiment, each
+// under a "==== id ====" line, when exp is "all".
+func run(exp string, opt experiments.Options, w io.Writer) error {
+	found := false
+	for _, d := range drivers {
+		if exp != "all" && exp != d.id {
+			continue
+		}
+		found = true
+		if exp == "all" {
+			fmt.Fprintf(w, "==== %s ====\n", d.id)
+		}
+		tables, err := d.run(opt)
+		if err != nil {
+			return fmt.Errorf("%s: %w", d.id, err)
 		}
 		for _, t := range tables {
-			if err := emit(w, t); err != nil {
-				return err
+			if emitJSON {
+				err = t.WriteJSON(w)
+			} else {
+				_, err = fmt.Fprintln(w, t)
 			}
-		}
-		return nil
-	}
-	printOne := func(t *experiments.Table, err error) error {
-		if err != nil {
-			return err
-		}
-		return emit(w, t)
-	}
-	switch exp {
-	case "table2a":
-		return printTables(experiments.RunTable2(0.5, opt))
-	case "table2b":
-		return printTables(experiments.RunTable2(0.9, opt))
-	case "table2c":
-		return printTables(experiments.RunTable2(1.0, opt))
-	case "table3":
-		return printOne(experiments.RunTable3(opt))
-	case "table4":
-		return printTables(experiments.RunTable4(opt))
-	case "table5":
-		return printOne(experiments.RunTable5(opt))
-	case "table6":
-		return printOne(experiments.RunTable6(opt))
-	case "fig3":
-		return printTables(experiments.RunFig3(opt))
-	case "fig4":
-		return printTables(experiments.RunFig4(opt))
-	case "fig5":
-		return printOne(experiments.RunFig5(opt))
-	case "regret":
-		tbl, curves := experiments.RunRegret(experiments.DefaultRegretOptions(opt.Seed))
-		if svgPath != "" {
-			f, err := os.Create(svgPath)
 			if err != nil {
 				return err
 			}
-			defer f.Close()
-			if err := experiments.RegretChart(curves).WriteSVG(f); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "rapidbench: wrote %s\n", svgPath)
 		}
-		return emit(w, tbl)
-	case "divfn":
-		return printOne(experiments.RunDivFnAblation(opt))
-	case "robust":
-		return printOne(experiments.RunRobustness(opt))
-	case "extended":
-		return printOne(experiments.RunExtended(opt))
-	case "personal":
-		return printOne(experiments.RunPersonalization(opt))
-	case "all":
-		for _, id := range []string{
-			"table2a", "table2b", "table2c", "table3", "table4",
-			"table5", "table6", "fig3", "fig4", "fig5", "regret",
-			"divfn", "robust", "extended", "personal",
-		} {
-			fmt.Fprintf(w, "==== %s ====\n", id)
-			if err := run(id, opt, w); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-		}
-		return nil
-	default:
+	}
+	if !found {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
+	return nil
 }

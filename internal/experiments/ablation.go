@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/clickmodel"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -26,14 +24,13 @@ func RunDivFnAblation(opt Options) (*Table, error) {
 		Title:  "Ablation — submodular diversity functions (taobao, λ=0.5)",
 		Header: []string{"diversity fn", "click@10", "ndcg@10", "div@10", "satis@10"},
 	}
-	for i, name := range []string{"prob-coverage", "saturated-coverage", "facility-location"} {
-		m := NewRAPID(env, opt, 30+int64(i), func(c *core.Config) { c.DiversityFn = name })
-		if err := env.FitIfTrainable(m, opt); err != nil {
-			return nil, fmt.Errorf("experiments: fit %s: %w", name, err)
-		}
-		res := env.Evaluate(m, []int{10})
-		tbl.addRow(name, f4(res.Mean("click@10")), f4(res.Mean("ndcg@10")),
-			f4(res.Mean("div@10")), f4(res.Mean("satis@10")))
+	names := []string{"prob-coverage", "saturated-coverage", "facility-location"}
+	models := make([]rerank.Reranker, len(names))
+	for i, name := range names {
+		models[i] = NewRAPID(env, opt, 30+int64(i), func(c *core.Config) { c.DiversityFn = name })
+	}
+	if _, err := tbl.addEvalRows(env, opt, names, models); err != nil {
+		return nil, err
 	}
 	return tbl, nil
 }
@@ -79,7 +76,7 @@ func RunRobustness(opt Options) (*Table, error) {
 			c10 = append(c10, metrics.ClickAtK(exp, 10))
 			div = append(div, metrics.DivAtK(cover, d.M(), 10))
 		}
-		tbl.addRow(r.Name(), f4(metrics.Mean(c5)), f4(metrics.Mean(c10)), f4(metrics.Mean(div)))
+		tbl.addRow(r.Name(), metric(metrics.Mean(c5)), metric(metrics.Mean(c10)), metric(metrics.Mean(div)))
 	}
 	return tbl, nil
 }

@@ -73,18 +73,17 @@ func RunDiversifyCrossEval(opt Options) (*Table, error) {
 		}
 		isTail := tailClassifier(env.Data)
 		for _, r := range rerankers {
-			row := evalDiversifyRow(env, r, isTail)
-			tbl.addRow(append([]string{spec.cfg.Name}, row...)...)
+			tbl.addRow(spec.cfg.Name, evalDiversifyRow(env, r, isTail)...)
 		}
 	}
 	return tbl, nil
 }
 
 // evalDiversifyRow evaluates one re-ranker on the environment's test
-// requests and formats its metric cells. Requests run serially in test-set
-// order: the exposure histogram is a cross-request aggregate, and a
+// requests and returns its name and metric cells. Requests run serially in
+// test-set order: the exposure histogram is a cross-request aggregate, and a
 // deterministic accumulation order keeps the committed golden table exact.
-func evalDiversifyRow(env *Env, r rerank.Reranker, isTail func(int) bool) []string {
+func evalDiversifyRow(env *Env, r rerank.Reranker, isTail func(int) bool) []Cell {
 	var satis, ild, andcg, tail []float64
 	exposure := make([]float64, len(env.Data.Items))
 	for _, inst := range env.Test {
@@ -112,12 +111,12 @@ func evalDiversifyRow(env *Env, r rerank.Reranker, isTail func(int) bool) []stri
 		andcg = append(andcg, metrics.AlphaNDCGAtK(rel, 0.5, diversifyK))
 		tail = append(tail, metrics.LongTailShare(ranked, isTail, diversifyK))
 	}
-	return []string{r.Name(),
-		f4(metrics.Mean(satis)),
-		f4(metrics.Mean(ild)),
-		f4(metrics.Mean(andcg)),
-		f4(metrics.Gini(exposure)),
-		f4(metrics.Mean(tail))}
+	return []Cell{{Text: r.Name()},
+		metric(metrics.Mean(satis)),
+		metric(metrics.Mean(ild)),
+		metric(metrics.Mean(andcg)),
+		metric(metrics.Gini(exposure)),
+		metric(metrics.Mean(tail))}
 }
 
 // tailClassifier derives the dataset's long-tail predicate: items are ranked

@@ -16,8 +16,9 @@ type tableJSON struct {
 // WriteJSON emits the table as JSON with one object per row keyed by the
 // header, the format downstream plotting scripts consume.
 func (t *Table) WriteJSON(w io.Writer) error {
-	out := tableJSON{Title: t.Title, Header: t.Header, Notes: t.Notes}
-	for _, r := range t.Rows {
+	rows, notes := t.render()
+	out := tableJSON{Title: t.Title, Header: t.Header, Notes: notes}
+	for _, r := range rows {
 		row := make(map[string]string, len(t.Header))
 		for i, h := range t.Header {
 			if i < len(r) {

@@ -12,8 +12,8 @@ func sampleTable() *Table {
 		Header: []string{"model", "click@10"},
 		Notes:  []string{"a note"},
 	}
-	tbl.addRow("Init", "1.0000")
-	tbl.addRow("RAPID-pro", "1.2000")
+	tbl.addRow("Init", metric(1))
+	tbl.addRow("RAPID-pro", metric(1.2))
 	return tbl
 }
 

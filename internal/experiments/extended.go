@@ -12,18 +12,12 @@ func RunExtended(opt Options) (*Table, error) {
 		return nil, err
 	}
 	env := BuildEnv(rd, 0.9, opt)
-	models := buildRerankers(env, opt, extendedRoster)
 	tbl := &Table{
 		Title:  "Extended baselines — Seq2Slate vs the paper's roster (taobao, λ=0.9)",
 		Header: []string{"model", "click@5", "ndcg@5", "click@10", "div@10", "satis@10"},
 	}
-	for _, r := range models {
-		if err := env.FitIfTrainable(r, opt); err != nil {
-			return nil, err
-		}
-		res := env.Evaluate(r, []int{5, 10})
-		tbl.addRow(r.Name(), f4(res.Mean("click@5")), f4(res.Mean("ndcg@5")),
-			f4(res.Mean("click@10")), f4(res.Mean("div@10")), f4(res.Mean("satis@10")))
+	if _, err := tbl.addEvalRows(env, opt, extendedRoster, buildRerankers(env, opt, extendedRoster)); err != nil {
+		return nil, err
 	}
 	return tbl, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -39,13 +41,13 @@ func RunFig3(opt Options) ([]*Table, error) {
 			Title:  fmt.Sprintf("Figure 3 — ablation analysis on %s (λ=%.1f)", cfg.Name, lambda),
 			Header: []string{"variant", "click@10", "div@10"},
 		}
+		names := make([]string, len(variants))
+		models := make([]rerank.Reranker, len(variants))
 		for i, v := range variants {
-			m := NewRAPID(env, opt, 12+int64(i), v.mutate)
-			if err := env.FitIfTrainable(m, opt); err != nil {
-				return nil, fmt.Errorf("experiments: fit %s: %w", v.name, err)
-			}
-			res := env.Evaluate(m, []int{10})
-			tbl.addRow(v.name, f4(res.Mean("click@10")), f4(res.Mean("div@10")))
+			names[i], models[i] = v.name, NewRAPID(env, opt, 12+int64(i), v.mutate)
+		}
+		if _, err := tbl.addEvalRows(env, opt, names, models); err != nil {
+			return nil, err
 		}
 		tables = append(tables, tbl)
 	}
@@ -65,13 +67,14 @@ func RunFig4(opt Options) ([]*Table, error) {
 			Title:  fmt.Sprintf("Figure 4 — hidden size study on %s", env.Data.Name),
 			Header: []string{"hidden", "click@10", "div@10"},
 		}
+		var names []string
+		var models []rerank.Reranker
 		for i, h := range []int{8, 16, 32, 64} {
-			m := NewRAPID(env, opt, 20+int64(i), func(c *core.Config) { c.Hidden = h })
-			if err := env.FitIfTrainable(m, opt); err != nil {
-				return nil, fmt.Errorf("experiments: fit hidden=%d: %w", h, err)
-			}
-			res := env.Evaluate(m, []int{10})
-			tbl.addRow(fmt.Sprintf("%d", h), f4(res.Mean("click@10")), f4(res.Mean("div@10")))
+			names = append(names, strconv.Itoa(h))
+			models = append(models, NewRAPID(env, opt, 20+int64(i), func(c *core.Config) { c.Hidden = h }))
+		}
+		if _, err := tbl.addEvalRows(env, opt, names, models); err != nil {
+			return nil, err
 		}
 		tables = append(tables, tbl)
 	}
@@ -113,11 +116,9 @@ func RunFig5(opt Options) (*Table, error) {
 			recCover[i] = env.Data.Cover(v)
 		}
 		recPref := averageRows(recCover)
-		tbl.addRow(
-			fmt.Sprintf("%d", c.inst.User), c.kind,
-			fmt.Sprintf("%.3f", mat.Entropy(hist)/math.Log(float64(c.inst.M))),
-			topTopics(hist, 4), topTopics(theta, 4), topTopics(recPref, 4),
-		)
+		tbl.addRow(strconv.Itoa(c.inst.User), Cell{Text: c.kind},
+			Cell{V: mat.Entropy(hist) / math.Log(float64(c.inst.M)), Verb: "%.3f"},
+			Cell{Text: topTopics(hist, 4)}, Cell{Text: topTopics(theta, 4)}, Cell{Text: topTopics(recPref, 4)})
 	}
 	tbl.Notes = []string{
 		"A diverse user's recommendation spreads over their many favored topics;",
@@ -162,15 +163,9 @@ func topTopics(p []float64, k int) string {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return p[idx[a]] > p[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
+	pairs := make([]string, min(k, len(idx)))
+	for i := range pairs {
+		pairs[i] = fmt.Sprintf("t%d:%.2f", idx[i], p[idx[i]])
 	}
-	s := ""
-	for i := 0; i < k; i++ {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("t%d:%.2f", idx[i], p[idx[i]])
-	}
-	return s
+	return strings.Join(pairs, " ")
 }

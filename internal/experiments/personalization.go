@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
-	"repro/internal/rerank"
 )
 
 // RunPersonalization quantifies the Figure 5 claim at population level
@@ -35,37 +33,20 @@ func RunPersonalization(opt Options) (*Table, error) {
 		if err := env.FitIfTrainable(r, opt); err != nil {
 			return nil, err
 		}
-		var appetites, divs []float64
-		var divSum, focSum [2]float64
-		var divN, focN float64
-		for _, inst := range env.Test {
-			ranked := rerank.Apply(r, inst)
-			cover := make([][]float64, len(ranked))
-			for i, v := range ranked {
-				cover[i] = env.Data.Cover(v)
-			}
-			d := metrics.DivAtK(cover, env.Data.M(), 10)
-			app := env.Data.Users[inst.User].DivAppetite
-			appetites = append(appetites, app)
-			divs = append(divs, d)
-			if app >= 0.6 {
-				divSum[0] += d
-				divN++
+		divs := env.Evaluate(r, []int{10}).PerRequest["div@10"]
+		appetites := make([]float64, len(divs))
+		var diverse, focused []float64
+		for i, d := range divs {
+			appetites[i] = env.Data.Users[env.Test[i].User].DivAppetite
+			if appetites[i] >= 0.6 {
+				diverse = append(diverse, d)
 			} else {
-				focSum[0] += d
-				focN++
+				focused = append(focused, d)
 			}
 		}
-		var dMean, fMean float64
-		if divN > 0 {
-			dMean = divSum[0] / divN
-		}
-		if focN > 0 {
-			fMean = focSum[0] / focN
-		}
-		tbl.addRow(r.Name(),
-			fmt.Sprintf("%.3f", pearson(appetites, divs)),
-			f4(dMean), f4(fMean), fmt.Sprintf("%+.3f", dMean-fMean))
+		dMean, fMean := metrics.Mean(diverse), metrics.Mean(focused)
+		tbl.addRow(r.Name(), Cell{V: pearson(appetites, divs), Verb: "%.3f"},
+			metric(dMean), metric(fMean), Cell{V: dMean - fMean, Verb: "%+.3f"})
 	}
 	return tbl, nil
 }

@@ -44,7 +44,7 @@ func TestRunExtendedSmoke(t *testing.T) {
 	}
 	found := false
 	for _, r := range tbl.Rows {
-		if r[0] == "Seq2Slate" {
+		if r.Name == "Seq2Slate" {
 			found = true
 		}
 	}

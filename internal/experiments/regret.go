@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/bandit"
 	"repro/internal/plot"
@@ -43,19 +44,12 @@ func RunRegret(opt RegretOptions) (*Table, []bandit.RegretCurve) {
 		Header: header,
 	}
 	for i, p := range curves[0].Points {
-		row := []string{
-			fmt.Sprintf("%d", p.Round),
-			fmt.Sprintf("%.1f", p.CumRegret),
-			fmt.Sprintf("%.1f", p.SqrtRef),
-		}
+		cells := []Cell{{V: p.CumRegret, Verb: "%.1f"}, {V: p.SqrtRef, Verb: "%.1f"}}
+		// Every curve has the same checkpoints: one per Checkpoint rounds.
 		for _, c := range curves[1:] {
-			if i < len(c.Points) {
-				row = append(row, fmt.Sprintf("%.1f", c.Points[i].CumRegret))
-			} else {
-				row = append(row, "")
-			}
+			cells = append(cells, Cell{V: c.Points[i].CumRegret, Verb: "%.1f"})
 		}
-		tbl.addRow(row...)
+		tbl.addRow(strconv.Itoa(p.Round), cells...)
 	}
 	note := "fitted growth exponents α (regret ≈ c·n^α):"
 	for _, c := range curves {

@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/ranker"
+	"repro/internal/rerank"
 )
 
 // rankedCache memoizes (dataset, initial ranker) pairs within a process so
@@ -73,65 +77,62 @@ func RunTable2(lambda float64, opt Options) ([]*Table, error) {
 	return tables, nil
 }
 
-// utilityTable trains the full roster on the environment and formats the
-// requested metric columns, with significance notes comparing RAPID-pro and
+// utilityTable trains the full roster on the environment and tables the
+// requested metric columns, with significance tests comparing RAPID-pro and
 // RAPID-det against the strongest baseline on each column.
 func utilityTable(env *Env, opt Options, title string, cols []string) (*Table, error) {
-	rankers := buildRerankers(env, opt, fullRoster)
 	tbl := &Table{Title: title, Header: append([]string{"model"}, cols...)}
-	results := make([]*EvalResult, 0, len(rankers))
-	for _, r := range rankers {
-		if err := env.FitIfTrainable(r, opt); err != nil {
-			return nil, fmt.Errorf("experiments: fit %s: %w", r.Name(), err)
-		}
-		res := env.Evaluate(r, []int{5, 10})
-		results = append(results, res)
-		row := []string{res.Name}
-		for _, c := range cols {
-			row = append(row, f4(res.Mean(c)))
-		}
-		tbl.addRow(row...)
+	results, err := tbl.addEvalRows(env, opt, fullRoster, buildRerankers(env, opt, fullRoster))
+	if err != nil {
+		return nil, err
 	}
-	tbl.Notes = significanceNotes(results, cols)
+	tbl.Significance = significance(results, cols)
 	return tbl, nil
 }
 
-// significanceNotes emits the paper's "*" analysis: for each column, a
-// paired t-test between each RAPID variant present and the best baseline
-// on that column (Init, the initial ranker's own order, is not a baseline).
-func significanceNotes(results []*EvalResult, cols []string) []string {
+// addEvalRows fits each model on the environment's training requests,
+// evaluates it on the test requests and adds a row, named names[i], of its
+// means over the table's metric columns (every header after the first). It
+// returns the evaluations in row order.
+func (t *Table) addEvalRows(env *Env, opt Options, names []string, models []rerank.Reranker) ([]*EvalResult, error) {
+	results := make([]*EvalResult, len(models))
+	for i, m := range models {
+		if err := env.FitIfTrainable(m, opt); err != nil {
+			return nil, fmt.Errorf("experiments: fit %s: %w", names[i], err)
+		}
+		results[i] = env.Evaluate(m, []int{5, 10})
+		cells := make([]Cell, len(t.Header)-1)
+		for j, c := range t.Header[1:] {
+			cells[j] = metric(results[i].Mean(c))
+		}
+		t.addRow(names[i], cells...)
+	}
+	return results, nil
+}
+
+// significance is the paper's "*" analysis: for each column, a paired
+// t-test between each RAPID variant present and the best baseline on that
+// column (Init, the initial ranker's own order, is not a baseline).
+func significance(results []*EvalResult, cols []string) []Significance {
 	var rapids, bases []*EvalResult
 	for _, r := range results {
-		if isRapid(r.Name) {
+		if strings.HasPrefix(r.Name, "RAPID") {
 			rapids = append(rapids, r)
 		} else if r.Name != "Init" {
 			bases = append(bases, r)
 		}
 	}
-	if len(bases) == 0 {
-		return nil
-	}
-	var notes []string
+	var out []Significance
 	for _, c := range cols {
-		best := bases[0]
-		for _, b := range bases[1:] {
-			if b.Mean(c) > best.Mean(c) {
-				best = b
-			}
-		}
+		best := slices.MaxFunc(bases, func(a, b *EvalResult) int { return cmp.Compare(a.Mean(c), b.Mean(c)) })
 		for _, r := range rapids {
 			tt := metrics.PairedTTest(r.PerRequest[c], best.PerRequest[c])
-			mark := ""
-			if tt.P < 0.05 && r.Mean(c) > best.Mean(c) {
-				mark = " *significant (p<0.05)"
-			}
-			notes = append(notes, fmt.Sprintf("%s: %s %.4f vs best baseline %s %.4f (p=%.4f)%s",
-				c, r.Name, r.Mean(c), best.Name, best.Mean(c), tt.P, mark))
+			out = append(out, Significance{
+				Metric: c, Model: r.Name, Baseline: best.Name,
+				ModelMean: r.Mean(c), BaselineMean: best.Mean(c), P: tt.P,
+				Significant: tt.P < 0.05 && r.Mean(c) > best.Mean(c),
+			})
 		}
 	}
-	return notes
-}
-
-func isRapid(name string) bool {
-	return len(name) >= 5 && name[:5] == "RAPID"
+	return out
 }

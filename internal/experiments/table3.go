@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/dataset"
 )
@@ -30,35 +30,21 @@ func RunTable3(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	addImprovementRow(tbl, table3Columns)
+	addImprovementRow(tbl)
 	return tbl, nil
 }
 
-// addImprovementRow appends the paper's "impv%" row: RAPID-pro versus PRM.
-func addImprovementRow(tbl *Table, cols []string) {
-	find := func(name string) []string {
-		for _, r := range tbl.Rows {
-			if r[0] == name {
-				return r
-			}
-		}
-		return nil
-	}
-	rapid := find("RAPID-pro")
-	prm := find("PRM")
-	if rapid == nil || prm == nil {
-		return
-	}
-	row := []string{"impv% (vs PRM)"}
-	for i := range cols {
-		var rv, pv float64
-		fmt.Sscanf(rapid[i+1], "%f", &rv)
-		fmt.Sscanf(prm[i+1], "%f", &pv)
-		if pv != 0 {
-			row = append(row, fmt.Sprintf("%+.2f%%", (rv-pv)/pv*100))
-		} else {
-			row = append(row, "n/a")
+// addImprovementRow appends the paper's "impv%" row to a table of the full
+// roster: RAPID-pro versus PRM, column by column.
+func addImprovementRow(tbl *Table) {
+	prm := tbl.Rows[slices.Index(fullRoster, "PRM")].Cells
+	rapid := tbl.Rows[slices.Index(fullRoster, "RAPID-pro")].Cells
+	impv := make([]Cell, len(prm))
+	for i, p := range prm {
+		impv[i] = Cell{Text: "n/a"}
+		if p.V != 0 {
+			impv[i] = Cell{V: (rapid[i].V - p.V) / p.V * 100, Verb: "%+.2f%%"}
 		}
 	}
-	tbl.addRow(row...)
+	tbl.addRow("impv% (vs PRM)", impv...)
 }

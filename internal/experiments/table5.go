@@ -1,10 +1,11 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/rerank"
 )
 
 // RunTable5 reproduces Table V: RAPID-pro on the App-Store-like dataset
@@ -20,17 +21,14 @@ func RunTable5(opt Options) (*Table, error) {
 		Title:  "Table V — RAPID with different maximum behavior-sequence lengths (App Store)",
 		Header: append([]string{"model"}, table3Columns...),
 	}
+	var names []string
+	var models []rerank.Reranker
 	for _, d := range []int{3, 5, 10} {
-		m := NewRAPID(env, opt, 12, func(c *core.Config) { c.D = d })
-		if err := env.FitIfTrainable(m, opt); err != nil {
-			return nil, fmt.Errorf("experiments: fit RAPID-%d: %w", d, err)
-		}
-		res := env.Evaluate(m, []int{5, 10})
-		row := []string{fmt.Sprintf("RAPID-%d", d)}
-		for _, c := range table3Columns {
-			row = append(row, f4(res.Mean(c)))
-		}
-		tbl.addRow(row...)
+		names = append(names, "RAPID-"+strconv.Itoa(d))
+		models = append(models, NewRAPID(env, opt, 12, func(c *core.Config) { c.D = d }))
+	}
+	if _, err := tbl.addEvalRows(env, opt, names, models); err != nil {
+		return nil, err
 	}
 	return tbl, nil
 }

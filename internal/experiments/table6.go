@@ -32,9 +32,8 @@ func RunTable6(opt Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			tbl.addRow(r.Name(), env.Data.Name,
-				ta.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.1f", trb), fmt.Sprintf("%.1f", teb))
+			tbl.addRow(r.Name(), Cell{Text: env.Data.Name}, Cell{V: ta.Seconds(), Verb: "%.3fs"},
+				Cell{V: trb, Verb: "%.1f"}, Cell{V: teb, Verb: "%.1f"})
 		}
 	}
 	return tbl, nil

@@ -134,7 +134,7 @@ var (
 type (
 	// Options sizes an experiment run.
 	Options = experiments.Options
-	// Table is a formatted experiment result.
+	// Table holds an experiment's numbers and renders them as text or JSON.
 	Table = experiments.Table
 	// Env is a prepared (dataset, ranker, λ) environment.
 	Env = experiments.Env
