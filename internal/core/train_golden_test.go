@@ -16,7 +16,7 @@ import (
 	"repro/internal/rerank"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/train_bits.golden with the current training bits")
+var update = flag.Bool("update", false, "rewrite the testdata goldens with the current bits")
 
 // writeBits feeds the IEEE-754 bit patterns of vs to h.
 func writeBits(h hash.Hash, vs ...float64) {
