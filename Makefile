@@ -4,7 +4,7 @@
 # under an explicit `go test -update`).
 GO ?= go
 
-.PHONY: check build vet fmt layers test test-short examples race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-core bench-test results-check
+.PHONY: check build vet fmt layers test test-short examples race fuzz smoke chaos-smoke diversify-smoke feedback-smoke bench bench-core bench-test bench-align results-check
 
 check: vet fmt layers test bench-test
 
@@ -136,6 +136,20 @@ bench-core:
 # itself: `bash bench/run.sh` (bench/README.md).
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The benchmark's reference kernel reads faster or slower with where the
+# linker puts it (ROADMAP item 24), so normalised numbers compare only
+# between builds that put it at the same address mod 64. This builds bench/
+# as bench/run.sh does, into .bench_build/, and prints main.runRefKernel's
+# address and its value mod 64.
+BENCH_ENV = GOCACHE="$(CURDIR)/.bench_build/gocache" GOPATH="$(CURDIR)/.bench_build/gopath" \
+	XDG_CONFIG_HOME="$(CURDIR)/.bench_build/config" GOTOOLCHAIN=local GOWORK=off
+bench-align:
+	@mkdir -p .bench_build
+	@cd bench && $(BENCH_ENV) $(GO) build -o "$(CURDIR)/.bench_build/bench" .
+	@addr="$$($(GO) tool nm -n .bench_build/bench | awk '$$3 == "main.runRefKernel" {print $$1}')"; \
+	if [ -z "$$addr" ]; then echo "bench-align: main.runRefKernel not found"; exit 1; fi; \
+	echo "main.runRefKernel 0x$$addr ($$((0x$$addr % 64)) mod 64)"
 
 # The extensions archive (results_extensions.txt) against today's code: its
 # four experiments run again at scale 0.5, seed 42 (≈15 s) into a temp file,

@@ -84,6 +84,8 @@ func one(run func(experiments.Options) (*experiments.Table, error)) func(experim
 }
 
 // regret runs the Theorem 5.1 simulation and, with -svg, writes its figure.
+// The figure counts as written, and says so on opt.Log, only once its file
+// has closed without error: a write can fail as late as the close.
 func regret(opt experiments.Options) ([]*experiments.Table, error) {
 	tbl, curves := experiments.RunRegret(experiments.DefaultRegretOptions(opt.Seed))
 	if svgPath != "" {
@@ -91,11 +93,16 @@ func regret(opt experiments.Options) ([]*experiments.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		if err := experiments.RegretChart(curves).WriteSVG(f); err != nil {
+		err = experiments.RegretChart(curves).WriteSVG(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "rapidbench: wrote %s\n", svgPath)
+		if opt.Log != nil {
+			fmt.Fprintf(opt.Log, "rapidbench: wrote %s\n", svgPath)
+		}
 	}
 	return []*experiments.Table{tbl}, nil
 }

@@ -1,6 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/xml"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -28,6 +34,48 @@ func TestRunRegretExperiment(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "regret") {
 		t.Fatalf("regret output missing table: %s", sb.String())
+	}
+}
+
+// TestRegretSVG: -svg writes a figure that parses as XML and starts with
+// <svg, and says so; a path under a missing directory is an error, with no
+// "wrote" line. (A write that fails only at close cannot be provoked
+// portably; regret checks the close error the same way.)
+func TestRegretSVG(t *testing.T) {
+	defer func(old string) { svgPath = old }(svgPath)
+	opt := smokeOptions()
+	var log strings.Builder
+	opt.Log = &log
+
+	svgPath = filepath.Join(t.TempDir(), "regret.svg")
+	if err := run("regret", opt, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(svgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "<svg") {
+		t.Fatalf("figure starts %q, want <svg", data[:min(len(data), 40)])
+	}
+	for dec := xml.NewDecoder(bytes.NewReader(data)); ; {
+		if _, err := dec.Token(); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatalf("figure is not well-formed XML: %v", err)
+		}
+	}
+	if !strings.Contains(log.String(), "rapidbench: wrote "+svgPath) {
+		t.Fatalf("no wrote line in %q", log.String())
+	}
+
+	log.Reset()
+	svgPath = filepath.Join(t.TempDir(), "missing", "regret.svg")
+	if err := run("regret", opt, io.Discard); err == nil {
+		t.Fatal("a figure under a missing directory reported no error")
+	}
+	if strings.Contains(log.String(), "wrote") {
+		t.Fatalf("failed write still logged %q", log.String())
 	}
 }
 

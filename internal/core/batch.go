@@ -55,10 +55,23 @@ func (m *Model) ScoreBatchStates(ctx context.Context, insts []*rerank.Instance, 
 	}
 	a := m.borrow()
 	defer m.arenas.Put(a)
-	out := make([][]float64, len(insts))
-	var used []*UserState
-	if m.Cfg.UseDiversity {
-		used = make([]*UserState, len(insts))
+	var out [][]float64
+	var used []*UserState // nil for a diversity-free model, which has no state
+	if len(insts) == 1 {
+		// The engine's batch of one pays one allocation for both headers.
+		both := new(struct {
+			out  [1][]float64
+			used [1]*UserState
+		})
+		out = both.out[:]
+		if m.Cfg.UseDiversity {
+			used = both.used[:]
+		}
+	} else {
+		out = make([][]float64, len(insts))
+		if m.Cfg.UseDiversity {
+			used = make([]*UserState, len(insts))
+		}
 	}
 	for b, inst := range insts {
 		var st *UserState

@@ -90,7 +90,7 @@ func (m *Model) headIn() int {
 func (m *Model) forward(ctx context.Context, a *arena, inst *rerank.Instance, st *UserState) ([]float64, *UserState, error) {
 	m.checkGeometry(inst)
 	l, relDim, headIn := inst.L(), 2*m.Cfg.Hidden, m.headIn()
-	a.reset(l*headIn + m.relevanceScratch(l) + m.preferenceScratch() + m.headScratch(l))
+	a.reset(l*headIn + m.relevanceScratch(l) + m.preferenceScratch(l) + m.headScratch(l))
 
 	// z is the fusion input [H_R | Δ_R], one row per listed item.
 	z := a.take(l * headIn)
@@ -109,12 +109,14 @@ func (m *Model) forward(ctx context.Context, a *arena, inst *rerank.Instance, st
 		}
 		// Δ_R = s·(θ̂ ⊙ d_R), Eq. (6), in the tape's Mul-then-Scale order
 		// (see diversityGain for the m/2 rescaling).
-		s := float64(m.Cfg.Topics) / 2
-		d := m.divFn.Marginal(inst.Cover, inst.M)
+		topicsN := m.Cfg.Topics
+		s := float64(topicsN) / 2
+		d := a.take(l * topicsN)
+		m.divFn.Marginal(d, inst.Cover, topicsN)
 		for i := 0; i < l; i++ {
 			row := z[i*headIn+relDim : (i+1)*headIn]
 			for j := range row {
-				row[j] = s * (st.theta[j] * d[i][j])
+				row[j] = s * (st.theta[j] * d[i*topicsN+j])
 			}
 		}
 	}
@@ -385,12 +387,15 @@ func (m *Model) encodeTheta(ctx context.Context, a *arena, inst *rerank.Instance
 	return theta, nil
 }
 
-func (m *Model) preferenceScratch() int {
+// preferenceScratch is what the diversity estimator carves for an l-item
+// list: encodeTheta's scratch plus the l×m marginal-diversity table d_R
+// (l = 0 for EncodeUserState, which builds no Δ_R).
+func (m *Model) preferenceScratch(l int) int {
 	if !m.Cfg.UseDiversity {
 		return 0
 	}
 	hid, topicsN := m.Cfg.Hidden, m.Cfg.Topics
-	n := 2*topicsN*hid + topicsN + mlpScratch(m.prefMLP, topicsN)
+	n := l*topicsN + 2*topicsN*hid + topicsN + mlpScratch(m.prefMLP, topicsN)
 	if m.Cfg.Agg == LSTMAgg {
 		return n + 10*hid + m.Cfg.ItemDim
 	}

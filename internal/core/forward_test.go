@@ -78,9 +78,13 @@ func TestForwardMatchesLogits(t *testing.T) {
 
 // TestInferenceAllocs pins the steady-state allocation count of the
 // inference entry points on a 20-item list: what is left is what the caller
-// keeps (score slices, the state and its θ̂) and the diversity function's
-// table — no scratch.
+// keeps — the scores, the state and its θ̂, and one allocation for a batch
+// of one's two result headers — and no scratch: the marginal-diversity table
+// is carved from the pooled arena.
 func TestInferenceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Puts at random")
+	}
 	long, d := fixtureLen(t, 2, 91, 20)
 	m := New(testConfig(d, 70))
 	ctx := context.Background()
@@ -94,11 +98,13 @@ func TestInferenceAllocs(t *testing.T) {
 		max  float64
 		call func()
 	}{
-		{"ScoreBatch of one", 8, func() { _, _ = m.ScoreBatch(ctx, one) }},
-		{"ScoreBatchStates with its state", 6, func() { _, _, _ = m.ScoreBatchStates(ctx, one, states) }},
-		{"EncodeUserState", 3, func() { _, _ = m.EncodeUserState(ctx, one[0]) }},
+		{"ScoreBatch of one", 4, func() { _, _ = m.ScoreBatch(ctx, one) }},
+		{"ScoreBatchStates with its state", 2, func() { _, _, _ = m.ScoreBatchStates(ctx, one, states) }},
+		{"EncodeUserState", 2, func() { _, _ = m.EncodeUserState(ctx, one[0]) }},
 	} {
-		if n := testing.AllocsPerRun(100, tc.call); n > tc.max {
+		n := testing.AllocsPerRun(100, tc.call)
+		t.Logf("%s: %v allocations", tc.name, n)
+		if n > tc.max {
 			t.Errorf("%s: %v allocations per call, want ≤ %v", tc.name, n, tc.max)
 		}
 	}

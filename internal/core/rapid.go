@@ -261,7 +261,8 @@ func (m *Model) preference(t *nn.Tape, inst *rerank.Instance) *nn.Node {
 // in training. It does not change Eq. (6) up to the head's first weight
 // layer.
 func (m *Model) diversityGain(t *nn.Tape, inst *rerank.Instance, theta *nn.Node) *nn.Node {
-	d := mat.FromRows(m.divFn.Marginal(inst.Cover, inst.M)) // L×m constant
+	d := mat.New(inst.L(), inst.M) // L×m constant
+	m.divFn.Marginal(d.Data, inst.Cover, inst.M)
 	thetaRows := make([]*nn.Node, inst.L())
 	for i := range thetaRows {
 		thetaRows[i] = theta

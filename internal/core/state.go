@@ -71,7 +71,7 @@ func (m *Model) EncodeUserState(ctx context.Context, inst *rerank.Instance) (*Us
 	m.checkGeometry(inst)
 	a := m.borrow()
 	defer m.arenas.Put(a)
-	a.reset(m.preferenceScratch())
+	a.reset(m.preferenceScratch(0))
 	theta, err := m.encodeTheta(ctx, a, inst)
 	if err != nil {
 		return nil, err

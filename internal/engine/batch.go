@@ -30,17 +30,23 @@ type BatchConfig struct {
 // user key it resolved under, the pin that serves it and the instance the
 // pin's geometry validated. ctx is its scoring context, set once admitted;
 // idx is its request's position in the call, and call holds the slots it
-// shares with its call-mates. done is buffered so the worker's delivery never
-// blocks on a departed waiter.
+// shares with its call-mates. finish stores the outcome in out and then
+// closes done, so delivery never blocks on a departed waiter and a waiter
+// that sees done closed reads out safely.
 type scoreJob struct {
 	tenant string
 	user   uint64
 	pin    Pinned
 	inst   *rerank.Instance
 	ctx    context.Context
-	done   chan scoreOutcome
+	done   chan struct{}
+	out    scoreOutcome
 	idx    int
 	call   *call
+	// insts and states are the batch of one callScorer hands a stateScorer,
+	// held here so the call builds no slices.
+	insts  [1]*rerank.Instance
+	states [1]*core.UserState
 	// key identifies this request's encoded user state in the engine's state
 	// cache; hasKey is set only when the cache is enabled and the pinned
 	// scorer can consume states (so workers never hash or look up in vain).
@@ -200,7 +206,8 @@ func (e *Engine) score(j *scoreJob) (out scoreOutcome) {
 // same call and is installed for the next request — the cache fills from
 // scoring work the engine already paid for, never from extra encoding passes.
 // ScoreBatchStates takes slices because the frozen bench/trace.go implements
-// that signature (ROADMAP item 1 narrows it); they are slices of one.
+// that signature (ROADMAP item 1 narrows it); callScorer passes a batch of
+// one from the job's own arrays.
 func (e *Engine) callScorer(j *scoreJob) ([]float64, error) {
 	ss, ok := j.pin.Scorer.(stateScorer)
 	if !ok || e.stateCache == nil {
@@ -210,7 +217,8 @@ func (e *Engine) callScorer(j *scoreJob) ([]float64, error) {
 	if j.hasKey {
 		state, _ = e.stateCache.get(j.key)
 	}
-	res, used, err := ss.ScoreBatchStates(j.ctx, []*rerank.Instance{j.inst}, []*core.UserState{state})
+	j.insts[0], j.states[0] = j.inst, state
+	res, used, err := ss.ScoreBatchStates(j.ctx, j.insts[:], j.states[:])
 	if err != nil {
 		return nil, err
 	}
@@ -227,11 +235,12 @@ func (e *Engine) callScorer(j *scoreJob) ([]float64, error) {
 }
 
 // finish delivers a job's outcome, and the call's last finish releases every
-// slot the call holds. Exactly one finish per job: the buffered done channel
-// makes delivery non-blocking even when the waiter already gave up on its
-// deadline.
+// slot the call holds. Exactly one finish per job (a second would close done
+// twice and panic): storing the outcome and closing done never blocks, even
+// when the waiter already gave up on its deadline.
 func (e *Engine) finish(j *scoreJob, out scoreOutcome) {
-	j.done <- out
+	j.out = out
+	close(j.done)
 	if j.call.left.Add(-1) == 0 {
 		<-e.sem
 		j.call.releaseQuota()

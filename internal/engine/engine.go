@@ -246,11 +246,13 @@ func newIDPrefix() string {
 }
 
 // newRequestID issues the response's request_id: process prefix + sequence.
-// Cheap (one atomic add, one small allocation) because every response pays
-// it; the id is opaque to clients — its only contract is echoing it back in
-// feedback events.
+// Cheap (one atomic add, one allocation: the id is assembled on the stack)
+// because every response pays it; the id is opaque to clients — its only
+// contract is echoing it back in feedback events.
 func (e *Engine) newRequestID() string {
-	return e.idPrefix + "-" + strconv.FormatUint(e.reqSeq.Add(1), 36)
+	var buf [32]byte
+	b := append(append(buf[:0], e.idPrefix...), '-')
+	return string(strconv.AppendUint(b, e.reqSeq.Add(1), 36))
 }
 
 // Stats snapshots the operational counters from the metric registry. Each
@@ -402,7 +404,7 @@ func (e *Engine) resolve(req *Request, j *scoreJob) error {
 		e.met.BadInput.Inc()
 		return badInput(err)
 	}
-	*j = scoreJob{inst: inst, pin: pin, tenant: tenant, user: user, done: make(chan scoreOutcome, 1)}
+	*j = scoreJob{inst: inst, pin: pin, tenant: tenant, user: user, done: make(chan struct{})}
 	j.key, j.hasKey = e.stateKeyFor(req, tenant, pin)
 	return nil
 }
@@ -418,12 +420,13 @@ func (e *Engine) resolve(req *Request, j *scoreJob) error {
 // re-ranking stage that cannot answer in budget must hand back the list it
 // was given — the upstream ranking is always a valid (if less diverse)
 // answer, while an error would cost the impression. The worker may still be
-// scoring when await returns; the buffered done channel takes its late
-// outcome.
+// scoring when await returns; its late outcome lands in the job, which
+// nobody reads any more.
 func (e *Engine) await(ctx context.Context, j *scoreJob) (Response, error) {
 	var out scoreOutcome
 	select {
-	case out = <-j.done:
+	case <-j.done:
+		out = j.out
 	case <-j.ctx.Done():
 		out.err = j.ctx.Err()
 	}

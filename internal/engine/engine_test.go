@@ -232,24 +232,46 @@ func TestRerankNeverWaitsForBatchMates(t *testing.T) {
 }
 
 // TestRerankAllocCeiling bounds what one request costs on the single path
-// end to end — resolve, admission, dispatch, a warm scoring pass, response —
-// on a request of the benchmark pool's shape against the real model with the
-// state cache on. 25 allocations today, 7 of them the instance; the benchmark
-// bounds allocs_per_list to 6 %, and the stages Rerank shares with
-// RerankBatch must not be paid for here. The ceiling only moves down.
+// end to end — resolve, admission, dispatch, a scoring pass, response — on a
+// request of the benchmark pool's shape against the real model with the
+// state cache on: 19 allocations for a repeat user whose state is cached, 21
+// for a new user each call (its θ̂ and state), 7 of them the instance. The
+// benchmark bounds allocs_per_list to 6 %, and the stages Rerank shares with
+// RerankBatch must not be paid for here. The ceilings only move down.
 func TestRerankAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Puts at random")
+	}
 	cfg := core.DefaultConfig(13, 8, 5, 1)
 	e := NewStatic(core.New(cfg), Manifest{Dataset: "test", Config: cfg}, Config{StateCacheBytes: 1 << 20})
 	defer e.Close()
-	req := poolShapedRequest(rand.New(rand.NewSource(1)))
-	n := testing.AllocsPerRun(200, func() {
-		if resp, err := e.Rerank(context.Background(), req); err != nil || resp.Degraded {
-			t.Fatalf("%+v, %v", resp, err)
+	rng := rand.New(rand.NewSource(1))
+	repeat := poolShapedRequest(rng)
+	fresh := make([]*Request, 201) // AllocsPerRun's warm-up call and 200 more
+	for i := range fresh {
+		fresh[i] = poolShapedRequest(rng)
+	}
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		next    func() *Request
+	}{
+		{"repeat user", 19, func() *Request { return repeat }},
+		{"new user each call", 21, func() *Request {
+			req := fresh[0]
+			fresh = fresh[1:]
+			return req
+		}},
+	} {
+		n := testing.AllocsPerRun(200, func() {
+			if resp, err := e.Rerank(context.Background(), tc.next()); err != nil || resp.Degraded {
+				t.Fatalf("%+v, %v", resp, err)
+			}
+		})
+		t.Logf("%s: %v allocations", tc.name, n)
+		if n > tc.ceiling {
+			t.Errorf("Rerank, %s: %v allocations per pool-shaped request, ceiling %v", tc.name, n, tc.ceiling)
 		}
-	})
-	t.Logf("%v allocations", n)
-	if n > 26 {
-		t.Errorf("Rerank: %v allocations per pool-shaped request, ceiling 26", n)
 	}
 }
 

@@ -23,14 +23,19 @@ func writeFrame(w io.Writer, scratch *[]byte, typ byte, payload []byte) error {
 }
 
 // readFrame reads one frame into scratch (grown as needed, reused across
-// calls) and returns its type and payload. The payload aliases scratch and
-// is valid until the next readFrame on the same scratch.
+// calls) and returns its type and payload. The header is read into scratch
+// too, so a steady-state connection reads frames without allocating. The
+// payload aliases scratch and is valid until the next readFrame on the same
+// scratch.
 func readFrame(r io.Reader, scratch *[]byte) (byte, []byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*scratch) < headerSize {
+		*scratch = make([]byte, headerSize)
+	}
+	hdr := (*scratch)[:headerSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n, typ := binary.LittleEndian.Uint32(hdr[:4]), hdr[4]
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("binproto: frame payload %d exceeds %d", n, maxFrame)
 	}
@@ -41,5 +46,5 @@ func readFrame(r io.Reader, scratch *[]byte) (byte, []byte, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("binproto: truncated payload: %w", err)
 	}
-	return hdr[4], payload, nil
+	return typ, payload, nil
 }

@@ -46,55 +46,17 @@ func uncovered(remain []float64, cover [][]float64) {
 // MarginalDiversity computes d_R(R(i)) of Eq. (5) for every item in the
 // list: the per-topic difference between the coverage of the full list and
 // the coverage with item i removed. The result is an L×m slice with entries
-// in [0, 1].
-//
-// Rather than recomputing the product for every leave-one-out subset (an
-// O(L²m) loop), it uses prefix/suffix products of (1−τ) per topic, which is
-// O(Lm) and numerically identical. It runs on every scoring call and every
-// training step, so the whole table is two allocations (see newTable): the
-// suffix products are built in the result rows themselves and the prefix is
-// one running row.
+// in [0, 1], its rows cut from one backing slice. It is the allocating
+// convenience over the prob-coverage DiversityFunction's Marginal, which the
+// scoring and training paths call into their own scratch.
 func MarginalDiversity(cover [][]float64, m int) [][]float64 {
-	l := len(cover)
-	out, prefix := newTable(l, m, m)
-	if l == 0 {
-		return out
-	}
-	// Backward: out[i][j] = Π_{v>i} (1−τ_v^j).
-	for j := range out[l-1] {
-		out[l-1][j] = 1
-	}
-	for i := l - 2; i >= 0; i-- {
-		for j := range out[i] {
-			out[i][j] = out[i+1][j] * (1 - cover[i+1][j])
-		}
-	}
-	// Forward: prefix[j] = Π_{v<i} (1−τ_v^j).
-	for j := range prefix {
-		prefix[j] = 1
-	}
-	for i := 0; i < l; i++ {
-		for j := range out[i] {
-			// c_j(R) − c_j(R∖i) = Π_{v≠i}(1−τ) − Π_v(1−τ)
-			without := prefix[j] * out[i][j]
-			with := without * (1 - cover[i][j])
-			out[i][j] = without - with // = τ_i^j · Π_{v≠i}(1−τ_v^j)
-			prefix[j] *= 1 - cover[i][j]
-		}
-	}
-	return out
-}
-
-// newTable returns a zeroed l×m table whose rows share one backing slice,
-// plus extra zeroed floats of scratch cut from the same allocation: two
-// allocations in all, however long the list.
-func newTable(l, m, extra int) (rows [][]float64, scratch []float64) {
-	flat := make([]float64, l*m+extra)
-	rows = make([][]float64, l)
+	flat := make([]float64, len(cover)*m)
+	probCoverage{}.Marginal(flat, cover, m)
+	rows := make([][]float64, len(cover))
 	for i := range rows {
 		rows[i] = flat[i*m : (i+1)*m : (i+1)*m]
 	}
-	return rows, flat[l*m:]
+	return rows
 }
 
 // IncrementalCoverage tracks the coverage of a growing list so greedy

@@ -10,12 +10,15 @@ import (
 // probabilistic coverage, as the paper notes ("the probabilistic coverage
 // function can be replaced by other submodular diversity functions
 // according to the objective of the recommendation scenario").
-// Implementations must return, for each listed item, the per-topic marginal
+// Implementations must give, for each listed item, the per-topic marginal
 // contribution f(R) − f(R∖{i}).
 type DiversityFunction interface {
 	Name() string
-	// Marginal returns the L×m leave-one-out marginal diversity.
-	Marginal(cover [][]float64, m int) [][]float64
+	// Marginal writes the L×m leave-one-out marginal diversity row-major into
+	// dst: dst[i·m+j] is item i's contribution to topic j. It writes every
+	// one of those L·m floats, whatever dst held, and allocates nothing: it
+	// runs on every scoring call and every training step.
+	Marginal(dst []float64, cover [][]float64, m int)
 	// Total returns Σ_j f_j(G), the scalar diversity of a set.
 	Total(cover [][]float64, m int) float64
 }
@@ -26,9 +29,31 @@ type probCoverage struct{}
 // Name implements DiversityFunction.
 func (probCoverage) Name() string { return "prob-coverage" }
 
-// Marginal implements DiversityFunction.
-func (probCoverage) Marginal(cover [][]float64, m int) [][]float64 {
-	return MarginalDiversity(cover, m)
+// Marginal implements DiversityFunction: Eq. (5), one topic at a time.
+// Rather than recomputing the product for every leave-one-out subset (an
+// O(L²m) loop), it uses prefix and suffix products of (1−τ), which is O(Lm)
+// and numerically identical. The suffix products are built in dst itself and
+// the prefix is a running scalar.
+func (probCoverage) Marginal(dst []float64, cover [][]float64, m int) {
+	l := len(cover)
+	dst = dst[:l*m]
+	for j := 0; j < m; j++ {
+		// Backward: dst[i·m+j] = Π_{v>i} (1−τ_v^j).
+		suffix := 1.0
+		for i := l - 1; i >= 0; i-- {
+			dst[i*m+j] = suffix
+			suffix *= 1 - cover[i][j]
+		}
+		// Forward, with prefix = Π_{v<i} (1−τ_v^j):
+		// c_j(R) − c_j(R∖i) = Π_{v≠i}(1−τ) − Π_v(1−τ) = τ_i^j · Π_{v≠i}(1−τ_v^j).
+		prefix := 1.0
+		for i, tau := range cover {
+			without := prefix * dst[i*m+j]
+			with := without * (1 - tau[j])
+			dst[i*m+j] = without - with
+			prefix *= 1 - tau[j]
+		}
+	}
 }
 
 // Total implements DiversityFunction.
@@ -71,23 +96,21 @@ func (s saturatedCoverage) Total(cover [][]float64, m int) float64 {
 }
 
 // Marginal implements DiversityFunction.
-func (s saturatedCoverage) Marginal(cover [][]float64, m int) [][]float64 {
+func (s saturatedCoverage) Marginal(dst []float64, cover [][]float64, m int) {
 	b := s.beta()
 	norm := math.Log1p(b)
-	out, sums := newTable(len(cover), m, m)
-	for _, tau := range cover {
-		for j, t := range tau {
-			sums[j] += t
+	dst = dst[:len(cover)*m]
+	for j := 0; j < m; j++ {
+		var sum float64
+		for _, tau := range cover {
+			sum += tau[j]
+		}
+		for i, tau := range cover {
+			with := math.Log1p(b*sum) / norm
+			without := math.Log1p(b*(sum-tau[j])) / norm
+			dst[i*m+j] = with - without
 		}
 	}
-	for i, tau := range cover {
-		for j, t := range tau {
-			with := math.Log1p(b*sums[j]) / norm
-			without := math.Log1p(b*(sums[j]-t)) / norm
-			out[i][j] = with - without
-		}
-	}
-	return out
 }
 
 // facilityLocation scores each topic by its best single item:
@@ -114,34 +137,26 @@ func (facilityLocation) Total(cover [][]float64, m int) float64 {
 	return total
 }
 
-// Marginal implements DiversityFunction.
-func (facilityLocation) Marginal(cover [][]float64, m int) [][]float64 {
-	out, scratch := newTable(len(cover), m, 2*m)
-	if len(cover) == 0 {
-		return out
-	}
-	// Track the largest and second-largest value per topic so each
-	// leave-one-out maximum is O(1): only the item holding a topic's maximum
-	// raises it, by the gap to the runner-up.
-	best, second := scratch[:m], scratch[m:]
-	argbest := make([]int, m)
-	for i, tau := range cover {
-		for j, t := range tau {
-			if t > best[j] {
-				second[j] = best[j]
-				best[j] = t
-				argbest[j] = i
-			} else if t > second[j] {
-				second[j] = t
+// Marginal implements DiversityFunction. It tracks the largest and
+// second-largest value per topic so each leave-one-out maximum is O(1): only
+// the item holding a topic's maximum raises it, by the gap to the runner-up.
+func (facilityLocation) Marginal(dst []float64, cover [][]float64, m int) {
+	dst = dst[:len(cover)*m]
+	for j := 0; j < m; j++ {
+		var best, second float64
+		argbest := 0
+		for i, tau := range cover {
+			if t := tau[j]; t > best {
+				second, best, argbest = best, t, i
+			} else if t > second {
+				second = t
 			}
+			dst[i*m+j] = 0
+		}
+		if best > 0 {
+			dst[argbest*m+j] = best - second
 		}
 	}
-	for j, i := range argbest {
-		if best[j] > 0 {
-			out[i][j] = best[j] - second[j]
-		}
-	}
-	return out
 }
 
 // DiversityFunctionByName resolves the registry used by configs and the

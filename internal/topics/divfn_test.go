@@ -11,6 +11,47 @@ func allDivFns() []DiversityFunction {
 	return []DiversityFunction{probCoverage{}, saturatedCoverage{}, facilityLocation{}}
 }
 
+// marginalRows runs fn.Marginal into a table filled with NaN first, fails
+// the test if any NaN survives (Marginal must write every element of a
+// scratch table whose contents are unspecified), and returns its rows.
+func marginalRows(t *testing.T, fn DiversityFunction, cover [][]float64, m int) [][]float64 {
+	t.Helper()
+	flat := make([]float64, len(cover)*m)
+	for k := range flat {
+		flat[k] = math.NaN()
+	}
+	fn.Marginal(flat, cover, m)
+	rows := make([][]float64, len(cover))
+	for i := range rows {
+		rows[i] = flat[i*m : (i+1)*m]
+		for j, v := range rows[i] {
+			if math.IsNaN(v) {
+				t.Fatalf("%s: Marginal left item %d topic %d unwritten", fn.Name(), i, j)
+			}
+		}
+	}
+	return rows
+}
+
+// TestMarginalWritesEveryElement: on empty, one-item and 20-item lists, and
+// on facility-location ties (equal maxima, all-zero topics), no element of
+// the table keeps what the scratch held.
+func TestMarginalWritesEveryElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ties := [][]float64{{0.5, 0, 1}, {0.5, 0, 1}, {0.2, 0, 1}}
+	for _, fn := range allDivFns() {
+		for _, l := range []int{0, 1, 20} {
+			if rows := marginalRows(t, fn, randCover(rng, l, 5), 5); len(rows) != l {
+				t.Fatalf("%s: %d rows for %d items", fn.Name(), len(rows), l)
+			}
+		}
+		marginalRows(t, fn, ties, 3)
+	}
+	if rows := marginalRows(t, facilityLocation{}, ties, 3); rows[0][0] != 0 || rows[1][0] != 0 || rows[0][1] != 0 || rows[0][2] != 0 {
+		t.Fatalf("tied maxima raise nothing when left out, got %v", rows)
+	}
+}
+
 func TestDiversityFunctionByName(t *testing.T) {
 	for _, name := range []string{"", "prob-coverage", "saturated-coverage", "facility-location"} {
 		if _, err := DiversityFunctionByName(name); err != nil {
@@ -31,7 +72,7 @@ func TestMarginalMatchesLeaveOneOut(t *testing.T) {
 			m := 1 + rng.Intn(4)
 			n := 1 + rng.Intn(7)
 			cover := randCover(rng, n, m)
-			marg := fn.Marginal(cover, m)
+			marg := marginalRows(t, fn, cover, m)
 			full := fn.Total(cover, m)
 			for i := 0; i < n; i++ {
 				without := make([][]float64, 0, n-1)
@@ -93,7 +134,7 @@ func TestMarginalNonNegative(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			m := 1 + rng.Intn(4)
 			cover := randCover(rng, 1+rng.Intn(6), m)
-			for _, row := range fn.Marginal(cover, m) {
+			for _, row := range marginalRows(t, fn, cover, m) {
 				for _, v := range row {
 					if v < -1e-12 {
 						t.Fatalf("%s: negative marginal %v", fn.Name(), v)
@@ -107,8 +148,7 @@ func TestMarginalNonNegative(t *testing.T) {
 func TestFacilityLocationSecondBest(t *testing.T) {
 	// Removing the per-topic leader must fall back to the runner-up.
 	cover := [][]float64{{0.9, 0.1}, {0.5, 0.8}, {0.2, 0.7}}
-	fl := facilityLocation{}
-	marg := fl.Marginal(cover, 2)
+	marg := marginalRows(t, facilityLocation{}, cover, 2)
 	if math.Abs(marg[0][0]-(0.9-0.5)) > 1e-12 {
 		t.Fatalf("leader marginal %v, want 0.4", marg[0][0])
 	}
@@ -136,20 +176,20 @@ func TestSaturatedCoverageBetaDefault(t *testing.T) {
 }
 
 // TestMarginalAllocs: Marginal runs on every scoring call and every training
-// step, so its table is one flat slice under the row headers — at most three
-// allocations however long the list — and rows must not be able to grow into
-// each other.
+// step, into the caller's scratch, so it allocates nothing however long the
+// list. MarginalDiversity, the allocating convenience, cuts its rows from one
+// backing slice, and rows must not be able to grow into each other.
 func TestMarginalAllocs(t *testing.T) {
 	cover := randCover(rand.New(rand.NewSource(5)), 20, 5)
+	dst := make([]float64, 20*5)
 	for _, fn := range allDivFns() {
-		var out [][]float64
-		if n := testing.AllocsPerRun(50, func() { out = fn.Marginal(cover, 5) }); n > 3 {
-			t.Errorf("%s: Marginal of a 20-item list makes %v allocations, want ≤ 3", fn.Name(), n)
+		if n := testing.AllocsPerRun(50, func() { fn.Marginal(dst, cover, 5) }); n != 0 {
+			t.Errorf("%s: Marginal of a 20-item list makes %v allocations, want 0", fn.Name(), n)
 		}
-		for i, row := range out {
-			if len(row) != 5 || cap(row) != 5 {
-				t.Fatalf("%s: row %d has len %d cap %d, want 5 and 5", fn.Name(), i, len(row), cap(row))
-			}
+	}
+	for i, row := range MarginalDiversity(cover, 5) {
+		if len(row) != 5 || cap(row) != 5 {
+			t.Fatalf("MarginalDiversity row %d has len %d cap %d, want 5 and 5", i, len(row), cap(row))
 		}
 	}
 }
